@@ -111,6 +111,13 @@ class MetaTelescope:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        if self.unrouted_baseline is not None:
+            # Sorted-unique once, so no inference's tolerance re-derives it.
+            self.unrouted_baseline = np.unique(
+                np.asarray(self.unrouted_baseline, dtype=np.int64)
+            )
+
     def replace_collector(self, collector) -> None:
         """Swap the RIB feed (e.g. for a fault-plan's stale-RIB proxy).
 

@@ -245,7 +245,7 @@ class OnlineMetaTelescope:
 
         self._last_day = day
         if views and not degraded:
-            self._learn(views)
+            self._learn(views, quality)
         self._records.append(
             DayRecord(
                 day=day,
@@ -273,10 +273,8 @@ class OnlineMetaTelescope:
             typical_factors=self._typical_factors,
         )
 
-    def _learn(self, views: list[VantageDayView]) -> None:
-        self._volume_history.append(
-            sum(view.estimated_packets() for view in views)
-        )
+    def _learn(self, views: list[VantageDayView], quality: FeedQuality) -> None:
+        self._volume_history.append(quality.estimated_packets)
         del self._volume_history[:-_VOLUME_HISTORY]
         for view in views:
             self._typical_factors[view.vantage] = view.sampling_factor

@@ -352,6 +352,7 @@ class SnapshotDeltaStore:
             day=day,
             version=snapshot_version,
             provenance=dict(provenance),
+            family=base.family,
             **arrays,
         )
 

@@ -10,16 +10,58 @@ per vantage-day.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro.net.blocksets import sorted_member_mask
+from repro.traffic.flows import aggregate_sums
 from repro.vantage.sampling import VantageDayView
 
 if TYPE_CHECKING:
     from repro.core.accum import PrefixAccumulator
 
 DEFAULT_QUANTILE = 0.9999
+
+
+def _zero_padded_quantile(seen: np.ndarray, total: int, quantile: float) -> float:
+    """``np.quantile(counts, quantile, method="higher")`` for ``counts`` =
+    ``seen`` padded with zeros to ``total`` entries, never built: numpy
+    takes element ``ceil((total - 1) * quantile)`` of the sorted counts,
+    which read negative seen values, the zero run, the other seen values.
+    """
+    rank = math.ceil((total - 1) * quantile)
+    seen = np.sort(seen)
+    negatives = int(np.searchsorted(seen, 0))
+    zeros = total - len(seen)
+    if negatives <= rank < negatives + zeros:
+        return 0.0
+    return float(seen[rank if rank < negatives else rank - zeros])
+
+
+def _tolerances(
+    pooled: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    unrouted_blocks: np.ndarray,
+    quantile: float,
+) -> dict[str, float]:
+    """Tolerance per vantage from its sorted-unique ``(source blocks,
+    packet sums)`` table; baseline blocks absent from it are the zeros."""
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"quantile out of range: {quantile}")
+    baseline = np.asarray(unrouted_blocks, dtype=np.int64)
+    if len(baseline) == 0:
+        raise ValueError("need unrouted baseline blocks")
+    if not (baseline[1:] > baseline[:-1]).all():
+        baseline = np.unique(baseline)
+    tolerances: dict[str, float] = {}
+    for vantage, (blocks, pkts) in pooled.items():
+        lo, hi = np.searchsorted(blocks, (baseline[0], baseline[-1] + 1))
+        inside = sorted_member_mask(blocks[lo:hi], baseline)
+        tolerances[vantage] = _zero_padded_quantile(
+            pkts[lo:hi][inside], len(baseline), quantile
+        )
+    return tolerances
 
 
 def tolerance_for_view(
@@ -33,18 +75,7 @@ def tolerance_for_view(
     with zero sightings — most of the distribution is zeros, which is
     why the tolerance is usually 0-2 packets.
     """
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile out of range: {quantile}")
-    unrouted = np.unique(np.asarray(unrouted_blocks, dtype=np.int64))
-    if len(unrouted) == 0:
-        raise ValueError("need unrouted baseline blocks")
-    agg = view.aggregates()
-    counts = np.zeros(len(unrouted))
-    mask = np.isin(agg.src_blocks, unrouted)
-    seen_blocks = agg.src_blocks[mask]
-    seen_pkts = agg.src_packets[mask]
-    counts[np.searchsorted(unrouted, seen_blocks)] = seen_pkts
-    return float(np.quantile(counts, quantile, method="higher"))
+    return tolerances_for_views([view], unrouted_blocks, quantile)[view.vantage]
 
 
 def tolerances_for_views(
@@ -60,21 +91,17 @@ def tolerances_for_views(
     Hence the tolerance rises with window length (up to ~4 packets/day
     x 7 days in the paper's setting).
     """
-    unrouted = np.unique(np.asarray(unrouted_blocks, dtype=np.int64))
-    if len(unrouted) == 0:
-        raise ValueError("need unrouted baseline blocks")
-    pooled: dict[str, np.ndarray] = {}
+    by_vantage: dict[str, list] = {}
     for view in views:
-        counts = pooled.setdefault(view.vantage, np.zeros(len(unrouted)))
-        agg = view.aggregates()
-        mask = np.isin(agg.src_blocks, unrouted)
-        counts[np.searchsorted(unrouted, agg.src_blocks[mask])] += agg.src_packets[
-            mask
-        ]
-    return {
-        vantage: float(np.quantile(counts, quantile, method="higher"))
-        for vantage, counts in pooled.items()
-    }
+        by_vantage.setdefault(view.vantage, []).append(view.aggregates())
+    pooled = {}
+    for vantage, aggregates in by_vantage.items():
+        blocks, (pkts,) = aggregate_sums(
+            np.concatenate([agg.src_blocks for agg in aggregates]),
+            np.concatenate([agg.src_packets for agg in aggregates]),
+        )
+        pooled[vantage] = (blocks, pkts)
+    return _tolerances(pooled, unrouted_blocks, quantile)
 
 
 def tolerances_from_accumulator(
@@ -89,15 +116,6 @@ def tolerances_from_accumulator(
     vantage, which is exactly the pooled quantity the batch path
     computes from each view's aggregates.
     """
-    unrouted = np.unique(np.asarray(unrouted_blocks, dtype=np.int64))
-    if len(unrouted) == 0:
-        raise ValueError("need unrouted baseline blocks")
-    tolerances: dict[str, float] = {}
-    for vantage, (blocks, pkts) in accumulator.vantage_source_blocks().items():
-        counts = np.zeros(len(unrouted))
-        mask = np.isin(blocks, unrouted)
-        counts[np.searchsorted(unrouted, blocks[mask])] = pkts[mask]
-        tolerances[vantage] = float(
-            np.quantile(counts, quantile, method="higher")
-        )
-    return tolerances
+    return _tolerances(
+        accumulator.vantage_source_blocks(), unrouted_blocks, quantile
+    )

@@ -30,6 +30,8 @@ from repro.faults.injectors import MIN_BYTES_PER_PACKET
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
+#: Two rows are exact duplicates when they agree on all of these.
+DUPLICATE_COLUMNS = ("src_ip", "dst_ip", "proto", "dport", "packets", "bytes")
 #: Exact-duplicate share below this is considered natural collision noise.
 NATURAL_DUPLICATE_SHARE = 0.02
 #: Duplicate share at which the duplicates component reaches zero.
@@ -60,20 +62,30 @@ class FeedQuality:
 
 
 def _duplicate_fraction(flows: FlowTable) -> float:
-    if len(flows) == 0:
+    """Share of rows that repeat another in all of ``DUPLICATE_COLUMNS``.
+
+    Equal rows share their 64-bit address-pair key, so one sort of that
+    key leaves only the rows whose key ties with a neighbour to compare
+    in full.
+    """
+    total = len(flows)
+    if total == 0:
         return 0.0
-    key = np.column_stack(
-        [
-            flows.src_ip.astype(np.int64),
-            flows.dst_ip.astype(np.int64),
-            flows.proto.astype(np.int64),
-            flows.dport.astype(np.int64),
-            flows.packets,
-            flows.bytes,
-        ]
-    )
-    unique_rows = np.unique(key, axis=0)
-    return 1.0 - len(unique_rows) / len(flows)
+    key = flows.src_ip.astype(np.uint64) << np.uint64(32)
+    key ^= flows.dst_ip.astype(np.uint64)
+    order = np.argsort(key)
+    key = key[order]
+    tied = np.zeros(total, dtype=bool)
+    tied[1:] = key[1:] == key[:-1]
+    tied[:-1] |= tied[1:]
+    rows = order[tied]
+    columns = [getattr(flows, name)[rows] for name in DUPLICATE_COLUMNS]
+    adjacent = np.lexsort(columns)
+    repeats = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for column in columns:
+        column = column[adjacent]
+        repeats &= column[1:] == column[:-1]
+    return 1.0 - (total - int(repeats.sum())) / total
 
 
 def _invalid_fraction(flows: FlowTable) -> float:
@@ -101,7 +113,9 @@ def score_feed(
     learned from them.  Both default to "no expectations".
     """
     reasons: list[str] = []
-    total_flows = sum(len(view.flows) for view in views)
+    # num_rows: an archive view counts from segment headers, data unread.
+    rows = [view.num_rows for view in views]
+    total_flows = sum(rows)
     estimated = sum(view.estimated_packets() for view in views)
 
     if not views:
@@ -138,7 +152,7 @@ def score_feed(
                     f"estimated volume {ratio:.2f}x the trailing median"
                 )
 
-    weights = np.array([len(view.flows) for view in views], dtype=np.float64)
+    weights = np.array(rows, dtype=np.float64)
     total_weight = weights.sum()
     if total_weight > 0:
         duplicate = float(

@@ -1,5 +1,7 @@
 """Tests for the online (rolling-window) meta-telescope."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.pipeline import PipelineConfig
 from repro.net.ipv4 import Prefix, parse_ip
+from repro.vantage.archive import ArchiveDayView, export_view
 
 from _factories import ip, make_view
 
@@ -27,6 +30,21 @@ def make_online(**overrides):
     )
     defaults.update(overrides)
     return OnlineMetaTelescope(**defaults)
+
+
+def make_world_online(world):
+    """A 3-day-window online instance over a generated world."""
+    telescope = MetaTelescope(
+        collector=world.collector,
+        liveness=world.datasets.liveness,
+        unrouted_baseline=world.unrouted_baseline_blocks,
+        config=PipelineConfig(
+            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
+        ),
+    )
+    return OnlineMetaTelescope(
+        telescope=telescope, window_days=3, min_stable_days=2
+    )
 
 
 def day_views(day, blocks=(BASE,), sources=()):
@@ -102,18 +120,7 @@ class TestOnline:
             online.update(0, [])
 
     def test_on_world_views(self, integration_world, integration_observatory):
-        world = integration_world
-        telescope = MetaTelescope(
-            collector=world.collector,
-            liveness=world.datasets.liveness,
-            unrouted_baseline=world.unrouted_baseline_blocks,
-            config=PipelineConfig(
-                volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-            ),
-        )
-        online = OnlineMetaTelescope(
-            telescope=telescope, window_days=3, min_stable_days=2
-        )
+        online = make_world_online(integration_world)
         sizes = []
         for day in range(4):
             views = list(integration_observatory.day(day).ixp_views.values())
@@ -121,3 +128,72 @@ class TestOnline:
             sizes.append(update.serving_size)
         assert sizes[-1] > 0
         assert online.days_in_window() == [1, 2, 3]
+
+
+class CountingArchiveView(ArchiveDayView):
+    """An archive view that counts passes over its column data."""
+
+    chunk_passes = 0
+
+    def iter_chunks(self, chunk_rows=None):
+        self.chunk_passes += 1
+        return super().iter_chunks(chunk_rows)
+
+
+class TestWorldDays:
+    """Four micro-world days, from memory and from multi-segment archives."""
+
+    #: Per day: serving size, CRC-32 of the serving list, delivered
+    #: rows, estimated packets and feed score, recorded at commit
+    #: 5dd4f5d with the dense spoofing tolerance and duplicate scorer.
+    PINNED = [
+        (278, 996502029, 18320, 505292.0, 1.0),
+        (217, 1326690775, 16390, 490448.0, 0.9706229269412537),
+        (278, 1048652114, 16989, 493974.0, 0.9921746640689336),
+        (277, 2016899384, 16360, 487264.0, 0.9864162891164312),
+    ]
+
+    def test_serving_quality_and_health_are_unchanged(
+        self, world, observatory, tmp_path
+    ):
+        memory, archived = make_world_online(world), make_world_online(world)
+        for day, pinned in enumerate(self.PINNED):
+            views = list(observatory.day(day).ixp_views.values())
+            stored = []
+            for view in views:
+                path = tmp_path / f"{view.vantage}-d{day}.fpk"
+                export_view(view, path, chunk_rows=500)
+                stored.append(
+                    CountingArchiveView(
+                        vantage=view.vantage,
+                        day=day,
+                        path=path,
+                        sampling_factor=view.sampling_factor,
+                    )
+                )
+            update = memory.update(day, views)
+            from_archives = archived.update(day, stored)
+
+            quality = update.quality
+            assert (
+                update.serving_size,
+                zlib.crc32(memory.current_prefixes().tobytes()),
+                quality.total_flows,
+                quality.estimated_packets,
+                quality.score,
+            ) == pinned
+            assert (quality.duplicate_fraction, quality.invalid_fraction) == (0, 0)
+            assert quality.reasons == ()
+            assert from_archives.quality == quality
+            assert np.array_equal(
+                archived.current_prefixes(), memory.current_prefixes()
+            )
+            # One pass sums the packets for the score and one folds the
+            # day; learning the volume baseline re-reads nothing.
+            assert [view.chunk_passes for view in stored] == [2] * len(stored)
+        assert archived._volume_history == [row[3] for row in self.PINNED]
+        assert archived.health_report().records == memory.health_report().records
+        assert memory.health_report().summary() == (
+            "4 day(s) processed (4 inferred); serving 277 prefixes, "
+            "staleness 0 day(s), 0 quarantined"
+        )

@@ -119,6 +119,19 @@ def test_reopen_reconstructs_from_disk(tmp_path):
     assert reopened.load(4).identical_to(fourth)
 
 
+def test_ipv6_store_keeps_family_on_base_and_delta_versions(tmp_path):
+    store = SnapshotDeltaStore(tmp_path, compact_threshold=None)
+    published = [dataclasses.replace(snap(1, lo=1 << 40), family="ipv6")]
+    for version in (2, 3):
+        published.append(flip(published[-1], version))
+    for snapshot in published:
+        store.append(snapshot)
+    for reader in (store, SnapshotDeltaStore(tmp_path)):
+        assert reader.load().family == "ipv6"
+        for snapshot in published:
+            assert reader.load(snapshot.version).identical_to(snapshot)
+
+
 def test_identical_republish_is_a_zero_row_delta(tmp_path):
     store = SnapshotDeltaStore(tmp_path)
     first = snap(1)

@@ -1,0 +1,169 @@
+"""Property tests: the sparse spoofing tolerance is its dense definition.
+
+The dense form — a ``|baseline|``-long count vector per vantage handed
+to ``np.quantile(..., method="higher")`` — is how paper §7.2 reads and
+how the tolerance used to be computed.  It lives on here only as the
+oracle the sparse implementation must reproduce ``==``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.accum import accumulate_views
+from repro.core.spoofing_tolerance import (
+    _zero_padded_quantile,
+    tolerance_for_view,
+    tolerances_for_views,
+    tolerances_from_accumulator,
+)
+from repro.net.ipv4 import parse_ip
+
+from _factories import ip, make_view
+
+UNROUTED = np.arange(parse_ip("39.0.0.0") >> 8, (parse_ip("39.0.0.0") >> 8) + 60)
+ROUTED = parse_ip("20.0.0.0") >> 8
+QUANTILES = (0.5, 0.9, 0.99, 0.999, 0.9999, 1.0)
+
+
+def dense_tolerances(views, unrouted_blocks, quantile):
+    """The pre-sparse ``tolerances_for_views``, kept as the oracle."""
+    unrouted = np.unique(np.asarray(unrouted_blocks, dtype=np.int64))
+    pooled = {}
+    for view in views:
+        counts = pooled.setdefault(view.vantage, np.zeros(len(unrouted)))
+        agg = view.aggregates()
+        mask = np.isin(agg.src_blocks, unrouted)
+        counts[np.searchsorted(unrouted, agg.src_blocks[mask])] += agg.src_packets[
+            mask
+        ]
+    return {
+        vantage: float(np.quantile(counts, quantile, method="higher"))
+        for vantage, counts in pooled.items()
+    }
+
+
+@st.composite
+def padded_samples(draw):
+    """(seen sums, total entries, quantile) with m <= n, n in [1, 400]."""
+    total = draw(st.integers(min_value=1, max_value=400))
+    seen = draw(
+        st.lists(
+            st.integers(min_value=-6, max_value=40), min_size=0, max_size=total
+        )
+    )
+    ranks = st.integers(min_value=1, max_value=max(total - 1, 1))
+    quantile = draw(
+        st.one_of(
+            st.sampled_from(QUANTILES),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            # (n - 1) * q lands on (or an ulp beside) an integer rank.
+            ranks.map(lambda rank: min(rank / max(total - 1, 1), 1.0)),
+        )
+    )
+    return seen, total, quantile
+
+
+class TestZeroPaddedQuantile:
+    @given(padded_samples(), st.sampled_from([np.int64, np.float64]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_numpy_on_the_dense_vector(self, sample, dtype):
+        seen, total, quantile = sample
+        dense = np.zeros(total)
+        dense[: len(seen)] = seen
+        np.random.default_rng(len(seen)).shuffle(dense)
+        expected = float(np.quantile(dense, quantile, method="higher"))
+        got = _zero_padded_quantile(np.array(seen, dtype=dtype), total, quantile)
+        assert got == expected
+        assert isinstance(got, float)
+
+    def test_rank_is_numpys_rank(self):
+        # 0.9999 * 10000 is not 9999 in floating point; both sides must
+        # round the same way or the tolerance jumps one order statistic.
+        for total in (2, 11, 101, 8193, 10001):
+            for quantile in QUANTILES:
+                assert math.ceil((total - 1) * quantile) == int(
+                    np.ceil((total - 1) * np.float64(quantile))
+                )
+
+
+@st.composite
+def campaigns(draw):
+    """Multi-day, multi-vantage views with sources in and around the
+    unrouted baseline; the baseline itself unsorted with repeats."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    views = []
+    for vantage in draw(
+        st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3, unique=True)
+    ):
+        for day in range(draw(st.integers(min_value=1, max_value=3))):
+            count = int(rng.integers(0, 40))
+            pool = np.concatenate(
+                [UNROUTED, UNROUTED[:1] - 3, UNROUTED[-1:] + 2, [ROUTED, ROUTED + 1]]
+            )
+            rows = [
+                {
+                    "src_ip": ip(int(block), host=int(rng.integers(1, 4))),
+                    "dst_ip": ip(ROUTED + 700),
+                    "packets": int(rng.integers(0, 9)),
+                }
+                for block in rng.choice(pool, size=count)
+            ]
+            rows.append({"dst_ip": ip(ROUTED)})
+            views.append(make_view(rows, vantage=vantage, day=day))
+    baseline = rng.permutation(np.concatenate([UNROUTED, UNROUTED[:7]]))
+    return views, baseline
+
+
+class TestSparseEqualsDense:
+    @given(campaigns(), st.sampled_from(QUANTILES))
+    @settings(max_examples=60, deadline=None)
+    def test_views_accumulator_and_dense_agree(self, campaign, quantile):
+        views, baseline = campaign
+        expected = dense_tolerances(views, baseline, quantile)
+        assert tolerances_for_views(views, baseline, quantile) == expected
+        # The docstring's claim: streamed aggregates give the same answer.
+        accumulator = accumulate_views(views, chunk_size=7)
+        assert tolerances_from_accumulator(accumulator, baseline, quantile) == expected
+        for view in views:
+            assert tolerance_for_view(view, baseline, quantile) == dense_tolerances(
+                [view], baseline, quantile
+            )[view.vantage]
+
+    def test_on_world_views(self, world, day0):
+        views = list(day0.ixp_views.values())
+        baseline = world.unrouted_baseline_blocks
+        accumulator = accumulate_views(views)
+        for quantile in QUANTILES:
+            expected = dense_tolerances(views, baseline, quantile)
+            assert tolerances_for_views(views, baseline, quantile) == expected
+            assert (
+                tolerances_from_accumulator(accumulator, baseline, quantile)
+                == expected
+            )
+
+
+class TestValidation:
+    VIEW = make_view([{"dst_ip": ip(ROUTED)}])
+
+    def entry_points(self):
+        accumulator = accumulate_views([self.VIEW])
+        return [
+            lambda *args: tolerance_for_view(self.VIEW, *args),
+            lambda *args: tolerances_for_views([self.VIEW], *args),
+            lambda *args: tolerances_from_accumulator(accumulator, *args),
+        ]
+
+    @pytest.mark.parametrize("quantile", [0, 0.0, -0.1, 1.5, float("nan")])
+    def test_every_entry_point_rejects_a_bad_quantile(self, quantile):
+        for call in self.entry_points():
+            with pytest.raises(ValueError, match="quantile out of range: "):
+                call(UNROUTED, quantile)
+
+    def test_every_entry_point_requires_a_baseline(self):
+        for call in self.entry_points():
+            with pytest.raises(ValueError, match="need unrouted baseline blocks"):
+                call(np.array([]))

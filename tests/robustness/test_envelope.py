@@ -88,6 +88,39 @@ def baseline(settings):
     return scores
 
 
+class TestPinnedMicroWorld:
+    """The micro world's (serving, fpr, fnr, coverage) per path and its
+    online health line, recorded at commit 5dd4f5d with the dense
+    spoofing tolerance and duplicate scorer."""
+
+    def test_clean_campaign(self, baseline):
+        assert [
+            (s.path, s.serving, s.fpr, s.fnr, s.coverage) for s in baseline
+        ] == [
+            ("parallel", 312, 0.0, 0.2553699284009546, 0.7395833333333334),
+            ("online", 278, 0.0, 0.33651551312649164, 0.5729166666666666),
+        ]
+
+    def test_fault_composed_campaign(self):
+        """Truncated and duplicated feeds mid-campaign: the duplicate
+        score degrades the day and the carry policy quarantines."""
+        scores, health = _run_paths(
+            build_world(micro_config(7)),
+            EvaluationSettings(days=3, compose_faults=True),
+            None, None, None, None,
+        )
+        assert [
+            (s.path, s.serving, s.fpr, s.fnr, s.coverage) for s in scores
+        ] == [
+            ("parallel", 318, 0.0, 0.24105011933174225, 0.7395833333333334),
+            ("online", 201, 0.0, 0.5202863961813842, 0.1875),
+        ]
+        assert health == (
+            "3 day(s) processed (1 degraded, 2 inferred); serving 201 "
+            "prefixes, staleness 0 day(s), 207 quarantined"
+        )
+
+
 class TestRegressionGate:
     def test_healthy_pipeline_stays_in_envelope(self, settings, baseline):
         catalog = {s.name: s for s in standard_catalog(micro_config(7))}
