@@ -46,6 +46,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
+from repro.net.blocksets import sorted_union
 from repro.net.family import FAMILY_IPV4, IPV4, family as _family_of
 from repro.traffic.flows import FlowTable, aggregate_sums
 from repro.traffic.packets import PROTO_TCP
@@ -745,18 +746,21 @@ class PrefixAccumulator:
             )
         src_blocks, (src_excess,) = excess.compacted()
 
-        days = self.days()
-        day_tables = [self._volume_by_day[day].compacted() for day in days]
-        if any(len(blocks) for blocks, _ in day_tables):
-            vol_blocks = np.unique(
-                np.concatenate([blocks for blocks, _ in day_tables])
-            )
+        day_tables = [
+            self._volume_by_day[day].compacted() for day in self.days()
+        ]
+        if len(day_tables) == 1:
+            # One day in the window (every batch run, every online
+            # per-day inference): its compacted table is the answer.
+            vol_blocks, (vol_median_est,) = day_tables[0]
         else:
-            vol_blocks = _empty_keys()
-        volume_matrix = np.zeros((max(len(days), 1), len(vol_blocks)))
-        for row, (blocks, (est,)) in enumerate(day_tables):
-            volume_matrix[row, np.searchsorted(vol_blocks, blocks)] = est
-        vol_median_est = np.median(volume_matrix, axis=0)
+            vol_blocks = sorted_union(*(blocks for blocks, _ in day_tables))
+            volume_matrix = np.zeros(
+                (max(len(day_tables), 1), len(vol_blocks))
+            )
+            for row, (blocks, (est,)) in enumerate(day_tables):
+                volume_matrix[row, np.searchsorted(vol_blocks, blocks)] = est
+            vol_median_est = np.median(volume_matrix, axis=0)
 
         return FinalizedAggregates(
             dst_ips=dst_ips,

@@ -32,6 +32,7 @@ from repro.core.ipv6_candidates import Ipv6CandidateResult, ipv6_candidate_sites
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
 from repro.core.pipeline import PipelineConfig
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
+from repro.net.blocksets import sorted_difference, sorted_intersection
 from repro.net.family import FAMILY_IPV6, IPV6
 from repro.vantage.sampling import VantageDayView
 from repro.world.ipv6 import Ipv6World
@@ -129,16 +130,13 @@ def infer_ipv6(
         set(world.hitlist_sites),
     )
 
-    served = np.intersect1d(
-        result.prefixes,
-        np.asarray(candidates.candidate_sites, dtype=np.int64),
-    )
+    served = sorted_intersection(result.prefixes, candidates.candidate_sites)
     snapshot = build_snapshot(
         day=last_day,
         dark=served,
         unclean=result.pipeline.unclean_blocks,
         gray=result.pipeline.gray_blocks,
-        candidate=np.setdiff1d(result.pipeline.dark_blocks, served),
+        candidate=sorted_difference(result.pipeline.dark_blocks, served),
         provenance={
             "engine": "ipv6",
             "hitlist_sites": len(world.hitlist_sites),

@@ -37,7 +37,8 @@ from repro.core.pipeline import (
 from repro.core.refine import RefinementResult, refine_with_liveness
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
 from repro.core.spoofing_tolerance import tolerances_from_accumulator
-from repro.datasets.liveness import LivenessDataset
+from repro.datasets.liveness import LivenessDataset, union_liveness
+from repro.net.blocksets import as_sorted_unique
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
@@ -74,13 +75,12 @@ class MetaTelescopeResult:
         ``[(day, dark_blocks), ...]`` record feeding since-day and
         confidence (see :func:`repro.core.snapshot.build_snapshot`).
         """
-        dark = self.refinement.final_blocks
         return build_snapshot(
             day=day,
-            dark=dark,
+            dark=self.refinement.final_blocks,
             unclean=self.pipeline.unclean_blocks,
             gray=self.pipeline.gray_blocks,
-            candidate=np.setdiff1d(self.pipeline.dark_blocks, dark),
+            candidate=self.refinement.removed_blocks,
             history=history,
             provenance=provenance,
             family=self.pipeline.family,
@@ -106,6 +106,11 @@ class MetaTelescope:
     _routing_cache: dict[tuple[int, ...], RoutingTable] = field(
         default_factory=dict, repr=False
     )
+    #: ``(datasets, their union)``: the liveness union refinement probes,
+    #: merged once and rebuilt only when ``liveness`` holds other datasets.
+    _liveness_cache: tuple[tuple, list[LivenessDataset]] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: RunContext of the most recent fold/inference (trace access).
     _last_context: RunContext | None = field(
         default=None, repr=False, compare=False
@@ -114,9 +119,7 @@ class MetaTelescope:
     def __post_init__(self) -> None:
         if self.unrouted_baseline is not None:
             # Sorted-unique once, so no inference's tolerance re-derives it.
-            self.unrouted_baseline = np.unique(
-                np.asarray(self.unrouted_baseline, dtype=np.int64)
-            )
+            self.unrouted_baseline = as_sorted_unique(self.unrouted_baseline)
 
     def replace_collector(self, collector) -> None:
         """Swap the RIB feed (e.g. for a fault-plan's stale-RIB proxy).
@@ -140,6 +143,18 @@ class MetaTelescope:
         table = RoutingTable(seen.values())
         self._routing_cache[key] = table
         return table
+
+    def liveness_union(self) -> list[LivenessDataset]:
+        """``liveness`` merged into at most one dataset, computed once."""
+        cached = self._liveness_cache
+        if (
+            cached is None
+            or len(cached[0]) != len(self.liveness)
+            or any(a is not b for a, b in zip(cached[0], self.liveness))
+        ):
+            union = [union_liveness(self.liveness)] if self.liveness else []
+            cached = self._liveness_cache = (tuple(self.liveness), union)
+        return cached[1]
 
     def plan(
         self,
@@ -270,7 +285,9 @@ class MetaTelescope:
             accumulator, routing, config, special=self.special, context=context
         )
         if refine:
-            refinement = refine_with_liveness(pipeline.dark_blocks, self.liveness)
+            refinement = refine_with_liveness(
+                pipeline.dark_blocks, self.liveness_union()
+            )
         else:
             refinement = RefinementResult(
                 final_blocks=pipeline.dark_blocks,

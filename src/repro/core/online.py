@@ -49,6 +49,12 @@ from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
 from repro.core.stages import StageTiming
 from repro.faults.quality import FeedQuality, score_feed
+from repro.net.blocksets import (
+    sorted_difference,
+    sorted_intersection,
+    sorted_member_mask,
+    sorted_union,
+)
 from repro.vantage.sampling import VantageDayView
 
 #: Degraded-day policies accepted by :class:`OnlineMetaTelescope`.
@@ -319,8 +325,12 @@ class OnlineMetaTelescope:
         if action == "degraded":
             self._staleness += 1
             if previous_dark is not None and self.quarantine_days > 0:
-                for block in np.setxor1d(day_dark, previous_dark):
-                    self._quarantine[int(block)] = self.quarantine_days
+                flapped = sorted_difference(
+                    sorted_union(day_dark, previous_dark),
+                    sorted_intersection(day_dark, previous_dark),
+                )
+                for block in flapped.tolist():
+                    self._quarantine[block] = self.quarantine_days
         else:
             self._staleness = 0
             self._tick_quarantine()
@@ -347,13 +357,12 @@ class OnlineMetaTelescope:
             meta={"action": action},
         )
         stable = self._stable_blocks()
-        serving = np.intersect1d(window_result.prefixes, stable)
         quarantined = self.quarantined_blocks()
-        if len(quarantined):
-            serving = np.setdiff1d(serving, quarantined)
-
-        added = np.setdiff1d(serving, self._serving)
-        removed = np.setdiff1d(self._serving, serving)
+        serving = sorted_difference(
+            sorted_intersection(window_result.prefixes, stable), quarantined
+        )
+        added = sorted_difference(serving, self._serving)
+        removed = sorted_difference(self._serving, serving)
         self._serving = serving
         return DayUpdate(
             day=day,
@@ -396,14 +405,10 @@ class OnlineMetaTelescope:
 
     def _stable_blocks(self) -> np.ndarray:
         required = min(self.min_stable_days, len(self._daily_dark))
-        union = (
-            np.unique(np.concatenate(list(self._daily_dark)))
-            if self._daily_dark
-            else _empty_blocks()
-        )
+        union = sorted_union(*self._daily_dark)
         counts = np.zeros(len(union), dtype=np.int64)
         for daily in self._daily_dark:
-            counts += np.isin(union, daily)
+            counts += sorted_member_mask(union, daily)
         return union[counts >= required]
 
     # -- operator views ------------------------------------------------
@@ -470,7 +475,7 @@ class OnlineMetaTelescope:
                 result.pipeline.gray_blocks if result is not None else None
             ),
             candidate=(
-                np.setdiff1d(result.prefixes, self._serving)
+                sorted_difference(result.prefixes, self._serving)
                 if result is not None
                 else None
             ),

@@ -46,8 +46,9 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -101,10 +102,33 @@ def _persistent_pool(processes: int):
     return pool
 
 
-def shutdown_worker_pools() -> None:
-    """Terminate every persistent worker pool (tests; process exit)."""
-    for pool in _POOLS.values():
+@contextmanager
+def _one_shot_pool(context, processes: int) -> Iterator[Any]:
+    """A pool left through ``close()`` + ``join()``.
+
+    ``with Pool(...)`` leaves through ``terminate()``, i.e. SIGTERM.  A
+    forked worker inherits any Python-level SIGTERM handler of the
+    embedding process, can be parked in a lock where it never runs it,
+    and the parent's unbounded ``join()`` then hangs.  Idle workers told
+    to finish by ``close()`` exit on their own; only a failed fold is
+    terminated.
+    """
+    pool = context.Pool(processes=processes)
+    try:
+        yield pool
+        pool.close()
+    except BaseException:
         pool.terminate()
+        raise
+    finally:
+        pool.join()
+
+
+def shutdown_worker_pools() -> None:
+    """Retire every persistent worker pool (tests; process exit) — by
+    ``close()``, for the reason :func:`_one_shot_pool` gives."""
+    for pool in _POOLS.values():
+        pool.close()
         pool.join()
     _POOLS.clear()
 
@@ -305,10 +329,11 @@ def _fold_entries(
     return state, len(entries), rows, fold_seconds, encode_seconds
 
 
-def _fold_fork_bucket(bucket: list[Shard]):
-    """Worker entry under ``fork``: views come in via copy-on-write."""
-    views, ignored, chunk_size, kernel = _FORK_WORK
-    entries = [
+def _bucket_entries(
+    views: Sequence[VantageDayView], bucket: list[Shard]
+) -> list[tuple[str, int, float, object]]:
+    """One bucket's shards as :func:`_fold_entries` entries."""
+    return [
         (
             views[index].vantage,
             views[index].day,
@@ -317,7 +342,14 @@ def _fold_fork_bucket(bucket: list[Shard]):
         )
         for index, start, stop in bucket
     ]
-    return _fold_entries(entries, ignored, chunk_size, kernel)
+
+
+def _fold_fork_bucket(bucket: list[Shard]):
+    """Worker entry under ``fork``: views come in via copy-on-write."""
+    views, ignored, chunk_size, kernel = _FORK_WORK
+    return _fold_entries(
+        _bucket_entries(views, bucket), ignored, chunk_size, kernel
+    )
 
 
 def _fold_payload_bucket(
@@ -393,20 +425,7 @@ def parallel_accumulate_views(
         # Archive-backed: descriptor entries are tiny and carry no
         # process state, so the persistent pool folds them safely.
         payloads = [
-            (
-                [
-                    (
-                        views[index].vantage,
-                        views[index].day,
-                        views[index].sampling_factor,
-                        _shard_payload(views[index], start, stop),
-                    )
-                    for index, start, stop in bucket
-                ],
-                ignored,
-                chunk_size,
-                kernel,
-            )
+            (_bucket_entries(views, bucket), ignored, chunk_size, kernel)
             for bucket in buckets
         ]
         pool = _persistent_pool(len(buckets))
@@ -416,7 +435,7 @@ def parallel_accumulate_views(
         context = multiprocessing.get_context("fork")
         _FORK_WORK = (views, ignored, chunk_size, kernel)
         try:
-            with context.Pool(processes=len(buckets)) as pool:
+            with _one_shot_pool(context, len(buckets)) as pool:
                 results = pool.map(_fold_fork_bucket, buckets)
         finally:
             _FORK_WORK = None
@@ -424,23 +443,10 @@ def parallel_accumulate_views(
     else:  # pragma: no cover - exercised only on spawn-only platforms
         context = multiprocessing.get_context("spawn")
         payloads = [
-            (
-                [
-                    (
-                        views[index].vantage,
-                        views[index].day,
-                        views[index].sampling_factor,
-                        _shard_payload(views[index], start, stop),
-                    )
-                    for index, start, stop in bucket
-                ],
-                ignored,
-                chunk_size,
-                kernel,
-            )
+            (_bucket_entries(views, bucket), ignored, chunk_size, kernel)
             for bucket in buckets
         ]
-        with context.Pool(processes=len(buckets)) as pool:
+        with _one_shot_pool(context, len(buckets)) as pool:
             results = pool.starmap(_fold_payload_bucket, payloads)
         mode = "spawn"
     fanout_seconds = time.perf_counter() - started

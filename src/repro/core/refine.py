@@ -24,6 +24,7 @@ from repro.bgp.asinfo import ASRegistry
 from repro.bgp.topology import AsTopology
 from repro.datasets.liveness import LivenessDataset, union_liveness
 from repro.datasets.pfx2as import PrefixToAsMap
+from repro.net.blocksets import as_sorted_unique, sorted_member_mask
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
@@ -45,7 +46,7 @@ def refine_with_liveness(
     dark_blocks: np.ndarray, liveness: list[LivenessDataset]
 ) -> RefinementResult:
     """Drop inferred-dark blocks any liveness dataset reports active."""
-    dark = np.unique(np.asarray(dark_blocks, dtype=np.int64))
+    dark = as_sorted_unique(dark_blocks)
     if not liveness:
         return RefinementResult(final_blocks=dark, removed_blocks=dark[:0])
     union = union_liveness(liveness)
@@ -76,26 +77,18 @@ def cone_filtered_view(
     if len(flows) == 0:
         return view
     claimed_origin = pfx2as.asns_of_blocks(flows.src_blocks())
-    keep = np.zeros(len(flows), dtype=bool)
     sender_asns = flows.sender_asn.astype(np.int64)
-    pairs = np.unique(
-        np.stack([sender_asns, claimed_origin], axis=1), axis=0
-    )
-    allowed = {
-        (int(sender), int(origin))
-        for sender, origin in pairs
-        if origin >= 0
-        and sender >= 0
-        and int(origin) in topology.customer_cone(int(sender))
-    }
-    key = sender_asns * (1 << 32) + np.where(claimed_origin >= 0, claimed_origin, 0)
+    known = (claimed_origin >= 0) & (sender_asns >= 0)
+    key = sender_asns * (1 << 32) + claimed_origin
     allowed_keys = np.array(
-        sorted(s * (1 << 32) + o for s, o in allowed), dtype=np.int64
+        [
+            pair
+            for pair in as_sorted_unique(key[known]).tolist()
+            if (pair & 0xFFFFFFFF) in topology.customer_cone(pair >> 32)
+        ],
+        dtype=np.int64,
     )
-    if len(allowed_keys):
-        idx = np.searchsorted(allowed_keys, key)
-        idx = np.clip(idx, 0, len(allowed_keys) - 1)
-        keep = (allowed_keys[idx] == key) & (claimed_origin >= 0)
+    keep = known & sorted_member_mask(key, allowed_keys)
     return VantageDayView(
         vantage=view.vantage,
         day=view.day,

@@ -48,6 +48,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.flowpack import TableArchive, write_table_archive
+from repro.net.blocksets import align_sorted, as_sorted_unique, sorted_member_mask
 from repro.net.family import FAMILY_IPV4, family as _family_of, family_of_prefix
 from repro.net.trie import interval_covered_mask
 
@@ -272,15 +273,10 @@ class ClassificationSnapshot:
 
     def indices_of(self, blocks: np.ndarray) -> np.ndarray:
         """Row index per queried block (-1 where absent); O(log n) each."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        idx = np.searchsorted(self.blocks, blocks)
-        idx = np.clip(idx, 0, max(len(self.blocks) - 1, 0))
-        present = (
-            (len(self.blocks) > 0) & (self.blocks[idx] == blocks)
-            if len(self.blocks)
-            else np.zeros(blocks.shape, dtype=bool)
+        positions, hit = align_sorted(
+            np.asarray(blocks, dtype=np.int64), self.blocks
         )
-        return np.where(present, idx, -1)
+        return np.where(hit, positions, -1)
 
     def is_dark(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised dark membership via the interval trie table."""
@@ -433,22 +429,25 @@ class ClassificationSnapshot:
                 f"cannot diff {self.family} snapshot against "
                 f"{older.family} snapshot"
             )
-        added = np.setdiff1d(self.dark_blocks, older.dark_blocks)
-        removed = np.setdiff1d(older.dark_blocks, self.dark_blocks)
-        common = np.intersect1d(self.blocks, older.blocks)
-        new_idx = self.indices_of(common)
-        old_idx = older.indices_of(common)
-        changed = common[
-            self.verdicts[new_idx] != older.verdicts[old_idx]
-        ]
+        # One probe aligns the two sorted tables; the three sets are
+        # masks over the rows it matched.
+        positions, hit = align_sorted(self.blocks, older.blocks)
+        older_rows = positions[hit]
+        now, was = self.verdicts[hit], older.verdicts[older_rows]
+        was_dark = np.zeros(len(self), dtype=bool)
+        was_dark[hit] = was == VERDICT_DARK
+        still_dark = np.zeros(len(older), dtype=bool)
+        still_dark[older_rows] = now == VERDICT_DARK
         return SnapshotDiff(
             base_version=older.version,
             base_day=older.day,
             version=self.version,
             day=self.day,
-            added_dark=added,
-            removed_dark=removed,
-            changed=changed,
+            added_dark=self.blocks[(self.verdicts == VERDICT_DARK) & ~was_dark],
+            removed_dark=older.blocks[
+                (older.verdicts == VERDICT_DARK) & ~still_dark
+            ],
+            changed=self.blocks[hit][now != was],
             family=self.family,
         )
 
@@ -499,54 +498,33 @@ class ClassificationSnapshot:
 # ---------------------------------------------------------------------------
 
 
-def _since_days(
+def _streak_history(
     blocks: np.ndarray,
     history: Sequence[tuple[int, np.ndarray]] | None,
     day: int,
-) -> np.ndarray:
-    """First day of each block's latest consecutive presence streak.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(length in entries, first day)`` of each block's latest
+    consecutive presence streak.
 
-    ``history`` is ``[(day, present_blocks), ...]`` in day order (the
-    online engine's window); a block absent from it is treated as first
-    seen today.  "Consecutive" means consecutive *entries* — with a gap
-    policy in play the engine may legitimately skip calendar days.
-    """
-    since = np.full(len(blocks), day, dtype=np.int32)
-    if not history:
-        return since
-    alive = np.ones(len(blocks), dtype=bool)
-    for streak_day, present in sorted(
-        history, key=lambda item: item[0], reverse=True
-    ):
-        hit = alive & np.isin(blocks, present)
-        since[hit] = streak_day
-        alive = hit
-        if not alive.any():
-            break
-    return since
-
-
-def _streaks(
-    blocks: np.ndarray,
-    history: Sequence[tuple[int, np.ndarray]] | None,
-) -> np.ndarray:
-    """Length (in entries) of each block's latest consecutive streak.
-
-    A block absent from the newest entry still scores 1: the caller is
-    snapshotting it *because* today's inference holds it, so today is
-    always evidence.
+    ``history`` is ``[(day, present_blocks), ...]`` (the online engine's
+    window).  "Consecutive" means consecutive *entries* — with a gap
+    policy in play the engine may legitimately skip calendar days.  A
+    block absent from the newest entry still scores one entry starting
+    today: the caller is snapshotting it *because* today's inference
+    holds it, so today is always evidence.
     """
     streaks = np.zeros(len(blocks), dtype=np.int64)
+    since = np.full(len(blocks), day, dtype=np.int32)
     alive = np.ones(len(blocks), dtype=bool)
-    for _, present in sorted(
+    for streak_day, present in sorted(
         history or (), key=lambda item: item[0], reverse=True
     ):
-        hit = alive & np.isin(blocks, present)
-        streaks[hit] += 1
-        alive = hit
+        alive &= sorted_member_mask(blocks, as_sorted_unique(present))
         if not alive.any():
             break
-    return np.maximum(streaks, 1)
+        streaks[alive] += 1
+        since[alive] = streak_day
+    return np.maximum(streaks, 1), since
 
 
 def build_snapshot(
@@ -567,32 +545,30 @@ def build_snapshot(
     since-day and confidence columns; without it every verdict is
     one-day evidence (confidence 0.5, since-day = ``day``).
     """
-    empty = np.empty(0, dtype=np.int64)
-    sets = {
-        VERDICT_UNCLEAN: np.unique(
-            np.asarray(unclean if unclean is not None else empty, dtype=np.int64)
-        ),
-        VERDICT_GRAY: np.unique(
-            np.asarray(gray if gray is not None else empty, dtype=np.int64)
-        ),
-        VERDICT_CANDIDATE: np.unique(
-            np.asarray(
-                candidate if candidate is not None else empty, dtype=np.int64
-            )
-        ),
-        VERDICT_DARK: np.unique(np.asarray(dark, dtype=np.int64)),
-    }
-    all_blocks = np.unique(np.concatenate(list(sets.values())))
-    verdicts = np.zeros(len(all_blocks), dtype=np.uint8)
-    for code, members in sets.items():  # later wins: dict order ends dark
-        verdicts[np.isin(all_blocks, members)] = code
+    # One stable merge, weakest set first: equal keys keep concatenation
+    # order, so the last row of a tie run carries the strongest verdict.
+    ranked = (VERDICT_UNCLEAN, VERDICT_GRAY, VERDICT_CANDIDATE, VERDICT_DARK)
+    sets = [
+        as_sorted_unique(members if members is not None else ())
+        for members in (unclean, gray, candidate, dark)
+    ]
+    keys = np.concatenate(sets)
+    codes = np.repeat(
+        np.array(ranked, dtype=np.uint8), [len(members) for members in sets]
+    )
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    all_blocks, verdicts = keys[last], codes[order][last]
 
     dark_like = (verdicts == VERDICT_DARK) | (verdicts == VERDICT_CANDIDATE)
     streaks = np.ones(len(all_blocks), dtype=np.int64)
     since = np.full(len(all_blocks), day, dtype=np.int32)
     if history and dark_like.any():
-        streaks[dark_like] = _streaks(all_blocks[dark_like], history)
-        since[dark_like] = _since_days(all_blocks[dark_like], history, day)
+        streaks[dark_like], since[dark_like] = _streak_history(
+            all_blocks[dark_like], history, day
+        )
     confidence = _streak_confidence(streaks)
     # Unclean/gray verdicts rest on directly observed traffic (a live
     # source, payload-bearing flows) rather than inference; score them

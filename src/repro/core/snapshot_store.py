@@ -50,6 +50,7 @@ from repro.flowpack import (
     append_table_columns,
     write_table_archive,
 )
+from repro.net.blocksets import align_sorted
 
 #: Delta-row operations.
 OP_UPSERT = 1
@@ -85,23 +86,21 @@ def _row_delta(
     column; deletes are blocks no longer present.  Both sides are
     sorted by block id, so the delta is deterministic.
     """
-    removed = np.setdiff1d(prev.blocks, new.blocks)
-    # A row is an upsert when it is absent from prev OR any column
-    # differs.  Compare aligned views of the common blocks.
-    common = np.intersect1d(new.blocks, prev.blocks)
-    new_idx = new.indices_of(common)
-    prev_idx = prev.indices_of(common)
-    changed_mask = np.zeros(len(common), dtype=bool)
+    # One probe aligns the two sorted tables.  A row is an upsert when
+    # it is absent from prev OR any column differs.
+    positions, hit = align_sorted(new.blocks, prev.blocks)
+    prev_rows = positions[hit]
+    differs = np.zeros(len(prev_rows), dtype=bool)
     for name in SNAPSHOT_COLUMNS:
-        if name == "blocks":
-            continue
-        changed_mask |= (
-            getattr(new, name)[new_idx] != getattr(prev, name)[prev_idx]
-        )
-    upsert_blocks = np.union1d(
-        np.setdiff1d(new.blocks, prev.blocks), common[changed_mask]
-    )
-    up_idx = new.indices_of(upsert_blocks)
+        if name != "blocks":
+            differs |= getattr(new, name)[hit] != getattr(prev, name)[prev_rows]
+    upsert = ~hit
+    upsert[hit] = differs
+    up_idx = np.flatnonzero(upsert)
+    upsert_blocks = new.blocks[up_idx]
+    retained = np.zeros(len(prev), dtype=bool)
+    retained[prev_rows] = True
+    removed = prev.blocks[~retained]
 
     ops = np.concatenate([
         np.full(len(removed), OP_DELETE, dtype=np.uint8),
@@ -129,9 +128,11 @@ def _apply_delta(
     touched = np.asarray(delta["blocks"], dtype=np.int64)
     upsert_mask = ops == OP_UPSERT
     # Every touched block leaves the previous table; upserts re-enter
-    # with their new row.  searchsorted keeps the merge O(n log n) and
-    # the result sorted (snapshot invariant).
-    keep = ~np.isin(arrays["blocks"], touched)
+    # with their new row.  The stable sort over two ascending runs is a
+    # linear merge and keeps the result sorted (snapshot invariant).
+    positions, hit = align_sorted(touched, arrays["blocks"])
+    keep = np.ones(len(arrays["blocks"]), dtype=bool)
+    keep[positions[hit]] = False
     merged: dict[str, np.ndarray] = {}
     order = None
     for name, dtype in SNAPSHOT_COLUMNS.items():
@@ -205,7 +206,8 @@ class SnapshotDeltaStore:
         manifest["manifest_version"] = _MANIFEST_VERSION
         manifest["compactions"] = self.compactions
         _atomic_write_text(
-            self.manifest_path, json.dumps(manifest, indent=2) + "\n"
+            self.manifest_path,
+            json.dumps(manifest, separators=(",", ":")) + "\n",
         )
 
     # -- the write path ------------------------------------------------

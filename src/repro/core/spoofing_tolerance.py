@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.net.blocksets import sorted_member_mask
+from repro.net.blocksets import as_sorted_unique, sorted_member_mask
 from repro.traffic.flows import aggregate_sums
 from repro.vantage.sampling import VantageDayView
 
@@ -49,11 +49,9 @@ def _tolerances(
     packet sums)`` table; baseline blocks absent from it are the zeros."""
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile out of range: {quantile}")
-    baseline = np.asarray(unrouted_blocks, dtype=np.int64)
+    baseline = as_sorted_unique(unrouted_blocks)
     if len(baseline) == 0:
         raise ValueError("need unrouted baseline blocks")
-    if not (baseline[1:] > baseline[:-1]).all():
-        baseline = np.unique(baseline)
     tolerances: dict[str, float] = {}
     for vantage, (blocks, pkts) in pooled.items():
         lo, hi = np.searchsorted(blocks, (baseline[0], baseline[-1] + 1))

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bgp.rib import RoutingTable
+from repro.net.blocksets import align_sorted
 from repro.net.special import SpecialPurposeRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (accum ← stages)
@@ -140,26 +141,25 @@ class StageContext:
         # same backend as the fold (reference numpy unless told else).
         self.kernel = get_kernel("numpy") if kernel is None else kernel
         ip_blocks = finalized.dst_ips >> finalized.block_shift
-        if len(ip_blocks) and np.all(ip_blocks[1:] >= ip_blocks[:-1]):
-            # Finalized columns are sorted by construction: the block
-            # axis falls out of a boundary scan, no re-sort needed.
-            firsts = np.empty(len(ip_blocks), dtype=bool)
-            firsts[0] = True
-            np.not_equal(ip_blocks[1:], ip_blocks[:-1], out=firsts[1:])
-            self.blocks: np.ndarray = ip_blocks[firsts]
-            self.position: np.ndarray = np.cumsum(firsts) - 1
-        else:
-            self.blocks = np.unique(ip_blocks)
-            self.position = np.searchsorted(self.blocks, ip_blocks)
+        if not np.all(ip_blocks[1:] >= ip_blocks[:-1]):
+            raise ValueError(
+                "finalized columns must be sorted by destination key"
+            )
+        # Sorted keys (finalize() emits nothing else): the block axis
+        # falls out of one boundary scan, and every per-block reduction
+        # is a run reduction over the block starts it found.
+        firsts = np.ones(len(ip_blocks), dtype=bool)
+        np.not_equal(ip_blocks[1:], ip_blocks[:-1], out=firsts[1:])
+        self._starts: np.ndarray = np.flatnonzero(firsts)
+        self.blocks: np.ndarray = ip_blocks[self._starts]
+        self.position: np.ndarray = np.cumsum(firsts) - 1
         self.num_blocks: int = len(self.blocks)
 
     # -- per-block reductions ------------------------------------------
 
     def per_block_any(self, mask: np.ndarray) -> np.ndarray:
         """OR-reduce a per-IP mask onto the block axis."""
-        out = np.zeros(self.num_blocks, dtype=bool)
-        np.logical_or.at(out, self.position, mask)
-        return out
+        return np.logical_or.reduceat(mask, self._starts)
 
     def per_block_sum(self, values: np.ndarray) -> np.ndarray:
         """Sum-reduce a per-IP column onto the block axis."""
@@ -195,13 +195,13 @@ class StageContext:
             )
         ip_size_ok = avg_size <= self.config.ip_size_threshold
         # A block's sources are forgiven entirely when their pooled
-        # sampled packets stay within the pooled tolerance.  Both id
-        # tables are sorted, so membership is a searchsorted probe.
-        ip_is_source = self.kernel.sorted_member_mask(
-            finalized.dst_ips, finalized.src_ips
-        ) & self.kernel.sorted_member_mask(
-            finalized.dst_ips >> finalized.block_shift,
-            self.blocks_with_real_sources,
+        # sampled packets stay within the pooled tolerance, so only
+        # addresses inside a block that holds unforgiven sources are
+        # probed against the (sorted) source table at all.
+        ip_is_source = self.block_has_source[self.position]
+        inside = np.flatnonzero(ip_is_source)
+        ip_is_source[inside] = self.kernel.sorted_member_mask(
+            finalized.dst_ips[inside], finalized.src_ips
         )
         survives = has_tcp & ip_size_ok & ~ip_is_source
         fails = (has_tcp & ~ip_size_ok) | ip_is_source
@@ -302,11 +302,8 @@ class VolumeStage(Stage):
     def mask(self, ctx: StageContext) -> np.ndarray:
         finalized = ctx.finalized
         volume_est = np.zeros(ctx.num_blocks)
-        if len(finalized.vol_blocks):
-            vol_pos = np.searchsorted(finalized.vol_blocks, ctx.blocks)
-            vol_pos = np.clip(vol_pos, 0, len(finalized.vol_blocks) - 1)
-            hit = finalized.vol_blocks[vol_pos] == ctx.blocks
-            volume_est[hit] = finalized.vol_median_est[vol_pos[hit]]
+        vol_pos, hit = align_sorted(ctx.blocks, finalized.vol_blocks)
+        volume_est[hit] = finalized.vol_median_est[vol_pos[hit]]
         return volume_est <= ctx.config.volume_threshold_pkts_day
 
 

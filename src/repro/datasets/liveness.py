@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.net.blocksets import as_sorted_unique, sorted_member_mask, sorted_union
+
 
 @dataclass(frozen=True, slots=True)
 class LivenessDataset:
@@ -25,9 +27,7 @@ class LivenessDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self,
-            "active_blocks",
-            np.unique(np.asarray(self.active_blocks, dtype=np.int64)),
+            self, "active_blocks", as_sorted_unique(self.active_blocks)
         )
 
     def __len__(self) -> int:
@@ -35,7 +35,9 @@ class LivenessDataset:
 
     def contains(self, blocks: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``blocks`` this dataset marks active."""
-        return np.isin(np.asarray(blocks, dtype=np.int64), self.active_blocks)
+        return sorted_member_mask(
+            np.asarray(blocks, dtype=np.int64), self.active_blocks
+        )
 
     @classmethod
     def observe(
@@ -68,6 +70,8 @@ def union_liveness(datasets: list[LivenessDataset]) -> LivenessDataset:
     """The union the paper's refinement step uses (Censys ∪ NDT ∪ ISI)."""
     if not datasets:
         raise ValueError("need at least one liveness dataset")
-    merged = np.unique(np.concatenate([d.active_blocks for d in datasets]))
+    if len(datasets) == 1:
+        return datasets[0]
+    merged = sorted_union(*(d.active_blocks for d in datasets))
     name = "+".join(d.name for d in datasets)
     return LivenessDataset(name=name, active_blocks=merged)

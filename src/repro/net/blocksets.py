@@ -67,6 +67,40 @@ def expand_prefixes(
     return np.unique(np.concatenate(parts))
 
 
+def as_sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` as a strictly ascending int64 array.
+
+    The verdict tail's data model: every block/key set between the fold
+    and the delta store is sorted-unique, so set algebra is a linear
+    merge or a ``searchsorted`` probe.  This is the one place the
+    invariant is established for input that does not carry it by
+    construction — verified in O(n), never trusted; only input that
+    fails the check pays for ``np.unique``.
+    """
+    values = np.asarray(values, dtype=np.int64).ravel()
+    if len(values) < 2 or bool(np.all(values[1:] > values[:-1])):
+        return values
+    return np.unique(values)
+
+
+def align_sorted(
+    values: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, hit)``: where each of ``values`` sits in ``table``.
+
+    ``table`` must be sorted-unique; ``values`` may come in any order
+    and carry duplicates.  ``table[positions[hit]] == values[hit]``, and
+    ``positions`` of a miss is a valid but meaningless row — one probe
+    answers membership, difference, intersection and row alignment.
+    """
+    values = np.asarray(values)
+    if len(table) == 0:
+        return np.zeros(values.shape, np.intp), np.zeros(values.shape, bool)
+    positions = np.searchsorted(table, values)
+    np.minimum(positions, len(table) - 1, out=positions)
+    return positions, table[positions] == values
+
+
 def sorted_member_mask(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-element membership of ``values`` in a **sorted** ``table``.
 
@@ -75,12 +109,31 @@ def sorted_member_mask(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     the pipeline's hot path, where every id table (unique IPs, blocks)
     is already sorted.  ``values`` may be unsorted and carry duplicates.
     """
-    values = np.asarray(values)
-    if len(table) == 0 or len(values) == 0:
-        return np.zeros(values.shape, dtype=bool)
-    index = np.searchsorted(table, values)
-    index[index == len(table)] = 0
-    return table[index] == values
+    return align_sorted(values, table)[1]
+
+
+def sorted_union(*sets: np.ndarray) -> np.ndarray:
+    """Sorted-unique union of any number of block sets."""
+    parts = [part for part in map(as_sorted_unique, sets) if len(part)]
+    if len(parts) < 2:
+        return parts[0] if parts else np.empty(0, dtype=np.int64)
+    # Timsort over already-ascending runs is a linear merge.
+    merged = np.sort(np.concatenate(parts), kind="stable")
+    first = np.ones(len(merged), dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    return merged[first]
+
+
+def sorted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted-unique ``a`` without the members of ``b``."""
+    a = as_sorted_unique(a)
+    return a[~sorted_member_mask(a, as_sorted_unique(b))]
+
+
+def sorted_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted-unique members of both ``a`` and ``b``."""
+    a = as_sorted_unique(a)
+    return a[sorted_member_mask(a, as_sorted_unique(b))]
 
 
 def _floor_pow2(value: int) -> int:

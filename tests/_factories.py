@@ -76,3 +76,10 @@ def ip(block: int, host: int = 1) -> int:
     if not 0 <= host <= 255:
         raise ValueError("host out of range")
     return (block << 8) | host
+
+
+def same(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Assert two arrays equal in value, shape **and dtype** — what
+    "reproduced array-equal" means when a rewrite is held to an oracle."""
+    assert actual.dtype == expected.dtype, (actual.dtype, expected.dtype)
+    np.testing.assert_array_equal(actual, expected)

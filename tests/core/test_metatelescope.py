@@ -82,6 +82,41 @@ class TestMetaTelescope:
         second = telescope.routing_for_days([1, 0])
         assert first is second
 
+    def test_liveness_union_cached_until_the_datasets_change(self):
+        first = LivenessDataset(name="c", active_blocks=np.array([BASE + 1, BASE]))
+        second = LivenessDataset(name="n", active_blocks=np.array([BASE + 1]))
+        telescope = MetaTelescope(collector=collector(), liveness=[first, second])
+        views = [make_view([{"dst_ip": ip(BASE)}, {"dst_ip": ip(BASE + 2)}])]
+        (union,) = telescope.liveness_union()
+        assert union.name == "c+n"
+        assert union.active_blocks.tolist() == [BASE, BASE + 1]
+        assert telescope.infer(views).prefixes.tolist() == [BASE + 2]
+        assert telescope.liveness_union()[0] is union  # merged once
+
+        # Reassigned, or edited in place: the stale union must not serve.
+        telescope.liveness = [second]
+        assert telescope.liveness_union() == [second]
+        assert telescope.infer(views).prefixes.tolist() == [BASE, BASE + 2]
+        telescope.liveness.append(
+            LivenessDataset(name="i", active_blocks=np.array([BASE + 2]))
+        )
+        assert telescope.infer(views).prefixes.tolist() == [BASE]
+        telescope.liveness = []
+        assert telescope.liveness_union() == []
+        result = telescope.infer(views)
+        assert result.prefixes.tolist() == [BASE, BASE + 2]
+        assert result.to_snapshot(0).verdict_counts() == {"dark": 2}
+
+    def test_snapshot_marks_refined_blocks_candidate(self):
+        telescope = MetaTelescope(
+            collector=collector(),
+            liveness=[LivenessDataset(name="c", active_blocks=np.array([BASE]))],
+        )
+        views = [make_view([{"dst_ip": ip(BASE)}, {"dst_ip": ip(BASE + 2)}])]
+        snapshot = telescope.infer(views).to_snapshot(0)
+        assert snapshot.lookup(BASE).verdict_name == "candidate"
+        assert snapshot.lookup(BASE + 2).dark
+
     def test_captured_traffic(self):
         telescope = MetaTelescope(collector=collector())
         views = [make_view([{"dst_ip": ip(BASE)}, {"dst_ip": ip(5000)}])]

@@ -9,6 +9,11 @@ ride along (adaptive chunking, compaction knob, routing-table interval
 cache).
 """
 
+import multiprocessing
+import os
+import signal
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +174,50 @@ class TestParallelEqualsSerial:
             run_pipeline_accumulated(accumulate_views(views), ROUTING),
             run_pipeline_accumulated(merged, ROUTING),
         )
+
+
+class TestGracefulPoolExit:
+    def test_one_shot_folds_finish_under_a_python_sigterm_handler(
+        self, multi_day
+    ):
+        """A forked worker inherits the embedding process's Python-level
+        SIGTERM handler; ``Pool.terminate()`` then parks it in a lock
+        where the handler never runs and the parent's ``join()`` hangs.
+        The pools are left through ``close()`` instead, so 40 one-shot
+        folds must finish well inside the watchdog."""
+        owner = os.getpid()
+
+        def on_sigterm(signum, frame):  # what an operator wrapper installs
+            if os.getpid() == owner:
+                sys.exit(143)
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("a one-shot worker pool never exited")
+
+        views = multi_day[:4]
+        expected = accumulate_views(views)
+        before = set(multiprocessing.active_children())
+        previous = {
+            signal.SIGTERM: signal.signal(signal.SIGTERM, on_sigterm),
+            signal.SIGALRM: signal.signal(signal.SIGALRM, on_alarm),
+        }
+        signal.alarm(120)
+        try:
+            for _ in range(40):
+                merged, stats = parallel_accumulate_views(views, workers=2)
+                assert stats.mode in ("fork", "spawn")
+            assert partial_states_identical(expected, merged)
+        finally:
+            signal.alarm(0)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+            leftover = set(multiprocessing.active_children()) - before
+            for child in leftover:  # only a failed run leaves any
+                child.kill()
+                child.join(5)
+        assert not leftover
 
 
 class TestSharding:

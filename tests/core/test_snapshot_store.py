@@ -9,6 +9,7 @@ over the same directory.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +147,32 @@ def test_identical_republish_is_a_zero_row_delta(tmp_path):
     assert store.describe()["delta_rows"] == 0
     # No delta archive was even created for a content-identical publish.
     assert store.total_bytes() == bytes_before
+
+
+def test_manifest_is_compact_and_an_indented_one_still_loads(tmp_path):
+    store = SnapshotDeltaStore(tmp_path, compact_threshold=None)
+    published = [snap(1)]
+    for version in (2, 3):
+        published.append(flip(published[-1], version))
+        store.append(published[-2])
+    store.append(published[-1])
+    text = store.manifest_path.read_text()
+    manifest = json.loads(text)
+    assert manifest["manifest_version"] == 1
+    assert text == json.dumps(manifest, separators=(",", ":")) + "\n"
+
+    # A store written before the compact encoding: same keys, indented.
+    store.manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    reopened = SnapshotDeltaStore(tmp_path, compact_threshold=None)
+    published.append(flip(published[-1], 4))
+    reopened.append(published[-1])
+    assert reopened.versions() == [1, 2, 3, 4]
+    for reader in (reopened, SnapshotDeltaStore(tmp_path)):
+        for snapshot in published:
+            assert reader.load(snapshot.version).identical_to(snapshot)
+    rewritten = reopened.manifest_path.read_text()
+    assert "\n" not in rewritten.rstrip("\n")
+    assert set(json.loads(rewritten)) == set(manifest)
 
 
 def test_append_requires_monotone_versions(tmp_path):

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.blocksets import BlockSet, aggregate_blocks, expand_prefixes
+from repro.net.blocksets import (
+    BlockSet,
+    aggregate_blocks,
+    align_sorted,
+    as_sorted_unique,
+    expand_prefixes,
+    sorted_difference,
+    sorted_intersection,
+    sorted_member_mask,
+    sorted_union,
+)
 from repro.net.ipv4 import Prefix, parse_ip
+
+from _factories import same
 
 
 class TestAggregation:
@@ -88,3 +100,64 @@ class TestBlockSet:
         original = BlockSet(np.arange(base, base + 7))
         rebuilt = BlockSet.from_prefixes(original.to_cidrs())
         assert rebuilt.blocks.tolist() == original.blocks.tolist()
+
+
+#: Raw key lists: a narrow range (duplicates and overlaps are the norm)
+#: mixed with IPv6-sized keys above 2**32; unsorted, possibly empty.
+KEYS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=2**32, max_value=2**32 + 40),
+        st.integers(min_value=2**62, max_value=2**63 - 1),
+    ),
+    max_size=60,
+)
+
+
+class TestSortedAlgebra:
+    """The sorted-set primitives against the numpy set routines, which
+    survive in this repository only as oracles: whatever the input —
+    empty, single, duplicated, unsorted — the answer is normalised."""
+
+    @given(KEYS)
+    @settings(max_examples=120)
+    def test_as_sorted_unique(self, keys):
+        same(as_sorted_unique(keys), np.unique(np.array(keys, dtype=np.int64)))
+
+    def test_as_sorted_unique_verifies_instead_of_copying(self):
+        ascending = np.array([1, 5, 2**40], dtype=np.int64)
+        assert np.shares_memory(as_sorted_unique(ascending), ascending)
+        for broken in ([1, 1, 2], [2, 1], [1, 3, 2]):
+            same(as_sorted_unique(np.array(broken)), np.unique(broken))
+        same(as_sorted_unique(np.array([3, 1], dtype=np.uint64)), np.array([1, 3]))
+        same(as_sorted_unique(()), np.empty(0, dtype=np.int64))
+
+    @given(st.lists(KEYS, max_size=5))
+    @settings(max_examples=120)
+    def test_union(self, sets):
+        arrays = [np.array(keys, dtype=np.int64) for keys in sets]
+        expected = np.unique(np.concatenate([np.empty(0, np.int64), *arrays]))
+        same(sorted_union(*sets), expected)
+        if len(arrays) == 2:
+            same(sorted_union(*sets), np.union1d(*arrays))
+
+    @given(KEYS, KEYS)
+    @settings(max_examples=120)
+    def test_difference_and_intersection(self, a, b):
+        left, right = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        same(sorted_difference(a, b), np.setdiff1d(left, right))
+        same(sorted_intersection(a, b), np.intersect1d(left, right))
+
+    @given(KEYS, KEYS)
+    @settings(max_examples=120)
+    def test_align_and_member_mask(self, values, table):
+        values = np.array(values, dtype=np.int64)  # any order, duplicates
+        table = np.unique(np.array(table, dtype=np.int64))
+        positions, hit = align_sorted(values, table)
+        same(hit, np.isin(values, table))
+        same(sorted_member_mask(values, table), hit)
+        assert positions.shape == values.shape
+        same(table[positions[hit]], values[hit])
+        if len(table):  # a miss still indexes a valid row
+            assert positions.min(initial=0) >= 0
+            assert positions.max(initial=0) < len(table)
