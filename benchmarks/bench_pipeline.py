@@ -20,9 +20,9 @@ the run), and ``capture_cache`` times a cold observation round
 content-addressed cache.
 
 A ``kernel_scaling`` section times the aggregation under the
-``kernel=numpy`` reference against ``kernel=native`` (whatever
-provider resolves on this host — Numba, the bundled C library, or the
-silent numpy fallback) across chunk sizes, records per-row costs, and
+``kernel=numpy`` reference against ``kernel=native`` (the bundled C
+library, or the silent numpy fallback on a host without a compiler)
+across chunk sizes, records per-row costs, and
 aborts on any classification divergence between backends.
 
 The ``giant`` scale (≥50 M IXP rows per day) is special-cased: the day
@@ -210,8 +210,8 @@ def _kernel_scaling(
     then classifies from each accumulator — classification must be
     bit-identical across backends (the kernel identity contract; any
     divergence aborts the artifact).  ``provider`` records what the
-    native backend actually resolved to on this host: ``numba``, ``cc``
-    or ``None`` when it silently degraded to the numpy reference —
+    native backend actually resolved to on this host: ``cc``, or
+    ``None`` when it silently degraded to the numpy reference —
     in which case the speedups hover at 1.0 by construction and the
     section documents the fallback, not a win.
     """

@@ -88,18 +88,11 @@ class RoutingTable:
         """True if the block is entirely inside an announced prefix."""
         return self._trie.covers_block(block)
 
-    def routed_mask(self, blocks: np.ndarray, kernel=None) -> np.ndarray:
-        """Vectorised :meth:`is_routed_block`.
-
-        ``kernel`` (a :mod:`repro.core.kernels` backend) runs the
-        interval probe natively; ``None`` keeps the reference numpy
-        scan — both are bit-identical by the kernel contract.
-        """
+    def routed_mask(self, blocks: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`is_routed_block`."""
         if self._interval_cache is None:
             self._interval_cache = self._trie.block_intervals()
         starts, ends = self._interval_cache
-        if kernel is not None:
-            return kernel.interval_covered_mask(starts, ends, blocks)
         return interval_covered_mask(starts, ends, blocks)
 
 

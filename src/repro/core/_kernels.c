@@ -1,11 +1,12 @@
 /* Native fold kernels for the meta-telescope accumulator.
  *
  * Compiled on demand by repro.core.kernels (cc -O3 -shared -fPIC) and
- * bound through ctypes; Numba JIT (repro.core._kernels_impl) is the
- * same algorithm expressed in Python.  Identity contract: every kernel
- * accumulates per-key sums in original row order and merges parts
- * left-to-right, reproducing numpy's np.unique + np.bincount float
- * operation order bit for bit (see docs/architecture.md §11).
+ * bound through ctypes.  Exports exactly fold_chunk, merge_sorted and
+ * merge_k — the ops that earn their C in the layer budget.  Identity
+ * contract: every kernel accumulates per-key sums in original row
+ * order and merges parts left-to-right, reproducing numpy's np.unique
+ * + np.bincount float operation order bit for bit (see
+ * docs/architecture.md §12).
  *
  * Grouping algorithm (fold3 / fold1): rows become compact records
  * (key offset + 32-bit values, the TCP flag packed into the sign bit
@@ -21,11 +22,6 @@
 #include <stdint.h>
 #include <string.h>
 
-#define DIRECT_BITS 13
-#define DIRECT_SLOTS (1 << DIRECT_BITS)
-#define DIRECT_MASK (DIRECT_SLOTS - 1)
-#define RADIX_BITS 11
-#define RADIX_SLOTS (1 << RADIX_BITS)
 #define MAX_PASS_BITS 13
 #define MAX_PASS_SLOTS (1 << MAX_PASS_BITS)
 
@@ -267,8 +263,7 @@ static int64_t fold1(
 /* The fused per-chunk accumulator fold: one call produces all four
  * keyed parts PrefixAccumulator.update() appends for a chunk with no
  * ignored-sender filter.  counts = {n_dst, n_vol, n_src, n_raw}; -1 on
- * 31-bit value overflow (fallback).  acc/seen/touched are scratch for
- * group_sum and unused here (one scratch contract for all entries). */
+ * 31-bit value overflow (fallback). */
 int64_t fold_chunk(
     const uint32_t *src_ip, const uint32_t *dst_ip, const uint8_t *proto,
     const int64_t *packets, const int64_t *bytes_, int64_t n, double factor,
@@ -278,10 +273,8 @@ int64_t fold_chunk(
     int64_t *src_keys, double *src_pk,
     int64_t *raw_keys, double *raw_pk,
     void *bufa, void *bufb,
-    double *acc, uint8_t *seen, uint16_t *touched,
     int64_t *counts)
 {
-    (void)acc; (void)seen; (void)touched;
     if (n == 0) {
         counts[0] = counts[1] = counts[2] = counts[3] = 0;
         return 0;
@@ -316,176 +309,6 @@ int64_t fold_chunk(
     counts[2] = nsrc;
     counts[3] = nraw;
     return 0;
-}
-
-/* Standalone grouped sums over one i64-keyed part (u32-range keys),
- * accumulating in row order; ncols <= 3.  Used for compacting raw
- * (unsorted) parts.  Returns unique count or -1 when the key range
- * exceeds the partition machinery (caller falls back). */
-int64_t group_sum(
-    const int64_t *keys, int64_t n, const double *const *cols, int64_t ncols,
-    int64_t *out_keys, double **out_cols,
-    void *bufa, void *bufb,
-    double *acc, uint8_t *seen, uint16_t *touched)
-{
-    if (n == 0) return 0;
-    if (ncols < 1 || ncols > 3) return -1;
-    int64_t kmin = keys[0], kmax = keys[0];
-    for (int64_t i = 0; i < n; i++) {
-        int64_t k = keys[i];
-        if (k < kmin) kmin = k;
-        if (k > kmax) kmax = k;
-    }
-    if ((uint64_t)(kmax - kmin) > UINT32_MAX) return -1;
-
-    /* Widened records: i64 key offset + up to three f64 values. */
-    typedef struct { uint32_t off; double v[3]; } grec_t;
-    grec_t *ba = (grec_t *)bufa, *bb = (grec_t *)bufb;
-
-    int64_t nu = 0, nt = 0, smin = DIRECT_SLOTS, smax = -1;
-    int bits = bits_of((uint32_t)(kmax - kmin));
-
-    int64_t h1[RADIX_SLOTS], h2[RADIX_SLOTS];
-    const grec_t *recs = NULL;
-    if (bits > DIRECT_BITS) {
-        int part_bits = bits - DIRECT_BITS;
-        int d1 = part_bits > RADIX_BITS ? RADIX_BITS : part_bits;
-        int d2 = part_bits - d1;
-        uint32_t mask1 = (1u << d1) - 1;
-        int shift2 = DIRECT_BITS + d1;
-        memset(h1, 0, sizeof(int64_t) * (size_t)(1 << d1));
-        if (d2) memset(h2, 0, sizeof(int64_t) * (size_t)(1 << d2));
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = (uint32_t)(keys[i] - kmin);
-            h1[(u >> DIRECT_BITS) & mask1]++;
-            if (d2) h2[u >> shift2]++;
-        }
-        int64_t run = 0;
-        for (int64_t b = 0; b < (1 << d1); b++) {
-            int64_t count = h1[b];
-            h1[b] = run;
-            run += count;
-        }
-        if (d2) {
-            run = 0;
-            for (int64_t b = 0; b < (1 << d2); b++) {
-                int64_t count = h2[b];
-                h2[b] = run;
-                run += count;
-            }
-        }
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = (uint32_t)(keys[i] - kmin);
-            grec_t rec;
-            rec.off = u;
-            for (int64_t c = 0; c < ncols; c++) rec.v[c] = cols[c][i];
-            ba[h1[(u >> DIRECT_BITS) & mask1]++] = rec;
-        }
-        recs = ba;
-        if (d2) {
-            for (int64_t i = 0; i < n; i++) {
-                uint32_t u = ba[i].off;
-                bb[h2[u >> shift2]++] = ba[i];
-            }
-            recs = bb;
-        }
-    }
-
-    if (recs == NULL) {
-        /* Direct path: accumulate straight from the columns. */
-        for (int64_t i = 0; i < n; i++) {
-            int64_t s = keys[i] - kmin;
-            if (!seen[s]) {
-                seen[s] = 1;
-                touched[nt++] = (uint16_t)s;
-                for (int64_t c = 0; c < ncols; c++) acc[3 * s + c] = 0.0;
-                if (s < smin) smin = s;
-                if (s > smax) smax = s;
-            }
-            for (int64_t c = 0; c < ncols; c++) acc[3 * s + c] += cols[c][i];
-        }
-        /* Emit (ascending). */
-        int64_t span = smax - smin + 1;
-        if (nt * nt < span) {
-            for (int64_t i = 1; i < nt; i++) {
-                uint16_t slot = touched[i];
-                int64_t j = i - 1;
-                while (j >= 0 && touched[j] > slot) {
-                    touched[j + 1] = touched[j];
-                    j--;
-                }
-                touched[j + 1] = slot;
-            }
-            for (int64_t i = 0; i < nt; i++) {
-                int64_t s = touched[i];
-                out_keys[nu] = kmin + s;
-                for (int64_t c = 0; c < ncols; c++)
-                    out_cols[c][nu] = acc[3 * s + c];
-                seen[s] = 0;
-                nu++;
-            }
-        } else {
-            for (int64_t s = smin; s <= smax; s++) {
-                if (!seen[s]) continue;
-                out_keys[nu] = kmin + s;
-                for (int64_t c = 0; c < ncols; c++)
-                    out_cols[c][nu] = acc[3 * s + c];
-                seen[s] = 0;
-                nu++;
-            }
-        }
-        return nu;
-    }
-
-    uint32_t cur = recs[0].off >> DIRECT_BITS;
-    for (int64_t i = 0; i <= n; i++) {
-        uint32_t g = i < n ? recs[i].off >> DIRECT_BITS : cur + 1;
-        if (g != cur) {
-            int64_t span = smax - smin + 1;
-            int64_t base = kmin + ((int64_t)cur << DIRECT_BITS);
-            if (nt * nt < span) {
-                for (int64_t a = 1; a < nt; a++) {
-                    uint16_t slot = touched[a];
-                    int64_t j = a - 1;
-                    while (j >= 0 && touched[j] > slot) {
-                        touched[j + 1] = touched[j];
-                        j--;
-                    }
-                    touched[j + 1] = slot;
-                }
-                for (int64_t a = 0; a < nt; a++) {
-                    int64_t s = touched[a];
-                    out_keys[nu] = base + s;
-                    for (int64_t c = 0; c < ncols; c++)
-                        out_cols[c][nu] = acc[3 * s + c];
-                    seen[s] = 0;
-                    nu++;
-                }
-            } else {
-                for (int64_t s = smin; s <= smax; s++) {
-                    if (!seen[s]) continue;
-                    out_keys[nu] = base + s;
-                    for (int64_t c = 0; c < ncols; c++)
-                        out_cols[c][nu] = acc[3 * s + c];
-                    seen[s] = 0;
-                    nu++;
-                }
-            }
-            nt = 0; smin = DIRECT_SLOTS; smax = -1;
-            if (i == n) break;
-            cur = g;
-        }
-        int64_t s = recs[i].off & DIRECT_MASK;
-        if (!seen[s]) {
-            seen[s] = 1;
-            touched[nt++] = (uint16_t)s;
-            for (int64_t c = 0; c < ncols; c++) acc[3 * s + c] = 0.0;
-            if (s < smin) smin = s;
-            if (s > smax) smax = s;
-        }
-        for (int64_t c = 0; c < ncols; c++) acc[3 * s + c] += recs[i].v[c];
-    }
-    return nu;
 }
 
 /* Two-way merge of sorted-unique keyed parts, summing equal keys as
@@ -570,40 +393,4 @@ int64_t merge_k(
         m++;
     }
     return m;
-}
-
-/* values[i] in sorted table?  (np.searchsorted probe, fused). */
-void member_mask(
-    const int64_t *values, int64_t n, const int64_t *table, int64_t m,
-    uint8_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = values[i];
-        int64_t lo = 0, hi = m;
-        while (lo < hi) {
-            int64_t mid = (lo + hi) >> 1;
-            if (table[mid] < v) lo = mid + 1;
-            else hi = mid;
-        }
-        out[i] = lo < m && table[lo] == v;
-    }
-}
-
-/* blocks[i] inside any [starts, ends) interval (sorted starts with the
- * cumulative-max end invariant — see repro.net.trie). */
-void interval_mask(
-    const int64_t *starts, const int64_t *ends, int64_t m,
-    const int64_t *blocks, int64_t n, uint8_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
-        /* upper_bound(starts, b) - 1 */
-        int64_t lo = 0, hi = m;
-        while (lo < hi) {
-            int64_t mid = (lo + hi) >> 1;
-            if (starts[mid] <= b) lo = mid + 1;
-            else hi = mid;
-        }
-        out[i] = lo > 0 && b <= ends[lo - 1];
-    }
 }

@@ -46,10 +46,10 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
+from repro.core.kernels import concat_parts, get_kernel
 from repro.net.blocksets import sorted_union
 from repro.net.family import FAMILY_IPV4, IPV4, family as _family_of
 from repro.traffic.flows import FlowTable, aggregate_sums
-from repro.traffic.packets import PROTO_TCP
 from repro.vantage.sampling import VantageDayView
 
 #: Default pending parts a :class:`_KeyedSums` tolerates before compacting.
@@ -123,7 +123,7 @@ class _KeyedSums:
             raise ValueError(f"compact_every must be >= 2: {compact_every}")
         self.num_values = num_values
         self.compact_every = compact_every
-        self.kernel = kernel
+        self.kernel = get_kernel("numpy") if kernel is None else kernel
         self._parts: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
         # Parallel flags: True when that part is known sorted-unique
         # (fold/compaction output), unlocking linear merge compaction.
@@ -189,27 +189,16 @@ class _KeyedSums:
         """Group-by-sum a run of parts into one sorted-unique part.
 
         Sums per key follow part order, then row order within a part —
-        the ``np.bincount``-over-concatenation operation order — so the
-        linear merge chain the native kernel takes and the reference
-        regroup produce identical bits.
+        the operation order of the reference regroup over the
+        concatenation (:meth:`NumpyKernel.group_sum`) — so the linear
+        merge chain the native kernel takes and the reference regroup
+        produce identical bits.
         """
         if len(parts) == 1 and sorted_flags[0]:
             return parts[0]
-        kernel = self.kernel
-        if kernel is not None and all(sorted_flags):
-            keys, values = kernel.merge_sorted_parts(parts)
-            return keys, tuple(values)
-        keys = np.concatenate([part[0] for part in parts])
-        stacked = [
-            np.concatenate([part[1][i] for part in parts])
-            for i in range(self.num_values)
-        ]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        sums = tuple(
-            np.bincount(inverse, weights=column, minlength=len(unique_keys))
-            for column in stacked
-        )
-        return unique_keys, sums
+        if all(sorted_flags):
+            return self.kernel.merge_sorted_parts(parts)
+        return self.kernel.group_sum(*concat_parts(parts))
 
     def squash_pending(self) -> None:
         """Collapse the pending parts without touching the base part.
@@ -238,23 +227,10 @@ class _KeyedSums:
             )
         if self._normalized:
             return self._parts[0]
-        if len(self._parts) > 1 or self._sorted[0]:
-            # A lone sorted-unique part falls through `_group_parts`
-            # untouched: already-compacted state costs nothing.
-            self._parts = [self._group_parts(self._parts, self._sorted)]
-        else:
-            # A lone raw part may still carry duplicate keys.
-            keys, columns = self._parts[0]
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            if len(unique_keys) != len(keys):
-                sums = tuple(
-                    np.bincount(inverse, weights=c, minlength=len(unique_keys))
-                    for c in columns
-                )
-                self._parts = [(unique_keys, sums)]
-            elif not np.array_equal(unique_keys, keys):
-                order = np.argsort(keys)
-                self._parts = [(keys[order], tuple(c[order] for c in columns))]
+        # A lone sorted-unique part falls through `_group_parts`
+        # untouched: already-compacted state costs nothing.  A lone raw
+        # part is regrouped like any other (it may carry duplicates).
+        self._parts = [self._group_parts(self._parts, self._sorted)]
         self._sorted = [True]
         self._normalized = True
         return self._parts[0]
@@ -331,8 +307,6 @@ class PrefixAccumulator:
         kernel=None,
         family: str | None = None,
     ) -> None:
-        from repro.core.kernels import get_kernel
-
         self.ignore_sources_from_asns = frozenset(ignore_sources_from_asns)
         self.compact_every = compact_every
         self._family_name: str | None = None
@@ -418,47 +392,25 @@ class PrefixAccumulator:
         block_shift = self._family.key_block_shift
         factor = float(sampling_factor)
         self._rows_ingested += len(chunk)
-        packets = chunk.packets
         per_vantage = self._src_by_vantage[vantage]
+        # One kernel call folds all four keyed parts of a chunk
+        # (per-dst-key sums, the block volume regroup, per-src-key
+        # sums, the raw block source regroup).  Every part comes back
+        # sorted-unique, so downstream compaction can merge linearly
+        # instead of re-sorting.
+        dst, vol, src, (raw_blocks, (raw_pkts,)) = self.kernel.fold_chunk(
+            chunk.src_ip, chunk.dst_ip, chunk.proto, chunk.packets,
+            chunk.bytes, factor, block_shift,
+        )
+        self._dst_ip_sums.add(dst[0], *dst[1], sorted_unique=True)
+        self._volume_by_day[day].add(vol[0], *vol[1], sorted_unique=True)
         if self._ignored_asns is None:
-            # The fused hot path: one kernel call folds all four keyed
-            # parts of a chunk (per-dst-key sums, the block volume
-            # regroup, per-src-key sums, the raw block source regroup).
-            # Every part comes back sorted-unique, so downstream
-            # compaction can merge linearly instead of re-sorting.
-            dst, vol, src, raw = self.kernel.fold_chunk(
-                chunk.src_ip, chunk.dst_ip, chunk.proto, packets,
-                chunk.bytes, factor, block_shift,
-            )
-            self._dst_ip_sums.add(dst[0], *dst[1], sorted_unique=True)
-            self._volume_by_day[day].add(vol[0], *vol[1], sorted_unique=True)
-            per_vantage.add(raw[0], raw[1][0], raw[1][0], sorted_unique=True)
+            per_vantage.add(raw_blocks, raw_pkts, raw_pkts, sorted_unique=True)
             self._src_ip_sums.add(src[0], *src[1], sorted_unique=True)
             return self
 
-        is_tcp = chunk.proto == PROTO_TCP
-        dst_ips, (tcp_pkts, tcp_bytes, total_pkts) = aggregate_sums(
-            chunk.dst_ip.astype(np.int64),
-            np.where(is_tcp, packets, 0),
-            np.where(is_tcp, chunk.bytes, 0),
-            packets,
-        )
-        self._dst_ip_sums.add(
-            dst_ips, tcp_pkts * factor, tcp_bytes * factor,
-            total_pkts * factor, sorted_unique=True,
-        )
-
-        # Re-group the per-key sums by block instead of sorting the raw
-        # rows a second time: the unique-key table is far smaller than
-        # the chunk, and integer sums regroup exactly.
-        vol_blocks, (vol_pkts,) = aggregate_sums(
-            self._family.block_of(dst_ips), total_pkts
-        )
-        self._volume_by_day[day].add(
-            vol_blocks, vol_pkts * factor, sorted_unique=True
-        )
-
-        raw_blocks, (raw_pkts,) = aggregate_sums(chunk.src_blocks(), packets)
+        # Ignored senders: the raw column keeps every source, the
+        # filtered column and the per-source sums see only kept rows.
         kept = chunk.filter(~np.isin(chunk.sender_asn, self._ignored_asns))
         src_ips, (src_pkts,) = aggregate_sums(
             kept.src_ip.astype(np.int64), kept.packets

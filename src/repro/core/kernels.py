@@ -1,23 +1,21 @@
 """Kernel registry: the ``kernel=numpy|native|auto`` execution knob.
 
-Two backends compute the pipeline's hot loops:
+Two backends compute the accumulator's hot loops:
 
-* ``numpy`` — the reference backend.  Its operations are the exact
-  code the accumulator, stages and trie ran before this module existed
-  (extracted, semantics unchanged): ``np.unique`` + per-column
-  ``np.bincount`` grouping, ``np.searchsorted`` membership and
-  interval probes.
-* ``native`` — the same operations with the hot loops compiled:
-  fused radix-partition group-sums for the :class:`_KeyedSums`
-  fold/compact path, linear sorted-part merges, and fused binary-search
-  mask probes.  Two providers are tried in order: **Numba**
-  (``pip install repro[native]``) JIT-compiles
-  :mod:`repro.core._kernels_impl`; without Numba, a small C library
-  (``_kernels.c``) is compiled once with the system C compiler and
-  bound through ctypes (cached under ``~/.cache/repro/kernels``).
-  When neither provider is available the backend silently degrades to
-  the numpy reference (the engine emits a ``kernel`` trace event with
-  the fallback reason).
+* ``numpy`` — the reference, :class:`NumpyKernel`: the per-chunk fold
+  (``fold_chunk``), the ``np.unique`` + per-column ``np.bincount``
+  regroup (``group_sum``) and the regroup of sorted-unique parts
+  (``merge_sorted_parts``).  This arithmetic is written in numpy here
+  and nowhere else; the accumulator has no regroup of its own.
+* ``native`` — :class:`NativeKernel`, the ctypes binding of
+  ``_kernels.c``: a fused radix-sort fold and linear two-way / k-way
+  merges of sorted parts, the two ops the layer budget shows earning
+  their C (``group_sum`` of unsorted parts and the stage masks are
+  numpy under either backend).  The source is compiled once with the
+  system C compiler (cached under ``~/.cache/repro/kernels``) and
+  needs no Python dependency; without a compiler the backend silently
+  degrades to the reference (the engine emits a ``kernel`` trace event
+  with the fallback reason).
 
 **Identity contract.**  Both backends produce bit-identical
 classifications: native kernels accumulate per-key sums in original
@@ -25,27 +23,31 @@ row order and merge parts left-to-right — the same float operation
 order as ``np.bincount`` over concatenated parts — so for the
 integer-valued counts the pipeline tracks (exact in float64) every
 sum is reproduced bit for bit.  The contract is gated by the parity
-suite (``tests/core/test_kernels.py``) and the CI kernel-identity
-smoke.
+suite (``tests/core/test_kernels.py``), which includes the
+numpy = native = forced-fallback identity check on a micro world.
 
 Backends are resolved by name through :func:`get_kernel`; ``auto``
-picks ``native`` when a provider is available.  Resolution is cached
-per process; :func:`invalidate_cache` resets it (tests, env changes).
+picks ``native`` when the C library is available.  Resolution is
+cached per process; :func:`invalidate_cache` resets it (tests, env
+changes).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.traffic.flows import aggregate_sums
 from repro.traffic.packets import PROTO_TCP
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "DISABLE_NATIVE_ENV",
     "NumpyKernel",
     "NativeKernel",
+    "concat_parts",
     "get_kernel",
     "resolve_kernel_name",
     "native_provider",
@@ -62,18 +65,25 @@ __all__ = [
 #: Accepted values of the ``kernel`` execution knob.
 KERNEL_CHOICES = ("auto", "numpy", "native")
 
-#: Set (to any non-empty value) to disable both native providers —
-#: the supported way to exercise the silent-fallback path.
+#: Set (to any non-empty value) to disable the native provider — the
+#: supported way to exercise the silent-fallback path.
 DISABLE_NATIVE_ENV = "REPRO_DISABLE_NATIVE_KERNEL"
 
 #: Override the on-disk cache directory for the compiled C library.
 CACHE_DIR_ENV = "REPRO_KERNEL_CACHE"
 
-_DIRECT_SLOTS = 1 << 13
+#: Head-index capacity of the C ``merge_k``; more parts chain pairwise.
+_MERGE_K_MAX_PARTS = 64
 
 
-def _part(keys: np.ndarray, *values: np.ndarray):
-    return keys, tuple(values)
+def concat_parts(parts):
+    """Concatenate keyed parts (``(keys, cols)`` each) into one part."""
+    keys = np.concatenate([part[0] for part in parts])
+    columns = tuple(
+        np.concatenate([part[1][i] for part in parts])
+        for i in range(len(parts[0][1]))
+    )
+    return keys, columns
 
 
 class NumpyKernel:
@@ -98,14 +108,13 @@ class NumpyKernel:
         Returns ``(dst, vol, src, raw)`` parts, each ``(keys, cols)``:
         per-dst-key (tcp pkts, tcp bytes, total pkts) estimates, the
         per-block volume regroup, per-src-key sampled packets, and the
-        raw per-block source regroup — exactly what
+        raw per-block source regroup — what
         :meth:`~repro.core.accum.PrefixAccumulator.update` appends for
-        a chunk without an ignored-sender filter.  ``block_shift`` is
-        the family's key-to-block shift (8 for IPv4 /24s, 16 for IPv6
-        /48 sites over /64 keys).
+        a chunk (under an ignored-sender filter it replaces the source
+        side with the filtered sums).  ``block_shift`` is the family's
+        key-to-block shift (8 for IPv4 /24s, 16 for IPv6 /48 sites over
+        /64 keys).
         """
-        from repro.traffic.flows import aggregate_sums
-
         is_tcp = proto == PROTO_TCP
         dst_ips, (tcp_pkts, tcp_bytes, total_pkts) = aggregate_sums(
             dst_ip.astype(np.int64),
@@ -113,26 +122,27 @@ class NumpyKernel:
             np.where(is_tcp, bytes_, 0),
             packets,
         )
+        # Re-group the per-key sums by block instead of sorting the raw
+        # rows a second time: the unique-key table is far smaller than
+        # the chunk, and integer sums regroup exactly.
         vol_blocks, (vol_pkts,) = aggregate_sums(dst_ips >> block_shift, total_pkts)
         src_ips, (src_pkts,) = aggregate_sums(src_ip.astype(np.int64), packets)
         raw_blocks, (raw_pkts,) = aggregate_sums(src_ips >> block_shift, src_pkts)
         return (
-            _part(
+            (
                 dst_ips,
-                tcp_pkts * factor,
-                tcp_bytes * factor,
-                total_pkts * factor,
+                (tcp_pkts * factor, tcp_bytes * factor, total_pkts * factor),
             ),
-            _part(vol_blocks, vol_pkts * factor),
-            _part(src_ips, np.asarray(src_pkts, dtype=np.float64)),
-            _part(raw_blocks, np.asarray(raw_pkts, dtype=np.float64)),
+            (vol_blocks, (vol_pkts * factor,)),
+            (src_ips, (np.asarray(src_pkts, dtype=np.float64),)),
+            (raw_blocks, (np.asarray(raw_pkts, dtype=np.float64),)),
         )
 
     def group_sum(self, keys: np.ndarray, values: tuple[np.ndarray, ...]):
         """Group-by-sum one keyed part into ascending unique keys.
 
-        The exact compaction math of :class:`_KeyedSums`: float64 sums
-        accumulated in row order via ``np.bincount``.
+        The compaction math of :class:`~repro.core.accum._KeyedSums`:
+        float64 sums accumulated in row order via ``np.bincount``.
         """
         unique_keys, inverse = np.unique(keys, return_inverse=True)
         sums = tuple(
@@ -148,27 +158,7 @@ class NumpyKernel:
         part order — the order the native backend's linear merge
         reproduces.
         """
-        keys = np.concatenate([part[0] for part in parts])
-        num_values = len(parts[0][1])
-        stacked = [
-            np.concatenate([part[1][i] for part in parts])
-            for i in range(num_values)
-        ]
-        return self.group_sum(keys, tuple(stacked))
-
-    def sorted_member_mask(
-        self, values: np.ndarray, table: np.ndarray
-    ) -> np.ndarray:
-        from repro.net.blocksets import sorted_member_mask
-
-        return sorted_member_mask(values, table)
-
-    def interval_covered_mask(
-        self, starts: np.ndarray, ends: np.ndarray, blocks: np.ndarray
-    ) -> np.ndarray:
-        from repro.net.trie import interval_covered_mask
-
-        return interval_covered_mask(starts, ends, blocks)
+        return self.group_sum(*concat_parts(parts))
 
     def describe(self) -> dict[str, Any]:
         """Provenance record (plans, snapshots, trace events)."""
@@ -180,482 +170,161 @@ class NumpyKernel:
 
 
 # ---------------------------------------------------------------------------
-# Native providers
+# The native provider: _kernels.c through ctypes
 # ---------------------------------------------------------------------------
 
-
-class _CcOps:
-    """ctypes bindings over the on-demand-compiled ``_kernels.c``."""
-
-    provider = "cc"
-
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        i64 = ctypes.c_int64
-        f64 = ctypes.c_double
-        p_i64 = ctypes.POINTER(i64)
-        p_f64 = ctypes.POINTER(f64)
-        p_u8 = ctypes.POINTER(ctypes.c_uint8)
-        p_u16 = ctypes.POINTER(ctypes.c_uint16)
-        p_u32 = ctypes.POINTER(ctypes.c_uint32)
-        p_void = ctypes.c_void_p
-        pp_f64 = ctypes.POINTER(p_f64)
-
-        lib.fold_chunk.restype = i64
-        lib.fold_chunk.argtypes = [
-            p_u32, p_u32, p_u8, p_i64, p_i64, i64, f64, i64,
-            p_i64, p_f64, p_f64, p_f64,
-            p_i64, p_f64,
-            p_i64, p_f64,
-            p_i64, p_f64,
-            p_void, p_void,
-            p_f64, p_u8, p_u16,
-            p_i64,
-        ]
-        lib.group_sum.restype = i64
-        lib.group_sum.argtypes = [
-            p_i64, i64, pp_f64, i64,
-            p_i64, pp_f64,
-            p_void, p_void,
-            p_f64, p_u8, p_u16,
-        ]
-        lib.merge_sorted.restype = i64
-        lib.merge_sorted.argtypes = [
-            p_i64, pp_f64, i64,
-            p_i64, pp_f64, i64,
-            i64, p_i64, pp_f64,
-        ]
-        lib.merge_k.restype = i64
-        lib.merge_k.argtypes = [
-            ctypes.POINTER(p_i64), pp_f64, p_i64, i64, i64,
-            p_i64, pp_f64,
-        ]
-        lib.member_mask.restype = None
-        lib.member_mask.argtypes = [p_i64, i64, p_i64, i64, p_u8]
-        lib.interval_mask.restype = None
-        lib.interval_mask.argtypes = [p_i64, p_i64, i64, p_i64, i64, p_u8]
-        self._lib = lib
-        self._acc = np.empty(3 * _DIRECT_SLOTS, dtype=np.float64)
-        self._seen = np.zeros(_DIRECT_SLOTS, dtype=np.uint8)
-        self._touched = np.empty(_DIRECT_SLOTS, dtype=np.uint16)
-        self._scratch = np.empty(0, dtype=np.uint8)
-        self._out_keys: list[np.ndarray] = []
-        self._out_cols: list[np.ndarray] = []
-
-    def _buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        # 32 bytes covers the widest record (group_sum's key + 3 f64).
-        need = 32 * max(rows, 1)
-        if len(self._scratch) < 2 * need:
-            self._scratch = np.empty(2 * need, dtype=np.uint8)
-        return self._scratch[:need], self._scratch[need:2 * need]
-
-    def _outputs(self, rows: int, nkeys: int, ncols: int):
-        """Pooled full-length output staging (results are copied out)."""
-        while len(self._out_keys) < nkeys:
-            self._out_keys.append(np.empty(0, dtype=np.int64))
-        while len(self._out_cols) < ncols:
-            self._out_cols.append(np.empty(0, dtype=np.float64))
-        for i in range(nkeys):
-            if len(self._out_keys[i]) < rows:
-                self._out_keys[i] = np.empty(rows, dtype=np.int64)
-        for i in range(ncols):
-            if len(self._out_cols[i]) < rows:
-                self._out_cols[i] = np.empty(rows, dtype=np.float64)
-        return self._out_keys[:nkeys], self._out_cols[:ncols]
-
-    @staticmethod
-    def _ptr(array: np.ndarray, ctype):
-        return array.ctypes.data_as(ctypes.POINTER(ctype))
-
-    @staticmethod
-    def _col_ptrs(columns):
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-        ptrs = (p_f64 * len(columns))()
-        for i, col in enumerate(columns):
-            ptrs[i] = col.ctypes.data_as(p_f64)
-        return ptrs
-
-    def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
-                   block_shift=8):
-        n = len(dst_ip)
-        bufa, bufb = self._buffers(n)
-        keys, cols = self._outputs(n, 4, 6)
-        dst_keys, vol_keys, src_keys, raw_keys = keys
-        dst_cols = cols[:3]
-        vol_pk, src_pk, raw_pk = cols[3:6]
-        counts = np.zeros(4, dtype=np.int64)
-        i64, u8, u16, u32, f64 = (
-            ctypes.c_int64, ctypes.c_uint8, ctypes.c_uint16,
-            ctypes.c_uint32, ctypes.c_double,
-        )
-        status = self._lib.fold_chunk(
-            self._ptr(src_ip, u32), self._ptr(dst_ip, u32),
-            self._ptr(proto, u8), self._ptr(packets, i64),
-            self._ptr(bytes_, i64), n, factor, block_shift,
-            self._ptr(dst_keys, i64), self._ptr(dst_cols[0], f64),
-            self._ptr(dst_cols[1], f64), self._ptr(dst_cols[2], f64),
-            self._ptr(vol_keys, i64), self._ptr(vol_pk, f64),
-            self._ptr(src_keys, i64), self._ptr(src_pk, f64),
-            self._ptr(raw_keys, i64), self._ptr(raw_pk, f64),
-            bufa.ctypes.data_as(ctypes.c_void_p),
-            bufb.ctypes.data_as(ctypes.c_void_p),
-            self._ptr(self._acc, f64), self._ptr(self._seen, u8),
-            self._ptr(self._touched, u16), self._ptr(counts, i64),
-        )
-        if status != 0:
-            return None
-        ndst, nvol, nsrc, nraw = (int(c) for c in counts)
-        return (
-            _part(dst_keys[:ndst].copy(), *(c[:ndst].copy() for c in dst_cols)),
-            _part(vol_keys[:nvol].copy(), vol_pk[:nvol].copy()),
-            _part(src_keys[:nsrc].copy(), src_pk[:nsrc].copy()),
-            _part(raw_keys[:nraw].copy(), raw_pk[:nraw].copy()),
-        )
-
-    def group_sum(self, keys, values):
-        n = len(keys)
-        ncols = len(values)
-        if ncols > 3:
-            return None
-        bufa, bufb = self._buffers(n)
-        (out_keys,), out_cols = self._outputs(n, 1, ncols)
-        i64, u8, u16, f64 = (
-            ctypes.c_int64, ctypes.c_uint8, ctypes.c_uint16, ctypes.c_double,
-        )
-        count = self._lib.group_sum(
-            self._ptr(keys, i64), n, self._col_ptrs(values), ncols,
-            self._ptr(out_keys, i64), self._col_ptrs(out_cols),
-            bufa.ctypes.data_as(ctypes.c_void_p),
-            bufb.ctypes.data_as(ctypes.c_void_p),
-            self._ptr(self._acc, f64), self._ptr(self._seen, u8),
-            self._ptr(self._touched, u16),
-        )
-        if count < 0:
-            return None
-        count = int(count)
-        return out_keys[:count].copy(), tuple(
-            c[:count].copy() for c in out_cols
-        )
-
-    def merge_sorted(self, ka, va, kb, vb):
-        ncols = len(va)
-        cap = len(ka) + len(kb)
-        # Pooled staging is safe here: the returned arrays are copies,
-        # so chained merges never alias their own input.
-        (out_keys,), out_cols = self._outputs(cap, 1, ncols)
-        i64 = ctypes.c_int64
-        count = int(
-            self._lib.merge_sorted(
-                self._ptr(ka, i64), self._col_ptrs(va), len(ka),
-                self._ptr(kb, i64), self._col_ptrs(vb), len(kb),
-                ncols, self._ptr(out_keys, i64), self._col_ptrs(out_cols),
-            )
-        )
-        return out_keys[:count].copy(), tuple(
-            c[:count].copy() for c in out_cols
-        )
-
-    def merge_k(self, parts):
-        nparts = len(parts)
-        if nparts > 64:
-            return None
-        ncols = len(parts[0][1])
-        cap = sum(len(part[0]) for part in parts)
-        (out_keys,), out_cols = self._outputs(cap, 1, ncols)
-        i64 = ctypes.c_int64
-        p_i64 = ctypes.POINTER(i64)
-        p_f64 = ctypes.POINTER(ctypes.c_double)
-        key_ptrs = (p_i64 * nparts)()
-        col_ptrs = (p_f64 * (nparts * ncols))()
-        lens = (i64 * nparts)()
-        for p, (keys, columns) in enumerate(parts):
-            key_ptrs[p] = keys.ctypes.data_as(p_i64)
-            lens[p] = len(keys)
-            for c, column in enumerate(columns):
-                col_ptrs[p * ncols + c] = column.ctypes.data_as(p_f64)
-        count = int(
-            self._lib.merge_k(
-                key_ptrs, col_ptrs, lens, nparts, ncols,
-                self._ptr(out_keys, i64), self._col_ptrs(out_cols),
-            )
-        )
-        if count < 0:  # pragma: no cover - capacity guarded above
-            return None
-        return out_keys[:count].copy(), tuple(
-            c[:count].copy() for c in out_cols
-        )
-
-    def member_mask(self, values, table):
-        out = np.empty(len(values), dtype=np.uint8)
-        i64, u8 = ctypes.c_int64, ctypes.c_uint8
-        self._lib.member_mask(
-            self._ptr(values, i64), len(values),
-            self._ptr(table, i64), len(table), self._ptr(out, u8),
-        )
-        return out.view(np.bool_)
-
-    def interval_mask(self, starts, ends, blocks):
-        out = np.empty(len(blocks), dtype=np.uint8)
-        i64, u8 = ctypes.c_int64, ctypes.c_uint8
-        self._lib.interval_mask(
-            self._ptr(starts, i64), self._ptr(ends, i64), len(starts),
-            self._ptr(blocks, i64), len(blocks), self._ptr(out, u8),
-        )
-        return out.view(np.bool_)
+_I64 = ctypes.c_int64
+_P_I64 = ctypes.POINTER(_I64)
+_P_F64 = ctypes.POINTER(ctypes.c_double)
+_PP_F64 = ctypes.POINTER(_P_F64)
 
 
-class _ImplOps:
-    """The Numba provider: jitted :mod:`repro.core._kernels_impl`."""
-
-    provider = "numba"
-
-    def __init__(self, jit) -> None:
-        from repro.core import _kernels_impl as impl
-
-        self._fold3 = jit(impl.fold3_impl)
-        self._fold1 = jit(impl.fold1_impl)
-        self._group = jit(impl.group_sum_impl)
-        self._merge = jit(impl.merge_sorted_impl)
-        self._merge_k = jit(impl.merge_k_impl)
-        self._member = jit(impl.member_mask_impl)
-        self._interval = jit(impl.interval_mask_impl)
-        self._acc = np.empty(3 * _DIRECT_SLOTS, dtype=np.float64)
-        self._seen = np.zeros(_DIRECT_SLOTS, dtype=np.uint8)
-        self._touched = np.empty(_DIRECT_SLOTS, dtype=np.uint16)
-
-    def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
-                   block_shift=8):
-        n = len(dst_ip)
-        key_a = np.empty(n, dtype=np.int64)
-        key_b = np.empty(n, dtype=np.int64)
-        pk_a = np.empty(n, dtype=np.int32)
-        pk_b = np.empty(n, dtype=np.int32)
-        by_a = np.empty(n, dtype=np.int32)
-        by_b = np.empty(n, dtype=np.int32)
-        counts = np.zeros(2, dtype=np.int64)
-
-        dst_keys = np.empty(n, dtype=np.int64)
-        dst_cols = [np.empty(n, dtype=np.float64) for _ in range(3)]
-        vol_keys = np.empty(n, dtype=np.int64)
-        vol_pk = np.empty(n, dtype=np.float64)
-        status = self._fold3(
-            dst_ip, proto, packets, bytes_, float(factor), block_shift,
-            dst_keys, dst_cols[0], dst_cols[1], dst_cols[2],
-            vol_keys, vol_pk,
-            key_a, pk_a, by_a, key_b, pk_b, by_b,
-            counts,
-        )
-        if status != 0:
-            return None
-        ndst, nvol = int(counts[0]), int(counts[1])
-
-        src_keys = np.empty(n, dtype=np.int64)
-        src_pk = np.empty(n, dtype=np.float64)
-        raw_keys = np.empty(n, dtype=np.int64)
-        raw_pk = np.empty(n, dtype=np.float64)
-        status = self._fold1(
-            src_ip, packets, block_shift,
-            src_keys, src_pk, raw_keys, raw_pk,
-            key_a, pk_a, key_b, pk_b,
-            counts,
-        )
-        if status != 0:
-            return None
-        nsrc, nraw = int(counts[0]), int(counts[1])
-        return (
-            _part(dst_keys[:ndst].copy(), *(c[:ndst].copy() for c in dst_cols)),
-            _part(vol_keys[:nvol].copy(), vol_pk[:nvol].copy()),
-            _part(src_keys[:nsrc].copy(), src_pk[:nsrc].copy()),
-            _part(raw_keys[:nraw].copy(), raw_pk[:nraw].copy()),
-        )
-
-    def group_sum(self, keys, values):
-        n = len(keys)
-        if len(values) > 3:
-            return None
-        cols = np.ascontiguousarray(np.stack(values)) if values else (
-            np.empty((0, n), dtype=np.float64)
-        )
-        out_keys = np.empty(n, dtype=np.int64)
-        out_cols = np.empty((len(values), n), dtype=np.float64)
-        key_a = np.empty(n, dtype=np.int64)
-        key_b = np.empty(n, dtype=np.int64)
-        off_a = np.empty(n, dtype=np.int64)
-        off_b = np.empty(n, dtype=np.int64)
-        count = self._group(
-            keys, cols, out_keys, out_cols,
-            key_a, off_a, key_b, off_b,
-            self._acc, self._seen, self._touched,
-        )
-        if count < 0:
-            return None
-        count = int(count)
-        return out_keys[:count].copy(), tuple(
-            out_cols[c, :count].copy() for c in range(len(values))
-        )
-
-    def merge_sorted(self, ka, va, kb, vb):
-        ncols = len(va)
-        cap = len(ka) + len(kb)
-        ko = np.empty(cap, dtype=np.int64)
-        vo = np.empty((ncols, cap), dtype=np.float64)
-        count = int(
-            self._merge(
-                ka, np.ascontiguousarray(np.stack(va)),
-                kb, np.ascontiguousarray(np.stack(vb)),
-                ko, vo,
-            )
-        )
-        return ko[:count].copy(), tuple(
-            vo[c, :count].copy() for c in range(ncols)
-        )
-
-    def merge_k(self, parts):
-        ncols = len(parts[0][1])
-        keys_cat = np.concatenate([part[0] for part in parts])
-        total = len(keys_cat)
-        cols_cat = np.empty((ncols, total), dtype=np.float64)
-        part_ends = np.empty(len(parts), dtype=np.int64)
-        position = 0
-        for p, (keys, columns) in enumerate(parts):
-            for c in range(ncols):
-                cols_cat[c, position:position + len(keys)] = columns[c]
-            position += len(keys)
-            part_ends[p] = position
-        out_keys = np.empty(total, dtype=np.int64)
-        out_cols = np.empty((ncols, total), dtype=np.float64)
-        count = int(
-            self._merge_k(keys_cat, cols_cat, part_ends, out_keys, out_cols)
-        )
-        return out_keys[:count].copy(), tuple(
-            out_cols[c, :count].copy() for c in range(ncols)
-        )
-
-    def member_mask(self, values, table):
-        out = np.empty(len(values), dtype=np.uint8)
-        self._member(values, table, out)
-        return out.view(np.bool_)
-
-    def interval_mask(self, starts, ends, blocks):
-        out = np.empty(len(blocks), dtype=np.uint8)
-        self._interval(starts, ends, blocks, out)
-        return out.view(np.bool_)
+# Argument types: contiguous 1-d numpy arrays, dtype-checked per call.
+_U8, _U32, _KEYS, _SUMS = (
+    np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
+    for dtype in (np.uint8, np.uint32, np.int64, np.float64)
+)
 
 
-def _load_numba_ops() -> tuple[Any | None, str | None]:
-    try:
-        import numba
-    except ImportError:
-        return None, "numba not installed"
-    try:
-        jit = numba.njit(cache=False, nogil=True)
-        return _ImplOps(jit), None
-    except Exception as error:  # pragma: no cover - defensive
-        return None, f"numba unusable: {error}"
+def _col_ptrs(columns):
+    ptrs = (_P_F64 * len(columns))()
+    for i, col in enumerate(columns):
+        ptrs[i] = col.ctypes.data_as(_P_F64)
+    return ptrs
 
 
-def _cache_dir() -> Path:
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
-    return Path(base) / "repro" / "kernels"
+class _Staging(threading.local):
+    """Pooled scratch and output staging, one set per thread.
+
+    ctypes drops the GIL for the C call, so two threads folding through
+    the process-wide :class:`NativeKernel` must not share buffers.
+    Thread-local rather than a lock: :mod:`repro.core.parallel` forks
+    pool workers from folding processes, and a child must not inherit a
+    held lock.
+    """
+
+    def __init__(self) -> None:
+        self.scratch = np.empty(0, dtype=np.uint8)
+        self.keys: list[np.ndarray] = []
+        self.sums: list[np.ndarray] = []
+
+    def buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        # 12 bytes covers the widest radix record (rec3_t).
+        need = 12 * max(rows, 1)
+        if len(self.scratch) < 2 * need:
+            self.scratch = np.empty(2 * need, dtype=np.uint8)
+        return self.scratch[:need], self.scratch[need:2 * need]
+
+    def outputs(self, rows: int, nkeys: int, ncols: int):
+        """Full-length output staging (results are copied out)."""
+        for pool, count, dtype in (
+            (self.keys, nkeys, np.int64), (self.sums, ncols, np.float64),
+        ):
+            for i in range(count):
+                if i == len(pool):
+                    pool.append(np.empty(rows, dtype=dtype))
+                elif len(pool[i]) < rows:
+                    pool[i] = np.empty(rows, dtype=dtype)
+        return self.keys[:nkeys], self.sums[:ncols]
 
 
-def _load_cc_ops() -> tuple[Any | None, str | None]:
-    source = Path(__file__).with_name("_kernels.c")
-    if not source.exists():  # pragma: no cover - packaging error
-        return None, "_kernels.c not packaged"
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None, "no C compiler on PATH"
-    text = source.read_bytes()
-    digest = hashlib.sha256(text).hexdigest()[:16]
-    shared = _cache_dir() / f"kernels-{digest}.so"
-    if not shared.exists():
-        try:
-            shared.parent.mkdir(parents=True, exist_ok=True)
-            with tempfile.NamedTemporaryFile(
-                dir=shared.parent, suffix=".so", delete=False
-            ) as handle:
-                temp = handle.name
-            result = subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", temp, str(source)],
-                capture_output=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                os.unlink(temp)
-                detail = result.stderr.decode(errors="replace").strip()
-                return None, f"cc failed: {detail.splitlines()[-1] if detail else '?'}"
-            os.replace(temp, shared)
-        except Exception as error:
-            return None, f"cc build failed: {error}"
-    try:
-        return _CcOps(ctypes.CDLL(str(shared))), None
-    except OSError as error:  # pragma: no cover - corrupt cache
-        return None, f"cannot load {shared.name}: {error}"
+def _copied_out(count: int, keys: np.ndarray, columns):
+    """The first ``count`` staged rows as an owned ``(keys, cols)`` part."""
+    return keys[:count].copy(), tuple(c[:count].copy() for c in columns)
 
 
 class NativeKernel(NumpyKernel):
-    """Compiled hot loops; every operation falls back to the reference.
+    """The compiled fold and sorted-part merges, bound through ctypes.
 
-    ``ops`` is a provider object (Numba or cc); ``None`` means neither
-    provider is available and the backend *is* the reference — the
-    silent-fallback contract (``fallback_reason`` says why, and the
+    ``lib`` is the loaded ``_kernels.c`` library; ``None`` means it
+    could not be built or loaded and the backend *is* the reference —
+    the silent-fallback contract (``fallback_reason`` says why, and the
     engine surfaces it as a ``kernel`` trace event).
     """
 
     name = "native"
 
-    def __init__(self, ops: Any | None, fallback_reason: str | None = None):
-        self._ops = ops
-        self.provider = ops.provider if ops is not None else "numpy"
+    def __init__(
+        self, lib: ctypes.CDLL | None, fallback_reason: str | None = None
+    ) -> None:
+        self._lib = lib
+        self.provider = "cc" if lib is not None else "numpy"
         self.fallback_reason = fallback_reason
+        self._staging = _Staging()
+        if lib is None:
+            return
+        lib.fold_chunk.restype = _I64
+        lib.fold_chunk.argtypes = [
+            _U32, _U32, _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
+            _KEYS, _SUMS, _SUMS, _SUMS,
+            _KEYS, _SUMS,
+            _KEYS, _SUMS,
+            _KEYS, _SUMS,
+            _U8, _U8,
+            _KEYS,
+        ]
+        lib.merge_sorted.restype = _I64
+        lib.merge_sorted.argtypes = [
+            _KEYS, _PP_F64, _I64,
+            _KEYS, _PP_F64, _I64,
+            _I64, _KEYS, _PP_F64,
+        ]
+        lib.merge_k.restype = _I64
+        lib.merge_k.argtypes = [
+            ctypes.POINTER(_P_I64), _PP_F64, ctypes.POINTER(_I64), _I64, _I64,
+            _KEYS, _PP_F64,
+        ]
 
     def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
                    block_shift=8):
-        ops = self._ops
-        # Native folds are compiled for the uint32 IPv4 key layout; any
+        # The fold is compiled for the uint32 IPv4 key layout; any
         # other family (uint64 IPv6 keys) silently takes the reference
-        # path — same dtype-gate contract as a missing provider.
+        # path — same dtype-gate contract as a missing library.
         if (
-            ops is not None
+            self._lib is not None
             and src_ip.dtype == np.uint32
             and dst_ip.dtype == np.uint32
             and proto.dtype == np.uint8
             and packets.dtype == np.int64
             and bytes_.dtype == np.int64
         ):
-            result = ops.fold_chunk(
+            n = len(dst_ip)
+            bufa, bufb = self._staging.buffers(n)
+            keys, sums = self._staging.outputs(n, 4, 6)
+            dst_keys, vol_keys, src_keys, raw_keys = keys
+            dst_cols = sums[:3]
+            vol_pk, src_pk, raw_pk = sums[3:]
+            counts = np.zeros(4, dtype=np.int64)
+            status = self._lib.fold_chunk(
                 np.ascontiguousarray(src_ip),
                 np.ascontiguousarray(dst_ip),
                 np.ascontiguousarray(proto),
                 np.ascontiguousarray(packets),
                 np.ascontiguousarray(bytes_),
-                float(factor),
-                int(block_shift),
+                n, float(factor), int(block_shift),
+                dst_keys, *dst_cols,
+                vol_keys, vol_pk,
+                src_keys, src_pk,
+                raw_keys, raw_pk,
+                bufa, bufb,
+                counts,
             )
-            if result is not None:
-                return result
+            # Non-zero: a count outside the 31-bit record field (or
+            # negative) — the reference path below takes the chunk.
+            if status == 0:
+                ndst, nvol, nsrc, nraw = (int(c) for c in counts)
+                return (
+                    _copied_out(ndst, dst_keys, dst_cols),
+                    _copied_out(nvol, vol_keys, (vol_pk,)),
+                    _copied_out(nsrc, src_keys, (src_pk,)),
+                    _copied_out(nraw, raw_keys, (raw_pk,)),
+                )
         return super().fold_chunk(
             src_ip, dst_ip, proto, packets, bytes_, factor, block_shift
         )
 
-    def group_sum(self, keys, values):
-        ops = self._ops
-        if ops is not None and len(keys):
-            keys = np.ascontiguousarray(keys, dtype=np.int64)
-            columns = tuple(
-                np.ascontiguousarray(v, dtype=np.float64) for v in values
-            )
-            result = ops.group_sum(keys, columns)
-            if result is not None:
-                return result
-        return super().group_sum(keys, values)
-
     def merge_sorted_parts(self, parts):
-        ops = self._ops
-        if ops is None:
+        if self._lib is None:
             return super().merge_sorted_parts(parts)
         normalized = [
             (
@@ -670,41 +339,108 @@ class NativeKernel(NumpyKernel):
         if len(normalized) == 1:
             return normalized[0]
         if len(normalized) == 2:
-            (ka, va), (kb, vb) = normalized
-            return ops.merge_sorted(ka, va, kb, vb)
-        result = ops.merge_k(normalized)
-        if result is not None:
-            return result
+            return self._merge_sorted(*normalized[0], *normalized[1])
+        if len(normalized) <= _MERGE_K_MAX_PARTS:
+            return self._merge_k(normalized)
         # Degenerate part count: chain pairwise, left to right — the
         # same per-key accumulation order, just more passes.
         keys, columns = normalized[0]
         for next_keys, next_columns in normalized[1:]:
-            keys, columns = ops.merge_sorted(
+            keys, columns = self._merge_sorted(
                 keys, columns, next_keys, next_columns
             )
         return keys, columns
 
-    def sorted_member_mask(self, values, table):
-        ops = self._ops
-        if ops is not None and len(table) and len(values):
-            values = np.asarray(values)
-            if values.dtype == np.int64 and table.dtype == np.int64:
-                return ops.member_mask(
-                    np.ascontiguousarray(values), np.ascontiguousarray(table)
-                )
-        return super().sorted_member_mask(values, table)
+    def _merge_sorted(self, ka, va, kb, vb):
+        # Pooled staging is safe here: the returned arrays are copies,
+        # so chained merges never alias their own input.
+        (out_keys,), out_cols = self._staging.outputs(
+            len(ka) + len(kb), 1, len(va)
+        )
+        count = self._lib.merge_sorted(
+            ka, _col_ptrs(va), len(ka),
+            kb, _col_ptrs(vb), len(kb),
+            len(va), out_keys, _col_ptrs(out_cols),
+        )
+        return _copied_out(count, out_keys, out_cols)
 
-    def interval_covered_mask(self, starts, ends, blocks):
-        ops = self._ops
-        if ops is not None and len(starts):
-            blocks = np.asarray(blocks, dtype=np.int64)
-            if starts.dtype == np.int64 and ends.dtype == np.int64:
-                return ops.interval_mask(
-                    np.ascontiguousarray(starts),
-                    np.ascontiguousarray(ends),
-                    np.ascontiguousarray(blocks),
-                )
-        return super().interval_covered_mask(starts, ends, blocks)
+    def _merge_k(self, parts):
+        nparts = len(parts)
+        ncols = len(parts[0][1])
+        cap = sum(len(part[0]) for part in parts)
+        (out_keys,), out_cols = self._staging.outputs(cap, 1, ncols)
+        key_ptrs = (_P_I64 * nparts)()
+        col_ptrs = (_P_F64 * (nparts * ncols))()
+        lens = (_I64 * nparts)()
+        for p, (keys, columns) in enumerate(parts):
+            key_ptrs[p] = keys.ctypes.data_as(_P_I64)
+            lens[p] = len(keys)
+            for c, column in enumerate(columns):
+                col_ptrs[p * ncols + c] = column.ctypes.data_as(_P_F64)
+        count = self._lib.merge_k(
+            key_ptrs, col_ptrs, lens, nparts, ncols,
+            out_keys, _col_ptrs(out_cols),
+        )
+        return _copied_out(count, out_keys, out_cols)
+
+
+def _cache_dir() -> Path:
+    override = os.environ.get(CACHE_DIR_ENV)
+    if override:
+        return Path(override)
+    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
+    return Path(base) / "repro" / "kernels"
+
+
+def _build(compiler: str, source: Path, shared: Path) -> str | None:
+    """Compile ``source`` into ``shared`` atomically; the failure reason."""
+    shared.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.NamedTemporaryFile(
+        dir=shared.parent, suffix=".so", delete=False
+    ) as handle:
+        temp = handle.name
+    try:
+        result = subprocess.run(
+            [compiler, "-O3", "-shared", "-fPIC", "-o", temp, str(source)],
+            capture_output=True,
+            timeout=120,
+        )
+        if result.returncode != 0:
+            detail = result.stderr.decode(errors="replace").strip()
+            return f"{compiler} failed: {detail.splitlines()[-1] if detail else '?'}"
+        os.replace(temp, shared)
+        return None
+    finally:
+        # Gone after a successful replace; left behind by a failed or
+        # raising (missing compiler, timeout) build.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
+def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
+    """Build (once per source hash) and load ``_kernels.c``."""
+    if os.environ.get(DISABLE_NATIVE_ENV):
+        return None, f"disabled via {DISABLE_NATIVE_ENV}"
+    source = Path(__file__).with_name("_kernels.c")
+    if not source.exists():
+        return None, "_kernels.c not packaged"
+    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        return None, "no C compiler on PATH"
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    shared = _cache_dir() / f"kernels-{digest}.so"
+    if not shared.exists():
+        try:
+            reason = _build(compiler, source, shared)
+        except (OSError, subprocess.SubprocessError) as error:
+            # Unwritable cache dir, missing compiler, build timeout.
+            reason = f"{compiler} build failed: {error}"
+        if reason is not None:
+            return None, reason
+    try:
+        return ctypes.CDLL(str(shared)), None
+    except OSError as error:  # pragma: no cover - corrupt cache
+        return None, f"cannot load {shared.name}: {error}"
 
 
 # ---------------------------------------------------------------------------
@@ -721,22 +457,7 @@ def invalidate_cache() -> None:
 
 def _native_kernel() -> NativeKernel:
     if "native" not in _CACHE:
-        if os.environ.get(DISABLE_NATIVE_ENV):
-            _CACHE["native"] = NativeKernel(
-                None, f"disabled via {DISABLE_NATIVE_ENV}"
-            )
-        else:
-            ops, numba_reason = _load_numba_ops()
-            if ops is None:
-                ops, cc_reason = _load_cc_ops()
-                if ops is None:
-                    _CACHE["native"] = NativeKernel(
-                        None, f"{numba_reason}; {cc_reason}"
-                    )
-                else:
-                    _CACHE["native"] = NativeKernel(ops)
-            else:
-                _CACHE["native"] = NativeKernel(ops)
+        _CACHE["native"] = NativeKernel(*_load_library())
     return _CACHE["native"]
 
 
@@ -744,7 +465,7 @@ def get_kernel(name: str | None) -> NumpyKernel:
     """The backend instance for a resolved knob value.
 
     ``numpy`` and ``native`` return the named backend (``native``
-    degrades to reference semantics when no provider is available);
+    degrades to reference semantics when the library is unavailable);
     ``auto``/``None`` resolve via :func:`resolve_kernel_name` first.
     """
     name = resolve_kernel_name(name)
@@ -758,9 +479,9 @@ def get_kernel(name: str | None) -> NumpyKernel:
 def resolve_kernel_name(name: str | None) -> str:
     """Resolve the public knob value to a concrete backend name.
 
-    ``auto`` (and ``None``) pick ``native`` when a provider is
+    ``auto`` (and ``None``) pick ``native`` when the C library is
     actually available — never the degraded fallback — so ``auto``
-    on a machine without Numba or a C compiler plans ``numpy``.
+    on a machine without a C compiler plans ``numpy``.
     """
     if name is None:
         name = "auto"

@@ -146,9 +146,7 @@ def run_pipeline_accumulated(
     This is the online/federation entry: the accumulator may be the
     merge of per-day partials or of other operators' contributions.
     With a :class:`~repro.core.engine.RunContext` every stage also
-    lands on the observability spine as a ``stage`` event.  The stage
-    masks run on the accumulator's own kernel backend, so fold and
-    classification always share one backend.
+    lands on the observability spine as a ``stage`` event.
     """
     if config is None:
         config = PipelineConfig()
@@ -160,10 +158,7 @@ def run_pipeline_accumulated(
             "than the pipeline config"
         )
     finalized = accumulator.finalize(config.spoof_tolerance)
-    return StageEngine().run(
-        finalized, routing, special, config, context,
-        kernel=getattr(accumulator, "kernel", None),
-    )
+    return StageEngine().run(finalized, routing, special, config, context)
 
 
 def snapshot_from_pipeline(

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bgp.rib import RoutingTable
-from repro.net.blocksets import align_sorted
+from repro.net.blocksets import align_sorted, sorted_member_mask
 from repro.net.special import SpecialPurposeRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (accum ← stages)
@@ -129,17 +129,11 @@ class StageContext:
         config: PipelineConfig,
         routing: RoutingTable,
         special: SpecialPurposeRegistry,
-        kernel=None,
     ) -> None:
-        from repro.core.kernels import get_kernel
-
         self.finalized = finalized
         self.config = config
         self.routing = routing
         self.special = special
-        # The mask kernel: membership and interval probes run on the
-        # same backend as the fold (reference numpy unless told else).
-        self.kernel = get_kernel("numpy") if kernel is None else kernel
         ip_blocks = finalized.dst_ips >> finalized.block_shift
         if not np.all(ip_blocks[1:] >= ip_blocks[:-1]):
             raise ValueError(
@@ -200,7 +194,7 @@ class StageContext:
         # probed against the (sorted) source table at all.
         ip_is_source = self.block_has_source[self.position]
         inside = np.flatnonzero(ip_is_source)
-        ip_is_source[inside] = self.kernel.sorted_member_mask(
+        ip_is_source[inside] = sorted_member_mask(
             finalized.dst_ips[inside], finalized.src_ips
         )
         survives = has_tcp & ip_size_ok & ~ip_is_source
@@ -220,9 +214,7 @@ class StageContext:
     @cached_property
     def block_has_source(self) -> np.ndarray:
         """Per block: unforgiven source sightings exist."""
-        return self.kernel.sorted_member_mask(
-            self.blocks, self.blocks_with_real_sources
-        )
+        return sorted_member_mask(self.blocks, self.blocks_with_real_sources)
 
     @cached_property
     def block_tcp_pkts(self) -> np.ndarray:
@@ -291,7 +283,7 @@ class RoutedStage(Stage):
     name = "routed"
 
     def mask(self, ctx: StageContext) -> np.ndarray:
-        return ctx.routing.routed_mask(ctx.blocks, kernel=ctx.kernel)
+        return ctx.routing.routed_mask(ctx.blocks)
 
 
 class VolumeStage(Stage):
@@ -337,13 +329,11 @@ class StageEngine:
         special: SpecialPurposeRegistry,
         config: PipelineConfig,
         context=None,
-        kernel=None,
     ) -> PipelineResult:
         """Classify finalized columns (``context``: a
         :class:`~repro.core.engine.RunContext`; each stage also lands
-        on its observability spine as a ``stage`` event).  ``kernel``
-        selects the mask backend (reference numpy when ``None``)."""
-        ctx = StageContext(finalized, config, routing, special, kernel)
+        on its observability spine as a ``stage`` event)."""
+        ctx = StageContext(finalized, config, routing, special)
         surviving = np.ones(ctx.num_blocks, dtype=bool)
         cumulative: list[np.ndarray] = []
         counts: list[int] = []

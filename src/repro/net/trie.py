@@ -178,15 +178,9 @@ class PrefixTrie(Generic[V]):
         starts, ends, _ = self._intervals()
         return starts, ends
 
-    def covered_mask(self, blocks: np.ndarray, kernel=None) -> np.ndarray:
-        """Vectorised :meth:`covers_block` over an array of block ids.
-
-        ``kernel`` (a :mod:`repro.core.kernels` backend) runs the probe
-        natively; ``None`` keeps the reference numpy scan.
-        """
+    def covered_mask(self, blocks: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`covers_block` over an array of block ids."""
         starts, ends, _ = self._intervals()
-        if kernel is not None:
-            return kernel.interval_covered_mask(starts, ends, blocks)
         return interval_covered_mask(starts, ends, blocks)
 
     def _prefix_bits(self, prefix) -> Iterator[int]:

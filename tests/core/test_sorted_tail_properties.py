@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.bgp.topology import AsTopology
 from repro.core.accum import FinalizedAggregates, PrefixAccumulator
-from repro.core.kernels import get_kernel
 from repro.core.refine import cone_filtered_view
 from repro.core.snapshot import (
     NO_ASN,
@@ -347,17 +346,16 @@ def finalized_aggregates(draw):
     )
 
 
-def context_of(finalized, native: bool) -> StageContext:
+def context_of(finalized) -> StageContext:
     return StageContext(
-        finalized, PipelineConfig(), ROUTING, SPECIAL_PURPOSE_REGISTRY,
-        get_kernel("auto") if native else None,
+        finalized, PipelineConfig(), ROUTING, SPECIAL_PURPOSE_REGISTRY
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(finalized_aggregates(), st.booleans())
-def test_block_axis_and_ip_survival_match_the_hashed_forms(finalized, native):
-    ctx = context_of(finalized, native)
+@given(finalized_aggregates())
+def test_block_axis_and_ip_survival_match_the_hashed_forms(finalized):
+    ctx = context_of(finalized)
     ip_blocks = finalized.dst_ips >> finalized.block_shift
     same(ctx.blocks, np.unique(ip_blocks))
     same(ctx.position, np.searchsorted(ctx.blocks, ip_blocks))
@@ -388,7 +386,7 @@ def test_stage_context_rejects_unsorted_columns():
     finalized = PrefixAccumulator().finalize()
     finalized.dst_ips = np.array([0x14000101, 0x14000001], dtype=np.int64)
     with pytest.raises(ValueError, match="sorted"):
-        context_of(finalized, native=False)
+        context_of(finalized)
 
 
 # ---------------------------------------------------------------------------
