@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import itertools
 import json
 import sys
 import tempfile
@@ -424,6 +425,24 @@ def _day_views(world, observatory, args: argparse.Namespace, day: int):
     return [observation.ixp_views[args.vantage]]
 
 
+def _online(
+    args: argparse.Namespace, telescope, days: int, context: RunContext
+) -> OnlineMetaTelescope:
+    """The online engine the ``faults`` and ``serve`` commands fold into."""
+    window = min(args.window, days)
+    return OnlineMetaTelescope(
+        telescope=telescope,
+        window_days=window,
+        min_stable_days=min(2, window),
+        use_spoofing_tolerance=not args.no_tolerance,
+        policy=args.policy,
+        chunk_size=args.chunk_size,
+        workers=args.workers,
+        kernel=args.kernel,
+        sinks=context.sinks,
+    )
+
+
 def cmd_faults(args: argparse.Namespace) -> int:
     world, observatory, telescope, context = _build(args)
     days = min(args.days, world.config.num_days)
@@ -437,17 +456,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         plan.add(standard_injector(name, days=frozenset({fault_day})))
     telescope.replace_collector(plan.wrap_collector(telescope.collector))
 
-    online = OnlineMetaTelescope(
-        telescope=telescope,
-        window_days=min(args.window, days),
-        min_stable_days=min(2, min(args.window, days)),
-        use_spoofing_tolerance=not args.no_tolerance,
-        policy=args.policy,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        kernel=args.kernel,
-        sinks=context.sinks,
-    )
+    online = _online(args, telescope, days, context)
     rows = []
     events = []
     for day in range(days):
@@ -563,23 +572,22 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         context.close()
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Boot the query daemon (ROADMAP item 1's product surface)."""
-    delta_store = (
-        SnapshotDeltaStore(args.delta_archive) if args.delta_archive else None
-    )
-    if args.processes > 1:
-        return _serve_fleet(args, delta_store)
+def _feed_publisher(args: argparse.Namespace, make_publisher):
+    """Build ``serve``'s publisher and publish what it serves at boot.
+
+    ``make_publisher(context, **shared)`` constructs the in-process
+    :class:`MetaTelescopeService` or the :class:`FleetSupervisor`;
+    ``shared`` is the keywords the two take alike.  Returns
+    ``(publisher, folder, context)`` — ``folder`` is None when a saved
+    ``--snapshot`` is served (no world, no folding).
+    """
+    shared = {"max_inflight": args.max_inflight}
+    if args.delta_archive:
+        shared["delta_store"] = SnapshotDeltaStore(args.delta_archive)
     if args.snapshot:
-        # Serve a saved snapshot.fpk directly — no world, no folding.
         context = _context(args)
-        service = MetaTelescopeService(
-            context=context,
-            budget=QueryBudget(max_results=args.max_results),
-            max_inflight=args.max_inflight,
-            delta_store=delta_store,
-        )
-        snapshot = service.publish(ClassificationSnapshot.open(args.snapshot))
+        publisher = make_publisher(context, **shared)
+        snapshot = publisher.publish(ClassificationSnapshot.open(args.snapshot))
         folder = None
         print(
             f"serving {args.snapshot}: {len(snapshot):,} blocks, "
@@ -589,31 +597,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         world, observatory, telescope, context = _build(args)
         days = min(args.days, world.config.num_days)
-        online = OnlineMetaTelescope(
-            telescope=telescope,
-            window_days=min(args.window, days),
-            min_stable_days=min(2, min(args.window, days)),
-            use_spoofing_tolerance=not args.no_tolerance,
-            policy=args.policy,
-            chunk_size=args.chunk_size,
-            workers=args.workers,
-            kernel=args.kernel,
-            sinks=context.sinks,
-        )
-        service = MetaTelescopeService(
-            pfx2as=world.datasets.pfx2as,
-            geodb=world.datasets.geodb,
-            context=context,
-            budget=QueryBudget(max_results=args.max_results),
-            max_inflight=args.max_inflight,
-            delta_store=delta_store,
-        )
-        folder = BackgroundFolder(online, service)
+        online = _online(args, telescope, days, context)
+        shared.update(pfx2as=world.datasets.pfx2as, geodb=world.datasets.geodb)
+        publisher = make_publisher(context, **shared)
+        folder = BackgroundFolder(online, publisher)
         warm = days if args.warm_days is None else min(args.warm_days, days)
-        for day in range(warm):
-            snapshot = folder.fold(
-                day, _day_views(world, observatory, args, day)
-            )
+        feed = (
+            (day, _day_views(world, observatory, args, day))
+            for day in range(days)
+        )
+        for day, views in itertools.islice(feed, warm):
+            snapshot = folder.fold(day, views)
             print(
                 f"day {day}: published v{snapshot.version} "
                 f"({len(snapshot.dark_blocks):,} dark of {len(snapshot):,})",
@@ -621,14 +615,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         if warm < days:
             # Remaining days fold in the background while we serve.
-            folder.start(
-                (day, _day_views(world, observatory, args, day))
-                for day in range(warm, days)
-            )
+            folder.start(feed)
     if args.save_snapshot:
-        service.handle.current().save(args.save_snapshot)
+        publisher.handle.current().save(args.save_snapshot)
         print(f"wrote snapshot to {args.save_snapshot}", flush=True)
+    return publisher, folder, context
 
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Boot the query daemon (ROADMAP item 1's product surface)."""
+    if args.processes > 1:
+        return _serve_fleet(args)
+    service, folder, context = _feed_publisher(
+        args,
+        lambda context, **shared: MetaTelescopeService(
+            context=context,
+            budget=QueryBudget(max_results=args.max_results),
+            **shared,
+        ),
+    )
     daemon = ServiceDaemon(service, host=args.host, port=args.port)
 
     async def _serve() -> None:
@@ -651,7 +656,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_fleet(args: argparse.Namespace, delta_store) -> int:
+def _serve_fleet(args: argparse.Namespace) -> int:
     """``serve --processes N``: the SO_REUSEPORT worker fleet.
 
     The supervisor process never serves HTTP itself — it folds (or
@@ -660,69 +665,17 @@ def _serve_fleet(args: argparse.Namespace, delta_store) -> int:
     ``snapshot.fpk`` and one kernel-balanced port.
     """
     root = args.fleet_root or tempfile.mkdtemp(prefix="meta-telescope-fleet-")
-    if args.snapshot:
-        context = _context(args)
-        supervisor = FleetSupervisor(
+    supervisor, folder, context = _feed_publisher(
+        args,
+        lambda context, **shared: FleetSupervisor(
             root,
             processes=args.processes,
             host=args.host,
             port=args.port,
             max_results=args.max_results,
-            max_inflight=args.max_inflight,
-            delta_store=delta_store,
-        )
-        snapshot = supervisor.publish(ClassificationSnapshot.open(args.snapshot))
-        folder = None
-        print(
-            f"serving {args.snapshot}: {len(snapshot):,} blocks, "
-            f"day {snapshot.day}, version {snapshot.version}",
-            flush=True,
-        )
-    else:
-        world, observatory, telescope, context = _build(args)
-        days = min(args.days, world.config.num_days)
-        online = OnlineMetaTelescope(
-            telescope=telescope,
-            window_days=min(args.window, days),
-            min_stable_days=min(2, min(args.window, days)),
-            use_spoofing_tolerance=not args.no_tolerance,
-            policy=args.policy,
-            chunk_size=args.chunk_size,
-            workers=args.workers,
-            kernel=args.kernel,
-            sinks=context.sinks,
-        )
-        supervisor = FleetSupervisor(
-            root,
-            processes=args.processes,
-            host=args.host,
-            port=args.port,
-            max_results=args.max_results,
-            max_inflight=args.max_inflight,
-            delta_store=delta_store,
-            pfx2as=world.datasets.pfx2as,
-            geodb=world.datasets.geodb,
-        )
-        folder = BackgroundFolder(online, supervisor)
-        warm = days if args.warm_days is None else min(args.warm_days, days)
-        for day in range(warm):
-            snapshot = folder.fold(
-                day, _day_views(world, observatory, args, day)
-            )
-            print(
-                f"day {day}: published v{snapshot.version} "
-                f"({len(snapshot.dark_blocks):,} dark of {len(snapshot):,})",
-                flush=True,
-            )
-        if warm < days:
-            folder.start(
-                (day, _day_views(world, observatory, args, day))
-                for day in range(warm, days)
-            )
-    if args.save_snapshot:
-        supervisor.handle.current().save(args.save_snapshot)
-        print(f"wrote snapshot to {args.save_snapshot}", flush=True)
-
+            **shared,
+        ),
+    )
     try:
         supervisor.start()
         supervisor.wait_ready()
@@ -763,18 +716,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         "health": "/healthz",
     }
     params = {
-        name: getattr(args, dest)
-        for name, dest in (
-            ("prefix", "prefix"),
-            ("block", "block"),
-            ("start", "start"),
-            ("end", "end"),
-            ("asn", "asn"),
-            ("country", "country"),
-            ("since", "since"),
-            ("limit", "limit"),
-        )
-        if getattr(args, dest, None) is not None
+        name: getattr(args, name)
+        for name in ("prefix", "block", "start", "end", "asn", "country",
+                     "since", "limit")
+        if getattr(args, name, None) is not None
     }
     url = args.url.rstrip("/") + paths[args.endpoint]
     if params:

@@ -50,7 +50,6 @@ from repro.core.pipeline import (
     PipelineResult,
     run_pipeline,
     run_pipeline_accumulated,
-    run_pipeline_chunked,
 )
 from repro.core.stages import (
     DEFAULT_STAGES,
@@ -124,7 +123,6 @@ __all__ = [
     "PipelineResult",
     "run_pipeline",
     "run_pipeline_accumulated",
-    "run_pipeline_chunked",
     "DEFAULT_STAGES",
     "Stage",
     "StageEngine",

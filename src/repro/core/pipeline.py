@@ -24,8 +24,8 @@ Since the streaming refactor this module is a thin facade: ingestion
 folds views (whole, or chunk by chunk) into a mergeable
 :class:`~repro.core.accum.PrefixAccumulator`, and the classification
 itself lives in the :mod:`repro.core.stages` engine, one explicit
-:class:`~repro.core.stages.Stage` per funnel step.  The batch and
-chunked entry points below are classification-identical by
+:class:`~repro.core.stages.Stage` per funnel step.  Batch and chunked
+runs of :func:`run_pipeline` are classification-identical by
 construction — they differ only in how the accumulator is fed.
 
 Granularity note.  The paper applies filters 1, 2 and 6 "per subnet"
@@ -75,27 +75,11 @@ __all__ = [
     "PrefixAccumulator",
     "accumulate_views",
     "run_pipeline",
-    "run_pipeline_chunked",
     "run_pipeline_accumulated",
-    "snapshot_from_pipeline",
 ]
 
 
 def run_pipeline(
-    views: list[VantageDayView],
-    routing: RoutingTable,
-    config: PipelineConfig | None = None,
-    special: SpecialPurposeRegistry = SPECIAL_PURPOSE_REGISTRY,
-    context: "RunContext | None" = None,
-) -> PipelineResult:
-    """Run the full inference over pooled vantage-day views."""
-    return run_pipeline_chunked(
-        views, routing, config, special=special, chunk_size=None,
-        context=context,
-    )
-
-
-def run_pipeline_chunked(
     views: list[VantageDayView],
     routing: RoutingTable,
     config: PipelineConfig | None = None,
@@ -105,14 +89,14 @@ def run_pipeline_chunked(
     context: "RunContext | None" = None,
     kernel: str | None = None,
 ) -> PipelineResult:
-    """Run the inference, ingesting each view in bounded-size chunks.
+    """Run the full inference over pooled vantage-day views.
 
     ``chunk_size=None`` ingests each view as a single chunk (the batch
-    path); ``"auto"`` picks a bounded size per view.  Any chunk size
-    (and any worker count, and either ``kernel`` backend) yields
-    bit-identical classifications.  The fold itself is planned and
-    executed by :mod:`repro.core.engine` — this facade only builds the
-    plan.
+    path); an integer bounds the rows per chunk and ``"auto"`` picks a
+    bounded size per view.  Any chunk size (and any worker count, and
+    either ``kernel`` backend) yields bit-identical classifications.
+    The fold itself is planned and executed by :mod:`repro.core.engine`
+    — this facade only builds the plan.
     """
     from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
 
@@ -159,29 +143,3 @@ def run_pipeline_accumulated(
         )
     finalized = accumulator.finalize(config.spoof_tolerance)
     return StageEngine().run(finalized, routing, special, config, context)
-
-
-def snapshot_from_pipeline(
-    result: PipelineResult,
-    day: int,
-    history=None,
-    provenance=None,
-):
-    """Freeze a bare :class:`PipelineResult` into a snapshot.
-
-    For unrefined classification (no liveness pass) the pipeline's dark
-    set *is* the served set.  Facade callers should prefer
-    :meth:`repro.core.metatelescope.MetaTelescopeResult.to_snapshot`,
-    which additionally distinguishes refinement-removed candidates.
-    """
-    from repro.core.snapshot import build_snapshot
-
-    return build_snapshot(
-        day=day,
-        dark=result.dark_blocks,
-        unclean=result.unclean_blocks,
-        gray=result.gray_blocks,
-        history=history,
-        provenance=provenance,
-        family=result.family,
-    )

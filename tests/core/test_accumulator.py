@@ -19,7 +19,6 @@ from repro.core.pipeline import (
     PipelineConfig,
     run_pipeline,
     run_pipeline_accumulated,
-    run_pipeline_chunked,
 )
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
@@ -68,7 +67,7 @@ class TestChunkedEqualsBatch:
         self, multi_day, routing, telescope, chunk_size
     ):
         batch = run_pipeline(multi_day, routing, telescope.config)
-        chunked = run_pipeline_chunked(
+        chunked = run_pipeline(
             multi_day, routing, telescope.config, chunk_size=chunk_size
         )
         assert_identical(batch, chunked)
@@ -96,7 +95,7 @@ class TestChunkedEqualsBatch:
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
         batch = run_pipeline(faulted, routing, telescope.config)
-        chunked = run_pipeline_chunked(
+        chunked = run_pipeline(
             faulted, routing, telescope.config, chunk_size=61
         )
         assert_identical(batch, chunked)
@@ -109,7 +108,7 @@ class TestChunkedEqualsBatch:
             vantage="SILENT", day=9, flows=FlowTable.empty()
         )
         batch = run_pipeline(multi_day + [silent], routing, telescope.config)
-        chunked = run_pipeline_chunked(
+        chunked = run_pipeline(
             multi_day + [silent], routing, telescope.config, chunk_size=50
         )
         assert "SILENT" in batch.applied_tolerances
@@ -174,7 +173,7 @@ class TestProperties:
     def test_any_chunk_size_matches_batch(self, flows, chunk_size):
         view = VantageDayView(vantage="V", day=0, flows=flows)
         batch = run_pipeline([view], ROUTING, PipelineConfig())
-        chunked = run_pipeline_chunked(
+        chunked = run_pipeline(
             [view], ROUTING, PipelineConfig(), chunk_size=chunk_size
         )
         assert_identical(batch, chunked)

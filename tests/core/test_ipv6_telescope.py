@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.snapshot import ClassificationSnapshot
-from repro.net.family import FAMILY_IPV6
+from repro.io import read_prefix_list
+from repro.net.family import FAMILY_IPV6, IPV6
 from repro.world.ipv6 import (
     LEAKED_SITE,
     ipv6_views,
@@ -85,6 +87,18 @@ class TestExecutionIdentity:
         native = infer_ipv6(world, views, kernel="native")
         assert np.array_equal(native.served_sites, report.served_sites)
         assert native.snapshot.identical_to(report.snapshot)
+
+    def test_cli_infer_writes_the_batch_served_sites(
+        self, world, report, tmp_path, capsys
+    ):
+        output = tmp_path / "v6-prefixes.txt"
+        assert main([
+            "infer", "--family", "ipv6", "--scale", "micro",
+            "--days", str(world.config.num_days), "--workers", "2",
+            "--output", str(output),
+        ]) == 0
+        served = read_prefix_list(output, family=IPV6)
+        assert np.array_equal(served, report.served_sites)
 
 
 class TestOnline:

@@ -35,7 +35,7 @@ from repro.core.kernels import (
 )
 from repro.core.metatelescope import MetaTelescope
 from repro.core.parallel import partial_states_identical
-from repro.core.pipeline import PipelineConfig, run_pipeline_chunked
+from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.faults.injectors import CorruptedFields, DuplicatedRecords
 from repro.net.ipv4 import parse_ip
 from repro.traffic.flows import FlowTable
@@ -303,7 +303,7 @@ class TestClassificationParity:
             for i, table in enumerate(tables)
         ]
         results = {
-            kernel: run_pipeline_chunked(
+            kernel: run_pipeline(
                 views, ROUTING, PipelineConfig(), chunk_size=17, kernel=kernel
             )
             for kernel in ("numpy", "native")

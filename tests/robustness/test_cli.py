@@ -18,12 +18,12 @@ class TestScenariosList:
 class TestScenariosRun:
     def test_full_catalog_gate_passes_and_traces(self, capsys, tmp_path):
         """The acceptance run: the whole catalog through both engine
-        paths (workers >= 2), every metric within its envelope, one
-        traced verdict per scenario."""
+        paths (workers >= 2) and the served answers, every metric within
+        its envelope, one traced verdict per scenario."""
         trace = tmp_path / "scenarios.jsonl"
         code = main([
             "scenarios", "run", "--scale", "micro",
-            "--workers", "2", "--trace", str(trace),
+            "--workers", "2", "--service-path", "--trace", str(trace),
         ])
         out = capsys.readouterr().out
         assert code == 0, out
@@ -40,6 +40,6 @@ class TestScenariosRun:
         for event in scenario_events[1:]:
             observed = event["meta"]["observed"]
             assert {score["path"] for score in observed} == {
-                "parallel", "online"
+                "parallel", "online", "service"
             }
             assert event["meta"]["ok"] is True

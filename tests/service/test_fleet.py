@@ -10,16 +10,30 @@ workers come back, and shutdown drains cleanly.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import hashlib
+import itertools
 import json
+import os
+import threading
+import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.core.snapshot import VERDICT_DARK, VERDICT_GRAY
 from repro.core.snapshot_store import SnapshotDeltaStore
+from repro.net.ipv4 import block_to_prefix
 from repro.service import FleetSupervisor
-from repro.service.fleet import free_reuseport, read_sentinel
+from repro.service.fleet import (
+    SENTINEL_FILE,
+    SNAPSHOT_FILE,
+    free_reuseport,
+    read_sentinel,
+)
 from tests.service.test_atomic_swap import stamped_snapshot
 
 
@@ -97,6 +111,130 @@ def test_answers_are_byte_identical_across_connections(fleet):
             status, _, body = get(fleet.base_url + target)
             assert status == 200
             digest.update(body)
+        digests.add(digest.hexdigest())
+    assert len(digests) == 1
+
+
+def test_no_torn_read_across_supervisor_and_external_republish(fleet):
+    """Readers hammer the fleet while the version moves twice: once by
+    ``fleet.publish`` and once by an outside writer speaking only the
+    file protocol (``snapshot.fpk`` replaced, then ``SERVING.json``).
+
+    The three versions share one block universe and differ in which
+    blocks are dark, so an answer is right for exactly one version — a
+    worker that mixes two snapshots, or stamps one version onto
+    another's rows, matches none.
+    """
+    universe = stamped_snapshot(1000, size=96)
+    lo, hi = int(universe.blocks[0]), int(universe.blocks[-1])
+    probes = list(range(lo - 2, hi + 3))  # two absent blocks either side
+
+    def variant(modulus: int, version: int):
+        gray = (universe.blocks % modulus) == 0
+        verdicts = np.where(gray, VERDICT_GRAY, VERDICT_DARK).astype(np.uint8)
+        return dataclasses.replace(
+            universe, verdicts=verdicts, version=version
+        )
+
+    # Truth is keyed by the version each variant *will* carry: readers
+    # may be answered from a publish before publish() has returned.
+    v1 = fleet.handle.version() + 1
+    variants = [variant(2, v1), variant(3, v1 + 1), variant(5, v1 + 2)]
+    truth = {v.version: set(v.dark_blocks.tolist()) for v in variants}
+
+    def prefixes(blocks: set[int]) -> set[str]:
+        return {str(block_to_prefix(block)) for block in blocks}
+
+    def check(kind: str, body: dict, block: int) -> None:
+        # KeyError here: an answer from a version nobody published
+        dark = truth[body["snapshot_version"]]
+        if kind == "point":
+            assert body["dark"] == (block in dark), (block, body)
+        elif kind == "range":
+            assert body["total"] == len(universe), body
+            rows = {row["block"]: row["dark"] for row in body["rows"]}
+            assert rows == {b: b in dark for b in range(lo, hi + 1)}, body
+        elif body["base_retained"]:
+            base = truth[body["base_version"]]
+            assert set(body["added_dark"]) == prefixes(dark - base), body
+            assert set(body["removed_dark"]) == prefixes(base - dark), body
+
+    stop = threading.Event()
+    failures: list[BaseException] = []
+    # per reader: version -> validated answers
+    seen = [collections.Counter() for _ in range(4)]
+
+    def reader(slot: int) -> None:
+        rng = np.random.default_rng(slot)
+        mix = itertools.cycle(["point"] * 6 + ["range", "diff"])
+        try:
+            while not stop.is_set():
+                kind, block = next(mix), int(rng.choice(probes))
+                target = {
+                    "point": f"/v1/point?block={block}",
+                    "range": f"/v1/range?start={lo}&end={hi}",
+                    "diff": f"/v1/diff?since={v1}",
+                }[kind]
+                status, _, raw = get(fleet.base_url + target)
+                assert status == 200, (target, status, raw)
+                body = json.loads(raw)
+                check(kind, body, block)
+                seen[slot][body["snapshot_version"]] += 1
+        except BaseException as error:  # a transport error is a failure too
+            failures.append(error)
+
+    threads = [
+        threading.Thread(target=reader, args=(slot,), daemon=True)
+        for slot in range(len(seen))
+    ]
+
+    def every_reader_answered_from(version: int, answers: int = 16) -> None:
+        fleet.wait_version(version, timeout=30)
+        deadline = time.monotonic() + 30
+        while any(counts[version] < answers for counts in seen):
+            assert not failures, failures[0]
+            assert time.monotonic() < deadline, (version, seen)
+            time.sleep(0.005)
+
+    assert fleet.publish(variants[0]).version == v1
+    fleet.wait_version(v1, timeout=30)
+    for thread in threads:
+        thread.start()
+    try:
+        every_reader_answered_from(v1)
+        # (a) the supervisor republishes under load
+        assert fleet.publish(variants[1]).version == v1 + 1
+        every_reader_answered_from(v1 + 1)
+        # (b) an outside writer republishes through the files alone
+        staged = fleet.root / (SNAPSHOT_FILE + ".new")
+        variants[2].save(staged)
+        os.replace(staged, fleet.root / SNAPSHOT_FILE)
+        staged = fleet.root / (SENTINEL_FILE + ".new")
+        staged.write_text(
+            json.dumps({"version": v1 + 2, "day": variants[2].day})
+        )
+        os.replace(staged, fleet.root / SENTINEL_FILE)
+        every_reader_answered_from(v1 + 2)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not failures, failures[0]
+    assert not any(thread.is_alive() for thread in threads)
+    # The supervisor did not write v1 + 2; keep its counter in step with
+    # what the fleet serves, for whoever publishes next.
+    fleet.handle.adopt(variants[2])
+
+    digests = set()
+    for _ in range(12):  # fresh connection each time: both workers answer
+        digest = hashlib.sha256()
+        for block in probes[::6]:
+            status, _, raw = get(fleet.base_url + f"/v1/point?block={block}")
+            assert status == 200
+            body = json.loads(raw)
+            assert body["snapshot_version"] == v1 + 2
+            check("point", body, block)
+            digest.update(raw)
         digests.add(digest.hexdigest())
     assert len(digests) == 1
 
