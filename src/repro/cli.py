@@ -67,6 +67,7 @@ from repro.analysis.ports import top_ports
 from repro.core import MetaTelescope
 from repro.core.engine import JsonlSink, RunContext
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
+from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
 from repro.core.online import OnlineMetaTelescope, POLICIES
 from repro.core.pipeline import PipelineConfig
 from repro.faults import STANDARD_FAULTS, FaultPlan, standard_injector
@@ -76,6 +77,7 @@ from repro.io import (
     write_flows,
     write_prefix_list,
 )
+from repro.net.family import IPV4, IPV6
 from repro.reporting.report import generate_report
 from repro.reporting.tables import format_table
 from repro.core.snapshot import ClassificationSnapshot
@@ -141,7 +143,7 @@ def _context(args: argparse.Namespace) -> RunContext:
     sinks = ()
     if getattr(args, "trace", None):
         sinks = (JsonlSink(args.trace),)
-    return RunContext(sinks=sinks, seed=getattr(args, "seed", None))
+    return RunContext(sinks=sinks)
 
 
 def _build(args: argparse.Namespace):
@@ -194,22 +196,15 @@ def _infer(world, observatory, telescope, args: argparse.Namespace,
     )
 
 
-def _print_plan(plan) -> None:
-    print(format_table(["field", "value"], plan.describe_rows(),
-                       title="execution plan"))
+def _family_views(args: argparse.Namespace):
+    """``(world, views, telescope, context)`` for either address family.
 
-
-def _infer_ipv6(args: argparse.Namespace) -> int:
-    """``infer --family ipv6``: the unchanged engine over the v6 world.
-
-    Candidate /48 sites are enumerated from observed traffic (announced,
-    not hitlisted, never sourcing), the seven-stage pipeline classifies
-    them, and the served set is scored against the world's ground truth.
+    ``--family ipv6`` is the unchanged engine over the v6 world: the
+    same facade class, configured by :func:`ipv6_telescope`.
     """
-    from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
-    from repro.net.family import IPV6
-    from repro.traffic.flows import FlowTable
-
+    if args.family != "ipv6":
+        world, observatory, telescope, context = _build(args)
+        return world, _views(world, observatory, args), telescope, context
     if args.vantage not in ("All", "V6IX"):
         raise SystemExit(
             f"unknown vantage {args.vantage!r}; the ipv6 world has one "
@@ -218,75 +213,18 @@ def _infer_ipv6(args: argparse.Namespace) -> int:
     context = _context(args)
     world = _IPV6_SCALES[args.scale](args.seed)
     views = ipv6_views(world, num_days=args.days)
-    telescope = ipv6_telescope(world)
-    if args.command == "plan" or getattr(args, "explain", False):
-        plan = telescope.plan(
-            views, chunk_size=args.chunk_size, workers=args.workers,
-            kernel=args.kernel,
-        )
-        _print_plan(plan)
-        context.close()
-        return 0
-    report = infer_ipv6(
-        world,
-        views,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
-        kernel=args.kernel,
-        context=context,
-    )
-    print(
-        format_table(
-            ["step", "#/48s"],
-            report.result.pipeline.funnel.as_rows("/48 sites"),
-        )
-    )
-    candidates = report.candidates
-    print(
-        f"\ncandidate /48 sites: {candidates.observed:,} observed -> "
-        f"{len(candidates.candidate_sites):,} "
-        f"(dropped {candidates.dropped_unannounced} unannounced, "
-        f"{candidates.dropped_hitlist} hitlisted, "
-        f"{candidates.dropped_sources} sourcing)"
-    )
-    coverage = report.coverage
-    print(
-        f"served (engine-dark candidates): {coverage.served:,} /48 sites — "
-        f"ground truth recall {coverage.recall():.1%}, "
-        f"precision {coverage.precision():.1%}"
-    )
-    comment = (
-        f"ipv6 meta-telescope /48 sites — scale={args.scale} "
-        f"seed={args.seed} days={len(views)}"
-    )
-    write_prefix_list(
-        report.served_sites, args.output, comment=comment,
-        aggregate=args.aggregate, family=IPV6,
-    )
-    print(f"wrote {len(report.served_sites):,} /48 prefixes to {args.output}")
-    if args.capture_output:
-        captured = FlowTable.concat(
-            view.flows.toward_blocks(report.served_sites) for view in views
-        )
-        write_flows(captured, args.capture_output, format=args.format)
-        print(
-            f"wrote {len(captured):,} captured flow records to "
-            f"{args.capture_output} ({args.format})"
-        )
-    context.close()
-    return 0
+    return world, views, ipv6_telescope(world), context
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    if args.family == "ipv6":
-        return _infer_ipv6(args)
-    world, observatory, telescope, context = _build(args)
-    views = _views(world, observatory, args)
+    """``plan`` (and ``infer --explain``): print the plan, execute nothing."""
+    _, views, telescope, context = _family_views(args)
     plan = telescope.plan(
         views, chunk_size=args.chunk_size, workers=args.workers,
         kernel=args.kernel,
     )
-    _print_plan(plan)
+    print(format_table(["field", "value"], plan.describe_rows(),
+                       title="execution plan"))
     context.close()
     return 0
 
@@ -321,30 +259,67 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
-    if args.family == "ipv6":
-        return _infer_ipv6(args)
-    world, observatory, telescope, context = _build(args)
-    if args.explain:
-        views = _views(world, observatory, args)
-        plan = telescope.plan(
-            views, chunk_size=args.chunk_size, workers=args.workers,
-            kernel=args.kernel,
+def _report_ipv6(report) -> None:
+    """What ``infer --family ipv6`` prints: the funnel, the candidate
+    filter's drop counts and the served set scored on ground truth."""
+    print(
+        format_table(
+            ["step", "#/48s"],
+            report.result.pipeline.funnel.as_rows("/48 sites"),
         )
-        _print_plan(plan)
-        context.close()
-        return 0
-    views, result = _infer(world, observatory, telescope, args, context)
-    comment = (
-        f"meta-telescope prefixes — scale={args.scale} seed={args.seed} "
-        f"vantage={args.vantage} days={args.days}"
     )
+    candidates = report.candidates
+    print(
+        f"\ncandidate /48 sites: {candidates.observed:,} observed -> "
+        f"{len(candidates.candidate_sites):,} "
+        f"(dropped {candidates.dropped_unannounced} unannounced, "
+        f"{candidates.dropped_hitlist} hitlisted, "
+        f"{candidates.dropped_sources} sourcing)"
+    )
+    coverage = report.coverage
+    print(
+        f"served (engine-dark candidates): {coverage.served:,} /48 sites — "
+        f"ground truth recall {coverage.recall():.1%}, "
+        f"precision {coverage.precision():.1%}"
+    )
+
+
+def cmd_infer(args: argparse.Namespace) -> int:
+    if args.explain:
+        return cmd_plan(args)
+    world, views, telescope, context = _family_views(args)
+    knobs = dict(
+        chunk_size=args.chunk_size, workers=args.workers, kernel=args.kernel,
+        context=context,
+    )
+    if args.family == "ipv6":
+        family = IPV6
+        report = infer_ipv6(world, views, **knobs)
+        _report_ipv6(report)
+        prefixes = report.served_sites
+        comment = (
+            f"ipv6 meta-telescope /48 sites — scale={args.scale} "
+            f"seed={args.seed} days={len(views)}"
+        )
+    else:
+        family = IPV4
+        prefixes = telescope.infer(
+            views, use_spoofing_tolerance=not args.no_tolerance, **knobs
+        ).prefixes
+        comment = (
+            f"meta-telescope prefixes — scale={args.scale} seed={args.seed} "
+            f"vantage={args.vantage} days={args.days}"
+        )
     write_prefix_list(
-        result.prefixes, args.output, comment=comment, aggregate=args.aggregate
+        prefixes, args.output, comment=comment, aggregate=args.aggregate,
+        family=family,
     )
-    print(f"wrote {result.num_prefixes():,} /24 prefixes to {args.output}")
+    print(
+        f"wrote {len(prefixes):,} /{family.block_prefix_length} prefixes "
+        f"to {args.output}"
+    )
     if args.capture_output:
-        captured = telescope.captured_traffic(views, result)
+        captured = telescope.captured_traffic(views, prefixes)
         write_flows(captured, args.capture_output, format=args.format)
         print(
             f"wrote {len(captured):,} captured flow records to "

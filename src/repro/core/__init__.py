@@ -20,7 +20,6 @@ from repro.core.accum import (
     AUTO_CHUNK,
     FinalizedAggregates,
     PrefixAccumulator,
-    accumulate_views,
     adaptive_chunk_rows,
 )
 from repro.core.engine import (
@@ -31,7 +30,6 @@ from repro.core.engine import (
     JsonlSink,
     MemorySink,
     RunContext,
-    TableSink,
     execute_plan,
     resolve_execution_knobs,
     validate_trace_event,
@@ -40,7 +38,6 @@ from repro.core.engine import (
 from repro.core.parallel import (
     ParallelStats,
     WorkerReport,
-    parallel_accumulate_views,
     shard_views,
     tree_merge,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "AUTO_CHUNK",
     "FinalizedAggregates",
     "PrefixAccumulator",
-    "accumulate_views",
     "adaptive_chunk_rows",
     "ExecutionEvent",
     "ExecutionKnobs",
@@ -108,14 +104,12 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "RunContext",
-    "TableSink",
     "execute_plan",
     "resolve_execution_knobs",
     "validate_trace_event",
     "validate_trace_file",
     "ParallelStats",
     "WorkerReport",
-    "parallel_accumulate_views",
     "shard_views",
     "tree_merge",
     "FunnelCounts",

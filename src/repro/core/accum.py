@@ -42,7 +42,7 @@ parts, so shipping a partial is as cheap as its distinct keys.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -427,27 +427,22 @@ class PrefixAccumulator:
     def update_view(
         self,
         view: VantageDayView,
-        chunk_size: int | str | None = None,
+        chunk_rows: int | None = None,
         on_chunk=None,
     ) -> "PrefixAccumulator":
-        """Fold a whole vantage-day view in, optionally chunk by chunk.
+        """Fold a vantage-day view (or a row-range shard of one) in.
 
-        ``chunk_size`` may be an integer row count, ``None`` (whole
-        view) or :data:`AUTO_CHUNK` to derive an adaptive size from the
-        view's rows.  The view boundary is a natural compaction point:
-        the chunk log is squashed so pending parts never outlive the
-        view that produced them (without re-sorting the whole table).
+        This is the one fold loop: the serial engine and the pool
+        workers both run it, with the ``chunk_rows`` the execution plan
+        resolved for the view (``None``: the view whole).  The view
+        boundary is a natural compaction point: the chunk log is
+        squashed so pending parts never outlive the view that produced
+        them (without re-sorting the whole table).
         ``on_chunk(rows, seconds)`` is called after each folded chunk —
         the execution engine's per-chunk observability hook.
         """
         self.observe(view.vantage, view.day)
-        # num_rows is cheap for archive-backed views (segment headers,
-        # no data mapped); len(view.flows) would materialise the day.
-        rows = getattr(view, "num_rows", None)
-        if rows is None:
-            rows = len(view.flows)
-        resolved = resolve_chunk_size(chunk_size, rows)
-        for chunk in view.iter_chunks(resolved):
+        for chunk in view.iter_chunks(chunk_rows):
             started = time.perf_counter() if on_chunk is not None else 0.0
             self.update(
                 chunk,
@@ -457,7 +452,7 @@ class PrefixAccumulator:
             )
             if on_chunk is not None:
                 on_chunk(len(chunk), time.perf_counter() - started)
-        if resolved is not None:
+        if chunk_rows is not None:
             self._dst_ip_sums.squash_pending()
             self._src_ip_sums.squash_pending()
             self._src_by_vantage[view.vantage].squash_pending()
@@ -737,19 +732,3 @@ class PrefixAccumulator:
             return float(spoof_tolerance.get(vantage, 0.0))
         # A scalar is per day; scale to this vantage's window length.
         return float(spoof_tolerance) * len(self._days_by_vantage[vantage])
-
-
-def accumulate_views(
-    views: Iterator[VantageDayView] | list[VantageDayView],
-    ignore_sources_from_asns: frozenset[int] = frozenset(),
-    chunk_size: int | str | None = None,
-    compact_every: int = DEFAULT_COMPACT_EVERY,
-    kernel=None,
-) -> PrefixAccumulator:
-    """Accumulator over an iterable of views (the one-liner entry)."""
-    accumulator = PrefixAccumulator(
-        ignore_sources_from_asns, compact_every, kernel
-    )
-    for view in views:
-        accumulator.update_view(view, chunk_size=chunk_size)
-    return accumulator

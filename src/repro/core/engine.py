@@ -19,14 +19,14 @@ This module centralises all of that:
   compare it — and ``python -m repro plan`` does exactly that without
   executing anything.
 * :class:`RunContext` — threaded through every layer; carries the
-  resolved knobs, the plan, seeded RNG handles, the fault plan, and
-  the **observability spine**: structured per-stage / per-chunk /
-  per-worker :class:`ExecutionEvent` records emitted to pluggable
-  sinks (:class:`MemorySink` for tests and facades,
-  :class:`JsonlSink` for trace files, :class:`TableSink` for the CLI).
-* :func:`execute_plan` — the one fold path.  Serial, chunked and
-  parallel execution all run through it; classification downstream is
-  bit-identical for every plan by the accumulator's associativity.
+  plan being executed and the **observability spine**: structured
+  per-stage / per-chunk / per-worker :class:`ExecutionEvent` records
+  emitted to pluggable sinks (:class:`MemorySink` for tests and
+  facades, :class:`JsonlSink` for trace files).
+* :func:`execute_plan` — the one fold path: the only code that turns
+  views into an accumulator.  Serial, chunked and parallel execution
+  all run through it; classification downstream is bit-identical for
+  every plan by the accumulator's associativity.
 
 The legacy reporting shapes (:class:`~repro.core.stages.StageTiming`
 rows, the CLI timing table) are *derived* from the event stream in one
@@ -44,19 +44,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.accum import (
     DEFAULT_COMPACT_EVERY,
     PrefixAccumulator,
-    adaptive_chunk_rows,
     resolve_chunk_size,
 )
 from repro.core.kernels import get_kernel, resolve_kernel_name
+from repro.core.parallel import parallel_accumulate_views, shard_views
 from repro.core.stages import StageTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
     from repro.vantage.sampling import VantageDayView
 
 #: Rough memory cost of one in-flight flow record (the nine FlowTable
@@ -66,23 +63,26 @@ BYTES_PER_ROW = 42
 #: Version stamped into every trace event (bump on schema changes).
 TRACE_VERSION = 1
 
-#: Every key a serialised trace event carries, in emission order.
-TRACE_FIELDS = (
-    "v",
-    "kind",
-    "name",
-    "scope",
-    "started",
-    "seconds",
-    "rows_in",
-    "rows_out",
-    "bytes",
-    "peak_rss_mib",
-    "cache_hits",
-    "cache_misses",
-    "quarantined",
-    "meta",
-)
+#: The golden schema: every key a serialised trace event carries, in
+#: emission order, with the JSON types it accepts.  ``v`` is the
+#: version stamp; the rest are :class:`ExecutionEvent`'s fields.
+TRACE_SCHEMA: dict[str, tuple[type, ...]] = {
+    "v": (int,),
+    "kind": (str,),
+    "name": (str,),
+    "scope": (str,),
+    "started": (int, float),
+    "seconds": (int, float),
+    "rows_in": (int, type(None)),
+    "rows_out": (int, type(None)),
+    "bytes": (int, type(None)),
+    "peak_rss_mib": (int, float, type(None)),
+    "cache_hits": (int, type(None)),
+    "cache_misses": (int, type(None)),
+    "quarantined": (int, type(None)),
+    "meta": (dict, type(None)),
+}
+TRACE_FIELDS = tuple(TRACE_SCHEMA)
 
 #: Event kinds that map onto legacy :class:`StageTiming` rows.
 _TIMING_KINDS = frozenset({"worker", "ipc", "merge", "stage"})
@@ -381,8 +381,6 @@ class ExecutionPlanner:
 
         shards: tuple[tuple[tuple[int, int, int], ...], ...] = ()
         if mode == "parallel" and specs:
-            from repro.core.parallel import shard_views
-
             shards = tuple(
                 tuple(bucket)
                 for bucket in shard_views(list(views), knobs.workers)
@@ -463,22 +461,10 @@ class ExecutionEvent:
 
     def to_json(self) -> dict[str, Any]:
         """The serialised trace form (all TRACE_FIELDS, nulls kept)."""
-        return {
-            "v": TRACE_VERSION,
-            "kind": self.kind,
-            "name": self.name,
-            "scope": self.scope,
-            "started": self.started,
-            "seconds": self.seconds,
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "bytes": self.bytes,
-            "peak_rss_mib": self.peak_rss_mib,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "quarantined": self.quarantined,
-            "meta": dict(self.meta) if self.meta is not None else None,
-        }
+        record = {name: getattr(self, name) for name in TRACE_FIELDS[1:]}
+        if self.meta is not None:
+            record["meta"] = dict(self.meta)
+        return {"v": TRACE_VERSION, **record}
 
 
 class MemorySink:
@@ -514,34 +500,6 @@ class JsonlSink:
             self._handle = None
 
 
-class TableSink:
-    """Collects timing rows and renders the CLI table on demand."""
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[str, str, object]] = []
-
-    def emit(self, event: ExecutionEvent) -> None:
-        if event.kind in _TIMING_KINDS:
-            self._rows.append(
-                (
-                    event.name,
-                    f"{event.seconds * 1e3:.2f}",
-                    event.rows_out if event.rows_out is not None else "-",
-                )
-            )
-
-    def close(self) -> None:  # pragma: no cover - nothing to release
-        pass
-
-    def render(self) -> str:
-        """The stage-timing table (empty string when nothing timed)."""
-        if not self._rows:
-            return ""
-        from repro.reporting.tables import format_table
-
-        return format_table(["stage", "ms", "surviving"], self._rows)
-
-
 # ---------------------------------------------------------------------------
 # RunContext
 # ---------------------------------------------------------------------------
@@ -553,28 +511,15 @@ class RunContext:
 
     A context owns a private :class:`MemorySink` (so the facades can
     always derive their legacy timing shapes) plus any caller-supplied
-    sinks, the resolved knobs, the plan being executed, a seeded RNG
-    handle, and the active fault plan.  It is cheap to construct —
-    facades make one per run when the caller does not pass one.
+    sinks, and the plan being executed (:func:`execute_plan` sets it).
+    It is cheap to construct — facades make one per run when the
+    caller does not pass one.
     """
 
-    knobs: ExecutionKnobs = field(
-        default_factory=lambda: resolve_execution_knobs()
-    )
     plan: ExecutionPlan | None = None
     sinks: tuple = ()
-    seed: int | None = None
-    fault_plan: "FaultPlan | None" = None
     scope: str = "run"
     _memory: MemorySink = field(default_factory=MemorySink, repr=False)
-    _rng: np.random.Generator | None = field(default=None, repr=False)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """Seeded RNG handle (stable per context)."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
 
     # -- emission ------------------------------------------------------
 
@@ -585,30 +530,17 @@ class RunContext:
         seconds: float = 0.0,
         *,
         started: float | None = None,
-        rows_in: int | None = None,
-        rows_out: int | None = None,
-        bytes: int | None = None,
-        peak_rss_mib: float | None = None,
-        cache_hits: int | None = None,
-        cache_misses: int | None = None,
-        quarantined: int | None = None,
-        meta: Mapping[str, Any] | None = None,
+        **counters: Any,
     ) -> ExecutionEvent:
-        """Emit one event to the private and every attached sink."""
+        """Emit one event to the private and every attached sink
+        (``counters``: :class:`ExecutionEvent`'s optional fields)."""
         event = ExecutionEvent(
             kind=kind,
             name=name,
             scope=self.scope,
             started=time.time() - seconds if started is None else started,
             seconds=seconds,
-            rows_in=rows_in,
-            rows_out=rows_out,
-            bytes=bytes,
-            peak_rss_mib=peak_rss_mib,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            quarantined=quarantined,
-            meta=meta,
+            **counters,
         )
         self._memory.emit(event)
         for sink in self.sinks:
@@ -699,7 +631,7 @@ def execute_plan(
     same views — the engine's core invariant.
     """
     if context is None:
-        context = RunContext(knobs=plan.knobs, plan=plan)
+        context = RunContext()
     context.plan = plan
     context.emit(
         "plan",
@@ -737,9 +669,7 @@ def _execute_serial(
                 rows_in=rows,
             )
 
-        accumulator.update_view(
-            view, chunk_size=spec.chunk_rows, on_chunk=on_chunk
-        )
+        accumulator.update_view(view, spec.chunk_rows, on_chunk)
         context.emit(
             "view",
             f"{spec.vantage}@d{spec.day}",
@@ -758,31 +688,11 @@ def _execute_parallel(
     context: RunContext,
     ignored: frozenset[int],
 ) -> PrefixAccumulator:
-    from repro.core.parallel import parallel_accumulate_views
-
-    accumulator, stats = parallel_accumulate_views(
-        views,
-        ignore_sources_from_asns=ignored,
-        workers=plan.knobs.workers,
-        chunk_size=plan.knobs.chunk_size,
-        buckets=[list(bucket) for bucket in plan.shards] or None,
-        kernel=plan.knobs.kernel,
-    )
-    emit_parallel_events(context, stats)
-    return accumulator
-
-
-def emit_parallel_events(context: RunContext, stats) -> None:
-    """Translate a pool's :class:`ParallelStats` onto the spine.
-
-    One ``worker`` event per worker report (named ``fanout[wK]`` so the
-    derived timing rows keep their historical names), one ``ipc`` and
-    one ``merge`` event.  Serial short-circuits (``mode == "serial"``)
-    emit nothing — a serial fold has no fan-out rows, matching the
-    historical tables.
-    """
-    if stats is None or stats.mode == "serial":
-        return
+    """Fan out over the plan's shard buckets; put the pool's statistics
+    on the spine: one ``worker`` event per worker report (named
+    ``fanout[wK]`` so the derived timing rows keep their historical
+    names), one ``ipc`` and one ``merge`` event."""
+    accumulator, stats = parallel_accumulate_views(plan, views, ignored)
     for report in stats.reports:
         context.emit(
             "worker",
@@ -798,29 +708,12 @@ def emit_parallel_events(context: RunContext, stats) -> None:
     context.emit(
         "merge", "merge", stats.merge_seconds, rows_out=stats.partials
     )
+    return accumulator
 
 
 # ---------------------------------------------------------------------------
-# Trace validation (the golden schema)
+# Trace validation (against TRACE_SCHEMA)
 # ---------------------------------------------------------------------------
-
-#: Field -> accepted JSON types for one trace event object.
-TRACE_SCHEMA: dict[str, tuple[type, ...]] = {
-    "v": (int,),
-    "kind": (str,),
-    "name": (str,),
-    "scope": (str,),
-    "started": (int, float),
-    "seconds": (int, float),
-    "rows_in": (int, type(None)),
-    "rows_out": (int, type(None)),
-    "bytes": (int, type(None)),
-    "peak_rss_mib": (int, float, type(None)),
-    "cache_hits": (int, type(None)),
-    "cache_misses": (int, type(None)),
-    "quarantined": (int, type(None)),
-    "meta": (dict, type(None)),
-}
 
 
 def validate_trace_event(obj: Mapping[str, Any]) -> None:

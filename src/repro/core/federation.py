@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.accum import PrefixAccumulator
 from repro.core.engine import RunContext, resolve_execution_knobs
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
-from repro.core.parallel import tree_merge
+from repro.core.parallel import _one_shot_pool, tree_merge
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,8 +210,10 @@ def _classify_members(
     _FEDERATION_WORK = (members, coordinator, use_spoofing_tolerance)
     try:
         if use_pool:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(processes=min(workers, len(operators))) as pool:
+            with _one_shot_pool(
+                multiprocessing.get_context("fork"),
+                min(workers, len(operators)),
+            ) as pool:
                 outcomes = pool.map(_classify_member, operators)
         else:
             outcomes = [_classify_member(operator) for operator in operators]

@@ -1,25 +1,21 @@
 """End-to-end IPv6 inference: the unchanged engine over /48 sites.
 
-This is the tentpole payoff of the address-family refactor: nothing in
-here re-implements classification.  :func:`infer_ipv6` builds a
-standard :class:`~repro.core.metatelescope.MetaTelescope` over the v6
-world's RIB feed and the IPv6 special-purpose registry, folds the v6
-vantage-day views through the ordinary execution engine (batch,
-chunked, parallel and online all work — the accumulator adopts the
-``ipv6`` family from the first chunk), and runs the seven stages with
-v6 thresholds.
-
-What *is* v6-specific sits before and after the engine, exactly where
-Section 9 predicts the differences live:
+Nothing in here re-implements classification: :func:`ipv6_telescope`
+configures a standard :class:`~repro.core.metatelescope.MetaTelescope`
+and every execution shape of the ordinary engine — batch, chunked,
+parallel, online — serves the same set.  What is v6-specific is
+configuration, where Section 9 predicts the differences live:
 
 * thresholds — the 44/48-byte fingerprint does not transfer (an IPv6
   TCP SYN is 60 bytes bare), so the world carries its own pair;
-* the candidate filter — the v6 universe cannot be enumerated, so the
-  engine's dark set is intersected with
-  :func:`~repro.core.ipv6_candidates.ipv6_candidate_sites` (announced,
-  absent from the incomplete hitlist, never a source);
-* scoring — the world's ground truth yields recall/precision of the
-  served set, reported alongside the funnel.
+* the candidate filter — the v6 universe cannot be enumerated, so only
+  observed sites are judged, and a site must be announced, never a
+  source and absent from the (incomplete) hitlist: stage 5, stage 3
+  and §4.3 liveness refinement with the hitlist as the dataset;
+* reporting — :func:`infer_ipv6` adds the drop counts of
+  :func:`~repro.core.ipv6_candidates.ipv6_candidate_sites` (a
+  sets-and-loops reading of the same filter: served equals
+  ``dark ∩ candidates``) and recall/precision on the ground truth.
 """
 
 from __future__ import annotations
@@ -32,12 +28,19 @@ from repro.core.ipv6_candidates import Ipv6CandidateResult, ipv6_candidate_sites
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
 from repro.core.pipeline import PipelineConfig
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
-from repro.net.blocksets import sorted_difference, sorted_intersection
+from repro.datasets.liveness import LivenessDataset
 from repro.net.family import FAMILY_IPV6, IPV6
 from repro.vantage.sampling import VantageDayView
 from repro.world.ipv6 import Ipv6World
 
-__all__ = ["Ipv6Coverage", "Ipv6InferenceReport", "ipv6_telescope", "infer_ipv6"]
+__all__ = [
+    "Ipv6Coverage",
+    "Ipv6InferenceReport",
+    "ipv6_telescope",
+    "infer_ipv6",
+    # Not used here: benchmarks/perf/trace.py wraps it in this module.
+    "build_snapshot",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +67,8 @@ class Ipv6InferenceReport:
 
     result: MetaTelescopeResult
     candidates: Ipv6CandidateResult
-    #: Engine-dark /48 sites that also survive the candidate filter —
-    #: the set a v6 meta-telescope would actually monitor.
+    #: Engine-dark /48 sites absent from the hitlist (``result.prefixes``)
+    #: — the set a v6 meta-telescope would actually monitor.
     served_sites: np.ndarray
     snapshot: ClassificationSnapshot
     coverage: Ipv6Coverage
@@ -75,11 +78,14 @@ def ipv6_telescope(world: Ipv6World) -> MetaTelescope:
     """The standard facade, configured for the v6 world.
 
     Same class, same engine — only the RIB feed, the special-purpose
-    registry and the thresholds are v6.
+    registry, the thresholds and the liveness dataset (the hitlist)
+    are v6.
     """
     config = world.config
+    hitlist = np.fromiter(world.hitlist_sites, dtype=np.int64)
     return MetaTelescope(
         collector=world.collector,
+        liveness=[LivenessDataset("hitlist", hitlist)],
         special=IPV6.special_registry(),
         config=PipelineConfig(
             avg_size_threshold=config.avg_size_threshold,
@@ -117,26 +123,20 @@ def infer_ipv6(
             f"expected an ipv6 fold, got {result.pipeline.family!r}"
         )
 
-    last_day = max(view.day for view in views)
     routing = telescope.routing_for_days(accumulator.days())
-    observed_dst = {int(b) for b in accumulator.observed_blocks()}
     observed_src: set[int] = set()
     for blocks, _ in accumulator.vantage_source_blocks().values():
-        observed_src.update(int(b) for b in blocks)
+        observed_src.update(blocks.tolist())
     candidates = ipv6_candidate_sites(
-        observed_dst,
+        set(accumulator.observed_blocks().tolist()),
         observed_src,
         [announcement.prefix for announcement in routing.announcements],
-        set(world.hitlist_sites),
+        world.hitlist_sites,
     )
 
-    served = sorted_intersection(result.prefixes, candidates.candidate_sites)
-    snapshot = build_snapshot(
-        day=last_day,
-        dark=served,
-        unclean=result.pipeline.unclean_blocks,
-        gray=result.pipeline.gray_blocks,
-        candidate=sorted_difference(result.pipeline.dark_blocks, served),
+    last_day = max(view.day for view in views)
+    snapshot = result.to_snapshot(
+        last_day,
         provenance={
             "engine": "ipv6",
             "hitlist_sites": len(world.hitlist_sites),
@@ -146,15 +146,13 @@ def infer_ipv6(
                 "sources": candidates.dropped_sources,
             },
         },
-        family=FAMILY_IPV6,
     )
-
+    served = result.prefixes
     truth = world.dark_sites(day=last_day)
-    served_set = {int(b) for b in served}
     coverage = Ipv6Coverage(
         truth_dark=len(truth),
-        served=len(served_set),
-        served_dark=len(served_set & truth),
+        served=len(served),
+        served_dark=len(truth.intersection(served.tolist())),
     )
     return Ipv6InferenceReport(
         result=result,

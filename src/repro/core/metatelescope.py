@@ -198,11 +198,11 @@ class MetaTelescope:
         backend).
         """
         if plan is None:
-            plan = self.planner.plan(
+            plan = self.plan(
                 views, chunk_size=chunk_size, workers=workers, kernel=kernel
             )
         if context is None:
-            context = RunContext(knobs=plan.knobs, plan=plan)
+            context = RunContext()
         self._last_context = context
         return execute_plan(
             plan,
@@ -234,13 +234,12 @@ class MetaTelescope:
         """
         if not views:
             raise ValueError("need at least one vantage-day view")
-        if plan is None:
-            plan = self.planner.plan(
-                views, chunk_size=chunk_size, workers=workers, kernel=kernel
-            )
         if context is None:
-            context = RunContext(knobs=plan.knobs, plan=plan)
-        accumulator = self.accumulate(views, context=context, plan=plan)
+            context = RunContext()
+        accumulator = self.accumulate(
+            views, chunk_size=chunk_size, workers=workers, context=context,
+            plan=plan, kernel=kernel,
+        )
         result = self.infer_accumulated(
             accumulator,
             use_spoofing_tolerance=use_spoofing_tolerance,
@@ -250,9 +249,7 @@ class MetaTelescope:
         pipeline = dataclasses.replace(
             result.pipeline, stage_timings=context.stage_timings()
         )
-        return MetaTelescopeResult(
-            pipeline=pipeline, refinement=result.refinement
-        )
+        return dataclasses.replace(result, pipeline=pipeline)
 
     def infer_accumulated(
         self,
@@ -310,23 +307,24 @@ class MetaTelescope:
         """Run :meth:`infer` and freeze the outcome as a snapshot.
 
         The snapshot's provenance records the execution plan that
-        produced it — including the resolved kernel backend — plus
-        anything the caller adds; ``day`` defaults to the latest day
-        among the views.
+        produced it (read off the run's context) — including the
+        resolved kernel backend — plus anything the caller adds;
+        ``day`` defaults to the latest day among the views.
         """
-        plan = self.planner.plan(
-            views, chunk_size=chunk_size, workers=workers, kernel=kernel
-        )
+        if context is None:
+            context = RunContext()
         result = self.infer(
             views,
             use_spoofing_tolerance=use_spoofing_tolerance,
             refine=refine,
+            chunk_size=chunk_size,
+            workers=workers,
             context=context,
-            plan=plan,
+            kernel=kernel,
         )
         if day is None:
             day = max(view.day for view in views)
-        record = {"plan": plan.to_dict()}
+        record = {"plan": context.plan.to_dict()}
         record.update(provenance or {})
         return result.to_snapshot(day, provenance=record)
 

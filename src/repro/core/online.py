@@ -297,16 +297,11 @@ class OnlineMetaTelescope:
         # One context per day: the fold, the per-day inference and the
         # window inference all land on the same event stream, separated
         # by scope labels.
-        plan = self.telescope.plan(
-            views, chunk_size=self.chunk_size, workers=self.workers,
-            kernel=self.kernel,
-        )
-        context = RunContext(
-            knobs=plan.knobs, plan=plan, sinks=self.sinks, scope="fold"
-        )
+        context = RunContext(sinks=self.sinks, scope="fold")
         self._last_context = context
         day_accumulator = self.telescope.accumulate(
-            views, context=context, plan=plan
+            views, chunk_size=self.chunk_size, workers=self.workers,
+            kernel=self.kernel, context=context,
         )
         self._window.append((day, day_accumulator))
         with context.scoped("day"):
@@ -442,8 +437,9 @@ class OnlineMetaTelescope:
 
         The snapshot's dark set is exactly :meth:`current_prefixes`
         (what the operator actually serves); window-inferred dark
-        blocks that are withheld — not yet stable, or quarantined —
-        appear as ``candidate``, and the latest window inference's
+        blocks that are withheld — flagged by liveness refinement (as
+        in a batch snapshot), not yet stable, or quarantined — appear
+        as ``candidate``, and the latest window inference's
         unclean/gray verdicts ride along.  Since-day and confidence
         come from the per-day dark history inside the rolling window,
         and provenance carries the health summary, so a consumer can
@@ -475,7 +471,7 @@ class OnlineMetaTelescope:
                 result.pipeline.gray_blocks if result is not None else None
             ),
             candidate=(
-                sorted_difference(result.prefixes, self._serving)
+                sorted_difference(result.pipeline.dark_blocks, self._serving)
                 if result is not None
                 else None
             ),

@@ -19,8 +19,9 @@ the fold out the way a data-parallel training stack does:
 Because every count the accumulator tracks is an integer (exact in
 float64), the fold is associative and commutative: **any** worker
 count, shard order or merge grouping classifies bit-identically to the
-serial path.  ``workers`` <= 1 short-circuits to the serial fold, so
-existing behaviour and determinism guarantees are untouched by default.
+serial path.  Whether to fan out at all is the execution plan's call:
+:func:`~repro.core.engine.execute_plan` comes here only for plans in
+parallel mode, with the plan's own shard buckets.
 
 When every view is archive-backed (exposes ``slice_ref``), the fold
 runs on a **persistent worker pool**: the pool is created once per
@@ -37,8 +38,8 @@ In-memory views cannot ship as descriptors, so they keep the one-shot
 path: under ``fork`` the views are inherited copy-on-write and only
 shard indices cross the pipe; under ``spawn`` the shard payloads are
 pickled across.  Per-worker wall time, IPC overhead and merge time
-are reported as :class:`~repro.core.stages.StageTiming` rows, folding
-into the existing stage-timing observability.
+come back as :class:`ParallelStats`, which the engine puts on the
+observability spine.
 """
 
 from __future__ import annotations
@@ -52,13 +53,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.accum import (
-    PrefixAccumulator,
-    accumulate_views,
-    resolve_chunk_size,
-)
-from repro.core.engine import default_workers, resolve_execution_knobs
-from repro.core.stages import StageTiming
+from repro.core.accum import PrefixAccumulator
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
@@ -66,7 +61,6 @@ __all__ = [
     "Shard",
     "ParallelStats",
     "WorkerReport",
-    "default_workers",
     "parallel_accumulate_views",
     "partial_states_identical",
     "shard_views",
@@ -77,11 +71,8 @@ __all__ = [
 #: A shard: (view index, first row, one-past-last row).
 Shard = tuple[int, int, int]
 
-#: Work inherited by forked workers (views, ignored ASNs, chunk size,
-#: kernel name).
-_FORK_WORK: tuple[
-    list[VantageDayView], frozenset[int], int | str | None, str | None
-] | None = None
+#: Work inherited by forked workers (the plan, its views, ignored ASNs).
+_FORK_WORK: tuple[Any, Sequence[VantageDayView], frozenset[int]] | None = None
 
 #: Persistent pools, keyed by process count (descriptor entries only —
 #: nothing a pooled worker runs depends on fork-time state).
@@ -151,14 +142,11 @@ class WorkerReport:
 
 @dataclass(frozen=True)
 class ParallelStats:
-    """Observability record of one parallel (or serial) fold."""
+    """Observability record of one parallel fold."""
 
-    workers: int
-    #: ``"serial"``, ``"pool"`` (persistent pool over archive
-    #: descriptors), ``"fork"`` or ``"spawn"``.
+    #: ``"pool"`` (persistent pool over archive descriptors), ``"fork"``
+    #: or ``"spawn"``.
     mode: str
-    #: Wall time of the whole fan-out phase (pool included).
-    fanout_seconds: float
     #: Coordinator-side wall time decoding worker wire states.
     decode_seconds: float
     #: Coordinator-side wall time tree-merging the partials.
@@ -166,35 +154,11 @@ class ParallelStats:
     partials: int
     reports: tuple[WorkerReport, ...]
 
-    def busy_seconds(self) -> float:
-        """Summed in-worker fold time (the parallelised work)."""
-        return sum(report.fold_seconds for report in self.reports)
-
     def ipc_seconds(self) -> float:
         """Wire-form encode plus decode time (the IPC overhead)."""
         return self.decode_seconds + sum(
             report.encode_seconds for report in self.reports
         )
-
-    def balance(self) -> float:
-        """Busy time over ``workers x`` the slowest worker (1.0 = even)."""
-        slowest = max(
-            (report.fold_seconds for report in self.reports), default=0.0
-        )
-        if slowest <= 0.0 or not self.reports:
-            return 1.0
-        return self.busy_seconds() / (len(self.reports) * slowest)
-
-    def stage_timings(self) -> tuple[StageTiming, ...]:
-        """Per-worker / IPC / merge rows for the stage-timing tables."""
-        timings = [
-            StageTiming(f"fanout[w{report.index}]", report.fold_seconds,
-                        report.rows)
-            for report in self.reports
-        ]
-        timings.append(StageTiming("ipc", self.ipc_seconds(), self.partials))
-        timings.append(StageTiming("merge", self.merge_seconds, self.partials))
-        return tuple(timings)
 
 
 def shard_views(
@@ -296,32 +260,32 @@ def _shard_payload(view: VantageDayView, start: int, stop: int):
 
 
 def _fold_entries(
-    entries: list[tuple[str, int, float, object]],
+    entries: list[tuple[str, int, float, int | None, object]],
     ignored: frozenset[int],
-    chunk_size: int | str | None,
-    kernel: str | None,
+    compact_every: int,
+    kernel: str,
 ) -> tuple[dict, int, int, float, float]:
     """Fold shard entries into a partial; return its wire state + stats.
 
-    An entry's payload is either a :class:`FlowTable` or a lazy
-    reference with a ``load()`` method (an archive slice); loading in
-    here means the rows first exist inside the worker doing the fold.
-    ``kernel`` is the resolved backend *name* — each worker resolves
-    its own backend instance (compiled libraries don't pickle).
+    The worker entry (persistent pool, spawn) and what a forked worker
+    runs on its bucket.  An entry is ``(vantage, day, sampling_factor,
+    chunk_rows, payload)`` — ``chunk_rows`` is what the plan resolved
+    for the shard's *view* — and its payload is either a
+    :class:`FlowTable` or a lazy reference with a ``load()`` method (an
+    archive slice); loading in here means the rows first exist inside
+    the worker doing the fold.  ``kernel`` is the resolved backend
+    *name* — each worker resolves its own backend instance (compiled
+    libraries don't pickle).
     """
     started = time.perf_counter()
-    accumulator = PrefixAccumulator(ignored, kernel=kernel)
+    accumulator = PrefixAccumulator(ignored, compact_every, kernel)
     rows = 0
-    for vantage, day, sampling_factor, payload in entries:
+    for vantage, day, sampling_factor, chunk_rows, payload in entries:
         flows = payload.load() if hasattr(payload, "load") else payload
         rows += len(flows)
-        accumulator.observe(vantage, day)
-        resolved = resolve_chunk_size(chunk_size, len(flows))
-        for chunk in flows.iter_chunks(resolved):
-            accumulator.update(
-                chunk, vantage=vantage, day=day,
-                sampling_factor=sampling_factor,
-            )
+        accumulator.update_view(
+            VantageDayView(vantage, day, flows, sampling_factor), chunk_rows
+        )
     fold_seconds = time.perf_counter() - started
     started = time.perf_counter()
     state = accumulator.to_state()
@@ -330,110 +294,69 @@ def _fold_entries(
 
 
 def _bucket_entries(
-    views: Sequence[VantageDayView], bucket: list[Shard]
-) -> list[tuple[str, int, float, object]]:
-    """One bucket's shards as :func:`_fold_entries` entries."""
+    plan, views: Sequence[VantageDayView], bucket: Sequence[Shard]
+) -> list[tuple[str, int, float, int | None, object]]:
+    """One of the plan's buckets as :func:`_fold_entries` entries."""
     return [
         (
             views[index].vantage,
             views[index].day,
             views[index].sampling_factor,
+            plan.views[index].chunk_rows,
             _shard_payload(views[index], start, stop),
         )
         for index, start, stop in bucket
     ]
 
 
-def _fold_fork_bucket(bucket: list[Shard]):
+def _fold_fork_bucket(bucket: Sequence[Shard]):
     """Worker entry under ``fork``: views come in via copy-on-write."""
-    views, ignored, chunk_size, kernel = _FORK_WORK
+    plan, views, ignored = _FORK_WORK
     return _fold_entries(
-        _bucket_entries(views, bucket), ignored, chunk_size, kernel
+        _bucket_entries(plan, views, bucket),
+        ignored, plan.knobs.compact_every, plan.knobs.kernel,
     )
 
 
-def _fold_payload_bucket(
-    entries: list[tuple[str, int, float, FlowTable]],
-    ignored: frozenset[int],
-    chunk_size: int | str | None,
-    kernel: str | None = None,
-):
-    """Worker entry for pickled shard entries (persistent pool; spawn)."""
-    return _fold_entries(entries, ignored, chunk_size, kernel)
-
-
 def parallel_accumulate_views(
+    plan,
     views: Sequence[VantageDayView],
     ignore_sources_from_asns: frozenset[int] = frozenset(),
-    *,
-    workers: int | None = None,
-    chunk_size: int | str | None = None,
-    max_shard_rows: int | None = None,
-    buckets: list[list[Shard]] | None = None,
-    kernel: str | None = None,
 ) -> tuple[PrefixAccumulator, ParallelStats]:
-    """Fold views into one accumulator across a process pool.
+    """The engine's fan-out: fold a parallel-mode plan across a pool.
 
-    ``workers=None``/``1`` runs the serial fold unchanged; ``0`` means
-    one worker per available CPU (knobs resolve through the engine's
-    :func:`~repro.core.engine.resolve_execution_knobs`, the single
-    resolution point).  ``buckets`` lets an
-    :class:`~repro.core.engine.ExecutionPlan` supply its precomputed
-    shard layout; otherwise :func:`shard_views` derives it here.
-    ``kernel`` names the fold backend each worker resolves locally
-    (compiled kernels don't pickle, so the *name* crosses the pipe).
-    The merged accumulator is bit-identical to ``accumulate_views`` for
-    any worker count — aggregation is exact-integer associative — so
-    callers may treat the knob as pure throughput tuning.
+    Everything comes from ``plan`` (an
+    :class:`~repro.core.engine.ExecutionPlan`): one worker per shard
+    bucket, each view's resolved chunk rows, the compaction cadence and
+    the kernel *name* each worker resolves locally (compiled kernels
+    don't pickle).  The merged accumulator is bit-identical to the
+    serial fold for any shard layout — aggregation is exact-integer
+    associative.
 
     When every view is archive-backed the shards go out as (path,
     row-range) descriptors over the persistent pool; otherwise the
     one-shot fork/spawn path carries the in-memory payloads.
     """
     global _FORK_WORK
-    workers = resolve_execution_knobs(workers=workers).workers
-    views = list(views)
-    if workers <= 1 or len(views) == 0:
-        started = time.perf_counter()
-        accumulator = accumulate_views(
-            views,
-            ignore_sources_from_asns=ignore_sources_from_asns,
-            chunk_size=chunk_size,
-            kernel=kernel,
-        )
-        elapsed = time.perf_counter() - started
-        report = WorkerReport(
-            index=0, shards=len(views),
-            rows=sum(_view_rows(view) for view in views),
-            fold_seconds=elapsed, encode_seconds=0.0,
-        )
-        return accumulator, ParallelStats(
-            workers=1, mode="serial", fanout_seconds=elapsed,
-            decode_seconds=0.0, merge_seconds=0.0, partials=1,
-            reports=(report,),
-        )
-
     ignored = frozenset(ignore_sources_from_asns)
-    if buckets is None:
-        buckets = shard_views(views, workers, max_shard_rows)
-    all_descriptor = all(
-        getattr(view, "slice_ref", None) is not None for view in views
-    )
-    use_fork = "fork" in multiprocessing.get_all_start_methods()
-    started = time.perf_counter()
-    if all_descriptor:
-        # Archive-backed: descriptor entries are tiny and carry no
-        # process state, so the persistent pool folds them safely.
-        payloads = [
-            (_bucket_entries(views, bucket), ignored, chunk_size, kernel)
+    buckets = plan.shards
+    compact_every, kernel = plan.knobs.compact_every, plan.knobs.kernel
+
+    def payloads() -> list[tuple]:
+        return [
+            (_bucket_entries(plan, views, bucket), ignored, compact_every, kernel)
             for bucket in buckets
         ]
+
+    if all(getattr(view, "slice_ref", None) is not None for view in views):
+        # Archive-backed: descriptor entries are tiny and carry no
+        # process state, so the persistent pool folds them safely.
         pool = _persistent_pool(len(buckets))
-        results = pool.starmap(_fold_payload_bucket, payloads)
+        results = pool.starmap(_fold_entries, payloads())
         mode = "pool"
-    elif use_fork:
+    elif "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        _FORK_WORK = (views, ignored, chunk_size, kernel)
+        _FORK_WORK = (plan, views, ignored)
         try:
             with _one_shot_pool(context, len(buckets)) as pool:
                 results = pool.map(_fold_fork_bucket, buckets)
@@ -442,18 +365,13 @@ def parallel_accumulate_views(
         mode = "fork"
     else:  # pragma: no cover - exercised only on spawn-only platforms
         context = multiprocessing.get_context("spawn")
-        payloads = [
-            (_bucket_entries(views, bucket), ignored, chunk_size, kernel)
-            for bucket in buckets
-        ]
         with _one_shot_pool(context, len(buckets)) as pool:
-            results = pool.starmap(_fold_payload_bucket, payloads)
+            results = pool.starmap(_fold_entries, payloads())
         mode = "spawn"
-    fanout_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     partials = [
-        PrefixAccumulator.from_state(state, kernel=kernel)
+        PrefixAccumulator.from_state(state, compact_every, kernel)
         for state, *_ in results
     ]
     decode_seconds = time.perf_counter() - started
@@ -463,24 +381,18 @@ def parallel_accumulate_views(
     merge_seconds = time.perf_counter() - started
 
     reports = tuple(
-        WorkerReport(
-            index=index, shards=shards, rows=rows,
-            fold_seconds=fold_seconds, encode_seconds=encode_seconds,
-        )
+        WorkerReport(index, shards, rows, fold_seconds, encode_seconds)
         for index, (_, shards, rows, fold_seconds, encode_seconds) in enumerate(
             results
         )
     )
-    stats = ParallelStats(
-        workers=len(buckets),
+    return merged, ParallelStats(
         mode=mode,
-        fanout_seconds=fanout_seconds,
         decode_seconds=decode_seconds,
         merge_seconds=merge_seconds,
         partials=len(partials),
         reports=reports,
     )
-    return merged, stats
 
 
 def partial_states_identical(a: PrefixAccumulator, b: PrefixAccumulator) -> bool:

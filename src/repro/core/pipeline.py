@@ -45,10 +45,9 @@ IPFIX estimates true packet counts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.bgp.rib import RoutingTable
-from repro.core.accum import PrefixAccumulator, accumulate_views
+from repro.core.accum import PrefixAccumulator
+from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
 from repro.core.stages import (
     DEFAULT_STAGES,
     FunnelCounts,
@@ -61,9 +60,6 @@ from repro.core.stages import (
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
 from repro.vantage.sampling import VantageDayView
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import RunContext
-
 __all__ = [
     "DEFAULT_STAGES",
     "FunnelCounts",
@@ -73,7 +69,6 @@ __all__ = [
     "StageEngine",
     "StageTiming",
     "PrefixAccumulator",
-    "accumulate_views",
     "run_pipeline",
     "run_pipeline_accumulated",
 ]
@@ -86,7 +81,7 @@ def run_pipeline(
     special: SpecialPurposeRegistry = SPECIAL_PURPOSE_REGISTRY,
     chunk_size: int | str | None = None,
     workers: int | None = None,
-    context: "RunContext | None" = None,
+    context: RunContext | None = None,
     kernel: str | None = None,
 ) -> PipelineResult:
     """Run the full inference over pooled vantage-day views.
@@ -95,20 +90,14 @@ def run_pipeline(
     path); an integer bounds the rows per chunk and ``"auto"`` picks a
     bounded size per view.  Any chunk size (and any worker count, and
     either ``kernel`` backend) yields bit-identical classifications.
-    The fold itself is planned and executed by :mod:`repro.core.engine`
-    — this facade only builds the plan.
+    This is the facade-less composition of the engine's steps: plan,
+    fold (:func:`~repro.core.engine.execute_plan`), classify.
     """
-    from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
-
-    if not views:
-        raise ValueError("need at least one vantage-day view")
     if config is None:
         config = PipelineConfig()
     plan = ExecutionPlanner().plan(
         views, chunk_size=chunk_size, workers=workers, kernel=kernel
     )
-    if context is None:
-        context = RunContext(knobs=plan.knobs, plan=plan)
     accumulator = execute_plan(
         plan, views, context,
         ignore_sources_from_asns=config.ignore_sources_from_asns,
@@ -123,7 +112,7 @@ def run_pipeline_accumulated(
     routing: RoutingTable,
     config: PipelineConfig | None = None,
     special: SpecialPurposeRegistry = SPECIAL_PURPOSE_REGISTRY,
-    context: "RunContext | None" = None,
+    context: RunContext | None = None,
 ) -> PipelineResult:
     """Classify from an already-populated accumulator.
 

@@ -9,8 +9,8 @@ one file is a complete, self-describing vantage-day export.
 The class quacks like ``VantageDayView`` everywhere the aggregation
 core cares (``vantage``/``day``/``sampling_factor``/``num_rows``/
 ``flows``/``iter_chunks``), so archives feed
-:meth:`repro.core.metatelescope.MetaTelescope.accumulate`,
-:func:`repro.core.accum.accumulate_views` and the parallel engine
+:meth:`repro.core.metatelescope.MetaTelescope.accumulate` (serial,
+chunked or parallel — :func:`repro.core.engine.execute_plan`)
 unchanged — and because an ``ArchiveDayView`` pickles as its *path*
 (never its mapped pages), parallel workers re-open the mmap in their
 own process and fold their assigned row-ranges directly, with no

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accum import PrefixAccumulator, accumulate_views
+from repro.core.accum import PrefixAccumulator
 from repro.core.metatelescope import MetaTelescope
 from repro.core.pipeline import (
     PipelineConfig,
@@ -23,6 +23,7 @@ from repro.core.pipeline import (
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
 
+from _factories import fold
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -118,7 +119,7 @@ class TestChunkedEqualsBatch:
 class TestMerge:
     def test_merge_grouping_invariant(self, multi_day, routing, telescope):
         """Any associativity grouping of partials classifies the same."""
-        partials = [accumulate_views([view], chunk_size=53) for view in multi_day]
+        partials = [fold([view], chunk_size=53) for view in multi_day]
 
         left = partials[0].copy()
         for partial in partials[1:]:
@@ -144,8 +145,8 @@ class TestMerge:
         assert_identical(results[0], results[2])
 
     def test_merge_leaves_other_untouched(self, multi_day):
-        a = accumulate_views(multi_day[:2])
-        b = accumulate_views(multi_day[2:4])
+        a = fold(multi_day[:2])
+        b = fold(multi_day[2:4])
         before = b.rows_ingested()
         a.merge(b)
         assert b.rows_ingested() == before
@@ -158,7 +159,7 @@ class TestMerge:
             )
 
     def test_config_ignore_set_mismatch_rejected(self, multi_day, routing):
-        accumulator = accumulate_views(multi_day)
+        accumulator = fold(multi_day)
         with pytest.raises(ValueError, match="ignore"):
             run_pipeline_accumulated(
                 accumulator,
@@ -186,8 +187,8 @@ class TestProperties:
             VantageDayView(vantage="A", day=0, flows=flows_a),
             VantageDayView(vantage="B", day=1, flows=flows_b),
         ]
-        together = accumulate_views(views)
-        merged = accumulate_views(views[:1]).merge(accumulate_views(views[1:]))
+        together = fold(views)
+        merged = fold(views[:1]).merge(fold(views[1:]))
         assert_identical(
             run_pipeline_accumulated(together, ROUTING),
             run_pipeline_accumulated(merged, ROUTING),
@@ -196,7 +197,7 @@ class TestProperties:
 
 class TestAccumulatorState:
     def test_introspection(self, multi_day):
-        accumulator = accumulate_views(multi_day)
+        accumulator = fold(multi_day)
         assert accumulator.days() == [0, 1, 2]
         assert set(accumulator.vantages()) == {
             view.vantage for view in multi_day
@@ -208,7 +209,7 @@ class TestAccumulatorState:
         assert len(accumulator.observed_blocks()) > 0
 
     def test_finalize_does_not_consume(self, multi_day, routing, telescope):
-        accumulator = accumulate_views(multi_day[:3])
+        accumulator = fold(multi_day[:3])
         first = run_pipeline_accumulated(accumulator, routing, telescope.config)
         again = run_pipeline_accumulated(accumulator, routing, telescope.config)
         assert_identical(first, again)
@@ -222,7 +223,7 @@ class TestAccumulatorState:
             run_pipeline_accumulated(PrefixAccumulator(), routing)
 
     def test_copy_is_independent(self, multi_day):
-        original = accumulate_views(multi_day[:2])
+        original = fold(multi_day[:2])
         duplicate = original.copy()
         duplicate.update_view(multi_day[2])
         assert original.rows_ingested() != duplicate.rows_ingested()

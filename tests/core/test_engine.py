@@ -23,14 +23,13 @@ from repro.core.engine import (
     JsonlSink,
     MemorySink,
     RunContext,
-    TableSink,
     default_workers,
     execute_plan,
     resolve_execution_knobs,
     validate_trace_event,
     validate_trace_file,
 )
-from repro.core.accum import DEFAULT_COMPACT_EVERY, accumulate_views
+from repro.core.accum import DEFAULT_COMPACT_EVERY
 from repro.core.federation import federate
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
@@ -40,6 +39,7 @@ from repro.faults import FaultPlan, standard_injector
 from repro.vantage.archive import export_view
 from repro.vantage.sampling import VantageDayView
 
+from _factories import fold
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -196,7 +196,7 @@ class TestBitIdenticalMatrix:
     @pytest.mark.parametrize("backend", ["memory", "archive"])
     def test_matrix(self, views, archive_views, telescope, knobs, backend):
         chosen = views if backend == "memory" else archive_views
-        baseline = accumulate_views(views)
+        baseline = fold(views)
         plan = ExecutionPlanner().plan(chosen, **knobs)
         folded = execute_plan(plan, chosen)
         assert partial_states_identical(baseline, folded)
@@ -216,7 +216,7 @@ class TestBitIdenticalMatrix:
         # ``missample`` injects non-integer sampling factors, where raw
         # float sums may differ in the last bit between shard splits —
         # the pinned contract here is classification identity.
-        baseline = accumulate_views(faulted_views)
+        baseline = fold(faulted_views)
         plan = ExecutionPlanner().plan(faulted_views, **knobs)
         folded = execute_plan(plan, faulted_views)
         for got, expected in zip(
@@ -235,7 +235,7 @@ class TestBitIdenticalMatrix:
             VantageDayView(vantage=f"V{i}", day=i % 2, flows=table)
             for i, table in enumerate(tables)
         ]
-        baseline = accumulate_views(views)
+        baseline = fold(views)
         plan = ExecutionPlanner().plan(
             views, chunk_size=chunk, workers=workers
         )
@@ -250,7 +250,7 @@ class TestBitIdenticalMatrix:
 class TestEventSpine:
     def test_serial_fold_emits_plan_and_view_events(self, views):
         plan = ExecutionPlanner().plan(views)
-        context = RunContext(knobs=plan.knobs, plan=plan)
+        context = RunContext()
         execute_plan(plan, views, context)
         kinds = [event.kind for event in context.events()]
         assert kinds[0] == "plan"
@@ -260,7 +260,7 @@ class TestEventSpine:
 
     def test_chunked_fold_emits_chunk_events(self, views):
         plan = ExecutionPlanner().plan(views, chunk_size=128)
-        context = RunContext(knobs=plan.knobs, plan=plan)
+        context = RunContext()
         execute_plan(plan, views, context)
         chunk_events = context.events(["chunk"])
         assert len(chunk_events) >= len(views)
@@ -270,7 +270,7 @@ class TestEventSpine:
 
     def test_parallel_fold_emits_worker_ipc_merge(self, views):
         plan = ExecutionPlanner().plan(views, workers=2)
-        context = RunContext(knobs=plan.knobs, plan=plan)
+        context = RunContext()
         execute_plan(plan, views, context)
         names = [timing.stage for timing in context.stage_timings()]
         assert names[:2] == ["fanout[w0]", "fanout[w1]"]
@@ -289,18 +289,13 @@ class TestEventSpine:
         ] == ["inner"]
 
     def test_events_fan_out_to_attached_sinks(self):
-        extra = MemorySink()
-        table = TableSink()
-        context = RunContext(sinks=(extra, table))
+        sinks = (MemorySink(), MemorySink())
+        context = RunContext(sinks=sinks)
         context.emit("stage", "tcp", 0.001, rows_out=7)
         context.emit("chunk", "v@d0", 0.001, rows_in=10)
-        assert [event.kind for event in extra.events] == ["stage", "chunk"]
-        rendered = table.render()
-        assert "tcp" in rendered and "v@d0" not in rendered
-
-    def test_rng_is_seeded_and_stable(self):
-        a, b = RunContext(seed=11), RunContext(seed=11)
-        assert a.rng.integers(1 << 30) == b.rng.integers(1 << 30)
+        for sink in sinks:
+            assert sink.events == list(context.events())
+        assert [event.kind for event in context.events()] == ["stage", "chunk"]
 
 
 class TestTraceGolden:
@@ -380,8 +375,8 @@ class TestFacadesRunThroughEngine:
     def test_federation_emits_member_events(self, views, telescope):
         context = RunContext()
         partials = {
-            "op-a": [accumulate_views(views[: len(views) // 2])],
-            "op-b": [accumulate_views(views[len(views) // 2 :])],
+            "op-a": [fold(views[: len(views) // 2])],
+            "op-b": [fold(views[len(views) // 2 :])],
         }
         federate(
             [],

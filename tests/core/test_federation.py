@@ -12,6 +12,8 @@ from repro.core.federation import (
     validate_reports,
 )
 
+from _factories import fold
+
 
 def report(operator, dark, observed=None):
     dark = np.asarray(dark, dtype=np.int64)
@@ -284,8 +286,6 @@ class TestPartialAccumulators:
         )
 
     def test_partials_vote_like_finished_reports(self, world, observatory):
-        from repro.core.accum import accumulate_views
-
         telescope = self._telescope(world)
         codes = ("CE1", "NA1")
         reports, partials = [], {}
@@ -294,11 +294,11 @@ class TestPartialAccumulators:
             # One partial accumulator per day, as a member node would
             # stream them; the coordinator merges and classifies.
             partials[code] = [
-                accumulate_views([view], chunk_size=97) for view in views
+                fold([view], chunk_size=97) for view in views
             ]
             reports.append(
                 OperatorReport.from_accumulator(
-                    code, accumulate_views(views), telescope
+                    code, fold(views), telescope
                 )
             )
         via_reports = federate(reports, min_vote_share=0.5)
@@ -310,11 +310,9 @@ class TestPartialAccumulators:
         )
 
     def test_partials_require_coordinator(self, world, observatory):
-        from repro.core.accum import accumulate_views
-
         views = observatory.ixp_views("CE1", num_days=1)
         with pytest.raises(ValueError, match="coordinator"):
-            federate([], partials={"CE1": [accumulate_views(views)]})
+            federate([], partials={"CE1": [fold(views)]})
 
     def test_empty_partial_list_rejected(self, world):
         telescope = self._telescope(world)
@@ -322,11 +320,9 @@ class TestPartialAccumulators:
             federate([], partials={"CE1": []}, coordinator=telescope)
 
     def test_from_accumulator_observed_blocks(self, world, observatory):
-        from repro.core.accum import accumulate_views
-
         telescope = self._telescope(world)
         views = observatory.ixp_views("CE1", num_days=1)
-        accumulator = accumulate_views(views)
+        accumulator = fold(views)
         member = OperatorReport.from_accumulator("CE1", accumulator, telescope)
         np.testing.assert_array_equal(
             member.observed_blocks, accumulator.observed_blocks()

@@ -1,17 +1,22 @@
 """End-to-end tests for IPv6 inference through the unchanged engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
 from repro.core.online import OnlineMetaTelescope
-from repro.core.snapshot import ClassificationSnapshot
+from repro.core.snapshot import VERDICT_CANDIDATE, ClassificationSnapshot
 from repro.io import read_prefix_list
 from repro.net.family import FAMILY_IPV6, IPV6
 from repro.world.ipv6 import (
     LEAKED_SITE,
+    build_ipv6_world,
+    giant_ipv6_config,
     ipv6_views,
+    micro_ipv6_config,
     micro_ipv6_world,
 )
 
@@ -65,8 +70,29 @@ class TestBatch:
         served = set(report.served_sites.tolist())
         assert served == dark & candidates
 
+    @pytest.mark.parametrize(
+        "config",
+        [micro_ipv6_config(seed) for seed in range(1, 6)]
+        + [dataclasses.replace(giant_ipv6_config(3), num_orgs=40)],
+        ids=[f"micro-{seed}" for seed in range(1, 6)] + ["giant-3-orgs40"],
+    )
+    def test_refinement_is_the_candidate_filter(self, config):
+        """The oracle above, on more worlds: serving ``dark - hitlist``
+        (liveness refinement in the facade) is serving the engine-dark
+        sites that survive the sets-and-loops candidate filter."""
+        world = build_ipv6_world(config)
+        report = infer_ipv6(world, ipv6_views(world))
+        dark = set(report.result.pipeline.dark_blocks.tolist())
+        candidates = set(report.candidates.candidate_sites)
+        served = set(report.served_sites.tolist())
+        assert served == dark & candidates
+        assert dark - served  # the hitlist removed something
+
     def test_snapshot_family_and_provenance(self, report):
         assert report.snapshot.family == FAMILY_IPV6
+        assert set(report.snapshot.provenance) == {
+            "engine", "hitlist_sites", "candidate_drops",
+        }
         assert report.snapshot.provenance["engine"] == "ipv6"
         drops = report.snapshot.provenance["candidate_drops"]
         assert drops == {"unannounced": 4, "hitlist": 6, "sources": 0}
@@ -112,11 +138,17 @@ class TestOnline:
         for view in views:
             update = online.update(view.day, [view])
             assert update.action == "inferred"
-        assert np.array_equal(
-            online.current_prefixes(), report.result.pipeline.dark_blocks
-        )
+        # The hitlist is the facade's liveness dataset, so the online
+        # engine refines exactly as the batch one does.
+        assert np.array_equal(online.current_prefixes(), report.served_sites)
         snapshot = online.snapshot()
         assert snapshot.family == FAMILY_IPV6
+        hitlisted_dark = report.result.refinement.removed_blocks
+        assert len(hitlisted_dark) == 1
+        assert np.array_equal(
+            snapshot.blocks[snapshot.verdicts == VERDICT_CANDIDATE],
+            hitlisted_dark,
+        )
 
 
 class TestPersistence:

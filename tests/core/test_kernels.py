@@ -370,7 +370,7 @@ class TestFallback:
         ]
         sink = MemorySink()
         plan = ExecutionPlanner().plan(views, kernel="native")
-        context = RunContext(knobs=plan.knobs, plan=plan, sinks=(sink,))
+        context = RunContext(sinks=(sink,))
         execute_plan(plan, views, context)
         events = [event for event in sink.events if event.kind == "kernel"]
         assert len(events) == 1

@@ -22,24 +22,25 @@ from hypothesis import strategies as st
 from repro.core.accum import (
     AUTO_CHUNK,
     PrefixAccumulator,
-    accumulate_views,
     adaptive_chunk_rows,
     resolve_chunk_size,
 )
+from repro.core import parallel
+from repro.core.engine import ExecutionPlanner, RunContext, default_workers
 from repro.core.federation import federate
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.parallel import (
-    default_workers,
-    parallel_accumulate_views,
     partial_states_identical,
     shard_views,
     tree_merge,
 )
 from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
+from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
+from _factories import fold
 from test_accumulator import assert_identical
 from test_pipeline_properties import ROUTING, flow_tables
 
@@ -68,59 +69,63 @@ def routing(telescope, multi_day):
 
 @pytest.fixture(scope="module")
 def serial(multi_day):
-    return accumulate_views(multi_day)
+    return fold(multi_day)
+
+
+def pool_modes(context: RunContext) -> set[str]:
+    """Which pool flavour(s) folded, from the context's worker events."""
+    return {event.meta["mode"] for event in context.events(["worker"])}
 
 
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_any_worker_count_identical(self, multi_day, serial, workers):
-        merged, stats = parallel_accumulate_views(multi_day, workers=workers)
+        context = RunContext()
+        merged = fold(multi_day, workers=workers, context=context)
         assert partial_states_identical(serial, merged)
-        assert stats.mode in ("fork", "spawn")
-        assert stats.partials >= 1
-        assert sum(report.rows for report in stats.reports) == sum(
-            len(view.flows) for view in multi_day
-        )
+        assert pool_modes(context) <= {"fork", "spawn"}
+        (merge,) = context.events(["merge"])
+        assert merge.rows_out >= 1  # partials
+        assert sum(
+            event.rows_in for event in context.events(["worker"])
+        ) == sum(len(view.flows) for view in multi_day)
 
     def test_oversized_views_split_into_row_shards(self, multi_day, serial):
-        merged, stats = parallel_accumulate_views(
-            multi_day, workers=4, max_shard_rows=257
+        context = RunContext()
+        merged = fold(
+            multi_day, workers=4, max_shard_rows=257, context=context
         )
         assert partial_states_identical(serial, merged)
-        assert sum(report.shards for report in stats.reports) > len(multi_day)
+        assert sum(
+            event.meta["shards"] for event in context.events(["worker"])
+        ) > len(multi_day)
 
     @pytest.mark.parametrize("chunk_size", [64, AUTO_CHUNK, None])
     def test_chunking_inside_workers_identical(
         self, multi_day, serial, chunk_size
     ):
-        merged, _ = parallel_accumulate_views(
-            multi_day, workers=3, chunk_size=chunk_size
-        )
+        merged = fold(multi_day, workers=3, chunk_size=chunk_size)
         assert partial_states_identical(serial, merged)
 
     def test_classification_identical(self, multi_day, routing, telescope):
-        merged, _ = parallel_accumulate_views(multi_day, workers=4)
+        merged = fold(multi_day, workers=4)
         assert_identical(
             run_pipeline_accumulated(
-                accumulate_views(multi_day), routing, telescope.config
+                fold(multi_day), routing, telescope.config
             ),
             run_pipeline_accumulated(merged, routing, telescope.config),
         )
 
-    def test_serial_short_circuits(self, multi_day, serial):
-        for workers in (None, 1):
-            merged, stats = parallel_accumulate_views(
-                multi_day, workers=workers
-            )
-            assert stats.mode == "serial"
-            assert stats.workers == 1
-            assert partial_states_identical(serial, merged)
-
     def test_workers_zero_uses_all_cpus(self, multi_day, serial):
-        merged, stats = parallel_accumulate_views(multi_day, workers=0)
+        context = RunContext()
+        merged = fold(multi_day, workers=0, context=context)
         assert partial_states_identical(serial, merged)
-        expected = "serial" if default_workers() == 1 else stats.mode
-        assert stats.mode == expected
+        if default_workers() == 1:
+            assert context.plan.mode == "serial"
+            assert not context.events(["worker"])
+        else:
+            assert context.plan.workers == default_workers()
+            assert pool_modes(context) <= {"fork", "spawn"}
 
     def test_empty_views_observed_everywhere(self):
         from repro.traffic.flows import FlowTable
@@ -129,7 +134,7 @@ class TestParallelEqualsSerial:
             VantageDayView(vantage=f"S{i}", day=i, flows=FlowTable.empty())
             for i in range(3)
         ]
-        merged, _ = parallel_accumulate_views(silent, workers=2)
+        merged = fold(silent, workers=2)
         assert merged.days() == [0, 1, 2]
         assert set(merged.vantages()) == {"S0", "S1", "S2"}
 
@@ -148,10 +153,10 @@ class TestParallelEqualsSerial:
         for day in range(3):
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
-        merged, _ = parallel_accumulate_views(faulted, workers=4)
+        merged = fold(faulted, workers=4)
         assert_identical(
             run_pipeline_accumulated(
-                accumulate_views(faulted), routing, telescope.config
+                fold(faulted), routing, telescope.config
             ),
             run_pipeline_accumulated(merged, routing, telescope.config),
         )
@@ -167,24 +172,23 @@ class TestParallelEqualsSerial:
             VantageDayView(vantage="A", day=0, flows=flows_a),
             VantageDayView(vantage="B", day=1, flows=flows_b),
         ]
-        merged, _ = parallel_accumulate_views(
-            views, workers=workers, max_shard_rows=7
-        )
+        merged = fold(views, workers=workers, max_shard_rows=7)
         assert_identical(
-            run_pipeline_accumulated(accumulate_views(views), ROUTING),
+            run_pipeline_accumulated(fold(views), ROUTING),
             run_pipeline_accumulated(merged, ROUTING),
         )
 
 
 class TestGracefulPoolExit:
     def test_one_shot_folds_finish_under_a_python_sigterm_handler(
-        self, multi_day
+        self, multi_day, telescope
     ):
         """A forked worker inherits the embedding process's Python-level
         SIGTERM handler; ``Pool.terminate()`` then parks it in a lock
         where the handler never runs and the parent's ``join()`` hangs.
         The pools are left through ``close()`` instead, so 40 one-shot
-        folds must finish well inside the watchdog."""
+        pools of each kind — the fold's fan-out and the federation's
+        member classification — must finish well inside the watchdog."""
         owner = os.getpid()
 
         def on_sigterm(signum, frame):  # what an operator wrapper installs
@@ -197,7 +201,22 @@ class TestGracefulPoolExit:
             raise TimeoutError("a one-shot worker pool never exited")
 
         views = multi_day[:4]
-        expected = accumulate_views(views)
+        expected = fold(views)
+        partials = {"alpha": [fold(views[:2])], "beta": [fold(views[2:])]}
+        federated = federate([], partials=partials, coordinator=telescope)
+
+        def one_shot_fold():
+            context = RunContext()
+            merged = fold(views, workers=2, context=context)
+            assert pool_modes(context) <= {"fork", "spawn"}
+            assert partial_states_identical(expected, merged)
+
+        def one_shot_federation():
+            result = federate(
+                [], partials=partials, coordinator=telescope, workers=2
+            )
+            np.testing.assert_array_equal(result.prefixes, federated.prefixes)
+
         before = set(multiprocessing.active_children())
         previous = {
             signal.SIGTERM: signal.signal(signal.SIGTERM, on_sigterm),
@@ -205,10 +224,9 @@ class TestGracefulPoolExit:
         }
         signal.alarm(120)
         try:
-            for _ in range(40):
-                merged, stats = parallel_accumulate_views(views, workers=2)
-                assert stats.mode in ("fork", "spawn")
-            assert partial_states_identical(expected, merged)
+            for one_shot in (one_shot_fold, one_shot_federation):
+                for _ in range(40):
+                    one_shot()
         finally:
             signal.alarm(0)
             for signum, handler in previous.items():
@@ -218,6 +236,69 @@ class TestGracefulPoolExit:
                 child.kill()
                 child.join(5)
         assert not leftover
+
+
+class SpyTable:
+    """A flow table that records the chunk rows it is asked for."""
+
+    def __init__(self, flows: FlowTable, asked: list) -> None:
+        self.flows, self.asked = flows, asked
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def slice_rows(self, start: int, stop: int) -> "SpyTable":
+        return SpyTable(self.flows.slice_rows(start, stop), self.asked)
+
+    def iter_chunks(self, chunk_rows=None):
+        self.asked.append(chunk_rows)
+        return self.flows.iter_chunks(chunk_rows)
+
+
+class TestThePlanIsWhatRuns:
+    def test_worker_folds_the_plans_chunk_rows_and_compaction(
+        self, multi_day, monkeypatch
+    ):
+        """A pool worker folds what the plan says: each shard in the
+        chunk rows the plan resolved for its *view* (not re-resolved
+        against the smaller shard), into an accumulator with the plan's
+        compaction cadence."""
+        flows = FlowTable.concat([view.flows for view in multi_day])
+        flows = flows.slice_rows(0, 10_000)
+        asked: list = []
+        view = VantageDayView("V", 0, SpyTable(flows, asked))
+        plan = ExecutionPlanner().plan(
+            [view], chunk_size=AUTO_CHUNK, compact_every=2, workers=2
+        )
+        (spec,) = plan.views
+        assert spec.chunk_rows == 8192
+        shards = [shard for bucket in plan.shards for shard in bucket]
+        # "auto" against a shard alone would have meant "whole".
+        assert all(
+            adaptive_chunk_rows(stop - start) is None
+            for _, start, stop in shards
+        )
+
+        built = []
+        original = PrefixAccumulator.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self.compact_every)
+
+        monkeypatch.setattr(PrefixAccumulator, "__init__", spy)
+        monkeypatch.setattr(parallel, "_FORK_WORK", (plan, [view], frozenset()))
+        results = [parallel._fold_fork_bucket(bucket) for bucket in plan.shards]
+        monkeypatch.undo()
+
+        assert asked == [spec.chunk_rows] * len(shards)
+        assert built == [2] * len(plan.shards)
+        partials = [
+            PrefixAccumulator.from_state(state) for state, *_ in results
+        ]
+        assert partial_states_identical(
+            fold([VantageDayView("V", 0, flows)]), tree_merge(partials)
+        )
 
 
 class TestSharding:
@@ -259,7 +340,7 @@ class TestSharding:
 
 class TestTreeMerge:
     def test_any_grouping_identical(self, multi_day):
-        partials = [accumulate_views([view]) for view in multi_day]
+        partials = [fold([view]) for view in multi_day]
         tree = tree_merge(partials, copy=True)
 
         flat = partials[0].copy()
@@ -268,13 +349,13 @@ class TestTreeMerge:
         assert partial_states_identical(flat, tree)
 
     def test_shard_order_invariant(self, multi_day):
-        partials = [accumulate_views([view]) for view in multi_day]
+        partials = [fold([view]) for view in multi_day]
         forward = tree_merge(partials, copy=True)
         backward = tree_merge(list(reversed(partials)), copy=True)
         assert partial_states_identical(forward, backward)
 
     def test_copy_leaves_inputs_untouched(self, multi_day):
-        partials = [accumulate_views([view]) for view in multi_day[:3]]
+        partials = [fold([view]) for view in multi_day[:3]]
         rows = [partial.rows_ingested() for partial in partials]
         tree_merge(partials, copy=True)
         assert [partial.rows_ingested() for partial in partials] == rows
@@ -286,7 +367,7 @@ class TestTreeMerge:
 
 class TestWireState:
     def test_round_trip(self, multi_day, routing, telescope):
-        accumulator = accumulate_views(multi_day)
+        accumulator = fold(multi_day)
         restored = PrefixAccumulator.from_state(accumulator.to_state())
         assert partial_states_identical(accumulator, restored)
         assert restored.days() == accumulator.days()
@@ -304,12 +385,12 @@ class TestWireState:
         for day in range(3):
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
-        accumulator = accumulate_views(faulted, chunk_size=83)
+        accumulator = fold(faulted, chunk_size=83)
         restored = PrefixAccumulator.from_state(accumulator.to_state())
         assert partial_states_identical(accumulator, restored)
 
     def test_round_trip_preserves_ignore_set(self, multi_day):
-        accumulator = accumulate_views(
+        accumulator = fold(
             multi_day, ignore_sources_from_asns=frozenset({1, 9})
         )
         restored = PrefixAccumulator.from_state(accumulator.to_state())
@@ -323,12 +404,12 @@ class TestWireState:
         assert partial_states_identical(accumulator, restored)
 
     def test_restored_still_mergeable(self, multi_day):
-        half_a = accumulate_views(multi_day[: len(multi_day) // 2])
-        half_b = accumulate_views(multi_day[len(multi_day) // 2 :])
+        half_a = fold(multi_day[: len(multi_day) // 2])
+        half_b = fold(multi_day[len(multi_day) // 2 :])
         restored = PrefixAccumulator.from_state(half_a.to_state())
         restored.merge(half_b)
         assert partial_states_identical(
-            accumulate_views(multi_day), restored
+            fold(multi_day), restored
         )
 
     def test_version_checked(self):
@@ -341,7 +422,7 @@ class TestWireState:
     @settings(max_examples=25, deadline=None)
     def test_random_tables_round_trip(self, flows):
         view = VantageDayView(vantage="V", day=0, flows=flows)
-        accumulator = accumulate_views([view], chunk_size=5)
+        accumulator = fold([view], chunk_size=5)
         restored = PrefixAccumulator.from_state(accumulator.to_state())
         assert partial_states_identical(accumulator, restored)
 
@@ -384,8 +465,8 @@ class TestFacadeIntegration:
     def test_federate_wire_state_partials(self, multi_day, telescope):
         half = len(multi_day) // 2
         partials = [
-            accumulate_views(multi_day[:half]),
-            accumulate_views(multi_day[half:]),
+            fold(multi_day[:half]),
+            fold(multi_day[half:]),
         ]
         as_objects = federate(
             [], partials={"op": partials}, coordinator=telescope
@@ -401,8 +482,8 @@ class TestFacadeIntegration:
     def test_federate_workers_identical(self, multi_day, telescope):
         half = len(multi_day) // 2
         partials = {
-            "alpha": [accumulate_views(multi_day[:half])],
-            "beta": [accumulate_views(multi_day[half:])],
+            "alpha": [fold(multi_day[:half])],
+            "beta": [fold(multi_day[half:])],
         }
         serial = federate([], partials=partials, coordinator=telescope)
         parallel = federate(
@@ -435,12 +516,12 @@ class TestChunkingKnobs:
             resolve_chunk_size("bogus", 10**6)
 
     def test_auto_chunking_identical(self, multi_day, serial):
-        auto = accumulate_views(multi_day, chunk_size=AUTO_CHUNK)
+        auto = fold(multi_day, chunk_size=AUTO_CHUNK)
         assert partial_states_identical(serial, auto)
 
     def test_compact_every_knob_identical(self, multi_day, serial):
-        eager = accumulate_views(multi_day, chunk_size=17, compact_every=2)
-        lazy = accumulate_views(multi_day, chunk_size=17, compact_every=1000)
+        eager = fold(multi_day, chunk_size=17, compact_every=2)
+        lazy = fold(multi_day, chunk_size=17, compact_every=1000)
         assert partial_states_identical(serial, eager)
         assert partial_states_identical(serial, lazy)
 
@@ -451,7 +532,7 @@ class TestChunkingKnobs:
     def test_chunked_squashes_pending_parts(self, multi_day):
         """A chunk-fed accumulator never carries a view's chunk log
         past the view boundary (two-tier invariant: base + squashed)."""
-        accumulator = accumulate_views(multi_day, chunk_size=31)
+        accumulator = fold(multi_day, chunk_size=31)
         for sums in (accumulator._dst_ip_sums, accumulator._src_ip_sums):
             assert len(sums._parts) <= 2
         accumulator.compact()

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accum import accumulate_views
 from repro.core.spoofing_tolerance import (
     _zero_padded_quantile,
     tolerance_for_view,
@@ -22,7 +21,7 @@ from repro.core.spoofing_tolerance import (
 )
 from repro.net.ipv4 import parse_ip
 
-from _factories import ip, make_view
+from _factories import fold, ip, make_view
 
 UNROUTED = np.arange(parse_ip("39.0.0.0") >> 8, (parse_ip("39.0.0.0") >> 8) + 60)
 ROUTED = parse_ip("20.0.0.0") >> 8
@@ -126,7 +125,7 @@ class TestSparseEqualsDense:
         expected = dense_tolerances(views, baseline, quantile)
         assert tolerances_for_views(views, baseline, quantile) == expected
         # The docstring's claim: streamed aggregates give the same answer.
-        accumulator = accumulate_views(views, chunk_size=7)
+        accumulator = fold(views, chunk_size=7)
         assert tolerances_from_accumulator(accumulator, baseline, quantile) == expected
         for view in views:
             assert tolerance_for_view(view, baseline, quantile) == dense_tolerances(
@@ -136,7 +135,7 @@ class TestSparseEqualsDense:
     def test_on_world_views(self, world, day0):
         views = list(day0.ixp_views.values())
         baseline = world.unrouted_baseline_blocks
-        accumulator = accumulate_views(views)
+        accumulator = fold(views)
         for quantile in QUANTILES:
             expected = dense_tolerances(views, baseline, quantile)
             assert tolerances_for_views(views, baseline, quantile) == expected
@@ -150,7 +149,7 @@ class TestValidation:
     VIEW = make_view([{"dst_ip": ip(ROUTED)}])
 
     def entry_points(self):
-        accumulator = accumulate_views([self.VIEW])
+        accumulator = fold([self.VIEW])
         return [
             lambda *args: tolerance_for_view(self.VIEW, *args),
             lambda *args: tolerances_for_views([self.VIEW], *args),

@@ -20,12 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accum import accumulate_views
-from repro.core.parallel import (
-    parallel_accumulate_views,
-    partial_states_identical,
-    shard_views,
-)
+from repro.core.parallel import partial_states_identical, shard_views
 from repro.flowpack import (
     FlowpackArchive,
     FlowpackError,
@@ -50,7 +45,7 @@ from repro.traffic.flows import FLOW_COLUMNS, FlowTable
 from repro.vantage.archive import ArchiveDayView, ArchiveSlice, export_view
 from repro.vantage.sampling import VantageDayView
 
-from _factories import make_flows
+from _factories import fold, make_flows
 
 
 def tables_equal(a: FlowTable, b: FlowTable) -> bool:
@@ -295,29 +290,25 @@ def _views_pair(tmp_path, num_views=3, rows=400):
 class TestArchiveFedInference:
     def test_archive_chunked_equals_batch(self, tmp_path):
         memory, archived = _views_pair(tmp_path)
-        batch = accumulate_views(memory)
+        batch = fold(memory)
         for chunk_size in (1, 97, 113, 10_000, None, "auto"):
-            streamed = accumulate_views(archived, chunk_size=chunk_size)
+            streamed = fold(archived, chunk_size=chunk_size)
             assert partial_states_identical(batch, streamed), chunk_size
 
     def test_archive_parallel_equals_serial(self, tmp_path):
         memory, archived = _views_pair(tmp_path)
-        serial = accumulate_views(memory)
+        serial = fold(memory)
         for workers in (2, 3):
-            merged, stats = parallel_accumulate_views(
-                archived, workers=workers
-            )
+            merged = fold(archived, workers=workers)
             assert partial_states_identical(serial, merged), workers
-        merged, _ = parallel_accumulate_views(
-            archived, workers=2, max_shard_rows=101
-        )
+        merged = fold(archived, workers=2, max_shard_rows=101)
         assert partial_states_identical(serial, merged)
 
     def test_mixed_memory_and_archive_views(self, tmp_path):
         memory, archived = _views_pair(tmp_path)
         mixed = [memory[0], archived[1], memory[2]]
         assert partial_states_identical(
-            accumulate_views(memory), accumulate_views(mixed)
+            fold(memory), fold(mixed)
         )
 
     def test_shard_views_uses_headers_only(self, tmp_path):

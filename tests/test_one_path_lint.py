@@ -1,0 +1,156 @@
+"""Lint: one door per step of *plan -> fold -> classify -> snapshot*.
+
+Views become an accumulator only in ``engine.execute_plan`` (whose two
+arms are the serial loop and ``parallel``'s fan-out, both running
+``PrefixAccumulator.update_view``); knobs are resolved only by the
+engine; the facade plans in one place; snapshots are built only by the
+modules that own a serving state.  This test keeps second doors — a
+convenience fold loop, a facade that plans for itself, a hand-built
+snapshot — from growing back.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: ``call -> modules allowed to make it`` over all of ``src/repro``.
+#: A call is named by its last dotted component, so ``build_snapshot(``
+#: and ``snapshot.build_snapshot(`` are the same call.
+ALLOWED_CALLERS = {
+    "PrefixAccumulator": {"core/accum.py", "core/engine.py", "core/parallel.py"},
+    "from_state": {"core/accum.py", "core/parallel.py", "core/federation.py"},
+    "resolve_execution_knobs": {"core/engine.py", "core/federation.py"},
+    "build_snapshot": {
+        "core/snapshot.py",
+        "core/metatelescope.py",
+        "core/online.py",
+        "core/federation.py",
+    },
+}
+#: The same, but only for callers under ``src/repro/core/``.
+ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
+#: The deleted convenience fold: not defined, called or mentioned.
+DELETED = re.compile(r"\baccumulate_views\b")
+#: The functions under ``src/repro/core/`` that may call ``.plan(``.
+PLAN_CALLERS = {
+    ("core/metatelescope.py", "plan"),
+    ("core/metatelescope.py", "accumulate"),
+    ("core/pipeline.py", "run_pipeline"),
+}
+
+
+def called_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def calls(source: str):
+    """``(called name, enclosing function name, line)`` of every call."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and called_name(node) is not None:
+            found.append((called_name(node), function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def allowed_modules(name: str, module: str, function: str | None):
+    """Modules that may make this call (``None``: anyone may)."""
+    if name in ALLOWED_CALLERS:
+        return ALLOWED_CALLERS[name]
+    if not module.startswith("core/"):
+        return None
+    if name == "plan":
+        return {module} if (module, function) in PLAN_CALLERS else set()
+    return ALLOWED_CORE_CALLERS.get(name)
+
+
+def offenders(sources: dict[str, str]) -> list[str]:
+    """Second doors in ``{module path under src/repro: source}``."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for line, text in enumerate(source.splitlines(), start=1):
+            if DELETED.search(text):
+                found.append(f"src/repro/{module}:{line}: {text.strip()}")
+        for name, function, line in calls(source):
+            allowed = allowed_modules(name, module, function)
+            if allowed is not None and module not in allowed:
+                found.append(f"src/repro/{module}:{line}: {name}( in {function}")
+    return found
+
+
+def tree_sources() -> dict[str, str]:
+    return {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in SRC.rglob("*.py")
+    }
+
+
+def test_each_step_has_one_door():
+    found = offenders(tree_sources())
+    assert not found, (
+        "views fold only through engine.execute_plan, knobs resolve only "
+        "in the engine, the facade plans only in MetaTelescope.plan / "
+        ".accumulate (and run_pipeline), and snapshots are built only by "
+        "snapshot / metatelescope / online / federation:\n" + "\n".join(found)
+    )
+
+
+def test_lint_actually_catches_a_second_door():
+    # Guard the guard: paste the deleted forks back and they are found.
+    sources = tree_sources()
+    pasted = {
+        "core/accum.py": (
+            "def accumulate_views(views):\n"
+            "    accumulator = PrefixAccumulator()\n"
+            "    for view in views:\n"
+            "        accumulator.update_view(view)\n"
+            "    return accumulator\n"
+        ),
+        "core/pipeline.py": "convenience = accumulate_views([])\n",
+        "core/parallel.py": (
+            "def _fold(flows, chunk_size):\n"
+            "    for chunk in flows.iter_chunks(chunk_size):\n"
+            "        pass\n"
+        ),
+        "core/online.py": (
+            "def _fold(self, views):\n"
+            "    return self.telescope.plan(views)\n"
+        ),
+        "core/ipv6_telescope.py": "snapshot = build_snapshot(day=0, dark=[])\n",
+        "robustness/envelope.py": (
+            "workers = resolve_execution_knobs(workers=0).workers\n"
+            "partial = PrefixAccumulator()\n"
+        ),
+    }
+    for module, fork in pasted.items():
+        assert not offenders({module: sources[module]}), module
+        found = offenders({module: sources[module] + "\n" + fork})
+        assert found, (module, fork)
+    found = offenders({"core/pipeline.py": pasted["core/pipeline.py"]})
+    assert found == [
+        "src/repro/core/pipeline.py:1: convenience = accumulate_views([])"
+    ]
+    assert not DELETED.search("from repro.core.parallel import parallel_accumulate_views")
+    # The scopes really cover code: the one fold and its callers exist.
+    names = {name for name, _, _ in calls(sources["core/engine.py"])}
+    assert {"update_view", "parallel_accumulate_views"} <= names
+    assert "iter_chunks" in {
+        name for name, _, _ in calls(sources["core/accum.py"])
+    }
+    assert {
+        (module, function)
+        for module in ("core/metatelescope.py", "core/pipeline.py")
+        for name, function, _ in calls(sources[module])
+        if name == "plan"
+    } == PLAN_CALLERS
