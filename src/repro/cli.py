@@ -56,6 +56,7 @@ import argparse
 import asyncio
 import itertools
 import json
+import signal
 import sys
 import tempfile
 import time
@@ -651,6 +652,8 @@ def _serve_fleet(args: argparse.Namespace) -> int:
             **shared,
         ),
     )
+    # SIGTERM leaves the way Ctrl-C does: through the finally below.
+    on_term = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         supervisor.start()
         supervisor.wait_ready()
@@ -673,6 +676,7 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         pass
     finally:
         supervisor.stop()
+        signal.signal(signal.SIGTERM, on_term)
         if folder is not None:
             folder.join(timeout=1.0)
         context.close()

@@ -9,8 +9,9 @@ balancer in front.
 
 The workers share one snapshot *artifact*, not one heap: the
 supervisor persists each published snapshot as a flowpack
-``snapshot.fpk`` (atomic ``os.replace``) and bumps a version sentinel
-file; each worker polls the sentinel and re-opens the file through
+``snapshot.fpk`` (atomic ``os.replace``), bumps a version sentinel
+file and wakes its workers; each worker reads the sentinel and re-opens
+the file through
 :meth:`MetaTelescopeService.publish_path` — zero-copy ``np.memmap``
 column views, so N processes serve one page-cache copy instead of N
 materialised heap copies, and the file's stamped version is adopted
@@ -21,14 +22,28 @@ Publish protocol (all steps atomic or monotone, in this order)::
     1. supervisor stamps the next version (its own SnapshotHandle)
     2. write <root>/snapshot.fpk.tmp, os.replace -> <root>/snapshot.fpk
     3. write <root>/SERVING.json.tmp {version, day}, os.replace
-    4. (optional) append the delta to the SnapshotDeltaStore
+    4. write one byte to every worker's wake pipe (never blocks)
+    5. (optional) append the delta to the SnapshotDeltaStore
+
+The two files are the whole protocol; the wake byte carries nothing and
+only decides *when* a worker looks at them.  A woken worker reads the
+sentinel at once, so adoption overlaps step 5; every worker also reads
+it each ``poll_interval`` regardless, which is what serves an external
+republisher (who speaks only steps 2–3) and a wake-up that was missed
+(a full pipe).  The supervisor holds the only write end of each pipe:
+a worker that reads EOF has lost its supervisor — however that ended —
+and drains and exits instead of squatting on the port.
 
 A worker that reads the sentinel mid-publish sees either the old or
 the new version — never a torn file (``os.replace`` is atomic, and a
 worker holding the *old* mmap keeps serving it consistently; the
 replaced inode lives until unmapped).  If the snapshot file is already
 newer than the sentinel says, :meth:`SnapshotHandle.adopt`'s
-monotonicity makes the race harmless.
+monotonicity makes the race harmless.  A worker that cannot open the
+artifact (an outside writer left it truncated) keeps serving the
+version it holds, reports the error once — stderr and an ``error``
+field in its ``worker-N.json`` — and tries again on the next wake or
+tick; one booting onto such a file comes up listening and not ready.
 
 The supervisor also restarts workers that died (``ensure_alive``) and
 drains them gracefully on shutdown: SIGTERM → stop accepting → finish
@@ -42,8 +57,11 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any
 
@@ -96,8 +114,10 @@ def _worker_main(
     max_inflight: int,
     poll_interval: float,
     verify: bool,
+    wake_pipe: Connection,
 ) -> None:
-    """One fleet worker: daemon + sentinel poller, until SIGTERM."""
+    """One fleet worker: daemon + sentinel reader, until SIGTERM or the
+    supervisor's end of ``wake_pipe`` closes."""
     import asyncio
 
     root_path = Path(root)
@@ -107,44 +127,69 @@ def _worker_main(
     )
     daemon = ServiceDaemon(service, host=host, port=port, reuse_port=True)
 
-    def refresh() -> None:
+    error: str | None = None
+
+    def report() -> None:
+        state = {
+            "pid": os.getpid(),
+            "port": daemon.port,
+            "version": service.handle.version(),
+        }
+        if error is not None:
+            state["error"] = error
+        _atomic_json(_worker_ready_path(root_path, index), state)
+
+    def refresh() -> bool:
+        """Adopt what the sentinel names; true when ``report()`` has
+        something new to say (a version, an error, or its end)."""
+        nonlocal error
+        before, failed = service.handle.version(), None
         sentinel = read_sentinel(root_path)
-        if sentinel and sentinel["version"] > service.handle.version():
-            service.publish_path(root_path / SNAPSHOT_FILE, verify=verify)
+        if sentinel and sentinel["version"] > before:
+            try:
+                service.publish_path(root_path / SNAPSHOT_FILE, verify=verify)
+            except (OSError, ValueError) as damage:  # FlowpackError included
+                failed = f"{type(damage).__name__}: {damage}"
+                if failed != error:
+                    print(
+                        f"fleet worker {index}: still serving v{before}, "
+                        f"cannot open v{sentinel['version']}: {failed}",
+                        file=sys.stderr, flush=True,
+                    )
+        changed = failed != error or service.handle.version() != before
+        error = failed
+        return changed
 
     async def main() -> None:
         stopping = asyncio.Event()
+        wake = asyncio.Event()  # a signal, a wake byte, or supervisor EOF
         loop = asyncio.get_running_loop()
-        loop.add_signal_handler(signal.SIGTERM, stopping.set)
-        loop.add_signal_handler(signal.SIGINT, stopping.set)
+
+        def stop() -> None:
+            stopping.set()
+            wake.set()
+
+        def on_wake_pipe() -> None:
+            if os.read(wake_pipe.fileno(), 4096):
+                wake.set()
+            else:  # every write end is closed: the supervisor is gone
+                loop.remove_reader(wake_pipe.fileno())
+                stop()
+
+        loop.add_signal_handler(signal.SIGTERM, stop)
+        loop.add_signal_handler(signal.SIGINT, stop)
+        loop.add_reader(wake_pipe.fileno(), on_wake_pipe)
         refresh()  # serve immediately when a snapshot pre-exists
         await daemon.start()
-        _atomic_json(
-            _worker_ready_path(root_path, index),
-            {
-                "pid": os.getpid(),
-                "port": daemon.port,
-                "version": service.handle.version(),
-            },
-        )
+        report()
         while not stopping.is_set():
             try:
-                await asyncio.wait_for(
-                    stopping.wait(), timeout=poll_interval
-                )
+                await asyncio.wait_for(wake.wait(), timeout=poll_interval)
             except asyncio.TimeoutError:
                 pass
-            before = service.handle.version()
-            refresh()
-            if service.handle.version() != before:
-                _atomic_json(
-                    _worker_ready_path(root_path, index),
-                    {
-                        "pid": os.getpid(),
-                        "port": daemon.port,
-                        "version": service.handle.version(),
-                    },
-                )
+            wake.clear()
+            if refresh():
+                report()
         await daemon.drain(timeout=5.0)
 
     asyncio.run(main())
@@ -156,7 +201,18 @@ class FleetWorker:
 
     index: int
     process: multiprocessing.process.BaseProcess
+    wake_pipe: Connection  # write end; the worker holds the only reader
     restarts: int = 0
+
+    def wake(self) -> None:
+        """Tell the worker to read the sentinel now.  A full pipe (the
+        worker is wedged, and has wake-ups waiting) or a broken one (it
+        is dead) is not the publisher's problem: the poll covers the
+        first and ``ensure_alive`` the second."""
+        try:
+            os.write(self.wake_pipe.fileno(), b"\0")
+        except OSError:
+            pass
 
 
 class FleetSupervisor:
@@ -207,6 +263,10 @@ class FleetSupervisor:
         self.health_provider = None
         self.handle = SnapshotHandle(history=history)
         self.workers: list[FleetWorker] = []
+        # publish() may run on a folder thread while the serve loop
+        # respawns: a wake must never race the close of the pipe it
+        # writes to (the fd number could already be someone else's).
+        self._wake_lock = threading.Lock()
         # spawn, not fork: workers re-import and own their event loop —
         # forking a threaded/asyncio parent is where the bodies are.
         self._mp = multiprocessing.get_context("spawn")
@@ -217,10 +277,12 @@ class FleetSupervisor:
         self, snapshot: ClassificationSnapshot
     ) -> ClassificationSnapshot:
         """Enrich, stamp, persist, sentinel-bump (and delta-append) one
-        snapshot.  Safe before or after :meth:`start`; workers converge
-        within ``poll_interval``.  Enrichment (AS/geo) happens here,
-        once, on the supervisor — workers re-open the finished artifact
-        and never pay for it."""
+        snapshot.  Safe before or after :meth:`start`: running workers
+        are woken as soon as the sentinel is in place and adopt while
+        the delta is appended, later ones read the sentinel at boot
+        (``poll_interval`` bounds only a missed wake-up).  Enrichment
+        (AS/geo) happens here, once, on the supervisor — workers
+        re-open the finished artifact and never pay for it."""
         stamped = self.handle.publish(
             snapshot.enrich(pfx2as=self.pfx2as, geodb=self.geodb)
         )
@@ -231,6 +293,9 @@ class FleetSupervisor:
             self.root / SENTINEL_FILE,
             {"version": stamped.version, "day": stamped.day},
         )
+        with self._wake_lock:
+            for worker in self.workers:
+                worker.wake()
         if self.delta_store is not None:
             self.delta_store.append(stamped)
         return stamped
@@ -253,21 +318,27 @@ class FleetSupervisor:
     def _spawn(self, index: int, restarts: int = 0) -> FleetWorker:
         ready = _worker_ready_path(self.root, index)
         ready.unlink(missing_ok=True)
+        reader, writer = self._mp.Pipe(duplex=False)
+        os.set_blocking(writer.fileno(), False)
         process = self._mp.Process(
             target=_worker_main,
             args=(
                 str(self.root), index, self.host, self.port,
                 self.max_results, self.max_inflight, self.poll_interval,
-                self.verify,
+                self.verify, reader,
             ),
             name=f"meta-telescope-worker-{index}",
             daemon=True,
         )
         process.start()
-        return FleetWorker(index=index, process=process, restarts=restarts)
+        reader.close()  # the worker's copy is the only one: EPIPE if it dies
+        return FleetWorker(
+            index=index, process=process, wake_pipe=writer, restarts=restarts
+        )
 
     def worker_states(self) -> list[dict[str, Any] | None]:
-        """Each worker's last self-reported ``{pid, port, version}``."""
+        """Each worker's last self-reported ``{pid, port, version}``
+        (plus ``error`` while it cannot open the published artifact)."""
         states = []
         for worker in self.workers:
             path = _worker_ready_path(self.root, worker.index)
@@ -316,9 +387,11 @@ class FleetSupervisor:
         restarted = 0
         for slot, worker in enumerate(self.workers):
             if not worker.process.is_alive():
-                self.workers[slot] = self._spawn(
-                    worker.index, restarts=worker.restarts + 1
-                )
+                with self._wake_lock:
+                    worker.wake_pipe.close()
+                    self.workers[slot] = self._spawn(
+                        worker.index, restarts=worker.restarts + 1
+                    )
                 restarted += 1
         return restarted
 
@@ -334,7 +407,10 @@ class FleetSupervisor:
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(5.0)
-        self.workers = []
+        with self._wake_lock:
+            for worker in self.workers:
+                worker.wake_pipe.close()
+            self.workers = []
 
     def __enter__(self) -> "FleetSupervisor":
         return self

@@ -6,6 +6,10 @@ contract: all workers answer with the supervisor's stamped version,
 republishes converge within the poll interval, answers are byte-
 identical across connections (and therefore across workers), dead
 workers come back, and shutdown drains cleanly.
+
+A second module-scoped fleet polls every 30 s, so whatever it adopts
+inside a test it adopted because ``publish`` woke it: those tests pin
+the wake mechanism, not a timing.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import threading
 import time
 import urllib.error
@@ -251,6 +256,144 @@ def test_dead_worker_is_restarted_with_current_version(fleet):
     assert status == 200
     assert json.loads(body)["version"] == fleet.handle.version()
     assert fleet.ensure_alive() == 0  # everyone's alive again
+
+
+@pytest.fixture(scope="module")
+def woken_fleet(tmp_path_factory):
+    """Two workers whose timer never fires within a test."""
+    supervisor = FleetSupervisor(
+        tmp_path_factory.mktemp("woken"), processes=2, poll_interval=30
+    )
+    supervisor.publish(stamped_snapshot(1))  # before start(): read at boot
+    supervisor.start()
+    supervisor.wait_ready(60)
+    yield supervisor
+    supervisor.stop()
+
+
+def publish_next(supervisor: FleetSupervisor) -> int:
+    return supervisor.publish(
+        stamped_snapshot(supervisor.handle.version() + 1)
+    ).version
+
+
+def test_publish_before_start_is_served_at_boot(woken_fleet):
+    assert [s["version"] for s in woken_fleet.worker_states()] == [1, 1]
+
+
+def test_publish_is_answered_without_waiting_for_the_timer(woken_fleet):
+    started = time.monotonic()
+    version = publish_next(woken_fleet)
+    woken_fleet.wait_version(version, timeout=5)
+    for _ in range(8):  # fresh connection each time: both workers answer
+        status, _, body = get(woken_fleet.base_url + "/v1/snapshot")
+        assert status == 200
+        assert json.loads(body)["snapshot_version"] == version
+    assert time.monotonic() - started < 1.0  # poll_interval is 30
+
+
+def test_respawned_worker_gets_a_wake_channel_of_its_own(woken_fleet):
+    """Publishes keep coming from another thread (``serve``'s folder
+    does that) while a worker dies and is replaced: none may raise,
+    whether it meets a broken pipe, a closed one or a booting worker."""
+    victim = woken_fleet.workers[0]
+    done = threading.Event()
+    failures: list[BaseException] = []
+
+    def publisher() -> None:
+        try:
+            while not done.is_set():
+                publish_next(woken_fleet)
+        except BaseException as error:
+            failures.append(error)
+
+    thread = threading.Thread(target=publisher, daemon=True)
+    thread.start()
+    try:
+        victim.process.kill()
+        victim.process.join(10)
+        time.sleep(0.05)  # publishes to a dead reader: EPIPE
+        assert woken_fleet.ensure_alive() == 1
+        assert victim.wake_pipe.closed
+        woken_fleet.wait_ready(60)
+    finally:
+        done.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive() and not failures, failures
+    # Whatever the respawn read at boot, the next wake reaches both.
+    woken_fleet.wait_version(publish_next(woken_fleet), timeout=5)
+
+
+def test_publish_never_waits_for_a_wedged_worker(woken_fleet):
+    wedged, healthy = woken_fleet.workers
+    os.kill(wedged.process.pid, signal.SIGSTOP)
+    try:
+        with pytest.raises(BlockingIOError):
+            while True:
+                os.write(wedged.wake_pipe.fileno(), b"\0" * 4096)
+        started = time.monotonic()
+        version = publish_next(woken_fleet)
+        assert time.monotonic() - started < 1.0
+        deadline = time.monotonic() + 5
+        while woken_fleet.worker_states()[healthy.index]["version"] < version:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        os.kill(wedged.process.pid, signal.SIGCONT)
+    woken_fleet.wait_version(version, timeout=5)  # the backlog is a wake too
+
+
+def test_unreadable_artifact_keeps_the_last_good_version_serving(
+    tmp_path, capfd
+):
+    fleet = FleetSupervisor(tmp_path, processes=1, poll_interval=0.02)
+    with fleet:
+        fleet.publish(stamped_snapshot(1))
+        fleet.start()
+        fleet.wait_ready(60)
+        # An outside writer replaces the artifact with a third of one
+        # and bumps the sentinel.
+        artifact = fleet.root / SNAPSHOT_FILE
+        staged = fleet.root / (SNAPSHOT_FILE + ".new")
+        whole = artifact.read_bytes()
+        staged.write_bytes(whole[: len(whole) // 3])
+        os.replace(staged, artifact)
+        staged = fleet.root / (SENTINEL_FILE + ".new")
+        staged.write_text(json.dumps({"version": 2, "day": 2}))
+        os.replace(staged, fleet.root / SENTINEL_FILE)
+
+        def reported_error() -> str:
+            deadline = time.monotonic() + 10
+            while not (fleet.worker_states()[0] or {}).get("error"):
+                assert fleet.ensure_alive() == 0, "the worker died of it"
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            return fleet.worker_states()[0]["error"]
+
+        assert reported_error().startswith("FlowpackError: ")
+        status, _, body = get(fleet.base_url + "/v1/point?block=1")
+        assert status == 200 and json.loads(body)["snapshot_version"] == 1
+
+        # A worker that boots onto the damage listens, and says not ready.
+        fleet.workers[0].process.kill()
+        fleet.workers[0].process.join(10)
+        assert fleet.ensure_alive() == 1
+        fleet.wait_ready(60)
+        assert reported_error().startswith("FlowpackError: ")
+        status, _, body = get(fleet.base_url + "/healthz")
+        assert status == 503 and json.loads(body)["serving"] is False
+
+        # Keep the supervisor's counter in step with the sentinel.
+        fleet.handle.adopt(
+            dataclasses.replace(stamped_snapshot(2), version=2)
+        )
+        assert fleet.publish(stamped_snapshot(3)).version == 3
+        fleet.wait_version(3, timeout=10)
+        assert "error" not in fleet.worker_states()[0]
+        status, _, body = get(fleet.base_url + "/v1/point?block=3")
+        assert status == 200 and json.loads(body)["snapshot_version"] == 3
+    # Said once per worker life, not once per 20 ms retry.
+    assert capfd.readouterr().err.count("cannot open v2: FlowpackError") == 2
 
 
 def test_stop_drains_every_worker(tmp_path):

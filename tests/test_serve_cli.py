@@ -22,9 +22,12 @@ import time
 import urllib.request
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.cli import main
 from repro.core.snapshot import ClassificationSnapshot
+from tests.service.test_atomic_swap import stamped_snapshot
 
 BOOT_TIMEOUT = 120.0
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -78,7 +81,6 @@ def serving(*flags: str):
         assert process.wait(timeout=60) == 0, "".join(log)
     finally:
         if process.poll() is None:
-            # A killed supervisor reaps no workers; they share its group.
             os.killpg(process.pid, signal.SIGKILL)
             process.wait(timeout=30)
         reader.join(timeout=30)
@@ -154,6 +156,52 @@ def test_serve_saves_what_it_serves_and_a_fleet_serves_it_again(
         for block in probes:
             answer = fetch(f"{url}/v1/point?block={block}")
             assert answer == dict(answers[block], snapshot_version=1)
+
+
+def _gone(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    # An orphan waits for init to reap it; a container's may never.
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@pytest.mark.parametrize("how", [signal.SIGTERM, signal.SIGKILL])
+def test_a_killed_fleet_supervisor_leaves_no_worker_behind(tmp_path, how):
+    """SIGTERM leaves through ``_serve_fleet``'s ``finally``; SIGKILL
+    runs nothing, and the workers see their wake pipes close."""
+    saved, root = tmp_path / "snapshot.fpk", tmp_path / "fleet"
+    stamped_snapshot(1).save(saved)
+    with open(tmp_path / "serve.log", "w") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--exit-after", "300", "--snapshot", str(saved),
+             "--processes", "2", "--fleet-root", str(root)],
+            stdout=log, stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            start_new_session=True,
+        )
+    try:
+        ready = [root / f"worker-{index}.json" for index in range(2)]
+        deadline = time.monotonic() + BOOT_TIMEOUT
+        while not all(path.exists() for path in ready):
+            assert process.poll() is None, (tmp_path / "serve.log").read_text()
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        pids = [json.loads(path.read_text())["pid"] for path in ready]
+        assert not any(_gone(pid) for pid in pids)
+        process.send_signal(how)
+        code = process.wait(timeout=30)
+        assert code == (0 if how == signal.SIGTERM else -how)
+        deadline = time.monotonic() + 5
+        while not all(_gone(pid) for pid in pids):
+            assert time.monotonic() < deadline, "workers outlived it"
+            time.sleep(0.02)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=30)
 
 
 def test_query_against_a_dead_url_fails_with_a_message(capsys):
