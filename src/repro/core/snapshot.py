@@ -28,7 +28,11 @@ state into a first-class artifact:
   block arrays goes through the same sorted cumulative-max interval
   table the routing trie uses
   (:func:`repro.net.trie.interval_covered_mask`), built once per
-  snapshot from the run-length-compressed dark set.
+  snapshot from the run-length-compressed dark set;
+* **answer text**: :class:`RenderedRows` renders a row's JSON answer
+  straight from the columns the first time it is asked for — the bytes
+  ``json.dumps(PointAnswer.to_dict())`` would give — so the service
+  joins text instead of building per-row objects.
 
 Snapshots are immutable and versioned: the serving layer
 (:mod:`repro.service`) stamps a monotonically increasing ``version``
@@ -40,6 +44,8 @@ version/day N" between any two of them.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -49,7 +55,13 @@ import numpy as np
 
 from repro.flowpack import TableArchive, write_table_archive
 from repro.net.blocksets import align_sorted, as_sorted_unique, sorted_member_mask
-from repro.net.family import FAMILY_IPV4, family as _family_of, family_of_prefix
+from repro.net.family import (
+    FAMILY_IPV4,
+    AddressFamily,
+    family as _family_of,
+    family_of_prefix,
+)
+from repro.net.ipv4 import AddressError
 from repro.net.trie import interval_covered_mask
 
 #: Verdict codes stored in the snapshot's ``verdicts`` column.  Code 0
@@ -141,6 +153,111 @@ class PointAnswer:
             "asn": self.asn if self.asn != NO_ASN else None,
             "country": self.country if self.country != "??" else None,
         }
+
+
+def _block_text(family: AddressFamily, block: int) -> str:
+    """``family.format_block(block)`` without building the prefix."""
+    if not 0 <= block < family.num_blocks:
+        raise AddressError(
+            f"not a /{family.block_prefix_length} block id: {block}"
+        )
+    if family.name == FAMILY_IPV4:
+        return f"{block >> 16}.{block >> 8 & 255}.{block & 255}.0/24"
+    # A /48's five low groups are zero, so RFC 5952 folds them, and any
+    # zero groups right before them, into the one "::".
+    groups = [block >> 32, block >> 16 & 0xFFFF, block & 0xFFFF]
+    while groups and not groups[-1]:
+        groups.pop()
+    return ":".join(f"{group:x}" for group in groups) + "::/48"
+
+
+def _answer_text(
+    family: AddressFamily,
+    block: int,
+    verdict: int,
+    confidence: float,
+    since_day: int,
+    asn: int,
+    country: bytes,
+) -> str:
+    """``json.dumps(PointAnswer(...).to_dict())``, byte for byte, built
+    from the column values without either object.  The parameters after
+    ``family`` are the snapshot columns in schema order."""
+    confidence = round(confidence, 6)
+    # json.dumps spells a float as its repr, except the non-finite ones.
+    confidence_text = (
+        repr(confidence) if math.isfinite(confidence) else json.dumps(confidence)
+    )
+    return (
+        f'{{"prefix": "{_block_text(family, block)}", "block": {block}, '
+        f'"verdict": "{VERDICT_NAMES[verdict]}", '
+        f'"dark": {"true" if verdict == VERDICT_DARK else "false"}, '
+        f'"confidence": {confidence_text}, '
+        f'"since_day": {since_day if verdict else "null"}, '
+        f'"asn": {asn if asn != NO_ASN else "null"}, '
+        f'"country": '
+        f'{"null" if country == NO_COUNTRY else json.dumps(country.decode())}}}'
+    )
+
+
+class RenderedRows:
+    """The answer text of each row of one snapshot, rendered on first use.
+
+    Row ``i``'s text is :func:`_answer_text` of that row, so a range
+    answer is a ``", "``-join over a slice and a point answer a list
+    index.  The serving layer keeps one of these for the snapshot it is
+    serving and drops it when it serves another, so a process holds at
+    most one version's text however many it retains for diffs.
+
+    Filling takes no lock: threads that race on a row render the same
+    text and whichever store lands last wins.
+    """
+
+    __slots__ = ("snapshot", "_texts", "__weakref__")
+
+    def __init__(self, snapshot: "ClassificationSnapshot") -> None:
+        self.snapshot = snapshot
+        self._texts: list[str | None] = [None] * len(snapshot)
+
+    def point(self, block: int) -> str:
+        """The answer text for one block id, classified or not."""
+        snapshot = self.snapshot
+        row = int(np.searchsorted(snapshot.blocks, block))
+        if row < len(snapshot) and snapshot.blocks[row] == block:
+            if self._texts[row] is None:
+                self._fill((row,))
+            return self._texts[row]
+        return _answer_text(
+            snapshot.address_family, block, VERDICT_UNKNOWN, 0.0, 0, NO_ASN,
+            NO_COUNTRY,
+        )
+
+    def join(self, rows: range | np.ndarray) -> str:
+        """The ``", "``-joined text of ``rows``: a ``range`` of rows or
+        an array of row indices."""
+        try:
+            return ", ".join(self._picked(rows))
+        except TypeError:  # a row not rendered yet
+            self._fill(rows)
+            return ", ".join(self._picked(rows))
+
+    def _picked(self, rows: range | np.ndarray) -> list[str | None]:
+        if isinstance(rows, range):
+            return self._texts[rows.start:rows.stop]
+        texts = self._texts
+        return [texts[row] for row in rows.tolist()]
+
+    def _fill(self, rows: Sequence[int]) -> None:
+        """Render those of ``rows`` not rendered yet, straight from the
+        columns, and memoise them."""
+        texts, snapshot = self._texts, self.snapshot
+        family = snapshot.address_family
+        missing = [row for row in rows if texts[row] is None]
+        columns = (
+            getattr(snapshot, name)[missing].tolist() for name in SNAPSHOT_COLUMNS
+        )
+        for row, values in zip(missing, zip(*columns)):
+            texts[row] = _answer_text(family, *values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,12 +426,18 @@ class ClassificationSnapshot:
     def range(self, start_block: int, end_block: int) -> "ClassificationSnapshot":
         """The sub-snapshot covering ``[start_block, end_block]``.
 
-        Two ``searchsorted`` probes; the returned snapshot's columns are
-        zero-copy slices of this one's.
+        The returned snapshot's columns are zero-copy slices of this
+        one's.
         """
-        lo = int(np.searchsorted(self.blocks, start_block, side="left"))
-        hi = int(np.searchsorted(self.blocks, end_block, side="right"))
-        return self._sliced(slice(lo, hi))
+        return self._sliced(slice(*self.row_span(start_block, end_block)))
+
+    def row_span(self, start_block: int, end_block: int) -> tuple[int, int]:
+        """Rows ``[lo, hi)`` holding the blocks in ``[start_block,
+        end_block]``: two ``searchsorted`` probes."""
+        return (
+            int(np.searchsorted(self.blocks, start_block, side="left")),
+            int(np.searchsorted(self.blocks, end_block, side="right")),
+        )
 
     def within_prefix(self, prefix) -> "ClassificationSnapshot":
         """The sub-snapshot inside ``prefix``.
@@ -339,10 +462,6 @@ class ClassificationSnapshot:
         first = prefix.first_block()
         return self.range(first, first + prefix.num_blocks() - 1)
 
-    def where(self, mask: np.ndarray) -> "ClassificationSnapshot":
-        """The sub-snapshot of rows selected by a boolean mask."""
-        return self._sliced(np.flatnonzero(mask))
-
     def head(self, count: int) -> "ClassificationSnapshot":
         """The first ``count`` rows (a query budget's truncation)."""
         return self._sliced(slice(0, max(count, 0)))
@@ -355,21 +474,6 @@ class ClassificationSnapshot:
                 for name in SNAPSHOT_COLUMNS
             },
         )
-
-    def rows(self) -> list[PointAnswer]:
-        """Every row as a :class:`PointAnswer` (small snapshots only)."""
-        return [
-            PointAnswer(
-                block=int(self.blocks[i]),
-                verdict=int(self.verdicts[i]),
-                confidence=float(self.confidence[i]),
-                since_day=int(self.since_day[i]),
-                asn=int(self.asns[i]),
-                country=self.countries[i].decode(),
-                family=self.family,
-            )
-            for i in range(len(self.blocks))
-        ]
 
     def verdict_counts(self) -> dict[str, int]:
         """How many blocks hold each verdict."""

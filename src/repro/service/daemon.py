@@ -34,11 +34,23 @@ unbounded.  With a :class:`~repro.core.engine.RunContext` attached,
 every query emits a ``query`` event and every publish a ``publish``
 event through the PR-5 sink API.
 
+Answers are text rendered once per served version: each row's JSON is
+rendered from the snapshot's columns the first time it is asked for
+(:class:`~repro.core.snapshot.RenderedRows`), so a range answer is two
+``searchsorted`` probes and a join, and a point answer one probe and a
+list index.  The dict-returning service methods decode that same text.
+
 Polling clients are nearly free: every ``/v1/*`` answer carries a
-version-based ``ETag`` (``"v<N>"``), a matching ``If-None-Match``
-request turns into a bodyless ``304``, and the header-less equivalent
-``?if_version_changed=N`` short-circuits to a tiny
-``{"not_modified": true}`` payload before any query work runs.
+version-based ``ETag`` (``"v<N>"``).  A matching ``If-None-Match``
+request turns into a bodyless ``304`` and the header-less equivalent
+``?if_version_changed=N`` into a tiny ``{"not_modified": true}``
+payload, both once the parameters are validated and before any query
+work runs.
+
+Hostile clients get a status line, not a dropped connection: a request
+line or header over 64 KiB, or more than :data:`MAX_HEADERS` header
+lines, is answered ``431``, and a client that takes longer than
+:data:`HEAD_TIMEOUT_S` to send one request head is disconnected.
 
 Scale-out happens across *processes*, not threads:
 :class:`ServiceDaemon` can bind its port with ``SO_REUSEPORT``
@@ -55,15 +67,22 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as np
+
 from repro.core.engine import RunContext
-from repro.core.snapshot import ClassificationSnapshot
+from repro.core.snapshot import ClassificationSnapshot, RenderedRows
 from repro.net.family import IPV4, AddressFamily
 from repro.net.ipv4 import AddressError
 from repro.service.handle import SnapshotHandle
+
+#: A validated query's answer, not yet rendered: calling it runs the
+#: lookup and returns the JSON text of the whole answer.
+Render = Callable[[], str]
 
 
 class QueryError(ValueError):
@@ -97,7 +116,7 @@ def parse_block(text: str, family: AddressFamily = IPV4) -> int:
     if "/" in text:
         try:
             prefix = family.parse_prefix(text)
-        except AddressError as error:
+        except ValueError as error:  # AddressError and Ipv6Error
             raise QueryError(str(error)) from error
         if prefix.length != family.block_prefix_length:
             raise QueryError(
@@ -108,12 +127,18 @@ def parse_block(text: str, family: AddressFamily = IPV4) -> int:
     try:
         if "." in text or ":" in text:
             return family.block_of_ip(family.parse_ip(text))
-        return int(text)
-    except (AddressError, ValueError) as error:
+        block = int(text)
+    except ValueError as error:
         raise QueryError(
             f"not a /{family.block_prefix_length}, IP or block id: "
             f"{text!r}"
         ) from error
+    if not 0 <= block < family.num_blocks:
+        raise QueryError(
+            f"block id {block} is outside the {family.name} block space "
+            f"[0, 2**{family.block_prefix_length})"
+        )
+    return block
 
 
 class MetaTelescopeService:
@@ -147,6 +172,7 @@ class MetaTelescopeService:
         self.publishes = 0
         self._inflight = 0
         self._stats_lock = threading.Lock()
+        self._memo: RenderedRows | None = None
 
     # -- publishing ----------------------------------------------------
 
@@ -192,6 +218,7 @@ class MetaTelescopeService:
     def _note_publish(
         self, stamped: ClassificationSnapshot, started: float
     ) -> None:
+        self._memo = None  # the next query renders for the new version
         with self._stats_lock:
             self.publishes += 1
         if self.context is not None:
@@ -220,6 +247,13 @@ class MetaTelescopeService:
             self.queries_served += 1
 
     # -- queries (each grabs ONE snapshot reference) -------------------
+    #
+    # Each public query is ``json.loads`` of the exact text the daemon
+    # writes.  The private form validates its arguments against the
+    # grabbed snapshot and returns the renderer without running it: the
+    # daemon answers a matching ``If-None-Match`` in between, so a 304
+    # costs no lookup and no rendering.  Every answer carries the
+    # ``snapshot_version`` it came from (the daemon's ``ETag``).
 
     def _require(self) -> ClassificationSnapshot:
         snapshot = self.handle.current()
@@ -227,40 +261,41 @@ class MetaTelescopeService:
             raise LookupError("no snapshot published yet")
         return snapshot
 
-    @staticmethod
-    def _envelope(
-        snapshot: ClassificationSnapshot,
-        answer: dict[str, Any],
-        day: bool = False,
-    ) -> dict[str, Any]:
-        """Stamp the one response envelope every query answer shares.
-
-        ``snapshot_version`` names the exact snapshot the whole answer
-        came from (the daemon's ``ETag`` is derived from it); ``day``
-        additionally stamps ``snapshot_day`` for point answers.
-        """
-        answer["snapshot_version"] = snapshot.version
-        if day:
-            answer["snapshot_day"] = snapshot.day
-        return answer
+    def _rendered(self, snapshot: ClassificationSnapshot) -> RenderedRows:
+        """``snapshot``'s row text, memoised for the served one only."""
+        memo = self._memo
+        if memo is None or memo.snapshot is not snapshot:
+            memo = self._memo = RenderedRows(snapshot)
+        return memo
 
     def point(self, target: str) -> dict[str, Any]:
         """Is this block dark?  Since when?  With what confidence?"""
-        snapshot = self._require()
+        return json.loads(self._point(self._require(), target)())
+
+    def _point(self, snapshot: ClassificationSnapshot, target: str) -> Render:
         block = parse_block(target, snapshot.address_family)
-        return self._envelope(
-            snapshot, snapshot.lookup(block).to_dict(), day=True
+        return lambda: (
+            self._rendered(snapshot).point(block)[:-1]
+            + f', "snapshot_version": {snapshot.version}, '
+            f'"snapshot_day": {snapshot.day}}}'
         )
 
-    def _rows(
-        self, sub: ClassificationSnapshot, limit: int | None
-    ) -> dict[str, Any]:
+    def _listing(
+        self,
+        snapshot: ClassificationSnapshot,
+        rows: range | np.ndarray,
+        limit: int | None,
+        tag: str = "",
+    ) -> str:
+        """The list envelope over ``rows``, capped by the budget;
+        ``tag`` is the endpoint's own ``"name": value, `` member."""
         cap = self.budget.clamp(limit)
-        return {
-            "total": len(sub),
-            "truncated": len(sub) > cap,
-            "rows": [answer.to_dict() for answer in sub.head(cap).rows()],
-        }
+        return (
+            f'{{"total": {len(rows)}, '
+            f'"truncated": {"true" if len(rows) > cap else "false"}, '
+            f'"rows": [{self._rendered(snapshot).join(rows[:cap])}], '
+            f'{tag}"snapshot_version": {snapshot.version}}}'
+        )
 
     def range(
         self,
@@ -270,12 +305,23 @@ class MetaTelescopeService:
         limit: int | None = None,
     ) -> dict[str, Any]:
         """All classified blocks in a block range or covering prefix."""
-        snapshot = self._require()
+        return json.loads(
+            self._range(self._require(), start, end, prefix, limit)()
+        )
+
+    def _range(
+        self,
+        snapshot: ClassificationSnapshot,
+        start: int | None,
+        end: int | None,
+        prefix: str | None,
+        limit: int | None,
+    ) -> Render:
         if prefix is not None:
             family = snapshot.address_family
             try:
                 parsed = family.parse_prefix(prefix)
-            except AddressError as error:
+            except ValueError as error:  # AddressError and Ipv6Error
                 raise QueryError(str(error)) from error
             if parsed.length > family.block_prefix_length:
                 raise QueryError(
@@ -283,36 +329,45 @@ class MetaTelescopeService:
                     f"specific than this {snapshot.family} snapshot's "
                     f"/{family.block_prefix_length} blocks"
                 )
-            try:
-                sub = snapshot.within_prefix(parsed)
-            except ValueError as error:
-                raise QueryError(str(error)) from error
+            start = parsed.first_block()
+            end = start + parsed.num_blocks() - 1
         elif start is not None and end is not None:
             if end < start:
                 raise QueryError(f"empty range: start {start} > end {end}")
-            sub = snapshot.range(start, end)
         else:
             raise QueryError("range needs ?prefix= or ?start=&end=")
-        return self._envelope(snapshot, self._rows(sub, limit))
+        return lambda: self._listing(
+            snapshot, range(*snapshot.row_span(start, end)), limit
+        )
 
     def by_as(self, asn: int, limit: int | None = None) -> dict[str, Any]:
         """All classified blocks originated by ``asn`` (needs an
         AS-enriched snapshot, i.e. a service with a ``pfx2as``)."""
-        snapshot = self._require()
-        answer = self._rows(snapshot.where(snapshot.asns == asn), limit)
-        answer["asn"] = asn
-        return self._envelope(snapshot, answer)
+        return json.loads(self._by_as(self._require(), asn, limit)())
+
+    def _by_as(
+        self, snapshot: ClassificationSnapshot, asn: int, limit: int | None
+    ) -> Render:
+        return lambda: self._listing(
+            snapshot, np.flatnonzero(snapshot.asns == asn), limit,
+            tag=f'"asn": {asn}, ',
+        )
 
     def by_geo(
         self, country: str, limit: int | None = None
     ) -> dict[str, Any]:
         """All classified blocks geolocated to ``country`` (needs a
         geo-enriched snapshot)."""
-        snapshot = self._require()
+        return json.loads(self._by_geo(self._require(), country, limit)())
+
+    def _by_geo(
+        self, snapshot: ClassificationSnapshot, country: str, limit: int | None
+    ) -> Render:
         code = country.strip().upper().encode()
-        answer = self._rows(snapshot.where(snapshot.countries == code), limit)
-        answer["country"] = country.upper()
-        return self._envelope(snapshot, answer)
+        return lambda: self._listing(
+            snapshot, np.flatnonzero(snapshot.countries == code), limit,
+            tag=f'"country": {json.dumps(country.upper())}, ',
+        )
 
     def diff(self, since: int) -> dict[str, Any]:
         """What changed since version ``since``.
@@ -321,25 +376,34 @@ class MetaTelescopeService:
         answer says so (``"base_retained": false``) and carries the
         current version, so the client knows to re-fetch in full.
         """
-        snapshot = self._require()
-        base = self.handle.at_version(since)
-        # Diff against the one grabbed snapshot, not handle.diff_since —
-        # a racing publish must never mix two versions in one answer.
-        if base is None:
-            return self._envelope(snapshot, {
-                "base_retained": False,
-                "since": since,
-                "version": snapshot.version,
-                "day": snapshot.day,
-            })
-        answer = snapshot.diff(base).to_dict()
-        answer["base_retained"] = True
-        return self._envelope(snapshot, answer)
+        return json.loads(self._diff(self._require(), since)())
+
+    def _diff(self, snapshot: ClassificationSnapshot, since: int) -> Render:
+        def render() -> str:
+            base = self.handle.at_version(since)
+            # Diff against the one grabbed snapshot, not handle.diff_since
+            # — a racing publish must never mix two versions in one answer.
+            if base is None:
+                answer = {
+                    "base_retained": False,
+                    "since": since,
+                    "version": snapshot.version,
+                    "day": snapshot.day,
+                }
+            else:
+                answer = snapshot.diff(base).to_dict()
+                answer["base_retained"] = True
+            answer["snapshot_version"] = snapshot.version
+            return json.dumps(answer)
+
+        return render
 
     def snapshot_info(self) -> dict[str, Any]:
         """Metadata of the currently served snapshot."""
-        snapshot = self._require()
-        return self._envelope(snapshot, {
+        return json.loads(self._info(self._require())())
+
+    def _info(self, snapshot: ClassificationSnapshot) -> Render:
+        return lambda: json.dumps({
             "version": snapshot.version,
             "day": snapshot.day,
             "family": snapshot.family,
@@ -347,6 +411,7 @@ class MetaTelescopeService:
             "verdicts": snapshot.verdict_counts(),
             "provenance": dict(snapshot.provenance),
             "diffable_versions": self.handle.versions_retained(),
+            "snapshot_version": snapshot.version,
         })
 
     def healthz(self) -> tuple[bool, dict[str, Any]]:
@@ -380,21 +445,63 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    431: "Request Header Fields Too Large",
     503: "Service Unavailable",
 }
+
+#: Seconds a client may take from the first byte of a request head to
+#: its blank line before the connection is closed.  An idle keep-alive
+#: connection is not on the clock until its next request starts.
+HEAD_TIMEOUT_S = 10.0
+#: Header lines one request may carry; one more is answered 431.  (A
+#: single line is capped by the stream reader's 64 KiB limit, also 431.)
+MAX_HEADERS = 100
+
+
+class _HeadTooLarge(Exception):
+    """A request head over a line or header-count limit (HTTP 431)."""
+
+
+async def _read_head(
+    reader: asyncio.StreamReader, first: bytes
+) -> tuple[str, str, str, dict[str, str]] | None:
+    """The rest of the request head whose first byte is ``first``:
+    method, target, version and lower-cased headers.  None for a
+    malformed request line, which is answered before any header is
+    read."""
+    try:
+        line = first if first == b"\n" else first + await reader.readline()
+        try:
+            method, target, version = line.decode("latin-1").split()
+        except ValueError:
+            return None
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):  # GET: no body follows
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n", b""):
+                return method, target, version, headers
+            name, _, value = header.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError as error:  # a line past the reader's limit
+        raise _HeadTooLarge("request head line too long") from error
+    raise _HeadTooLarge(f"more than {MAX_HEADERS} header lines")
+
+
+def _error(message: str) -> str:
+    return json.dumps({"error": message})
 
 
 def _response(
     status: int,
-    body: dict[str, Any] | None,
+    body: str,
     keep_alive: bool,
     etag: str | None = None,
 ) -> bytes:
-    """One HTTP response.  A ``Connection`` header is always emitted so
-    HTTP/1.0 clients learn whether their keep-alive request was
-    honored; ``304`` answers carry no body (RFC 9110) but repeat the
-    ``ETag`` the cache validated against."""
-    payload = b"" if status == 304 or body is None else json.dumps(body).encode()
+    """One HTTP response around a JSON body text.  A ``Connection``
+    header is always emitted so HTTP/1.0 clients learn whether their
+    keep-alive request was honored; ``304`` answers carry no body
+    (RFC 9110) but repeat the ``ETag`` the cache validated against."""
+    payload = body.encode()
     connection = "keep-alive" if keep_alive else "close"
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
@@ -406,16 +513,6 @@ def _response(
         + "\r\n"
     )
     return head.encode() + payload
-
-
-def _etag_of(body: dict[str, Any]) -> str | None:
-    """The version-based entity tag of a query answer.
-
-    Every ``/v1/*`` answer carries the envelope's ``snapshot_version``,
-    so for a given URL the payload is a pure function of it — which is
-    exactly what an entity tag asserts."""
-    version = body.get("snapshot_version")
-    return f'"v{version}"' if version is not None else None
 
 
 def _first_int(params: dict[str, list[str]], name: str) -> int | None:
@@ -487,27 +584,33 @@ class ServiceDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
+        loop = asyncio.get_running_loop()
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                # Waiting for a request is not on the clock: an idle
+                # keep-alive connection stays open.
+                first = await reader.read(1)
+                if not first:
                     break
+                # One timer per head (not a wait_for per line, which
+                # costs a Task each): a stalled head wakes with it.
+                deadline = loop.call_later(
+                    HEAD_TIMEOUT_S, reader.set_exception,
+                    TimeoutError("request head timed out"),
+                )
                 try:
-                    method, target, version = (
-                        request_line.decode("latin-1").split()
-                    )
-                except ValueError:
+                    head = await _read_head(reader, first)
+                except _HeadTooLarge as error:
+                    writer.write(_response(431, _error(str(error)), False))
+                    break
+                finally:
+                    deadline.cancel()
+                if head is None:
                     writer.write(
-                        _response(400, {"error": "malformed request"}, False)
+                        _response(400, _error("malformed request"), False)
                     )
                     break
-                headers: dict[str, str] = {}
-                while True:  # drain headers (GET: no body expected)
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                method, target, version, headers = head
                 # Keep-alive: an explicit Connection header wins in
                 # either direction (an HTTP/1.0 client may ask for
                 # keep-alive, an HTTP/1.1 client for close); only in
@@ -528,7 +631,7 @@ class ServiceDaemon:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
             pass
         finally:
             self._connections.discard(writer)
@@ -543,34 +646,47 @@ class ServiceDaemon:
         method: str,
         target: str,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict | None, str | None]:
+    ) -> tuple[int, str, str | None]:
+        """``(status, JSON body text, ETag)`` for one request."""
         started = time.perf_counter()
         headers = headers or {}
-        split = urlsplit(target)
-        path = split.path.rstrip("/") or "/"
         if method != "GET":
-            return 405, {"error": f"method {method} not allowed"}, None
+            return 405, _error(f"method {method} not allowed"), None
+        try:
+            split = urlsplit(target)
+        except ValueError as error:
+            return 400, _error(f"malformed request target: {error}"), None
+        path = split.path.rstrip("/") or "/"
         if path == "/healthz":
             ok, body = self.service.healthz()
-            return (200 if ok else 503), body, None
+            return (200 if ok else 503), json.dumps(body), None
         if not self.service.admit():
-            return 503, {"error": "overloaded; retry"}, None
+            return 503, _error("overloaded; retry"), None
+        etag = None
         try:
             params = parse_qs(split.query)
-            status, body = self._conditional(path, params) or self._route(
+            answer = self._conditional(path, params) or self._route(
                 path, params
             )
-        except QueryError as error:
-            status, body = 400, {"error": str(error)}
-        except AddressError as error:
-            status, body = 400, {"error": str(error)}
+            if answer is None:
+                status, body = 404, _error(f"no such endpoint: {path}")
+            else:
+                # Every /v1/* answer is a pure function of the URL and
+                # the version it came from, which is what an entity tag
+                # asserts; a match costs no lookup and no rendering.
+                version, render = answer
+                tag = f'"v{version}"'
+                if headers.get("if-none-match") == tag:
+                    status, body = 304, ""
+                else:
+                    status, body = 200, render()
+                etag = tag
+        except (QueryError, AddressError) as error:
+            status, body = 400, _error(str(error))
         except LookupError as error:
-            status, body = 503, {"error": str(error)}
+            status, body = 503, _error(str(error))
         finally:
             self.service.release()
-        etag = _etag_of(body) if status == 200 else None
-        if etag is not None and headers.get("if-none-match") == etag:
-            status, body = 304, None
         if self.service.context is not None:
             self.service.context.emit(
                 "query",
@@ -582,7 +698,7 @@ class ServiceDaemon:
 
     def _conditional(
         self, path: str, params: dict[str, list[str]]
-    ) -> tuple[int, dict] | None:
+    ) -> tuple[int, Render] | None:
         """The ``?if_version_changed=V`` short-circuit on ``/v1/*``.
 
         When the served version still equals ``V`` the (possibly
@@ -597,47 +713,60 @@ class ServiceDaemon:
         version = self.service.handle.version()
         if version == 0 or version != since:
             return None  # unpublished (let the query 503) or changed
-        return 200, {
-            "not_modified": True,
-            "snapshot_version": version,
-        }
+        return version, lambda: (
+            f'{{"not_modified": true, "snapshot_version": {version}}}'
+        )
 
     def _route(
         self, path: str, params: dict[str, list[str]]
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, Render] | None:
+        """The version a ``/v1/*`` answer will carry and its renderer,
+        with every parameter checked; None for an unknown endpoint.
+
+        Parameters the URL alone can reject are checked before the
+        snapshot is grabbed (400 even while unpublished), the rest
+        against it."""
         service = self.service
         if path == "/v1/point":
             target = _first(params, "prefix") or _first(params, "block")
             if target is None:
                 raise QueryError("point needs ?prefix= or ?block=")
-            return 200, service.point(target)
-        if path == "/v1/range":
-            return 200, service.range(
+            query = partial(service._point, target=target)
+        elif path == "/v1/range":
+            query = partial(
+                service._range,
                 start=_first_int(params, "start"),
                 end=_first_int(params, "end"),
                 prefix=_first(params, "prefix"),
                 limit=_first_int(params, "limit"),
             )
-        if path == "/v1/as":
+        elif path == "/v1/as":
             asn = _first_int(params, "asn")
             if asn is None:
                 raise QueryError("as needs ?asn=")
-            return 200, service.by_as(asn, limit=_first_int(params, "limit"))
-        if path == "/v1/geo":
+            query = partial(
+                service._by_as, asn=asn, limit=_first_int(params, "limit")
+            )
+        elif path == "/v1/geo":
             country = _first(params, "country")
             if country is None:
                 raise QueryError("geo needs ?country=")
-            return 200, service.by_geo(
-                country, limit=_first_int(params, "limit")
+            query = partial(
+                service._by_geo,
+                country=country,
+                limit=_first_int(params, "limit"),
             )
-        if path == "/v1/diff":
+        elif path == "/v1/diff":
             since = _first_int(params, "since")
             if since is None:
                 raise QueryError("diff needs ?since=<version>")
-            return 200, service.diff(since)
-        if path == "/v1/snapshot":
-            return 200, service.snapshot_info()
-        return 404, {"error": f"no such endpoint: {path}"}
+            query = partial(service._diff, since=since)
+        elif path == "/v1/snapshot":
+            query = service._info
+        else:
+            return None
+        snapshot = service._require()
+        return snapshot.version, query(snapshot)
 
 
 def run_daemon_in_thread(

@@ -292,6 +292,28 @@ def test_publish_is_answered_without_waiting_for_the_timer(woken_fleet):
     assert time.monotonic() - started < 1.0  # poll_interval is 30
 
 
+def test_rows_rendered_under_one_version_are_not_served_under_the_next(
+    woken_fleet,
+):
+    """A worker memoises each row's text for the version it serves; the
+    moment it adopts the next one, a range answers with the new rows."""
+
+    def answers(version: int) -> None:
+        for _ in range(8):  # fresh connection each time: both workers answer
+            status, _, body = get(woken_fleet.base_url + "/v1/range?start=0&end=400")
+            answer = json.loads(body)
+            assert status == 200 and answer["snapshot_version"] == version
+            # stamped_snapshot(version): blocks version.., since_day version
+            assert [(row["block"], row["since_day"]) for row in answer["rows"]] == [
+                (version + offset, version) for offset in range(64)
+            ]
+
+    answers(woken_fleet.handle.version())
+    version = publish_next(woken_fleet)
+    woken_fleet.wait_version(version, timeout=5)
+    answers(version)
+
+
 def test_respawned_worker_gets_a_wake_channel_of_its_own(woken_fleet):
     """Publishes keep coming from another thread (``serve``'s folder
     does that) while a worker dies and is replaced: none may raise,
