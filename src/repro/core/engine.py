@@ -2,22 +2,20 @@
 
 Every way of running the seven-step inference — the batch facade
 (:class:`~repro.core.metatelescope.MetaTelescope`), the rolling-window
-online loop, federated member classification, the process-pool fan-out
-and the CLI — used to re-resolve the same knobs (``chunk_size``,
-``workers``, ``compact_every``) and report timings in its own shape.
-This module centralises all of that:
+online loop, the process-pool fan-out and the CLI — used to re-resolve
+the same knobs (``chunk_size``, ``workers``, ``kernel``) and report
+timings in its own shape.  This module centralises all of that:
 
 * :func:`resolve_execution_knobs` — the **single** knob-resolution
-  point (auto chunk sizing, worker capping, compaction cadence).  No
+  point (chunk-size validation, worker count, kernel backend).  No
   facade resolves knobs on its own anymore.
 * :class:`ExecutionPlanner` — inspects the views (row counts, archive
-  vs in-memory storage, CPU count, optional memory budget) and emits a
-  declarative, inspectable :class:`ExecutionPlan`: execution mode
-  (``serial`` | ``chunked`` | ``parallel``), per-view chunk resolution,
-  deterministic shard layout, compaction cadence, cache policy and a
-  peak-memory estimate.  A plan is data — print it, serialise it,
-  compare it — and ``python -m repro plan`` does exactly that without
-  executing anything.
+  vs in-memory storage, CPU count) and emits a declarative,
+  inspectable :class:`ExecutionPlan`: execution mode (``serial`` |
+  ``chunked`` | ``parallel``), per-view chunk resolution, deterministic
+  shard layout and kernel backend.  A plan is data — print it,
+  serialise it, compare it — and ``python -m repro plan`` does exactly
+  that without executing anything.
 * :class:`RunContext` — threaded through every layer; carries the
   plan being executed and the **observability spine**: structured
   per-stage / per-chunk / per-worker :class:`ExecutionEvent` records
@@ -40,25 +38,17 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from repro.core.accum import (
-    DEFAULT_COMPACT_EVERY,
-    PrefixAccumulator,
-    resolve_chunk_size,
-)
+from repro.core.accum import PrefixAccumulator, resolve_chunk_size
 from repro.core.kernels import get_kernel, resolve_kernel_name
 from repro.core.parallel import parallel_accumulate_views, shard_views
 from repro.core.stages import StageTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vantage.sampling import VantageDayView
-
-#: Rough memory cost of one in-flight flow record (the nine FlowTable
-#: columns) — used only for the plan's peak-memory *estimate*.
-BYTES_PER_ROW = 42
 
 #: Version stamped into every trace event (bump on schema changes).
 TRACE_VERSION = 1
@@ -123,7 +113,6 @@ class ExecutionKnobs:
 
     chunk_size: int | str | None
     workers: int
-    compact_every: int
     kernel: str = "numpy"
 
     def parallel(self) -> bool:
@@ -134,7 +123,6 @@ class ExecutionKnobs:
 def resolve_execution_knobs(
     chunk_size: int | str | None = None,
     workers: int | None = None,
-    compact_every: int | None = None,
     kernel: str | None = None,
     *,
     cpus: int | None = None,
@@ -148,8 +136,6 @@ def resolve_execution_knobs(
     * ``chunk_size``: validated tri-state (``None`` | int >= 1 |
       ``"auto"``); per-view rows resolve later against each view's
       ``num_rows`` via :func:`~repro.core.accum.resolve_chunk_size`.
-    * ``compact_every``: accumulator compaction cadence (default
-      :data:`~repro.core.accum.DEFAULT_COMPACT_EVERY`).
     * ``kernel``: compute backend (``numpy`` | ``native`` | ``auto``;
       default ``auto``).  Resolved here to a concrete backend name via
       :func:`~repro.core.kernels.resolve_kernel_name` — ``auto`` plans
@@ -170,15 +156,9 @@ def resolve_execution_knobs(
         resolve_chunk_size(chunk_size, 0)
     elif chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-
-    if compact_every is None:
-        compact_every = DEFAULT_COMPACT_EVERY
-    elif compact_every < 2:
-        raise ValueError(f"compact_every must be >= 2: {compact_every}")
     return ExecutionKnobs(
         chunk_size=chunk_size,
         workers=workers,
-        compact_every=compact_every,
         kernel=resolve_kernel_name(kernel),
     )
 
@@ -221,16 +201,11 @@ class ExecutionPlan:
     #: Per-worker shard buckets (``()`` outside parallel mode); each
     #: shard is (view index, first row, one-past-last row).
     shards: tuple[tuple[tuple[int, int, int], ...], ...] = ()
-    #: ``"memmap"`` when archive-backed views stream off the page
-    #: cache, ``"in-memory"`` otherwise.
-    cache_policy: str = "in-memory"
-    #: Estimated coordinator-side peak of the fold (MiB).
-    est_peak_mib: float = 0.0
 
     @property
     def workers(self) -> int:
         """Concrete worker count (1 outside parallel mode)."""
-        return self.knobs.workers if self.mode == "parallel" else 1
+        return self.knobs.workers
 
     def total_rows(self) -> int:
         """Flow rows the plan will fold."""
@@ -258,10 +233,7 @@ class ExecutionPlan:
                 "chunk rows",
                 ", ".join(f"{rows:,}" for rows in chunk_rows) or "whole view",
             ),
-            ("compact every", f"{self.knobs.compact_every} parts"),
             ("kernel", self.knobs.kernel),
-            ("cache policy", self.cache_policy),
-            ("est. peak", f"{self.est_peak_mib:.1f} MiB"),
         ]
 
     def to_dict(self) -> dict[str, Any]:
@@ -270,9 +242,6 @@ class ExecutionPlan:
             "mode": self.mode,
             "workers": self.workers,
             "total_rows": self.total_rows(),
-            "cache_policy": self.cache_policy,
-            "est_peak_mib": round(self.est_peak_mib, 3),
-            "compact_every": self.knobs.compact_every,
             "kernel": self.knobs.kernel,
             "views": [
                 {
@@ -292,14 +261,12 @@ def view_spec(
     view: "VantageDayView", chunk_size: int | str | None
 ) -> ViewSpec:
     """Planner-side descriptor of one view (no payload touched)."""
-    rows = getattr(view, "num_rows", None)
-    if rows is None:  # pragma: no cover - every view exposes num_rows
-        rows = len(view.flows)
+    rows = int(view.num_rows)
     return ViewSpec(
         vantage=view.vantage,
         day=view.day,
-        num_rows=int(rows),
-        storage=getattr(view, "storage", "memory"),
+        num_rows=rows,
+        storage=view.storage,
         sampling_factor=float(view.sampling_factor),
         chunk_rows=resolve_chunk_size(chunk_size, rows),
     )
@@ -311,124 +278,44 @@ class ExecutionPlanner:
 
     The planner is pure: the same views, knobs, and machine facts
     always yield the same plan, so plans can be printed, diffed and
-    golden-tested.  ``memory_budget_mib`` lets an operator cap the
-    estimated fold peak: when the whole-view working set would exceed
-    the budget and no explicit ``chunk_size`` was given, the planner
-    switches to adaptive chunking on its own.
+    golden-tested.
     """
 
     cpus: int = field(default_factory=default_workers)
-    memory_budget_mib: float | None = None
 
     def plan(
         self,
         views: Sequence["VantageDayView"],
         chunk_size: int | str | None = None,
         workers: int | None = None,
-        compact_every: int | None = None,
-        mode: str | None = None,
         kernel: str | None = None,
     ) -> ExecutionPlan:
-        """Build the plan for one fold (``mode`` forces the decision).
+        """Build the plan for one fold.
 
-        Without ``mode`` the planner picks: ``parallel`` when the
-        resolved worker count exceeds 1 and there are views to shard,
-        else ``chunked`` when any view resolves a bounded chunk size,
-        else ``serial``.
+        The planner picks ``parallel`` when the resolved worker count
+        exceeds 1 and there are views to shard, else ``chunked`` when
+        any view resolves a bounded chunk size, else ``serial``.
         """
         knobs = resolve_execution_knobs(
-            chunk_size, workers, compact_every, kernel, cpus=self.cpus
+            chunk_size, workers, kernel, cpus=self.cpus
         )
-        chunk_size = knobs.chunk_size
-        if (
-            chunk_size is None
-            and self.memory_budget_mib is not None
-            and views
-        ):
-            largest = max(
-                int(getattr(view, "num_rows", 0) or 0) for view in views
+        specs = tuple(view_spec(view, knobs.chunk_size) for view in views)
+        if knobs.parallel() and specs:
+            return ExecutionPlan(
+                mode="parallel",
+                views=specs,
+                knobs=knobs,
+                shards=tuple(
+                    tuple(bucket)
+                    for bucket in shard_views(list(views), knobs.workers)
+                ),
             )
-            if largest * BYTES_PER_ROW / 2**20 > self.memory_budget_mib:
-                # Cap in-flight rows so one chunk fits the budget.
-                chunk_size = max(
-                    1, int(self.memory_budget_mib * 2**20 / BYTES_PER_ROW)
-                )
-        specs = tuple(view_spec(view, chunk_size) for view in views)
-
-        if mode is None:
-            if knobs.parallel() and specs:
-                mode = "parallel"
-            elif any(spec.chunk_rows is not None for spec in specs):
-                mode = "chunked"
-            else:
-                mode = "serial"
-        elif mode not in ("serial", "chunked", "parallel"):
-            raise ValueError(f"unknown execution mode: {mode!r}")
-        if mode != "parallel":
-            knobs = ExecutionKnobs(
-                chunk_size=chunk_size,
-                workers=1,
-                compact_every=knobs.compact_every,
-                kernel=knobs.kernel,
-            )
-        else:
-            knobs = ExecutionKnobs(
-                chunk_size=chunk_size,
-                workers=max(2, knobs.workers) if specs else 1,
-                compact_every=knobs.compact_every,
-                kernel=knobs.kernel,
-            )
-
-        shards: tuple[tuple[tuple[int, int, int], ...], ...] = ()
-        if mode == "parallel" and specs:
-            shards = tuple(
-                tuple(bucket)
-                for bucket in shard_views(list(views), knobs.workers)
-            )
+        chunked = any(spec.chunk_rows is not None for spec in specs)
         return ExecutionPlan(
-            mode=mode,
+            mode="chunked" if chunked else "serial",
             views=specs,
-            knobs=knobs,
-            shards=shards,
-            cache_policy=(
-                "memmap"
-                if any(spec.storage == "archive" for spec in specs)
-                else "in-memory"
-            ),
-            est_peak_mib=self._estimate_peak_mib(specs, mode, knobs),
+            knobs=replace(knobs, workers=1),
         )
-
-    def _estimate_peak_mib(
-        self,
-        specs: tuple[ViewSpec, ...],
-        mode: str,
-        knobs: ExecutionKnobs,
-    ) -> float:
-        """Coordinator-side working-set estimate of the fold (MiB).
-
-        Archive-backed views stream off the memmap, so only the
-        in-flight chunk counts; in-memory views are already resident,
-        so the whole view does.  Parallel mode adds one wire-form
-        partial per worker, approximated by the distinct-key share of
-        the rows.  An estimate, not a measurement — the trace's
-        ``peak_rss_mib`` field is the measurement.
-        """
-        peak_rows = 0
-        for spec in specs:
-            in_flight = (
-                min(spec.chunk_rows or spec.num_rows, spec.num_rows)
-                if spec.storage == "archive" or spec.chunk_rows
-                else spec.num_rows
-            )
-            peak_rows = max(peak_rows, in_flight)
-        total = sum(spec.num_rows for spec in specs)
-        estimate = peak_rows * BYTES_PER_ROW
-        # Accumulator keys are a fraction of rows; wire-form partials
-        # (one per worker) dominate the parallel coordinator.
-        accumulator = total * BYTES_PER_ROW * 0.25
-        if mode == "parallel":
-            accumulator *= 1 + min(knobs.workers, 4) * 0.25
-        return (estimate + accumulator) / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +543,7 @@ def _execute_serial(
     ignored: frozenset[int],
     kernel,
 ) -> PrefixAccumulator:
-    accumulator = PrefixAccumulator(ignored, plan.knobs.compact_every, kernel)
+    accumulator = PrefixAccumulator(ignored, kernel=kernel)
     for view, spec in zip(views, plan.views):
         wall = time.time()
         started = time.perf_counter()

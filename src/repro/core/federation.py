@@ -25,7 +25,6 @@ a list at all (:class:`QuorumError`).
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -33,9 +32,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.accum import PrefixAccumulator
-from repro.core.engine import RunContext, resolve_execution_knobs
+from repro.core.engine import RunContext
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
-from repro.core.parallel import _one_shot_pool, tree_merge
+from repro.core.parallel import tree_merge
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,20 +135,13 @@ class QuorumError(ValueError):
     """Too few credible members remained to federate."""
 
 
-def _coerce_partial(
-    operator: str, partial, kernel: str | None = None
-) -> PrefixAccumulator:
-    """Accept an accumulator or its ``to_state()`` wire form.
-
-    ``kernel`` names the backend decoded wire states are rebuilt on —
-    an accumulator sent as an object keeps whatever backend its member
-    built it with (both classify identically).
-    """
+def _coerce_partial(operator: str, partial) -> PrefixAccumulator:
+    """Accept an accumulator or its ``to_state()`` wire form."""
     if isinstance(partial, PrefixAccumulator):
         return partial
     if isinstance(partial, Mapping):
         try:
-            return PrefixAccumulator.from_state(partial, kernel=kernel)
+            return PrefixAccumulator.from_state(partial)
         except (KeyError, ValueError) as error:
             raise ValueError(
                 f"member {operator!r} sent a malformed wire state: {error}"
@@ -160,75 +152,37 @@ def _coerce_partial(
     )
 
 
-#: Work inherited by forked member-classification workers.
-_FEDERATION_WORK: tuple[
-    dict[str, list[PrefixAccumulator]], MetaTelescope, bool
-] | None = None
-
-
-def _classify_member(operator: str) -> tuple[OperatorReport, float]:
-    members, coordinator, use_spoofing_tolerance = _FEDERATION_WORK
-    started = time.perf_counter()
-    merged = tree_merge(members[operator], copy=True)
-    report = OperatorReport.from_accumulator(
-        operator,
-        merged,
-        coordinator,
-        use_spoofing_tolerance=use_spoofing_tolerance,
-    )
-    return report, time.perf_counter() - started
-
-
 def _classify_members(
     members: dict[str, list[PrefixAccumulator]],
     coordinator: MetaTelescope,
     use_spoofing_tolerance: bool,
-    workers: int | None,
     context: RunContext | None = None,
 ) -> list[OperatorReport]:
-    """Merge + classify each member's partials, optionally in parallel.
+    """Merge + classify each member's partials, one after another.
 
-    Worker resolution goes through the engine's
-    :func:`~repro.core.engine.resolve_execution_knobs` like every other
-    frontend (``0`` = one per CPU).  With more than one resolved worker
-    and a ``fork``-capable platform, members are classified across a
-    process pool; the coordinator telescope and the decoded partials
-    are inherited copy-on-write, and only the small report arrays cross
-    the pipe.  Reports are identical to the serial path —
-    classification is a pure function of each member's merged
+    Classification is a pure function of each member's merged
     aggregates.  With a ``context``, one ``member`` event per operator
     lands on the spine.
     """
-    global _FEDERATION_WORK
-    workers = resolve_execution_knobs(workers=workers).workers
-    operators = list(members)
-    use_pool = (
-        workers > 1
-        and len(operators) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    _FEDERATION_WORK = (members, coordinator, use_spoofing_tolerance)
-    try:
-        if use_pool:
-            with _one_shot_pool(
-                multiprocessing.get_context("fork"),
-                min(workers, len(operators)),
-            ) as pool:
-                outcomes = pool.map(_classify_member, operators)
-        else:
-            outcomes = [_classify_member(operator) for operator in operators]
-    finally:
-        _FEDERATION_WORK = None
-    if context is not None:
-        for report, seconds in outcomes:
+    reports = []
+    for operator, partials in members.items():
+        started = time.perf_counter()
+        report = OperatorReport.from_accumulator(
+            operator,
+            tree_merge(partials, copy=True),
+            coordinator,
+            use_spoofing_tolerance=use_spoofing_tolerance,
+        )
+        if context is not None:
             context.emit(
                 "member",
-                report.operator,
-                seconds,
+                operator,
+                time.perf_counter() - started,
                 rows_out=len(report.dark_blocks),
                 meta={"observed": len(report.observed_blocks)},
             )
-    return [report for report, _ in outcomes]
+        reports.append(report)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -338,9 +292,7 @@ def federate(
     partials: Mapping[str, Sequence["PrefixAccumulator | Mapping"]] | None = None,
     coordinator: MetaTelescope | None = None,
     use_spoofing_tolerance: bool = False,
-    workers: int | None = None,
     context: RunContext | None = None,
-    kernel: str | None = None,
 ) -> FederatedResult:
     """Combine member reports (and the marking registry) into one list.
 
@@ -364,10 +316,7 @@ def federate(
     rules).  An operator may appear in either or both forms.  Each
     partial may be a :class:`PrefixAccumulator` or its compact columnar
     wire form (:meth:`~PrefixAccumulator.to_state`) — what a remote
-    member would actually put on the wire.  ``workers`` > 1 classifies
-    members across a process pool (same reports, pure throughput),
-    ``kernel`` picks the backend decoded wire states are folded on
-    (bit-identical reports either way), and a ``context`` records one
+    member would actually put on the wire.  A ``context`` records one
     ``member`` event per classified operator on the observability
     spine.
     """
@@ -380,16 +329,14 @@ def federate(
         members: dict[str, list[PrefixAccumulator]] = {}
         for operator, accumulators in partials.items():
             decoded = [
-                _coerce_partial(operator, partial, kernel=kernel)
-                for partial in accumulators
+                _coerce_partial(operator, partial) for partial in accumulators
             ]
             if not decoded:
                 raise ValueError(f"member {operator!r} sent no partials")
             members[operator] = decoded
         reports.extend(
             _classify_members(
-                members, coordinator, use_spoofing_tolerance, workers,
-                context=context,
+                members, coordinator, use_spoofing_tolerance, context=context
             )
         )
     if not reports:

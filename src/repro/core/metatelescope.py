@@ -7,7 +7,7 @@ the final set of meta-telescope prefixes plus the traffic captured
 toward them (the paper's two data products, Section 5).
 
 Since the engine refactor the facade is thin: every fold is planned by
-the instance's :class:`~repro.core.engine.ExecutionPlanner` and run by
+an :class:`~repro.core.engine.ExecutionPlanner` and run by
 :func:`~repro.core.engine.execute_plan` through a
 :class:`~repro.core.engine.RunContext` — serial, chunked and parallel
 execution are one code path, and the per-stage timing rows are derived
@@ -99,10 +99,6 @@ class MetaTelescope:
     #: Unrouted baseline /24s for the spoofing tolerance (None disables).
     unrouted_baseline: np.ndarray | None = None
     config: PipelineConfig = field(default_factory=PipelineConfig)
-    #: Decides how folds execute (mode, chunking, sharding).  Swap in a
-    #: planner with a ``memory_budget_mib`` to cap the fold's estimated
-    #: working set.
-    planner: ExecutionPlanner = field(default_factory=ExecutionPlanner)
     _routing_cache: dict[tuple[int, ...], RoutingTable] = field(
         default_factory=dict, repr=False
     )
@@ -166,11 +162,10 @@ class MetaTelescope:
         """Build (without executing) the plan a fold of ``views`` would run.
 
         This is what ``python -m repro plan`` (and ``infer --explain``)
-        prints: mode, shard layout, chunk resolution, cache policy, the
-        resolved kernel backend and the estimated peak memory — pure
-        data, nothing folded.
+        prints: mode, storage, shard layout, chunk resolution and the
+        resolved kernel backend — pure data, nothing folded.
         """
-        return self.planner.plan(
+        return ExecutionPlanner().plan(
             views, chunk_size=chunk_size, workers=workers, kernel=kernel
         )
 
@@ -184,23 +179,20 @@ class MetaTelescope:
         chunk_size: int | str | None = None,
         workers: int | None = None,
         context: RunContext | None = None,
-        plan: ExecutionPlan | None = None,
         kernel: str | None = None,
     ) -> PrefixAccumulator:
         """Fold views into a mergeable accumulator with this instance's
         ASN-ignore configuration applied.
 
         The fold runs through the execution engine: the planner picks
-        serial / chunked / parallel from the knobs and the views (or a
-        hand-built ``plan`` forces the choice), and every chunk, view
-        and worker lands on the ``context``'s observability spine.  The
-        result is bit-identical for any plan (and for either kernel
-        backend).
+        serial / chunked / parallel from the knobs and the views, and
+        every chunk, view and worker lands on the ``context``'s
+        observability spine.  The result is bit-identical for any plan
+        (and for either kernel backend).
         """
-        if plan is None:
-            plan = self.plan(
-                views, chunk_size=chunk_size, workers=workers, kernel=kernel
-            )
+        plan = self.plan(
+            views, chunk_size=chunk_size, workers=workers, kernel=kernel
+        )
         if context is None:
             context = RunContext()
         self._last_context = context
@@ -219,7 +211,6 @@ class MetaTelescope:
         chunk_size: int | str | None = None,
         workers: int | None = None,
         context: RunContext | None = None,
-        plan: ExecutionPlan | None = None,
         kernel: str | None = None,
     ) -> MetaTelescopeResult:
         """Run the full pipeline (+ optional tolerance and refinement).
@@ -238,7 +229,7 @@ class MetaTelescope:
             context = RunContext()
         accumulator = self.accumulate(
             views, chunk_size=chunk_size, workers=workers, context=context,
-            plan=plan, kernel=kernel,
+            kernel=kernel,
         )
         result = self.infer_accumulated(
             accumulator,

@@ -477,9 +477,7 @@ class OnlineMetaTelescope:
             ),
             history=history,
             provenance=record,
-            family=(
-                result.pipeline.family if result is not None else "ipv4"
-            ),
+            family=self.telescope.special.family.name,
         )
 
     def health_report(self) -> HealthReport:

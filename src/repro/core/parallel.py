@@ -179,14 +179,14 @@ def shard_views(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
-    total_rows = sum(_view_rows(view) for view in views)
+    total_rows = sum(view.num_rows for view in views)
     if max_shard_rows is None:
         max_shard_rows = max(1, -(-total_rows // workers))
     if max_shard_rows < 1:
         raise ValueError(f"max_shard_rows must be >= 1: {max_shard_rows}")
     shards: list[Shard] = []
     for index, view in enumerate(views):
-        rows = _view_rows(view)
+        rows = view.num_rows
         if rows == 0:
             shards.append((index, 0, 0))
             continue
@@ -239,12 +239,6 @@ def _slice_table(flows: FlowTable, start: int, stop: int) -> FlowTable:
     return flows.slice_rows(start, stop)
 
 
-def _view_rows(view: VantageDayView) -> int:
-    """A view's row count without materialising archive-backed flows."""
-    rows = getattr(view, "num_rows", None)
-    return len(view.flows) if rows is None else rows
-
-
 def _shard_payload(view: VantageDayView, start: int, stop: int):
     """What a worker receives for one shard of ``view``.
 
@@ -262,7 +256,6 @@ def _shard_payload(view: VantageDayView, start: int, stop: int):
 def _fold_entries(
     entries: list[tuple[str, int, float, int | None, object]],
     ignored: frozenset[int],
-    compact_every: int,
     kernel: str,
 ) -> tuple[dict, int, int, float, float]:
     """Fold shard entries into a partial; return its wire state + stats.
@@ -278,7 +271,7 @@ def _fold_entries(
     libraries don't pickle).
     """
     started = time.perf_counter()
-    accumulator = PrefixAccumulator(ignored, compact_every, kernel)
+    accumulator = PrefixAccumulator(ignored, kernel=kernel)
     rows = 0
     for vantage, day, sampling_factor, chunk_rows, payload in entries:
         flows = payload.load() if hasattr(payload, "load") else payload
@@ -313,8 +306,7 @@ def _fold_fork_bucket(bucket: Sequence[Shard]):
     """Worker entry under ``fork``: views come in via copy-on-write."""
     plan, views, ignored = _FORK_WORK
     return _fold_entries(
-        _bucket_entries(plan, views, bucket),
-        ignored, plan.knobs.compact_every, plan.knobs.kernel,
+        _bucket_entries(plan, views, bucket), ignored, plan.knobs.kernel
     )
 
 
@@ -327,11 +319,10 @@ def parallel_accumulate_views(
 
     Everything comes from ``plan`` (an
     :class:`~repro.core.engine.ExecutionPlan`): one worker per shard
-    bucket, each view's resolved chunk rows, the compaction cadence and
-    the kernel *name* each worker resolves locally (compiled kernels
-    don't pickle).  The merged accumulator is bit-identical to the
-    serial fold for any shard layout — aggregation is exact-integer
-    associative.
+    bucket, each view's resolved chunk rows and the kernel *name* each
+    worker resolves locally (compiled kernels don't pickle).  The
+    merged accumulator is bit-identical to the serial fold for any
+    shard layout — aggregation is exact-integer associative.
 
     When every view is archive-backed the shards go out as (path,
     row-range) descriptors over the persistent pool; otherwise the
@@ -340,11 +331,11 @@ def parallel_accumulate_views(
     global _FORK_WORK
     ignored = frozenset(ignore_sources_from_asns)
     buckets = plan.shards
-    compact_every, kernel = plan.knobs.compact_every, plan.knobs.kernel
+    kernel = plan.knobs.kernel
 
     def payloads() -> list[tuple]:
         return [
-            (_bucket_entries(plan, views, bucket), ignored, compact_every, kernel)
+            (_bucket_entries(plan, views, bucket), ignored, kernel)
             for bucket in buckets
         ]
 
@@ -371,7 +362,7 @@ def parallel_accumulate_views(
 
     started = time.perf_counter()
     partials = [
-        PrefixAccumulator.from_state(state, compact_every, kernel)
+        PrefixAccumulator.from_state(state, kernel=kernel)
         for state, *_ in results
     ]
     decode_seconds = time.perf_counter() - started

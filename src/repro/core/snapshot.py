@@ -24,11 +24,7 @@ state into a first-class artifact:
   O(header) scan plus zero-copy ``np.memmap`` column views, with
   per-column CRC-32 verification;
 * **O(log n) lookups**: point queries are one ``np.searchsorted``
-  probe of the sorted block column, and dark-membership over arbitrary
-  block arrays goes through the same sorted cumulative-max interval
-  table the routing trie uses
-  (:func:`repro.net.trie.interval_covered_mask`), built once per
-  snapshot from the run-length-compressed dark set;
+  probe of the sorted block column, and a block range is two;
 * **answer text**: :class:`RenderedRows` renders a row's JSON answer
   straight from the columns the first time it is asked for — the bytes
   ``json.dumps(PointAnswer.to_dict())`` would give — so the service
@@ -55,14 +51,8 @@ import numpy as np
 
 from repro.flowpack import TableArchive, write_table_archive
 from repro.net.blocksets import align_sorted, as_sorted_unique, sorted_member_mask
-from repro.net.family import (
-    FAMILY_IPV4,
-    AddressFamily,
-    family as _family_of,
-    family_of_prefix,
-)
+from repro.net.family import FAMILY_IPV4, AddressFamily, family as _family_of
 from repro.net.ipv4 import AddressError
-from repro.net.trie import interval_covered_mask
 
 #: Verdict codes stored in the snapshot's ``verdicts`` column.  Code 0
 #: is reserved for "not in the snapshot" (an unobserved block) so a
@@ -297,23 +287,6 @@ class SnapshotDiff:
         }
 
 
-def _dark_intervals(dark_blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length-compress sorted dark blocks into a sorted interval
-    table (starts, cumulative-max ends) — the same shape
-    :meth:`repro.net.trie.PrefixTrie.block_intervals` produces, so the
-    trie's :func:`~repro.net.trie.interval_covered_mask` probes it
-    directly."""
-    if len(dark_blocks) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    breaks = np.flatnonzero(np.diff(dark_blocks) > 1)
-    starts = dark_blocks[np.concatenate(([0], breaks + 1))]
-    ends = dark_blocks[np.concatenate((breaks, [len(dark_blocks) - 1]))]
-    # Disjoint by construction, so ends are already monotone; assert the
-    # cumulative-max invariant interval_covered_mask relies on anyway.
-    return starts, np.maximum.accumulate(ends)
-
-
 @dataclass(frozen=True)
 class ClassificationSnapshot:
     """One day's complete, immutable classification state.
@@ -383,22 +356,12 @@ class ClassificationSnapshot:
         """Sorted blocks served dark (the meta-telescope prefix list)."""
         return self.blocks[self.verdicts == VERDICT_DARK]
 
-    @cached_property
-    def dark_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dark set as a sorted-interval trie table (starts, ends)."""
-        return _dark_intervals(self.dark_blocks)
-
     def indices_of(self, blocks: np.ndarray) -> np.ndarray:
         """Row index per queried block (-1 where absent); O(log n) each."""
         positions, hit = align_sorted(
             np.asarray(blocks, dtype=np.int64), self.blocks
         )
         return np.where(hit, positions, -1)
-
-    def is_dark(self, blocks: np.ndarray) -> np.ndarray:
-        """Vectorised dark membership via the interval trie table."""
-        starts, ends = self.dark_intervals
-        return interval_covered_mask(starts, ends, blocks)
 
     def lookup(self, block: int) -> PointAnswer:
         """Full point answer for one /24 block."""
@@ -438,29 +401,6 @@ class ClassificationSnapshot:
             int(np.searchsorted(self.blocks, start_block, side="left")),
             int(np.searchsorted(self.blocks, end_block, side="right")),
         )
-
-    def within_prefix(self, prefix) -> "ClassificationSnapshot":
-        """The sub-snapshot inside ``prefix``.
-
-        The prefix must belong to the snapshot's family and be no more
-        specific than the family's block length (/24 for IPv4, /48 for
-        IPv6).
-        """
-        prefix_family = family_of_prefix(prefix)
-        if prefix_family.name != self.family:
-            raise ValueError(
-                f"prefix {prefix} is {prefix_family.name}; this snapshot "
-                f"holds {self.family} blocks"
-            )
-        block_length = self.address_family.block_prefix_length
-        if prefix.length > block_length:
-            raise ValueError(
-                f"requested /{prefix.length} prefix {prefix} is more "
-                f"specific than this {self.family} snapshot's "
-                f"/{block_length} blocks"
-            )
-        first = prefix.first_block()
-        return self.range(first, first + prefix.num_blocks() - 1)
 
     def head(self, count: int) -> "ClassificationSnapshot":
         """The first ``count`` rows (a query budget's truncation)."""

@@ -96,8 +96,7 @@ class ArchiveDayView:
     """A vantage-day whose flows live in a flowpack archive on disk."""
 
     #: Planner-visible storage class: rows stream off the memmap, so
-    #: the planner's cache policy and peak estimate treat the view as
-    #: paged, not resident.
+    #: the view is paged, not resident.
     storage = "archive"
 
     vantage: str

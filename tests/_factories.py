@@ -101,7 +101,7 @@ def fold(
     """Fold ``views`` through the engine's one fold path.
 
     ``knobs`` are the planner's (``chunk_size``, ``workers``,
-    ``compact_every``, ``mode``, ``kernel``); ``max_shard_rows`` forces
+    ``kernel``); ``max_shard_rows`` forces
     a finer shard layout onto a parallel plan.  Pass a ``context`` to
     read the fold's events (``worker`` events carry the pool mode, the
     shard and the row counts).

@@ -2,9 +2,9 @@
 
 The engine's core invariant — every (plan, knob) combination folds and
 classifies **bit-identically** — is pinned here as a matrix over
-execution modes {serial, chunked, parallel(2), parallel(4)}, storage
-backends {in-memory views, flowpack archive views}, and fault-injected
-inputs, for both planner-chosen and hand-forced plans.  The trace
+execution modes {serial, chunked, parallel(2), parallel(3),
+parallel(4)}, storage backends {in-memory views, flowpack archive
+views}, and fault-injected inputs.  The trace
 spine gets a golden schema test: every JSONL event must carry exactly
 the :data:`~repro.core.engine.TRACE_FIELDS` keys, in order, with the
 schema's types.
@@ -29,7 +29,6 @@ from repro.core.engine import (
     validate_trace_event,
     validate_trace_file,
 )
-from repro.core.accum import DEFAULT_COMPACT_EVERY
 from repro.core.federation import federate
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
@@ -95,7 +94,6 @@ class TestKnobResolution:
         knobs = resolve_execution_knobs()
         assert knobs.workers == 1
         assert knobs.chunk_size is None
-        assert knobs.compact_every == DEFAULT_COMPACT_EVERY
         assert not knobs.parallel()
 
     def test_workers_zero_means_one_per_cpu(self):
@@ -113,7 +111,7 @@ class TestKnobResolution:
             {"workers": -1},
             {"chunk_size": 0},
             {"chunk_size": "bogus"},
-            {"compact_every": 1},
+            {"kernel": "bogus"},
         ],
     )
     def test_junk_knobs_raise(self, kwargs):
@@ -146,51 +144,40 @@ class TestPlanner:
         )
         assert shard_rows == plan.total_rows()
 
-    def test_forced_mode_overrides_choice(self, views):
-        serial = ExecutionPlanner().plan(views, workers=4, mode="serial")
-        assert serial.mode == "serial" and serial.workers == 1
-        parallel = ExecutionPlanner().plan(views, mode="parallel")
-        assert parallel.mode == "parallel" and parallel.workers >= 2
-        with pytest.raises(ValueError):
-            ExecutionPlanner().plan(views, mode="sideways")
-
-    def test_memory_budget_forces_chunking(self, views):
-        plan = ExecutionPlanner(memory_budget_mib=0.001).plan(views)
-        assert plan.mode == "chunked"
-        assert all(
-            spec.chunk_rows is not None or spec.num_rows == 0
-            for spec in plan.views
-        )
-
     def test_archive_views_are_planned_as_memmap(self, archive_views):
         plan = ExecutionPlanner().plan(archive_views)
-        assert plan.cache_policy == "memmap"
         assert all(spec.storage == "archive" for spec in plan.views)
+        assert dict(plan.describe_rows())["storage"] == "archive"
 
     def test_plan_is_data(self, views):
         plan = ExecutionPlanner().plan(views, workers=2, chunk_size="auto")
         encoded = json.loads(json.dumps(plan.to_dict()))
+        assert list(encoded) == [
+            "mode", "workers", "total_rows", "kernel", "views", "shards",
+        ]
         assert encoded["mode"] == "parallel"
         assert len(encoded["views"]) == len(views)
-        fields = [name for name, _ in plan.describe_rows()]
-        assert "mode" in fields and "est. peak" in fields
+        assert [name for name, _ in plan.describe_rows()] == [
+            "mode", "views", "rows", "storage", "workers", "shards",
+            "chunk rows", "kernel",
+        ]
 
 
 def _plan_matrix():
     return [
-        {"mode": None},
-        {"mode": None, "chunk_size": 173},
-        {"mode": None, "chunk_size": "auto"},
-        {"mode": None, "workers": 2},
-        {"mode": None, "workers": 4, "chunk_size": "auto"},
-        {"mode": "serial", "workers": 4},
-        {"mode": "chunked", "chunk_size": 64},
-        {"mode": "parallel"},
+        {},
+        {"chunk_size": 173},
+        {"chunk_size": "auto"},
+        {"workers": 2},
+        {"workers": 4, "chunk_size": "auto"},
+        {"workers": 3},
+        {"chunk_size": 64},
+        {"workers": 2, "chunk_size": 64},
     ]
 
 
 class TestBitIdenticalMatrix:
-    """Any plan — planner-chosen or hand-forced — folds identically."""
+    """Any plan the planner chooses folds identically."""
 
     @pytest.mark.parametrize("knobs", _plan_matrix())
     @pytest.mark.parametrize("backend", ["memory", "archive"])
@@ -208,7 +195,7 @@ class TestBitIdenticalMatrix:
 
     @pytest.mark.parametrize(
         "knobs",
-        [{"workers": 2}, {"chunk_size": 97}, {"mode": "parallel"}],
+        [{"workers": 2}, {"chunk_size": 97}, {"workers": 3}],
     )
     def test_fault_injected_views_fold_identically(
         self, faulted_views, telescope, knobs

@@ -11,6 +11,7 @@ from repro.core.online import OnlineMetaTelescope
 from repro.core.snapshot import VERDICT_CANDIDATE, ClassificationSnapshot
 from repro.io import read_prefix_list
 from repro.net.family import FAMILY_IPV6, IPV6
+from repro.service import MetaTelescopeService
 from repro.world.ipv6 import (
     LEAKED_SITE,
     build_ipv6_world,
@@ -149,6 +150,28 @@ class TestOnline:
             snapshot.blocks[snapshot.verdicts == VERDICT_CANDIDATE],
             hitlisted_dark,
         )
+
+    def test_engine_that_has_not_folded_publishes_ipv6(self, world):
+        """Before its first folded day the engine has no window result;
+        its snapshot is still an IPv6 one, so /48 queries are answered,
+        not refused as malformed IPv4."""
+        online = OnlineMetaTelescope(
+            telescope=ipv6_telescope(world),
+            window_days=world.config.num_days,
+            min_stable_days=1,
+            use_spoofing_tolerance=False,
+            policy="carry",
+        )
+        snapshots = [online.snapshot()]
+        online.update(0, [])
+        snapshots.append(online.snapshot())
+        for snapshot in snapshots:
+            assert snapshot.family == FAMILY_IPV6
+            service = MetaTelescopeService()
+            service.publish(snapshot)
+            answer = service.point("2001:db8::/48")
+            assert answer["prefix"] == "2001:db8::/48"
+            assert answer["verdict"] == "unknown"
 
 
 class TestPersistence:

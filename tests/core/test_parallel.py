@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.accum import (
     AUTO_CHUNK,
+    DEFAULT_COMPACT_EVERY,
     PrefixAccumulator,
     adaptive_chunk_rows,
     resolve_chunk_size,
@@ -181,14 +182,13 @@ class TestParallelEqualsSerial:
 
 class TestGracefulPoolExit:
     def test_one_shot_folds_finish_under_a_python_sigterm_handler(
-        self, multi_day, telescope
+        self, multi_day
     ):
         """A forked worker inherits the embedding process's Python-level
         SIGTERM handler; ``Pool.terminate()`` then parks it in a lock
         where the handler never runs and the parent's ``join()`` hangs.
         The pools are left through ``close()`` instead, so 40 one-shot
-        pools of each kind — the fold's fan-out and the federation's
-        member classification — must finish well inside the watchdog."""
+        fan-out pools must finish well inside the watchdog."""
         owner = os.getpid()
 
         def on_sigterm(signum, frame):  # what an operator wrapper installs
@@ -202,20 +202,6 @@ class TestGracefulPoolExit:
 
         views = multi_day[:4]
         expected = fold(views)
-        partials = {"alpha": [fold(views[:2])], "beta": [fold(views[2:])]}
-        federated = federate([], partials=partials, coordinator=telescope)
-
-        def one_shot_fold():
-            context = RunContext()
-            merged = fold(views, workers=2, context=context)
-            assert pool_modes(context) <= {"fork", "spawn"}
-            assert partial_states_identical(expected, merged)
-
-        def one_shot_federation():
-            result = federate(
-                [], partials=partials, coordinator=telescope, workers=2
-            )
-            np.testing.assert_array_equal(result.prefixes, federated.prefixes)
 
         before = set(multiprocessing.active_children())
         previous = {
@@ -224,9 +210,11 @@ class TestGracefulPoolExit:
         }
         signal.alarm(120)
         try:
-            for one_shot in (one_shot_fold, one_shot_federation):
-                for _ in range(40):
-                    one_shot()
+            for _ in range(40):
+                context = RunContext()
+                merged = fold(views, workers=2, context=context)
+                assert pool_modes(context) <= {"fork", "spawn"}
+                assert partial_states_identical(expected, merged)
         finally:
             signal.alarm(0)
             for signum, handler in previous.items():
@@ -261,14 +249,14 @@ class TestThePlanIsWhatRuns:
     ):
         """A pool worker folds what the plan says: each shard in the
         chunk rows the plan resolved for its *view* (not re-resolved
-        against the smaller shard), into an accumulator with the plan's
-        compaction cadence."""
+        against the smaller shard), into an accumulator with the
+        default compaction cadence."""
         flows = FlowTable.concat([view.flows for view in multi_day])
         flows = flows.slice_rows(0, 10_000)
         asked: list = []
         view = VantageDayView("V", 0, SpyTable(flows, asked))
         plan = ExecutionPlanner().plan(
-            [view], chunk_size=AUTO_CHUNK, compact_every=2, workers=2
+            [view], chunk_size=AUTO_CHUNK, workers=2
         )
         (spec,) = plan.views
         assert spec.chunk_rows == 8192
@@ -292,7 +280,7 @@ class TestThePlanIsWhatRuns:
         monkeypatch.undo()
 
         assert asked == [spec.chunk_rows] * len(shards)
-        assert built == [2] * len(plan.shards)
+        assert built == [DEFAULT_COMPACT_EVERY] * len(plan.shards)
         partials = [
             PrefixAccumulator.from_state(state) for state, *_ in results
         ]
@@ -479,19 +467,6 @@ class TestFacadeIntegration:
         np.testing.assert_array_equal(as_objects.prefixes, as_states.prefixes)
         assert as_objects.num_prefixes() > 0
 
-    def test_federate_workers_identical(self, multi_day, telescope):
-        half = len(multi_day) // 2
-        partials = {
-            "alpha": [fold(multi_day[:half])],
-            "beta": [fold(multi_day[half:])],
-        }
-        serial = federate([], partials=partials, coordinator=telescope)
-        parallel = federate(
-            [], partials=partials, coordinator=telescope, workers=2
-        )
-        np.testing.assert_array_equal(serial.prefixes, parallel.prefixes)
-        assert serial.votes_for == parallel.votes_for
-
     def test_federate_rejects_malformed_state(self, telescope):
         with pytest.raises(ValueError, match="malformed"):
             federate(
@@ -520,10 +495,11 @@ class TestChunkingKnobs:
         assert partial_states_identical(serial, auto)
 
     def test_compact_every_knob_identical(self, multi_day, serial):
-        eager = fold(multi_day, chunk_size=17, compact_every=2)
-        lazy = fold(multi_day, chunk_size=17, compact_every=1000)
-        assert partial_states_identical(serial, eager)
-        assert partial_states_identical(serial, lazy)
+        for compact_every in (2, 1000):
+            accumulator = PrefixAccumulator(compact_every=compact_every)
+            for view in multi_day:
+                accumulator.update_view(view, 17)
+            assert partial_states_identical(serial, accumulator)
 
     def test_compact_every_validated(self):
         with pytest.raises(ValueError, match="compact_every"):

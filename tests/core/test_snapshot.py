@@ -96,14 +96,18 @@ def test_lookup_absent_is_unknown(snapshot):
 def test_is_dark_matches_naive_membership(snapshot):
     probes = np.arange(0, 60, dtype=np.int64)
     expect = np.isin(probes, snapshot.dark_blocks)
-    np.testing.assert_array_equal(snapshot.is_dark(probes), expect)
+    got = [snapshot.lookup(int(probe)).dark for probe in probes]
+    np.testing.assert_array_equal(got, expect)
+    rows = snapshot.indices_of(probes)
+    np.testing.assert_array_equal(rows >= 0, np.isin(probes, snapshot.blocks))
 
 
 def test_range_and_within_prefix(snapshot):
     sub = snapshot.range(10, 21)  # inclusive on both ends
     np.testing.assert_array_equal(sub.blocks, blocks(10, 11, 12, 20, 21))
     # A /24 prefix covers exactly one block.
-    one = snapshot.within_prefix(Prefix.parse("0.0.10.0/24"))
+    first = Prefix.parse("0.0.10.0/24").first_block()
+    one = snapshot.range(first, first)
     np.testing.assert_array_equal(one.blocks, blocks(10))
     assert len(snapshot.head(3)) == 3
     assert len(snapshot.head(10_000)) == len(snapshot)
@@ -174,7 +178,7 @@ def test_empty_snapshot_round_trip(tmp_path):
     snap = empty_snapshot(day=2)
     assert len(snap) == 0
     assert snap.verdict_counts() == {}
-    assert not snap.is_dark(blocks(1, 2, 3)).any()
+    assert (snap.indices_of(blocks(1, 2, 3)) == -1).all()
     path = tmp_path / "empty.fpk"
     snap.save(path)
     back = ClassificationSnapshot.open(path)

@@ -102,7 +102,7 @@ def test_point_queries_survive_round_trip(drawn, probes):
         assert back.lookup(block).to_dict() == snapshot.lookup(block).to_dict()
     probe_arr = np.asarray(targets or [0], dtype=np.int64)
     np.testing.assert_array_equal(
-        back.is_dark(probe_arr), snapshot.is_dark(probe_arr)
+        back.indices_of(probe_arr), snapshot.indices_of(probe_arr)
     )
 
 

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.ipv6_telescope import infer_ipv6
 from repro.net.family import IPV6
-from repro.net.ipv4 import Prefix
 from repro.net.ipv6 import Ipv6Prefix
 from repro.service import MetaTelescopeService, run_daemon_in_thread
 from repro.service.daemon import QueryError, parse_block
@@ -68,19 +67,10 @@ class TestV6Queries:
 
 
 class TestStructuredErrors:
-    def test_within_prefix_too_specific_names_length_and_family(self, report):
-        with pytest.raises(ValueError) as excinfo:
-            report.snapshot.within_prefix(Ipv6Prefix.parse("2001:d00::/56"))
-        message = str(excinfo.value)
-        assert "/56" in message
-        assert "ipv6" in message
-        assert "/48" in message
-
-    def test_within_prefix_family_mismatch(self, report):
-        with pytest.raises(ValueError) as excinfo:
-            report.snapshot.within_prefix(Prefix.parse("10.0.0.0/24"))
-        message = str(excinfo.value)
-        assert "ipv4" in message and "ipv6" in message
+    def test_range_family_mismatch_is_query_error(self, service):
+        # An IPv4 prefix against IPv6 blocks is a client mistake too.
+        with pytest.raises(QueryError, match="10.0.0.0"):
+            service.range(prefix="10.0.0.0/24")
 
     def test_service_range_too_specific_is_query_error(self, service):
         # QueryError (HTTP 400), never a bare ValueError (HTTP 500).

@@ -236,6 +236,12 @@ class TestCli:
         assert "execution plan" in out
         assert "parallel" in out
         assert "final meta-telescope" not in out  # nothing was inferred
+        # Title, header and rule, then one row per plan field, in order.
+        rows = out.splitlines()[3:]
+        assert [row.split("  ")[0] for row in rows] == [
+            "mode", "views", "rows", "storage", "workers", "shards",
+            "chunk rows", "kernel",
+        ]
 
     def test_infer_explain_matches_plan(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,9 +4,10 @@ Views become an accumulator only in ``engine.execute_plan`` (whose two
 arms are the serial loop and ``parallel``'s fan-out, both running
 ``PrefixAccumulator.update_view``); knobs are resolved only by the
 engine; the facade plans in one place; snapshots are built only by the
-modules that own a serving state.  This test keeps second doors — a
+modules that own a serving state; processes are started only by the
+fold's fan-out and the serving fleet.  This test keeps second doors — a
 convenience fold loop, a facade that plans for itself, a hand-built
-snapshot — from growing back.
+snapshot, a private process pool — from growing back.
 """
 
 import ast
@@ -21,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWED_CALLERS = {
     "PrefixAccumulator": {"core/accum.py", "core/engine.py", "core/parallel.py"},
     "from_state": {"core/accum.py", "core/parallel.py", "core/federation.py"},
-    "resolve_execution_knobs": {"core/engine.py", "core/federation.py"},
+    "resolve_execution_knobs": {"core/engine.py"},
     "build_snapshot": {
         "core/snapshot.py",
         "core/metatelescope.py",
@@ -31,6 +32,11 @@ ALLOWED_CALLERS = {
 }
 #: The same, but only for callers under ``src/repro/core/``.
 ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
+#: ``module -> modules allowed to import it`` (``import x``, ``import
+#: x.y`` and ``from x[.y] import z`` all import ``x``).
+ALLOWED_IMPORTERS = {
+    "multiprocessing": {"core/parallel.py", "service/fleet.py"},
+}
 #: The deleted convenience fold: not defined, called or mentioned.
 DELETED = re.compile(r"\baccumulate_views\b")
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
@@ -64,6 +70,19 @@ def calls(source: str):
     return found
 
 
+def imports(source: str):
+    """``(top-level module imported, line)`` of every absolute import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (alias.name.split(".")[0], node.lineno) for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.module.split(".")[0], node.lineno))
+    return found
+
+
 def allowed_modules(name: str, module: str, function: str | None):
     """Modules that may make this call (``None``: anyone may)."""
     if name in ALLOWED_CALLERS:
@@ -86,6 +105,9 @@ def offenders(sources: dict[str, str]) -> list[str]:
             allowed = allowed_modules(name, module, function)
             if allowed is not None and module not in allowed:
                 found.append(f"src/repro/{module}:{line}: {name}( in {function}")
+        for name, line in imports(source):
+            if name in ALLOWED_IMPORTERS and module not in ALLOWED_IMPORTERS[name]:
+                found.append(f"src/repro/{module}:{line}: import {name}")
     return found
 
 
@@ -101,8 +123,10 @@ def test_each_step_has_one_door():
     assert not found, (
         "views fold only through engine.execute_plan, knobs resolve only "
         "in the engine, the facade plans only in MetaTelescope.plan / "
-        ".accumulate (and run_pipeline), and snapshots are built only by "
-        "snapshot / metatelescope / online / federation:\n" + "\n".join(found)
+        ".accumulate (and run_pipeline), snapshots are built only by "
+        "snapshot / metatelescope / online / federation, and only "
+        "core/parallel.py and service/fleet.py import multiprocessing:\n"
+        + "\n".join(found)
     )
 
 
@@ -132,6 +156,12 @@ def test_lint_actually_catches_a_second_door():
             "workers = resolve_execution_knobs(workers=0).workers\n"
             "partial = PrefixAccumulator()\n"
         ),
+        "core/federation.py": (
+            "workers = resolve_execution_knobs(workers=0).workers\n"
+        ),
+        "core/online.py": "import multiprocessing\n",
+        "core/metatelescope.py": "import multiprocessing.pool\n",
+        "service/daemon.py": "from multiprocessing import get_context\n",
     }
     for module, fork in pasted.items():
         assert not offenders({module: sources[module]}), module
@@ -142,6 +172,17 @@ def test_lint_actually_catches_a_second_door():
         "src/repro/core/pipeline.py:1: convenience = accumulate_views([])"
     ]
     assert not DELETED.search("from repro.core.parallel import parallel_accumulate_views")
+    # Each rule names what it found, and only that.
+    assert offenders({"core/federation.py": pasted["core/federation.py"]}) == [
+        "src/repro/core/federation.py:1: resolve_execution_knobs( in None"
+    ]
+    assert offenders({"core/online.py": pasted["core/online.py"]}) == [
+        "src/repro/core/online.py:1: import multiprocessing"
+    ]
+    assert not offenders({"core/online.py": "from .multiprocessing import x\n"})
+    # The import rule really covers code: both allowed importers import it.
+    for module in ALLOWED_IMPORTERS["multiprocessing"]:
+        assert "multiprocessing" in {name for name, _ in imports(sources[module])}
     # The scopes really cover code: the one fold and its callers exist.
     names = {name for name, _, _ in calls(sources["core/engine.py"])}
     assert {"update_view", "parallel_accumulate_views"} <= names
