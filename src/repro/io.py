@@ -14,7 +14,21 @@ Readers come in two modes.  The default (strict) readers raise on the
 first malformed row, naming the file and 1-based line number.  The
 ``*_lenient`` variants never raise on row-level damage: bad rows are
 skipped and collected into a :class:`ParseReport`, so a mostly-good
-day survives a corrupted export instead of being lost entirely.
+day survives a corrupted export instead of being lost entirely.  A
+flow value outside its column's dtype (``src_ip`` 2**32 in an IPv4
+file, say) is row damage like any other.
+
+The three CSV flow readers share one core, which reads the body in
+fixed blocks of whole lines (``_BLOCK_BYTES``).  A *plain* block —
+only digits, commas, minus signs and newlines, every CR the first half
+of a CRLF, which is everything :func:`write_flows_csv` emits (the -1 of
+an unknown ASN included) — is parsed in one call to numpy's C text
+reader.  From the first block that is not plain (or whose rows are
+ragged, have an empty field or a value outside its column), the rest
+of the file goes row by row through ``csv.reader`` and ``int()``, with
+line numbers offset by the lines already consumed, so damage is
+rejected with the same rows, line numbers and messages either way.  A
+stream holds at most ``chunk_rows`` parsed rows plus two blocks.
 
 Flow tables additionally serialise to **flowpack**, a binary columnar
 archive format (:mod:`repro.flowpack`) re-exported here: per-column
@@ -30,8 +44,11 @@ through the same :class:`ParseReport` path).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
+from io import BytesIO, TextIOWrapper
 from itertools import chain
+from operator import le
 from pathlib import Path
 from typing import Iterator
 
@@ -236,6 +253,15 @@ def write_flows_csv(flows: FlowTable, path: str | Path) -> None:
     Path(path).write_text(header + _render_csv_rows(flows), newline="")
 
 
+#: Body bytes read per block; each block is cut back to its last newline,
+#: so a block always holds whole lines.
+_BLOCK_BYTES = 1 << 20
+
+#: The only bytes a plain block holds (``-`` for the signed columns'
+#: negatives, such as an unknown ASN's -1).
+_PLAIN_BYTES = b"0123456789,-\r\n"
+
+
 def _header_family(header: list[str] | None) -> str:
     """The address family whose schema matches a CSV header row."""
     for name in (FAMILY_IPV4, FAMILY_IPV6):
@@ -244,64 +270,225 @@ def _header_family(header: list[str] | None) -> str:
     raise ValueError(f"unexpected flow CSV header: {header}")
 
 
-def _iter_valid_rows(
-    path: str | Path, strict: bool, report: ParseReport
+def _plain_header_family(handle) -> str | None:
+    """The family whose header :func:`write_flows_csv` wrote, byte for byte.
+
+    Reads at most the longest such header line from a binary
+    ``handle``.  ``None`` for any other first line, which then goes
+    through ``csv.reader`` with the rest of the file.
+    """
+    headers = {
+        name: ",".join(flow_columns(name)).encode()
+        for name in (FAMILY_IPV4, FAMILY_IPV6)
+    }
+    line = handle.readline(2 + max(map(len, headers.values())))
+    for name, header in headers.items():
+        if line in (header + b"\r\n", header + b"\n"):
+            return name
+    return None
+
+
+def _line_blocks(handle) -> Iterator[bytes]:
+    """The rest of a binary ``handle`` as blocks of whole lines.
+
+    No block is longer than ``_BLOCK_BYTES``, the partial line carried
+    from the previous read included.  The file's last line may lack its
+    newline.  A line longer than a block ends the blocks early: that
+    line is left to the per-row path.
+    """
+    carry = b""
+    while data := handle.read(_BLOCK_BYTES - len(carry)):
+        data = carry + data
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            return
+        carry = data[cut:]
+        yield data[:cut]
+    if carry:
+        yield carry
+
+
+def _plain_columns(
+    block: bytes, dtypes: list[np.dtype]
+) -> tuple[list[np.ndarray], int] | None:
+    """A plain block's rows as column arrays, with its line count.
+
+    A block is plain when it holds only digits, commas, minus signs and
+    newlines, and every CR is the first half of a CRLF.  It then has no
+    plus sign, space, underscore, quote or comment, and its lines are
+    exactly its LFs.  Blank lines are skipped, as ``csv.reader`` skips
+    them.  Each field is read by numpy's C text reader as uint64 in a
+    uint64 column and as int64 in any other, then range-checked against
+    its column's dtype (the bool flag takes any integer).
+
+    This relies on ``np.loadtxt`` raising ``ValueError`` for any integer
+    field that ``int()`` would not give the same value for: an empty
+    field, a misplaced or doubled ``-``, a ``-`` in a uint64 column, or
+    a value past the parse dtype.  Older numpy instead reads such a
+    field through a float and warns with a ``DeprecationWarning``; that
+    warning is raised as an error here, so it also hands over.
+
+    ``None`` when the block is not plain, or some row needs the per-row
+    path: any of the fields above, a ragged row, a value outside its
+    column's dtype, or no row at all.
+    """
+    # A block of blank lines only would make loadtxt warn.
+    if block.translate(None, _PLAIN_BYTES) or not block.strip(b"\r\n"):
+        return None
+    codes = np.frombuffer(block, dtype=np.uint8)
+    lf, cr = codes == 10, codes == 13
+    if cr[-1] or (cr[:-1] > lf[1:]).any():
+        return None
+    parse = np.dtype([
+        (f"f{i}", np.uint64 if d == np.uint64 else np.int64)
+        for i, d in enumerate(dtypes)
+    ])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(
+                BytesIO(block), delimiter=",", dtype=parse,
+                comments=None, quotechar=None, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    columns = []
+    for name, dtype in zip(parse.names, dtypes):
+        values = records[name]
+        if dtype != bool:
+            info = np.iinfo(dtype)
+            if values.min() < info.min or values.max() > info.max:
+                return None
+        columns.append(values.astype(dtype))
+    return columns, int(np.count_nonzero(lf))
+
+
+def _parsed_rows(
+    reader,
+    skipped_lines: int,
+    path: str | Path,
+    family: str,
+    strict: bool,
+    report: ParseReport,
+) -> Iterator[tuple[int, ...]]:
+    """The per-row path: ``csv.reader`` rows through ``int()``.
+
+    Line numbers are ``reader.line_num`` plus the ``skipped_lines``
+    consumed before this reader started.  A value outside its column's
+    dtype is row damage like any other (the bool ``spoofed`` flag takes
+    any integer, nonzero meaning True).  Malformed rows raise with the
+    file name and 1-based line number in strict mode and are collected
+    into ``report`` otherwise.  Trailing blank lines (and stray empty
+    records) are not data; both modes skip them.
+    """
+    columns = flow_columns(family)
+    expected = len(columns)
+    bounds = [
+        (-np.inf, np.inf) if dtype == bool
+        else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+        for dtype in columns.values()
+    ]
+    lows, highs = zip(*bounds)
+    for row in reader:
+        # Every cell blank (or no cell at all).
+        if not "".join(row).strip():
+            continue
+        report.total_rows += 1
+        try:
+            if len(row) != expected:
+                raise ValueError(f"expected {expected} fields, got {len(row)}")
+            parsed = tuple(map(int, row))
+            # Two C-level sweeps; the per-column loop runs only on a miss.
+            if not (all(map(le, lows, parsed)) and all(map(le, parsed, highs))):
+                for name, value, (low, high) in zip(columns, parsed, bounds):
+                    if not low <= value <= high:
+                        raise ValueError(
+                            f"column {name!r}: {value} outside "
+                            f"{columns[name]} [{low}, {high}]"
+                        )
+        except ValueError as error:
+            lineno = skipped_lines + reader.line_num
+            if strict:
+                raise ValueError(f"{path}:{lineno}: {error}") from None
+            report.errors.append(
+                RowError(line=lineno, message=str(error), text=",".join(row))
+            )
+            continue
+        report.good_rows += 1
+        yield parsed
+
+
+def _iter_flow_columns(
+    path: str | Path,
+    strict: bool,
+    report: ParseReport,
+    flush_rows: int | None,
 ) -> Iterator:
-    """The one row-validating core every CSV flow reader drives.
+    """The one core every CSV flow reader drives.
 
     The *first* yielded item is the family name resolved from the
     header (always fatal when it matches neither schema); every later
-    item is a parsed row tuple.  Malformed rows raise with the file
-    name and 1-based line number in strict mode and are collected into
-    ``report`` otherwise.  Trailing blank lines (and stray empty
-    records) are not data; both modes skip them.
+    item is a run of good rows, in file order, as a list of column
+    arrays in schema order.
+
+    Behind the writer's own header the body is read in blocks of whole
+    lines, and each plain block (:func:`_plain_columns`) is one run.
+    From the first block that is not plain, and for a file with any
+    other header from its first line, the rest goes through
+    :func:`_parsed_rows`.  That path yields a run whenever the good
+    rows so far reach a multiple of ``flush_rows`` (``None``: once, at
+    the end), so a strict stream's chunks land before a bad row raises,
+    exactly as when every row went that way.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        family = _header_family(next(reader, None))
-        expected = len(flow_columns(family))
+    with open(path, "rb") as handle:
+        family = _plain_header_family(handle)
+        plain = family is not None
+        if not plain:
+            handle.seek(0)
+            reader = csv.reader(TextIOWrapper(handle, newline=""))
+            family = _header_family(next(reader, None))
         yield family
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            report.total_rows += 1
-            lineno = reader.line_num
-            try:
-                if len(row) != expected:
-                    raise ValueError(
-                        f"expected {expected} fields, got {len(row)}"
-                    )
-                parsed = tuple(int(v) for v in row)
-            except ValueError as error:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {error}") from None
-                report.errors.append(
-                    RowError(line=lineno, message=str(error), text=",".join(row))
-                )
-                continue
-            report.good_rows += 1
-            yield parsed
+        dtypes = list(flow_columns(family).values())
+        skipped_lines = 0
+        if plain:
+            skipped_lines, offset = 1, handle.tell()
+            for block in _line_blocks(handle):
+                parsed = _plain_columns(block, dtypes)
+                if parsed is None:
+                    break
+                columns, lines = parsed
+                skipped_lines += lines
+                offset += len(block)
+                report.total_rows += len(columns[0])
+                report.good_rows += len(columns[0])
+                yield columns
+            handle.seek(offset)
+            reader = csv.reader(TextIOWrapper(handle, newline=""))
+        rows = []
+        for row in _parsed_rows(
+            reader, skipped_lines, path, family, strict, report
+        ):
+            rows.append(row)
+            if flush_rows and report.good_rows % flush_rows == 0:
+                yield _row_columns(rows, dtypes)
+                rows = []
+        if rows:
+            yield _row_columns(rows, dtypes)
 
 
-def _parse_flow_rows(
-    path: str | Path, strict: bool
-) -> tuple[str, list[tuple[int, ...]], ParseReport]:
-    report = ParseReport(path=str(path))
-    rows = _iter_valid_rows(path, strict, report)
-    family = next(rows)
-    return family, list(rows), report
+def _row_columns(rows: list[tuple[int, ...]], dtypes: list) -> list[np.ndarray]:
+    """Parsed row tuples as column arrays (values already range-checked)."""
+    return [np.array(values, dtype=d) for values, d in zip(zip(*rows), dtypes)]
 
 
-def _rows_to_table(
-    rows: list[tuple[int, ...]], family: str = "ipv4"
-) -> FlowTable:
-    if not rows:
+def _flow_table(runs: list[list[np.ndarray]], family: str) -> FlowTable:
+    """Runs of column arrays stacked into one table."""
+    if not runs:
         return FlowTable.empty(family)
-    columns = list(zip(*rows))
     return FlowTable(
         **{
-            name: np.array(columns[i], dtype=dtype)
-            for i, (name, dtype) in enumerate(flow_columns(family).items())
+            name: np.concatenate(parts)
+            for name, parts in zip(flow_columns(family), zip(*runs))
         },
         family=family,
     )
@@ -313,36 +500,55 @@ def iter_flows_csv(
     """Stream a flow CSV as bounded-size :class:`FlowTable` chunks.
 
     The streaming counterpart of :func:`read_flows_csv` — strict (a
-    malformed row raises with the file name and line number), but only
-    ``chunk_rows`` parsed rows are ever held at once, so a multi-GB
-    export can feed a :class:`repro.core.accum.PrefixAccumulator`
-    without loading the day into memory.  Chunks concatenate to exactly
-    the one-shot read.
+    malformed row raises with the file name and line number) — and
+    every chunk has exactly ``chunk_rows`` rows but the last, which may
+    be shorter.  Plain blocks of the body go through numpy's C text
+    reader, anything else row by row through ``csv.reader`` (see
+    :func:`_iter_flow_columns`).  Either way at most ``chunk_rows``
+    parsed rows plus two blocks are held at once: the block being
+    parsed (up to 1 MiB of text and its columns), and the columns of
+    the previous one while its last rows wait for the next chunk.  So
+    a multi-GB export can feed a
+    :class:`repro.core.accum.PrefixAccumulator` without loading the day
+    into memory.  Chunks concatenate to exactly the one-shot read.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    pending: list[tuple[int, ...]] = []
     report = ParseReport(path=str(path))
-    parser = _iter_valid_rows(path, strict=True, report=report)
-    family = next(parser)
-    for parsed in parser:
-        pending.append(parsed)
-        if len(pending) >= chunk_rows:
-            yield _rows_to_table(pending, family)
-            pending = []
+    runs = _iter_flow_columns(path, True, report, chunk_rows)
+    family = next(runs)
+    pending, held = [], 0
+    for run in runs:
+        start, stop = 0, len(run[0])
+        while held + stop - start >= chunk_rows:
+            cut = start + chunk_rows - held
+            pending.append([column[start:cut] for column in run])
+            yield _flow_table(pending, family)
+            pending, held, start = [], 0, cut
+        if start < stop:
+            pending.append([column[start:] for column in run])
+            held += stop - start
     if pending:
-        yield _rows_to_table(pending, family)
+        yield _flow_table(pending, family)
+
+
+def _read_flows_csv(
+    path: str | Path, strict: bool
+) -> tuple[FlowTable, ParseReport]:
+    report = ParseReport(path=str(path))
+    family, *runs = _iter_flow_columns(path, strict, report, None)
+    return _flow_table(runs, family), report
 
 
 def read_flows_csv(path: str | Path) -> FlowTable:
     """Read a flow table written by :func:`write_flows_csv`.
 
     The family comes from the header, so an empty IPv6 export reads
-    back as an empty IPv6 table.  Malformed rows raise with the file
-    name and line number; trailing blank lines are tolerated.
+    back as an empty IPv6 table.  Malformed rows (a value outside its
+    column's dtype included) raise with the file name and line number;
+    trailing blank lines are tolerated.
     """
-    family, rows, _ = _parse_flow_rows(path, strict=True)
-    return _rows_to_table(rows, family)
+    return _read_flows_csv(path, strict=True)[0]
 
 
 def read_flows_csv_lenient(
@@ -350,12 +556,11 @@ def read_flows_csv_lenient(
 ) -> tuple[FlowTable, ParseReport]:
     """Like :func:`read_flows_csv`, but damaged rows are collected.
 
-    Row-level damage (wrong arity, non-integer fields) is skipped and
-    reported; a wrong header is still fatal, because then *nothing*
-    about the file can be trusted.
+    Row-level damage (wrong arity, non-integer fields, values outside
+    their column's dtype) is skipped and reported; a wrong header is
+    still fatal, because then *nothing* about the file can be trusted.
     """
-    family, rows, report = _parse_flow_rows(path, strict=False)
-    return _rows_to_table(rows, family), report
+    return _read_flows_csv(path, strict=False)
 
 
 # -- flow archives (flowpack) -------------------------------------------

@@ -166,6 +166,34 @@ class TestFlowsCsv:
         with pytest.raises(ValueError):
             read_flows_csv_lenient(path)
 
+    @pytest.mark.parametrize("value", ["4294967296", "-1"])
+    def test_out_of_range_value_names_file_line_and_column(self, tmp_path, value):
+        path = tmp_path / "flows.csv"
+        write_flows_csv(make_flows([{}, {}, {}]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = value + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError,
+            match=rf"flows\.csv:3: column 'src_ip': {value} outside uint32",
+        ):
+            read_flows_csv(path)
+
+    @pytest.mark.parametrize("value", ["4294967296", "-1"])
+    def test_lenient_rejects_out_of_range_row(self, tmp_path, value):
+        path = tmp_path / "flows.csv"
+        write_flows_csv(make_flows([{"packets": 1}, {"packets": 2},
+                                    {"packets": 3}]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = value + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        flows, report = read_flows_csv_lenient(path)
+        assert flows.packets.tolist() == [1, 3]
+        assert [error.line for error in report.errors] == [3]
+        assert report.errors[0].message.startswith(
+            f"column 'src_ip': {value} outside uint32"
+        )
+
     def test_lenient_clean_file_reports_ok(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_flows_csv(make_flows([{}]), path)
