@@ -34,9 +34,7 @@ def _regional_stats(world, views, prefixes, continent: Continent):
     recall = float(np.isin(truly_dark, prefixes).mean())
     sampled = 0.0
     for view in views:
-        agg = view.aggregates()
-        mask = np.isin(agg.blocks, truly_dark)
-        sampled += float(agg.total_packets()[mask].sum())
+        sampled += float(view.flows.toward_blocks(truly_dark).packets.sum())
     return recall, sampled / len(truly_dark)
 
 

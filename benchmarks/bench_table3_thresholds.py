@@ -30,7 +30,9 @@ def test_table3_threshold_tuning(study, benchmark):
 
     def tune():
         labels = label_isp_blocks(
-            isp_views, world.isp.blocks, world.config.active_min_week_packets
+            study.telescope.accumulate(isp_views),
+            world.isp.blocks,
+            world.config.active_min_week_packets,
         )
         inbound = isp_inbound_tables(isp_views, world.isp.blocks)
         features = block_size_features(inbound, labels.receiving_blocks)

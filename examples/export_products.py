@@ -43,7 +43,8 @@ def main(output_dir: str | None = None) -> None:
         ),
     )
     views = observatory.all_ixp_views(num_days=2)
-    result = telescope.infer(views, use_spoofing_tolerance=True)
+    accumulator = telescope.accumulate(views)
+    result = telescope.infer_accumulated(accumulator, use_spoofing_tolerance=True)
     print(f"inferred {result.num_prefixes():,} meta-telescope /24 prefixes")
 
     # -- product (a): the prefix list -----------------------------------
@@ -86,7 +87,7 @@ def main(output_dir: str | None = None) -> None:
             day_views, use_spoofing_tolerance=True, refine=False
         ).pipeline.dark_blocks
     scores = score_prefixes(
-        result.prefixes, views, daily_dark, config=telescope.config
+        result.prefixes, accumulator, daily_dark, config=telescope.config
     )
     scored_path = out / "prefixes-scored.txt"
     with open(scored_path, "w") as handle:

@@ -12,8 +12,6 @@ Run:  python examples/federated_telescope.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import MetaTelescope, MarkingRegistry, OperatorReport, federate
 from repro.core.evaluation import confusion_against_truth
 from repro.core.pipeline import PipelineConfig
@@ -38,10 +36,11 @@ def main() -> None:
     rows = []
     for code in members:
         views = observatory.ixp_views(code, num_days=1)
-        result = telescope.infer(views, use_spoofing_tolerance=True)
-        observed = np.unique(
-            np.concatenate([view.aggregates().blocks for view in views])
+        accumulator = telescope.accumulate(views)
+        result = telescope.infer_accumulated(
+            accumulator, use_spoofing_tolerance=True
         )
+        observed = accumulator.observed_blocks()
         reports.append(OperatorReport.from_result(code, result, observed))
         confusion = confusion_against_truth(result.prefixes, world.index)
         rows.append(

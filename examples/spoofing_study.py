@@ -15,7 +15,6 @@ from repro.analysis.variability import daily_series
 from repro.core import MetaTelescope, stable_dark_blocks
 from repro.core.combine import per_day_results
 from repro.core.pipeline import PipelineConfig
-from repro.core.spoofing_tolerance import tolerances_for_views
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
 
@@ -58,7 +57,7 @@ def main() -> None:
     print(format_table(["days", "no tolerance", "with tolerance"], rows))
 
     # The tolerance itself, per vantage (the paper's 0-4 pkts/day).
-    tolerances = tolerances_for_views(pooled, world.unrouted_baseline_blocks)
+    tolerances = tolerant.pipeline.applied_tolerances
     biggest = sorted(tolerances.items(), key=lambda item: -item[1])[:5]
     print("\n7-day window tolerances (top 5 vantages):", biggest)
 

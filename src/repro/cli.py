@@ -147,12 +147,17 @@ def _context(args: argparse.Namespace) -> RunContext:
     return RunContext(sinks=sinks)
 
 
-def _build(args: argparse.Namespace):
+def _require_ipv4(args: argparse.Namespace) -> None:
+    """Reject ``--family ipv6`` on a command that runs only the v4 world."""
     if getattr(args, "family", "ipv4") == "ipv6":
         raise SystemExit(
             f"--family ipv6 is supported by the infer and plan commands, "
             f"not {args.command}"
         )
+
+
+def _build(args: argparse.Namespace):
+    _require_ipv4(args)
     context = _context(args)
     world = _SCALES[args.scale](args.seed)
     cache = None
@@ -182,6 +187,11 @@ def _views(world, observatory, args: argparse.Namespace):
             + ", ".join(sorted(codes))
         )
     return observatory.ixp_views(args.vantage, num_days=days)
+
+
+def _days_folded(views) -> int:
+    """Days the views span: ``--days`` clamped to the world's campaign."""
+    return len({view.day for view in views})
 
 
 def _infer(world, observatory, telescope, args: argparse.Namespace,
@@ -300,7 +310,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         prefixes = report.served_sites
         comment = (
             f"ipv6 meta-telescope /48 sites — scale={args.scale} "
-            f"seed={args.seed} days={len(views)}"
+            f"seed={args.seed} days={_days_folded(views)}"
         )
     else:
         family = IPV4
@@ -309,7 +319,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         ).prefixes
         comment = (
             f"meta-telescope prefixes — scale={args.scale} seed={args.seed} "
-            f"vantage={args.vantage} days={args.days}"
+            f"vantage={args.vantage} days={_days_folded(views)}"
         )
     write_prefix_list(
         prefixes, args.output, comment=comment, aggregate=args.aggregate,
@@ -385,7 +395,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         result,
         geodb=world.datasets.geodb,
         pfx2as=world.datasets.pfx2as,
-        title=f"Meta-telescope report — {args.vantage}, {args.days} day(s)",
+        title=(
+            f"Meta-telescope report — {args.vantage}, "
+            f"{_days_folded(views)} day(s)"
+        ),
     )
     with open(args.output, "w") as handle:
         handle.write(text)
@@ -475,6 +488,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios(args: argparse.Namespace) -> int:
+    _require_ipv4(args)
     config = _CONFIGS[args.scale](args.seed)
     catalog = standard_catalog(config)
     if args.action == "list":

@@ -59,11 +59,7 @@ from repro.core.thresholds import (
     evaluate_thresholds,
     label_isp_blocks,
 )
-from repro.core.spoofing_tolerance import (
-    tolerance_for_view,
-    tolerances_for_views,
-    tolerances_from_accumulator,
-)
+from repro.core.spoofing_tolerance import tolerances_from_accumulator
 from repro.core.combine import stable_dark_blocks
 from repro.core.refine import refine_with_liveness
 from repro.core.federation import (
@@ -124,8 +120,6 @@ __all__ = [
     "ClassifierEvaluation",
     "evaluate_thresholds",
     "label_isp_blocks",
-    "tolerance_for_view",
-    "tolerances_for_views",
     "tolerances_from_accumulator",
     "stable_dark_blocks",
     "refine_with_liveness",

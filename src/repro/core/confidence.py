@@ -21,11 +21,15 @@ Each dimension maps to [0, 1]; the score is their weighted mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.pipeline import PipelineConfig
-from repro.vantage.sampling import VantageDayView
+from repro.net.blocksets import align_sorted
+
+if TYPE_CHECKING:
+    from repro.core.accum import PrefixAccumulator
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +74,7 @@ class ConfidenceScores:
 
 def score_prefixes(
     dark_blocks: np.ndarray,
-    views: list[VantageDayView],
+    accumulator: "PrefixAccumulator",
     daily_dark: dict[int, np.ndarray],
     config: PipelineConfig | None = None,
     weights: ConfidenceWeights | None = None,
@@ -78,50 +82,37 @@ def score_prefixes(
 ) -> ConfidenceScores:
     """Score each inferred prefix on the three evidence dimensions.
 
-    ``views`` are the views the inference ran on; ``daily_dark`` maps
-    each day to that day's independent dark set (for recurrence).
-    ``saturation_ips`` is the observed-address count at which the
-    observation dimension saturates at 1.0.
+    ``accumulator`` is the fold the inference ran on
+    (:meth:`repro.core.metatelescope.MetaTelescope.accumulate`);
+    ``daily_dark`` maps each day to that day's independent dark set
+    (for recurrence).  ``saturation_ips`` is the observed-address count
+    at which the observation dimension saturates at 1.0.
     """
     if config is None:
         config = PipelineConfig()
     if weights is None:
         weights = ConfidenceWeights()
     blocks = np.unique(np.asarray(dark_blocks, dtype=np.int64))
+    finalized = accumulator.finalize()
 
-    # Observation depth: pooled distinct dst IPs per block.
-    ip_sets: dict[int, set[int]] = {}
-    volume_by_day: dict[int, dict[int, float]] = {}
-    for view in views:
-        agg = view.aggregates()
-        family = view.flows.address_family
-        mask = np.isin(family.block_of(agg.dst_ips), blocks)
-        for ip in agg.dst_ips[mask].tolist():
-            ip_sets.setdefault(family.block_of_key(ip), set()).add(ip)
-        vmask = np.isin(agg.blocks, blocks)
-        day_volume = volume_by_day.setdefault(view.day, {})
-        estimates = agg.total_packets() * view.sampling_factor
-        for block, estimate in zip(
-            agg.blocks[vmask].tolist(), estimates[vmask].tolist()
-        ):
-            day_volume[block] = day_volume.get(block, 0.0) + estimate
+    # Observation depth: pooled distinct dst IPs per block (the
+    # finalized dst IPs are sorted unique, so their blocks are sorted).
+    ip_blocks = accumulator.address_family.block_of(finalized.dst_ips)
+    first = np.searchsorted(ip_blocks, blocks, side="left")
+    distinct = np.searchsorted(ip_blocks, blocks, side="right") - first
+    observation = np.minimum(distinct, saturation_ips) / saturation_ips
 
-    observation = np.array(
-        [
-            min(len(ip_sets.get(int(block), ())), saturation_ips) / saturation_ips
-            for block in blocks
-        ]
-    )
-
-    # Volume margin: median daily estimate relative to the threshold.
+    # Volume margin: median daily estimate (absent days count as 0, as
+    # in the volume filter) relative to the threshold.
     threshold = config.volume_threshold_pkts_day
-    margin = np.empty(len(blocks))
-    for i, block in enumerate(blocks):
-        daily = [
-            volume.get(int(block), 0.0) for volume in volume_by_day.values()
-        ]
-        median = float(np.median(daily)) if daily else 0.0
-        margin[i] = max(0.0, 1.0 - median / threshold) if threshold else 0.0
+    at, seen = align_sorted(blocks, finalized.vol_blocks)
+    median = np.zeros(len(blocks))
+    median[seen] = finalized.vol_median_est[at[seen]]
+    margin = (
+        np.maximum(0.0, 1.0 - median / threshold)
+        if threshold
+        else np.zeros(len(blocks))
+    )
 
     # Recurrence: share of days independently inferring the block dark.
     num_days = max(len(daily_dark), 1)

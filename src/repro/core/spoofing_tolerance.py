@@ -11,13 +11,11 @@ per vantage-day.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.net.blocksets import as_sorted_unique, sorted_member_mask
-from repro.traffic.flows import aggregate_sums
-from repro.vantage.sampling import VantageDayView
 
 if TYPE_CHECKING:
     from repro.core.accum import PrefixAccumulator
@@ -40,80 +38,33 @@ def _zero_padded_quantile(seen: np.ndarray, total: int, quantile: float) -> floa
     return float(seen[rank if rank < negatives else rank - zeros])
 
 
-def _tolerances(
-    pooled: Mapping[str, tuple[np.ndarray, np.ndarray]],
+def tolerances_from_accumulator(
+    accumulator: "PrefixAccumulator",
     unrouted_blocks: np.ndarray,
-    quantile: float,
+    quantile: float = DEFAULT_QUANTILE,
 ) -> dict[str, float]:
-    """Tolerance per vantage from its sorted-unique ``(source blocks,
-    packet sums)`` table; baseline blocks absent from it are the zeros."""
+    """Per-vantage *window* tolerances, the pipeline's expected format.
+
+    Pollution per unrouted /24 is pooled over each vantage's folded
+    views (all days of the window) before the percentile is taken —
+    "for each vantage point and each time frame", as the paper puts it.
+    Hence the tolerance rises with window length (up to ~4 packets/day
+    x 7 days in the paper's setting).  The pooled input is the
+    accumulator's raw (before the ignored-sender filter) per-source-/24
+    packet sums per vantage; the percentile runs over *all* baseline
+    blocks, the unseen ones as zeros — most of the distribution, which
+    is why the tolerance is usually 0-2 packets.
+    """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile out of range: {quantile}")
     baseline = as_sorted_unique(unrouted_blocks)
     if len(baseline) == 0:
         raise ValueError("need unrouted baseline blocks")
     tolerances: dict[str, float] = {}
-    for vantage, (blocks, pkts) in pooled.items():
+    for vantage, (blocks, pkts) in accumulator.vantage_source_blocks().items():
         lo, hi = np.searchsorted(blocks, (baseline[0], baseline[-1] + 1))
         inside = sorted_member_mask(blocks[lo:hi], baseline)
         tolerances[vantage] = _zero_padded_quantile(
             pkts[lo:hi][inside], len(baseline), quantile
         )
     return tolerances
-
-
-def tolerance_for_view(
-    view: VantageDayView,
-    unrouted_blocks: np.ndarray,
-    quantile: float = DEFAULT_QUANTILE,
-) -> float:
-    """Forgivable source packets per /24 for one vantage-day.
-
-    Computed over *all* unrouted baseline blocks, including the ones
-    with zero sightings — most of the distribution is zeros, which is
-    why the tolerance is usually 0-2 packets.
-    """
-    return tolerances_for_views([view], unrouted_blocks, quantile)[view.vantage]
-
-
-def tolerances_for_views(
-    views: list[VantageDayView],
-    unrouted_blocks: np.ndarray,
-    quantile: float = DEFAULT_QUANTILE,
-) -> dict[str, float]:
-    """Per-vantage *window* tolerances, the pipeline's expected format.
-
-    Pollution per unrouted /24 is pooled over each vantage's views
-    (all days of the window) before the percentile is taken — "for
-    each vantage point and each time frame", as the paper puts it.
-    Hence the tolerance rises with window length (up to ~4 packets/day
-    x 7 days in the paper's setting).
-    """
-    by_vantage: dict[str, list] = {}
-    for view in views:
-        by_vantage.setdefault(view.vantage, []).append(view.aggregates())
-    pooled = {}
-    for vantage, aggregates in by_vantage.items():
-        blocks, (pkts,) = aggregate_sums(
-            np.concatenate([agg.src_blocks for agg in aggregates]),
-            np.concatenate([agg.src_packets for agg in aggregates]),
-        )
-        pooled[vantage] = (blocks, pkts)
-    return _tolerances(pooled, unrouted_blocks, quantile)
-
-
-def tolerances_from_accumulator(
-    accumulator: "PrefixAccumulator",
-    unrouted_blocks: np.ndarray,
-    quantile: float = DEFAULT_QUANTILE,
-) -> dict[str, float]:
-    """Per-vantage window tolerances from streamed aggregates.
-
-    Identical to :func:`tolerances_for_views` on the same traffic: the
-    accumulator keeps raw (unfiltered) per-source-/24 packet sums per
-    vantage, which is exactly the pooled quantity the batch path
-    computes from each view's aggregates.
-    """
-    return _tolerances(
-        accumulator.vantage_source_blocks(), unrouted_blocks, quantile
-    )

@@ -15,11 +15,15 @@ producing the FPR/FNR/TPR/TNR/F1 grid of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.traffic.flows import FlowTable, aggregate_sums, weighted_median
 from repro.vantage.sampling import VantageDayView
+
+if TYPE_CHECKING:
+    from repro.core.accum import PrefixAccumulator
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,24 +39,26 @@ class IspLabels:
 
 
 def label_isp_blocks(
-    isp_views: list[VantageDayView],
+    accumulator: "PrefixAccumulator",
     isp_blocks: np.ndarray,
     active_min_week_packets: int,
 ) -> IspLabels:
-    """Label the ISP's subnets from a week of border NetFlow."""
+    """Label the ISP's subnets from a week of border NetFlow.
+
+    ``accumulator`` is the fold of the ISP's views
+    (:meth:`repro.core.metatelescope.MetaTelescope.accumulate`): its
+    observed blocks are what the ISP's subnets received, and its raw
+    per-source-/24 packet sums, pooled over every vantage, are what
+    they originated.
+    """
     isp_blocks = np.unique(np.asarray(isp_blocks, dtype=np.int64))
-    received: set[int] = set()
-    originated: dict[int, int] = {}
-    for view in isp_views:
-        agg = view.aggregates()
-        mask = np.isin(agg.blocks, isp_blocks)
-        received.update(agg.blocks[mask].tolist())
-        src_mask = np.isin(agg.src_blocks, isp_blocks)
-        for block, pkts in zip(
-            agg.src_blocks[src_mask].tolist(), agg.src_packets[src_mask].tolist()
-        ):
-            originated[block] = originated.get(block, 0) + int(pkts)
-    receiving = np.array(sorted(received), dtype=np.int64)
+    observed = accumulator.observed_blocks()
+    receiving = observed[np.isin(observed, isp_blocks)]
+    originated: dict[int, float] = {}
+    for blocks, packets in accumulator.vantage_source_blocks().values():
+        inside = np.isin(blocks, isp_blocks)
+        for block, pkts in zip(blocks[inside].tolist(), packets[inside].tolist()):
+            originated[block] = originated.get(block, 0.0) + pkts
     active = np.array(
         sorted(
             b for b, pkts in originated.items() if pkts >= active_min_week_packets

@@ -171,12 +171,6 @@ class ArchiveDayView:
             sampling_factor=self.sampling_factor, start=start, stop=stop,
         )
 
-    def aggregates(self):
-        """Per-/24 aggregates of the archived day (computed on demand)."""
-        from repro.vantage.sampling import compute_block_aggregates
-
-        return compute_block_aggregates(self.flows)
-
     def decimated(self, factor: int, rng) -> VantageDayView:
         """A further sub-sampled in-memory copy (Figure-10 operation)."""
         return VantageDayView(

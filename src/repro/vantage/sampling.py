@@ -1,61 +1,23 @@
-"""Sampled per-day traffic views and their /24 aggregates.
+"""Sampled per-day traffic views.
 
 A :class:`VantageDayView` wraps the flows one vantage point exported on
 one day, together with the sampling factor needed to rescale counts to
 estimates (IPFIX flows carry sampled packet counts; the paper's volume
 filter reasons about estimated true packet counts).
 
-The cached aggregate, :class:`BlockAggregates`, is the pipeline's
-working set: per observed destination /24 it records TCP packet/byte
-sums, packet totals per protocol, the number of distinct destination
-IPs seen, how many of those IPs individually violate the size
-fingerprint, and per *source* /24 the packets originated — everything
-steps 1-7 of the inference need, in columnar form.
+A view holds no aggregate of its own: every per-/24 statistic the
+inference and its analyses read is folded from views into one
+:class:`repro.core.accum.PrefixAccumulator`
+(:meth:`repro.core.metatelescope.MetaTelescope.accumulate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.traffic.flows import FlowTable, aggregate_sums
-from repro.traffic.packets import PROTO_TCP, PROTO_UDP
-
-
-@dataclass(frozen=True, slots=True)
-class BlockAggregates:
-    """Columnar per-/24 statistics for one vantage-day.
-
-    ``blocks`` is sorted ascending; all destination-side arrays align
-    with it.  ``src_blocks``/``src_packets``/``src_distinct_ips`` are
-    the source-side view (aligned with ``src_blocks``, sorted).
-    Counts are *sampled* counts; multiply by the view's
-    ``sampling_factor`` for estimates.
-    """
-
-    blocks: np.ndarray
-    tcp_packets: np.ndarray
-    tcp_bytes: np.ndarray
-    udp_packets: np.ndarray
-    other_packets: np.ndarray
-    distinct_dst_ips: np.ndarray
-    #: Per block: distinct dst IPs whose individual TCP mean size > threshold
-    #: is *not* recorded here (threshold is a pipeline parameter); instead we
-    #: keep per-IP sums so the pipeline can apply any threshold.
-    dst_ips: np.ndarray
-    dst_ip_tcp_packets: np.ndarray
-    dst_ip_tcp_bytes: np.ndarray
-    dst_ip_total_packets: np.ndarray
-    src_blocks: np.ndarray
-    src_packets: np.ndarray
-    src_distinct_ips: np.ndarray
-    src_ips: np.ndarray
-    src_ip_packets: np.ndarray
-
-    def total_packets(self) -> np.ndarray:
-        """All-protocol sampled packets per destination block."""
-        return self.tcp_packets + self.udp_packets + self.other_packets
+from repro.traffic.flows import FlowTable
 
 
 @dataclass
@@ -71,13 +33,6 @@ class VantageDayView:
     #: 1 / sampling probability: multiply sampled counts by this to
     #: estimate true counts.  Telescopes and the ISP use 1.0.
     sampling_factor: float = 1.0
-    _aggregates: BlockAggregates | None = field(default=None, repr=False)
-
-    def aggregates(self) -> BlockAggregates:
-        """Compute (and cache) the per-/24 aggregates."""
-        if self._aggregates is None:
-            self._aggregates = compute_block_aggregates(self.flows)
-        return self._aggregates
 
     @property
     def num_rows(self) -> int:
@@ -112,11 +67,10 @@ class VantageDayView:
     def with_flows(
         self, flows: FlowTable, sampling_factor: float | None = None
     ) -> "VantageDayView":
-        """A copy carrying different flows (aggregate cache reset).
+        """A copy carrying different flows, same vantage and day.
 
-        Fault injectors and replay tools rewrite a view's records; the
-        cached :class:`BlockAggregates` would silently describe the old
-        table, so a fresh view is the only safe way to swap flows.
+        Fault injectors and replay tools rewrite a view's records
+        through this; ``sampling_factor`` defaults to the view's own.
         """
         return VantageDayView(
             vantage=self.vantage,
@@ -130,68 +84,3 @@ class VantageDayView:
     def estimated_packets(self) -> float:
         """Estimated true packet count (sampled count x sampling factor)."""
         return float(self.flows.packets.sum()) * self.sampling_factor
-
-
-def compute_block_aggregates(flows: FlowTable) -> BlockAggregates:
-    """Aggregate a flow table into :class:`BlockAggregates`."""
-    dst_blocks_col = flows.dst_blocks()
-    is_tcp = flows.proto == PROTO_TCP
-    is_udp = flows.proto == PROTO_UDP
-    packets = flows.packets
-
-    blocks, (tcp_packets, tcp_bytes, udp_packets, other_packets) = aggregate_sums(
-        dst_blocks_col,
-        np.where(is_tcp, packets, 0),
-        np.where(is_tcp, flows.bytes, 0),
-        np.where(is_udp, packets, 0),
-        np.where(~is_tcp & ~is_udp, packets, 0),
-    )
-
-    # Per destination IP (TCP size fingerprint is evaluated per IP).
-    dst_ips, (ip_tcp_packets, ip_tcp_bytes, ip_total_packets) = aggregate_sums(
-        flows.dst_ip.astype(np.int64),
-        np.where(is_tcp, packets, 0),
-        np.where(is_tcp, flows.bytes, 0),
-        packets,
-    )
-    ip_blocks = flows.address_family.block_of(dst_ips)
-    distinct_dst_ips = _count_per_group(ip_blocks, blocks)
-
-    # Source side: packets originated per /24, per IP, and distinct IPs.
-    src_blocks_col = flows.src_blocks()
-    src_blocks, (src_packets,) = aggregate_sums(src_blocks_col, packets)
-    src_ips, (src_ip_packets,) = aggregate_sums(
-        flows.src_ip.astype(np.int64), packets
-    )
-    src_distinct_ips = _count_per_group(
-        flows.address_family.block_of(src_ips), src_blocks
-    )
-
-    return BlockAggregates(
-        blocks=blocks,
-        tcp_packets=tcp_packets,
-        tcp_bytes=tcp_bytes,
-        udp_packets=udp_packets,
-        other_packets=other_packets,
-        distinct_dst_ips=distinct_dst_ips,
-        dst_ips=dst_ips,
-        dst_ip_tcp_packets=ip_tcp_packets,
-        dst_ip_tcp_bytes=ip_tcp_bytes,
-        dst_ip_total_packets=ip_total_packets,
-        src_blocks=src_blocks,
-        src_packets=src_packets,
-        src_distinct_ips=src_distinct_ips,
-        src_ips=src_ips,
-        src_ip_packets=src_ip_packets,
-    )
-
-
-def _count_per_group(member_groups: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Count how many entries of ``member_groups`` fall in each of ``groups``.
-
-    ``groups`` must be sorted unique values covering every member.
-    """
-    if len(member_groups) == 0:
-        return np.zeros(len(groups), dtype=np.int64)
-    index = np.searchsorted(groups, member_groups)
-    return np.bincount(index, minlength=len(groups)).astype(np.int64)

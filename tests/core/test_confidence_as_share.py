@@ -10,22 +10,22 @@ from repro.core.pipeline import PipelineConfig
 from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.ipv4 import Prefix, parse_ip
 
-from _factories import ip, make_view
+from _factories import fold, ip, make_view
 
 BASE = parse_ip("20.0.0.0") >> 8
 
 
 class TestConfidence:
-    def make_views(self):
+    def make_accumulator(self):
         # Block BASE: deeply observed; BASE+1: one lucky packet.
         rows = [{"dst_ip": ip(BASE, h)} for h in range(1, 17)]
         rows.append({"dst_ip": ip(BASE + 1, 1)})
-        return [make_view(rows, vantage="V", day=0)]
+        return fold([make_view(rows, vantage="V", day=0)])
 
     def test_observation_depth_separates(self):
         scores = score_prefixes(
             np.array([BASE, BASE + 1]),
-            self.make_views(),
+            self.make_accumulator(),
             daily_dark={0: np.array([BASE, BASE + 1])},
         )
         by_block = dict(zip(scores.blocks.tolist(), scores.observation.tolist()))
@@ -36,14 +36,14 @@ class TestConfidence:
     def test_recurrence(self):
         scores = score_prefixes(
             np.array([BASE]),
-            self.make_views(),
+            self.make_accumulator(),
             daily_dark={0: np.array([BASE]), 1: np.array([]), 2: np.array([BASE])},
         )
         assert scores.recurrence[0] == pytest.approx(2 / 3)
 
     def test_volume_margin(self):
-        quiet = [make_view([{"dst_ip": ip(BASE), "packets": 1}], day=0)]
-        busy = [make_view([{"dst_ip": ip(BASE), "packets": 600}], day=0)]
+        quiet = fold([make_view([{"dst_ip": ip(BASE), "packets": 1}], day=0)])
+        busy = fold([make_view([{"dst_ip": ip(BASE), "packets": 600}], day=0)])
         config = PipelineConfig(volume_threshold_pkts_day=700.0)
         margin_quiet = score_prefixes(
             np.array([BASE]), quiet, {0: np.array([BASE])}, config=config
@@ -57,7 +57,7 @@ class TestConfidence:
     def test_scores_bounded(self):
         scores = score_prefixes(
             np.array([BASE, BASE + 1]),
-            self.make_views(),
+            self.make_accumulator(),
             daily_dark={0: np.array([BASE])},
         )
         assert ((scores.score >= 0) & (scores.score <= 1)).all()
@@ -65,7 +65,7 @@ class TestConfidence:
     def test_above_threshold(self):
         scores = score_prefixes(
             np.array([BASE, BASE + 1]),
-            self.make_views(),
+            self.make_accumulator(),
             daily_dark={0: np.array([BASE, BASE + 1])},
         )
         strong = scores.above(0.8)

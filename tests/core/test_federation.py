@@ -231,9 +231,13 @@ class TestFromResult:
                 volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
             ),
         )
-        views = integration_observatory.ixp_views("CE1", num_days=1)
-        result = telescope.infer(views, use_spoofing_tolerance=True)
-        observed = views[0].aggregates().blocks
+        accumulator = telescope.accumulate(
+            integration_observatory.ixp_views("CE1", num_days=1)
+        )
+        result = telescope.infer_accumulated(
+            accumulator, use_spoofing_tolerance=True
+        )
+        observed = accumulator.observed_blocks()
         member = OperatorReport.from_result("CE1", result, observed)
         assert member.operator == "CE1"
         assert len(member.dark_blocks) == result.num_prefixes()
@@ -255,12 +259,17 @@ class TestFromResult:
         )
         reports = []
         for code in ("CE1", "NA1", "SE2"):
-            views = integration_observatory.ixp_views(code, num_days=1)
-            result = telescope.infer(views, use_spoofing_tolerance=True)
-            observed = np.unique(
-                np.concatenate([v.aggregates().blocks for v in views])
+            accumulator = telescope.accumulate(
+                integration_observatory.ixp_views(code, num_days=1)
             )
-            reports.append(OperatorReport.from_result(code, result, observed))
+            result = telescope.infer_accumulated(
+                accumulator, use_spoofing_tolerance=True
+            )
+            reports.append(
+                OperatorReport.from_result(
+                    code, result, accumulator.observed_blocks()
+                )
+            )
         solo = confusion_against_truth(reports[0].dark_blocks, world.index)
         federated = federate(reports, min_vote_share=0.66)
         joint = confusion_against_truth(federated.prefixes, world.index)

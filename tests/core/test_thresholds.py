@@ -11,7 +11,7 @@ from repro.core.thresholds import (
 )
 from repro.traffic.packets import PROTO_UDP
 
-from _factories import ip, make_flows, make_view
+from _factories import fold, ip, make_flows, make_view
 
 
 class TestLabeling:
@@ -29,7 +29,7 @@ class TestLabeling:
                 vantage="ISP",
             )
         ]
-        labels = label_isp_blocks(views, isp_blocks, active_min_week_packets=1000)
+        labels = label_isp_blocks(fold(views), isp_blocks, active_min_week_packets=1000)
         assert labels.dark_blocks.tolist() == [10]
         assert labels.active_blocks.tolist() == [11]
         assert labels.excluded_blocks.tolist() == [12]
@@ -47,12 +47,12 @@ class TestLabeling:
             )
             for d in range(2)
         ]
-        labels = label_isp_blocks(views, isp_blocks, active_min_week_packets=1000)
+        labels = label_isp_blocks(fold(views), isp_blocks, active_min_week_packets=1000)
         assert labels.active_blocks.tolist() == [10]
 
     def test_outside_blocks_ignored(self):
         views = [make_view([{"dst_ip": ip(50)}])]
-        labels = label_isp_blocks(views, np.array([10]), 1000)
+        labels = label_isp_blocks(fold(views), np.array([10]), 1000)
         assert len(labels.receiving_blocks) == 0
 
 

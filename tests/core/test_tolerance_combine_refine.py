@@ -17,7 +17,7 @@ from repro.core.refine import (
     non_bcp38_asns,
     refine_with_liveness,
 )
-from repro.core.spoofing_tolerance import tolerance_for_view, tolerances_for_views
+from repro.core.spoofing_tolerance import tolerances_from_accumulator
 from repro.bgp.asinfo import ASRegistry, ASType, AutonomousSystem
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.bgp.topology import AsTopology
@@ -25,17 +25,24 @@ from repro.datasets.liveness import LivenessDataset
 from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.ipv4 import Prefix, parse_ip
 
-from _factories import ip, make_view, routing_for
+from _factories import fold, ip, make_view, routing_for
 
 BASE = parse_ip("20.0.0.0") >> 8
 ROUTING = routing_for("20.0.0.0/8")
 UNROUTED = np.arange(parse_ip("39.0.0.0") >> 8, (parse_ip("39.0.0.0") >> 8) + 100)
 
 
+def tolerance(view, unrouted_blocks, **kwargs):
+    """The window tolerance of a single vantage-day."""
+    return tolerances_from_accumulator(fold([view]), unrouted_blocks, **kwargs)[
+        view.vantage
+    ]
+
+
 class TestTolerance:
     def test_zero_when_unrouted_clean(self):
         view = make_view([{"dst_ip": ip(BASE)}])
-        assert tolerance_for_view(view, UNROUTED) == 0.0
+        assert tolerance(view, UNROUTED) == 0.0
 
     def test_quantile_of_pollution(self):
         rows = [{"dst_ip": ip(BASE)}]
@@ -45,31 +52,31 @@ class TestTolerance:
             for b in UNROUTED[:90]
         )
         view = make_view(rows)
-        assert tolerance_for_view(view, UNROUTED, quantile=0.5) == 2.0
+        assert tolerance(view, UNROUTED, quantile=0.5) == 2.0
 
     def test_extreme_quantile_is_max(self):
         rows = [
             {"src_ip": ip(int(UNROUTED[0])), "dst_ip": ip(BASE + 700), "packets": 9}
         ]
         view = make_view(rows)
-        assert tolerance_for_view(view, UNROUTED) == 9.0
+        assert tolerance(view, UNROUTED) == 9.0
 
     def test_requires_baseline(self):
         view = make_view([{"dst_ip": ip(BASE)}])
         with pytest.raises(ValueError):
-            tolerance_for_view(view, np.array([]))
+            tolerance(view, np.array([]))
 
     def test_validates_quantile(self):
         view = make_view([{"dst_ip": ip(BASE)}])
         with pytest.raises(ValueError):
-            tolerance_for_view(view, UNROUTED, quantile=1.5)
+            tolerance(view, UNROUTED, quantile=1.5)
 
     def test_per_view_mapping(self):
         views = [
             make_view([{"dst_ip": ip(BASE)}], vantage="A", day=0),
             make_view([{"dst_ip": ip(BASE)}], vantage="B", day=1),
         ]
-        mapping = tolerances_for_views(views, UNROUTED)
+        mapping = tolerances_from_accumulator(fold(views), UNROUTED)
         assert set(mapping) == {"A", "B"}
 
 

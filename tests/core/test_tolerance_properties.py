@@ -3,7 +3,9 @@
 The dense form — a ``|baseline|``-long count vector per vantage handed
 to ``np.quantile(..., method="higher")`` — is how paper §7.2 reads and
 how the tolerance used to be computed.  It lives on here only as the
-oracle the sparse implementation must reproduce ``==``.
+oracle the sparse implementation must reproduce ``==``, and it sums the
+source packets per unrouted /24 straight from the views' flows, so it
+shares no aggregation with the accumulator it checks.
 """
 
 import math
@@ -15,8 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.spoofing_tolerance import (
     _zero_padded_quantile,
-    tolerance_for_view,
-    tolerances_for_views,
     tolerances_from_accumulator,
 )
 from repro.net.ipv4 import parse_ip
@@ -29,16 +29,18 @@ QUANTILES = (0.5, 0.9, 0.99, 0.999, 0.9999, 1.0)
 
 
 def dense_tolerances(views, unrouted_blocks, quantile):
-    """The pre-sparse ``tolerances_for_views``, kept as the oracle."""
+    """The dense definition, read straight off the views' flows."""
     unrouted = np.unique(np.asarray(unrouted_blocks, dtype=np.int64))
     pooled = {}
     for view in views:
         counts = pooled.setdefault(view.vantage, np.zeros(len(unrouted)))
-        agg = view.aggregates()
-        mask = np.isin(agg.src_blocks, unrouted)
-        counts[np.searchsorted(unrouted, agg.src_blocks[mask])] += agg.src_packets[
-            mask
-        ]
+        src_blocks = view.flows.src_blocks()
+        inside = np.isin(src_blocks, unrouted)
+        np.add.at(
+            counts,
+            np.searchsorted(unrouted, src_blocks[inside]),
+            view.flows.packets[inside],
+        )
     return {
         vantage: float(np.quantile(counts, quantile, method="higher"))
         for vantage, counts in pooled.items()
@@ -123,14 +125,12 @@ class TestSparseEqualsDense:
     def test_views_accumulator_and_dense_agree(self, campaign, quantile):
         views, baseline = campaign
         expected = dense_tolerances(views, baseline, quantile)
-        assert tolerances_for_views(views, baseline, quantile) == expected
-        # The docstring's claim: streamed aggregates give the same answer.
         accumulator = fold(views, chunk_size=7)
         assert tolerances_from_accumulator(accumulator, baseline, quantile) == expected
         for view in views:
-            assert tolerance_for_view(view, baseline, quantile) == dense_tolerances(
-                [view], baseline, quantile
-            )[view.vantage]
+            assert tolerances_from_accumulator(
+                fold([view]), baseline, quantile
+            ) == dense_tolerances([view], baseline, quantile)
 
     def test_on_world_views(self, world, day0):
         views = list(day0.ixp_views.values())
@@ -138,7 +138,6 @@ class TestSparseEqualsDense:
         accumulator = fold(views)
         for quantile in QUANTILES:
             expected = dense_tolerances(views, baseline, quantile)
-            assert tolerances_for_views(views, baseline, quantile) == expected
             assert (
                 tolerances_from_accumulator(accumulator, baseline, quantile)
                 == expected
@@ -149,11 +148,12 @@ class TestValidation:
     VIEW = make_view([{"dst_ip": ip(ROUTED)}])
 
     def entry_points(self):
-        accumulator = fold([self.VIEW])
+        # One door: a single-view fold and a chunked window fold.
         return [
-            lambda *args: tolerance_for_view(self.VIEW, *args),
-            lambda *args: tolerances_for_views([self.VIEW], *args),
-            lambda *args: tolerances_from_accumulator(accumulator, *args),
+            lambda *args: tolerances_from_accumulator(fold([self.VIEW]), *args),
+            lambda *args: tolerances_from_accumulator(
+                fold([self.VIEW, self.VIEW], chunk_size=1), *args
+            ),
         ]
 
     @pytest.mark.parametrize("quantile", [0, 0.0, -0.1, 1.5, float("nan")])

@@ -234,6 +234,43 @@ class TestCli:
         blocks = read_prefix_list(output)
         assert len(blocks) > 0
 
+    def test_infer_and_report_state_the_days_folded(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.world.config import micro_config
+
+        # --days past the campaign folds the campaign; both products say so.
+        days = micro_config().num_days
+        prefixes = tmp_path / "list.txt"
+        assert main([
+            "infer", "--scale", "micro", "--days", "30",
+            "--output", str(prefixes),
+        ]) == 0
+        assert prefixes.read_text().splitlines()[0].endswith(f" days={days}")
+        report = tmp_path / "report.md"
+        assert main([
+            "report", "--scale", "micro", "--days", "30",
+            "--output", str(report),
+        ]) == 0
+        assert report.read_text().splitlines()[0] == (
+            f"# Meta-telescope report — All, {days} day(s)"
+        )
+
+    def test_ipv4_only_commands_reject_ipv6(self, capsys):
+        from repro.cli import main
+
+        for argv in (
+            ["scenarios", "list"],
+            ["scenarios", "run"],
+            ["funnel"],
+        ):
+            with pytest.raises(SystemExit) as raised:
+                main([*argv, "--scale", "micro", "--family", "ipv6"])
+            assert raised.value.code == (
+                "--family ipv6 is supported by the infer and plan commands, "
+                f"not {argv[0]}"
+            )
+        assert capsys.readouterr().out == ""
+
     def test_telescopes_runs(self, capsys):
         from repro.cli import main
 

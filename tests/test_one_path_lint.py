@@ -2,12 +2,14 @@
 
 Views become an accumulator only in ``engine.execute_plan`` (whose two
 arms are the serial loop and ``parallel``'s fan-out, both running
-``PrefixAccumulator.update_view``); knobs are resolved only by the
-engine; the facade plans in one place; snapshots are built only by the
-modules that own a serving state; processes are started only by the
+``PrefixAccumulator.update_view``); per-/24 sums exist only in that
+accumulator, never as a per-view aggregate; knobs are resolved only by
+the engine; the facade plans in one place; snapshots are built only by
+the modules that own a serving state; processes are started only by the
 fold's fan-out and the serving fleet.  This test keeps second doors — a
-convenience fold loop, a facade that plans for itself, a hand-built
-snapshot, a private process pool — from growing back.
+convenience fold loop, a second aggregation, a facade that plans for
+itself, a hand-built snapshot, a private process pool — from growing
+back.
 """
 
 import ast
@@ -29,6 +31,8 @@ ALLOWED_CALLERS = {
         "core/online.py",
         "core/federation.py",
     },
+    # A per-view aggregate: every per-/24 sum is read off the accumulator.
+    "aggregates": set(),
 }
 #: The same, but only for callers under ``src/repro/core/``.
 ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
@@ -37,8 +41,13 @@ ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
 ALLOWED_IMPORTERS = {
     "multiprocessing": {"core/parallel.py", "service/fleet.py"},
 }
-#: The deleted convenience fold: not defined, called or mentioned.
-DELETED = re.compile(r"\baccumulate_views\b")
+#: Deleted second doors — the convenience fold, the per-view
+#: aggregation and its view-fed tolerances: not defined, called or
+#: mentioned.
+DELETED = re.compile(
+    r"\b(?:accumulate_views|BlockAggregates|compute_block_aggregates"
+    r"|tolerances?_for_views?)\b"
+)
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -121,7 +130,8 @@ def tree_sources() -> dict[str, str]:
 def test_each_step_has_one_door():
     found = offenders(tree_sources())
     assert not found, (
-        "views fold only through engine.execute_plan, knobs resolve only "
+        "views fold only through engine.execute_plan, per-/24 sums come "
+        "only from its accumulator, knobs resolve only "
         "in the engine, the facade plans only in MetaTelescope.plan / "
         ".accumulate (and run_pipeline), snapshots are built only by "
         "snapshot / metatelescope / online / federation, and only "
@@ -162,6 +172,25 @@ def test_lint_actually_catches_a_second_door():
         "core/online.py": "import multiprocessing\n",
         "core/metatelescope.py": "import multiprocessing.pool\n",
         "service/daemon.py": "from multiprocessing import get_context\n",
+        # The second aggregation: a per-view cache, its readers and the
+        # view-fed tolerance doors.
+        "vantage/sampling.py": (
+            "class BlockAggregates:\n"
+            "    pass\n"
+        ),
+        "vantage/archive.py": (
+            "def aggregates(view):\n"
+            "    return compute_block_aggregates(view.flows)\n"
+        ),
+        "core/confidence.py": "agg = view.aggregates()\n",
+        "core/thresholds.py": "src_blocks = views[0].aggregates().src_blocks\n",
+        "core/spoofing_tolerance.py": (
+            "def tolerance_for_view(view, unrouted_blocks):\n"
+            "    return tolerances_for_views([view], unrouted_blocks)\n"
+        ),
+        "core/__init__.py": (
+            "from repro.core.spoofing_tolerance import tolerances_for_views\n"
+        ),
     }
     for module, fork in pasted.items():
         assert not offenders({module: sources[module]}), module
@@ -180,6 +209,25 @@ def test_lint_actually_catches_a_second_door():
         "src/repro/core/online.py:1: import multiprocessing"
     ]
     assert not offenders({"core/online.py": "from .multiprocessing import x\n"})
+    assert offenders({"core/confidence.py": pasted["core/confidence.py"]}) == [
+        "src/repro/core/confidence.py:1: aggregates( in None"
+    ]
+    assert offenders(
+        {"core/spoofing_tolerance.py": pasted["core/spoofing_tolerance.py"]}
+    ) == [
+        "src/repro/core/spoofing_tolerance.py:1: "
+        "def tolerance_for_view(view, unrouted_blocks):",
+        "src/repro/core/spoofing_tolerance.py:2: "
+        "return tolerances_for_views([view], unrouted_blocks)",
+    ]
+    # The one door stays open: the accumulator's readers are not caught.
+    assert not offenders({
+        "core/thresholds.py": "observed = accumulator.observed_blocks()\n",
+        "core/metatelescope.py": (
+            "tolerance = tolerances_from_accumulator(accumulator, baseline)\n"
+        ),
+        "core/confidence.py": "finalized = accumulator.finalize()\n",
+    })
     # The import rule really covers code: both allowed importers import it.
     for module in ALLOWED_IMPORTERS["multiprocessing"]:
         assert "multiprocessing" in {name for name, _ in imports(sources[module])}

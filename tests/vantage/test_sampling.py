@@ -1,73 +1,77 @@
-"""Tests for vantage-day views and block aggregation."""
+"""Tests for vantage-day views and the per-/24 aggregates they fold into.
 
-import numpy as np
+A view keeps no aggregate of its own; its per-block statistics are read
+off the accumulator the engine folds it into.
+"""
+
 import pytest
 
 from repro.traffic.packets import PROTO_TCP, PROTO_UDP
-from repro.vantage.sampling import VantageDayView, compute_block_aggregates
 
-from _factories import ip, make_flows, make_view
+from _factories import fold, ip, make_view
 
 
 class TestBlockAggregates:
     def test_tcp_udp_split(self):
-        flows = make_flows(
+        view = make_view(
             [
                 {"dst_ip": ip(5), "proto": PROTO_TCP, "packets": 3, "bytes": 120},
                 {"dst_ip": ip(5, 2), "proto": PROTO_UDP, "packets": 2, "bytes": 200},
             ]
         )
-        agg = compute_block_aggregates(flows)
-        assert agg.blocks.tolist() == [5]
-        assert agg.tcp_packets.tolist() == [3]
-        assert agg.udp_packets.tolist() == [2]
-        assert agg.total_packets().tolist() == [5]
+        finalized = fold([view]).finalize()
+        assert finalized.dst_ips.tolist() == [ip(5), ip(5, 2)]
+        assert finalized.ip_tcp_pkts_est.tolist() == [3, 0]
+        assert finalized.ip_total_pkts_est.tolist() == [3, 2]
+        assert finalized.vol_blocks.tolist() == [5]
+        assert finalized.vol_median_est.tolist() == [5]
 
     def test_per_ip_stats(self):
-        flows = make_flows(
+        view = make_view(
             [
                 {"dst_ip": ip(5, 1), "packets": 1, "bytes": 40},
                 {"dst_ip": ip(5, 1), "packets": 1, "bytes": 48},
                 {"dst_ip": ip(5, 2), "packets": 2, "bytes": 80},
-            ]
+            ],
+            sampling_factor=3.0,
         )
-        agg = compute_block_aggregates(flows)
-        assert agg.dst_ips.tolist() == [ip(5, 1), ip(5, 2)]
-        assert agg.dst_ip_tcp_packets.tolist() == [2, 2]
-        assert agg.dst_ip_tcp_bytes.tolist() == [88, 80]
-        assert agg.distinct_dst_ips.tolist() == [2]
+        finalized = fold([view]).finalize()
+        assert finalized.dst_ips.tolist() == [ip(5, 1), ip(5, 2)]
+        assert finalized.ip_tcp_pkts_est.tolist() == [6, 6]
+        assert finalized.ip_tcp_bytes_est.tolist() == [264, 240]
 
     def test_source_stats(self):
-        flows = make_flows(
+        view = make_view(
             [
                 {"src_ip": ip(9, 1), "packets": 4},
                 {"src_ip": ip(9, 2), "packets": 1},
                 {"src_ip": ip(8, 1), "packets": 2},
-            ]
+            ],
+            vantage="V",
+            sampling_factor=10.0,
         )
-        agg = compute_block_aggregates(flows)
-        assert agg.src_blocks.tolist() == [8, 9]
-        assert agg.src_packets.tolist() == [2, 5]
-        assert agg.src_distinct_ips.tolist() == [1, 2]
-        assert agg.src_ips.tolist() == [ip(8, 1), ip(9, 1), ip(9, 2)]
-        assert agg.src_ip_packets.tolist() == [2, 4, 1]
+        accumulator = fold([view])
+        # Source sums stay sampled: the tolerance and the labels count
+        # the packets the vantage exported, not estimates.
+        blocks, packets = accumulator.vantage_source_blocks()["V"]
+        assert blocks.tolist() == [8, 9]
+        assert packets.tolist() == [2, 5]
+        finalized = accumulator.finalize()
+        assert finalized.src_ips.tolist() == [ip(8, 1), ip(9, 1), ip(9, 2)]
+        assert finalized.src_ip_pkts_sampled.tolist() == [2, 4, 1]
 
     def test_multiple_blocks_sorted(self):
-        flows = make_flows([{"dst_ip": ip(20)}, {"dst_ip": ip(3)}])
-        agg = compute_block_aggregates(flows)
-        assert agg.blocks.tolist() == [3, 20]
+        view = make_view([{"dst_ip": ip(20)}, {"dst_ip": ip(3)}])
+        assert fold([view]).observed_blocks().tolist() == [3, 20]
 
     def test_empty_flows(self):
-        agg = compute_block_aggregates(make_flows([]))
-        assert len(agg.blocks) == 0
-        assert len(agg.src_blocks) == 0
+        accumulator = fold([make_view([], vantage="V")])
+        assert len(accumulator.observed_blocks()) == 0
+        blocks, _ = accumulator.vantage_source_blocks()["V"]
+        assert len(blocks) == 0
 
 
 class TestVantageDayView:
-    def test_aggregates_cached(self):
-        view = make_view([{"dst_ip": ip(5)}])
-        assert view.aggregates() is view.aggregates()
-
     def test_decimated_scales_factor(self, rng):
         view = make_view([{"packets": 1000}], sampling_factor=4.0)
         decimated = view.decimated(2, rng)
