@@ -11,12 +11,16 @@
  * Grouping algorithm (fold3 / fold1): rows become compact records
  * (key offset + 32-bit values, the TCP flag packed into the sign bit
  * of the packet field), fully sorted by key with a stable LSD radix
- * sort in 1-3 passes of <= 13 bits, then reduced by a branchless
+ * sort in passes of <= 13 bits, then reduced by a branchless
  * segmented scan that accumulates each key's float64 sums in original
- * row order and emits unique keys ascending, with the per-/24 regroup
- * as a second branchless scan over the uniques — no hashing, no
- * comparison sort, no random gathers, no data-dependent branches in
- * the hot loops.
+ * row order and emits unique keys ascending, with the per-block
+ * regroup as a second branchless scan over the uniques — no hashing,
+ * no comparison sort, no random gathers, no data-dependent branches
+ * in the hot loops.  Keys are 32-bit (IPv4) or 64-bit (IPv6 /64 ids).
+ * The record width follows the chunk's key range, not the key width:
+ * a range that fits 32 bits sorts 12-/8-byte records with 32-bit
+ * offsets in 1-3 passes; only a wider one (64-bit keys alone get
+ * there) sorts 16-byte records with 64-bit offsets in up to 5.
  */
 
 #include <stdint.h>
@@ -24,62 +28,62 @@
 
 #define MAX_PASS_BITS 13
 #define MAX_PASS_SLOTS (1 << MAX_PASS_BITS)
+/* Passes a 64-bit key range needs. */
+#define MAX_PASSES 5
 
 #define PROTO_TCP 6
 
-typedef struct { uint32_t off; int32_t pktcp; int32_t by; } rec3_t;
-typedef struct { uint32_t off; int32_t pk; } rec1_t;
+/* Row i's key as the reference's astype(np.int64) reads it: 32-bit
+ * keys widen, 64-bit keys keep their bits (so keys >= 2**63 turn
+ * negative).  Offsets from the signed minimum, taken as uint64
+ * differences, then order keys exactly as numpy's signed sort. */
+static inline int64_t key_at(const void *keys, int key_bits, int64_t i) {
+    return key_bits == 64 ? ((const int64_t *)keys)[i]
+                          : (int64_t)((const uint32_t *)keys)[i];
+}
 
-/* Width in bits of `range` (0..32).  The operand must be 64-bit: a
- * 32-bit shift by 32 is undefined behaviour (x86 shifts count mod 32),
- * which turns full-range keys into an infinite loop. */
+/* Width in bits of `range` (0..64).  The loop stops at 64 because
+ * shifting a 64-bit value by 64 is undefined behaviour (x86 shifts
+ * count mod 64); the 32-bit form of that bug once turned full-range
+ * keys into an infinite loop. */
 static int bits_of(uint64_t range) {
     int bits = 0;
-    while (range >> bits) bits++;
+    while (bits < 64 && range >> bits) bits++;
     return bits;
 }
 
-/* Split `bits` into 1-3 stable LSD passes of <= MAX_PASS_BITS each. */
-static int pass_plan(int bits, int *widths) {
-    int npass = bits <= MAX_PASS_BITS ? 1 : (bits <= 2 * MAX_PASS_BITS ? 2 : 3);
-    for (int p = 0; p < npass; p++)
+/* Split `bits` into the fewest stable LSD passes of <= MAX_PASS_BITS
+ * each (1-3 for a 32-bit range, up to 5 for a 64-bit one) and the bit
+ * position of each pass's digit. */
+static int pass_plan(int bits, int *widths, int *shifts) {
+    int npass = bits <= MAX_PASS_BITS ? 1
+                                      : (bits + MAX_PASS_BITS - 1) / MAX_PASS_BITS;
+    int shift = 0;
+    for (int p = 0; p < npass; p++) {
         widths[p] = bits / npass + (p < bits % npass);
+        shifts[p] = shift;
+        shift += widths[p];
+    }
     return npass;
 }
 
-/* Grouped (tcp_pkts, tcp_bytes, total_pkts) float64 sums per dst IP
- * plus the per-/24 regroup of total packets, via full radix sort and a
- * branchless segmented reduce.  Sums accumulate unscaled (exact for
- * the integer counts involved) and are scaled by `factor` once at the
- * end — the same operation order as the numpy reference.  Returns the
- * unique-key count, or -1 when a value overflows the 31-bit record
- * field (caller falls back to the reference path). */
-static int64_t fold3(
-    const uint32_t *keys, const uint8_t *proto,
-    const int64_t *packets, const int64_t *bytes_, int64_t n,
-    uint32_t kmin, int bits, double factor, int64_t block_shift,
-    int64_t *out_keys, double *out_a, double *out_b, double *out_c,
-    int64_t *blk_keys, double *blk_vals, int64_t *nblk_out,
-    rec3_t *bufa, rec3_t *bufb)
+/* All pass histograms in one read of the keys, turned into each
+ * pass's scatter positions.  Inlined per record width so the pass
+ * loop unrolls over the constant `maxp`. */
+static inline __attribute__((always_inline)) void radix_positions(
+    const void *keys, int key_bits, int64_t n, uint64_t kmin,
+    int npass, const int *widths, const int *shifts, int maxp,
+    int64_t (*hist)[MAX_PASS_SLOTS])
 {
-    *nblk_out = 0;
-    if (n == 0) return 0;
-    int widths[3];
-    int npass = pass_plan(bits, widths);
-
-    /* All pass histograms in one read of the keys. */
-    int64_t hist[3][MAX_PASS_SLOTS];
-    for (int p = 0; p < npass; p++)
+    uint64_t masks[MAX_PASSES];
+    for (int p = 0; p < npass; p++) {
         memset(hist[p], 0, sizeof(int64_t) << widths[p]);
-    {
-        int w0 = widths[0], w1 = widths[1 % npass];
-        uint32_t m0 = (1u << w0) - 1, m1 = (1u << w1) - 1;
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = keys[i] - kmin;
-            hist[0][u & m0]++;
-            if (npass > 1) hist[1][(u >> w0) & m1]++;
-            if (npass > 2) hist[2][u >> (w0 + w1)]++;
-        }
+        masks[p] = ((uint64_t)1 << widths[p]) - 1;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t u = (uint64_t)key_at(keys, key_bits, i) - kmin;
+        for (int p = 0; p < maxp; p++)
+            if (p < npass) hist[p][(u >> shifts[p]) & masks[p]]++;
     }
     for (int p = 0; p < npass; p++) {
         int64_t run = 0;
@@ -89,67 +93,124 @@ static int64_t fold3(
             run += count;
         }
     }
+}
 
-    /* Pass 1 scatters records straight from the input columns; the
-     * TCP flag rides in the sign bit of the packet field. */
-    {
-        uint32_t mask = (1u << widths[0]) - 1;
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = keys[i] - kmin;
-            rec3_t rec;
-            rec.off = u;
-            rec.pktcp = (int32_t)packets[i]
-                | (proto[i] == PROTO_TCP ? INT32_MIN : 0);
-            rec.by = (int32_t)bytes_[i];
-            bufa[hist[0][u & mask]++] = rec;
-        }
-    }
-    rec3_t *cur = bufa, *alt = bufb;
-    int shift = widths[0];
-    for (int p = 1; p < npass; p++) {
-        uint32_t mask = (1u << widths[p]) - 1;
-        for (int64_t i = 0; i < n; i++)
-            alt[hist[p][(cur[i].off >> shift) & mask]++] = cur[i];
-        rec3_t *swap = cur; cur = alt; alt = swap;
-        shift += widths[p];
-    }
-    const rec3_t *recs = cur;
+/* The record-typed half of the folds, stamped out once per offset
+ * width W (OFF_T offsets, at most MAXP passes).  sort_reduce3 sums
+ * (tcp_pkts, tcp_bytes, total_pkts) per key, sort_reduce1 the packets;
+ * both unscaled, keys ascending as kmin + offset, each key's sums in
+ * original row order.  Pass 1 scatters records straight from the input
+ * columns (the TCP flag rides in the sign bit of the packet field);
+ * the reduce starts every fresh key's sums from 0.0, as np.bincount
+ * does.  n >= 1. */
+#define DEFINE_SORT_REDUCE(W, OFF_T, MAXP)                                  \
+typedef struct { OFF_T off; int32_t pktcp; int32_t by; } rec3_##W;          \
+typedef struct { OFF_T off; int32_t pk; } rec1_##W;                         \
+                                                                            \
+static int64_t sort_reduce3_##W(                                            \
+    const void *keys, int key_bits, const uint8_t *proto,                   \
+    const int64_t *packets, const int64_t *bytes_, int64_t n,               \
+    uint64_t kmin, int bits,                                                \
+    int64_t *out_keys, double *out_a, double *out_b, double *out_c,         \
+    rec3_##W *bufa, rec3_##W *bufb)                                         \
+{                                                                           \
+    int widths[MAXP], shifts[MAXP];                                         \
+    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
+    int npass = pass_plan(bits, widths, shifts);                            \
+    radix_positions(keys, key_bits, n, kmin, npass, widths, shifts,        \
+                    MAXP, hist);                                            \
+    OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        rec3_##W rec;                                                       \
+        rec.off = (OFF_T)((uint64_t)key_at(keys, key_bits, i) - kmin);      \
+        rec.pktcp = (int32_t)packets[i]                                     \
+            | (proto[i] == PROTO_TCP ? INT32_MIN : 0);                      \
+        rec.by = (int32_t)bytes_[i];                                        \
+        bufa[hist[0][rec.off & mask0]++] = rec;                             \
+    }                                                                       \
+    rec3_##W *cur = bufa, *alt = bufb;                                      \
+    for (int p = 1; p < npass; p++) {                                       \
+        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
+        for (int64_t i = 0; i < n; i++)                                     \
+            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
+        rec3_##W *swap = cur; cur = alt; alt = swap;                        \
+    }                                                                       \
+    OFF_T prev = ~cur[0].off;                                               \
+    int64_t nu = 0;                                                         \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        rec3_##W rec = cur[i];                                              \
+        int fresh = rec.off != prev;                                        \
+        prev = rec.off;                                                     \
+        nu += fresh;                                                        \
+        int64_t m = nu - 1;                                                 \
+        out_keys[m] = (int64_t)(kmin + rec.off);                            \
+        double sum_a = out_a[m], sum_b = out_b[m], sum_c = out_c[m];        \
+        sum_a = fresh ? 0.0 : sum_a;                                        \
+        sum_b = fresh ? 0.0 : sum_b;                                        \
+        sum_c = fresh ? 0.0 : sum_c;                                        \
+        double tcp = (double)((uint32_t)rec.pktcp >> 31);                   \
+        double pk = (double)(rec.pktcp & INT32_MAX);                        \
+        out_a[m] = sum_a + tcp * pk;                                        \
+        out_b[m] = sum_b + tcp * (double)rec.by;                            \
+        out_c[m] = sum_c + pk;                                              \
+    }                                                                       \
+    return nu;                                                              \
+}                                                                           \
+                                                                            \
+static int64_t sort_reduce1_##W(                                            \
+    const void *keys, int key_bits, const int64_t *packets, int64_t n,      \
+    uint64_t kmin, int bits, int64_t *out_keys, double *out_a,              \
+    rec1_##W *bufa, rec1_##W *bufb)                                         \
+{                                                                           \
+    int widths[MAXP], shifts[MAXP];                                         \
+    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
+    int npass = pass_plan(bits, widths, shifts);                            \
+    radix_positions(keys, key_bits, n, kmin, npass, widths, shifts,        \
+                    MAXP, hist);                                            \
+    OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        rec1_##W rec;                                                       \
+        rec.off = (OFF_T)((uint64_t)key_at(keys, key_bits, i) - kmin);      \
+        rec.pk = (int32_t)packets[i];                                       \
+        bufa[hist[0][rec.off & mask0]++] = rec;                             \
+    }                                                                       \
+    rec1_##W *cur = bufa, *alt = bufb;                                      \
+    for (int p = 1; p < npass; p++) {                                       \
+        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
+        for (int64_t i = 0; i < n; i++)                                     \
+            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
+        rec1_##W *swap = cur; cur = alt; alt = swap;                        \
+    }                                                                       \
+    OFF_T prev = ~cur[0].off;                                               \
+    int64_t nu = 0;                                                         \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        rec1_##W rec = cur[i];                                              \
+        int fresh = rec.off != prev;                                        \
+        prev = rec.off;                                                     \
+        nu += fresh;                                                        \
+        int64_t m = nu - 1;                                                 \
+        out_keys[m] = (int64_t)(kmin + rec.off);                            \
+        double sum = out_a[m];                                              \
+        sum = fresh ? 0.0 : sum;                                            \
+        out_a[m] = sum + (double)rec.pk;                                    \
+    }                                                                       \
+    return nu;                                                              \
+}
 
-    /* Branchless segmented reduce: records are in full key order with
-     * original row order preserved per key. */
-    uint32_t prev = recs[0].off;
-    double tcp0 = (double)((uint32_t)recs[0].pktcp >> 31);
-    double pk0 = (double)(recs[0].pktcp & INT32_MAX);
-    out_keys[0] = (int64_t)kmin + prev;
-    out_a[0] = tcp0 * pk0;
-    out_b[0] = tcp0 * (double)recs[0].by;
-    out_c[0] = pk0;
-    int64_t nu = 1;
-    for (int64_t i = 1; i < n; i++) {
-        rec3_t rec = recs[i];
-        int fresh = rec.off != prev;
-        prev = rec.off;
-        nu += fresh;
-        int64_t m = nu - 1;
-        out_keys[m] = (int64_t)kmin + rec.off;
-        double sum_a = out_a[m], sum_b = out_b[m], sum_c = out_c[m];
-        sum_a = fresh ? 0.0 : sum_a;
-        sum_b = fresh ? 0.0 : sum_b;
-        sum_c = fresh ? 0.0 : sum_c;
-        double tcp = (double)((uint32_t)rec.pktcp >> 31);
-        double pk = (double)(rec.pktcp & INT32_MAX);
-        out_a[m] = sum_a + tcp * pk;
-        out_b[m] = sum_b + tcp * (double)rec.by;
-        out_c[m] = sum_c + pk;
-    }
+DEFINE_SORT_REDUCE(narrow, uint32_t, 3)
+DEFINE_SORT_REDUCE(wide, uint64_t, MAX_PASSES)
 
-    /* Per-block regroup of the (still unscaled) totals. */
-    int64_t prev_blk = out_keys[0] >> block_shift;
-    blk_keys[0] = prev_blk;
-    blk_vals[0] = out_c[0];
-    int64_t nblk = 1;
-    for (int64_t i = 1; i < nu; i++) {
-        int64_t blk = out_keys[i] >> block_shift;
+/* Per-block regroup of sorted-unique keys' (still unscaled) sums with
+ * the reference's `key >> block_shift` (arithmetic on int64).  Returns
+ * the block count. */
+static int64_t regroup_blocks(
+    const int64_t *keys, const double *vals, int64_t nu, int64_t block_shift,
+    int64_t *blk_keys, double *blk_vals)
+{
+    int64_t prev_blk = ~(keys[0] >> block_shift);
+    int64_t nblk = 0;
+    for (int64_t i = 0; i < nu; i++) {
+        int64_t blk = keys[i] >> block_shift;
         int fresh = blk != prev_blk;
         prev_blk = blk;
         nblk += fresh;
@@ -157,8 +218,34 @@ static int64_t fold3(
         blk_keys[m] = blk;
         double sum = blk_vals[m];
         sum = fresh ? 0.0 : sum;
-        blk_vals[m] = sum + out_c[i];
+        blk_vals[m] = sum + vals[i];
     }
+    return nblk;
+}
+
+/* Grouped (tcp_pkts, tcp_bytes, total_pkts) float64 sums per dst key
+ * plus the per-block regroup of total packets.  Sums accumulate
+ * unscaled (exact for the integer counts involved) and are scaled by
+ * `factor` once at the end — the same operation order as the numpy
+ * reference.  Returns the unique-key count.  n >= 1. */
+static int64_t fold3(
+    const void *keys, int key_bits, const uint8_t *proto,
+    const int64_t *packets, const int64_t *bytes_, int64_t n,
+    int64_t kmin, int64_t kmax, double factor, int64_t block_shift,
+    int64_t *out_keys, double *out_a, double *out_b, double *out_c,
+    int64_t *blk_keys, double *blk_vals, int64_t *nblk_out,
+    void *bufa, void *bufb)
+{
+    int bits = bits_of((uint64_t)kmax - (uint64_t)kmin);
+    int64_t nu = bits <= 32
+        ? sort_reduce3_narrow(keys, key_bits, proto, packets, bytes_, n,
+                              (uint64_t)kmin, bits,
+                              out_keys, out_a, out_b, out_c, bufa, bufb)
+        : sort_reduce3_wide(keys, key_bits, proto, packets, bytes_, n,
+                            (uint64_t)kmin, bits,
+                            out_keys, out_a, out_b, out_c, bufa, bufb);
+    int64_t nblk = regroup_blocks(out_keys, out_c, nu, block_shift,
+                                  blk_keys, blk_vals);
     for (int64_t i = 0; i < nu; i++) {
         out_a[i] *= factor;
         out_b[i] *= factor;
@@ -169,105 +256,37 @@ static int64_t fold3(
     return nu;
 }
 
-/* Grouped packet sums per src IP plus the per-block regroup (unscaled). */
+/* Grouped packet sums per src key plus the per-block regroup
+ * (unscaled).  n >= 1. */
 static int64_t fold1(
-    const uint32_t *keys, const int64_t *packets, int64_t n,
-    uint32_t kmin, int bits, int64_t block_shift,
+    const void *keys, int key_bits, const int64_t *packets, int64_t n,
+    int64_t kmin, int64_t kmax, int64_t block_shift,
     int64_t *out_keys, double *out_a,
     int64_t *blk_keys, double *blk_vals, int64_t *nblk_out,
-    rec1_t *bufa, rec1_t *bufb)
+    void *bufa, void *bufb)
 {
-    *nblk_out = 0;
-    if (n == 0) return 0;
-    int widths[3];
-    int npass = pass_plan(bits, widths);
-
-    int64_t hist[3][MAX_PASS_SLOTS];
-    for (int p = 0; p < npass; p++)
-        memset(hist[p], 0, sizeof(int64_t) << widths[p]);
-    {
-        int w0 = widths[0], w1 = widths[1 % npass];
-        uint32_t m0 = (1u << w0) - 1, m1 = (1u << w1) - 1;
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = keys[i] - kmin;
-            hist[0][u & m0]++;
-            if (npass > 1) hist[1][(u >> w0) & m1]++;
-            if (npass > 2) hist[2][u >> (w0 + w1)]++;
-        }
-    }
-    for (int p = 0; p < npass; p++) {
-        int64_t run = 0;
-        for (int64_t b = 0; b < (int64_t)1 << widths[p]; b++) {
-            int64_t count = hist[p][b];
-            hist[p][b] = run;
-            run += count;
-        }
-    }
-
-    {
-        uint32_t mask = (1u << widths[0]) - 1;
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t u = keys[i] - kmin;
-            rec1_t rec;
-            rec.off = u;
-            rec.pk = (int32_t)packets[i];
-            bufa[hist[0][u & mask]++] = rec;
-        }
-    }
-    rec1_t *cur = bufa, *alt = bufb;
-    int shift = widths[0];
-    for (int p = 1; p < npass; p++) {
-        uint32_t mask = (1u << widths[p]) - 1;
-        for (int64_t i = 0; i < n; i++)
-            alt[hist[p][(cur[i].off >> shift) & mask]++] = cur[i];
-        rec1_t *swap = cur; cur = alt; alt = swap;
-        shift += widths[p];
-    }
-    const rec1_t *recs = cur;
-
-    uint32_t prev = recs[0].off;
-    out_keys[0] = (int64_t)kmin + prev;
-    out_a[0] = (double)recs[0].pk;
-    int64_t nu = 1;
-    for (int64_t i = 1; i < n; i++) {
-        rec1_t rec = recs[i];
-        int fresh = rec.off != prev;
-        prev = rec.off;
-        nu += fresh;
-        int64_t m = nu - 1;
-        out_keys[m] = (int64_t)kmin + rec.off;
-        double sum = out_a[m];
-        sum = fresh ? 0.0 : sum;
-        out_a[m] = sum + (double)rec.pk;
-    }
-
-    int64_t prev_blk = out_keys[0] >> block_shift;
-    blk_keys[0] = prev_blk;
-    blk_vals[0] = out_a[0];
-    int64_t nblk = 1;
-    for (int64_t i = 1; i < nu; i++) {
-        int64_t blk = out_keys[i] >> block_shift;
-        int fresh = blk != prev_blk;
-        prev_blk = blk;
-        nblk += fresh;
-        int64_t m = nblk - 1;
-        blk_keys[m] = blk;
-        double sum = blk_vals[m];
-        sum = fresh ? 0.0 : sum;
-        blk_vals[m] = sum + out_a[i];
-    }
-    *nblk_out = nblk;
+    int bits = bits_of((uint64_t)kmax - (uint64_t)kmin);
+    int64_t nu = bits <= 32
+        ? sort_reduce1_narrow(keys, key_bits, packets, n, (uint64_t)kmin,
+                              bits, out_keys, out_a, bufa, bufb)
+        : sort_reduce1_wide(keys, key_bits, packets, n, (uint64_t)kmin,
+                            bits, out_keys, out_a, bufa, bufb);
+    *nblk_out = regroup_blocks(out_keys, out_a, nu, block_shift,
+                               blk_keys, blk_vals);
     return nu;
 }
 
 /* The fused per-chunk accumulator fold: one call produces all four
  * keyed parts PrefixAccumulator.update() appends for a chunk with no
- * ignored-sender filter.  counts = {n_dst, n_vol, n_src, n_raw}; -1 on
- * 31-bit value overflow (fallback). */
+ * ignored-sender filter.  `src_ip` / `dst_ip` hold `key_bits` (32 or
+ * 64) bit keys; `bufa` / `bufb` each hold n records of the widest
+ * layout the key width can take (12 bytes for 32-bit keys, 16 for
+ * 64-bit ones).  counts = {n_dst, n_vol, n_src, n_raw}; -1 on a count
+ * outside the 31-bit record field or another key width (fallback). */
 int64_t fold_chunk(
-    const uint32_t *src_ip, const uint32_t *dst_ip, const uint8_t *proto,
-    const int64_t *packets, const int64_t *bytes_, int64_t n, double factor,
-    int64_t block_shift,
+    const void *src_ip, const void *dst_ip, int64_t key_bits,
+    const uint8_t *proto, const int64_t *packets, const int64_t *bytes_,
+    int64_t n, double factor, int64_t block_shift,
     int64_t *dst_keys, double *dst_tcp_pk, double *dst_tcp_by, double *dst_tot,
     int64_t *vol_keys, double *vol_pk,
     int64_t *src_keys, double *src_pk,
@@ -275,15 +294,15 @@ int64_t fold_chunk(
     void *bufa, void *bufb,
     int64_t *counts)
 {
-    if (n == 0) {
-        counts[0] = counts[1] = counts[2] = counts[3] = 0;
-        return 0;
-    }
-    /* Fused scan: both key ranges plus the 31-bit value guard. */
-    uint32_t dmin = dst_ip[0], dmax = dst_ip[0];
-    uint32_t smin = src_ip[0], smax = src_ip[0];
+    counts[0] = counts[1] = counts[2] = counts[3] = 0;
+    if (key_bits != 32 && key_bits != 64) return -1;
+    if (n == 0) return 0;
+    int kb = (int)key_bits;
+    /* Fused scan: both (signed) key ranges plus the 31-bit value guard. */
+    int64_t dmin = key_at(dst_ip, kb, 0), dmax = dmin;
+    int64_t smin = key_at(src_ip, kb, 0), smax = smin;
     for (int64_t i = 0; i < n; i++) {
-        uint32_t d = dst_ip[i], s = src_ip[i];
+        int64_t d = key_at(dst_ip, kb, i), s = key_at(src_ip, kb, i);
         if (d < dmin) dmin = d;
         if (d > dmax) dmax = d;
         if (s < smin) smin = s;
@@ -292,22 +311,13 @@ int64_t fold_chunk(
             || (uint64_t)bytes_[i] >= INT32_MAX)
             return -1;
     }
-    int64_t nvol = 0, nraw = 0;
-    int64_t ndst = fold3(dst_ip, proto, packets, bytes_, n,
-                         dmin, bits_of(dmax - dmin), factor, block_shift,
-                         dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
-                         vol_keys, vol_pk, &nvol,
-                         (rec3_t *)bufa, (rec3_t *)bufb);
-    if (ndst < 0) return -1;
-    int64_t nsrc = fold1(src_ip, packets, n,
-                         smin, bits_of(smax - smin), block_shift,
-                         src_keys, src_pk, raw_keys, raw_pk, &nraw,
-                         (rec1_t *)bufa, (rec1_t *)bufb);
-    if (nsrc < 0) return -1;
-    counts[0] = ndst;
-    counts[1] = nvol;
-    counts[2] = nsrc;
-    counts[3] = nraw;
+    counts[0] = fold3(dst_ip, kb, proto, packets, bytes_, n,
+                      dmin, dmax, factor, block_shift,
+                      dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
+                      vol_keys, vol_pk, &counts[1], bufa, bufb);
+    counts[2] = fold1(src_ip, kb, packets, n, smin, smax, block_shift,
+                      src_keys, src_pk, raw_keys, raw_pk, &counts[3],
+                      bufa, bufb);
     return 0;
 }
 

@@ -22,6 +22,7 @@ the per-/24 volume threshold — both are marked as open parameters.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.net.ipv6 import Ipv6Prefix
@@ -52,12 +53,14 @@ def ipv6_candidate_sites(
     active addresses (Gasser-style hitlists — a lower bound, like the
     IPv4 liveness datasets).
     """
+    starts, ends = _announced_site_intervals(announced)
     dropped_unannounced = 0
     dropped_hitlist = 0
     dropped_sources = 0
     candidates = []
     for site in sorted(observed_dst_sites):
-        if not any(prefix.contains_site(site) for prefix in announced):
+        covering = bisect_right(starts, site) - 1
+        if covering < 0 or site >= ends[covering]:
             dropped_unannounced += 1
             continue
         if site in hitlist_sites:
@@ -74,3 +77,26 @@ def ipv6_candidate_sites(
         dropped_hitlist=dropped_hitlist,
         dropped_sources=dropped_sources,
     )
+
+
+def _announced_site_intervals(
+    announced: list[Ipv6Prefix],
+) -> tuple[list[int], list[int]]:
+    """The announced /48 sites as sorted, disjoint ``[start, end)`` runs.
+
+    Overlapping and adjacent announcements merge; prefixes longer than
+    /48 contain no whole site and add nothing.
+    """
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, end in sorted(
+        (prefix.first_site(), prefix.first_site() + prefix.num_sites())
+        for prefix in announced
+        if prefix.num_sites()
+    ):
+        if ends and start <= ends[-1]:
+            ends[-1] = max(ends[-1], end)
+        else:
+            starts.append(start)
+            ends.append(end)
+    return starts, ends

@@ -107,8 +107,8 @@ def infer_ipv6(
 
     ``chunk_size`` / ``workers`` / ``kernel`` are the ordinary engine
     knobs — classification is bit-identical under any combination, v6
-    included (the native kernel declines uint64 keys and the fold falls
-    back to the numpy reference).
+    included (the native kernel folds the uint64 keys in C, bit for bit
+    the numpy reference's sums).
     """
     if not views:
         raise ValueError("need at least one vantage-day view")

@@ -180,10 +180,18 @@ _PP_F64 = ctypes.POINTER(_P_F64)
 
 
 # Argument types: contiguous 1-d numpy arrays, dtype-checked per call.
-_U8, _U32, _KEYS, _SUMS = (
+_U8, _KEYS, _SUMS = (
     np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
-    for dtype in (np.uint8, np.uint32, np.int64, np.float64)
+    for dtype in (np.uint8, np.int64, np.float64)
 )
+#: The fold's address columns: any dtype here, checked against
+#: ``_FOLD_KEYS`` in :meth:`NativeKernel.fold_chunk`.
+_ADDRS = np.ctypeslib.ndpointer(ndim=1, flags="C_CONTIGUOUS")
+
+#: Address dtype -> (the key width ``fold_chunk`` reads it at, bytes of
+#: the widest radix record that width can take).  32-bit keys always
+#: fit 12-byte records; a 64-bit key range wider than 32 bits needs 16.
+_FOLD_KEYS = {np.dtype(np.uint32): (32, 12), np.dtype(np.uint64): (64, 16)}
 
 
 def _col_ptrs(columns):
@@ -208,9 +216,11 @@ class _Staging(threading.local):
         self.keys: list[np.ndarray] = []
         self.sums: list[np.ndarray] = []
 
-    def buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        # 12 bytes covers the widest radix record (rec3_t).
-        need = 12 * max(rows, 1)
+    def buffers(
+        self, rows: int, record_bytes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two radix scratch buffers, ``rows`` records each."""
+        need = record_bytes * max(rows, 1)
         if len(self.scratch) < 2 * need:
             self.scratch = np.empty(2 * need, dtype=np.uint8)
         return self.scratch[:need], self.scratch[need:2 * need]
@@ -255,7 +265,8 @@ class NativeKernel(NumpyKernel):
             return
         lib.fold_chunk.restype = _I64
         lib.fold_chunk.argtypes = [
-            _U32, _U32, _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
+            _ADDRS, _ADDRS, _I64,
+            _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
             _KEYS, _SUMS, _SUMS, _SUMS,
             _KEYS, _SUMS,
             _KEYS, _SUMS,
@@ -277,19 +288,21 @@ class NativeKernel(NumpyKernel):
 
     def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
                    block_shift=8):
-        # The fold is compiled for the uint32 IPv4 key layout; any
-        # other family (uint64 IPv6 keys) silently takes the reference
+        # The fold is compiled for uint32 (IPv4) and uint64 (IPv6) keys
+        # of one width; any other layout silently takes the reference
         # path — same dtype-gate contract as a missing library.
+        key_layout = _FOLD_KEYS.get(dst_ip.dtype)
         if (
             self._lib is not None
-            and src_ip.dtype == np.uint32
-            and dst_ip.dtype == np.uint32
+            and key_layout is not None
+            and src_ip.dtype == dst_ip.dtype
             and proto.dtype == np.uint8
             and packets.dtype == np.int64
             and bytes_.dtype == np.int64
         ):
             n = len(dst_ip)
-            bufa, bufb = self._staging.buffers(n)
+            key_bits, record_bytes = key_layout
+            bufa, bufb = self._staging.buffers(n, record_bytes)
             keys, sums = self._staging.outputs(n, 4, 6)
             dst_keys, vol_keys, src_keys, raw_keys = keys
             dst_cols = sums[:3]
@@ -298,6 +311,7 @@ class NativeKernel(NumpyKernel):
             status = self._lib.fold_chunk(
                 np.ascontiguousarray(src_ip),
                 np.ascontiguousarray(dst_ip),
+                key_bits,
                 np.ascontiguousarray(proto),
                 np.ascontiguousarray(packets),
                 np.ascontiguousarray(bytes_),

@@ -9,12 +9,17 @@ full-range 32-bit addresses (a ``uint32`` shifted by its own width is
 undefined behaviour in C — the regression here once looped forever),
 fault-injected feeds, the ignored-sender filter path, counts outside
 the 31-bit record field, and more parts than the k-way merge holds.
+64-bit IPv6 keys get the same cases plus their own: a range needing a
+shift by 64, keys >= 2**63 (the reference's int64 cast turns them
+negative) and ranges either side of the narrow/wide record boundary —
+folded with the reference fold forbidden, so a silent decline fails.
 The numpy-vs-native classes are skipped (not passed numpy against
 numpy) on a host where the library cannot be built.
 """
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from repro.core.metatelescope import MetaTelescope
 from repro.core.parallel import partial_states_identical
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.faults.injectors import CorruptedFields, DuplicatedRecords
+from repro.net.family import FAMILY_IPV4, FAMILY_IPV6
 from repro.net.ipv4 import parse_ip
 from repro.traffic.flows import FlowTable
 from repro.traffic.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -48,6 +54,8 @@ from _factories import routing_for
 
 ROUTING = routing_for("20.0.0.0/8", "21.0.0.0/8")
 BASE = parse_ip("20.0.0.0") >> 8
+#: The engine key (/64 id) of 2001:db8::/64.
+V6_KEY = 0x2001_0DB8_0000_0000
 
 needs_native = pytest.mark.skipif(
     native_provider() is None,
@@ -63,12 +71,26 @@ def make_flows(
     bytes_=None,
     spoofed=False,
     sender_asn=1,
+    family=FAMILY_IPV4,
 ):
-    """A flow table from raw column values (scalars broadcast)."""
-    dst_ip = np.asarray(dst_ip, dtype=np.uint32)
+    """A flow table from raw column values (scalars broadcast).
+
+    IPv6 tables take uint64 /64 keys and carry ``*_ip_lo`` columns.
+    """
+    v6 = family == FAMILY_IPV6
+    key_dtype = np.uint64 if v6 else np.uint32
+    dst_ip = np.asarray(dst_ip, dtype=key_dtype)
     count = len(dst_ip)
     if src_ip is None:
-        src_ip = np.full(count, (BASE << 8) | 7, dtype=np.uint32)
+        src_ip = np.full(count, V6_KEY | 7 if v6 else (BASE << 8) | 7)
+    low_bits = (
+        {
+            "src_ip_lo": np.arange(count, dtype=np.uint64),
+            "dst_ip_lo": np.arange(count, dtype=np.uint64) + np.uint64(1),
+        }
+        if v6
+        else {}
+    )
     packets = (
         np.full(count, 3, dtype=np.int64)
         if packets is None
@@ -76,7 +98,7 @@ def make_flows(
     )
     bytes_ = packets * 44 if bytes_ is None else np.asarray(bytes_, dtype=np.int64)
     return FlowTable(
-        src_ip=np.asarray(src_ip, dtype=np.uint32),
+        src_ip=np.asarray(src_ip, dtype=key_dtype),
         dst_ip=dst_ip,
         proto=np.full(count, proto, dtype=np.uint8),
         dport=np.full(count, 80, dtype=np.uint16),
@@ -85,27 +107,39 @@ def make_flows(
         sender_asn=np.full(count, sender_asn, dtype=np.int32),
         dst_asn=np.ones(count, dtype=np.int32),
         spoofed=np.full(count, spoofed, dtype=bool),
+        family=family,
+        **low_bits,
     )
 
 
 @st.composite
-def flow_tables(draw):
-    """Random flow tables spanning the full 32-bit address range."""
+def flow_tables(draw, family=FAMILY_IPV4):
+    """Random flow tables spanning the family's full key range."""
     count = draw(st.integers(min_value=0, max_value=80))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    pool = draw(
-        st.sampled_from(
-            [
-                np.array([BASE + i for i in range(8)], dtype=np.uint64) << 8,
-                # Full-range keys: 0, the top of the address space, and
-                # random points in between (the radix-plan regression).
-                np.array([0, 2**32 - 1, 2**31, 2**16], dtype=np.uint64),
-                rng.integers(0, 2**32, size=8, dtype=np.uint64),
-            ]
-        )
-    )
-    dst_ip = rng.choice(pool, size=count).astype(np.uint32)
-    src_ip = rng.choice(pool, size=count).astype(np.uint32)
+    if family == FAMILY_IPV6:
+        key_dtype = np.uint64
+        pools = [
+            # Eight /48 sites: a narrow (12-byte record) range.
+            V6_KEY + (np.arange(8, dtype=np.uint64) << np.uint64(16)),
+            # Full 64-bit range across the int64 sign flip.
+            np.array([0, 2**64 - 1, 2**63, 2**63 - 1], dtype=np.uint64),
+            # Either side of the narrow/wide record boundary.
+            V6_KEY + np.array([0, 2**32 - 1, 2**32, 2**40], dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, size=8, dtype=np.uint64, endpoint=True),
+        ]
+    else:
+        key_dtype = np.uint32
+        pools = [
+            np.array([BASE + i for i in range(8)], dtype=np.uint64) << 8,
+            # Full-range keys: 0, the top of the address space, and
+            # random points in between (the radix-plan regression).
+            np.array([0, 2**32 - 1, 2**31, 2**16], dtype=np.uint64),
+            rng.integers(0, 2**32, size=8, dtype=np.uint64),
+        ]
+    pool = draw(st.sampled_from(pools))
+    dst_ip = rng.choice(pool, size=count).astype(key_dtype)
+    src_ip = rng.choice(pool, size=count).astype(key_dtype)
     packets = rng.integers(1, 50, size=count).astype(np.int64)
     return FlowTable(
         src_ip=src_ip,
@@ -120,6 +154,7 @@ def flow_tables(draw):
         sender_asn=rng.integers(1, 5, size=count).astype(np.int32),
         dst_asn=np.ones(count, dtype=np.int32),
         spoofed=rng.random(count) < 0.3,
+        family=family,
     )
 
 
@@ -142,6 +177,75 @@ def assert_backends_agree(tables, ignored=frozenset()):
     reference = fold(tables, "numpy", ignored)
     native = fold(tables, "native", ignored)
     assert partial_states_identical(reference, native)
+
+
+def fold_in_c(tables, ignored=frozenset()):
+    """The native fold with the reference fold forbidden: a chunk the C
+    kernel declines fails the test instead of passing numpy = numpy."""
+    declined = AssertionError("the native kernel declined a chunk")
+    with mock.patch.object(NumpyKernel, "fold_chunk", side_effect=declined):
+        return fold(tables, "native", ignored)
+
+
+def assert_folds_in_c_and_agrees(tables, ignored=frozenset()):
+    reference = fold(tables, "numpy", ignored)
+    assert partial_states_identical(reference, fold_in_c(tables, ignored))
+
+
+def traffic_columns(rng, src_ip, dst_ip):
+    """``fold_chunk``'s positional columns around the given keys."""
+    rows = len(dst_ip)
+    return (
+        src_ip,
+        dst_ip,
+        rng.choice(np.array([PROTO_TCP, PROTO_UDP], dtype=np.uint8), size=rows),
+        rng.integers(1, 50, size=rows).astype(np.int64),
+        rng.integers(40, 1500, size=rows).astype(np.int64),
+    )
+
+
+def assert_concurrent_folds_agree(columns, block_shift, rounds=12):
+    """Threads folding ``columns`` (one set each) through the shared
+    native kernel all get the reference's parts, every round.
+
+    ctypes drops the GIL for the C call: threads folding through the
+    process-wide native kernel once overwrote each other's pooled
+    output staging (silently wrong sums).
+    """
+
+    def same(ours, theirs):
+        return all(
+            np.array_equal(a[0], b[0])
+            and all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
+            for a, b in zip(ours, theirs)
+        )
+
+    expected = [
+        get_kernel("numpy").fold_chunk(*c, 2.0, block_shift) for c in columns
+    ]
+    native = get_kernel("native")
+    agreed = [0] * len(columns)
+
+    def work(index):
+        for _ in range(rounds):
+            folded = native.fold_chunk(*columns[index], 2.0, block_shift)
+            if same(folded, expected[index]):
+                agreed[index] += 1
+
+    threads = [
+        threading.Thread(target=work, args=(i,)) for i in range(len(columns))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert agreed == [rounds] * len(columns)
 
 
 @needs_native
@@ -227,52 +331,16 @@ class TestFoldParity:
         assert partial_states_identical(reference, native)
 
     def test_concurrent_folds_do_not_share_staging(self):
-        # ctypes drops the GIL for the C call: threads folding through
-        # the process-wide native kernel once overwrote each other's
-        # pooled output staging (silently wrong sums).
         rng = np.random.default_rng(31)
-        rows, rounds, workers = 100_000, 12, 3
-        columns = [
-            (
-                rng.integers(0, 2**32, size=rows, dtype=np.uint64).astype(np.uint32),
-                rng.integers(0, 2**32, size=rows, dtype=np.uint64).astype(np.uint32),
-                rng.choice(np.array([PROTO_TCP, PROTO_UDP], dtype=np.uint8), size=rows),
-                rng.integers(1, 50, size=rows).astype(np.int64),
-                rng.integers(40, 1500, size=rows).astype(np.int64),
-            )
-            for _ in range(workers)
-        ]
 
-        def same(ours, theirs):
-            return all(
-                np.array_equal(a[0], b[0])
-                and all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
-                for a, b in zip(ours, theirs)
+        def keys():
+            return rng.integers(0, 2**32, size=100_000, dtype=np.uint64).astype(
+                np.uint32
             )
 
-        expected = [get_kernel("numpy").fold_chunk(*c, 2.0) for c in columns]
-        native = get_kernel("native")
-        agreed = [0] * workers
-
-        def work(index):
-            for _ in range(rounds):
-                if same(native.fold_chunk(*columns[index], 2.0), expected[index]):
-                    agreed[index] += 1
-
-        threads = [
-            threading.Thread(target=work, args=(i,)) for i in range(workers)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert agreed == [rounds] * workers
+        assert_concurrent_folds_agree(
+            [traffic_columns(rng, keys(), keys()) for _ in range(3)], block_shift=8
+        )
 
     @given(st.lists(flow_tables(), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -291,6 +359,114 @@ class TestFoldParity:
             left.merge(right)
             halves[kernel] = left
         assert partial_states_identical(halves["numpy"], halves["native"])
+
+
+def v6_keys(rng, rows, span):
+    """``rows`` 64-bit keys from V6_KEY to V6_KEY + span, both ends hit."""
+    keys = V6_KEY + rng.integers(0, span, size=rows, dtype=np.uint64, endpoint=True)
+    keys[:2] = V6_KEY, V6_KEY + span
+    return keys
+
+
+@needs_native
+class TestFold64Parity:
+    """IPv6 tables (uint64 /64 keys, /48 blocks 16 bits up) fold in C."""
+
+    def test_empty_and_single_row(self):
+        assert_folds_in_c_and_agrees([make_flows([], family=FAMILY_IPV6)])
+        assert_folds_in_c_and_agrees([make_flows([V6_KEY | 1], family=FAMILY_IPV6)])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[0, 2**64 - 1], [2**63 - 1, 2**63]],
+        ids=["zero-and-top", "int64-extremes"],
+    )
+    def test_full_range_keys(self, keys):
+        # As the reference's int64, {0, 2**64-1} is {0, -1}; {2**63-1,
+        # 2**63} spans the whole int64 range, whose width is 64 bits —
+        # counting them with a shift by 64 is undefined behaviour.
+        rng = np.random.default_rng(5)
+        pool = np.array(keys, dtype=np.uint64)
+        dst = rng.choice(pool, size=300)
+        src = rng.choice(pool, size=300)
+        assert_folds_in_c_and_agrees([make_flows(dst, src, family=FAMILY_IPV6)])
+
+    def test_keys_past_the_int64_sign_bit(self):
+        # The reference casts to int64, so keys >= 2**63 turn negative
+        # and sort (and regroup by arithmetic shift) before the rest.
+        rng = np.random.default_rng(7)
+        high = rng.integers(2**63, 2**64 - 1, size=200, dtype=np.uint64, endpoint=True)
+        low = rng.integers(0, 2**63, size=200, dtype=np.uint64)
+        assert_folds_in_c_and_agrees(
+            [
+                make_flows(high, high[::-1].copy(), family=FAMILY_IPV6),
+                make_flows(np.concatenate([high, low]), family=FAMILY_IPV6),
+            ]
+        )
+
+    @pytest.mark.parametrize("span", [2**32 - 1, 2**32], ids=["narrow", "wide"])
+    def test_record_width_boundary(self, span):
+        # A range of 2**32-1 still fits the 12-/8-byte records; 2**32
+        # is the first that takes the 16-byte ones.
+        rng = np.random.default_rng(9)
+        assert_folds_in_c_and_agrees(
+            [
+                make_flows(
+                    v6_keys(rng, 400, span),
+                    v6_keys(rng, 400, span),
+                    family=FAMILY_IPV6,
+                )
+            ]
+        )
+
+    def test_duplicate_keys(self):
+        ips = np.full(500, V6_KEY | 9, dtype=np.uint64)
+        assert_folds_in_c_and_agrees([make_flows(ips, ips, family=FAMILY_IPV6)])
+
+    def test_ignored_senders_path(self):
+        rng = np.random.default_rng(13)
+        ips = v6_keys(rng, 60, 2**40)
+        tables = [
+            make_flows(ips, sender_asn=1, family=FAMILY_IPV6),
+            make_flows(ips, ips[::-1].copy(), sender_asn=2, family=FAMILY_IPV6),
+        ]
+        assert_folds_in_c_and_agrees(tables, ignored=frozenset({2}))
+
+    @pytest.mark.parametrize("count", [2**31, 2**40, -5])
+    def test_counts_outside_the_record_field_decline(self, count):
+        # 64-bit keys change nothing about the value fields: the chunk
+        # is declined, once, and the reference path folds it.
+        ips = v6_keys(np.random.default_rng(17), 30, 2**40)
+        packets = np.full(30, 3, dtype=np.int64)
+        packets[7] = count
+        tables = [make_flows(ips, packets=packets, family=FAMILY_IPV6)]
+        reference = fold(tables, "numpy")
+        with mock.patch.object(
+            NumpyKernel, "fold_chunk", autospec=True,
+            side_effect=NumpyKernel.fold_chunk,
+        ) as reference_fold:
+            native = fold(tables, "native")
+        assert reference_fold.call_count == 1
+        assert partial_states_identical(reference, native)
+
+    def test_concurrent_folds_do_not_share_staging(self):
+        # One thread's keys fit the narrow records, two need the wide
+        # ones: per-thread staging sized by record width must hold.
+        rng = np.random.default_rng(37)
+        assert_concurrent_folds_agree(
+            [
+                traffic_columns(
+                    rng, v6_keys(rng, 100_000, span), v6_keys(rng, 100_000, span)
+                )
+                for span in (2**20, 2**40, 2**64 - 1 - V6_KEY)
+            ],
+            block_shift=16,
+        )
+
+    @given(st.lists(flow_tables(FAMILY_IPV6), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_property_states_identical(self, tables):
+        assert_folds_in_c_and_agrees(tables)
 
 
 @needs_native

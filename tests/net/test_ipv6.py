@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.ipv6_candidates import ipv6_candidate_sites
+from repro.core.ipv6_candidates import Ipv6CandidateResult, ipv6_candidate_sites
 from repro.net.ipv6 import (
     MAX_IPV6,
     Ipv6Error,
@@ -107,7 +107,71 @@ class TestPrefix:
         assert prefix.first_site() == site_of_ip6(parse_ip6("2001:db8::1"))
 
 
+def candidate_sites_by_scan(observed_dst, observed_src, announced, hitlist):
+    """The report's original reading: every site against every prefix."""
+    drops = {"unannounced": 0, "hitlist": 0, "sources": 0}
+    candidates = []
+    for site in sorted(observed_dst):
+        if not any(prefix.contains_site(site) for prefix in announced):
+            drops["unannounced"] += 1
+        elif site in hitlist:
+            drops["hitlist"] += 1
+        elif site in observed_src:
+            drops["sources"] += 1
+        else:
+            candidates.append(site)
+    return Ipv6CandidateResult(
+        candidate_sites=tuple(candidates),
+        observed=len(observed_dst),
+        dropped_unannounced=drops["unannounced"],
+        dropped_hitlist=drops["hitlist"],
+        dropped_sources=drops["sources"],
+    )
+
+
+#: 2001:db8::/32 — announcements are drawn inside its first /40, so
+#: they nest, overlap and abut.
+NEIGHBOURHOOD = parse_ip6("2001:db8::")
+
+
+@st.composite
+def announcement_spaces(draw):
+    """``(announced, observed dst, observed src, hitlist)`` site sets."""
+    announced = [
+        Ipv6Prefix.from_ip(NEIGHBOURHOOD | (site << 80) | (subnet << 64), length)
+        for site, subnet, length in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 255), st.integers(0, 0xFFFF), st.integers(0, 64)
+                ),
+                max_size=8,
+            )
+        )
+    ]
+    # Each interval's first and last site and both neighbours, plus
+    # sites anywhere around the neighbourhood.
+    edges = set()
+    for prefix in announced:
+        if prefix.num_sites():
+            first = prefix.first_site()
+            end = first + prefix.num_sites()
+            edges |= {first - 1, first, end - 1, end}
+    base = NEIGHBOURHOOD >> 80
+    around = draw(st.sets(st.integers(base - 4, base + 260), max_size=12))
+    anywhere = draw(st.sets(st.integers(0, 2**48 - 1), max_size=3))
+    observed = edges | around | anywhere
+    pick = st.sets(st.sampled_from(sorted(observed))) if observed else st.just(set())
+    return announced, observed, draw(pick), draw(pick)
+
+
 class TestCandidatePrototype:
+    @given(announcement_spaces())
+    def test_interval_lookup_matches_the_scan(self, space):
+        announced, observed, sources, hitlist = space
+        assert ipv6_candidate_sites(
+            observed, sources, announced, hitlist
+        ) == candidate_sites_by_scan(observed, sources, announced, hitlist)
+
     def make_space(self):
         announced = [Ipv6Prefix.parse("2001:db8::/32")]
         site = lambda text: site_of_ip6(parse_ip6(text))  # noqa: E731

@@ -6,10 +6,11 @@ arms are the serial loop and ``parallel``'s fan-out, both running
 accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
-fold's fan-out and the serving fleet.  This test keeps second doors — a
-convenience fold loop, a second aggregation, a facade that plans for
-itself, a hand-built snapshot, a private process pool — from growing
-back.
+fold's fan-out and the serving fleet; the native library exports exactly
+``fold_chunk``, ``merge_sorted`` and ``merge_k``.  This test keeps
+second doors — a convenience fold loop, a second aggregation, a facade
+that plans for itself, a hand-built snapshot, a private process pool, a
+separate native fold per key width — from growing back.
 """
 
 import ast
@@ -48,6 +49,10 @@ DELETED = re.compile(
     r"\b(?:accumulate_views|BlockAggregates|compute_block_aggregates"
     r"|tolerances?_for_views?)\b"
 )
+#: The C source of the native kernel and the functions it may export:
+#: every other function in it is ``static``.
+KERNEL_SOURCE = SRC / "core" / "_kernels.c"
+KERNEL_EXPORTS = {"fold_chunk", "merge_sorted", "merge_k"}
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -118,6 +123,46 @@ def offenders(sources: dict[str, str]) -> list[str]:
             if name in ALLOWED_IMPORTERS and module not in ALLOWED_IMPORTERS[name]:
                 found.append(f"src/repro/{module}:{line}: import {name}")
     return found
+
+
+def c_functions(source: str) -> dict[str, bool]:
+    """``name -> exported`` for every function defined in C ``source``.
+
+    A definition is exported unless ``static``.  Macro bodies count as
+    code — a function a macro stamps out is still defined, and is named
+    with its token pastes dropped — while comments and directive heads
+    do not.
+    """
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    code = code.replace("\\\n", " ").replace("##", "")
+    code = re.sub(
+        r"^[ \t]*#[ \t]*(?:define[ \t]+\w+(?:\([^)]*\))?|.*)", ";", code, flags=re.M
+    )
+    # Bodies collapse to "{}", leaving each top-level head before one.
+    depth, top = 0, []
+    for char in code:
+        depth -= char == "}"
+        if depth == 0:
+            top.append(char)
+        depth += char == "{"
+    functions = {}
+    for match in re.finditer(r"([^;{}]*)\{\}", "".join(top)):
+        head = match.group(1).rstrip()
+        if not head.endswith(")"):
+            continue  # a struct, union or enum body
+        depth = 0
+        for start in range(len(head) - 1, -1, -1):
+            depth += {")": 1, "(": -1}.get(head[start], 0)
+            if depth == 0:
+                break
+        name = re.search(r"(\w+)\s*$", head[:start]).group(1)
+        functions[name] = re.search(r"\bstatic\b", head) is None
+    return functions
+
+
+def c_exports(source: str) -> set[str]:
+    """The non-``static`` function definitions in C ``source``."""
+    return {name for name, exported in c_functions(source).items() if exported}
 
 
 def tree_sources() -> dict[str, str]:
@@ -243,3 +288,50 @@ def test_lint_actually_catches_a_second_door():
         for name, function, _ in calls(sources[module])
         if name == "plan"
     } == PLAN_CALLERS
+
+
+def test_native_library_exports_exactly_three_functions():
+    found = c_exports(KERNEL_SOURCE.read_text())
+    assert found == KERNEL_EXPORTS, (
+        "core/_kernels.c exports exactly fold_chunk, merge_sorted and "
+        "merge_k (one op per job, every key width through the same "
+        f"fold_chunk); every other function is static: {sorted(found)}"
+    )
+
+
+def test_export_lint_actually_catches_a_fourth_export():
+    # Guard the guard: a separate wide fold pasted in as a plain
+    # function, stamped out by a macro, or a helper that lost its
+    # ``static``, is each found and named.
+    source = KERNEL_SOURCE.read_text()
+    pasted = {
+        "fold_chunk64": (
+            "/* A separate 64-bit fold. */\n"
+            "int64_t fold_chunk64(\n"
+            "    const uint64_t *src_ip, const uint64_t *dst_ip,\n"
+            "    int64_t n, void *bufa)\n"
+            "{\n"
+            "    if (n == 0) { return 0; }\n"
+            "    return n;\n"
+            "}\n"
+        ),
+        "fold_W": (
+            "#define EXPORT_FOLD(W) \\\n"
+            "__attribute__((visibility(\"default\"))) int64_t fold_##W( \\\n"
+            "    int64_t n) { return n; }\n"
+            "EXPORT_FOLD(wide)\n"
+        ),
+    }
+    for name, fork in pasted.items():
+        assert c_exports(source + "\n" + fork) == KERNEL_EXPORTS | {name}
+    unstatic = source.replace("static int bits_of(", "int bits_of(")
+    assert unstatic != source
+    assert c_exports(unstatic) == KERNEL_EXPORTS | {"bits_of"}
+    # The parser really sees the static helpers, macro-stamped included,
+    # and is not fooled by a prototype or a comment.
+    functions = c_functions(source)
+    assert {"bits_of", "fold3", "fold1", "sort_reduce3_W"} <= set(functions)
+    assert not any(functions[name] for name in ("bits_of", "sort_reduce1_W"))
+    assert c_exports(
+        source + "\nint64_t fold_chunk64(int64_t n);\n/* int64_t f(int n) { } */\n"
+    ) == KERNEL_EXPORTS
