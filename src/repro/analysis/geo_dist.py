@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.datasets.geodb import GeoDatabase
 from repro.datasets.pfx2as import PrefixToAsMap
-from repro.geo.countries import Continent, country_by_code
+from repro.geo.countries import country_by_code
 
 
 def country_counts(
@@ -50,8 +50,3 @@ def log_scale_world_counts(counts: dict[str, int]) -> dict[str, float]:
     return {
         code: float(np.log10(count)) for code, count in counts.items() if count > 0
     }
-
-
-def continent_of_country(code: str) -> Continent:
-    """Continent for a country code (registry lookup)."""
-    return country_by_code(code).continent

@@ -8,7 +8,6 @@ from repro.bgp.asinfo import ASType
 from repro.datasets.geodb import GeoDatabase
 from repro.datasets.ipinfo import AsClassification
 from repro.datasets.pfx2as import PrefixToAsMap
-from repro.geo.countries import Continent
 
 #: Row order of Table 7.
 TABLE7_CONTINENTS: tuple[str, ...] = ("NA", "SA", "EU", "AS", "AF", "OC", "INT")
@@ -82,10 +81,3 @@ def dark_share_by_type(
             float(dark_mask[mask].sum() / total) if total else 0.0
         )
     return shares
-
-
-def continent_of_blocks(
-    blocks: np.ndarray, geodb: GeoDatabase
-) -> list[Continent | None]:
-    """Continent per block via the geolocation database."""
-    return geodb.continents(np.asarray(blocks, dtype=np.int64))

@@ -135,11 +135,6 @@ def bean_matrix(
     return groups, matrix
 
 
-def traffic_toward(flows: FlowTable, blocks: np.ndarray) -> FlowTable:
-    """Convenience: restrict flows to destinations inside ``blocks``."""
-    return flows.toward_blocks(blocks)
-
-
 def tcp_share(flows: FlowTable) -> float:
     """Fraction of packets that are TCP (Table 2 column)."""
     total = flows.total_packets()

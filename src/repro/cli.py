@@ -240,14 +240,21 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_stage_timings(timings) -> None:
-    if not timings:
+def _print_timings(
+    context: RunContext | None, scopes: tuple[str, ...] | None = None
+) -> None:
+    """The timing table: one row per fan-out, IPC, merge and stage
+    event of ``context`` (only those in ``scopes``, when given)."""
+    if context is None:
         return
     rows = [
-        (t.stage, f"{t.seconds * 1e3:.2f}", t.surviving) for t in timings
+        (event.name, f"{event.seconds * 1e3:.2f}", event.rows_out)
+        for event in context.events(("worker", "ipc", "merge", "stage"))
+        if scopes is None or event.scope in scopes
     ]
-    print()
-    print(format_table(["stage", "ms", "surviving"], rows))
+    if rows:
+        print()
+        print(format_table(["stage", "ms", "surviving"], rows))
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -265,7 +272,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         f"ground truth: FP {confusion.false_positive_rate_of_inferred():.2%}, "
         f"recall {confusion.recall():.1%}"
     )
-    _print_stage_timings(result.pipeline.stage_timings)
+    _print_timings(context)
     context.close()
     return 0
 
@@ -352,7 +359,7 @@ def cmd_funnel(args: argparse.Namespace) -> int:
     world, observatory, telescope, context = _build(args)
     _, result = _infer(world, observatory, telescope, args, context)
     print(format_table(["step", "#/24s"], result.pipeline.funnel.as_rows()))
-    _print_stage_timings(result.pipeline.stage_timings)
+    _print_timings(context)
     context.close()
     return 0
 
@@ -482,7 +489,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for event in events:
         print(f"  injected day {event.day} @ {event.vantage}: "
               f"{event.fault} ({event.detail})")
-    _print_stage_timings(online.last_stage_timings())
+    # The latest folded day: its fold (fan-out, if any) and window
+    # stages; the per-day inference's rows stay trace-only.
+    _print_timings(online.last_run_context(), scopes=("fold", "window"))
     context.close()
     return 0
 
@@ -748,6 +757,25 @@ def _chunk_size(value: str) -> int | str:
         ) from None
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}"
+            ) from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {number}"
+            )
+        return number
+
+    return parse
+
+
 def _add_execution_options(p: argparse.ArgumentParser) -> None:
     """The engine-knob and observability flags every run-shaped command
     shares (one definition; these were copy-pasted per subcommand)."""
@@ -784,7 +812,7 @@ def _add_world_options(p: argparse.ArgumentParser) -> None:
         "and candidate filter; infer and plan commands only)",
     )
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--days", type=int, default=1)
+    p.add_argument("--days", type=_at_least(1), default=1)
     p.add_argument("--vantage", default="All")
     p.add_argument(
         "--no-tolerance", action="store_true",
@@ -862,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="missing/degraded-day policy (default: carry)",
             )
             p.add_argument(
-                "--window", type=int, default=3,
+                "--window", type=_at_least(1), default=3,
                 help="rolling-window length in days",
             )
         if name == "scenarios":
@@ -887,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--host", default="127.0.0.1")
             p.add_argument("--port", type=int, default=8300)
             p.add_argument(
-                "--window", type=int, default=3,
+                "--window", type=_at_least(1), default=3,
                 help="online engine rolling-window length in days",
             )
             p.add_argument(
@@ -895,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="missing/degraded-day policy (default: carry)",
             )
             p.add_argument(
-                "--warm-days", type=int, default=None, metavar="N",
+                "--warm-days", type=_at_least(0), default=None, metavar="N",
                 help="fold only the first N days before listening; the "
                 "rest fold in the background while serving (default: "
                 "fold all --days up front)",
@@ -992,7 +1020,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "faults" and args.fault_day is not None:
+        # Same clamp as cmd_faults: a day past the folded ones injects
+        # nothing, so it is a usage error, not a quiet no-op.
+        days = min(args.days, _CONFIGS[args.scale](args.seed).num_days)
+        if not 0 <= args.fault_day < days:
+            parser.error(
+                f"faults: argument --fault-day: day {args.fault_day} is "
+                f"outside [0, {days}), the {days} day(s) folded"
+            )
     return args.handler(args)
 
 

@@ -6,7 +6,7 @@
   tree merge;
 * :mod:`repro.core.engine` — execution planning (ExecutionPlan /
   RunContext) and the observability spine every frontend runs through;
-* :mod:`repro.core.stages` — the funnel as explicit stage objects;
+* :mod:`repro.core.stages` — the funnel's steps over finalized columns;
 * :mod:`repro.core.pipeline` — the seven-step inference pipeline (Figure 2);
 * :mod:`repro.core.spoofing_tolerance` — the unrouted-space tolerance (§7.2);
 * :mod:`repro.core.combine` — multi-day / multi-vantage composition;
@@ -47,12 +47,6 @@ from repro.core.pipeline import (
     PipelineResult,
     run_pipeline,
     run_pipeline_accumulated,
-)
-from repro.core.stages import (
-    DEFAULT_STAGES,
-    Stage,
-    StageEngine,
-    StageTiming,
 )
 from repro.core.thresholds import (
     ClassifierEvaluation,
@@ -113,10 +107,6 @@ __all__ = [
     "PipelineResult",
     "run_pipeline",
     "run_pipeline_accumulated",
-    "DEFAULT_STAGES",
-    "Stage",
-    "StageEngine",
-    "StageTiming",
     "ClassifierEvaluation",
     "evaluate_thresholds",
     "label_isp_blocks",

@@ -10,7 +10,8 @@ streaming semantics:
   aggregates from different chunk orders, days or federation members
   combine into the same state);
 * ``finalize(spoof_tolerance)`` emits the columnar
-  :class:`FinalizedAggregates` the stage engine classifies from.
+  :class:`FinalizedAggregates` that
+  :func:`~repro.core.stages.run_funnel` classifies from.
 
 Every statistic the seven-step pipeline needs is kept in mergeable
 struct-of-arrays form: per-destination-IP TCP packet/byte and total
@@ -239,7 +240,7 @@ class _KeyedSums:
 class FinalizedAggregates:
     """Columnar output of :meth:`PrefixAccumulator.finalize`.
 
-    The pooled, tolerance-applied statistics the stage engine consumes;
+    The pooled, tolerance-applied statistics the funnel consumes;
     the streaming equivalent of what the batch pipeline used to pool
     from whole vantage-day views.
     """

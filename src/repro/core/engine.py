@@ -26,10 +26,9 @@ timings in its own shape.  This module centralises all of that:
   all run through it; classification downstream is bit-identical for
   every plan by the accumulator's associativity.
 
-The legacy reporting shapes (:class:`~repro.core.stages.StageTiming`
-rows, the CLI timing table) are *derived* from the event stream in one
-place (:meth:`RunContext.stage_timings`), so parallel fan-out rows and
-online carry-day rows can no longer disagree about their format.
+Timings have no second shape: the CLI timing table is formatted
+straight from a context's ``worker`` / ``ipc`` / ``merge`` / ``stage``
+events, the same records a ``--trace`` file holds.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 from repro.core.accum import PrefixAccumulator, resolve_chunk_size
 from repro.core.kernels import get_kernel, resolve_kernel_name
 from repro.core.parallel import parallel_accumulate_views, shard_views
-from repro.core.stages import StageTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vantage.sampling import VantageDayView
@@ -73,9 +71,6 @@ TRACE_SCHEMA: dict[str, tuple[type, ...]] = {
     "meta": (dict, type(None)),
 }
 TRACE_FIELDS = tuple(TRACE_SCHEMA)
-
-#: Event kinds that map onto legacy :class:`StageTiming` rows.
-_TIMING_KINDS = frozenset({"worker", "ipc", "merge", "stage"})
 
 
 def default_workers() -> int:
@@ -355,7 +350,7 @@ class ExecutionEvent:
 
 
 class MemorySink:
-    """In-memory sink (tests, and the facades' timing derivation)."""
+    """In-memory sink (tests, and every context's own event record)."""
 
     def __init__(self) -> None:
         self.events: list[ExecutionEvent] = []
@@ -396,9 +391,10 @@ class JsonlSink:
 class RunContext:
     """Everything one execution carries through every layer.
 
-    A context owns a private :class:`MemorySink` (so the facades can
-    always derive their legacy timing shapes) plus any caller-supplied
-    sinks, and the plan being executed (:func:`execute_plan` sets it).
+    A context owns a private :class:`MemorySink` (so its events can
+    always be read back, e.g. by the CLI timing table) plus any
+    caller-supplied sinks, and the plan being executed
+    (:func:`execute_plan` sets it).
     It is cheap to construct — facades make one per run when the
     caller does not pass one.
     """
@@ -468,27 +464,6 @@ class RunContext:
             return tuple(self._memory.events)
         wanted = frozenset(kinds)
         return tuple(e for e in self._memory.events if e.kind in wanted)
-
-    def stage_timings(
-        self, scopes: Sequence[str] | None = None
-    ) -> tuple[StageTiming, ...]:
-        """The legacy per-stage rows, derived from the event stream.
-
-        This is the **only** place events become
-        :class:`~repro.core.stages.StageTiming` rows, so parallel
-        fan-out rows (``fanout[wK]`` / ``ipc`` / ``merge``) and stage
-        rows always share one shape no matter which facade ran.
-        """
-        wanted = None if scopes is None else frozenset(scopes)
-        rows = []
-        for event in self._memory.events:
-            if event.kind not in _TIMING_KINDS:
-                continue
-            if wanted is not None and event.scope not in wanted:
-                continue
-            surviving = event.rows_out if event.rows_out is not None else 0
-            rows.append(StageTiming(event.name, event.seconds, surviving))
-        return tuple(rows)
 
     def close(self) -> None:
         """Flush and close every attached sink."""
@@ -577,8 +552,8 @@ def _execute_parallel(
 ) -> PrefixAccumulator:
     """Fan out over the plan's shard buckets; put the pool's statistics
     on the spine: one ``worker`` event per worker report (named
-    ``fanout[wK]`` so the derived timing rows keep their historical
-    names), one ``ipc`` and one ``merge`` event."""
+    ``fanout[wK]``, the CLI timing table's row name), one ``ipc`` and
+    one ``merge`` event."""
     accumulator, stats = parallel_accumulate_views(plan, views, ignored)
     for report in stats.reports:
         context.emit(

@@ -10,8 +10,8 @@ Since the engine refactor the facade is thin: every fold is planned by
 an :class:`~repro.core.engine.ExecutionPlanner` and run by
 :func:`~repro.core.engine.execute_plan` through a
 :class:`~repro.core.engine.RunContext` — serial, chunked and parallel
-execution are one code path, and the per-stage timing rows are derived
-from the context's event stream in one place.
+execution are one code path, and every fold and stage timing is an
+event on that context.
 """
 
 from __future__ import annotations
@@ -218,10 +218,9 @@ class MetaTelescope:
         ``chunk_size`` bounds ingestion memory (``"auto"`` picks a size
         per view), ``workers`` shards the fold across a process pool
         and ``kernel`` picks the fold backend; classification is
-        bit-identical under any combination.  The returned stage
-        timings are derived from the run's event stream, so parallel
-        runs carry their ``fanout[wK]``/``ipc``/``merge`` rows in the
-        same shape as every other path.
+        bit-identical under any combination.  The fold's and the
+        stages' timings are ``context``'s events (a fresh context when
+        none is passed; :meth:`last_run_context` returns it).
         """
         if not views:
             raise ValueError("need at least one vantage-day view")
@@ -231,16 +230,12 @@ class MetaTelescope:
             views, chunk_size=chunk_size, workers=workers, context=context,
             kernel=kernel,
         )
-        result = self.infer_accumulated(
+        return self.infer_accumulated(
             accumulator,
             use_spoofing_tolerance=use_spoofing_tolerance,
             refine=refine,
             context=context,
         )
-        pipeline = dataclasses.replace(
-            result.pipeline, stage_timings=context.stage_timings()
-        )
-        return dataclasses.replace(result, pipeline=pipeline)
 
     def infer_accumulated(
         self,

@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.engine import RunContext
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
-from repro.core.stages import StageTiming
 from repro.faults.quality import FeedQuality, score_feed
 from repro.net.blocksets import (
     sorted_difference,
@@ -199,7 +198,6 @@ class OnlineMetaTelescope:
     _volume_history: list[float] = field(default_factory=list, repr=False)
     _typical_factors: dict[str, float] = field(default_factory=dict, repr=False)
     _views_seen_max: int = field(default=0, repr=False)
-    _last_timings: tuple[StageTiming, ...] = field(default=(), repr=False)
     _last_context: RunContext | None = field(
         default=None, repr=False, compare=False
     )
@@ -342,9 +340,6 @@ class OnlineMetaTelescope:
                 context=context,
             )
         self._last_window_result = window_result
-        # Fold rows (fan-out, if any) + window stage rows; the per-day
-        # inference's rows stay trace-only, as before the engine.
-        self._last_timings = context.stage_timings(scopes=("fold", "window"))
         context.emit(
             "quarantine",
             f"d{day}",
@@ -423,10 +418,6 @@ class OnlineMetaTelescope:
     def quarantined_blocks(self) -> np.ndarray:
         """Blocks currently excluded for flapping under degraded input."""
         return np.array(sorted(self._quarantine), dtype=np.int64)
-
-    def last_stage_timings(self) -> tuple[StageTiming, ...]:
-        """Per-stage wall times of the latest window inference."""
-        return self._last_timings
 
     def last_run_context(self) -> RunContext | None:
         """RunContext of the latest folded day (full event stream)."""

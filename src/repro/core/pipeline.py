@@ -23,10 +23,10 @@ observed destination /24 into **dark** (meta-telescope prefix),
 Since the streaming refactor this module is a thin facade: ingestion
 folds views (whole, or chunk by chunk) into a mergeable
 :class:`~repro.core.accum.PrefixAccumulator`, and the classification
-itself lives in the :mod:`repro.core.stages` engine, one explicit
-:class:`~repro.core.stages.Stage` per funnel step.  Batch and chunked
-runs of :func:`run_pipeline` are classification-identical by
-construction — they differ only in how the accumulator is fed.
+itself is :func:`repro.core.stages.run_funnel`, the funnel's steps in
+paper order.  Batch and chunked runs of :func:`run_pipeline` are
+classification-identical by construction — they differ only in how
+the accumulator is fed.
 
 Granularity note.  The paper applies filters 1, 2 and 6 "per subnet"
 but classifies per IP ("all IPv4 addresses have to survive").  Taken
@@ -49,25 +49,18 @@ from repro.bgp.rib import RoutingTable
 from repro.core.accum import PrefixAccumulator
 from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
 from repro.core.stages import (
-    DEFAULT_STAGES,
     FunnelCounts,
     PipelineConfig,
     PipelineResult,
-    Stage,
-    StageEngine,
-    StageTiming,
+    run_funnel,
 )
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
 from repro.vantage.sampling import VantageDayView
 
 __all__ = [
-    "DEFAULT_STAGES",
     "FunnelCounts",
     "PipelineConfig",
     "PipelineResult",
-    "Stage",
-    "StageEngine",
-    "StageTiming",
     "PrefixAccumulator",
     "run_pipeline",
     "run_pipeline_accumulated",
@@ -131,4 +124,4 @@ def run_pipeline_accumulated(
             "than the pipeline config"
         )
     finalized = accumulator.finalize(config.spoof_tolerance)
-    return StageEngine().run(finalized, routing, special, config, context)
+    return run_funnel(finalized, routing, special, config, context)

@@ -25,7 +25,6 @@ from repro.bgp.topology import AsTopology
 from repro.datasets.liveness import LivenessDataset, union_liveness
 from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.blocksets import as_sorted_unique, sorted_member_mask
-from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
 
@@ -110,8 +109,3 @@ def drop_spoofed_ground_truth(view: VantageDayView) -> VantageDayView:
         flows=flows.filter(~flows.spoofed),
         sampling_factor=view.sampling_factor,
     )
-
-
-def merge_flow_tables(views: list[VantageDayView]) -> FlowTable:
-    """Convenience: all flows of several views as one table."""
-    return FlowTable.concat([view.flows for view in views])

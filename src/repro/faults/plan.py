@@ -109,10 +109,6 @@ class FaultPlan:
             return collector
         return StaleRibCollector(collector, stale)
 
-    def has_fault(self, name: str) -> bool:
-        """Whether any injector of class-name ``name`` is in the plan."""
-        return any(injector.name == name for injector in self.injectors)
-
 
 #: CLI / benchmark names for the standard one-fault plans.
 STANDARD_FAULTS = (

@@ -90,10 +90,6 @@ class PrefixTrie(Generic[V]):
         length, value = best
         return self.family.prefix_from_ip(ip, length), value
 
-    def covers_ip(self, ip: int) -> bool:
-        """True if any stored prefix covers ``ip``."""
-        return self.longest_match(ip) is not None
-
     def covers_block(self, block: int) -> bool:
         """True if ``block`` is entirely inside some stored prefix.
 

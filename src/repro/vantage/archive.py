@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from repro.flowpack import FlowpackArchive, FlowpackWriter
 from repro.traffic.flows import FlowTable
@@ -47,39 +46,6 @@ def export_view(
         day=view.day,
         path=Path(path),
         sampling_factor=view.sampling_factor,
-    )
-
-
-def export_view_chunks(
-    vantage: str,
-    day: int,
-    chunks: Iterator[FlowTable],
-    path: str | Path,
-    sampling_factor: float = 1.0,
-) -> "ArchiveDayView":
-    """Stream a chunked capture straight to disk, one segment a chunk.
-
-    The append-able writer means a ``capture_chunks`` /
-    ``export_day_chunks`` stream lands on disk without the day ever
-    being materialised in memory.
-    """
-    meta = {
-        "vantage": vantage, "day": int(day),
-        "sampling_factor": float(sampling_factor),
-    }
-    # The archive header needs the family before the first chunk lands,
-    # so peek one; a stream with no chunks exports as IPv4.
-    chunks = iter(chunks)
-    first = next(chunks, None)
-    family = first.family if first is not None else "ipv4"
-    with FlowpackWriter(path, meta=meta, family=family) as writer:
-        if first is not None:
-            writer.write(first)
-        for chunk in chunks:
-            writer.write(chunk)
-    return ArchiveDayView(
-        vantage=vantage, day=day, path=Path(path),
-        sampling_factor=sampling_factor,
     )
 
 
@@ -202,10 +168,6 @@ class ArchiveDayView:
                 else sampling_factor
             ),
         )
-
-    def materialize(self) -> VantageDayView:
-        """A plain in-memory ``VantageDayView`` of the same data."""
-        return self.with_flows(self.flows)
 
     def __getstate__(self):
         # Pickle the descriptor, never the mapped pages: a spawned

@@ -53,23 +53,6 @@ class IspVantage:
             sampling_factor=1.0,
         )
 
-    def capture_chunks(
-        self, flows: FlowTable, day: int, chunk_rows: int = 250_000
-    ):
-        """Stream the border capture as bounded-size flow chunks.
-
-        The border predicate of :meth:`capture` is row-local, so the
-        chunked stream concatenates to exactly the one-shot capture
-        without holding the full day in memory.
-        """
-        for chunk in flows.iter_chunks(chunk_rows):
-            dst_in = np.isin(chunk.dst_blocks(), self.blocks)
-            emitted = chunk.sender_asn == self.asn
-            martian = np.isin(chunk.src_blocks(), self.blocks) & ~emitted
-            mine = chunk.filter((dst_in | emitted) & ~martian)
-            if len(mine):
-                yield mine
-
     def inbound(self, view: VantageDayView) -> FlowTable:
         """Rows destined to the ISP's space."""
         return view.flows.filter(np.isin(view.flows.dst_blocks(), self.blocks))

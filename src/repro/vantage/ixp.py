@@ -181,35 +181,3 @@ class IxpFabric:
                 sampling_factor=ixp.sampling_factor,
             )
         return views
-
-    def export_day_chunks(
-        self,
-        flows: FlowTable,
-        rng: np.random.Generator,
-        chunk_rows: int = _CHUNK_ROWS,
-    ):
-        """Stream per-IXP sampled exports chunk by chunk.
-
-        For each bounded-size ground-truth chunk, yields a mapping
-        ``ixp code -> sampled flow chunk`` (codes with no rows in the
-        chunk are omitted), never materialising a full per-IXP day
-        table.  Assignment and thinning draw from ``rng`` per chunk,
-        so the realisation differs from (but is distributed identically
-        to) a one-shot :meth:`views_for_day` export.
-        """
-        shares = np.array(
-            [ixp.capture_share for ixp in self.ixps], dtype=np.float32
-        )
-        for chunk in flows.iter_chunks(chunk_rows):
-            assignment = np.empty(len(chunk), dtype=np.int32)
-            assignment[:] = self._assign_chunk(
-                chunk.sender_asn, chunk.dst_asn, shares, rng
-            )
-            exports: dict[str, FlowTable] = {}
-            for index, ixp in enumerate(self.ixps):
-                mine = chunk.filter(assignment == index)
-                sampled = mine.thin(1.0 / ixp.sampling_factor, rng)
-                if len(sampled):
-                    exports[ixp.code] = sampled
-            if exports:
-                yield exports

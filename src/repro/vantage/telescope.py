@@ -64,29 +64,6 @@ class Telescope:
             vantage=self.code, day=day, flows=mine, sampling_factor=1.0
         )
 
-    def capture_chunks(
-        self, flows: FlowTable, day: int, chunk_rows: int = 250_000
-    ):
-        """Stream the day's capture as bounded-size flow chunks.
-
-        Every filter of :meth:`capture` is row-local, so filtering each
-        input chunk independently yields exactly the same rows as the
-        one-shot capture — without ever materialising the full
-        captured table.  Empty chunks are skipped.
-        """
-        dark = self.dark_blocks_on(day)
-        blocked = (
-            np.asarray(sorted(self.blocked_ports), dtype=np.uint16)
-            if self.blocked_ports
-            else None
-        )
-        for chunk in flows.iter_chunks(chunk_rows):
-            mine = chunk.toward_blocks(dark)
-            if blocked is not None:
-                mine = mine.filter(~np.isin(mine.dport, blocked))
-            if len(mine):
-                yield mine
-
     def daily_stats(self, view: VantageDayView) -> "TelescopeDailyStats":
         """Table-2 style statistics for one captured day."""
         flows = view.flows

@@ -242,8 +242,8 @@ class TestEventSpine:
         kinds = [event.kind for event in context.events()]
         assert kinds[0] == "plan"
         assert kinds.count("view") == len(views)
-        # A serial fold has no fan-out: timing rows stay empty.
-        assert context.stage_timings() == ()
+        # A serial fold has no fan-out: no worker / ipc / merge events.
+        assert context.events(["worker", "ipc", "merge"]) == ()
 
     def test_chunked_fold_emits_chunk_events(self, views):
         plan = ExecutionPlanner().plan(views, chunk_size=128)
@@ -259,7 +259,9 @@ class TestEventSpine:
         plan = ExecutionPlanner().plan(views, workers=2)
         context = RunContext()
         execute_plan(plan, views, context)
-        names = [timing.stage for timing in context.stage_timings()]
+        names = [
+            event.name for event in context.events(["worker", "ipc", "merge"])
+        ]
         assert names[:2] == ["fanout[w0]", "fanout[w1]"]
         assert names[-2:] == ["ipc", "merge"]
 
@@ -268,12 +270,10 @@ class TestEventSpine:
         context.emit("stage", "outer", 0.1, rows_out=5)
         with context.scoped("inner"):
             context.emit("stage", "inner", 0.2, rows_out=3)
-        assert [t.stage for t in context.stage_timings()] == [
-            "outer", "inner",
-        ]
+        context.emit("chunk", "v@d0", 0.1, rows_in=4)
         assert [
-            t.stage for t in context.stage_timings(scopes=("inner",))
-        ] == ["inner"]
+            (event.name, event.scope) for event in context.events(["stage"])
+        ] == [("outer", "run"), ("inner", "inner")]
 
     def test_events_fan_out_to_attached_sinks(self):
         sinks = (MemorySink(), MemorySink())
@@ -336,7 +336,27 @@ class TestFacadesRunThroughEngine:
         context = telescope.last_run_context()
         assert context is not None
         assert context.plan.mode == "parallel"
-        assert result.pipeline.stage_timings == context.stage_timings()
+        stages = context.events(["stage"])
+        assert [event.name for event in stages] == [
+            "tcp", "avg-size", "source-unseen", "special", "routed",
+            "volume", "classify",
+        ]
+        funnel = result.pipeline.funnel
+        assert [event.rows_out for event in stages] == [
+            funnel.after_tcp, funnel.after_avg_size,
+            funnel.after_source_unseen, funnel.after_special,
+            funnel.after_routed, funnel.after_volume, funnel.after_volume,
+        ]
+        assert stages[0].rows_in == funnel.observed
+        assert all(
+            later.rows_in == earlier.rows_out
+            for earlier, later in zip(stages, stages[1:])
+        )
+        assert stages[-1].meta == {
+            "dark": len(result.pipeline.dark_blocks),
+            "unclean": len(result.pipeline.unclean_blocks),
+            "gray": len(result.pipeline.gray_blocks),
+        }
 
     def test_online_timings_come_from_the_event_stream(
         self, views, telescope
@@ -352,12 +372,12 @@ class TestFacadesRunThroughEngine:
             online.update(day, [v for v in views if v.day == day])
         context = online.last_run_context()
         assert context is not None
-        assert online.last_stage_timings() == context.stage_timings(
-            scopes=("fold", "window")
-        )
         assert context.events(["quarantine"])
-        scopes = {event.scope for event in context.events(["stage"])}
-        assert scopes == {"day", "window"}
+        assert {event.scope for event in context.events(["worker"])} == {
+            "fold"
+        }
+        stages = context.events(["stage"])
+        assert [event.scope for event in stages] == ["day"] * 7 + ["window"] * 7
 
     def test_federation_emits_member_events(self, views, telescope):
         context = RunContext()

@@ -424,7 +424,12 @@ class TestFacadeIntegration:
             multi_day, use_spoofing_tolerance=True, refine=False, workers=3
         )
         assert_identical(serial.pipeline, parallel.pipeline)
-        stages = [timing.stage for timing in parallel.pipeline.stage_timings]
+        stages = [
+            event.name
+            for event in telescope.last_run_context().events(
+                ["worker", "ipc", "merge"]
+            )
+        ]
         assert "merge" in stages and "ipc" in stages
         assert any(stage.startswith("fanout[") for stage in stages)
 
@@ -447,7 +452,10 @@ class TestFacadeIntegration:
         np.testing.assert_array_equal(
             serial.current_prefixes(), parallel.current_prefixes()
         )
-        stages = [t.stage for t in parallel.last_stage_timings()]
+        stages = [
+            event.name
+            for event in parallel.last_run_context().events(["worker"])
+        ]
         assert any(stage.startswith("fanout[") for stage in stages)
 
     def test_federate_wire_state_partials(self, multi_day, telescope):

@@ -39,7 +39,7 @@ from repro.core.snapshot_store import (
     _apply_delta,
     _row_delta,
 )
-from repro.core.stages import PipelineConfig, StageContext
+from repro.core.stages import PipelineConfig, run_funnel
 from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY
@@ -280,7 +280,7 @@ def test_identical_tables_make_an_empty_delta():
 
 
 # ---------------------------------------------------------------------------
-# finalize and the stage engine's block axis
+# finalize, and the funnel against a dict-and-loop reading
 # ---------------------------------------------------------------------------
 
 
@@ -330,6 +330,10 @@ def finalized_aggregates(draw):
     tolerance = draw(st.booleans())
     excess = rng.integers(0 if tolerance else 1, 3, size=len(src_blocks))
     tcp_pkts = rng.integers(0, 3, size=len(dst_ips)).astype(np.float64)
+    # Some blocks lack a volume entry (read as 0); the rest sit either
+    # side of the default 700-packet threshold.
+    vol_blocks = np.unique(dst_ips >> shift)
+    vol_blocks = vol_blocks[rng.random(len(vol_blocks)) < 0.8]
     return FinalizedAggregates(
         dst_ips=dst_ips,
         ip_tcp_pkts_est=tcp_pkts,
@@ -337,8 +341,8 @@ def finalized_aggregates(draw):
         ip_total_pkts_est=tcp_pkts + 1.0,
         src_ips=src_ips,
         src_ip_pkts_sampled=np.ones(len(src_ips)),
-        vol_blocks=np.unique(dst_ips >> shift),
-        vol_median_est=np.ones(len(np.unique(dst_ips >> shift))),
+        vol_blocks=vol_blocks,
+        vol_median_est=rng.choice([1.0, 500.0, 900.0], size=len(vol_blocks)),
         src_blocks=src_blocks,
         src_block_excess=excess.astype(np.float64),
         applied_tolerances={},
@@ -346,47 +350,115 @@ def finalized_aggregates(draw):
     )
 
 
-def context_of(finalized) -> StageContext:
-    return StageContext(
-        finalized, PipelineConfig(), ROUTING, SPECIAL_PURPOSE_REGISTRY
+class BlockSet:
+    """A routing table or special registry reduced to what the funnel
+    asks of one: is each block in a (drawn) set."""
+
+    def __init__(self, blocks) -> None:
+        self.blocks = frozenset(blocks)
+
+    def mask(self, blocks: np.ndarray) -> np.ndarray:
+        return np.array([b in self.blocks for b in blocks.tolist()], dtype=bool)
+
+    routed_mask = special_mask = mask
+
+
+def naive_funnel(finalized, config, routed, special):
+    """Steps 1-6 and the per-IP classification of paper section 4.2,
+    one block at a time over plain dicts, sets and lists.
+
+    Returns ``(funnel counts, {verdict: sorted blocks})`` with the
+    verdicts ``dark`` / ``unclean`` / ``gray`` and ``volume`` (blocks
+    that pass steps 1-5 and fail step 6 only).
+    """
+    shift = finalized.block_shift
+    ips = finalized.dst_ips.tolist()
+    pkts = finalized.ip_tcp_pkts_est.tolist()
+    size = finalized.ip_tcp_bytes_est.tolist()
+    members: dict[int, list[int]] = {}
+    for index, ip in enumerate(ips):
+        members.setdefault(ip >> shift, []).append(index)
+    sources = set(finalized.src_ips.tolist())
+    sourcing = {
+        block
+        for block, excess in zip(
+            finalized.src_blocks.tolist(), finalized.src_block_excess.tolist()
+        )
+        if excess > 0
+    }
+    volume = dict(
+        zip(finalized.vol_blocks.tolist(), finalized.vol_median_est.tolist())
     )
+    counts = [0] * 7
+    verdicts: dict[str, list[int]] = {
+        "dark": [], "unclean": [], "gray": [], "volume": []
+    }
+    for block, indices in sorted(members.items()):
+        block_pkts = sum(pkts[i] for i in indices)
+        block_bytes = sum(size[i] for i in indices)
+        survives, fails = [], []
+        for i in indices:
+            is_source = block in sourcing and ips[i] in sources
+            tcp = pkts[i] > 0
+            small = tcp and size[i] / pkts[i] <= config.ip_size_threshold
+            survives.append(small and not is_source)
+            fails.append((tcp and not small) or is_source)
+        steps = (
+            block_pkts > 0,
+            block_pkts > 0
+            and block_bytes / block_pkts <= config.avg_size_threshold,
+            any(survives),
+            block not in special,
+            block in routed,
+            volume.get(block, 0.0) <= config.volume_threshold_pkts_day,
+        )
+        passed = 0
+        while passed < len(steps) and steps[passed]:
+            passed += 1
+        for step in range(passed + 1):
+            counts[step] += 1
+        if passed == 5:
+            verdicts["volume"].append(block)
+        elif passed == 6:
+            if block in sourcing:
+                verdicts["gray"].append(block)
+            elif any(fails):
+                verdicts["unclean"].append(block)
+            else:
+                verdicts["dark"].append(block)
+    return counts, verdicts
 
 
-@settings(max_examples=150, deadline=None)
-@given(finalized_aggregates())
-def test_block_axis_and_ip_survival_match_the_hashed_forms(finalized):
-    ctx = context_of(finalized)
-    ip_blocks = finalized.dst_ips >> finalized.block_shift
-    same(ctx.blocks, np.unique(ip_blocks))
-    same(ctx.position, np.searchsorted(ctx.blocks, ip_blocks))
-
-    # _ip_survival as two full-length hashed memberships computed it.
-    has_tcp = finalized.ip_tcp_pkts_est > 0
-    size_ok = has_tcp & (
-        finalized.ip_tcp_bytes_est / np.maximum(finalized.ip_tcp_pkts_est, 1)
-        <= ctx.config.ip_size_threshold
-    )
-    real = finalized.src_blocks[finalized.src_block_excess > 0]
-    is_source = np.isin(finalized.dst_ips, finalized.src_ips) & np.isin(
-        ip_blocks, real
-    )
-    survives, fails = ctx._ip_survival
-    same(survives, size_ok & ~is_source)
-    same(fails, (has_tcp & ~size_ok) | is_source)
-    same(ctx.block_has_source, np.isin(ctx.blocks, real))
-
-    # per_block_any as ufunc.at computed it.
-    for mask in (survives, fails, np.zeros(len(ip_blocks), dtype=bool)):
-        expected = np.zeros(ctx.num_blocks, dtype=bool)
-        np.logical_or.at(expected, ctx.position, mask)
-        same(ctx.per_block_any(mask), expected)
+@settings(max_examples=200, deadline=None)
+@given(
+    finalized_aggregates(),
+    st.integers(min_value=0, max_value=2**31),
+    # Above the 48-byte per-IP slack, a block can pass step 2 while one
+    # of its addresses fails: the unclean verdict.
+    st.sampled_from([44.0, 52.0]),
+)
+def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size):
+    rng = np.random.default_rng(seed)
+    blocks = sorted(set((finalized.dst_ips >> finalized.block_shift).tolist()))
+    routed = {block for block in blocks if rng.random() < 0.8}
+    special = {block for block in blocks if rng.random() < 0.15}
+    config = PipelineConfig(avg_size_threshold=avg_size)
+    result = run_funnel(finalized, BlockSet(routed), BlockSet(special), config)
+    counts, verdicts = naive_funnel(finalized, config, routed, special)
+    assert [count for _, count in result.funnel.as_rows()] == counts
+    assert result.dark_blocks.tolist() == verdicts["dark"]
+    assert result.unclean_blocks.tolist() == verdicts["unclean"]
+    assert result.gray_blocks.tolist() == verdicts["gray"]
+    assert result.volume_filtered_blocks.tolist() == verdicts["volume"]
 
 
 def test_stage_context_rejects_unsorted_columns():
     finalized = PrefixAccumulator().finalize()
     finalized.dst_ips = np.array([0x14000101, 0x14000001], dtype=np.int64)
     with pytest.raises(ValueError, match="sorted"):
-        context_of(finalized)
+        run_funnel(
+            finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig()
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,45 @@ class TestCli:
         assert "skipped" in out
         assert "CorruptedFields" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["funnel", "--days", "0"], "argument --days: must be >= 1, got 0"),
+            (
+                ["infer", "--family", "ipv6", "--days", "-2"],
+                "argument --days: must be >= 1, got -2",
+            ),
+            (["serve", "--days", "0"], "argument --days: must be >= 1, got 0"),
+            (["faults", "--window", "0"], "argument --window: must be >= 1, got 0"),
+            (
+                ["serve", "--warm-days", "-1"],
+                "argument --warm-days: must be >= 0, got -1",
+            ),
+            (
+                ["faults", "--days", "3", "--fault-day", "7"],
+                "argument --fault-day: day 7 is outside [0, 3)",
+            ),
+            (
+                ["faults", "--days", "3", "--fault-day", "-1"],
+                "argument --fault-day: day -1 is outside [0, 3)",
+            ),
+        ],
+        ids=["days", "days-ipv6", "serve-days", "window", "warm-days",
+             "fault-day-past", "fault-day-negative"],
+    )
+    def test_out_of_range_day_counts_are_usage_errors(self, argv, message, capsys):
+        from repro.cli import main
+
+        # Rejected while parsing: exit 2 with a usage line, no traceback
+        # and no world built.
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--scale", "micro"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert message in captured.err
+
     def test_faults_strict_policy_crashes_on_outage(self):
         from repro.cli import main
 

@@ -10,14 +10,19 @@ fold's fan-out and the serving fleet; the native library exports exactly
 ``fold_chunk``, ``merge_sorted`` and ``merge_k``.  This test keeps
 second doors — a convenience fold loop, a second aggregation, a facade
 that plans for itself, a hand-built snapshot, a private process pool, a
-separate native fold per key width — from growing back.
+separate native fold per key width — from growing back.  Deleted layers
+stay deleted by name, and every ``def`` and ``class`` under
+``src/repro`` is referenced from src, tests, benchmarks or examples, so
+a helper nothing calls is found the day it stops being called.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 #: ``call -> modules allowed to make it`` over all of ``src/repro``.
 #: A call is named by its last dotted component, so ``build_snapshot(``
@@ -43,12 +48,17 @@ ALLOWED_IMPORTERS = {
     "multiprocessing": {"core/parallel.py", "service/fleet.py"},
 }
 #: Deleted second doors — the convenience fold, the per-view
-#: aggregation and its view-fed tolerances: not defined, called or
-#: mentioned.
+#: aggregation and its view-fed tolerances, the stage plugin layer and
+#: its second timing record, the test-only chunked captures: not
+#: defined, called or mentioned.
 DELETED = re.compile(
     r"\b(?:accumulate_views|BlockAggregates|compute_block_aggregates"
-    r"|tolerances?_for_views?)\b"
+    r"|tolerances?_for_views?"
+    r"|StageEngine|StageContext|StageTiming|DEFAULT_STAGES|stage_timings"
+    r"|capture_chunks|export_day_chunks|export_view_chunks)\b"
 )
+#: Where a ``def`` or ``class`` under ``src/repro`` may be referenced.
+REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
 #: The C source of the native kernel and the functions it may export:
 #: every other function in it is ``static``.
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
@@ -172,6 +182,42 @@ def tree_sources() -> dict[str, str]:
     }
 
 
+def definitions(source: str):
+    """``(name, line)`` of every ``def`` and ``class`` (dunders aside:
+    the language calls those)."""
+    return [
+        (node.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def unreferenced(sources: dict[str, str], corpus: list[str]) -> list[str]:
+    """Definitions in ``{module path under src/repro: source}`` whose
+    name occurs in the ``corpus`` texts no more often than it is
+    defined there: nothing calls, imports or mentions them."""
+    words = Counter(word for text in corpus for word in re.findall(r"\w+", text))
+    defined = Counter(
+        name for source in sources.values() for name, _ in definitions(source)
+    )
+    return [
+        f"src/repro/{module}:{line}: {name}"
+        for module, source in sorted(sources.items())
+        for name, line in definitions(source)
+        if words[name] <= defined[name]
+    ]
+
+
+def reference_corpus() -> list[str]:
+    """Every Python file a definition may be referenced from."""
+    return [
+        path.read_text()
+        for root in REFERENCE_ROOTS
+        for path in (REPO / root).rglob("*.py")
+    ]
+
+
 def test_each_step_has_one_door():
     found = offenders(tree_sources())
     assert not found, (
@@ -288,6 +334,63 @@ def test_lint_actually_catches_a_second_door():
         for name, function, _ in calls(sources[module])
         if name == "plan"
     } == PLAN_CALLERS
+
+
+def test_deleted_layers_stay_deleted():
+    # Guard the guard: each deleted name pasted back is found, alone.
+    pasted = {
+        "core/stages.py": "class StageEngine: ...\n",
+        "core/engine.py": "rows = context.stage_timings()\n",
+        "core/online.py": "from repro.core.stages import StageTiming\n",
+        "core/pipeline.py": "DEFAULT_STAGES = ()\n",
+        "core/metatelescope.py": "ctx = StageContext(finalized)\n",
+        "vantage/telescope.py": "chunks = telescope.capture_chunks(flows, 0)\n",
+        "vantage/ixp.py": "exports = fabric.export_day_chunks(flows, rng)\n",
+        "vantage/archive.py": "def export_view_chunks(vantage, day, chunks): ...\n",
+    }
+    for module, text in pasted.items():
+        assert offenders({module: text}) == [
+            f"src/repro/{module}:1: {text.strip()}"
+        ], module
+    # A name that merely contains one is not caught.
+    assert not offenders({"cli.py": "def _print_stage_timings(): ...\n"})
+
+
+def test_every_definition_is_referenced():
+    found = unreferenced(tree_sources(), reference_corpus())
+    assert not found, (
+        "every def and class under src/repro is referenced from src, "
+        "tests, benchmarks or examples; delete these or use them:\n"
+        + "\n".join(found)
+    )
+
+
+def test_reference_lint_actually_catches_an_orphan():
+    # Guard the guard: a helper nothing calls is found and named, and
+    # one reference anywhere in the corpus clears it.
+    sources = tree_sources()
+    sources["core/refine.py"] += "\n\ndef orphan_helper(flows):\n    return flows\n"
+    # This file names the orphan too, so it is left out of the corpus.
+    this_file = Path(__file__).read_text()
+    corpus = [text for text in reference_corpus() if text != this_file]
+    corpus.append(sources["core/refine.py"])
+    line = sources["core/refine.py"].count("\n") - 1
+    assert unreferenced(sources, corpus) == [
+        f"src/repro/core/refine.py:{line}: orphan_helper"
+    ]
+    assert not unreferenced(sources, corpus + ["orphan_helper(views)"])
+    # Methods count, dunders do not.
+    method = (
+        "class Orphan:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def lonely(self):\n"
+        "        pass\n"
+    )
+    assert unreferenced({"x.py": method}, [method]) == [
+        "src/repro/x.py:1: Orphan",
+        "src/repro/x.py:4: lonely",
+    ]
 
 
 def test_native_library_exports_exactly_three_functions():

@@ -1,9 +1,8 @@
-"""Chunked-ingestion contracts: tables, readers, vantage exporters, CLI.
+"""Chunked-ingestion contracts: tables, readers, CLI.
 
 Every producer in the streaming path promises the same thing: its
 bounded-size chunks concatenate to exactly what the one-shot call
-returns (the IXP exporter, which re-draws randomness per chunk, instead
-promises a valid same-distribution realisation).
+returns.
 """
 
 import csv
@@ -450,46 +449,6 @@ class TestBlockReaderMatchesRowReader:
         path.write_text("\n".join(lines) + "\n")
         assert len(read_flows_csv(path)) == 50
         assert 5 <= len(per_row) < 50
-
-
-class TestVantageChunkedCapture:
-    def test_telescope_capture_chunks_match_one_shot(self, world):
-        code, telescope = next(iter(world.telescopes.items()))
-        flows = _ground_truth(world, day=0)
-        whole = telescope.capture(flows, day=0).flows
-        streamed = FlowTable.concat(
-            telescope.capture_chunks(flows, day=0, chunk_rows=997)
-        )
-        assert len(streamed) == len(whole)
-        np.testing.assert_array_equal(streamed.dst_ip, whole.dst_ip)
-        np.testing.assert_array_equal(streamed.packets, whole.packets)
-
-    def test_isp_capture_chunks_match_one_shot(self, world):
-        flows = _ground_truth(world, day=0)
-        whole = world.isp.capture(flows, day=0).flows
-        streamed = FlowTable.concat(
-            world.isp.capture_chunks(flows, day=0, chunk_rows=997)
-        )
-        assert len(streamed) == len(whole)
-        np.testing.assert_array_equal(streamed.src_ip, whole.src_ip)
-        np.testing.assert_array_equal(streamed.dst_ip, whole.dst_ip)
-
-    def test_ixp_export_chunks_are_valid_views(self, world):
-        flows = _ground_truth(world, day=0)
-        rng = np.random.default_rng(11)
-        codes = set(world.fabric.codes())
-        total = 0
-        for exports in world.fabric.export_day_chunks(flows, rng, chunk_rows=1500):
-            assert set(exports) <= codes
-            for table in exports.values():
-                assert len(table) > 0
-                total += len(table)
-        assert total > 0
-
-
-def _ground_truth(world, day: int):
-    rng = world.config.child_rng(f"traffic-day-{day}")
-    return world.annotate_dst_asn(world.mix.generate_day(day, rng))
 
 
 class TestCliChunkSize:
