@@ -10,7 +10,6 @@ its blocked ports (23/445).
 from __future__ import annotations
 
 from _common import emit
-from repro.analysis.ports import tcp_share
 from repro.reporting.tables import format_table
 from repro.traffic.packets import PROTO_TCP
 

@@ -6,7 +6,7 @@ from repro.analysis.ports import (
     top_ports,
     top_ports_per_group,
 )
-from repro.analysis.geo_dist import country_counts, continent_counts
+from repro.analysis.geo_dist import country_counts
 from repro.analysis.nettypes import type_continent_matrix
 from repro.analysis.prefix_index import prefix_index_distribution
 from repro.analysis.hilbert_viz import render_hilbert_ascii, hilbert_grid
@@ -19,7 +19,7 @@ from repro.analysis.scanners_analysis import (
     classify_campaign,
     detect_scanners,
 )
-from repro.analysis.as_dark_share import dark_share_by_as, top_dark_organizations
+from repro.analysis.as_dark_share import dark_share_by_as
 from repro.analysis.comparison import PortComparison, compare_port_statistics
 from repro.analysis.stability import StabilityReport, stability_report
 
@@ -29,7 +29,6 @@ __all__ = [
     "top_ports",
     "top_ports_per_group",
     "country_counts",
-    "continent_counts",
     "type_continent_matrix",
     "prefix_index_distribution",
     "render_hilbert_ascii",
@@ -43,7 +42,6 @@ __all__ = [
     "classify_campaign",
     "detect_scanners",
     "dark_share_by_as",
-    "top_dark_organizations",
     "PortComparison",
     "compare_port_statistics",
     "StabilityReport",

@@ -64,7 +64,7 @@ def dark_share_by_as(
         announced = announced_counts.get(asn, 0)
         if announced < min_announced:
             continue
-        org = as2org.org_of(asn) if as2org is not None else None
+        org = as2org.mapping.get(asn) if as2org is not None else None
         rows.append(
             AsDarkShare(
                 asn=asn,
@@ -77,14 +77,3 @@ def dark_share_by_as(
         )
     rows.sort(key=lambda row: -row.dark_blocks)
     return rows
-
-
-def top_dark_organizations(
-    shares: list[AsDarkShare], count: int = 10
-) -> list[tuple[str, int]]:
-    """Roll the per-AS footprints up to organisations."""
-    totals: dict[str, int] = {}
-    for row in shares:
-        name = row.org_name or f"AS{row.asn}"
-        totals[name] = totals.get(name, 0) + row.dark_blocks
-    return sorted(totals.items(), key=lambda item: -item[1])[:count]

@@ -36,10 +36,6 @@ class VictimReport:
     #: Sampled backscatter packets observed.
     packets: int
 
-    def estimated_attack_share(self, total_packets: int) -> float:
-        """This victim's share of all observed backscatter."""
-        return self.packets / total_packets if total_packets else 0.0
-
 
 @dataclass(frozen=True)
 class BackscatterAnalysis:

@@ -28,10 +28,6 @@ class PortComparison:
     spearman_rho: float
     l1_distance: float
 
-    def overlap_share(self) -> float:
-        """Fraction of the top-k lists that coincide."""
-        return self.overlap / self.top_k if self.top_k else 0.0
-
 
 def compare_port_statistics(
     left: FlowTable, right: FlowTable, top_k: int = 10

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.datasets.geodb import GeoDatabase
 from repro.datasets.pfx2as import PrefixToAsMap
-from repro.geo.countries import country_by_code
 
 
 def country_counts(
@@ -21,19 +20,6 @@ def country_counts(
     return dict(sorted(counter.items(), key=lambda item: -item[1]))
 
 
-def continent_counts(
-    blocks: np.ndarray, geodb: GeoDatabase
-) -> dict[str, int]:
-    """Number of meta-telescope /24s per continent."""
-    per_country = country_counts(blocks, geodb)
-    counter: Counter[str] = Counter()
-    for code, count in per_country.items():
-        counter[country_by_code(code).continent.value] += count
-    return dict(
-        sorted(counter.items(), key=lambda item: -item[1])
-    )
-
-
 def inventory_row(
     blocks: np.ndarray, geodb: GeoDatabase, pfx2as: PrefixToAsMap
 ) -> tuple[int, int, int]:
@@ -43,10 +29,3 @@ def inventory_row(
     num_ases = len(np.unique(asns[asns >= 0]))
     num_countries = len(country_counts(blocks, geodb))
     return len(blocks), num_ases, num_countries
-
-
-def log_scale_world_counts(counts: dict[str, int]) -> dict[str, float]:
-    """log10 country counts, the color scale of the world maps."""
-    return {
-        code: float(np.log10(count)) for code, count in counts.items() if count > 0
-    }

@@ -96,13 +96,3 @@ def render_hilbert_ascii(
         grid = np.where(dark, 1, np.where(reference, 2, 0))
     symbols = np.array([" ", "#", "."])
     return "\n".join("".join(row) for row in symbols[grid])
-
-
-def write_pgm(hilbert_map: HilbertMap, path: str) -> None:
-    """Write the map as a binary PGM (0 empty / 128 reference / 255 dark)."""
-    grid = hilbert_map.grid
-    pixels = np.where(grid == 1, 255, np.where(grid == 2, 128, 0)).astype(np.uint8)
-    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode()
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(pixels.tobytes())

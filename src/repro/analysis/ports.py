@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.traffic.flows import FlowTable, aggregate_sums
-from repro.traffic.packets import PROTO_TCP
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,11 +132,3 @@ def bean_matrix(
             mask = activity.ports == port
             matrix[row, column] = activity.packets[mask].sum() / denominator
     return groups, matrix
-
-
-def tcp_share(flows: FlowTable) -> float:
-    """Fraction of packets that are TCP (Table 2 column)."""
-    total = flows.total_packets()
-    if total == 0:
-        return 0.0
-    return flows.filter(flows.proto == PROTO_TCP).total_packets() / total

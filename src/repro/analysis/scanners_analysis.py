@@ -29,10 +29,6 @@ class ScannerReport:
     #: Destination ports, most-targeted first.
     ports: tuple[int, ...]
 
-    def is_heavy(self, footprint_threshold: int = 50) -> bool:
-        """Wide-footprint (Internet-wide style) scanner?"""
-        return self.footprint_blocks >= footprint_threshold
-
 
 def detect_scanners(
     captured: FlowTable,

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.combine import per_day_results
 from repro.core.metatelescope import MetaTelescope
 from repro.vantage.sampling import VantageDayView
 
@@ -48,13 +47,3 @@ def daily_series(
         )
         counts.append(result.pipeline.num_dark())
     return DailySeries(label=label, days=days, counts=counts)
-
-
-def daily_dark_sets(
-    views_by_day: dict[int, list[VantageDayView]],
-    telescope: MetaTelescope,
-) -> dict[int, np.ndarray]:
-    """Per-day inferred dark sets (for stability analyses)."""
-    routing = telescope.routing_for_days(sorted(views_by_day))
-    results = per_day_results(views_by_day, routing, telescope.config)
-    return {day: result.dark_blocks for day, result in results.items()}

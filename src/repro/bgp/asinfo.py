@@ -82,9 +82,6 @@ class ASRegistry:
     def __iter__(self) -> Iterator[AutonomousSystem]:
         return iter(self._by_asn.values())
 
-    def __contains__(self, asn: int) -> bool:
-        return asn in self._by_asn
-
     def add(self, autonomous_system: AutonomousSystem) -> None:
         """Register an AS; its ASN must be unique."""
         asn = autonomous_system.asn
@@ -106,18 +103,6 @@ class ASRegistry:
     def org(self, org_id: str) -> Organization:
         """Look up an organisation; raises KeyError if unknown."""
         return self._orgs[org_id]
-
-    def asns(self) -> list[int]:
-        """All ASNs, ascending."""
-        return sorted(self._by_asn)
-
-    def by_type(self, as_type: ASType) -> list[AutonomousSystem]:
-        """All ASes of the given business type."""
-        return [a for a in self._by_asn.values() if a.as_type is as_type]
-
-    def by_country(self, country_code: str) -> list[AutonomousSystem]:
-        """All ASes registered in the given country."""
-        return [a for a in self._by_asn.values() if a.country_code == country_code]
 
     @classmethod
     def from_ases(cls, ases: Iterable[AutonomousSystem]) -> "ASRegistry":

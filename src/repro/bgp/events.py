@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.rib import Announcement, RibSnapshot, RoutingTable
+from repro.bgp.rib import Announcement, RoutingTable
 from repro.net.ipv4 import Prefix
 
 
@@ -61,9 +61,9 @@ class RouteEvent:
 class EventedCollector:
     """A collector proxy that injects route events into daily RIBs.
 
-    Wraps any object with the ``dump``/``daily_table``/``daily_prefixes``
-    collector interface; on a day an event is active, its announcement
-    joins the union (and each dump) as if a peer had exported it.
+    Wraps any object with the ``daily_table`` collector interface; on a
+    day an event is active, its announcement joins the union as if a
+    peer had exported it.
     """
 
     def __init__(self, base, events: list[RouteEvent]) -> None:
@@ -77,17 +77,6 @@ class EventedCollector:
             if event.active_on(day)
         ]
 
-    def dump(self, day: int, dump_index: int) -> RibSnapshot:
-        """The base dump, plus any active event announcements."""
-        snapshot = self._base.dump(day, dump_index)
-        extra = self._extra(day)
-        if not extra:
-            return snapshot
-        return RibSnapshot(
-            dump_hour=snapshot.dump_hour,
-            table=RoutingTable([*snapshot.table.announcements, *extra]),
-        )
-
     def daily_table(self, day: int) -> RoutingTable:
         """Union RIB for the day, with active events folded in."""
         base = self._base.daily_table(day)
@@ -95,7 +84,3 @@ class EventedCollector:
         if not extra:
             return base
         return RoutingTable([*base.announcements, *extra])
-
-    def daily_prefixes(self, day: int) -> list[Prefix]:
-        """All prefixes announced during the day (events included)."""
-        return self.daily_table(day).prefixes()

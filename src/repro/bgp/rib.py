@@ -5,7 +5,7 @@ The paper's pipeline step 5 ("Globally Routed") consumes daily unions of
 the 12 two-hourly RIB dumps from a Route Views collector.  We reproduce
 that interface: a :class:`RouteViewsCollector` emits 12
 :class:`RibSnapshot` dumps per day with mild announcement churn
-(flapping more-specifics), and :meth:`RouteViewsCollector.daily_prefixes`
+(flapping more-specifics), and :meth:`RouteViewsCollector.daily_table`
 returns their union.
 """
 
@@ -54,44 +54,25 @@ class RoutingTable:
                 else IPV4
             )
         self.family = family
-        self._trie: PrefixTrie[int] = PrefixTrie(family=family)
-        for announcement in self._announcements:
-            self._trie.insert(announcement.prefix, announcement.origin_asn)
         # Sorted-interval table for routed_mask, built lazily on first
         # probe and pinned here: the table is immutable after __init__,
         # so coordinators that keep one RoutingTable across many
-        # inference runs (online windows, federation) never rebuild it.
+        # inference runs (online windows) never rebuild it, and the
+        # collector's per-dump tables that nobody probes never build it.
         self._interval_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return len(self._announcements)
 
     @property
     def announcements(self) -> tuple[Announcement, ...]:
         """All announcements in this table."""
         return self._announcements
 
-    def prefixes(self) -> list[Prefix]:
-        """All announced prefixes, address-ordered."""
-        return sorted(a.prefix for a in self._announcements)
-
-    def origin_of_ip(self, ip: int) -> int | None:
-        """Origin ASN by longest-prefix match, or None if unrouted."""
-        match = self._trie.longest_match(ip)
-        return None if match is None else match[1]
-
-    def origin_of_block(self, block: int) -> int | None:
-        """Origin ASN of the block's network address."""
-        return self.origin_of_ip(self.family.block_to_ip(block))
-
-    def is_routed_block(self, block: int) -> bool:
-        """True if the block is entirely inside an announced prefix."""
-        return self._trie.covers_block(block)
-
     def routed_mask(self, blocks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_routed_block`."""
+        """Which ``blocks`` lie entirely inside an announced prefix."""
         if self._interval_cache is None:
-            self._interval_cache = self._trie.block_intervals()
+            trie: PrefixTrie[int] = PrefixTrie(family=self.family)
+            for announcement in self._announcements:
+                trie.insert(announcement.prefix, announcement.origin_asn)
+            self._interval_cache = trie.block_intervals()
         starts, ends = self._interval_cache
         return interval_covered_mask(starts, ends, blocks)
 
@@ -142,7 +123,3 @@ class RouteViewsCollector:
             for announcement in snapshot.table.announcements:
                 seen[(announcement.prefix, announcement.origin_asn)] = announcement
         return RoutingTable(seen.values())
-
-    def daily_prefixes(self, day: int) -> list[Prefix]:
-        """All prefixes announced at any point during ``day``."""
-        return self.daily_table(day).prefixes()

@@ -14,8 +14,6 @@ The topology serves three purposes in the reproduction:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
-
 import networkx as nx
 
 
@@ -58,10 +56,6 @@ class AsTopology:
         self._graph.add_edge(right, left, relationship=Relationship.PEER_PEER)
         self._cone_cache.clear()
 
-    def asns(self) -> list[int]:
-        """All ASNs in the graph, ascending."""
-        return sorted(self._graph.nodes)
-
     def providers_of(self, asn: int) -> set[int]:
         """Direct transit providers of ``asn``."""
         return {
@@ -76,14 +70,6 @@ class AsTopology:
             downstream
             for _, downstream, data in self._graph.out_edges(asn, data=True)
             if data["relationship"] is Relationship.PROVIDER_CUSTOMER
-        }
-
-    def peers_of(self, asn: int) -> set[int]:
-        """Settlement-free peers of ``asn``."""
-        return {
-            other
-            for _, other, data in self._graph.out_edges(asn, data=True)
-            if data["relationship"] is Relationship.PEER_PEER
         }
 
     def customer_cone(self, asn: int) -> frozenset[int]:
@@ -113,50 +99,3 @@ class AsTopology:
         return sorted(
             asn for asn in self._graph.nodes if not self.providers_of(asn)
         )
-
-    def is_stub(self, asn: int) -> bool:
-        """True if the AS has no customers of its own."""
-        return not self.customers_of(asn)
-
-    def transit_path_exists(self, src: int, dst: int) -> bool:
-        """True if valley-free connectivity plausibly exists.
-
-        We use a coarse reachability check (the synthetic backbone is a
-        full mesh, so any two ASes with providers are connected); it is
-        enough to decide whether traffic *can* flow, which is all the
-        vantage-point model needs.
-        """
-        if src == dst:
-            return True
-        graph = self._graph
-        return src in graph and dst in graph
-
-    @classmethod
-    def build_hierarchy(
-        cls,
-        tier1: Iterable[int],
-        mid_tier: dict[int, list[int]],
-        stubs: dict[int, list[int]],
-    ) -> "AsTopology":
-        """Construct a three-tier topology.
-
-        ``mid_tier`` maps each regional AS to its tier-1 providers;
-        ``stubs`` maps each stub AS to its mid-tier (or tier-1)
-        providers.  Tier-1s form a full peering mesh.
-        """
-        topology = cls()
-        tier1_list = list(tier1)
-        for asn in tier1_list:
-            topology.add_as(asn)
-        for i, left in enumerate(tier1_list):
-            for right in tier1_list[i + 1 :]:
-                topology.add_peering(left, right)
-        for customer, providers in mid_tier.items():
-            topology.add_as(customer)
-            for provider in providers:
-                topology.add_provider_customer(provider, customer)
-        for customer, providers in stubs.items():
-            topology.add_as(customer)
-            for provider in providers:
-                topology.add_provider_customer(provider, customer)
-        return topology

@@ -95,6 +95,7 @@ from repro.service import (
     QueryBudget,
     ServiceDaemon,
 )
+from repro.world.builder import build_world
 from repro.world.capture_cache import CaptureCache
 from repro.world.config import (
     giant_config,
@@ -103,39 +104,28 @@ from repro.world.config import (
     small_config,
 )
 from repro.world.ipv6 import (
-    giant_ipv6_world,
+    build_ipv6_world,
+    giant_ipv6_config,
     ipv6_views,
-    micro_ipv6_world,
-    paper_ipv6_world,
-    small_ipv6_world,
+    micro_ipv6_config,
+    paper_ipv6_config,
+    small_ipv6_config,
 )
 from repro.world.observe import Observatory
-from repro.world.scenarios import (
-    giant_world,
-    micro_world,
-    paper_world,
-    small_world,
-)
 
 # ``giant`` (≥50 M rows/day) takes minutes to simulate and gigabytes to
 # archive — pair it with ``--capture-cache`` so generation is paid once.
-_SCALES = {
-    "micro": micro_world,
-    "small": small_world,
-    "paper": paper_world,
-    "giant": giant_world,
-}
 _CONFIGS = {
     "micro": micro_config,
     "small": small_config,
     "paper": paper_config,
     "giant": giant_config,
 }
-_IPV6_SCALES = {
-    "micro": micro_ipv6_world,
-    "small": small_ipv6_world,
-    "paper": paper_ipv6_world,
-    "giant": giant_ipv6_world,
+_IPV6_CONFIGS = {
+    "micro": micro_ipv6_config,
+    "small": small_ipv6_config,
+    "paper": paper_ipv6_config,
+    "giant": giant_ipv6_config,
 }
 
 
@@ -159,7 +149,7 @@ def _require_ipv4(args: argparse.Namespace) -> None:
 def _build(args: argparse.Namespace):
     _require_ipv4(args)
     context = _context(args)
-    world = _SCALES[args.scale](args.seed)
+    world = build_world(_CONFIGS[args.scale](args.seed))
     cache = None
     if getattr(args, "capture_cache", None):
         cache = CaptureCache(args.capture_cache)
@@ -222,7 +212,7 @@ def _family_views(args: argparse.Namespace):
             "vantage: V6IX (or All)"
         )
     context = _context(args)
-    world = _IPV6_SCALES[args.scale](args.seed)
+    world = build_ipv6_world(_IPV6_CONFIGS[args.scale](args.seed))
     views = ipv6_views(world, num_days=args.days)
     return world, views, ipv6_telescope(world), context
 
@@ -805,7 +795,7 @@ def _add_execution_options(p: argparse.ArgumentParser) -> None:
 
 def _add_world_options(p: argparse.ArgumentParser) -> None:
     """The world-selection flags, plus the shared execution flags."""
-    p.add_argument("--scale", choices=sorted(_SCALES), default="small")
+    p.add_argument("--scale", choices=sorted(_CONFIGS), default="small")
     p.add_argument(
         "--family", choices=["ipv4", "ipv6"], default="ipv4",
         help="address family to operate in (ipv6: the /48-site world "

@@ -78,7 +78,6 @@ from repro.core.snapshot import (
     PointAnswer,
     SnapshotDiff,
     build_snapshot,
-    empty_snapshot,
 )
 from repro.core.evaluation import telescope_coverage, confusion_against_truth
 
@@ -133,7 +132,6 @@ __all__ = [
     "PointAnswer",
     "SnapshotDiff",
     "build_snapshot",
-    "empty_snapshot",
     "telescope_coverage",
     "confusion_against_truth",
 ]

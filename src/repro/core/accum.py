@@ -61,7 +61,7 @@ DEFAULT_COMPACT_EVERY = 16
 AUTO_CHUNK = "auto"
 
 #: Wire-form version emitted by :meth:`PrefixAccumulator.to_state`.
-_STATE_VERSION = 1
+_STATE_VERSION = 2
 
 
 def _empty_keys() -> np.ndarray:
@@ -337,7 +337,6 @@ class PrefixAccumulator:
         # day -> dst /24 -> estimated total packets
         self._volume_by_day: dict[int, _KeyedSums] = {}
         self._days_by_vantage: dict[str, set[int]] = {}
-        self._rows_ingested = 0
 
     # -- address family ------------------------------------------------
 
@@ -392,7 +391,6 @@ class PrefixAccumulator:
         self._adopt_family(chunk.family)
         block_shift = self._family.key_block_shift
         factor = float(sampling_factor)
-        self._rows_ingested += len(chunk)
         per_vantage = self._src_by_vantage[vantage]
         # One kernel call folds all four keyed parts of a chunk
         # (per-dst-key sums, the block volume regroup, per-src-key
@@ -496,7 +494,6 @@ class PrefixAccumulator:
             mine.absorb(theirs)
         for vantage, days in other._days_by_vantage.items():
             self._days_by_vantage.setdefault(vantage, set()).update(days)
-        self._rows_ingested += other._rows_ingested
         return self
 
     def compact(self) -> "PrefixAccumulator":
@@ -531,7 +528,6 @@ class PrefixAccumulator:
         duplicate._days_by_vantage = {
             vantage: set(days) for vantage, days in self._days_by_vantage.items()
         }
-        duplicate._rows_ingested = self._rows_ingested
         return duplicate
 
     # -- wire form -----------------------------------------------------
@@ -557,7 +553,6 @@ class PrefixAccumulator:
             "ignore_sources_from_asns": tuple(
                 sorted(self.ignore_sources_from_asns)
             ),
-            "rows_ingested": self._rows_ingested,
             "dst_ip_sums": part(self._dst_ip_sums),
             "src_ip_sums": part(self._src_ip_sums),
             "src_by_vantage": {
@@ -622,7 +617,6 @@ class PrefixAccumulator:
             accumulator._src_by_vantage.setdefault(
                 vantage, _KeyedSums(2, compact_every, resolved)
             )
-        accumulator._rows_ingested = int(state["rows_ingested"])
         return accumulator
 
     # -- introspection -------------------------------------------------
@@ -634,21 +628,6 @@ class PrefixAccumulator:
     def days(self) -> list[int]:
         """Sorted days with at least one observation."""
         return sorted(self._volume_by_day)
-
-    def vantages(self) -> list[str]:
-        """Sorted vantage codes that have reported."""
-        return sorted(self._days_by_vantage)
-
-    def days_by_vantage(self) -> dict[str, frozenset[int]]:
-        """Days each vantage contributed (window-tolerance scaling)."""
-        return {
-            vantage: frozenset(days)
-            for vantage, days in self._days_by_vantage.items()
-        }
-
-    def rows_ingested(self) -> int:
-        """Total flow rows folded in so far (diagnostic)."""
-        return self._rows_ingested
 
     def observed_blocks(self) -> np.ndarray:
         """Sorted blocks that received any traffic."""

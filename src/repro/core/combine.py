@@ -1,14 +1,13 @@
 """Multi-day and multi-vantage composition helpers (paper Sections 6-7).
 
-The pipeline itself pools arbitrary view sets; this module adds the
-compositions the paper reports on: per-day series, cumulative-day
-series (Figure 9), and the stability recommendation of Section 7.1
-(trust a prefix only if it is inferred dark on several days).
+The pipeline itself pools arbitrary view sets (a cumulative-day series
+is one run over the growing pool); this module adds the compositions
+the paper reports on: per-day series and the stability recommendation
+of Section 7.1 (trust a prefix only if it is inferred dark on several
+days).
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -27,20 +26,6 @@ def per_day_results(
         day: run_pipeline(views, routing, config)
         for day, views in sorted(views_by_day.items())
     }
-
-
-def cumulative_day_results(
-    views_by_day: dict[int, list[VantageDayView]],
-    routing: RoutingTable,
-    config: PipelineConfig | None = None,
-) -> dict[int, PipelineResult]:
-    """Growing-window inferences: day 0, days 0-1, ... (Figure 9)."""
-    results: dict[int, PipelineResult] = {}
-    pooled: list[VantageDayView] = []
-    for day in sorted(views_by_day):
-        pooled = pooled + views_by_day[day]
-        results[day] = run_pipeline(pooled, routing, config)
-    return results
 
 
 def stable_dark_blocks(
@@ -65,17 +50,3 @@ def stable_dark_blocks(
     for dark in arrays:
         counts += np.isin(all_blocks, dark)
     return all_blocks[counts >= min_days]
-
-
-def intersect_dark(results: list[PipelineResult]) -> np.ndarray:
-    """Blocks dark in every result (the strictest composition)."""
-    if not results:
-        return np.empty(0, dtype=np.int64)
-    return reduce(np.intersect1d, (r.dark_blocks for r in results))
-
-
-def union_dark(results: list[PipelineResult]) -> np.ndarray:
-    """Blocks dark in any result (the paper's "union data set")."""
-    if not results:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate([r.dark_blocks for r in results]))

@@ -62,11 +62,6 @@ class ConfidenceScores:
     margin: np.ndarray
     recurrence: np.ndarray
 
-    def top(self, count: int) -> list[tuple[int, float]]:
-        """The highest-confidence prefixes."""
-        order = np.argsort(-self.score, kind="stable")[:count]
-        return [(int(self.blocks[i]), float(self.score[i])) for i in order]
-
     def above(self, threshold: float) -> np.ndarray:
         """Blocks whose score meets ``threshold``."""
         return self.blocks[self.score >= threshold]

@@ -323,8 +323,8 @@ class ExecutionEvent:
     """One structured record on the trace spine."""
 
     #: ``plan`` | ``view`` | ``chunk`` | ``worker`` | ``ipc`` |
-    #: ``merge`` | ``stage`` | ``cache`` | ``generate`` | ``member``
-    #: | ``quarantine`` — open set; sinks must pass unknown kinds on.
+    #: ``merge`` | ``stage`` | ``cache`` | ``generate`` |
+    #: ``quarantine`` — open set; sinks must pass unknown kinds on.
     kind: str
     name: str
     #: Facade-assigned grouping label (e.g. ``fold`` / ``window``).
@@ -429,21 +429,6 @@ class RunContext:
         for sink in self.sinks:
             sink.emit(event)
         return event
-
-    @contextmanager
-    def timed(self, kind: str, name: str, **counters: Any) -> Iterator[None]:
-        """Time a block and emit one event on exit."""
-        wall = time.time()
-        started = time.perf_counter()
-        yield
-        self.emit(
-            kind,
-            name,
-            time.perf_counter() - started,
-            started=wall,
-            peak_rss_mib=_peak_rss_mib(),
-            **counters,
-        )
 
     @contextmanager
     def scoped(self, scope: str) -> Iterator["RunContext"]:

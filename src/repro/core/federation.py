@@ -18,23 +18,27 @@ registry short-circuits inference for space whose owners opted in.
 Because members are other operators' infrastructure, reports are
 sanity-checked before they vote: a member whose dark list is not
 (essentially) a subset of what it claims to have observed is excluded,
-an implausibly oversized dark list is down-weighted, and a ``min_quorum``
-of credible members must remain or the combination refuses to produce
-a list at all (:class:`QuorumError`).
+an implausibly oversized dark list is down-weighted, and at least one
+credible member must remain or the combination refuses to produce a
+list at all (:class:`QuorumError`).  The bounds are the module
+constants below, not options: every caller federates under the same
+rules.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accum import PrefixAccumulator
-from repro.core.engine import RunContext
-from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
-from repro.core.parallel import tree_merge
+from repro.core.metatelescope import MetaTelescopeResult
+
+#: A report whose dark list has more than this share of blocks it never
+#: observed is fabricated or corrupted, and is excluded.
+MAX_FOREIGN_DARK_SHARE = 0.1
+#: A dark list more than this many times the median member's suggests a
+#: spoofing-polluted view, and votes with half weight.
+MAX_SIZE_RATIO = 20.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,25 +62,6 @@ class OperatorReport:
             observed_blocks=np.unique(np.asarray(observed, dtype=np.int64)),
         )
 
-    @classmethod
-    def from_accumulator(
-        cls,
-        operator: str,
-        accumulator: PrefixAccumulator,
-        telescope: MetaTelescope,
-        use_spoofing_tolerance: bool = False,
-    ) -> "OperatorReport":
-        """Build a report by classifying streamed partial aggregates.
-
-        The member never has to keep (or share) raw flows: the mergeable
-        accumulator it built chunk by chunk is enough to both infer the
-        dark list and state which blocks it actually observed.
-        """
-        result = telescope.infer_accumulated(
-            accumulator, use_spoofing_tolerance=use_spoofing_tolerance
-        )
-        return cls.from_result(operator, result, accumulator.observed_blocks())
-
 
 @dataclass
 class MarkingRegistry:
@@ -94,21 +79,9 @@ class MarkingRegistry:
         for block in np.asarray(blocks, dtype=np.int64):
             self._marked[int(block)] = owner
 
-    def unmark(self, blocks: np.ndarray) -> None:
-        """Remove tags (space was put into use)."""
-        for block in np.asarray(blocks, dtype=np.int64):
-            self._marked.pop(int(block), None)
-
     def marked_blocks(self) -> np.ndarray:
         """All tagged blocks, sorted."""
         return np.array(sorted(self._marked), dtype=np.int64)
-
-    def owner_of(self, block: int) -> str | None:
-        """The operator that tagged ``block``, if any."""
-        return self._marked.get(int(block))
-
-    def __len__(self) -> int:
-        return len(self._marked)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,63 +99,9 @@ class ReportValidation:
     weight: float
     reasons: tuple[str, ...] = ()
 
-    def excluded(self) -> bool:
-        """Whether the member's votes were discarded entirely."""
-        return self.weight == 0.0
-
 
 class QuorumError(ValueError):
-    """Too few credible members remained to federate."""
-
-
-def _coerce_partial(operator: str, partial) -> PrefixAccumulator:
-    """Accept an accumulator or its ``to_state()`` wire form."""
-    if isinstance(partial, PrefixAccumulator):
-        return partial
-    if isinstance(partial, Mapping):
-        try:
-            return PrefixAccumulator.from_state(partial)
-        except (KeyError, ValueError) as error:
-            raise ValueError(
-                f"member {operator!r} sent a malformed wire state: {error}"
-            ) from error
-    raise TypeError(
-        f"member {operator!r} sent a {type(partial).__name__}; expected a "
-        "PrefixAccumulator or its to_state() mapping"
-    )
-
-
-def _classify_members(
-    members: dict[str, list[PrefixAccumulator]],
-    coordinator: MetaTelescope,
-    use_spoofing_tolerance: bool,
-    context: RunContext | None = None,
-) -> list[OperatorReport]:
-    """Merge + classify each member's partials, one after another.
-
-    Classification is a pure function of each member's merged
-    aggregates.  With a ``context``, one ``member`` event per operator
-    lands on the spine.
-    """
-    reports = []
-    for operator, partials in members.items():
-        started = time.perf_counter()
-        report = OperatorReport.from_accumulator(
-            operator,
-            tree_merge(partials, copy=True),
-            coordinator,
-            use_spoofing_tolerance=use_spoofing_tolerance,
-        )
-        if context is not None:
-            context.emit(
-                "member",
-                operator,
-                time.perf_counter() - started,
-                rows_out=len(report.dark_blocks),
-                meta={"observed": len(report.observed_blocks)},
-            )
-        reports.append(report)
-    return reports
+    """No credible member remained to federate."""
 
 
 @dataclass(frozen=True)
@@ -194,54 +113,21 @@ class FederatedResult:
     voted_blocks: np.ndarray
     #: Of which: contributed by the opt-in marking registry.
     marked_blocks: np.ndarray
-    votes_for: dict[int, int] = field(default_factory=dict)
     validations: tuple[ReportValidation, ...] = ()
 
     def num_prefixes(self) -> int:
         """Size of the federated meta-telescope."""
         return len(self.prefixes)
 
-    def excluded_members(self) -> tuple[str, ...]:
-        """Operators whose reports failed the sanity checks."""
-        return tuple(v.operator for v in self.validations if v.excluded())
 
-    def to_snapshot(self, day: int, provenance=None):
-        """Freeze the federated list into a servable snapshot.
-
-        Registry-marked blocks carry confidence 1.0 — their owners
-        *declared* them unused, which is ground truth, not inference;
-        voted blocks keep the builder's single-day score.
-        """
-        import dataclasses
-
-        from repro.core.snapshot import build_snapshot
-
-        record = {
-            "engine": "federated",
-            "members": [v.operator for v in self.validations],
-            "excluded": list(self.excluded_members()),
-        }
-        record.update(provenance or {})
-        snapshot = build_snapshot(day=day, dark=self.prefixes, provenance=record)
-        if len(self.marked_blocks):
-            confidence = snapshot.confidence.copy()
-            confidence[np.isin(snapshot.blocks, self.marked_blocks)] = 1.0
-            snapshot = dataclasses.replace(snapshot, confidence=confidence)
-        return snapshot
-
-
-def validate_reports(
-    reports: list[OperatorReport],
-    max_foreign_dark_share: float = 0.1,
-    max_size_ratio: float = 20.0,
-) -> list[ReportValidation]:
+def validate_reports(reports: list[OperatorReport]) -> list[ReportValidation]:
     """Sanity-check member reports before they may vote.
 
     Two invariants are checked: *dark ⊆ observed* (a member can only
     judge space it saw traffic for; a report violating this beyond
-    ``max_foreign_dark_share`` is fabricated or corrupted and is
+    :data:`MAX_FOREIGN_DARK_SHARE` is fabricated or corrupted and is
     excluded) and *plausible size* (a dark list more than
-    ``max_size_ratio`` times the median member's suggests a
+    :data:`MAX_SIZE_RATIO` times the median member's suggests a
     spoofing-polluted view and is down-weighted, not trusted fully).
     """
     sizes = np.array([len(r.dark_blocks) for r in reports], dtype=np.float64)
@@ -257,13 +143,13 @@ def validate_reports(
             if dark_size
             else 0.0
         )
-        if foreign > max_foreign_dark_share:
+        if foreign > MAX_FOREIGN_DARK_SHARE:
             weight = 0.0
             reasons.append(
                 f"{foreign:.0%} of dark blocks were never observed"
             )
         size_ratio = dark_size / max(median_size, 1.0)
-        if weight > 0.0 and size_ratio > max_size_ratio:
+        if weight > 0.0 and size_ratio > MAX_SIZE_RATIO:
             weight = 0.5
             reasons.append(
                 f"dark list {size_ratio:.0f}x the median member's"
@@ -284,15 +170,6 @@ def federate(
     reports: list[OperatorReport],
     registry: MarkingRegistry | None = None,
     min_vote_share: float = 0.5,
-    *,
-    validate: bool = True,
-    max_foreign_dark_share: float = 0.1,
-    max_size_ratio: float = 20.0,
-    min_quorum: int = 1,
-    partials: Mapping[str, Sequence["PrefixAccumulator | Mapping"]] | None = None,
-    coordinator: MetaTelescope | None = None,
-    use_spoofing_tolerance: bool = False,
-    context: RunContext | None = None,
 ) -> FederatedResult:
     """Combine member reports (and the marking registry) into one list.
 
@@ -302,81 +179,41 @@ def federate(
     Abstentions (members that never observed the block) do not count
     against it.
 
-    With ``validate`` (the default) each report is sanity-checked
-    first — see :func:`validate_reports` — and failing members vote
-    with reduced or zero weight.  If fewer than ``min_quorum`` credible
-    members remain, :class:`QuorumError` is raised rather than serving
-    a list nobody stands behind.
-
-    ``partials`` lets members contribute *partial accumulators* (e.g.
-    one per day or per ingestion node) instead of finished reports: for
-    each ``operator -> accumulators`` entry the partials are tree-merged
-    and classified on the ``coordinator`` telescope, and the resulting
-    report votes alongside the pre-built ``reports`` (same validation
-    rules).  An operator may appear in either or both forms.  Each
-    partial may be a :class:`PrefixAccumulator` or its compact columnar
-    wire form (:meth:`~PrefixAccumulator.to_state`) — what a remote
-    member would actually put on the wire.  A ``context`` records one
-    ``member`` event per classified operator on the observability
-    spine.
+    Each report is sanity-checked first — see :func:`validate_reports`
+    — and failing members vote with reduced or zero weight.  If no
+    credible member remains, :class:`QuorumError` is raised rather than
+    serving a list nobody stands behind.  Each operator sends one
+    report: a repeated name is a ``ValueError`` naming it.
     """
-    if partials:
-        if coordinator is None:
-            raise ValueError(
-                "partial accumulators require a coordinator telescope"
-            )
-        reports = list(reports)
-        members: dict[str, list[PrefixAccumulator]] = {}
-        for operator, accumulators in partials.items():
-            decoded = [
-                _coerce_partial(operator, partial) for partial in accumulators
-            ]
-            if not decoded:
-                raise ValueError(f"member {operator!r} sent no partials")
-            members[operator] = decoded
-        reports.extend(
-            _classify_members(
-                members, coordinator, use_spoofing_tolerance, context=context
-            )
-        )
     if not reports:
         raise ValueError("a federation needs at least one member")
     if not 0.0 < min_vote_share <= 1.0:
         raise ValueError(f"min_vote_share out of range: {min_vote_share}")
-    if min_quorum < 1:
-        raise ValueError(f"min_quorum must be >= 1: {min_quorum}")
-
-    if validate:
-        validations = validate_reports(
-            reports,
-            max_foreign_dark_share=max_foreign_dark_share,
-            max_size_ratio=max_size_ratio,
-        )
-    else:
-        validations = [
-            ReportValidation(
-                operator=report.operator,
-                foreign_dark_share=0.0,
-                size_ratio=1.0,
-                weight=1.0,
+    seen: set[str] = set()
+    for report in reports:
+        if report.operator in seen:
+            raise ValueError(
+                f"operator {report.operator!r} sent more than one report"
             )
-            for report in reports
-        ]
-    weights = {v.operator: v.weight for v in validations}
-    credible = [r for r in reports if weights[r.operator] > 0.0]
-    if len(credible) < min_quorum:
+        seen.add(report.operator)
+
+    validations = validate_reports(reports)
+    credible = [
+        (report, validation.weight)
+        for report, validation in zip(reports, validations)
+        if validation.weight > 0.0
+    ]
+    if not credible:
         raise QuorumError(
-            f"only {len(credible)} credible member(s) of {len(reports)} "
-            f"remain; quorum is {min_quorum}"
+            f"none of the {len(reports)} member report(s) is credible"
         )
 
     all_candidates = np.unique(
-        np.concatenate([report.dark_blocks for report in credible])
+        np.concatenate([report.dark_blocks for report, _ in credible])
     )
     votes_for = np.zeros(len(all_candidates), dtype=np.float64)
     observers = np.zeros(len(all_candidates), dtype=np.float64)
-    for report in credible:
-        weight = weights[report.operator]
+    for report, weight in credible:
         observers += weight * np.isin(all_candidates, report.observed_blocks)
         votes_for += weight * np.isin(all_candidates, report.dark_blocks)
     # Every vote comes from an observer even if the member's observed
@@ -394,9 +231,5 @@ def federate(
         prefixes=prefixes,
         voted_blocks=voted,
         marked_blocks=marked,
-        votes_for={
-            int(block): int(round(count))
-            for block, count in zip(all_candidates, votes_for)
-        },
         validations=tuple(validations),
     )

@@ -28,8 +28,7 @@ numpy = native = forced-fallback identity check on a micro world.
 
 Backends are resolved by name through :func:`get_kernel`; ``auto``
 picks ``native`` when the C library is available.  Resolution is
-cached per process; :func:`invalidate_cache` resets it (tests, env
-changes).
+cached per process.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "get_kernel",
     "resolve_kernel_name",
     "native_provider",
-    "invalidate_cache",
 ]
 
 #: Accepted values of the ``kernel`` execution knob.
@@ -462,11 +460,6 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
 # ---------------------------------------------------------------------------
 
 _CACHE: dict[str, Any] = {}
-
-
-def invalidate_cache() -> None:
-    """Forget resolved backends (tests; env-var changes)."""
-    _CACHE.clear()
 
 
 def _native_kernel() -> NativeKernel:

@@ -107,10 +107,6 @@ class MetaTelescope:
     _liveness_cache: tuple[tuple, list[LivenessDataset]] | None = field(
         default=None, repr=False, compare=False
     )
-    #: RunContext of the most recent fold/inference (trace access).
-    _last_context: RunContext | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.unrouted_baseline is not None:
@@ -169,10 +165,6 @@ class MetaTelescope:
             views, chunk_size=chunk_size, workers=workers, kernel=kernel
         )
 
-    def last_run_context(self) -> RunContext | None:
-        """RunContext of the most recent fold (its full event stream)."""
-        return self._last_context
-
     def accumulate(
         self,
         views: list[VantageDayView],
@@ -195,7 +187,6 @@ class MetaTelescope:
         )
         if context is None:
             context = RunContext()
-        self._last_context = context
         return execute_plan(
             plan,
             views,
@@ -220,7 +211,7 @@ class MetaTelescope:
         and ``kernel`` picks the fold backend; classification is
         bit-identical under any combination.  The fold's and the
         stages' timings are ``context``'s events (a fresh context when
-        none is passed; :meth:`last_run_context` returns it).
+        none is passed).
         """
         if not views:
             raise ValueError("need at least one vantage-day view")

@@ -84,10 +84,6 @@ class DayUpdate:
     quality: FeedQuality | None = None
     quarantined_blocks: np.ndarray = field(default_factory=_empty_blocks)
 
-    def churn(self) -> int:
-        """Total blocks added plus removed vs the previous serving list."""
-        return len(self.added_blocks) + len(self.removed_blocks)
-
 
 @dataclass(frozen=True, slots=True)
 class DayRecord:
@@ -124,10 +120,6 @@ class HealthReport:
         for record in self.records:
             counts[record.action] = counts.get(record.action, 0) + 1
         return counts
-
-    def max_staleness_seen(self) -> int:
-        """Worst staleness over the whole operation."""
-        return max((record.staleness for record in self.records), default=0)
 
     def ok(self) -> bool:
         """Fresh serving list and nothing in quarantine."""
@@ -410,10 +402,6 @@ class OnlineMetaTelescope:
     def days_in_window(self) -> list[int]:
         """Days currently inside the rolling window."""
         return [day for day, _ in self._window]
-
-    def staleness(self) -> int:
-        """Days since the serving list last came out of a clean fold."""
-        return self._staleness
 
     def quarantined_blocks(self) -> np.ndarray:
         """Blocks currently excluded for flapping under degraded input."""

@@ -204,22 +204,17 @@ def shard_views(
     return [sorted(bucket) for bucket in buckets if bucket]
 
 
-def tree_merge(
-    partials: Sequence[PrefixAccumulator], copy: bool = False
-) -> PrefixAccumulator:
+def tree_merge(partials: Sequence[PrefixAccumulator]) -> PrefixAccumulator:
     """Pairwise (tree) reduction of partial accumulators.
 
     Merging is associative, so the tree shape changes nothing about the
     result — it bounds the size imbalance between merge operands, the
-    same reason training stacks all-reduce in trees.  With ``copy`` the
-    inputs are left untouched; otherwise the leftmost partial of each
-    pair absorbs its sibling in place.
+    same reason training stacks all-reduce in trees.  The leftmost
+    partial of each pair absorbs its sibling in place.
     """
     if not partials:
         raise ValueError("need at least one partial accumulator")
-    level = [
-        partial.copy() if copy else partial for partial in partials
-    ]
+    level = list(partials)
     for partial in level:
         partial.compact()
     while len(level) > 1:

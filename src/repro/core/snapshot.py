@@ -267,11 +267,6 @@ class SnapshotDiff:
     #: Address family both snapshots live in.
     family: str = FAMILY_IPV4
 
-    def is_empty(self) -> bool:
-        return not (
-            len(self.added_dark) or len(self.removed_dark) or len(self.changed)
-        )
-
     def to_dict(self) -> dict[str, Any]:
         to_prefix = _family_of(self.family).block_to_prefix
         return {
@@ -629,15 +624,4 @@ def build_snapshot(
         countries=np.full(len(all_blocks), NO_COUNTRY, dtype="S2"),
         provenance=dict(provenance or {}),
         family=family,
-    )
-
-
-def empty_snapshot(
-    day: int = 0,
-    provenance: Mapping[str, Any] | None = None,
-    family: str = FAMILY_IPV4,
-) -> ClassificationSnapshot:
-    """A valid zero-block snapshot (service boot state)."""
-    return build_snapshot(
-        day, np.empty(0, dtype=np.int64), provenance=provenance, family=family
     )

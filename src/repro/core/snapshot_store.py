@@ -367,18 +367,3 @@ class SnapshotDeltaStore:
             for path in (self.base_path, self.deltas_path)
             if path.exists()
         )
-
-    def describe(self) -> dict[str, Any]:
-        """Store shape for benchmarks and the CLI."""
-        manifest = self._read_manifest()
-        if manifest is None:
-            return {"versions": 0, "bytes": 0, "delta_rows": 0,
-                    "compactions": self.compactions}
-        return {
-            "versions": len(self.versions()),
-            "base_version": manifest["base"]["version"],
-            "base_rows": manifest["base"]["rows"],
-            "delta_rows": self._delta_rows(manifest),
-            "bytes": self.total_bytes(),
-            "compactions": self.compactions,
-        }

@@ -22,11 +22,3 @@ class AsToOrgMap:
                 for autonomous_system in registry
             }
         )
-
-    def org_of(self, asn: int) -> Organization | None:
-        """The organisation operating ``asn``, or None if unknown."""
-        return self.mapping.get(asn)
-
-    def num_organizations(self) -> int:
-        """Number of distinct organisations."""
-        return len({org.org_id for org in self.mapping.values()})

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.countries import COUNTRIES, Continent, country_by_code
+from repro.geo.countries import COUNTRIES
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,16 +40,6 @@ class GeoDatabase:
             hit = self.blocks[index] == queried
             result[hit] = self.country_codes[index[hit]]
         return result
-
-    def continents(self, blocks: np.ndarray) -> list[Continent | None]:
-        """Continent per block (None when unknown)."""
-        out: list[Continent | None] = []
-        for code in self.lookup(blocks):
-            if code == "??":
-                out.append(None)
-            else:
-                out.append(country_by_code(str(code)).continent)
-        return out
 
     @classmethod
     def from_ground_truth(

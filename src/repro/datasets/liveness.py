@@ -30,9 +30,6 @@ class LivenessDataset:
             self, "active_blocks", as_sorted_unique(self.active_blocks)
         )
 
-    def __len__(self) -> int:
-        return len(self.active_blocks)
-
     def contains(self, blocks: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``blocks`` this dataset marks active."""
         return sorted_member_mask(

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bgp.rib import RoutingTable
-from repro.net.ipv4 import Prefix
-from repro.net.trie import PrefixTrie
 
 
 @dataclass
@@ -20,7 +18,6 @@ class PrefixToAsMap:
     hit — the standard longest-prefix-match semantics of CAIDA pfx2as.
     """
 
-    trie: PrefixTrie
     _levels: list[tuple[int, np.ndarray, np.ndarray]] = field(
         default_factory=list, repr=False
     )
@@ -28,11 +25,9 @@ class PrefixToAsMap:
     @classmethod
     def from_routing_table(cls, table: RoutingTable) -> "PrefixToAsMap":
         """Build from a daily RIB union, mirroring CAIDA's pipeline."""
-        trie: PrefixTrie[int] = PrefixTrie()
         by_length: dict[int, list[tuple[int, int]]] = {}
         for announcement in table.announcements:
             prefix = announcement.prefix
-            trie.insert(prefix, announcement.origin_asn)
             if prefix.length <= 24:
                 by_length.setdefault(prefix.length, []).append(
                     (prefix.network >> (32 - prefix.length), announcement.origin_asn)
@@ -43,14 +38,7 @@ class PrefixToAsMap:
             keys = np.array([key for key, _ in rows], dtype=np.int64)
             asns = np.array([asn for _, asn in rows], dtype=np.int64)
             levels.append((length, keys, asns))
-        instance = cls(trie=trie)
-        instance._levels = levels
-        return instance
-
-    def asn_of_block(self, block: int) -> int | None:
-        """Origin ASN for a /24 block, or None if unmapped."""
-        match = self.trie.longest_match(block << 8)
-        return None if match is None else match[1]
+        return cls(levels)
 
     def asns_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Vectorised longest-prefix-match; -1 for unmapped blocks."""
@@ -67,7 +55,3 @@ class PrefixToAsMap:
             result[hit] = asns[index[hit]]
             unresolved &= ~hit
         return result
-
-    def mapped_prefixes(self) -> list[tuple[Prefix, int]]:
-        """All (prefix, origin) pairs."""
-        return list(self.trie.items())

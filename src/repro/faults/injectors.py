@@ -71,12 +71,6 @@ class FaultInjector:
             return False
         return True
 
-    def inject(
-        self, view: VantageDayView, rng: np.random.Generator
-    ) -> tuple[VantageDayView | None, str]:
-        """Apply the fault; return the degraded view (or None) + detail."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class SiteOutage(FaultInjector):
@@ -260,11 +254,3 @@ class StaleRibCollector:
     def daily_table(self, day: int) -> RoutingTable:
         """The (possibly stale) union table for ``day``."""
         return self._collector.daily_table(self._effective_day(day))
-
-    def daily_prefixes(self, day: int):
-        """Prefix list of the (possibly stale) daily table."""
-        return self._collector.daily_prefixes(self._effective_day(day))
-
-    def dump(self, day: int, dump_index: int):
-        """A single (possibly stale) RIB dump."""
-        return self._collector.dump(self._effective_day(day), dump_index)

@@ -38,10 +38,6 @@ class FaultedDay:
     views: tuple[VantageDayView, ...]
     events: tuple[FaultEvent, ...]
 
-    def outage(self) -> bool:
-        """True when the whole day was lost."""
-        return len(self.views) == 0
-
 
 @dataclass
 class FaultPlan:

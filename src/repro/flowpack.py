@@ -52,9 +52,10 @@ Design properties:
   snapshots use for their provenance record.
 
 The public flow entry points mirror the CSV ones re-exported from
-:mod:`repro.io`: :func:`write_flows_archive`, :func:`read_flows_archive`,
+:mod:`repro.io`: :func:`write_flows_archive`,
 :func:`read_flows_archive_lenient` and :func:`iter_flows_archive` are
-drop-in for their ``*_csv`` counterparts.
+drop-in for their ``*_csv`` counterparts; :meth:`FlowpackArchive.read_all`
+is the strict whole-archive read.
 """
 
 from __future__ import annotations
@@ -156,12 +157,10 @@ class TableWriter:
         }
         if not self.columns:
             raise ValueError("an archive needs at least one column")
-        self._rows = 0
         if append and self.path.exists() and self.path.stat().st_size > 0:
-            _, _, segments, _ = _scan_table(
-                self.path, strict=True, expected=_spec_of(self.columns)
-            )
-            self._rows = segments[-1].stop_row if segments else 0
+            # Appending to a damaged or differently-shaped archive fails
+            # here, before a byte is written.
+            _scan_table(self.path, strict=True, expected=_spec_of(self.columns))
             self._handle = open(self.path, "ab")
         else:
             self._handle = open(self.path, "wb")
@@ -173,11 +172,6 @@ class TableWriter:
             self._handle.write(_FILE_HEADER.pack(FLOWPACK_VERSION, len(payload)))
             self._handle.write(payload)
             self._handle.write(b"\x00" * _pad8(len(payload)))
-
-    @property
-    def rows_written(self) -> int:
-        """Total rows in the archive, appended-to segments included."""
-        return self._rows
 
     def write_columns(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Append one segment holding ``arrays`` (no-op when empty).
@@ -209,7 +203,6 @@ class TableWriter:
         for buffer in buffers:
             self._handle.write(buffer)
             self._handle.write(b"\x00" * _pad8(len(buffer)))
-        self._rows += rows
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -282,12 +275,6 @@ def write_flows_archive(
     with FlowpackWriter(path, meta=meta, family=flows.family) as writer:
         for chunk in flows.iter_chunks(chunk_rows):
             writer.write(chunk)
-
-
-def append_flows_archive(flows: FlowTable, path: str | Path) -> None:
-    """Append ``flows`` as one new segment to an existing archive."""
-    with FlowpackWriter(path, append=True, family=flows.family) as writer:
-        writer.write(flows)
 
 
 def write_table_archive(
@@ -480,20 +467,6 @@ def _scan_table(
     return meta, spec, segments, report
 
 
-def scan_archive(
-    path: str | Path, strict: bool = True
-):
-    """Walk a *flow* archive's headers without touching column data.
-
-    Returns ``(meta, segments, report)``; the schema must be one of the
-    per-family flow schemas (:func:`repro.traffic.flows.flow_columns`).
-    See :func:`_scan_table` for the strict/lenient damage semantics.
-    """
-    meta, spec, segments, report = _scan_table(path, strict=strict)
-    _flow_family_of_spec(spec, path)
-    return meta, segments, report
-
-
 # -- reading ------------------------------------------------------------
 
 
@@ -593,22 +566,6 @@ class TableArchive:
             for name in self.columns
         }
 
-    def read_column(self, name: str, verify: bool = True) -> np.ndarray:
-        """One column, concatenated across segments."""
-        if name not in self.columns:
-            raise KeyError(f"{self.path}: no column {name!r}")
-        return self.read_arrays(verify=verify)[name]
-
-    def __len__(self) -> int:
-        return self.num_rows
-
-
-def open_table_archive(
-    path: str | Path, expected_columns: Mapping[str, Any] | None = None
-) -> TableArchive:
-    """Open (and structurally validate) a generic table archive."""
-    return TableArchive(path, expected_columns=expected_columns)
-
 
 class FlowpackArchive(TableArchive):
     """A memory-mapped *flow* archive (schema pinned per family).
@@ -692,11 +649,6 @@ class FlowpackArchive(TableArchive):
         )
 
 
-def open_flows_archive(path: str | Path) -> FlowpackArchive:
-    """Open (and structurally validate) an archive for random access."""
-    return FlowpackArchive(path)
-
-
 def iter_flows_archive(
     path: str | Path, chunk_rows: int = 65536
 ) -> Iterator[FlowTable]:
@@ -712,13 +664,8 @@ def iter_flows_archive(
     yield from archive.iter_chunks(chunk_rows)
 
 
-def read_flows_archive(path: str | Path) -> FlowTable:
-    """Read a whole archive (strict; verifies every checksum)."""
-    return FlowpackArchive(path).read_all()
-
-
 def read_flows_archive_lenient(path: str | Path):
-    """Like :func:`read_flows_archive`, but damage is collected.
+    """Read a whole archive, collecting damage instead of raising.
 
     The flowpack analogue of :func:`repro.io.read_flows_csv_lenient`:
     segments that fail their checksum are skipped and recorded (one
@@ -755,9 +702,3 @@ def read_flows_archive_lenient(path: str | Path):
     if not good:
         return FlowTable.empty(family), report
     return FlowTable.concat(good), report
-
-
-def archive_meta(path: str | Path) -> dict:
-    """The header ``meta`` mapping (without touching column data)."""
-    meta, _, _, _ = _scan_table(path, strict=True)
-    return dict(meta)

@@ -128,8 +128,3 @@ def country_by_code(code: str) -> Country:
     Raises :class:`KeyError` for unknown codes.
     """
     return _BY_CODE[code]
-
-
-def countries_of_continent(continent: Continent) -> tuple[Country, ...]:
-    """All registry countries in ``continent``."""
-    return tuple(c for c in COUNTRIES if c.continent is continent)

@@ -35,10 +35,9 @@ archive format (:mod:`repro.flowpack`) re-exported here: per-column
 contiguous numpy buffers with per-column checksums, append-able
 segment by segment, read back via ``np.memmap`` as zero-copy chunk
 views — the replay-scale counterpart of the CSV interchange format.
-``iter_flows_archive``/``read_flows_archive`` are drop-in for
-``iter_flows_csv``/``read_flows_csv``, with the same strict/lenient
-split (:func:`read_flows_archive_lenient` reports damaged segments
-through the same :class:`ParseReport` path).
+``iter_flows_archive`` is drop-in for ``iter_flows_csv``, with the
+same strict/lenient split (:func:`read_flows_archive_lenient` reports
+damaged segments through the same :class:`ParseReport` path).
 """
 
 from __future__ import annotations
@@ -80,10 +79,6 @@ class ParseReport:
     def ok(self) -> bool:
         """Whether every row parsed."""
         return not self.errors
-
-    def error_fraction(self) -> float:
-        """Share of rows that failed to parse."""
-        return len(self.errors) / self.total_rows if self.total_rows else 0.0
 
     def summary(self) -> str:
         """One-line operator summary."""
@@ -568,19 +563,15 @@ def read_flows_csv_lenient(
 # The binary columnar counterpart of the CSV flow format lives in
 # :mod:`repro.flowpack`; its public API is re-exported here so callers
 # keep a single serialisation module.  ``iter_flows_archive`` /
-# ``read_flows_archive`` / ``read_flows_archive_lenient`` mirror the
-# ``*_csv`` trio exactly (strictness, chunking, ParseReport).
+# ``read_flows_archive_lenient`` mirror their ``*_csv`` counterparts
+# exactly (strictness, chunking, ParseReport).
 
 from repro.flowpack import (  # noqa: E402  (re-export)
     FlowpackArchive as FlowpackArchive,
     FlowpackError as FlowpackError,
     FlowpackWriter as FlowpackWriter,
-    append_flows_archive as append_flows_archive,
-    archive_meta as archive_meta,
     is_flowpack as is_flowpack,
     iter_flows_archive as iter_flows_archive,
-    open_flows_archive as open_flows_archive,
-    read_flows_archive as read_flows_archive,
     read_flows_archive_lenient as read_flows_archive_lenient,
     write_flows_archive as write_flows_archive,
 )
@@ -651,10 +642,3 @@ def write_flows(
         write_flows_archive(flows, path)
     else:
         raise ValueError(f"unknown flow format {format!r}; choose {FLOW_FORMATS}")
-
-
-def read_flows(path: str | Path) -> FlowTable:
-    """Read a flow table in whichever format the file is (sniffed)."""
-    if sniff_flow_format(path) == "flowpack":
-        return read_flows_archive(path)
-    return read_flows_csv(path)

@@ -12,11 +12,8 @@ from repro.net.ipv4 import (
     NUM_BLOCKS,
     Prefix,
     block_of_ip,
-    block_to_network_ip,
     block_to_prefix,
-    blocks_of_prefix,
     format_ip,
-    ip_in_prefix,
     parse_ip,
 )
 from repro.net.ipv6 import (
@@ -31,7 +28,6 @@ from repro.net.family import (
     IPV6,
     AddressFamily,
     family,
-    family_names,
     family_of_prefix,
 )
 from repro.net.special import (
@@ -52,15 +48,11 @@ __all__ = [
     "IPV4",
     "IPV6",
     "family",
-    "family_names",
     "family_of_prefix",
     "block_of_ip",
-    "block_to_network_ip",
     "block_to_prefix",
-    "blocks_of_prefix",
     "format_ip",
     "format_ip6",
-    "ip_in_prefix",
     "parse_ip",
     "parse_ip6",
     "site_of_ip6",

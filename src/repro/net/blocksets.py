@@ -147,36 +147,12 @@ class BlockSet:
         self._blocks = np.unique(np.asarray(blocks, dtype=np.int64))
         self.family = family
 
-    @classmethod
-    def from_prefixes(
-        cls, prefixes: list[Prefix], family: AddressFamily = IPV4
-    ) -> "BlockSet":
-        """Build from covering prefixes."""
-        return cls(expand_prefixes(prefixes, family), family)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The sorted block ids."""
-        return self._blocks
-
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __contains__(self, block: int) -> bool:
-        index = int(np.searchsorted(self._blocks, block))
-        return index < len(self._blocks) and self._blocks[index] == block
-
-    def union(self, other: "BlockSet") -> "BlockSet":
-        """Set union."""
-        return BlockSet(np.union1d(self._blocks, other._blocks), self.family)
 
     def intersection(self, other: "BlockSet") -> "BlockSet":
         """Set intersection."""
         return BlockSet(np.intersect1d(self._blocks, other._blocks), self.family)
-
-    def difference(self, other: "BlockSet") -> "BlockSet":
-        """Set difference (blocks in self but not other)."""
-        return BlockSet(np.setdiff1d(self._blocks, other._blocks), self.family)
 
     def jaccard(self, other: "BlockSet") -> float:
         """Jaccard similarity (for day-over-day stability metrics)."""
@@ -184,7 +160,3 @@ class BlockSet:
         if union == 0:
             return 1.0
         return len(np.intersect1d(self._blocks, other._blocks)) / union
-
-    def to_cidrs(self) -> list[Prefix]:
-        """Minimal CIDR cover."""
-        return aggregate_blocks(self._blocks, self.family)

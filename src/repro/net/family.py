@@ -90,30 +90,11 @@ class AddressFamily:
         shift = keys.dtype.type(self.key_block_shift)
         return (keys >> shift).astype(np.int64)
 
-    def blocks_to_keys(self, blocks: np.ndarray) -> np.ndarray:
-        """First engine key of each block, in the family's key dtype."""
-        blocks = np.asarray(blocks, dtype=np.int64)
-        return (blocks << np.int64(self.key_block_shift)).astype(self.key_dtype)
-
     # -- scalar conversions --------------------------------------------
-
-    def key_of_ip(self, ip: int) -> int:
-        """Engine key for a full address."""
-        return ip >> (self.ip_bits - self.key_bits)
-
-    def lo_of_ip(self, ip: int) -> int:
-        """The address bits *below* the engine key (0 for IPv4)."""
-        if self.ip_bits == self.key_bits:
-            return 0
-        return ip & ((1 << (self.ip_bits - self.key_bits)) - 1)
 
     def block_of_ip(self, ip: int) -> int:
         """Block id containing a full address."""
         return ip >> self.ip_block_shift
-
-    def block_of_key(self, key: int) -> int:
-        """Block id containing an engine key."""
-        return key >> self.key_block_shift
 
     def block_to_ip(self, block: int) -> int:
         """Network (first) address of a block."""
@@ -136,10 +117,6 @@ class AddressFamily:
     def parse_prefix(self, text: str) -> Prefix | Ipv6Prefix:
         """Parse ``addr/len`` into the family's prefix type."""
         return self.prefix_type.parse(text)
-
-    def prefix_from_ip(self, ip: int, length: int) -> Prefix | Ipv6Prefix:
-        """The length-``length`` prefix covering ``ip``."""
-        return self.prefix_type.from_ip(ip, length)
 
     def block_to_prefix(self, block: int) -> Prefix | Ipv6Prefix:
         """Canonical prefix object for a block id."""
@@ -188,11 +165,6 @@ def family(name: str) -> AddressFamily:
         return _FAMILIES[name]
     except KeyError:
         raise AddressError(f"unknown address family: {name!r}") from None
-
-
-def family_names() -> Iterable[str]:
-    """The known family names, v4 first."""
-    return tuple(_FAMILIES)
 
 
 def family_of_prefix(prefix: Prefix | Ipv6Prefix) -> AddressFamily:

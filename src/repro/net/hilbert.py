@@ -41,18 +41,6 @@ class HilbertCurve:
             )
         return cls(bits // 2)
 
-    def d2xy(self, distance: int) -> tuple[int, int]:
-        """Map a curve distance to (x, y) grid coordinates."""
-        x, y = self.d2xy_array(np.array([distance], dtype=np.int64))
-        return int(x[0]), int(y[0])
-
-    def xy2d(self, x: int, y: int) -> int:
-        """Map (x, y) grid coordinates to a curve distance."""
-        d = self.xy2d_array(
-            np.array([x], dtype=np.int64), np.array([y], dtype=np.int64)
-        )
-        return int(d[0])
-
     def d2xy_array(self, distance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised distance -> (x, y).  Classic bit-twiddling walk."""
         d = np.asarray(distance, dtype=np.int64)
@@ -89,22 +77,6 @@ class HilbertCurve:
             x, y = _rotate(s, x, y, rx, ry)
             s //= 2
         return d
-
-    def grid_for_blocks(
-        self, base_block: int, blocks: np.ndarray, values: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Rasterise /24 ``blocks`` (offsets from ``base_block``) onto the grid.
-
-        Returns a ``(side, side)`` array; cells default to 0 and carry
-        ``values`` (or 1) where a block is present.  ``blocks`` outside
-        the curve's range raise.
-        """
-        offsets = np.asarray(blocks, dtype=np.int64) - base_block
-        x, y = self.d2xy_array(offsets)
-        grid = np.zeros((self.side, self.side), dtype=np.int64)
-        fill = np.ones(len(offsets), dtype=np.int64) if values is None else values
-        grid[y, x] = fill
-        return grid
 
 
 def _rotate(

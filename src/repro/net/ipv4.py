@@ -56,11 +56,6 @@ def block_of_ip(ip: int) -> int:
     return ip >> 8
 
 
-def block_to_network_ip(block: int) -> int:
-    """Return the network address (first IP) of /24 block ``block``."""
-    return block << 8
-
-
 @dataclass(frozen=True, slots=True)
 class Prefix:
     """An IPv4 prefix, canonicalised so host bits are zero.
@@ -109,17 +104,9 @@ class Prefix:
         """The host mask (inverse of the netmask)."""
         return MAX_IPV4 ^ _netmask(self.length)
 
-    def first_ip(self) -> int:
-        """The lowest address inside the prefix."""
-        return self.network
-
     def last_ip(self) -> int:
         """The highest address inside the prefix."""
         return self.network | self.hostmask()
-
-    def num_addresses(self) -> int:
-        """Number of addresses covered."""
-        return 1 << (32 - self.length)
 
     def num_blocks(self) -> int:
         """Number of whole /24 blocks covered (0 for prefixes longer than /24)."""
@@ -134,18 +121,6 @@ class Prefix:
     def contains_ip(self, ip: int) -> bool:
         """True if ``ip`` falls inside this prefix."""
         return (ip & self.netmask()) == self.network
-
-    def contains_block(self, block: int) -> bool:
-        """True if /24 block ``block`` is entirely inside this prefix."""
-        if self.length > 24:
-            return False
-        return (block >> (24 - self.length)) == (self.network >> (32 - self.length))
-
-    def contains_prefix(self, other: "Prefix") -> bool:
-        """True if ``other`` is equal to or a more-specific of this prefix."""
-        if other.length < self.length:
-            return False
-        return (other.network & self.netmask()) == self.network
 
     def blocks(self) -> range:
         """Range of /24 block ids covered (empty for prefixes longer than /24)."""
@@ -170,9 +145,6 @@ class Prefix:
     def __repr__(self) -> str:
         return f"Prefix.parse({str(self)!r})"
 
-    def __lt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) < (other.network, other.length)
-
 
 def _netmask(length: int) -> int:
     if not 0 <= length <= 32:
@@ -185,13 +157,3 @@ def _netmask(length: int) -> int:
 def block_to_prefix(block: int) -> Prefix:
     """Return the /24 :class:`Prefix` for a block id."""
     return Prefix(block << 8, 24)
-
-
-def blocks_of_prefix(prefix: Prefix) -> range:
-    """Convenience alias for :meth:`Prefix.blocks`."""
-    return prefix.blocks()
-
-
-def ip_in_prefix(ip: int, prefix: Prefix) -> bool:
-    """Convenience alias for :meth:`Prefix.contains_ip`."""
-    return prefix.contains_ip(ip)

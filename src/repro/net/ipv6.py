@@ -194,10 +194,6 @@ class Ipv6Prefix:
     # Block-space aliases so v4 Prefix and Ipv6Prefix share one duck
     # interface (blocks are /48 sites here, /24s for IPv4).
 
-    def contains_block(self, block: int) -> bool:
-        """Alias of :meth:`contains_site` for the generic prefix duck."""
-        return self.contains_site(block)
-
     def num_blocks(self) -> int:
         """Alias of :meth:`num_sites` for the generic prefix duck."""
         return self.num_sites()
@@ -205,13 +201,6 @@ class Ipv6Prefix:
     def first_block(self) -> int:
         """Alias of :meth:`first_site` for the generic prefix duck."""
         return self.first_site()
-
-    def blocks(self) -> range:
-        """Range of /48 site ids covered (empty for longer prefixes)."""
-        if self.length > 48:
-            return range(0)
-        start = self.first_site()
-        return range(start, start + self.num_sites())
 
     def __str__(self) -> str:
         return f"{format_ip6(self.network)}/{self.length}"

@@ -156,17 +156,6 @@ class SpecialPurposeRegistry:
             result = valid & (blocks <= self._ends[clamped])
         return result
 
-    def describe(self, block: int) -> str | None:
-        """Name of the registry entry covering ``block``, or None."""
-        shift = self.family.ip_block_shift
-        for entry in self.entries:
-            prefix = entry.prefix
-            lo = prefix.network >> shift
-            hi = prefix.last_ip() >> shift
-            if lo <= block <= hi:
-                return entry.name
-        return None
-
 
 #: Module-level default registries.
 SPECIAL_PURPOSE_REGISTRY = SpecialPurposeRegistry.default()

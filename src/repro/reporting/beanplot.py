@@ -39,15 +39,3 @@ def render_bean_rows(
             cells.append(bar)
         lines.append(f"{port:>6}  " + "  ".join(cells))
     return "\n".join(lines)
-
-
-def render_share_table(
-    ports: list[int], groups: list[str], matrix: np.ndarray
-) -> list[list[object]]:
-    """The same data as numeric table rows (port + one share per group)."""
-    rows: list[list[object]] = []
-    for row, port in enumerate(ports):
-        rows.append(
-            [port, *(float(matrix[row, column]) for column in range(len(groups)))]
-        )
-    return rows

@@ -18,36 +18,11 @@ class Ecdf:
             self, "values", np.sort(np.asarray(self.values, dtype=np.float64))
         )
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def at(self, x: float) -> float:
         """P(X <= x)."""
         if len(self.values) == 0:
             return 0.0
         return float(np.searchsorted(self.values, x, side="right") / len(self.values))
-
-    def quantile(self, q: float) -> float:
-        """Inverse CDF."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile out of range: {q}")
-        if len(self.values) == 0:
-            raise ValueError("empty ECDF")
-        return float(np.quantile(self.values, q))
-
-    def survival(self, x: float) -> float:
-        """P(X > x) — the paper's "share of prefixes above 5 % dark"."""
-        return 1.0 - self.at(x)
-
-    def sample_points(
-        self, grid: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(x, F(x)) pairs for plotting or printing."""
-        if grid is None:
-            grid = np.unique(self.values)
-        grid = np.asarray(grid, dtype=np.float64)
-        y = np.searchsorted(self.values, grid, side="right") / max(len(self.values), 1)
-        return grid, y
 
 
 def render_ecdf_rows(

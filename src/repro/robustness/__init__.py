@@ -10,7 +10,6 @@ through both engine paths and checks every metric against its bounds.
 from repro.robustness.catalog import (
     Scenario,
     ScenarioWorld,
-    scenario_names,
     standard_catalog,
 )
 from repro.robustness.envelope import (
@@ -41,6 +40,5 @@ __all__ = [
     "composition_fault_plan",
     "evaluate_catalog",
     "evaluate_scenario",
-    "scenario_names",
     "standard_catalog",
 ]

@@ -337,8 +337,3 @@ def standard_catalog(config: WorldConfig) -> list[Scenario]:
             builder=build_flash_reactivation,
         ),
     ]
-
-
-def scenario_names(config: WorldConfig) -> list[str]:
-    """The catalog's scenario names, in run order."""
-    return [scenario.name for scenario in standard_catalog(config)]

@@ -381,8 +381,8 @@ class MetaTelescopeService:
     def _diff(self, snapshot: ClassificationSnapshot, since: int) -> Render:
         def render() -> str:
             base = self.handle.at_version(since)
-            # Diff against the one grabbed snapshot, not handle.diff_since
-            # — a racing publish must never mix two versions in one answer.
+            # Diff against the one grabbed snapshot, not the handle's
+            # current one — a racing publish must never mix two versions in one answer.
             if base is None:
                 answer = {
                     "base_retained": False,

@@ -24,7 +24,7 @@ import dataclasses
 import threading
 from collections import deque
 
-from repro.core.snapshot import ClassificationSnapshot, SnapshotDiff
+from repro.core.snapshot import ClassificationSnapshot
 
 
 class SnapshotHandle:
@@ -105,18 +105,6 @@ class SnapshotHandle:
             if snapshot.version == version:
                 return snapshot
         return None
-
-    def diff_since(self, version: int) -> SnapshotDiff | None:
-        """Change feed from retained ``version`` to the current
-        snapshot; None when unpublished or the base has been evicted
-        (the caller should fall back to a full fetch)."""
-        current = self._current
-        if current is None:
-            return None
-        base = self.at_version(version)
-        if base is None:
-            return None
-        return current.diff(base)
 
     def versions_retained(self) -> list[int]:
         """Versions a diff can still be answered against."""

@@ -206,11 +206,6 @@ class FlowTable:
         wanted = np.unique(np.asarray(blocks, dtype=np.int64))
         return self.filter(np.isin(self.dst_blocks(), wanted))
 
-    def from_blocks(self, blocks: np.ndarray) -> "FlowTable":
-        """Rows whose source block is in ``blocks``."""
-        wanted = np.unique(np.asarray(blocks, dtype=np.int64))
-        return self.filter(np.isin(self.src_blocks(), wanted))
-
     # -- derived columns ----------------------------------------------
 
     def src_blocks(self) -> np.ndarray:

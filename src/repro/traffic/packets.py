@@ -56,12 +56,6 @@ class PacketSizeModel:
         """Expected packet size in bytes."""
         return float(np.dot(self.probabilities(), np.asarray(self.sizes)))
 
-    def sample_sizes(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` individual packet sizes."""
-        return rng.choice(
-            np.asarray(self.sizes, dtype=np.int64), size=count, p=self.probabilities()
-        )
-
     def sample_totals(
         self, packet_counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

@@ -121,10 +121,6 @@ class ArchiveDayView:
         """Bounded-size chunks straight off the memmap (zero-copy)."""
         return self.archive().iter_chunks(chunk_rows)
 
-    def read_rows(self, start: int, stop: int) -> FlowTable:
-        """Rows ``[start, stop)``, touching only the spanned segments."""
-        return self.archive().read_rows(start, stop)
-
     def slice_ref(self, start: int, stop: int) -> "ArchiveSlice":
         """A picklable reference to rows ``[start, stop)``.
 

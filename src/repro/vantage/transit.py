@@ -48,11 +48,6 @@ class TransitIspVantage:
             raise ValueError("sampling_factor must be >= 1")
         self._cone = self.topology.customer_cone(self.asn)
 
-    @property
-    def cone(self) -> frozenset[int]:
-        """The provider's customer cone (itself included)."""
-        return self._cone
-
     def _cone_mask(self, asns: np.ndarray) -> np.ndarray:
         cone = np.fromiter(self._cone, dtype=np.int64)
         return np.isin(asns.astype(np.int64), cone)

@@ -75,12 +75,6 @@ class CacheStats:
     entries: int = 0
     bytes: int = 0
 
-    def summary(self) -> str:
-        return (
-            f"capture cache: {self.hits} hit(s), {self.misses} miss(es), "
-            f"{self.entries} entrie(s), {self.bytes / 2**20:.1f} MiB"
-        )
-
 
 class CaptureCache:
     """Content-addressed store of vantage-day flowpack archives."""
@@ -167,15 +161,3 @@ class CaptureCache:
         return CacheStats(
             hits=self.hits, misses=self.misses, entries=entries, bytes=total
         )
-
-    def prune(self) -> int:
-        """Delete every entry; returns the number removed.
-
-        Content addressing needs no finer invalidation — pruning is
-        purely about disk space.
-        """
-        removed = 0
-        for path in self.root.glob("*/*.fpk"):
-            path.unlink()
-            removed += 1
-        return removed

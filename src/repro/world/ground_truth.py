@@ -87,10 +87,6 @@ class BlockIndex:
             result[hit] = index[hit]
         return result
 
-    def known_mask(self, blocks: np.ndarray) -> np.ndarray:
-        """True where the queried block is announced (known to the index)."""
-        return self.positions(blocks) >= 0
-
     def asn_of(self, blocks: np.ndarray) -> np.ndarray:
         """Origin ASN per block; -1 for unknown blocks."""
         pos = self.positions(blocks)
@@ -146,16 +142,6 @@ class BlockIndex:
     def blocks_of_continent(self, continent: Continent) -> np.ndarray:
         """All blocks geolocated (ground truth) in ``continent``."""
         mask = _COUNTRY_CONTINENTS[self.country_index] == continent.value
-        return self.blocks[mask]
-
-    def blocks_of_type(self, as_type: ASType) -> np.ndarray:
-        """All blocks originated by ASes of ``as_type``."""
-        mask = self.type_index == _TYPE_TO_INDEX[as_type]
-        return self.blocks[mask]
-
-    def blocks_of_country(self, code: str) -> np.ndarray:
-        """All blocks of one country."""
-        mask = self.country_index == _CODE_TO_INDEX[code]
         return self.blocks[mask]
 
 

@@ -62,9 +62,6 @@ __all__ = [
     "paper_ipv6_config",
     "giant_ipv6_config",
     "micro_ipv6_world",
-    "small_ipv6_world",
-    "paper_ipv6_world",
-    "giant_ipv6_world",
     "ipv6_day_view",
     "ipv6_views",
 ]
@@ -237,10 +234,6 @@ class Ipv6World:
             for site in org.dark_sites
         )
 
-    def active_sites(self) -> frozenset[int]:
-        """All /48s with hosts (the hitlist's target universe)."""
-        return frozenset(site for org in self.orgs for site in org.active_sites)
-
     def asn_of_site(self) -> dict[int, int]:
         """Ground-truth site -> origin-ASN map (leak space -> LEAK_ASN)."""
         mapping = {site: org.asn for org in self.orgs for site in org.sites}
@@ -371,21 +364,6 @@ def giant_ipv6_config(seed: int = 7) -> Ipv6WorldConfig:
 def micro_ipv6_world(seed: int = 7) -> Ipv6World:
     """Build the micro-scale world."""
     return build_ipv6_world(micro_ipv6_config(seed))
-
-
-def small_ipv6_world(seed: int = 7) -> Ipv6World:
-    """Build the small-scale world."""
-    return build_ipv6_world(small_ipv6_config(seed))
-
-
-def paper_ipv6_world(seed: int = 7) -> Ipv6World:
-    """Build the paper-scale world."""
-    return build_ipv6_world(paper_ipv6_config(seed))
-
-
-def giant_ipv6_world(seed: int = 7) -> Ipv6World:
-    """Build the giant-scale world."""
-    return build_ipv6_world(giant_ipv6_config(seed))
 
 
 class _FlowBatch:

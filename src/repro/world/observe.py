@@ -37,16 +37,6 @@ class DayObservation:
     telescope_views: dict[str, VantageDayView]
     isp_view: VantageDayView
 
-    def view(self, vantage: str) -> VantageDayView:
-        """Look up a view by vantage code (IXP, telescope, or ISP)."""
-        if vantage in self.ixp_views:
-            return self.ixp_views[vantage]
-        if vantage in self.telescope_views:
-            return self.telescope_views[vantage]
-        if vantage == self.isp_view.vantage:
-            return self.isp_view
-        raise KeyError(f"unknown vantage {vantage!r} on day {self.day}")
-
 
 class Observatory:
     """Per-day observation cache over a world.

@@ -17,11 +17,10 @@ import numpy as np
 
 from repro.bgp.events import RouteEvent
 from repro.traffic.flows import FlowTable
-from repro.traffic.mix import DailyTrafficMix, TrafficActor
+from repro.traffic.mix import DailyTrafficMix
 from repro.traffic.production import ProductionTraffic
 from repro.world.builder import World, build_world
 from repro.world.config import (
-    giant_config,
     micro_config,
     paper_config,
     small_config,
@@ -33,16 +32,6 @@ from repro.world.observe import Observatory
 def paper_world(seed: int = 7) -> World:
     """The benchmark-scale world (the paper's setting, scaled)."""
     return build_world(paper_config(seed))
-
-
-def giant_world(seed: int = 7) -> World:
-    """Stress-scale world (≥50 M IXP rows/day).
-
-    Deliberately *not* cached: a giant day is hundreds of MiB per view,
-    and its callers (the kernel benchmarks) observe it through a
-    :class:`~repro.world.capture_cache.CaptureCache` exactly once.
-    """
-    return build_world(giant_config(seed))
 
 
 @lru_cache(maxsize=4)
@@ -69,35 +58,11 @@ def small_observatory(seed: int = 7) -> Observatory:
     return Observatory(small_world(seed))
 
 
-@lru_cache(maxsize=4)
-def micro_observatory(seed: int = 7) -> Observatory:
-    """Shared observation cache over the micro world."""
-    return Observatory(micro_world(seed))
-
-
 # -- world events ------------------------------------------------------
 #
 # Events change what the world *does* mid-campaign without changing how
 # it was built: they are applied to fresh (never cached) worlds by the
 # robustness catalog.
-
-
-@dataclass(slots=True)
-class DayGatedActor:
-    """Any traffic actor, silent before ``start_day``.
-
-    The building block of flash events: wrap an actor and the world
-    only starts emitting its traffic mid-campaign.
-    """
-
-    actor: TrafficActor
-    start_day: int
-
-    def generate(self, day: int, rng: np.random.Generator) -> FlowTable:
-        """The wrapped actor's flows, or nothing before the gate opens."""
-        if day < self.start_day:
-            return FlowTable.empty()
-        return self.actor.generate(day, rng)
 
 
 @dataclass(slots=True)
@@ -167,15 +132,6 @@ class SteeredTrafficMix:
     def __post_init__(self) -> None:
         if not 0.0 < self.shift_share <= 1.0:
             raise ValueError("shift_share must be in (0, 1]")
-
-    @property
-    def actors(self) -> list[TrafficActor]:
-        """The underlying actor ensemble (pass-through)."""
-        return self.base.actors
-
-    def add(self, actor: TrafficActor) -> None:
-        """Register an actor on the underlying mix."""
-        self.base.add(actor)
 
     def generate_day(self, day: int, rng: np.random.Generator) -> FlowTable:
         """The base mix's day, with event-day flows steered."""

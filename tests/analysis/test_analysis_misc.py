@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.geo_dist import (
-    continent_counts,
     country_counts,
     inventory_row,
-    log_scale_world_counts,
 )
 from repro.analysis.hilbert_viz import (
     hilbert_grid,
     precision_inside_reference,
     render_hilbert_ascii,
-    write_pgm,
 )
 from repro.analysis.nettypes import dark_share_by_type, type_continent_matrix
 from repro.analysis.prefix_index import (
@@ -69,14 +66,6 @@ class TestGeoDist:
     def test_unknown_skipped(self):
         counts = country_counts(np.array([10, 999]), geodb())
         assert counts == {"US": 1}
-
-    def test_continent_counts(self):
-        counts = continent_counts(np.array([10, 20]), geodb())
-        assert counts == {"NA": 1, "EU": 1}
-
-    def test_log_scale(self):
-        scaled = log_scale_world_counts({"US": 100})
-        assert scaled["US"] == pytest.approx(2.0)
 
     def test_inventory_row(self):
         base20 = parse_ip("20.0.0.0") >> 8
@@ -187,12 +176,3 @@ class TestHilbert:
         text = render_hilbert_ascii(hmap, max_side=16)
         assert len(text.splitlines()) == 16
         assert "#" in text
-
-    def test_pgm_output(self, tmp_path):
-        base = Prefix.parse("20.0.0.0/16")
-        hmap = hilbert_grid(base, dark_blocks=np.array([base.first_block()]))
-        path = tmp_path / "map.pgm"
-        write_pgm(hmap, str(path))
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n16 16\n255\n")
-        assert 255 in data[len(b"P5\n16 16\n255\n"):]

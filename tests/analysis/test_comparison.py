@@ -19,7 +19,6 @@ class TestComparison:
         flows = flows_for({23: 100, 80: 50, 443: 10})
         comparison = compare_port_statistics(flows, flows, top_k=3)
         assert comparison.overlap == 3
-        assert comparison.overlap_share() == 1.0
         assert comparison.spearman_rho == pytest.approx(1.0)
         assert comparison.l1_distance == pytest.approx(0.0)
 

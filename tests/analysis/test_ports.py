@@ -7,11 +7,12 @@ from repro.analysis.ports import (
     bean_matrix,
     port_activity_by_group,
     port_packet_counts,
-    tcp_share,
     top_ports,
     top_ports_per_group,
 )
 from repro.traffic.packets import PROTO_UDP
+from repro.vantage.sampling import VantageDayView
+from repro.vantage.telescope import Telescope
 
 from _factories import ip, make_flows
 
@@ -82,6 +83,13 @@ class TestGrouping:
         grouped = port_activity_by_group(flows_with_ports(), self.group_map())
         groups, matrix = bean_matrix(grouped, [23], relative_to="overall")
         assert matrix.sum() == pytest.approx(17 / 24)
+
+
+def tcp_share(flows):
+    """Table 2's TCP share, as a telescope states it for a captured day."""
+    blocks = np.unique(flows.dst_blocks()) if len(flows) else np.array([0])
+    telescope = Telescope(code="T", region="NA", blocks=blocks)
+    return telescope.daily_stats(VantageDayView("T", 0, flows)).tcp_share
 
 
 class TestTcpShare:

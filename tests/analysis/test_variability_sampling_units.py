@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.sampling_study import SamplingPoint, sampling_sweep
-from repro.analysis.variability import DailySeries, daily_dark_sets, daily_series
+from repro.analysis.variability import DailySeries, daily_series
 from repro.bgp.rib import Announcement, RouteViewsCollector
+from repro.core.combine import per_day_results
 from repro.core.metatelescope import MetaTelescope
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.world.ground_truth import BlockIndex, BlockState
@@ -48,9 +49,13 @@ class TestDailySeries:
         assert np.isnan(series.weekend_uplift())
 
     def test_daily_dark_sets(self):
-        sets = daily_dark_sets(self.views_by_day(), make_telescope())
+        # Per-day dark sets: one inference per day over that day's routing.
+        telescope = make_telescope()
+        views = self.views_by_day()
+        routing = telescope.routing_for_days(sorted(views))
+        sets = per_day_results(views, routing, telescope.config)
         assert set(sets) == set(range(7))
-        assert len(sets[6]) == 7
+        assert sets[6].num_dark() == 7
 
 
 class TestSamplingSweepUnits:

@@ -42,7 +42,6 @@ class TestRegistry:
         registry = ASRegistry()
         registry.add(make_as(5))
         assert registry.get(5).asn == 5
-        assert 5 in registry
         assert len(registry) == 1
 
     def test_duplicate_rejected(self):
@@ -62,22 +61,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.add_org(Organization("O1", "Other", "US"))
 
-    def test_by_type(self):
-        registry = ASRegistry.from_ases(
-            [make_as(1, ASType.ISP), make_as(2, ASType.EDUCATION)]
-        )
-        assert [a.asn for a in registry.by_type(ASType.EDUCATION)] == [2]
-
-    def test_by_country(self):
-        registry = ASRegistry.from_ases(
-            [make_as(1, country="US"), make_as(2, country="DE")]
-        )
-        assert [a.asn for a in registry.by_country("DE")] == [2]
-
     def test_from_ases_creates_orgs(self):
         registry = ASRegistry.from_ases([make_as(7)])
         assert registry.org("ORG-7").country_code == "US"
-
-    def test_asns_sorted(self):
-        registry = ASRegistry.from_ases([make_as(9), make_as(3)])
-        assert registry.asns() == [3, 9]

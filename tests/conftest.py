@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.world.observe import Observatory
 from repro.world.scenarios import (
-    micro_observatory,
     micro_world,
     small_observatory,
     small_world,
@@ -26,7 +26,7 @@ def world():
 @pytest.fixture(scope="session")
 def observatory():
     """Observation cache over the micro world."""
-    return micro_observatory()
+    return Observatory(micro_world())
 
 
 @pytest.fixture(scope="session")

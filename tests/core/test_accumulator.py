@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.accum import PrefixAccumulator
 from repro.core.metatelescope import MetaTelescope
+from repro.core.parallel import partial_states_identical
 from repro.core.pipeline import (
     PipelineConfig,
     run_pipeline,
@@ -147,10 +148,10 @@ class TestMerge:
     def test_merge_leaves_other_untouched(self, multi_day):
         a = fold(multi_day[:2])
         b = fold(multi_day[2:4])
-        before = b.rows_ingested()
+        before = b.copy()
         a.merge(b)
-        assert b.rows_ingested() == before
-        assert a.rows_ingested() == sum(len(v.flows) for v in multi_day[:4])
+        assert partial_states_identical(b, before)
+        assert partial_states_identical(a, fold(multi_day[:4]))
 
     def test_mismatched_ignore_sets_refuse_to_merge(self):
         with pytest.raises(ValueError, match="ignored-sender"):
@@ -199,13 +200,10 @@ class TestAccumulatorState:
     def test_introspection(self, multi_day):
         accumulator = fold(multi_day)
         assert accumulator.days() == [0, 1, 2]
-        assert set(accumulator.vantages()) == {
+        assert set(accumulator.vantage_source_blocks()) == {
             view.vantage for view in multi_day
         }
         assert not accumulator.is_empty()
-        assert accumulator.rows_ingested() == sum(
-            len(view.flows) for view in multi_day
-        )
         assert len(accumulator.observed_blocks()) > 0
 
     def test_finalize_does_not_consume(self, multi_day, routing, telescope):
@@ -214,9 +212,7 @@ class TestAccumulatorState:
         again = run_pipeline_accumulated(accumulator, routing, telescope.config)
         assert_identical(first, again)
         accumulator.update_view(multi_day[3])  # still ingestible afterwards
-        assert accumulator.rows_ingested() == sum(
-            len(view.flows) for view in multi_day[:4]
-        )
+        assert partial_states_identical(accumulator, fold(multi_day[:4]))
 
     def test_empty_accumulator_rejected(self, routing):
         with pytest.raises(ValueError, match="at least one"):
@@ -226,7 +222,8 @@ class TestAccumulatorState:
         original = fold(multi_day[:2])
         duplicate = original.copy()
         duplicate.update_view(multi_day[2])
-        assert original.rows_ingested() != duplicate.rows_ingested()
+        assert partial_states_identical(original, fold(multi_day[:2]))
+        assert not partial_states_identical(original, duplicate)
 
 
 class TestKeyedSumsShortCircuit:

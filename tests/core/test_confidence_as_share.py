@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.as_dark_share import dark_share_by_as, top_dark_organizations
+from repro.analysis.as_dark_share import dark_share_by_as
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.core.confidence import ConfidenceWeights, score_prefixes
 from repro.core.pipeline import PipelineConfig
@@ -31,7 +31,7 @@ class TestConfidence:
         by_block = dict(zip(scores.blocks.tolist(), scores.observation.tolist()))
         assert by_block[BASE] == 1.0
         assert by_block[BASE + 1] < 0.1
-        assert scores.top(1)[0][0] == BASE
+        assert scores.blocks[scores.score.argmax()] == BASE
 
     def test_recurrence(self):
         scores = score_prefixes(
@@ -126,5 +126,6 @@ class TestAsDarkShare:
         pfx2as = PrefixToAsMap.from_routing_table(routing)
         dark = np.arange(BASE, BASE + 8)
         shares = dark_share_by_as(dark, routing, pfx2as)
-        top = top_dark_organizations(shares, count=5)
-        assert top == [("AS65001", 8)]
+        # No organisation on record: the footprint is named by its AS.
+        rows = [(row.org_name or f"AS{row.asn}", row.dark_blocks) for row in shares]
+        assert rows == [("AS65001", 8)]

@@ -29,7 +29,6 @@ from repro.core.engine import (
     validate_trace_event,
     validate_trace_file,
 )
-from repro.core.federation import federate
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.parallel import partial_states_identical
@@ -332,9 +331,8 @@ class TestTraceGolden:
 
 class TestFacadesRunThroughEngine:
     def test_metatelescope_records_its_context(self, views, telescope):
-        result = telescope.infer(views, workers=2)
-        context = telescope.last_run_context()
-        assert context is not None
+        context = RunContext()
+        result = telescope.infer(views, workers=2, context=context)
         assert context.plan.mode == "parallel"
         stages = context.events(["stage"])
         assert [event.name for event in stages] == [
@@ -378,19 +376,3 @@ class TestFacadesRunThroughEngine:
         }
         stages = context.events(["stage"])
         assert [event.scope for event in stages] == ["day"] * 7 + ["window"] * 7
-
-    def test_federation_emits_member_events(self, views, telescope):
-        context = RunContext()
-        partials = {
-            "op-a": [fold(views[: len(views) // 2])],
-            "op-b": [fold(views[len(views) // 2 :])],
-        }
-        federate(
-            [],
-            partials=partials,
-            coordinator=telescope,
-            context=context,
-        )
-        members = context.events(["member"])
-        assert sorted(event.name for event in members) == ["op-a", "op-b"]
-        assert all(event.rows_out is not None for event in members)

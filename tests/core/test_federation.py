@@ -15,6 +15,11 @@ from repro.core.federation import (
 from _factories import fold
 
 
+def excluded(result):
+    """Operators whose votes the sanity checks discarded."""
+    return [v.operator for v in result.validations if v.weight == 0.0]
+
+
 def report(operator, dark, observed=None):
     dark = np.asarray(dark, dtype=np.int64)
     if observed is None:
@@ -60,10 +65,6 @@ class TestVoting:
         result = federate(members)
         assert 5 in result.prefixes
 
-    def test_vote_counts_reported(self):
-        result = federate([report("a", [7]), report("b", [7])])
-        assert result.votes_for[7] == 2
-
     def test_requires_members(self):
         with pytest.raises(ValueError):
             federate([])
@@ -88,7 +89,6 @@ class TestVotingEdgeCases:
     def test_single_member_federation(self):
         result = federate([report("solo", [1, 2, 3])])
         assert result.prefixes.tolist() == [1, 2, 3]
-        assert result.votes_for == {1: 1, 2: 1, 3: 1}
 
     def test_member_with_empty_dark_blocks(self):
         members = [
@@ -133,7 +133,7 @@ class TestSanityChecking:
             report("c", [5, 6, 7], observed=[]),
         ]
         result = federate(members)
-        assert result.excluded_members() == ("c",)
+        assert excluded(result) == ["c"]
         assert 5 not in result.prefixes
         assert 1 in result.prefixes
 
@@ -142,7 +142,7 @@ class TestSanityChecking:
         dark = list(range(20))
         members = [report("a", dark, observed=dark[:-1])]
         result = federate(members)
-        assert result.excluded_members() == ()
+        assert excluded(result) == []
         assert len(result.prefixes) == 20
 
     def test_oversized_report_down_weighted(self):
@@ -155,33 +155,37 @@ class TestSanityChecking:
             report("c", [2], observed=[2]),
             report("d", [2], observed=[2]),
         ]
-        validations = {
-            v.operator: v for v in validate_reports(members, max_size_ratio=20.0)
-        }
+        validations = {v.operator: v for v in validate_reports(members)}
         assert validations["b"].weight == 0.5
         result = federate(members)
         assert 1 not in result.prefixes
-        assert federate(members, validate=False).prefixes.tolist()[0] == 1
 
     def test_quorum_enforced(self):
         fabricated = [report("x", [1, 2, 3], observed=[])]
         with pytest.raises(QuorumError):
             federate(fabricated)
-        healthy = [report("a", [1]), report("b", [1])]
-        with pytest.raises(QuorumError):
-            federate(healthy, min_quorum=3)
-        assert federate(healthy, min_quorum=2).num_prefixes() == 1
+        # One credible member is enough to stand behind a list.
+        assert federate([*fabricated, report("a", [1])]).num_prefixes() == 1
 
-    def test_min_quorum_validated(self):
-        with pytest.raises(ValueError):
-            federate([report("a", [1])], min_quorum=0)
+    @pytest.mark.parametrize("forged_first", [True, False])
+    def test_repeated_operator_rejected_in_either_order(self, forged_first):
+        # A forged report under an honest member's name must neither
+        # borrow that member's weight (forged first: its blocks would
+        # enter the list) nor cost it its vote (honest first: no
+        # credible member would remain).
+        forged = report("A", [7, 8, 9], observed=[])
+        honest = report("A", [1], observed=[1, 2])
+        members = [forged, honest] if forged_first else [honest, forged]
+        with pytest.raises(ValueError, match="operator 'A'") as raised:
+            federate(members)
+        assert not isinstance(raised.value, QuorumError)
 
     def test_validations_reported_for_all_members(self):
         members = [report("a", [1]), report("b", [1], observed=[])]
         result = federate(members)
         assert [v.operator for v in result.validations] == ["a", "b"]
         assert result.validations[0].weight == 1.0
-        assert result.validations[1].excluded()
+        assert result.validations[1].weight == 0.0
         assert result.validations[1].reasons
 
 
@@ -189,15 +193,8 @@ class TestMarkingRegistry:
     def test_mark_and_resolve(self):
         registry = MarkingRegistry()
         registry.mark(np.array([10, 11]), owner="op-a")
-        assert registry.owner_of(10) == "op-a"
-        assert registry.owner_of(99) is None
-        assert len(registry) == 2
-
-    def test_unmark(self):
-        registry = MarkingRegistry()
-        registry.mark(np.array([10]), owner="op-a")
-        registry.unmark(np.array([10, 99]))
-        assert len(registry) == 0
+        registry.mark(np.array([11]), owner="op-b")
+        assert registry.marked_blocks().tolist() == [10, 11]
 
     def test_marked_blocks_sorted(self):
         registry = MarkingRegistry()
@@ -280,7 +277,8 @@ class TestFromResult:
 
 
 class TestPartialAccumulators:
-    """Members may send mergeable partial aggregates instead of reports."""
+    """A member that streamed its traffic into an accumulator reports
+    from it: the dark list it infers and the blocks it observed."""
 
     def _telescope(self, world):
         from repro.core import MetaTelescope
@@ -294,48 +292,36 @@ class TestPartialAccumulators:
             ),
         )
 
+    def _report(self, operator, accumulator, telescope):
+        return OperatorReport.from_result(
+            operator,
+            telescope.infer_accumulated(accumulator),
+            accumulator.observed_blocks(),
+        )
+
     def test_partials_vote_like_finished_reports(self, world, observatory):
+        from repro.core.parallel import tree_merge
+
         telescope = self._telescope(world)
-        codes = ("CE1", "NA1")
-        reports, partials = [], {}
-        for code in codes:
+        whole, merged = [], []
+        for code in ("CE1", "NA1"):
             views = observatory.ixp_views(code, num_days=2)
-            # One partial accumulator per day, as a member node would
-            # stream them; the coordinator merges and classifies.
-            partials[code] = [
-                fold([view], chunk_size=97) for view in views
-            ]
-            reports.append(
-                OperatorReport.from_accumulator(
-                    code, fold(views), telescope
-                )
-            )
-        via_reports = federate(reports, min_vote_share=0.5)
-        via_partials = federate(
-            [], partials=partials, coordinator=telescope, min_vote_share=0.5
-        )
+            whole.append(self._report(code, fold(views), telescope))
+            # One partial per day, as a member node streams them, merged
+            # on the member's side before it reports.
+            partials = [fold([view], chunk_size=97) for view in views]
+            merged.append(self._report(code, tree_merge(partials), telescope))
         np.testing.assert_array_equal(
-            via_reports.prefixes, via_partials.prefixes
+            federate(whole).prefixes, federate(merged).prefixes
         )
-
-    def test_partials_require_coordinator(self, world, observatory):
-        views = observatory.ixp_views("CE1", num_days=1)
-        with pytest.raises(ValueError, match="coordinator"):
-            federate([], partials={"CE1": [fold(views)]})
-
-    def test_empty_partial_list_rejected(self, world):
-        telescope = self._telescope(world)
-        with pytest.raises(ValueError, match="no partials"):
-            federate([], partials={"CE1": []}, coordinator=telescope)
 
     def test_from_accumulator_observed_blocks(self, world, observatory):
         telescope = self._telescope(world)
-        views = observatory.ixp_views("CE1", num_days=1)
-        accumulator = fold(views)
-        member = OperatorReport.from_accumulator("CE1", accumulator, telescope)
+        accumulator = fold(observatory.ixp_views("CE1", num_days=1))
+        member = self._report("CE1", accumulator, telescope)
         np.testing.assert_array_equal(
             member.observed_blocks, accumulator.observed_blocks()
         )
         # dark ⊆ observed: the report passes its own validation.
         validation = validate_reports([member])[0]
-        assert not validation.excluded()
+        assert validation.weight == 1.0

@@ -28,13 +28,13 @@ from hypothesis import strategies as st
 
 from repro.core.accum import PrefixAccumulator
 from repro.core.engine import ExecutionPlanner, MemorySink, RunContext, execute_plan
+from repro.core import kernels
 from repro.core.kernels import (
     CACHE_DIR_ENV,
     DISABLE_NATIVE_ENV,
     KERNEL_CHOICES,
     NumpyKernel,
     get_kernel,
-    invalidate_cache,
     native_provider,
     resolve_kernel_name,
 )
@@ -516,10 +516,10 @@ class TestFallback:
     @pytest.fixture()
     def disabled_native(self, monkeypatch):
         monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-        invalidate_cache()
+        kernels._CACHE.clear()
         yield
         monkeypatch.delenv(DISABLE_NATIVE_ENV)
-        invalidate_cache()
+        kernels._CACHE.clear()
 
     def test_native_degrades_to_reference(self, disabled_native):
         kernel = get_kernel("native")
@@ -565,7 +565,7 @@ class TestFallback:
         monkeypatch.delenv(DISABLE_NATIVE_ENV, raising=False)
         monkeypatch.setenv("CC", "/no/such/cc")
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        invalidate_cache()
+        kernels._CACHE.clear()
         try:
             kernel = get_kernel("native")
             assert kernel.provider == "numpy"
@@ -577,7 +577,7 @@ class TestFallback:
                 fold([table], "numpy"), fold([table], "native")
             )
         finally:
-            invalidate_cache()
+            kernels._CACHE.clear()
 
     def test_micro_world_identity_numpy_native_fallback(self, request):
         # The end-to-end identity gate: two days of a micro world

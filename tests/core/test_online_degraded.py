@@ -120,7 +120,7 @@ class TestCarryPolicy:
         assert update.action == "carried"
         assert update.serving_size == 1
         assert BASE in online.current_prefixes()
-        assert online.staleness() == 1
+        assert online.health_report().current_staleness == 1
 
     def test_degraded_day_still_folds(self):
         online = make_online(policy="carry")
@@ -171,7 +171,7 @@ class TestHealthReport:
             "inferred": 1, "carried": 1, "degraded": 1,
         }
         assert [record.day for record in report.records] == [0, 1, 2]
-        assert report.max_staleness_seen() == 2
+        assert max(record.staleness for record in report.records) == 2
 
     def test_reasons_surface_in_records(self):
         online = make_online(policy="carry")

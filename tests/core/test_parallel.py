@@ -28,7 +28,6 @@ from repro.core.accum import (
 )
 from repro.core import parallel
 from repro.core.engine import ExecutionPlanner, RunContext, default_workers
-from repro.core.federation import federate
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.parallel import (
@@ -137,7 +136,7 @@ class TestParallelEqualsSerial:
         ]
         merged = fold(silent, workers=2)
         assert merged.days() == [0, 1, 2]
-        assert set(merged.vantages()) == {"S0", "S1", "S2"}
+        assert set(merged.vantage_source_blocks()) == {"S0", "S1", "S2"}
 
     def test_identical_under_fault_injection(self, multi_day, routing, telescope):
         """Fault-injected inputs classify identically at any worker count.
@@ -328,25 +327,16 @@ class TestSharding:
 
 class TestTreeMerge:
     def test_any_grouping_identical(self, multi_day):
-        partials = [fold([view]) for view in multi_day]
-        tree = tree_merge(partials, copy=True)
-
-        flat = partials[0].copy()
-        for partial in partials[1:]:
-            flat.merge(partial)
+        flat = fold([multi_day[0]])
+        for view in multi_day[1:]:
+            flat.merge(fold([view]))
+        tree = tree_merge([fold([view]) for view in multi_day])
         assert partial_states_identical(flat, tree)
 
     def test_shard_order_invariant(self, multi_day):
-        partials = [fold([view]) for view in multi_day]
-        forward = tree_merge(partials, copy=True)
-        backward = tree_merge(list(reversed(partials)), copy=True)
+        forward = tree_merge([fold([view]) for view in multi_day])
+        backward = tree_merge([fold([view]) for view in reversed(multi_day)])
         assert partial_states_identical(forward, backward)
-
-    def test_copy_leaves_inputs_untouched(self, multi_day):
-        partials = [fold([view]) for view in multi_day[:3]]
-        rows = [partial.rows_ingested() for partial in partials]
-        tree_merge(partials, copy=True)
-        assert [partial.rows_ingested() for partial in partials] == rows
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -359,7 +349,6 @@ class TestWireState:
         restored = PrefixAccumulator.from_state(accumulator.to_state())
         assert partial_states_identical(accumulator, restored)
         assert restored.days() == accumulator.days()
-        assert restored.rows_ingested() == accumulator.rows_ingested()
         assert_identical(
             run_pipeline_accumulated(accumulator, routing, telescope.config),
             run_pipeline_accumulated(restored, routing, telescope.config),
@@ -420,15 +409,15 @@ class TestFacadeIntegration:
         serial = telescope.infer(
             multi_day, use_spoofing_tolerance=True, refine=False
         )
+        context = RunContext()
         parallel = telescope.infer(
-            multi_day, use_spoofing_tolerance=True, refine=False, workers=3
+            multi_day, use_spoofing_tolerance=True, refine=False, workers=3,
+            context=context,
         )
         assert_identical(serial.pipeline, parallel.pipeline)
         stages = [
             event.name
-            for event in telescope.last_run_context().events(
-                ["worker", "ipc", "merge"]
-            )
+            for event in context.events(["worker", "ipc", "merge"])
         ]
         assert "merge" in stages and "ipc" in stages
         assert any(stage.startswith("fanout[") for stage in stages)
@@ -457,31 +446,6 @@ class TestFacadeIntegration:
             for event in parallel.last_run_context().events(["worker"])
         ]
         assert any(stage.startswith("fanout[") for stage in stages)
-
-    def test_federate_wire_state_partials(self, multi_day, telescope):
-        half = len(multi_day) // 2
-        partials = [
-            fold(multi_day[:half]),
-            fold(multi_day[half:]),
-        ]
-        as_objects = federate(
-            [], partials={"op": partials}, coordinator=telescope
-        )
-        as_states = federate(
-            [],
-            partials={"op": [partial.to_state() for partial in partials]},
-            coordinator=telescope,
-        )
-        np.testing.assert_array_equal(as_objects.prefixes, as_states.prefixes)
-        assert as_objects.num_prefixes() > 0
-
-    def test_federate_rejects_malformed_state(self, telescope):
-        with pytest.raises(ValueError, match="malformed"):
-            federate(
-                [], partials={"op": [{"version": 1}]}, coordinator=telescope
-            )
-        with pytest.raises(TypeError, match="expected"):
-            federate([], partials={"op": [42]}, coordinator=telescope)
 
 
 class TestChunkingKnobs:
@@ -533,9 +497,3 @@ class TestRoutingTableCache:
         second = routing.routed_mask(blocks)
         assert routing._interval_cache[0] is starts_before
         np.testing.assert_array_equal(first, second)
-
-    def test_matches_trie(self, routing):
-        blocks = np.arange(0, 1 << 16, 13, dtype=np.int64)
-        np.testing.assert_array_equal(
-            routing.routed_mask(blocks), routing._trie.covered_mask(blocks)
-        )

@@ -19,7 +19,6 @@ from repro.core.snapshot import (
     VERDICT_DARK,
     ClassificationSnapshot,
     build_snapshot,
-    empty_snapshot,
 )
 
 
@@ -107,7 +106,7 @@ def test_point_queries_survive_round_trip(drawn, probes):
 
 
 def test_empty_snapshot_round_trip():
-    back = round_trip(empty_snapshot(day=0))
+    back = round_trip(build_snapshot(0, np.empty(0, dtype=np.int64)))
     assert len(back) == 0
     assert back.lookup(123).verdict == 0
 

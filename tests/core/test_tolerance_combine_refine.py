@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.combine import (
-    cumulative_day_results,
-    intersect_dark,
-    per_day_results,
-    stable_dark_blocks,
-    union_dark,
-)
+from repro.core.combine import per_day_results, stable_dark_blocks
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.refine import (
     cone_filtered_view,
@@ -93,8 +87,9 @@ class TestCombine:
         assert results[1].num_dark() == 2
 
     def test_cumulative(self):
-        results = cumulative_day_results(self.views_by_day(), ROUTING)
-        assert results[1].num_dark() == 2
+        # Days 0-1 pooled into one inference: the growing window.
+        by_day = self.views_by_day()
+        assert run_pipeline(by_day[0] + by_day[1], ROUTING).num_dark() == 2
 
     def test_stable_blocks(self):
         daily = per_day_results(self.views_by_day(), ROUTING)
@@ -106,14 +101,13 @@ class TestCombine:
             stable_dark_blocks({}, min_days=0)
 
     def test_union_and_intersection(self):
+        # Dark on any day (the union) and on every day (the intersection).
         daily = per_day_results(self.views_by_day(), ROUTING)
-        results = list(daily.values())
-        assert union_dark(results).tolist() == [BASE, BASE + 1]
-        assert intersect_dark(results).tolist() == [BASE]
+        assert stable_dark_blocks(daily, min_days=1).tolist() == [BASE, BASE + 1]
+        assert stable_dark_blocks(daily, min_days=len(daily)).tolist() == [BASE]
 
     def test_empty_results(self):
-        assert len(union_dark([])) == 0
-        assert len(intersect_dark([])) == 0
+        assert len(stable_dark_blocks({}, min_days=1)) == 0
 
 
 class TestRefine:

@@ -122,7 +122,7 @@ class TestFaultPlan:
         # regardless of the (reversed) construction order here.
         plan = FaultPlan().add(TruncatedDay(keep_fraction=0.5)).add(SiteOutage())
         faulted = plan.apply(0, [sample_view()])
-        assert faulted.outage()
+        assert not faulted.views
         assert [event.fault for event in faulted.events] == ["SiteOutage"]
 
     def test_composition_is_order_deterministic(self):

@@ -6,7 +6,6 @@ from repro.geo.countries import (
     CONTINENTS,
     COUNTRIES,
     Continent,
-    countries_of_continent,
     country_by_code,
 )
 
@@ -41,11 +40,6 @@ class TestRegistry:
 
     def test_legacy_share_bounded(self):
         assert all(0.0 <= c.legacy_share <= 1.0 for c in COUNTRIES)
-
-    def test_continent_filter(self):
-        africa = countries_of_continent(Continent.AFRICA)
-        assert {c.continent for c in africa} == {Continent.AFRICA}
-        assert len(africa) >= 5
 
     def test_continent_values_match_paper_labels(self):
         assert {c.value for c in CONTINENTS} == {

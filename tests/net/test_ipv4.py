@@ -9,7 +9,6 @@ from repro.net.ipv4 import (
     AddressError,
     Prefix,
     block_of_ip,
-    block_to_network_ip,
     block_to_prefix,
     format_ip,
     parse_ip,
@@ -53,13 +52,10 @@ class TestBlocks:
     def test_block_of_ip(self):
         assert block_of_ip(parse_ip("10.1.2.3")) == parse_ip("10.1.2.0") >> 8
 
-    def test_block_to_network_ip(self):
-        assert block_to_network_ip(block_of_ip(0x0A010203)) == 0x0A010200
-
     @given(st.integers(min_value=0, max_value=MAX_IPV4))
     def test_block_roundtrip(self, value):
         block = block_of_ip(value)
-        assert block_to_network_ip(block) <= value < block_to_network_ip(block) + 256
+        assert block << 8 <= value < (block << 8) + 256
 
     def test_block_to_prefix(self):
         prefix = block_to_prefix(block_of_ip(parse_ip("198.51.0.7")))
@@ -89,10 +85,6 @@ class TestPrefix:
         prefix = Prefix.from_ip(parse_ip("10.1.2.3"), 16)
         assert str(prefix) == "10.1.0.0/16"
 
-    def test_num_addresses(self):
-        assert Prefix.parse("10.0.0.0/8").num_addresses() == 2**24
-        assert Prefix.parse("10.0.0.0/32").num_addresses() == 1
-
     def test_num_blocks(self):
         assert Prefix.parse("10.0.0.0/8").num_blocks() == 2**16
         assert Prefix.parse("10.0.0.0/24").num_blocks() == 1
@@ -100,28 +92,12 @@ class TestPrefix:
 
     def test_first_last_ip(self):
         prefix = Prefix.parse("192.0.2.0/24")
-        assert prefix.first_ip() == parse_ip("192.0.2.0")
         assert prefix.last_ip() == parse_ip("192.0.2.255")
 
     def test_contains_ip(self):
         prefix = Prefix.parse("10.0.0.0/8")
         assert prefix.contains_ip(parse_ip("10.255.0.1"))
         assert not prefix.contains_ip(parse_ip("11.0.0.1"))
-
-    def test_contains_block(self):
-        prefix = Prefix.parse("10.0.0.0/16")
-        assert prefix.contains_block(parse_ip("10.0.5.0") >> 8)
-        assert not prefix.contains_block(parse_ip("10.1.0.0") >> 8)
-
-    def test_long_prefix_contains_no_block(self):
-        assert not Prefix.parse("10.0.0.0/25").contains_block(0x0A0000)
-
-    def test_contains_prefix(self):
-        outer = Prefix.parse("10.0.0.0/8")
-        inner = Prefix.parse("10.5.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
-        assert outer.contains_prefix(outer)
 
     def test_blocks_range(self):
         prefix = Prefix.parse("10.0.0.0/22")
@@ -139,12 +115,6 @@ class TestPrefix:
     def test_subprefixes_rejects_shorter(self):
         with pytest.raises(AddressError):
             list(Prefix.parse("10.0.0.0/24").subprefixes(23))
-
-    def test_ordering(self):
-        a = Prefix.parse("10.0.0.0/8")
-        b = Prefix.parse("10.0.0.0/16")
-        c = Prefix.parse("11.0.0.0/8")
-        assert sorted([c, b, a]) == [a, b, c]
 
     def test_hashable(self):
         assert len({Prefix.parse("10.0.0.0/8"), Prefix.parse("10.0.0.0/8")}) == 1

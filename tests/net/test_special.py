@@ -83,15 +83,6 @@ class TestVectorised:
             assert SPECIAL_PURPOSE_REGISTRY.is_special_block(block) == bool(value)
 
 
-class TestDescribe:
-    def test_known_entry(self):
-        name = SPECIAL_PURPOSE_REGISTRY.describe(parse_ip("10.3.0.0") >> 8)
-        assert name == "private-use"
-
-    def test_unknown_entry(self):
-        assert SPECIAL_PURPOSE_REGISTRY.describe(parse_ip("8.8.8.0") >> 8) is None
-
-
 class TestCustomRegistry:
     def test_custom_entries(self):
         registry = SpecialPurposeRegistry(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reporting.beanplot import render_bean_rows, render_share_table
+from repro.reporting.beanplot import render_bean_rows
 from repro.reporting.ecdf import Ecdf, render_ecdf_rows
 from repro.reporting.tables import format_table
 from repro.reporting.worldmap import render_country_bars
@@ -43,26 +43,6 @@ class TestEcdf:
         assert ecdf.at(0.0) == 0.0
         assert ecdf.at(10.0) == 1.0
 
-    def test_survival(self):
-        ecdf = Ecdf(np.array([1.0, 2.0]))
-        assert ecdf.survival(1.0) == pytest.approx(0.5)
-
-    def test_quantile(self):
-        ecdf = Ecdf(np.array([1.0, 2.0, 3.0]))
-        assert ecdf.quantile(0.5) == 2.0
-
-    def test_quantile_validates(self):
-        with pytest.raises(ValueError):
-            Ecdf(np.array([1.0])).quantile(1.5)
-        with pytest.raises(ValueError):
-            Ecdf(np.array([])).quantile(0.5)
-
-    def test_sample_points_monotone(self):
-        ecdf = Ecdf(np.array([3.0, 1.0, 2.0]))
-        x, y = ecdf.sample_points()
-        assert x.tolist() == [1.0, 2.0, 3.0]
-        assert (np.diff(y) >= 0).all()
-
     def test_render_rows(self):
         rows = render_ecdf_rows({"a": Ecdf(np.array([1.0]))}, np.array([0.5, 1.5]))
         assert rows[0] == [0.5, "0.000"]
@@ -80,10 +60,6 @@ class TestBeanplot:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             render_bean_rows([23], ["NA"], np.zeros((2, 2)))
-
-    def test_share_table(self):
-        rows = render_share_table([23], ["NA"], np.array([[0.5]]))
-        assert rows == [[23, 0.5]]
 
     def test_zero_matrix(self):
         text = render_bean_rows([23], ["NA"], np.zeros((1, 1)))

@@ -187,7 +187,7 @@ def requests_for(snapshot, rng):
                   lambda s: reference_span(s, high + 10, high + 20, None)))
     for limit, length in zip(LIMITS, (8, 16, 20, 22, 24, 12, 18)):
         length += 24 if family is IPV6 else 0
-        prefix = family.prefix_from_ip(family.block_to_ip(low), length)
+        prefix = family.prefix_type.from_ip(family.block_to_ip(low), length)
         first, last = prefix.first_block(), prefix.first_block() + prefix.num_blocks() - 1
         pairs.append((with_limit(f"/v1/range?prefix={quote(str(prefix))}", limit),
                       lambda s, f=first, e=last, n=limit: reference_span(s, f, e, n)))

@@ -120,10 +120,9 @@ def test_diff_against_retained_history_under_churn():
         handle.publish(stamped_snapshot(stamp))
     current = handle.current()
     base = handle.at_version(current.version - 3)
-    diff = handle.diff_since(base.version)
-    assert diff is not None
+    diff = current.diff(base)
     assert diff.base_version == base.version
     assert diff.version == current.version
     # Blocks shift by one per stamp: 3 added, 3 removed.
     assert len(diff.added_dark) == 3 and len(diff.removed_dark) == 3
-    assert handle.diff_since(1) is None  # evicted by maxlen=8
+    assert handle.at_version(1) is None  # evicted by maxlen=8

@@ -24,10 +24,8 @@ def test_diff_since_evicted_version_returns_none():
     assert handle.versions_retained() == [4, 5, 6]
     for evicted in (1, 2, 3):
         assert handle.at_version(evicted) is None
-        assert handle.diff_since(evicted) is None
     for retained in (4, 5, 6):
-        diff = handle.diff_since(retained)
-        assert diff is not None
+        diff = handle.current().diff(handle.at_version(retained))
         assert diff.base_version == retained
         assert diff.version == 6
 
@@ -35,7 +33,6 @@ def test_diff_since_evicted_version_returns_none():
 def test_at_version_misses():
     handle = SnapshotHandle(history=4)
     assert handle.at_version(1) is None  # nothing published yet
-    assert handle.diff_since(1) is None
     handle.publish(stamped_snapshot(0))
     assert handle.at_version(0) is None  # versions start at 1
     assert handle.at_version(2) is None  # the future isn't retained

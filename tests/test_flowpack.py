@@ -25,18 +25,15 @@ from repro.flowpack import (
     FlowpackArchive,
     FlowpackError,
     FlowpackWriter,
-    append_flows_archive,
-    archive_meta,
+    TableArchive,
     is_flowpack,
     iter_flows_archive,
-    read_flows_archive,
     read_flows_archive_lenient,
-    scan_archive,
     write_flows_archive,
 )
 from repro.io import (
     convert_flows,
-    read_flows,
+    read_flows_csv,
     sniff_flow_format,
     write_flows,
     write_flows_csv,
@@ -85,7 +82,7 @@ class TestRoundTrip:
         flows = random_flows(np.random.default_rng(seed), rows)
         path = tmp / "t.fpk"
         write_flows_archive(flows, path, chunk_rows=chunk_rows)
-        assert tables_equal(read_flows_archive(path), flows)
+        assert tables_equal(FlowpackArchive(path).read_all(), flows)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -100,7 +97,7 @@ class TestRoundTrip:
         convert_flows(csv_a, fpk, to="flowpack", chunk_rows=37)
         convert_flows(fpk, csv_b, to="csv", chunk_rows=19)
         assert csv_a.read_bytes() == csv_b.read_bytes()
-        assert tables_equal(read_flows_archive(fpk), flows)
+        assert tables_equal(FlowpackArchive(fpk).read_all(), flows)
 
     def test_spoofed_none_sentinel(self, tmp_path):
         flows = FlowTable(
@@ -116,7 +113,7 @@ class TestRoundTrip:
         )
         path = tmp_path / "t.fpk"
         write_flows_archive(flows, path)
-        loaded = read_flows_archive(path)
+        loaded = FlowpackArchive(path).read_all()
         assert loaded.spoofed.dtype == bool
         assert not loaded.spoofed.any()
         assert tables_equal(loaded, flows)
@@ -126,16 +123,17 @@ class TestRoundTrip:
             flows = make_flows(rows)
             path = tmp_path / f"t{len(rows)}.fpk"
             write_flows_archive(flows, path)
-            assert tables_equal(read_flows_archive(path), flows)
-            assert len(FlowpackArchive(path)) == len(rows)
+            assert tables_equal(FlowpackArchive(path).read_all(), flows)
+            assert FlowpackArchive(path).num_rows == len(rows)
 
     def test_append_extends_archive(self, tmp_path):
         path = tmp_path / "t.fpk"
         a = make_flows([{"packets": 1}, {"packets": 2}])
         b = make_flows([{"packets": 3}])
         write_flows_archive(a, path)
-        append_flows_archive(b, path)
-        assert read_flows_archive(path).packets.tolist() == [1, 2, 3]
+        with FlowpackWriter(path, append=True, family=b.family) as writer:
+            writer.write(b)
+        assert FlowpackArchive(path).read_all().packets.tolist() == [1, 2, 3]
 
     def test_iter_matches_batch(self, tmp_path):
         flows = random_flows(np.random.default_rng(0), 500)
@@ -174,7 +172,7 @@ class TestRoundTrip:
         write_flows_archive(
             make_flows([{}]), path, meta={"vantage": "CE1", "day": 3}
         )
-        meta = archive_meta(path)
+        meta = FlowpackArchive(path).meta
         assert meta["vantage"] == "CE1" and meta["day"] == 3
 
     def test_sniffing(self, tmp_path):
@@ -185,7 +183,7 @@ class TestRoundTrip:
         assert sniff_flow_format(csvp) == "csv"
         assert sniff_flow_format(fpk) == "flowpack"
         assert is_flowpack(fpk) and not is_flowpack(csvp)
-        assert tables_equal(read_flows(csvp), read_flows(fpk))
+        assert tables_equal(read_flows_csv(csvp), FlowpackArchive(fpk).read_all())
 
 
 class TestDamage:
@@ -199,13 +197,13 @@ class TestDamage:
 
     def test_checksum_damage_quarantines_segment(self, tmp_path):
         path, flows = self._archive(tmp_path)
-        _, segments, _ = scan_archive(path)
+        segments = FlowpackArchive(path).segments
         data = bytearray(path.read_bytes())
         data[segments[1].offsets[0] + 4] ^= 0xFF
         path.write_bytes(bytes(data))
 
         with pytest.raises(FlowpackError, match="checksum"):
-            read_flows_archive(path)
+            FlowpackArchive(path).read_all()
         salvaged, report = read_flows_archive_lenient(path)
         assert len(salvaged) == 200
         assert not report.ok()
@@ -220,7 +218,7 @@ class TestDamage:
         path.write_bytes(data[: len(data) - len(data) // 3])
 
         with pytest.raises(FlowpackError):
-            read_flows_archive(path)
+            FlowpackArchive(path).read_all()
         salvaged, report = read_flows_archive_lenient(path)
         assert len(salvaged) in (100, 200)
         assert not report.ok()
@@ -230,7 +228,7 @@ class TestDamage:
 
     def test_segment_header_damage_resyncs(self, tmp_path):
         path, flows = self._archive(tmp_path)
-        _, segments, _ = scan_archive(path)
+        segments = FlowpackArchive(path).segments
         data = bytearray(path.read_bytes())
         base = bytes(data).rfind(b"SEGM", 0, segments[1].offsets[0])
         data[base : base + 4] = b"XXXX"
@@ -249,18 +247,18 @@ class TestDamage:
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FlowpackError):
-            read_flows_archive(path)
+            FlowpackArchive(path).read_all()
         with pytest.raises(FlowpackError):
             read_flows_archive_lenient(path)
 
     def test_strict_error_names_file_and_segment(self, tmp_path):
         path, _ = self._archive(tmp_path)
-        _, segments, _ = scan_archive(path)
+        segments = FlowpackArchive(path).segments
         data = bytearray(path.read_bytes())
         data[segments[0].offsets[3] + 1] ^= 0x55
         path.write_bytes(bytes(data))
         with pytest.raises(FlowpackError, match=r"t\.fpk.*segment 0"):
-            read_flows_archive(path)
+            FlowpackArchive(path).read_all()
 
 
 def _views_pair(tmp_path, num_views=3, rows=400):
@@ -329,7 +327,7 @@ class TestArchiveFedInference:
         ref = view.slice_ref(10, 60)
         assert isinstance(ref, ArchiveSlice)
         loaded = pickle.loads(pickle.dumps(ref)).load()
-        assert tables_equal(loaded, view.read_rows(10, 60))
+        assert tables_equal(loaded, view.archive().read_rows(10, 60))
 
     def test_open_requires_vantage_metadata(self, tmp_path):
         path = tmp_path / "bare.fpk"
@@ -357,10 +355,9 @@ class TestArchiveFedInference:
             writer.write(make_flows([{"packets": 1}]))
             writer.write(make_flows([]))  # empty chunk: no segment
             writer.write(make_flows([{"packets": 2}]))
-            assert writer.rows_written == 2
-        _, segments, _ = scan_archive(path)
+        segments = FlowpackArchive(path).segments
         assert len(segments) == 2
-        assert read_flows_archive(path).packets.tolist() == [1, 2]
+        assert FlowpackArchive(path).read_all().packets.tolist() == [1, 2]
 
 
 class TestGenericTables:
@@ -376,12 +373,12 @@ class TestGenericTables:
         }
 
     def test_table_round_trip(self, tmp_path):
-        from repro.flowpack import open_table_archive, write_table_archive
+        from repro.flowpack import write_table_archive
 
         path = tmp_path / "t.fpk"
         arrays = self.arrays()
         write_table_archive(arrays, path, meta={"kind": "test-table"})
-        archive = open_table_archive(path)
+        archive = TableArchive(path)
         assert archive.meta["kind"] == "test-table"
         assert archive.num_rows == 5
         back = archive.read_arrays()
@@ -389,16 +386,15 @@ class TestGenericTables:
             np.testing.assert_array_equal(back[name], expect)
 
     def test_table_writer_multi_segment(self, tmp_path):
-        from repro.flowpack import TableWriter, open_table_archive
+        from repro.flowpack import TableWriter
 
         path = tmp_path / "t.fpk"
         with TableWriter(path, self.COLUMNS, meta={"kind": "k"}) as writer:
             writer.write_columns(self.arrays(3))
             writer.write_columns(self.arrays(2))
-            assert writer.rows_written == 5
-        archive = open_table_archive(path)
+        archive = TableArchive(path)
         assert len(archive.segments) == 2
-        assert archive.read_column("ids").tolist() == [0, 1, 2, 0, 1]
+        assert archive.read_arrays()["ids"].tolist() == [0, 1, 2, 0, 1]
 
     def test_ragged_columns_rejected(self, tmp_path):
         from repro.flowpack import TableWriter
@@ -410,12 +406,12 @@ class TestGenericTables:
                 writer.write_columns(bad)
 
     def test_expected_columns_enforced(self, tmp_path):
-        from repro.flowpack import open_table_archive, write_table_archive
+        from repro.flowpack import write_table_archive
 
         path = tmp_path / "t.fpk"
         write_table_archive(self.arrays(), path)
         with pytest.raises(FlowpackError):
-            open_table_archive(
+            TableArchive(
                 path, expected_columns={"other": np.int32}
             )
 
@@ -425,16 +421,16 @@ class TestGenericTables:
         path = tmp_path / "t.fpk"
         write_table_archive(self.arrays(), path)
         with pytest.raises(FlowpackError):
-            read_flows_archive(path)
+            FlowpackArchive(path).read_all()
 
     def test_generic_checksum_verification(self, tmp_path):
-        from repro.flowpack import open_table_archive, write_table_archive
+        from repro.flowpack import write_table_archive
 
         path = tmp_path / "t.fpk"
         write_table_archive(self.arrays(64), path)
         data = bytearray(path.read_bytes())
         data[-5] ^= 0xFF  # flip a bit inside the last column buffer
         path.write_bytes(bytes(data))
-        archive = open_table_archive(path)
+        archive = TableArchive(path)
         with pytest.raises(FlowpackError):
             archive.read_arrays()

@@ -158,7 +158,7 @@ class TestFlowsCsv:
         flows, report = read_flows_csv_lenient(path)
         assert flows.packets.tolist() == [1, 3]
         assert [error.line for error in report.errors] == [3]
-        assert report.error_fraction() == pytest.approx(1 / 3)
+        assert (report.total_rows, report.good_rows) == (3, 2)
 
     def test_lenient_header_mismatch_still_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -408,7 +408,7 @@ class TestCli:
 
     def test_convert_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.io import read_flows_archive
+        from repro.flowpack import FlowpackArchive
 
         flows = make_flows([{"packets": 3}, {"packets": 5, "spoofed": True}])
         csv_a = tmp_path / "a.csv"
@@ -417,13 +417,13 @@ class TestCli:
         write_flows_csv(flows, csv_a)
         assert main(["convert", str(csv_a), str(fpk)]) == 0
         assert "2 flow records" in capsys.readouterr().out
-        assert read_flows_archive(fpk).packets.tolist() == [3, 5]
+        assert FlowpackArchive(fpk).read_all().packets.tolist() == [3, 5]
         assert main(["convert", str(fpk), str(csv_b), "--to", "csv"]) == 0
         assert csv_a.read_bytes() == csv_b.read_bytes()
 
     def test_infer_capture_output_and_cache(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.io import read_flows
+        from repro.flowpack import FlowpackArchive
 
         capture = tmp_path / "captured.fpk"
         cache = tmp_path / "cache"
@@ -437,10 +437,10 @@ class TestCli:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "captured flow records" in first
-        cold = read_flows(capture)
+        cold = FlowpackArchive(capture).read_all()
 
         assert main(argv) == 0  # warm: served from the capture cache
-        assert read_flows(capture).packets.tolist() == cold.packets.tolist()
+        assert FlowpackArchive(capture).read_all().packets.tolist() == cold.packets.tolist()
         assert (tmp_path / "p.txt").exists()
         assert any(cache.glob("*/*.fpk"))
 

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.flowpack import FlowpackError, append_flows_archive
+from repro.flowpack import FlowpackArchive, FlowpackError, FlowpackWriter
 from repro.io import (
     convert_flows,
     prefix_list_text,
-    read_flows_archive,
     read_flows_csv,
     read_prefix_list,
     write_flows_archive,
@@ -67,13 +66,13 @@ class TestFlowRoundTrips:
     def test_flowpack(self, flows, tmp_path):
         path = tmp_path / "v6.fpk"
         write_flows_archive(flows, path, chunk_rows=32)
-        assert tables_equal(read_flows_archive(path), flows)
+        assert tables_equal(FlowpackArchive(path).read_all(), flows)
 
     def test_empty_v6_table(self, tmp_path):
         empty = FlowTable.empty("ipv6")
         path = tmp_path / "empty.fpk"
         write_flows_archive(empty, path)
-        loaded = read_flows_archive(path)
+        loaded = FlowpackArchive(path).read_all()
         assert loaded.family == "ipv6" and len(loaded) == 0
 
     def test_append_family_mismatch_rejected(self, flows, tmp_path):
@@ -81,13 +80,14 @@ class TestFlowRoundTrips:
         write_flows_archive(flows, path)
         v4 = FlowTable.empty("ipv4")
         with pytest.raises(FlowpackError, match="ipv6"):
-            append_flows_archive(v4, path)
+            FlowpackWriter(path, append=True, family=v4.family)
 
     def test_append_same_family_extends(self, flows, tmp_path):
         path = tmp_path / "v6.fpk"
         write_flows_archive(flows, path)
-        append_flows_archive(flows, path)
-        assert len(read_flows_archive(path)) == 2 * len(flows)
+        with FlowpackWriter(path, append=True, family=flows.family) as writer:
+            writer.write(flows)
+        assert len(FlowpackArchive(path).read_all()) == 2 * len(flows)
 
     def test_convert_preserves_family_both_ways(self, flows, tmp_path):
         csv = tmp_path / "v6.csv"
@@ -95,7 +95,7 @@ class TestFlowRoundTrips:
         back = tmp_path / "back.csv"
         write_flows_csv(flows, csv)
         assert convert_flows(csv, pack, to="flowpack", chunk_rows=40) == len(flows)
-        assert tables_equal(read_flows_archive(pack), flows)
+        assert tables_equal(FlowpackArchive(pack).read_all(), flows)
         assert convert_flows(pack, back, to="csv", chunk_rows=40) == len(flows)
         assert tables_equal(read_flows_csv(back), flows)
 

@@ -29,13 +29,12 @@ SRC = REPO / "src" / "repro"
 #: and ``snapshot.build_snapshot(`` are the same call.
 ALLOWED_CALLERS = {
     "PrefixAccumulator": {"core/accum.py", "core/engine.py", "core/parallel.py"},
-    "from_state": {"core/accum.py", "core/parallel.py", "core/federation.py"},
+    "from_state": {"core/accum.py", "core/parallel.py"},
     "resolve_execution_knobs": {"core/engine.py"},
     "build_snapshot": {
         "core/snapshot.py",
         "core/metatelescope.py",
         "core/online.py",
-        "core/federation.py",
     },
     # A per-view aggregate: every per-/24 sum is read off the accumulator.
     "aggregates": set(),
@@ -47,6 +46,48 @@ ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
 ALLOWED_IMPORTERS = {
     "multiprocessing": {"core/parallel.py", "service/fleet.py"},
 }
+#: Public names deleted because no production entry point reached them
+#: (``tools/reach``): federation's partial-accumulator path, the scalar
+#: lookups the vectorised ones replaced, the topology walks, the
+#: world-object wrappers and the test-only helpers.  Deleted methods
+#: whose names live code still uses (``dump``, ``describe``, ``union``,
+#: ``prefixes``, ...) cannot be banned by word and are not listed.
+DELETED_SURFACE = (
+    # core/federation.py
+    "from_accumulator", "excluded_members", "owner_of", "unmark",
+    # scalar lookups: net/trie.py, bgp/rib.py, datasets/pfx2as.py
+    "longest_match", "covers_block", "covered_mask", "origin_of_ip",
+    "origin_of_block", "is_routed_block", "asn_of_block", "mapped_prefixes",
+    "ip_in_prefix", "prefix_from_ip", "blocks_of_prefix",
+    # net/family.py, net/ipv4.py, net/ipv6.py, net/hilbert.py
+    "family_names", "blocks_to_keys", "key_of_ip", "lo_of_ip",
+    "block_of_key", "block_to_network_ip", "first_ip", "num_addresses",
+    "contains_block", "contains_prefix", "grid_for_blocks",
+    # bgp/topology.py
+    "build_hierarchy", "transit_path_exists", "is_stub", "peers_of",
+    # core/combine.py, core/online.py, core/accum.py, core/kernels.py
+    "cumulative_day_results", "intersect_dark", "union_dark",
+    "max_staleness_seen", "rows_ingested", "invalidate_cache",
+    # service/handle.py, core/snapshot.py
+    "diff_since", "empty_snapshot",
+    # flowpack.py, repro.io and its re-exports
+    "error_fraction", "scan_archive", "archive_meta", "open_table_archive",
+    "read_column", "rows_written", "append_flows_archive",
+    "open_flows_archive", "read_flows_archive", "read_flows",
+    # world/, robustness/catalog.py
+    "giant_world", "small_ipv6_world", "paper_ipv6_world",
+    "giant_ipv6_world", "micro_observatory", "DayGatedActor",
+    "known_mask", "blocks_of_type", "blocks_of_country", "prune",
+    "scenario_names",
+    # net/blocksets.py, net/hilbert.py, reporting/ecdf.py, traffic/
+    "from_prefixes", "to_cidrs", "d2xy", "xy2d", "sample_points",
+    "from_blocks", "sample_sizes",
+    # analysis/, reporting/, datasets/, geo/
+    "top_dark_organizations", "estimated_attack_share", "overlap_share",
+    "continent_counts", "log_scale_world_counts", "write_pgm",
+    "is_heavy", "daily_dark_sets", "render_share_table", "by_type",
+    "by_country", "org_of", "num_organizations", "countries_of_continent",
+)
 #: Deleted second doors — the convenience fold, the per-view
 #: aggregation and its view-fed tolerances, the stage plugin layer and
 #: its second timing record, the test-only chunked captures: not
@@ -55,7 +96,8 @@ DELETED = re.compile(
     r"\b(?:accumulate_views|BlockAggregates|compute_block_aggregates"
     r"|tolerances?_for_views?"
     r"|StageEngine|StageContext|StageTiming|DEFAULT_STAGES|stage_timings"
-    r"|capture_chunks|export_day_chunks|export_view_chunks)\b"
+    r"|capture_chunks|export_day_chunks|export_view_chunks"
+    r"|" + "|".join(DELETED_SURFACE) + r")\b"
 )
 #: Where a ``def`` or ``class`` under ``src/repro`` may be referenced.
 REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
@@ -225,7 +267,7 @@ def test_each_step_has_one_door():
         "only from its accumulator, knobs resolve only "
         "in the engine, the facade plans only in MetaTelescope.plan / "
         ".accumulate (and run_pipeline), snapshots are built only by "
-        "snapshot / metatelescope / online / federation, and only "
+        "snapshot / metatelescope / online, and only "
         "core/parallel.py and service/fleet.py import multiprocessing:\n"
         + "\n".join(found)
     )
@@ -354,6 +396,24 @@ def test_deleted_layers_stay_deleted():
         ], module
     # A name that merely contains one is not caught.
     assert not offenders({"cli.py": "def _print_stage_timings(): ...\n"})
+
+
+def test_unreached_surface_stays_deleted():
+    # Guard the guard: each deleted name, pasted back as a definition or
+    # a call, is found alone.
+    for name in DELETED_SURFACE:
+        for text in (f"def {name}(self): ...\n", f"found = table.{name}(x)\n"):
+            assert offenders({"core/refine.py": text}) == [
+                f"src/repro/core/refine.py:1: {text.strip()}"
+            ], name
+    # Live names that contain a deleted one are not caught.
+    assert not offenders({
+        "io.py": "report = read_flows_archive_lenient(path)\n",
+        "core/metatelescope.py": (
+            "tolerance = tolerances_from_accumulator(accumulator, baseline)\n"
+        ),
+        "bgp/rib.py": "mask = self.routed_mask(blocks)\n",
+    })
 
 
 def test_every_definition_is_referenced():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io import read_flows, write_flows
+from repro.flowpack import FlowpackArchive
+from repro.io import read_flows_csv, write_flows
 from repro.traffic.epidemic import EpidemicOutbreakActor
 from repro.traffic.evasion import (
     MIN_PADDED_SIZE,
@@ -76,9 +77,9 @@ class TestPaddedEvasiveScanner:
         csv_path = tmp_path / "padded.csv"
         pack_path = tmp_path / "padded.fp"
         write_flows(flows, str(csv_path), format="csv")
-        from_csv = read_flows(str(csv_path))
+        from_csv = read_flows_csv(str(csv_path))
         write_flows(from_csv, str(pack_path), format="flowpack")
-        restored = read_flows(str(pack_path))
+        restored = FlowpackArchive(str(pack_path)).read_all()
         assert np.array_equal(restored.bytes, flows.bytes)
         assert np.array_equal(restored.packets, flows.packets)
         assert (restored.bytes / restored.packets >= MIN_PADDED_SIZE).all()

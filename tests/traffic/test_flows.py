@@ -74,10 +74,6 @@ class TestSelection:
         subset = table.toward_blocks(np.array([100]))
         assert len(subset) == 2
 
-    def test_from_blocks(self):
-        table = make_flows([{"src_ip": ip(5)}, {"src_ip": ip(6)}])
-        assert len(table.from_blocks(np.array([6]))) == 1
-
     def test_block_columns(self):
         table = make_flows([{"src_ip": ip(7, 3), "dst_ip": ip(9, 4)}])
         assert table.src_blocks()[0] == 7

@@ -32,11 +32,6 @@ class TestPacketSizeModel:
         with pytest.raises(ValueError):
             PacketSizeModel(sizes=(40,), weights=(0.0,))
 
-    def test_sample_sizes_in_support(self, rng):
-        model = ibr_tcp_size_model()
-        sizes = model.sample_sizes(500, rng)
-        assert set(sizes.tolist()) <= set(model.sizes)
-
     def test_sample_totals_bounds(self, rng):
         model = PacketSizeModel(sizes=(40, 1500), weights=(0.9, 0.1))
         counts = np.array([1, 10, 100])

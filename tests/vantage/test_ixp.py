@@ -10,9 +10,9 @@ from _factories import make_flows
 
 
 def small_fabric(customer_engagement=0.5, continent_of_asn=None):
-    topology = AsTopology.build_hierarchy(
-        tier1=[1], mid_tier={2: [1]}, stubs={3: [2], 4: [2]}
-    )
+    topology = AsTopology()
+    for provider, customer in ((1, 2), (2, 3), (2, 4)):
+        topology.add_provider_customer(provider, customer)
     ixps = [
         Ixp(
             code="X1",
@@ -77,9 +77,9 @@ class TestEngagement:
         assert fabric.engagement_of("X1", 4) == 0.5
 
     def test_excluded_asns(self):
-        topology = AsTopology.build_hierarchy(
-            tier1=[1], mid_tier={2: [1]}, stubs={3: [2]}
-        )
+        topology = AsTopology()
+        for provider, customer in ((1, 2), (2, 3)):
+            topology.add_provider_customer(provider, customer)
         ixp = Ixp(
             code="X1",
             region="CE",

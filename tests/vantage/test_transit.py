@@ -39,9 +39,6 @@ def make_vantage(**overrides):
 
 
 class TestCapture:
-    def test_cone(self):
-        assert make_vantage().cone == frozenset({1, 2, 3})
-
     def test_in_cone_traffic_captured(self, rng):
         vantage = make_vantage()
         flows = make_flows(

@@ -126,7 +126,8 @@ class TestWorldStructure:
     def test_datasets_present(self, world):
         datasets = world.datasets
         assert [d.name for d in datasets.liveness] == ["censys", "ndt", "isi"]
-        assert datasets.as2org.num_organizations() == len(world.registry)
+        organizations = {org.org_id for org in datasets.as2org.mapping.values()}
+        assert len(organizations) == len(world.registry)
 
     def test_liveness_mostly_correct(self, world):
         union_active = world.index.truly_active_blocks()
@@ -137,5 +138,5 @@ class TestWorldStructure:
     def test_annotate_dst_asn(self, world, rng):
         flows = world.mix.generate_day(0, rng)
         annotated = world.annotate_dst_asn(flows)
-        known = world.index.known_mask(annotated.dst_blocks())
+        known = world.index.positions(annotated.dst_blocks()) >= 0
         assert (annotated.dst_asn[known] >= 0).all()

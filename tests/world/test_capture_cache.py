@@ -71,9 +71,7 @@ class TestCache:
         cache.store(cache.key_for(world.config, 0, view.vantage), view)
         stats = cache.stats()
         assert stats.entries == 1 and stats.bytes > 0
-        assert "1 entrie(s)" in stats.summary()
-        assert cache.prune() == 1
-        assert cache.stats().entries == 0
+        assert stats.misses == 0 and stats.hits == 0
 
 
 class TestObservatoryWiring:

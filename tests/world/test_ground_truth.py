@@ -39,7 +39,7 @@ class TestLookups:
 
     def test_known_mask(self):
         index = make_index()
-        assert index.known_mask(np.array([10, 15])).tolist() == [True, False]
+        assert (index.positions(np.array([10, 15])) >= 0).tolist() == [True, False]
 
     def test_asn_of(self):
         index = make_index()
@@ -80,14 +80,6 @@ class TestSelections:
     def test_by_continent(self):
         index = make_index()
         assert index.blocks_of_continent(Continent.EUROPE).tolist() == [30]
-
-    def test_by_type(self):
-        index = make_index()
-        assert index.blocks_of_type(ASType.ISP).tolist() == [10, 20]
-
-    def test_by_country(self):
-        index = make_index()
-        assert index.blocks_of_country("CN").tolist() == [40]
 
 
 class TestValidation:

@@ -15,7 +15,7 @@ from repro.world.ipv6 import (
     ipv6_views,
     micro_ipv6_config,
     micro_ipv6_world,
-    small_ipv6_world,
+    small_ipv6_config,
 )
 
 
@@ -35,7 +35,7 @@ class TestBuild:
         assert micro_ipv6_world(seed=7).orgs != micro_ipv6_world(seed=8).orgs
 
     def test_org_space_is_global_unicast_and_int64_safe(self):
-        world = small_ipv6_world()
+        world = build_ipv6_world(small_ipv6_config())
         for org in world.orgs:
             assert org.prefix.length == 40
             for site in org.sites:
@@ -46,7 +46,7 @@ class TestBuild:
             assert (site << 16) < (1 << 63)
 
     def test_site_roles_partition(self):
-        world = small_ipv6_world()
+        world = build_ipv6_world(small_ipv6_config())
         for org in world.orgs:
             roles = (
                 set(org.dark_sites) | set(org.quiet_sites) | set(org.loud_sites)
@@ -54,12 +54,12 @@ class TestBuild:
             assert len(roles) == len(org.sites)
 
     def test_hitlist_is_incomplete_subset_of_active(self):
-        world = small_ipv6_world()
-        active = world.active_sites()
+        world = build_ipv6_world(small_ipv6_config())
+        active = frozenset(site for org in world.orgs for site in org.active_sites)
         assert world.hitlist_sites < active
 
     def test_never_announced_orgs_excluded_from_truth(self):
-        world = small_ipv6_world()
+        world = build_ipv6_world(small_ipv6_config())
         never = [org for org in world.orgs if org.announce_day is None]
         assert len(never) == world.config.unannounced_orgs
         dark = world.dark_sites()
@@ -163,7 +163,7 @@ class TestCandidateDrops:
         assert len(result.candidate_sites) == 15
 
     def test_small_seed7_pinned_counts(self):
-        world = small_ipv6_world(seed=7)
+        world = build_ipv6_world(small_ipv6_config(seed=7))
         result = self.drops(world, ipv6_views(world))
         assert result.observed == 73
         assert result.dropped_unannounced == 6

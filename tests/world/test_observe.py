@@ -16,11 +16,11 @@ class TestObservatory:
         assert day0.isp_view.vantage == "ISP1"
 
     def test_view_lookup(self, day0):
-        assert day0.view("CE1").vantage == "CE1"
-        assert day0.view("TUS1").vantage == "TUS1"
-        assert day0.view("ISP1").vantage == "ISP1"
+        assert day0.ixp_views["CE1"].vantage == "CE1"
+        assert day0.telescope_views["TUS1"].vantage == "TUS1"
+        assert day0.isp_view.vantage == "ISP1"
         with pytest.raises(KeyError):
-            day0.view("NOPE")
+            day0.ixp_views["NOPE"]
 
     def test_sampling_factors_match_config(self, day0, world):
         for spec in world.config.ixps:
@@ -66,7 +66,8 @@ class TestObservatory:
         assert big > small
 
     def test_telescope_receives_mostly_tcp(self, day0):
-        from repro.analysis.ports import tcp_share
+        from repro.traffic.packets import PROTO_TCP
 
-        view = day0.telescope_views["TUS1"]
-        assert tcp_share(view.flows) > 0.7
+        flows = day0.telescope_views["TUS1"].flows
+        tcp = flows.filter(flows.proto == PROTO_TCP)
+        assert tcp.total_packets() > 0.7 * flows.total_packets()

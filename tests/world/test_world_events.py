@@ -1,4 +1,4 @@
-"""Tests for world events: flash re-activation, steering, day gating."""
+"""Tests for world events: flash re-activation and steering."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from repro.net.ipv4 import Prefix
 from repro.traffic.flows import FlowTable
 from repro.traffic.mix import DailyTrafficMix
 from repro.traffic.spoofing import TargetedSpoofFlood
-from repro.world.scenarios import (
-    DayGatedActor,
-    FlashReactivation,
-    SteeredTrafficMix,
-)
+from repro.world.scenarios import FlashReactivation, SteeredTrafficMix
 
 
 class _ConstantActor:
@@ -30,13 +26,6 @@ class _ConstantActor:
             dst_asn=np.array([200], dtype=np.int32),
             spoofed=np.array([False]),
         )
-
-
-class TestDayGatedActor:
-    def test_silent_before_the_gate(self, rng):
-        gated = DayGatedActor(actor=_ConstantActor(), start_day=2)
-        assert len(gated.generate(1, rng)) == 0
-        assert len(gated.generate(2, rng)) == 1
 
 
 class TestFlashReactivation:
@@ -105,12 +94,6 @@ class TestSteeredTrafficMix:
     def test_event_day_steers_dst_asn(self, rng):
         flows = self.steered(shift_share=1.0).generate_day(1, rng)
         assert flows.dst_asn[0] == 64999
-
-    def test_actors_pass_through(self):
-        steered = self.steered()
-        assert len(steered.actors) == 1
-        steered.add(_ConstantActor())
-        assert len(steered.actors) == 2
 
 
 class TestTargetedSpoofFlood:
