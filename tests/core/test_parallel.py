@@ -37,6 +37,7 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
+from repro.net.trie import PrefixTrie
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
@@ -497,3 +498,17 @@ class TestRoutingTableCache:
         second = routing.routed_mask(blocks)
         assert routing._interval_cache[0] is starts_before
         np.testing.assert_array_equal(first, second)
+
+    def test_matches_trie(self, routing):
+        # Every block inside a stored prefix no longer than a block,
+        # checked prefix by prefix rather than through the interval table.
+        trie = PrefixTrie(family=routing.family)
+        for announcement in routing.announcements:
+            trie.insert(announcement.prefix, announcement.origin_asn)
+        blocks = np.arange(0, 1 << 16, 13, dtype=np.int64)
+        expected = np.zeros(blocks.shape, dtype=bool)
+        for prefix, _ in trie.items():
+            if prefix.length <= routing.family.block_prefix_length:
+                first = prefix.first_block()
+                expected |= (blocks >= first) & (blocks < first + prefix.num_blocks())
+        np.testing.assert_array_equal(routing.routed_mask(blocks), expected)

@@ -125,6 +125,19 @@ def prefixes(draw):
 class TestProperties:
     @given(st.lists(prefixes(), min_size=1, max_size=20), st.data())
     @settings(max_examples=60)
+    def test_mask_agrees_with_scalar_lookup(self, prefix_list, data):
+        trie = PrefixTrie()
+        for i, prefix in enumerate(prefix_list):
+            trie.insert(prefix, i)
+        block = data.draw(st.integers(min_value=0, max_value=2**24 - 1))
+        scalar = any(
+            prefix.length <= 24 and prefix.contains_ip(block << 8)
+            for prefix, _ in trie.items()
+        )
+        assert bool(covered(trie, [block])[0]) == scalar
+
+    @given(st.lists(prefixes(), min_size=1, max_size=20), st.data())
+    @settings(max_examples=60)
     def test_lpm_is_a_cover(self, prefix_list, data):
         # Origin i for prefix i: the answer names a covering prefix, and
         # no longer one covers the block.
