@@ -21,6 +21,18 @@
  * a range that fits 32 bits sorts 12-/8-byte records with 32-bit
  * offsets in 1-3 passes; only a wider one (64-bit keys alone get
  * there) sorts 16-byte records with 64-bit offsets in up to 5.
+ *
+ * merge_k (any number of sorted-unique parts) is the same algorithm
+ * over the parts' concatenation: (offset, row) records — 8 bytes when
+ * the key range and row ids fit 32 bits, 16 otherwise — sorted by the
+ * same stable LSD passes, then one branchless segmented reduce that
+ * starts each key at 0.0 and gathers its values from the parts in part
+ * order.  That is np.bincount's order over the concatenation by
+ * construction, with no part-count limit and no data-dependent branch
+ * per part head (a heap or a head scan pays one per part per key).
+ * merge_sorted keeps the two-part case, where a linear merge measured
+ * faster than the sort.  No kernel allocates: scratch comes from the
+ * caller's per-thread pool.
  */
 
 #include <stdint.h>
@@ -67,24 +79,28 @@ static int pass_plan(int bits, int *widths, int *shifts) {
     return npass;
 }
 
-/* All pass histograms in one read of the keys, turned into each
- * pass's scatter positions.  Inlined per record width so the pass
- * loop unrolls over the constant `maxp`. */
-static inline __attribute__((always_inline)) void radix_positions(
+/* Add one key column to every pass histogram in a single read.
+ * Inlined per record width so the pass loop unrolls over the constant
+ * `maxp`. */
+static inline __attribute__((always_inline)) void radix_count(
     const void *keys, int key_bits, int64_t n, uint64_t kmin,
     int npass, const int *widths, const int *shifts, int maxp,
     int64_t (*hist)[MAX_PASS_SLOTS])
 {
-    uint64_t masks[MAX_PASSES];
-    for (int p = 0; p < npass; p++) {
-        memset(hist[p], 0, sizeof(int64_t) << widths[p]);
+    uint64_t masks[MAX_PASSES] = {0};
+    for (int p = 0; p < npass; p++)
         masks[p] = ((uint64_t)1 << widths[p]) - 1;
-    }
     for (int64_t i = 0; i < n; i++) {
         uint64_t u = (uint64_t)key_at(keys, key_bits, i) - kmin;
         for (int p = 0; p < maxp; p++)
             if (p < npass) hist[p][(u >> shifts[p]) & masks[p]]++;
     }
+}
+
+/* Counted histograms -> each pass's scatter positions. */
+static void radix_starts(int npass, const int *widths,
+                         int64_t (*hist)[MAX_PASS_SLOTS])
+{
     for (int p = 0; p < npass; p++) {
         int64_t run = 0;
         for (int64_t b = 0; b < (int64_t)1 << widths[p]; b++) {
@@ -93,6 +109,19 @@ static inline __attribute__((always_inline)) void radix_positions(
             run += count;
         }
     }
+}
+
+/* All pass histograms in one read of the keys, turned into each
+ * pass's scatter positions. */
+static inline __attribute__((always_inline)) void radix_positions(
+    const void *keys, int key_bits, int64_t n, uint64_t kmin,
+    int npass, const int *widths, const int *shifts, int maxp,
+    int64_t (*hist)[MAX_PASS_SLOTS])
+{
+    for (int p = 0; p < npass; p++)
+        memset(hist[p], 0, sizeof(int64_t) << widths[p]);
+    radix_count(keys, key_bits, n, kmin, npass, widths, shifts, maxp, hist);
+    radix_starts(npass, widths, hist);
 }
 
 /* The record-typed half of the folds, stamped out once per offset
@@ -322,8 +351,9 @@ int64_t fold_chunk(
 }
 
 /* Two-way merge of sorted-unique keyed parts, summing equal keys as
- * left + right — the float operation order np.bincount applies to the
- * concatenated parts.  Returns the merged length. */
+ * 0.0 + left + right — the float operation order np.bincount applies
+ * to the concatenated parts (a lone -0.0 comes out +0.0, as there).
+ * Returns the merged length. */
 int64_t merge_sorted(
     const int64_t *ka, const double *const *va, int64_t na,
     const int64_t *kb, const double *const *vb, int64_t nb,
@@ -334,16 +364,16 @@ int64_t merge_sorted(
         int64_t a = ka[i], b = kb[j];
         if (a < b) {
             ko[m] = a;
-            for (int64_t c = 0; c < ncols; c++) vo[c][m] = va[c][i];
+            for (int64_t c = 0; c < ncols; c++) vo[c][m] = 0.0 + va[c][i];
             i++;
         } else if (b < a) {
             ko[m] = b;
-            for (int64_t c = 0; c < ncols; c++) vo[c][m] = vb[c][j];
+            for (int64_t c = 0; c < ncols; c++) vo[c][m] = 0.0 + vb[c][j];
             j++;
         } else {
             ko[m] = a;
             for (int64_t c = 0; c < ncols; c++)
-                vo[c][m] = va[c][i] + vb[c][j];
+                vo[c][m] = 0.0 + va[c][i] + vb[c][j];
             i++;
             j++;
         }
@@ -351,56 +381,143 @@ int64_t merge_sorted(
     }
     while (i < na) {
         ko[m] = ka[i];
-        for (int64_t c = 0; c < ncols; c++) vo[c][m] = va[c][i];
+        for (int64_t c = 0; c < ncols; c++) vo[c][m] = 0.0 + va[c][i];
         i++;
         m++;
     }
     while (j < nb) {
         ko[m] = kb[j];
-        for (int64_t c = 0; c < ncols; c++) vo[c][m] = vb[c][j];
+        for (int64_t c = 0; c < ncols; c++) vo[c][m] = 0.0 + vb[c][j];
         j++;
         m++;
     }
     return m;
 }
 
-/* K-way merge of sorted-unique keyed parts, accumulating each key's
- * sum over parts in part order starting from 0.0 — the float operation
- * order np.bincount applies to the concatenated parts.  One sequential
- * pass over every part; no sort.  `part_cols` holds nparts*ncols
- * column pointers, part-major.  Returns the merged length, or -1 when
- * nparts exceeds the head-index capacity (caller falls back). */
+/* The k-way merge's sort-reduce, stamped out once per record width W
+ * (OFF_T offsets and row ids, at most MAXP passes): the parts' keys,
+ * read in part order, become (offset, row) records sorted stably by
+ * offset — equal keys keep part order — and a branchless segmented
+ * reduce gathers each record's values into sums that start from 0.0.
+ * A row id is (part << lbits) | index within the part, so the gather
+ * reads the parts' own columns.  total >= 1. */
+#define DEFINE_MERGE_REDUCE(W, OFF_T, MAXP)                                 \
+typedef struct { OFF_T off; OFF_T row; } mrec_##W;                          \
+                                                                            \
+static inline __attribute__((always_inline)) int64_t merge_scan_##W(        \
+    const mrec_##W *cur, int64_t total, uint64_t kmin, int lbits,           \
+    const double *const *part_cols, int64_t ncols, int64_t *ko,             \
+    double *const *vo)                                                      \
+{                                                                           \
+    uint64_t lmask = ((uint64_t)1 << lbits) - 1;                            \
+    OFF_T prev = ~cur[0].off;                                               \
+    int64_t nu = 0;                                                         \
+    for (int64_t i = 0; i < total; i++) {                                   \
+        mrec_##W rec = cur[i];                                              \
+        int fresh = rec.off != prev;                                        \
+        prev = rec.off;                                                     \
+        nu += fresh;                                                        \
+        int64_t m = nu - 1;                                                 \
+        ko[m] = (int64_t)(kmin + rec.off);                                  \
+        uint64_t row = rec.row;                                             \
+        const double *const *cols = part_cols + (row >> lbits) * ncols;     \
+        int64_t at = (int64_t)(row & lmask);                                \
+        for (int64_t c = 0; c < ncols; c++) {                               \
+            double sum = vo[c][m];                                          \
+            sum = fresh ? 0.0 : sum;                                        \
+            vo[c][m] = sum + cols[c][at];                                   \
+        }                                                                   \
+    }                                                                       \
+    return nu;                                                              \
+}                                                                           \
+                                                                            \
+static int64_t merge_reduce_##W(                                            \
+    const int64_t *const *part_keys, const double *const *part_cols,        \
+    const int64_t *part_lens, int64_t nparts, int64_t ncols, int64_t total, \
+    uint64_t kmin, int bits, int lbits, int64_t *ko, double *const *vo,     \
+    mrec_##W *bufa, mrec_##W *bufb)                                         \
+{                                                                           \
+    int widths[MAXP], shifts[MAXP];                                         \
+    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
+    int npass = pass_plan(bits, widths, shifts);                            \
+    for (int p = 0; p < npass; p++)                                         \
+        memset(hist[p], 0, sizeof(int64_t) << widths[p]);                   \
+    for (int64_t q = 0; q < nparts; q++)                                    \
+        radix_count(part_keys[q], 64, part_lens[q], kmin, npass, widths,   \
+                    shifts, MAXP, hist);                                    \
+    radix_starts(npass, widths, hist);                                      \
+    OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
+    for (int64_t q = 0; q < nparts; q++) {                                  \
+        const int64_t *keys = part_keys[q];                                 \
+        for (int64_t i = 0; i < part_lens[q]; i++) {                        \
+            mrec_##W rec;                                                   \
+            rec.off = (OFF_T)((uint64_t)keys[i] - kmin);                    \
+            rec.row = (OFF_T)(((uint64_t)q << lbits) | (uint64_t)i);        \
+            bufa[hist[0][rec.off & mask0]++] = rec;                         \
+        }                                                                   \
+    }                                                                       \
+    mrec_##W *cur = bufa, *alt = bufb;                                      \
+    for (int p = 1; p < npass; p++) {                                       \
+        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
+        for (int64_t i = 0; i < total; i++)                                 \
+            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
+        mrec_##W *swap = cur; cur = alt; alt = swap;                        \
+    }                                                                       \
+    /* A constant column count unrolls the gather: the per-key dst     \
+     * sums have 3 columns, the src, day and block families 1. */          \
+    if (ncols == 1)                                                         \
+        return merge_scan_##W(cur, total, kmin, lbits, part_cols, 1, ko, vo); \
+    if (ncols == 3)                                                         \
+        return merge_scan_##W(cur, total, kmin, lbits, part_cols, 3, ko, vo); \
+    return merge_scan_##W(cur, total, kmin, lbits, part_cols, ncols, ko, vo); \
+}
+
+DEFINE_MERGE_REDUCE(narrow, uint32_t, 3)
+DEFINE_MERGE_REDUCE(wide, uint64_t, MAX_PASSES)
+
+/* K-way merge of sorted-unique keyed parts: the fold's radix
+ * sort-reduce over the parts' concatenation, so each key's sums
+ * accumulate over parts in part order starting from 0.0 — the float
+ * operation order np.bincount applies to the concatenated parts — for
+ * any part count.  `part_cols` holds nparts*ncols column pointers,
+ * part-major; `vo` holds ncols output columns and `ko` / `vo` room for
+ * every input row.  `scratch` holds 2*total 16-byte records (the
+ * caller's pooled buffer: no allocation here).  A key range and row
+ * ids that fit 32 bits sort 8-byte records, anything wider 16-byte
+ * ones.  Returns the merged length, or -1 on a shape it does not take
+ * (the caller falls back). */
 int64_t merge_k(
     const int64_t *const *part_keys, const double *const *part_cols,
     const int64_t *part_lens, int64_t nparts, int64_t ncols,
-    int64_t *ko, double **vo)
+    int64_t *ko, double *const *vo, void *scratch)
 {
-    int64_t idx[64];
-    if (nparts > 64) return -1;
-    for (int64_t p = 0; p < nparts; p++) idx[p] = 0;
-    int64_t m = 0;
-    for (;;) {
-        int64_t best = 0;
-        int live = 0;
-        for (int64_t p = 0; p < nparts; p++) {
-            if (idx[p] < part_lens[p]) {
-                int64_t k = part_keys[p][idx[p]];
-                if (!live || k < best) best = k;
-                live = 1;
-            }
-        }
-        if (!live) break;
-        ko[m] = best;
-        for (int64_t c = 0; c < ncols; c++) vo[c][m] = 0.0;
-        for (int64_t p = 0; p < nparts; p++) {
-            int64_t i = idx[p];
-            if (i < part_lens[p] && part_keys[p][i] == best) {
-                const double *const *cols = part_cols + p * ncols;
-                for (int64_t c = 0; c < ncols; c++) vo[c][m] += cols[c][i];
-                idx[p] = i + 1;
-            }
-        }
-        m++;
+    if (nparts < 1 || ncols < 1) return -1;
+    int64_t total = 0, longest = 0;
+    int64_t kmin = 0, kmax = 0;
+    for (int64_t q = 0; q < nparts; q++) {
+        int64_t len = part_lens[q];
+        if (len < 0) return -1;
+        if (len == 0) continue;
+        /* Sorted parts: the range is read off the ends. */
+        int64_t lo = part_keys[q][0], hi = part_keys[q][len - 1];
+        if (total == 0 || lo < kmin) kmin = lo;
+        if (total == 0 || hi > kmax) kmax = hi;
+        if (len > longest) longest = len;
+        total += len;
     }
-    return m;
+    if (total == 0) return 0;
+    int bits = bits_of((uint64_t)kmax - (uint64_t)kmin);
+    int lbits = bits_of((uint64_t)longest - 1);
+    int row_bits = lbits + bits_of((uint64_t)nparts - 1);
+    if (row_bits > 64) return -1;
+    char *base = scratch;
+    if (bits <= 32 && row_bits <= 32)
+        return merge_reduce_narrow(part_keys, part_cols, part_lens, nparts,
+                                   ncols, total, (uint64_t)kmin, bits, lbits,
+                                   ko, vo, (mrec_narrow *)base,
+                                   (mrec_narrow *)(base + 8 * total));
+    return merge_reduce_wide(part_keys, part_cols, part_lens, nparts, ncols,
+                             total, (uint64_t)kmin, bits, lbits, ko, vo,
+                             (mrec_wide *)base,
+                             (mrec_wide *)(base + 16 * total));
 }

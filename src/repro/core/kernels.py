@@ -8,10 +8,12 @@ Two backends compute the accumulator's hot loops:
   (``merge_sorted_parts``).  This arithmetic is written in numpy here
   and nowhere else; the accumulator has no regroup of its own.
 * ``native`` — :class:`NativeKernel`, the ctypes binding of
-  ``_kernels.c``: a fused radix-sort fold and linear two-way / k-way
-  merges of sorted parts, the two ops the layer budget shows earning
-  their C (``group_sum`` of unsorted parts and the stage masks are
-  numpy under either backend).  The source is compiled once with the
+  ``_kernels.c``: a fused radix-sort fold, and merges of sorted parts
+  (linear for two, the fold's radix sort-reduce for more) — the two
+  ops the layer budget shows earning their C (``group_sum`` of
+  unsorted parts and the stage masks are numpy under either backend).
+  A negative count from the C is a decline, and the reference takes
+  that call.  The source is compiled once with the
   system C compiler (cached under ``~/.cache/repro/kernels``) and
   needs no Python dependency; without a compiler the backend silently
   degrades to the reference (the engine emits a ``kernel`` trace event
@@ -69,9 +71,6 @@ DISABLE_NATIVE_ENV = "REPRO_DISABLE_NATIVE_KERNEL"
 
 #: Override the on-disk cache directory for the compiled C library.
 CACHE_DIR_ENV = "REPRO_KERNEL_CACHE"
-
-#: Head-index capacity of the C ``merge_k``; more parts chain pairwise.
-_MERGE_K_MAX_PARTS = 64
 
 
 def concat_parts(parts):
@@ -143,8 +142,12 @@ class NumpyKernel:
         float64 sums accumulated in row order via ``np.bincount``.
         """
         unique_keys, inverse = np.unique(keys, return_inverse=True)
+        # np.bincount of no rows is int64 even with weights: the cast
+        # keeps an empty part's sums float64 like every other part's.
         sums = tuple(
-            np.bincount(inverse, weights=column, minlength=len(unique_keys))
+            np.bincount(
+                inverse, weights=column, minlength=len(unique_keys)
+            ).astype(np.float64, copy=False)
             for column in values
         )
         return unique_keys, sums
@@ -172,9 +175,6 @@ class NumpyKernel:
 # ---------------------------------------------------------------------------
 
 _I64 = ctypes.c_int64
-_P_I64 = ctypes.POINTER(_I64)
-_P_F64 = ctypes.POINTER(ctypes.c_double)
-_PP_F64 = ctypes.POINTER(_P_F64)
 
 
 # Argument types: contiguous 1-d numpy arrays, dtype-checked per call.
@@ -182,6 +182,8 @@ _U8, _KEYS, _SUMS = (
     np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
     for dtype in (np.uint8, np.int64, np.float64)
 )
+#: Pointer tables: int64 arrays of data addresses (see _addresses).
+_PTRS = _KEYS
 #: The fold's address columns: any dtype here, checked against
 #: ``_FOLD_KEYS`` in :meth:`NativeKernel.fold_chunk`.
 _ADDRS = np.ctypeslib.ndpointer(ndim=1, flags="C_CONTIGUOUS")
@@ -192,15 +194,18 @@ _ADDRS = np.ctypeslib.ndpointer(ndim=1, flags="C_CONTIGUOUS")
 _FOLD_KEYS = {np.dtype(np.uint32): (32, 12), np.dtype(np.uint64): (64, 16)}
 
 
-def _col_ptrs(columns):
-    ptrs = (_P_F64 * len(columns))()
-    for i, col in enumerate(columns):
-        ptrs[i] = col.ctypes.data_as(_P_F64)
-    return ptrs
+def _addresses(arrays) -> np.ndarray:
+    """The arrays' data addresses as one int64 pointer table.
+
+    One integer per array instead of one ctypes pointer cast each; the
+    caller keeps the arrays alive across the C call.
+    """
+    return np.array([array.ctypes.data for array in arrays], dtype=np.int64)
 
 
 class _Staging(threading.local):
-    """Pooled scratch and output staging, one set per thread.
+    """Pooled radix scratch (fold and k-way merge) and the fold's output
+    staging, one set per thread.
 
     ctypes drops the GIL for the C call, so two threads folding through
     the process-wide :class:`NativeKernel` must not share buffers.
@@ -210,18 +215,23 @@ class _Staging(threading.local):
     """
 
     def __init__(self) -> None:
-        self.scratch = np.empty(0, dtype=np.uint8)
+        self.pool = np.empty(0, dtype=np.uint8)
         self.keys: list[np.ndarray] = []
         self.sums: list[np.ndarray] = []
+
+    def scratch(self, nbytes: int) -> np.ndarray:
+        """At least ``nbytes`` of radix scratch (the C never allocates)."""
+        if len(self.pool) < nbytes:
+            self.pool = np.empty(nbytes, dtype=np.uint8)
+        return self.pool
 
     def buffers(
         self, rows: int, record_bytes: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The two radix scratch buffers, ``rows`` records each."""
         need = record_bytes * max(rows, 1)
-        if len(self.scratch) < 2 * need:
-            self.scratch = np.empty(2 * need, dtype=np.uint8)
-        return self.scratch[:need], self.scratch[need:2 * need]
+        pool = self.scratch(2 * need)
+        return pool[:need], pool[need:2 * need]
 
     def outputs(self, rows: int, nkeys: int, ncols: int):
         """Full-length output staging (results are copied out)."""
@@ -239,6 +249,25 @@ class _Staging(threading.local):
 def _copied_out(count: int, keys: np.ndarray, columns):
     """The first ``count`` staged rows as an owned ``(keys, cols)`` part."""
     return keys[:count].copy(), tuple(c[:count].copy() for c in columns)
+
+
+def _merge_outputs(rows: int, ncols: int):
+    """Owned merge outputs with room for every input row."""
+    return np.empty(rows, dtype=np.int64), [
+        np.empty(rows, dtype=np.float64) for _ in range(ncols)
+    ]
+
+
+def _trimmed(count: int, keys: np.ndarray, columns):
+    """A merge's outputs cut to its ``count`` rows in place, or None when
+    the C declined (a negative count)."""
+    if count < 0:
+        return None
+    # Shrinking an array nothing else references is a realloc, not a
+    # copy; the parts the accumulator keeps hold no slack.
+    for array in (keys, *columns):
+        array.resize(count, refcheck=False)
+    return keys, tuple(columns)
 
 
 class NativeKernel(NumpyKernel):
@@ -274,14 +303,14 @@ class NativeKernel(NumpyKernel):
         ]
         lib.merge_sorted.restype = _I64
         lib.merge_sorted.argtypes = [
-            _KEYS, _PP_F64, _I64,
-            _KEYS, _PP_F64, _I64,
-            _I64, _KEYS, _PP_F64,
+            _KEYS, _PTRS, _I64,
+            _KEYS, _PTRS, _I64,
+            _I64, _KEYS, _PTRS,
         ]
         lib.merge_k.restype = _I64
         lib.merge_k.argtypes = [
-            ctypes.POINTER(_P_I64), _PP_F64, ctypes.POINTER(_I64), _I64, _I64,
-            _KEYS, _PP_F64,
+            _PTRS, _PTRS, _KEYS, _I64, _I64,
+            _KEYS, _PTRS, _U8,
         ]
 
     def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
@@ -350,50 +379,42 @@ class NativeKernel(NumpyKernel):
         ]
         if len(normalized) == 1:
             return normalized[0]
-        if len(normalized) == 2:
-            return self._merge_sorted(*normalized[0], *normalized[1])
-        if len(normalized) <= _MERGE_K_MAX_PARTS:
-            return self._merge_k(normalized)
-        # Degenerate part count: chain pairwise, left to right — the
-        # same per-key accumulation order, just more passes.
-        keys, columns = normalized[0]
-        for next_keys, next_columns in normalized[1:]:
-            keys, columns = self._merge_sorted(
-                keys, columns, next_keys, next_columns
-            )
-        return keys, columns
+        merged = (
+            self._merge_sorted(*normalized[0], *normalized[1])
+            if len(normalized) == 2
+            else self._merge_k(normalized)
+        )
+        # A negative count is the C declining the shape: the reference
+        # regroup takes it, as it takes a declined fold chunk.
+        return super().merge_sorted_parts(parts) if merged is None else merged
 
     def _merge_sorted(self, ka, va, kb, vb):
-        # Pooled staging is safe here: the returned arrays are copies,
-        # so chained merges never alias their own input.
-        (out_keys,), out_cols = self._staging.outputs(
-            len(ka) + len(kb), 1, len(va)
-        )
+        if len(va) != len(vb):
+            return None
+        out_keys, out_cols = _merge_outputs(len(ka) + len(kb), len(va))
         count = self._lib.merge_sorted(
-            ka, _col_ptrs(va), len(ka),
-            kb, _col_ptrs(vb), len(kb),
-            len(va), out_keys, _col_ptrs(out_cols),
+            ka, _addresses(va), len(ka),
+            kb, _addresses(vb), len(kb),
+            len(va), out_keys, _addresses(out_cols),
         )
-        return _copied_out(count, out_keys, out_cols)
+        return _trimmed(count, out_keys, out_cols)
 
     def _merge_k(self, parts):
-        nparts = len(parts)
         ncols = len(parts[0][1])
-        cap = sum(len(part[0]) for part in parts)
-        (out_keys,), out_cols = self._staging.outputs(cap, 1, ncols)
-        key_ptrs = (_P_I64 * nparts)()
-        col_ptrs = (_P_F64 * (nparts * ncols))()
-        lens = (_I64 * nparts)()
-        for p, (keys, columns) in enumerate(parts):
-            key_ptrs[p] = keys.ctypes.data_as(_P_I64)
-            lens[p] = len(keys)
-            for c, column in enumerate(columns):
-                col_ptrs[p * ncols + c] = column.ctypes.data_as(_P_F64)
+        if any(len(columns) != ncols for _, columns in parts):
+            return None
+        lens = np.array([len(keys) for keys, _ in parts], dtype=np.int64)
+        total = int(lens.sum())
+        out_keys, out_cols = _merge_outputs(total, ncols)
         count = self._lib.merge_k(
-            key_ptrs, col_ptrs, lens, nparts, ncols,
-            out_keys, _col_ptrs(out_cols),
+            _addresses(keys for keys, _ in parts),
+            _addresses(c for _, columns in parts for c in columns),
+            lens, len(parts), ncols,
+            out_keys, _addresses(out_cols),
+            # Room for two 16-byte radix records per input row.
+            self._staging.scratch(32 * total),
         )
-        return _copied_out(count, out_keys, out_cols)
+        return _trimmed(count, out_keys, out_cols)
 
 
 def _cache_dir() -> Path:

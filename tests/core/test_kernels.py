@@ -8,31 +8,39 @@ group-by kernels: empty and single-row chunks, all-duplicate keys,
 full-range 32-bit addresses (a ``uint32`` shifted by its own width is
 undefined behaviour in C — the regression here once looped forever),
 fault-injected feeds, the ignored-sender filter path, counts outside
-the 31-bit record field, and more parts than the k-way merge holds.
+the 31-bit record field, and more pending parts than the k-way merge's
+old 64-entry head index held.
 64-bit IPv6 keys get the same cases plus their own: a range needing a
 shift by 64, keys >= 2**63 (the reference's int64 cast turns them
 negative) and ranges either side of the narrow/wide record boundary —
 folded with the reference fold forbidden, so a silent decline fails.
+The k-way merge is checked on its own the same way (2-100 parts, key
+ranges up to the full int64 span, fractional and -0.0 values, the
+reference regroup forbidden), and ``_KeyedSums`` runs as a state
+machine under both kernels against a dict of per-key sums.
 The numpy-vs-native classes are skipped (not passed numpy against
 numpy) on a host where the library cannot be built.
 """
 
 import sys
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.accum import PrefixAccumulator
+from repro.core.accum import PrefixAccumulator, _KeyedSums
 from repro.core.engine import ExecutionPlanner, MemorySink, RunContext, execute_plan
 from repro.core import kernels
 from repro.core.kernels import (
     CACHE_DIR_ENV,
     DISABLE_NATIVE_ENV,
     KERNEL_CHOICES,
+    NativeKernel,
     NumpyKernel,
     get_kernel,
     native_provider,
@@ -204,36 +212,51 @@ def traffic_columns(rng, src_ip, dst_ip):
     )
 
 
+def parts_identical(ours, theirs):
+    """Keyed parts (or tuples of them) equal array for array, bit for
+    bit and dtype included."""
+    if isinstance(ours, np.ndarray):
+        return (
+            isinstance(theirs, np.ndarray)
+            and ours.dtype == theirs.dtype
+            and np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+        )
+    return len(ours) == len(theirs) and all(
+        parts_identical(a, b) for a, b in zip(ours, theirs)
+    )
+
+
 def assert_concurrent_folds_agree(columns, block_shift, rounds=12):
     """Threads folding ``columns`` (one set each) through the shared
-    native kernel all get the reference's parts, every round.
+    native kernel all get the reference's parts, every round."""
+    assert_concurrent_calls_agree(
+        [
+            lambda kernel, c=c: kernel.fold_chunk(*c, 2.0, block_shift)
+            for c in columns
+        ],
+        rounds,
+    )
+
+
+def assert_concurrent_calls_agree(calls, rounds=12):
+    """Threads repeating one call each through the process-wide native
+    kernel all get what the reference returns serially, every round.
 
     ctypes drops the GIL for the C call: threads folding through the
     process-wide native kernel once overwrote each other's pooled
     output staging (silently wrong sums).
     """
-
-    def same(ours, theirs):
-        return all(
-            np.array_equal(a[0], b[0])
-            and all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
-            for a, b in zip(ours, theirs)
-        )
-
-    expected = [
-        get_kernel("numpy").fold_chunk(*c, 2.0, block_shift) for c in columns
-    ]
+    expected = [call(get_kernel("numpy")) for call in calls]
     native = get_kernel("native")
-    agreed = [0] * len(columns)
+    agreed = [0] * len(calls)
 
     def work(index):
         for _ in range(rounds):
-            folded = native.fold_chunk(*columns[index], 2.0, block_shift)
-            if same(folded, expected[index]):
+            if parts_identical(calls[index](native), expected[index]):
                 agreed[index] += 1
 
     threads = [
-        threading.Thread(target=work, args=(i,)) for i in range(len(columns))
+        threading.Thread(target=work, args=(i,)) for i in range(len(calls))
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -245,7 +268,7 @@ def assert_concurrent_folds_agree(columns, block_shift, rounds=12):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert agreed == [rounds] * len(columns)
+    assert agreed == [rounds] * len(calls)
 
 
 @needs_native
@@ -316,9 +339,10 @@ class TestFoldParity:
         packets[7] = count
         assert_backends_agree([make_flows(ips, packets=packets)])
 
-    def test_more_parts_than_the_kway_merge_holds(self):
-        # 70 pending sorted parts in one family: past merge_k's 64-part
-        # head index, the native merge chains pairwise instead.
+    def test_more_parts_than_the_old_head_index_merge_in_c(self):
+        # 70 pending sorted parts in one family: past the 64-part head
+        # index merge_k once had, one C call still merges them all —
+        # with the reference regroup forbidden, a decline fails.
         rng = np.random.default_rng(29)
         tables = [
             make_flows(
@@ -327,8 +351,11 @@ class TestFoldParity:
             for _ in range(70)
         ]
         reference = fold(tables, "numpy", compact_every=100)
+        reference.to_state()  # compacts the reference before the ban
         native = fold(tables, "native", compact_every=100)
-        assert partial_states_identical(reference, native)
+        declined = AssertionError("the native kernel declined a merge")
+        with mock.patch.object(NumpyKernel, "group_sum", side_effect=declined):
+            assert partial_states_identical(reference, native)
 
     def test_concurrent_folds_do_not_share_staging(self):
         rng = np.random.default_rng(31)
@@ -359,6 +386,105 @@ class TestFoldParity:
             left.merge(right)
             halves[kernel] = left
         assert partial_states_identical(halves["numpy"], halves["native"])
+
+
+#: Key domains of the merge property: a narrow (32-bit) range, one
+#: wider than 32 bits, and the full int64 span with both extremes.
+MERGE_SPANS = ("narrow", "wide", "full")
+
+
+def key_pool(rng, span, size):
+    """``size`` distinct candidate keys over one of MERGE_SPANS."""
+    if span == "narrow":
+        pool = BASE + rng.integers(0, 2**20, size=size)
+    elif span == "wide":
+        pool = V6_KEY + rng.integers(0, 2**40, size=size, dtype=np.int64)
+    else:
+        pool = rng.integers(-(2**63), 2**63 - 1, size=size, endpoint=True)
+        pool[:2] = -(2**63), 2**63 - 1
+    return np.unique(pool.astype(np.int64))
+
+
+def value_column(rng, rows):
+    """Fractional values with -0.0 sprinkled in."""
+    values = rng.normal(scale=1e3, size=rows)
+    values[rng.random(rows) < 0.2] = -0.0
+    return values
+
+
+@st.composite
+def sorted_parts(draw):
+    """2-100 sorted-unique keyed parts of 1-3 columns over one pool."""
+    count = draw(st.integers(min_value=2, max_value=100))
+    ncols = draw(st.integers(min_value=1, max_value=3))
+    span = draw(st.sampled_from(MERGE_SPANS))
+    sizes = draw(
+        st.lists(
+            st.sampled_from([0, 1, 2, 7, 40]), min_size=count, max_size=count
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    pool = key_pool(rng, span, 60)
+    parts = []
+    for size in sizes:
+        keys = np.unique(rng.choice(pool, size=size))
+        parts.append(
+            (keys, tuple(value_column(rng, len(keys)) for _ in range(ncols)))
+        )
+    return parts
+
+
+def merged_in_c(parts):
+    """The native merge with the reference regroup forbidden."""
+    declined = AssertionError("the native kernel declined a merge")
+    with mock.patch.object(NumpyKernel, "group_sum", side_effect=declined):
+        return get_kernel("native").merge_sorted_parts(parts)
+
+
+@needs_native
+class TestMergeParity:
+    """``merge_sorted_parts`` alone: the C merges against the reference
+    regroup of the concatenated parts."""
+
+    @given(sorted_parts())
+    @settings(max_examples=60, deadline=None)
+    def test_property_merge_identical(self, parts):
+        reference = NumpyKernel().merge_sorted_parts(parts)
+        assert parts_identical(merged_in_c(parts), reference)
+
+    @pytest.mark.parametrize("span", MERGE_SPANS)
+    def test_one_hundred_parts(self, span):
+        rng = np.random.default_rng(41)
+        pool = key_pool(rng, span, 500)
+        parts = [
+            (keys, (value_column(rng, len(keys)), value_column(rng, len(keys))))
+            for keys in (np.unique(rng.choice(pool, size=30)) for _ in range(100))
+        ]
+        reference = NumpyKernel().merge_sorted_parts(parts)
+        assert parts_identical(merged_in_c(parts), reference)
+
+    def test_concurrent_merges_do_not_share_scratch(self):
+        # Three threads merge 14 parts each through the one native
+        # kernel, over a narrow, a wide and the full int64 key range:
+        # the radix scratch is per thread, like the fold's.
+        rng = np.random.default_rng(43)
+
+        def parts(span):
+            pool = key_pool(rng, span, 120_000)
+            return [
+                (keys, (value_column(rng, len(keys)),) * 3)
+                for keys in (
+                    np.unique(rng.choice(pool, size=20_000)) for _ in range(14)
+                )
+            ]
+
+        assert_concurrent_calls_agree(
+            [
+                lambda kernel, p=parts(span): kernel.merge_sorted_parts(p)
+                for span in MERGE_SPANS
+            ],
+            rounds=6,
+        )
 
 
 def v6_keys(rng, rows, span):
@@ -579,6 +705,27 @@ class TestFallback:
         finally:
             kernels._CACHE.clear()
 
+    def test_declined_merge_takes_the_reference_path(self):
+        # A negative count from the C merges (today: a shape merge_k
+        # does not take) once went straight into the output slicing.
+        declined = mock.Mock(return_value=-1)
+        stub = SimpleNamespace(
+            fold_chunk=mock.Mock(), merge_sorted=declined, merge_k=declined
+        )
+        kernel = NativeKernel(stub)
+        rng = np.random.default_rng(47)
+        for count in (2, 3):
+            parts = [
+                (keys, (value_column(rng, len(keys)),))
+                for keys in (np.unique(rng.integers(0, 50, size=20))
+                             for _ in range(count))
+            ]
+            assert parts_identical(
+                kernel.merge_sorted_parts(parts),
+                NumpyKernel().merge_sorted_parts(parts),
+            )
+        assert declined.call_count == 2
+
     def test_micro_world_identity_numpy_native_fallback(self, request):
         # The end-to-end identity gate: two days of a micro world
         # classify identically under the reference, the native backend
@@ -603,3 +750,114 @@ class TestFallback:
         dark["fallback"] = counts("native")
         assert len(set(dark.values())) == 1, dark
         assert dark["numpy"][0] > 0
+
+
+#: Keys the state machine draws: a dense low range (overlaps across
+#: parts) plus the int64 extremes and a key past 32 bits.
+MACHINE_KEYS = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([-(2**63), 2**63 - 1, 2**32, V6_KEY]),
+)
+#: Integer-valued sums are exact in float64, so the dict model's
+#: addition order does not matter.
+MACHINE_ROWS = st.lists(
+    st.tuples(MACHINE_KEYS, st.integers(-1000, 1000), st.integers(-1000, 1000)),
+    max_size=12,
+)
+
+
+def keyed_part(rows, sorted_unique):
+    """``(keys, cols)`` from drawn rows; sorted-unique keeps each key's
+    first row (the model is told which rows went in)."""
+    if sorted_unique:
+        rows = sorted({key: (key, a, b) for key, a, b in reversed(rows)}.values())
+    keys = np.array([row[0] for row in rows], dtype=np.int64)
+    cols = tuple(
+        np.array([row[i] for row in rows], dtype=np.float64) for i in (1, 2)
+    )
+    return rows, keys, cols
+
+
+class KeyedSumsMachine(RuleBasedStateMachine):
+    """``_KeyedSums`` under both kernels against a dict of per-key sums.
+
+    Every rule runs on the numpy and the native family alike; after each
+    step both must compact to the model, and to each other bit for bit.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.families = {
+            name: _KeyedSums(2, compact_every=3, kernel=get_kernel(name))
+            for name in ("numpy", "native")
+        }
+        self.model: dict[int, list[float]] = {}
+
+    def _count(self, rows):
+        for key, a, b in rows:
+            sums = self.model.setdefault(key, [0.0, 0.0])
+            sums[0] += a
+            sums[1] += b
+
+    @rule(rows=MACHINE_ROWS, sorted_unique=st.booleans())
+    def add(self, rows, sorted_unique):
+        rows, keys, cols = keyed_part(rows, sorted_unique)
+        for family in self.families.values():
+            family.add(keys, *cols, sorted_unique=sorted_unique)
+        self._count(rows)
+
+    @rule(
+        parts=st.lists(st.tuples(MACHINE_ROWS, st.booleans()), max_size=4)
+    )
+    def absorb(self, parts):
+        for family in self.families.values():
+            other = _KeyedSums(2, compact_every=3, kernel=family.kernel)
+            for rows, sorted_unique in parts:
+                _, keys, cols = keyed_part(rows, sorted_unique)
+                other.add(keys, *cols, sorted_unique=sorted_unique)
+            family.absorb(other)
+        for rows, sorted_unique in parts:
+            self._count(keyed_part(rows, sorted_unique)[0])
+
+    @rule()
+    def squash_pending(self):
+        for family in self.families.values():
+            family.squash_pending()
+
+    @rule()
+    def compacted(self):
+        for family in self.families.values():
+            family.compacted()
+
+    @rule(rows=MACHINE_ROWS)
+    def copy(self, rows):
+        # Carry on with the copy; the original takes one more part,
+        # which the copy must not see.
+        _, keys, cols = keyed_part(rows, False)
+        for name, family in self.families.items():
+            self.families[name] = family.copy()
+            family.add(keys, *cols)
+
+    @invariant()
+    def matches_the_dict(self):
+        expected_keys = np.array(sorted(self.model), dtype=np.int64)
+        expected = tuple(
+            np.array([self.model[k][i] for k in sorted(self.model)],
+                     dtype=np.float64)
+            for i in (0, 1)
+        )
+        states = {
+            name: family.copy().compacted()
+            for name, family in self.families.items()
+        }
+        for keys, cols in states.values():
+            assert np.array_equal(keys, expected_keys)
+            assert keys.dtype == np.int64
+            assert all(np.array_equal(c, e) for c, e in zip(cols, expected))
+        assert parts_identical(states["numpy"], states["native"])
+
+
+TestKeyedSumsMachine = KeyedSumsMachine.TestCase
+TestKeyedSumsMachine.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
+)
