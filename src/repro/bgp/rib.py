@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.net.family import IPV4, AddressFamily, family_of_prefix
 from repro.net.ipv4 import Prefix
-from repro.net.trie import PrefixTrie, interval_covered_mask
+from repro.net.trie import interval_covered_mask
 
 DUMPS_PER_DAY = 12
 
@@ -69,12 +69,25 @@ class RoutingTable:
     def routed_mask(self, blocks: np.ndarray) -> np.ndarray:
         """Which ``blocks`` lie entirely inside an announced prefix."""
         if self._interval_cache is None:
-            trie: PrefixTrie[int] = PrefixTrie(family=self.family)
-            for announcement in self._announcements:
-                trie.insert(announcement.prefix, announcement.origin_asn)
-            self._interval_cache = trie.block_intervals()
+            self._interval_cache = self._block_intervals()
         starts, ends = self._interval_cache
         return interval_covered_mask(starts, ends, blocks)
+
+    def _block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted ``(starts, ends)`` block spans of the announced
+        prefixes no longer than a block, ends a cumulative max (so a
+        nested prefix never shadows its cover during the probe)."""
+        block_length = self.family.block_prefix_length
+        spans = sorted({
+            (prefix.first_block(), prefix.first_block() + prefix.num_blocks() - 1)
+            for prefix in (a.prefix for a in self._announcements)
+            if prefix.length <= block_length
+        })
+        starts = np.array([lo for lo, _ in spans], dtype=np.int64)
+        ends = np.array([hi for _, hi in spans], dtype=np.int64)
+        if len(ends):
+            ends = np.maximum.accumulate(ends)
+        return starts, ends
 
 
 @dataclass(frozen=True, slots=True)

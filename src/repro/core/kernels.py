@@ -13,7 +13,9 @@ Two backends compute the accumulator's hot loops:
   ops the layer budget shows earning their C (``group_sum`` of
   unsorted parts and the stage masks are numpy under either backend).
   A negative count from the C is a decline, and the reference takes
-  that call.  The source is compiled once with the
+  that call.  The same library checksums flowpack columns
+  (:func:`crc32_columns`: zlib's CRC-32 values, one C call per
+  segment).  The source is compiled once with the
   system C compiler (cached under ``~/.cache/repro/kernels``) and
   needs no Python dependency; without a compiler the backend silently
   degrades to the reference (the engine emits a ``kernel`` trace event
@@ -43,6 +45,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 from typing import Any
 
@@ -57,6 +60,7 @@ __all__ = [
     "NumpyKernel",
     "NativeKernel",
     "concat_parts",
+    "crc32_columns",
     "get_kernel",
     "resolve_kernel_name",
     "native_provider",
@@ -178,9 +182,9 @@ _I64 = ctypes.c_int64
 
 
 # Argument types: contiguous 1-d numpy arrays, dtype-checked per call.
-_U8, _KEYS, _SUMS = (
+_U8, _U32, _KEYS, _SUMS = (
     np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
-    for dtype in (np.uint8, np.int64, np.float64)
+    for dtype in (np.uint8, np.uint32, np.int64, np.float64)
 )
 #: Pointer tables: int64 arrays of data addresses (see _addresses).
 _PTRS = _KEYS
@@ -288,30 +292,6 @@ class NativeKernel(NumpyKernel):
         self.provider = "cc" if lib is not None else "numpy"
         self.fallback_reason = fallback_reason
         self._staging = _Staging()
-        if lib is None:
-            return
-        lib.fold_chunk.restype = _I64
-        lib.fold_chunk.argtypes = [
-            _ADDRS, _ADDRS, _I64,
-            _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
-            _KEYS, _SUMS, _SUMS, _SUMS,
-            _KEYS, _SUMS,
-            _KEYS, _SUMS,
-            _KEYS, _SUMS,
-            _U8, _U8,
-            _KEYS,
-        ]
-        lib.merge_sorted.restype = _I64
-        lib.merge_sorted.argtypes = [
-            _KEYS, _PTRS, _I64,
-            _KEYS, _PTRS, _I64,
-            _I64, _KEYS, _PTRS,
-        ]
-        lib.merge_k.restype = _I64
-        lib.merge_k.argtypes = [
-            _PTRS, _PTRS, _KEYS, _I64, _I64,
-            _KEYS, _PTRS, _U8,
-        ]
 
     def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
                    block_shift=8):
@@ -417,6 +397,56 @@ class NativeKernel(NumpyKernel):
         return _trimmed(count, out_keys, out_cols)
 
 
+def crc32_columns(arrays) -> list[int]:
+    """``zlib.crc32`` of each array's bytes, in order.
+
+    Flowpack's per-column checksums, written and verified.  The native
+    provider takes every array in one C call (a PCLMULQDQ fold);
+    without it — disabled, no compiler, or a CPU the C declines — each
+    array goes through ``zlib.crc32``.  The values are the same either
+    way, so archives do not depend on which computed them.
+    """
+    arrays = [np.ascontiguousarray(array) for array in arrays]
+    lib = _native_kernel()._lib
+    if lib is not None and arrays:
+        lengths = np.array([array.nbytes for array in arrays], dtype=np.int64)
+        crcs = np.empty(len(arrays), dtype=np.uint32)
+        if lib.crc32_columns(
+            _addresses(arrays), lengths, len(arrays), crcs
+        ) == 0:
+            return crcs.tolist()
+    return [zlib.crc32(array) for array in arrays]
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the C signatures of the library's four exports."""
+    lib.fold_chunk.restype = _I64
+    lib.fold_chunk.argtypes = [
+        _ADDRS, _ADDRS, _I64,
+        _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
+        _KEYS, _SUMS, _SUMS, _SUMS,
+        _KEYS, _SUMS,
+        _KEYS, _SUMS,
+        _KEYS, _SUMS,
+        _U8, _U8,
+        _KEYS,
+    ]
+    lib.merge_sorted.restype = _I64
+    lib.merge_sorted.argtypes = [
+        _KEYS, _PTRS, _I64,
+        _KEYS, _PTRS, _I64,
+        _I64, _KEYS, _PTRS,
+    ]
+    lib.merge_k.restype = _I64
+    lib.merge_k.argtypes = [
+        _PTRS, _PTRS, _KEYS, _I64, _I64,
+        _KEYS, _PTRS, _U8,
+    ]
+    lib.crc32_columns.restype = _I64
+    lib.crc32_columns.argtypes = [_PTRS, _KEYS, _I64, _U32]
+    return lib
+
+
 def _cache_dir() -> Path:
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
@@ -471,7 +501,7 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
         if reason is not None:
             return None, reason
     try:
-        return ctypes.CDLL(str(shared)), None
+        return _bind(ctypes.CDLL(str(shared))), None
     except OSError as error:  # pragma: no cover - corrupt cache
         return None, f"cannot load {shared.name}: {error}"
 

@@ -116,7 +116,12 @@ def score_feed(
     # num_rows: an archive view counts from segment headers, data unread.
     rows = [view.num_rows for view in views]
     total_flows = sum(rows)
-    estimated = sum(view.estimated_packets() for view in views)
+    # Estimated true packets: sampled count x sampling factor.  Read off
+    # view.flows, which the duplicate and validity checks load anyway.
+    estimated = sum(
+        float(view.flows.packets.sum()) * view.sampling_factor
+        for view in views
+    )
 
     if not views:
         return FeedQuality(

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -88,6 +87,14 @@ class FlowpackError(ValueError):
     """Structural damage in a flowpack file (bad header, checksum,
     truncation).  A ``ValueError`` so strict callers that already catch
     CSV parse errors catch flowpack damage the same way."""
+
+
+def _crc32_columns(arrays) -> list[int]:
+    """``zlib.crc32`` of each column buffer: one native call per
+    segment when the kernel library is available."""
+    from repro.core.kernels import crc32_columns  # local: core imports us
+
+    return crc32_columns(arrays)
 
 
 def _pad8(n: int) -> int:
@@ -188,21 +195,19 @@ class TableWriter:
         rows = lengths.pop()
         if rows == 0:
             return
-        buffers = []
-        for name, dtype in self.columns.items():
-            column = np.ascontiguousarray(arrays[name], dtype=dtype)
-            buffers.append(column.tobytes())
+        buffers = [
+            np.ascontiguousarray(arrays[name], dtype=dtype)
+            for name, dtype in self.columns.items()
+        ]
         header = [_SEGMENT_MAGIC, _SEGMENT_HEADER.pack(rows)]
-        for buffer in buffers:
-            header.append(
-                _COLUMN_HEADER.pack(len(buffer), zlib.crc32(buffer))
-            )
+        for buffer, crc in zip(buffers, _crc32_columns(buffers)):
+            header.append(_COLUMN_HEADER.pack(buffer.nbytes, crc))
         header_bytes = b"".join(header)
         self._handle.write(header_bytes)
         self._handle.write(b"\x00" * _pad8(len(header_bytes)))
         for buffer in buffers:
             self._handle.write(buffer)
-            self._handle.write(b"\x00" * _pad8(len(buffer)))
+            self._handle.write(b"\x00" * _pad8(buffer.nbytes))
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -519,12 +524,16 @@ class TableArchive:
         if self._verified[index]:
             return
         segment = self.segments[index]
-        data = self._data()
-        for name, offset, nbytes, expected in zip(
-            self.columns, segment.offsets, segment.nbytes,
-            segment.checksums,
+        # Plain ndarray slices: a memmap slice costs a Python-level
+        # __array_finalize__ each, and these only feed the checksum.
+        data = self._data().view(np.ndarray)
+        computed = _crc32_columns(
+            data[offset:offset + nbytes]
+            for offset, nbytes in zip(segment.offsets, segment.nbytes)
+        )
+        for name, expected, actual in zip(
+            self.columns, segment.checksums, computed
         ):
-            actual = zlib.crc32(data[offset:offset + nbytes])
             if actual != expected:
                 raise FlowpackError(
                     f"{self.path}: segment {index}: column {name!r} "

@@ -1,10 +1,13 @@
 """Binary (Patricia-style) prefix trie and the block-coverage table.
 
-The BGP RIB inserts its announcements and asks one question of them:
-is this block entirely inside some announced prefix?  The trie answers
-it with a sorted block-interval table probed by
-:func:`interval_covered_mask`, which is what the pipeline's step 5
-("Globally Routed") uses at scale.
+The BGP RIB asks one question of its announcements: is this block
+entirely inside some announced prefix?  A sorted block-interval table
+probed by :func:`interval_covered_mask` answers it — what the
+pipeline's step 5 ("Globally Routed") uses at scale.  The RIB builds
+that table straight from its prefixes
+(:meth:`repro.bgp.rib.RoutingTable.routed_mask`); the trie builds the
+same table its own way (:meth:`PrefixTrie.block_intervals`), which is
+what the tests hold the RIB's table to.
 
 The trie is address-family generic: it defaults to IPv4 (/24 blocks,
 32-bit walks) and accepts ``family=IPV6`` for 128-bit prefixes over /48

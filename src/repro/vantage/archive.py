@@ -142,13 +142,6 @@ class ArchiveDayView:
             sampling_factor=self.sampling_factor * factor,
         )
 
-    def estimated_packets(self) -> float:
-        """Estimated true packets (streamed; never loads the day whole)."""
-        sampled = sum(
-            int(chunk.packets.sum()) for chunk in self.iter_chunks(None)
-        )
-        return float(sampled) * self.sampling_factor
-
     def with_flows(
         self, flows: FlowTable, sampling_factor: float | None = None
     ) -> VantageDayView:

@@ -80,7 +80,3 @@ class VantageDayView:
                 self.sampling_factor if sampling_factor is None else sampling_factor
             ),
         )
-
-    def estimated_packets(self) -> float:
-        """Estimated true packet count (sampled count x sampling factor)."""
-        return float(self.flows.packets.sum()) * self.sampling_factor

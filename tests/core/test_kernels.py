@@ -24,6 +24,7 @@ numpy) on a host where the library cannot be built.
 
 import sys
 import threading
+import zlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -42,6 +43,7 @@ from repro.core.kernels import (
     KERNEL_CHOICES,
     NativeKernel,
     NumpyKernel,
+    crc32_columns,
     get_kernel,
     native_provider,
     resolve_kernel_name,
@@ -596,6 +598,113 @@ class TestFold64Parity:
 
 
 @needs_native
+def crc32_in_c(arrays):
+    """``crc32_columns`` with zlib forbidden: a decline fails."""
+    declined = AssertionError("the native kernel declined a checksum")
+    forbidden = SimpleNamespace(crc32=mock.Mock(side_effect=declined))
+    with mock.patch.object(kernels, "zlib", forbidden):
+        return crc32_columns(arrays)
+
+
+#: One shared buffer the drawn columns are cut from (offsets 0-15 put
+#: them on every alignment).
+CRC_BUFFER = np.random.default_rng(61).integers(
+    0, 256, size=16 + 9 * 4096, dtype=np.uint8
+)
+
+
+@needs_native
+class TestCrc32Parity:
+    """``crc32_columns`` in C against ``zlib.crc32``, column by column."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 4096)),
+            min_size=1, max_size=9,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_matches_zlib(self, columns):
+        arrays = [
+            CRC_BUFFER[start + 4096 * i:start + 4096 * i + length]
+            for i, (start, length) in enumerate(columns)
+        ]
+        expected = [zlib.crc32(array) for array in arrays]
+        assert crc32_in_c(arrays) == expected
+
+    def test_every_short_length_and_a_mebibyte(self):
+        # Lengths either side of the fold's 64-byte floor and 16-byte
+        # steps, a typed (non-byte) column, and 1 MiB.
+        rng = np.random.default_rng(62)
+        arrays = [CRC_BUFFER[3:3 + n] for n in range(300)]
+        arrays.append(rng.integers(0, 2**32, size=2**18, dtype=np.uint32))
+        arrays.append(rng.random(1001))
+        expected = [zlib.crc32(array) for array in arrays]
+        assert crc32_in_c(arrays) == expected
+        assert arrays[-2].nbytes == 2**20
+
+    def test_slice_of_a_real_memmap(self, tmp_path):
+        path = tmp_path / "bytes.bin"
+        CRC_BUFFER.tofile(path)
+        mapped = np.memmap(path, dtype=np.uint8, mode="r")
+        arrays = [mapped[5:5 + 4000], mapped[4101:4101 + 65], mapped[:0]]
+        expected = [zlib.crc32(array) for array in arrays]
+        assert crc32_in_c(arrays) == expected
+
+    def test_concurrent_checksums_agree(self):
+        # ctypes drops the GIL: four threads checksum at once.
+        rng = np.random.default_rng(63)
+        columns = [
+            [rng.integers(0, 256, size=n, dtype=np.uint8) for n in sizes]
+            for sizes in ((70_000, 3), (5, 200_000, 17), (1 << 16,), (999,) * 9)
+        ]
+        expected = [[zlib.crc32(a) for a in arrays] for arrays in columns]
+        agreed = [0] * len(columns)
+
+        def work(index):
+            for _ in range(50):
+                agreed[index] += crc32_columns(columns[index]) == expected[index]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert agreed == [50] * 4
+
+
+class TestCrc32Fallback:
+    def test_zlib_values_without_the_library(self, monkeypatch):
+        monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
+        kernels._CACHE.clear()
+        try:
+            arrays = [CRC_BUFFER[1:5000], CRC_BUFFER[:0]]
+            assert crc32_columns(arrays) == [zlib.crc32(a) for a in arrays]
+        finally:
+            monkeypatch.delenv(DISABLE_NATIVE_ENV)
+            kernels._CACHE.clear()
+
+    def test_declined_checksum_takes_zlib(self, monkeypatch):
+        declined = mock.Mock(return_value=-1)
+        stub = NativeKernel(SimpleNamespace(crc32_columns=declined))
+        monkeypatch.setitem(kernels._CACHE, "native", stub)
+        arrays = [CRC_BUFFER[7:7000], CRC_BUFFER[:64]]
+        assert crc32_columns(arrays) == [zlib.crc32(a) for a in arrays]
+        assert declined.call_count == 1
+        assert crc32_columns([]) == []
+
+    def test_strided_column_is_checksummed_as_its_bytes(self):
+        strided = CRC_BUFFER[:2000:2]
+        expected = zlib.crc32(np.ascontiguousarray(strided))
+        assert crc32_columns([strided]) == [expected]
+
+
 class TestClassificationParity:
     @given(st.lists(flow_tables(), min_size=1, max_size=3))
     @settings(max_examples=20, deadline=None)

@@ -185,9 +185,10 @@ class TestWorldDays:
             assert np.array_equal(
                 archived.current_prefixes(), memory.current_prefixes()
             )
-            # One pass sums the packets for the score and one folds the
-            # day; learning the volume baseline re-reads nothing.
-            assert [view.chunk_passes for view in stored] == [2] * len(stored)
+            # The score sums packets off view.flows, which its duplicate
+            # and validity checks load anyway; one chunk pass folds the
+            # day, and learning the volume baseline re-reads nothing.
+            assert [view.chunk_passes for view in stored] == [1] * len(stored)
         assert archived._volume_history == [row[3] for row in self.PINNED]
         assert archived.health_report().records == memory.health_report().records
         assert memory.health_report().summary() == (

@@ -55,7 +55,7 @@ class TestScoreFeed:
         assert quality.degraded(0.5)
 
     def test_volume_inflation_detected(self):
-        history = [clean_view().estimated_packets() / 4] * 3
+        history = [score_feed(0, [clean_view()]).estimated_packets / 4] * 3
         quality = score_feed(1, [clean_view()], history_packets=history)
         assert quality.volume_ratio == pytest.approx(4.0)
         assert quality.degraded(0.5)
@@ -152,3 +152,37 @@ class TestEmptyFlowTables:
         assert np.isfinite(quality.score)
         assert quality.score == 0.0
         assert any("empty" in reason for reason in quality.reasons)
+
+
+class TestArchiveBackedDay:
+    def test_archive_day_scores_like_its_in_memory_twin(self, tmp_path):
+        # Multi-segment archives of a micro-world day, one feed carrying
+        # duplicated and corrupted rows, score to the equal FeedQuality
+        # (floats compared exactly) as the views they were exported from.
+        from repro.vantage.archive import export_view
+        from repro.world.observe import Observatory
+        from repro.world.scenarios import micro_world
+
+        views = Observatory(micro_world(7)).all_ixp_views(num_days=1)
+        views = list(
+            FaultPlan(seed=5)
+            .add(DuplicatedRecords(duplicate_fraction=0.3))
+            .add(CorruptedFields(corrupt_fraction=0.2))
+            .apply(0, views[:1]).views
+        ) + views[1:]
+        archived = [
+            export_view(view, tmp_path / f"{view.vantage}.fpk", chunk_rows=700)
+            for view in views
+        ]
+        assert any(len(view.archive().segments) > 1 for view in archived)
+        typical = {view.vantage: view.sampling_factor for view in views}
+        for history in ((), (1e6, 2e6, 3e6)):
+            expected = score_feed(
+                0, views, history_packets=history,
+                expected_views=len(views) + 1, typical_factors=typical,
+            )
+            assert score_feed(
+                0, archived, history_packets=history,
+                expected_views=len(views) + 1, typical_factors=typical,
+            ) == expected
+            assert expected.estimated_packets > 0

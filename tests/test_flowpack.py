@@ -12,14 +12,26 @@ Three claims are load-bearing and proved here:
    reader honours, never as bare numpy errors;
 3. **Archive-fed inference is bit-identical** — chunked accumulation
    straight off the memmap equals the in-memory batch fold at every
-   chunk size and worker count.
+   chunk size and worker count;
+4. **Checksums do not depend on who computes them** — the native
+   CRC-32 fold, zlib (native disabled) and zlib after a declining
+   library write the same bytes and report a flipped byte in the same
+   words.
 """
+
+import contextlib
+import os
+import sys
+import threading
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.parallel import partial_states_identical, shard_views
 from repro.flowpack import (
     FlowpackArchive,
@@ -434,3 +446,136 @@ class TestGenericTables:
         archive = TableArchive(path)
         with pytest.raises(FlowpackError):
             archive.read_arrays()
+
+
+# -- checksums: the native fold and zlib agree, byte for byte -----------
+
+
+@contextlib.contextmanager
+def checksum_provider(name):
+    """Route ``crc32_columns`` through one provider: ``native`` (the C
+    fold, with zlib forbidden so a decline fails), ``disabled``
+    (``REPRO_DISABLE_NATIVE_KERNEL``: zlib) or ``declining`` (a library
+    whose checksum returns -1: zlib)."""
+    saved = dict(kernels._CACHE)
+    kernels._CACHE.clear()
+    try:
+        if name == "disabled":
+            with mock.patch.dict(os.environ, {kernels.DISABLE_NATIVE_ENV: "1"}):
+                assert kernels.native_provider() is None
+                yield
+        elif name == "declining":
+            kernels._CACHE["native"] = kernels.NativeKernel(
+                SimpleNamespace(crc32_columns=mock.Mock(return_value=-1))
+            )
+            yield
+        else:
+            if kernels.native_provider() is None:
+                pytest.skip("the native library is unavailable")
+            forbidden = SimpleNamespace(crc32=mock.Mock(side_effect=AssertionError))
+            with mock.patch.object(kernels, "zlib", forbidden):
+                yield
+    finally:
+        kernels._CACHE.clear()
+        kernels._CACHE.update(saved)
+
+
+CHECKSUM_PROVIDERS = ("native", "disabled", "declining")
+
+
+class TestChecksumProviders:
+    """Flowpack's CRC-32s are zlib's values under every provider."""
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_flipped_byte_reported_alike(self, tmp_path_factory, seed, data):
+        rows = data.draw(st.integers(1, 300))
+        flows = random_flows(np.random.default_rng(seed), 3 * rows)
+        path = tmp_path_factory.mktemp("flip") / "t.fpk"
+        write_flows_archive(flows, path, chunk_rows=rows)
+        segment = FlowpackArchive(path).segments[data.draw(st.integers(0, 2))]
+        column = data.draw(st.integers(0, len(segment.offsets) - 1))
+        offset = data.draw(st.integers(0, segment.nbytes[column] - 1))
+        damaged = bytearray(path.read_bytes())
+        damaged[segment.offsets[column] + offset] ^= 1 << data.draw(
+            st.integers(0, 7)
+        )
+        path.write_bytes(bytes(damaged))
+        name = list(FlowpackArchive(path).columns)[column]
+        messages = set()
+        # The native leg only where the library loads (a run with the
+        # native kernel disabled still compares the two zlib legs).
+        native = kernels.native_provider() is not None
+        for provider in CHECKSUM_PROVIDERS[0 if native else 1:]:
+            with checksum_provider(provider):
+                with pytest.raises(FlowpackError) as raised:
+                    FlowpackArchive(path).read_all()
+                messages.add(str(raised.value))
+        (message,) = messages
+        assert message.startswith(
+            f"{path}: segment {segment.index}: column {name!r} checksum mismatch"
+        )
+
+    @pytest.mark.parametrize("provider", ("native", "declining"))
+    def test_archives_identical_under_every_provider(self, tmp_path, provider):
+        from repro.flowpack import write_table_archive
+
+        rng = np.random.default_rng(71)
+        flows = random_flows(rng, 5000)
+        table = {"a": rng.integers(0, 9, 777).astype(np.uint16), "b": rng.random(777)}
+
+        def write(prefix):
+            write_flows_archive(flows, tmp_path / f"{prefix}.fpk", chunk_rows=1200)
+            write_table_archive(table, tmp_path / f"{prefix}-table.fpk")
+
+        with checksum_provider("disabled"):
+            write("zlib")
+        with checksum_provider(provider):
+            write(provider)
+        for suffix in (".fpk", "-table.fpk"):
+            assert (tmp_path / f"{provider}{suffix}").read_bytes() == (
+                tmp_path / f"zlib{suffix}"
+            ).read_bytes()
+        assert tables_equal(
+            FlowpackArchive(tmp_path / f"{provider}.fpk").read_all(), flows
+        )
+
+    def test_concurrent_verification_agrees(self, tmp_path):
+        # Four threads verify four archives at once through the one
+        # shared library (ctypes drops the GIL); one archive is damaged.
+        rng = np.random.default_rng(73)
+        paths, expected = [], []
+        for i, rows in enumerate((40_000, 7, 25_000, 3_000)):
+            flows = random_flows(rng, rows)
+            paths.append(tmp_path / f"{i}.fpk")
+            write_flows_archive(flows, paths[-1], chunk_rows=max(rows // 3, 1))
+            expected.append(flows)
+        damaged = bytearray(paths[3].read_bytes())
+        damaged[FlowpackArchive(paths[3]).segments[2].offsets[4] + 9] ^= 0x20
+        paths[3].write_bytes(bytes(damaged))
+        with pytest.raises(FlowpackError) as raised:
+            FlowpackArchive(paths[3]).read_all()
+        results = [[] for _ in paths]
+
+        def work(index):
+            for _ in range(15):
+                try:
+                    table = FlowpackArchive(paths[index]).read_all()
+                    results[index].append(tables_equal(table, expected[index]))
+                except FlowpackError as error:
+                    results[index].append(str(error))
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(paths))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[True] * 15] * 3 + [[str(raised.value)] * 15]

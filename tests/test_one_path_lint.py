@@ -104,7 +104,7 @@ REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
 #: The C source of the native kernel and the functions it may export:
 #: every other function in it is ``static``.
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
-KERNEL_EXPORTS = {"fold_chunk", "merge_sorted", "merge_k"}
+KERNEL_EXPORTS = {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -453,12 +453,13 @@ def test_reference_lint_actually_catches_an_orphan():
     ]
 
 
-def test_native_library_exports_exactly_three_functions():
+def test_native_library_exports_exactly_four_functions():
     found = c_exports(KERNEL_SOURCE.read_text())
     assert found == KERNEL_EXPORTS, (
-        "core/_kernels.c exports exactly fold_chunk, merge_sorted and "
-        "merge_k (one op per job, every key width through the same "
-        f"fold_chunk); every other function is static: {sorted(found)}"
+        "core/_kernels.c exports exactly fold_chunk, merge_sorted, merge_k "
+        "and crc32_columns (one op per job, every key width through the "
+        "same fold_chunk, every segment's checksums in one crc32_columns "
+        f"call); every other function is static: {sorted(found)}"
     )
 
 
@@ -495,6 +496,8 @@ def test_export_lint_actually_catches_a_fourth_export():
     functions = c_functions(source)
     assert {"bits_of", "fold3", "fold1", "sort_reduce3_W"} <= set(functions)
     assert not any(functions[name] for name in ("bits_of", "sort_reduce1_W"))
+    # ... and the CPU-targeted checksum fold behind its attribute.
+    assert not any(functions[name] for name in ("crc32_fold", "crc32_bytes"))
     assert c_exports(
         source + "\nint64_t fold_chunk64(int64_t n);\n/* int64_t f(int n) { } */\n"
     ) == KERNEL_EXPORTS
