@@ -1,10 +1,13 @@
 /* Native fold kernels for the meta-telescope accumulator.
  *
- * Compiled on demand by repro.core.kernels (cc -O3 -shared -fPIC) and
- * bound through ctypes.  Exports exactly fold_chunk, merge_sorted,
- * merge_k and crc32_columns — the ops that earn their C in the layer
- * budget (the last checksums flowpack columns; see its own comment at
- * the end of this file).  Identity
+ * A CPython extension module, _kernels, compiled on demand by
+ * repro.core.kernels (cc -O3 -shared -fPIC -I<python include>).  Its
+ * only exported symbol is PyInit__kernels; the module has exactly four
+ * functions, fold_chunk, merge_sorted, merge_k and crc32_columns — the
+ * ops that earn their C in the layer budget (the last checksums
+ * flowpack columns; see its own comment further down).  Arrays arrive
+ * through the buffer protocol and are checked here (see the binding
+ * section at the end of this file) before the GIL is dropped.  Identity
  * contract: every kernel accumulates per-key sums in original row
  * order and merges parts left-to-right, reproducing numpy's np.unique
  * + np.bincount float operation order bit for bit (see
@@ -36,6 +39,9 @@
  * faster than the sort.  No kernel allocates: scratch comes from the
  * caller's per-thread pool.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <stdint.h>
 #include <string.h>
@@ -314,7 +320,7 @@ static int64_t fold1(
  * layout the key width can take (12 bytes for 32-bit keys, 16 for
  * 64-bit ones).  counts = {n_dst, n_vol, n_src, n_raw}; -1 on a count
  * outside the 31-bit record field or another key width (fallback). */
-int64_t fold_chunk(
+static int64_t fold_chunk(
     const void *src_ip, const void *dst_ip, int64_t key_bits,
     const uint8_t *proto, const int64_t *packets, const int64_t *bytes_,
     int64_t n, double factor, int64_t block_shift,
@@ -356,7 +362,7 @@ int64_t fold_chunk(
  * 0.0 + left + right — the float operation order np.bincount applies
  * to the concatenated parts (a lone -0.0 comes out +0.0, as there).
  * Returns the merged length. */
-int64_t merge_sorted(
+static int64_t merge_sorted(
     const int64_t *ka, const double *const *va, int64_t na,
     const int64_t *kb, const double *const *vb, int64_t nb,
     int64_t ncols, int64_t *ko, double **vo)
@@ -488,7 +494,7 @@ DEFINE_MERGE_REDUCE(wide, uint64_t, MAX_PASSES)
  * ids that fit 32 bits sort 8-byte records, anything wider 16-byte
  * ones.  Returns the merged length, or -1 on a shape it does not take
  * (the caller falls back). */
-int64_t merge_k(
+static int64_t merge_k(
     const int64_t *const *part_keys, const double *const *part_cols,
     const int64_t *part_lens, int64_t nparts, int64_t ncols,
     int64_t *ko, double *const *vo, void *scratch)
@@ -537,7 +543,7 @@ int64_t merge_k(
  * 64) takes one table lookup per byte.  The fold is compiled for
  * SSE4.2+PCLMUL alone and chosen at run time, so the build flags carry
  * no -march; a CPU without it, or not x86-64, declines.  No mutable
- * state: ctypes drops the GIL, and threads checksum concurrently. */
+ * state: the binding drops the GIL, and threads checksum concurrently. */
 #if defined(__x86_64__)
 #include <immintrin.h>
 
@@ -672,7 +678,7 @@ static uint32_t crc32_fold(uint32_t crc, const uint8_t *buf, int64_t len) {
 /* zlib's crc32() of each of `n` columns (`columns[c]`, `lengths[c]`
  * bytes) into crcs[c].  Returns 0, or -1 to decline (no PCLMUL fold on
  * this CPU): the caller then takes zlib. */
-int64_t crc32_columns(
+static int64_t crc32_columns(
     const uint8_t *const *columns, const int64_t *lengths, int64_t n,
     uint32_t *crcs)
 {
@@ -699,4 +705,471 @@ int64_t crc32_columns(
     (void)crcs;
     return -1;
 #endif
+}
+
+/* ------------------------------------------------------------------
+ * The Python binding: four METH_FASTCALL functions.
+ *
+ * Every array arrives through the buffer protocol and is checked here
+ * before any kernel reads it: element kind and width, one dimension,
+ * C-contiguity, alignment, equal input lengths, output and scratch
+ * capacity.  A failed check raises TypeError (wrong kind, width or
+ * container) or ValueError (wrong shape, length or capacity); no
+ * kernel runs on an argument it has not checked.  The buffers stay
+ * held while the kernel runs with the GIL released, so no other
+ * thread can free or resize them under it.  Each function returns its
+ * counts, or None where the kernel declines (a negative count): the
+ * caller then takes the numpy reference.
+ * ------------------------------------------------------------------ */
+
+/* 'i' (signed), 'u' (unsigned) or 'f' (floating) for a native-order
+ * scalar struct format, 0 for anything else (bool, structs, other
+ * byte orders). */
+static char format_kind(const char *format) {
+    static const char native_order = PY_LITTLE_ENDIAN ? '<' : '>';
+    if (format == NULL) return 'u'; /* "B" by the protocol */
+    if (*format == '@' || *format == '=' || *format == native_order)
+        format++;
+    if (format[0] == '\0' || format[1] != '\0') return 0;
+    if (strchr("bhilqn", format[0])) return 'i';
+    if (strchr("BHILQN", format[0])) return 'u';
+    if (strchr("efd", format[0])) return 'f';
+    return 0;
+}
+
+static const char *kind_name(char kind) {
+    return kind == 'i' ? "int" : kind == 'u' ? "uint"
+         : kind == 'f' ? "float" : "typed";
+}
+
+/* Acquire `obj`'s buffer into `view` as a 1-d, C-contiguous array of
+ * `kind` ('i', 'u', 'f') aligned to its item width, or of any element
+ * type (kind 0: read as bytes), with `width` bytes per item (0: any),
+ * writable if asked.  On failure raises and leaves
+ * view->obj NULL. */
+static int get_array(const char *func, const char *arg, PyObject *obj,
+                     char kind, Py_ssize_t width, int writable,
+                     Py_buffer *view)
+{
+    int flags = PyBUF_STRIDES | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        view->obj = NULL;
+        if (PyErr_ExceptionMatches(PyExc_BufferError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s: %s is not a %sarray",
+                         func, arg, writable ? "writable " : "");
+        }
+        return -1;
+    }
+    char got = format_kind(view->format);
+    if ((kind != 0 && got != kind) || (width != 0 && view->itemsize != width)
+        || view->itemsize < 1) {
+        char want[16] = "";
+        if (width != 0) snprintf(want, sizeof want, "%zd", 8 * width);
+        PyErr_Format(PyExc_TypeError, "%s: %s must be %s%s, got format '%s'",
+                     func, arg, kind_name(kind), want,
+                     view->format ? view->format : "B");
+        goto fail;
+    }
+    if (view->ndim != 1) {
+        PyErr_Format(PyExc_ValueError, "%s: %s must be 1-d, got %d-d",
+                     func, arg, view->ndim);
+        goto fail;
+    }
+    if (!PyBuffer_IsContiguous(view, 'C')) {
+        PyErr_Format(PyExc_ValueError, "%s: %s must be C-contiguous",
+                     func, arg);
+        goto fail;
+    }
+    if (kind != 0 && (uintptr_t)view->buf % (uintptr_t)view->itemsize) {
+        PyErr_Format(PyExc_ValueError, "%s: %s is misaligned", func, arg);
+        goto fail;
+    }
+    return 0;
+fail:
+    PyBuffer_Release(view);
+    view->obj = NULL;
+    return -1;
+}
+
+static Py_ssize_t items(const Py_buffer *view) {
+    return view->len / view->itemsize;
+}
+
+/* Raise unless `view` holds at least `need` items (`what`: "rows",
+ * "bytes") on an `align`-byte boundary. */
+static int check_room(const char *func, const char *arg, const Py_buffer *view,
+                      Py_ssize_t need, const char *what, uintptr_t align)
+{
+    if (items(view) < need) {
+        PyErr_Format(PyExc_ValueError, "%s: %s holds %zd %s, needs %zd",
+                     func, arg, items(view), what, need);
+        return -1;
+    }
+    if ((uintptr_t)view->buf % align) {
+        PyErr_Format(PyExc_ValueError, "%s: %s is not %d-byte aligned",
+                     func, arg, (int)align);
+        return -1;
+    }
+    return 0;
+}
+
+static void release_all(Py_buffer *views, Py_ssize_t n) {
+    for (Py_ssize_t i = 0; i < n; i++) PyBuffer_Release(&views[i]);
+}
+
+static int check_nargs(const char *func, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs == want) return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                 func, want, nargs);
+    return -1;
+}
+
+/* fold_chunk(src_ip, dst_ip, proto, packets, bytes_, factor,
+ *            block_shift, dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
+ *            vol_keys, vol_pk, src_keys, src_pk, raw_keys, raw_pk,
+ *            bufa, bufb) -> (n_dst, n_vol, n_src, n_raw) | None
+ *
+ * Keys are uint32 or uint64 (both the same); proto uint8; packets and
+ * bytes_ int64; every output holds n rows (int64 keys, float64 sums);
+ * bufa / bufb each hold n records of 12 bytes (uint32 keys) or 16
+ * (uint64), aligned to 4 or 8. */
+#define FOLD_ARRAYS 17
+static const struct { const char *name; char kind; Py_ssize_t width; }
+fold_args[FOLD_ARRAYS] = {
+    {"src_ip", 'u', 0}, {"dst_ip", 'u', 0}, {"proto", 'u', 1},
+    {"packets", 'i', 8}, {"bytes_", 'i', 8},
+    {"dst_keys", 'i', 8}, {"dst_tcp_pk", 'f', 8}, {"dst_tcp_by", 'f', 8},
+    {"dst_tot", 'f', 8}, {"vol_keys", 'i', 8}, {"vol_pk", 'f', 8},
+    {"src_keys", 'i', 8}, {"src_pk", 'f', 8}, {"raw_keys", 'i', 8},
+    {"raw_pk", 'f', 8}, {"bufa", 'u', 1}, {"bufb", 'u', 1},
+};
+#define FOLD_INPUTS 5
+
+static PyObject *py_fold_chunk(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    static const char *func = "fold_chunk";
+    (void)self;
+    if (check_nargs(func, nargs, FOLD_ARRAYS + 2) < 0) return NULL;
+    double factor = PyFloat_AsDouble(args[FOLD_INPUTS]);
+    if (factor == -1.0 && PyErr_Occurred()) return NULL;
+    long long block_shift = PyLong_AsLongLong(args[FOLD_INPUTS + 1]);
+    if (block_shift == -1 && PyErr_Occurred()) return NULL;
+    if (block_shift < 0 || block_shift > 63) {
+        PyErr_Format(PyExc_ValueError, "%s: block_shift %lld outside 0..63",
+                     func, block_shift);
+        return NULL;
+    }
+    Py_buffer v[FOLD_ARRAYS];
+    Py_ssize_t held = 0;
+    for (; held < FOLD_ARRAYS; held++) {
+        PyObject *obj = args[held < FOLD_INPUTS ? held : held + 2];
+        if (get_array(func, fold_args[held].name, obj, fold_args[held].kind,
+                      fold_args[held].width, held >= FOLD_INPUTS,
+                      &v[held]) < 0)
+            goto fail;
+    }
+    Py_ssize_t key_width = v[0].itemsize, n = items(&v[0]);
+    if ((key_width != 4 && key_width != 8) || v[1].itemsize != key_width) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: src_ip and dst_ip must both be uint32 or both "
+                     "uint64", func);
+        goto fail;
+    }
+    for (int i = 1; i < FOLD_INPUTS; i++) {
+        if (items(&v[i]) != n) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: %s has %zd rows, src_ip has %zd",
+                         func, fold_args[i].name, items(&v[i]), n);
+            goto fail;
+        }
+    }
+    for (int i = FOLD_INPUTS; i < FOLD_ARRAYS - 2; i++)
+        if (check_room(func, fold_args[i].name, &v[i], n, "rows", 8) < 0)
+            goto fail;
+    Py_ssize_t record = key_width == 4 ? 12 : 16;
+    for (int i = FOLD_ARRAYS - 2; i < FOLD_ARRAYS; i++)
+        if (check_room(func, fold_args[i].name, &v[i], record * n, "bytes",
+                       (uintptr_t)key_width) < 0)
+            goto fail;
+
+    int64_t counts[4];
+    int64_t status;
+    Py_BEGIN_ALLOW_THREADS
+    status = fold_chunk(
+        v[0].buf, v[1].buf, 8 * key_width, v[2].buf, v[3].buf, v[4].buf,
+        n, factor, block_shift,
+        v[5].buf, v[6].buf, v[7].buf, v[8].buf, v[9].buf, v[10].buf,
+        v[11].buf, v[12].buf, v[13].buf, v[14].buf, v[15].buf, v[16].buf,
+        counts);
+    Py_END_ALLOW_THREADS
+    release_all(v, FOLD_ARRAYS);
+    if (status != 0) Py_RETURN_NONE;
+    return Py_BuildValue("(LLLL)", (long long)counts[0], (long long)counts[1],
+                         (long long)counts[2], (long long)counts[3]);
+fail:
+    release_all(v, held);
+    return NULL;
+}
+
+/* The checked buffers and pointer tables of one merge call: `parts` (a
+ * list of (keys, cols) tuples, int64 keys and a tuple of float64
+ * columns of the keys' length, the same column count in every part),
+ * `out_keys` / `out_cols` (a tuple; room for every input row) and, for
+ * merge_k, `scratch` (two 16-byte records per input row, 8-byte
+ * aligned).  The list is read through a tuple copy, so acquiring a
+ * buffer that runs Python code cannot change it under us.  One
+ * allocation holds the buffers and tables. */
+typedef struct {
+    PyObject *parts;
+    Py_ssize_t nparts, ncols, total, held;
+    Py_buffer *views;
+    const int64_t **keys;
+    const double **cols; /* nparts * ncols, part-major */
+    int64_t *lens;
+    double **out_cols;
+    int64_t *out_keys;
+    void *scratch;
+} MergeArgs;
+
+static void merge_release(MergeArgs *m) {
+    if (m->views != NULL) release_all(m->views, m->held);
+    PyMem_Free(m->views);
+    Py_XDECREF(m->parts);
+}
+
+static int merge_acquire(const char *func, PyObject *parts,
+                         PyObject *out_keys, PyObject *out_cols,
+                         PyObject *scratch, MergeArgs *m)
+{
+    memset(m, 0, sizeof(*m));
+    if (!PyList_Check(parts)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: parts must be a list of (keys, cols), got %.80s",
+                     func, Py_TYPE(parts)->tp_name);
+        return -1;
+    }
+    if (!PyTuple_Check(out_cols)) {
+        PyErr_Format(PyExc_TypeError, "%s: out_cols must be a tuple, got %.80s",
+                     func, Py_TYPE(out_cols)->tp_name);
+        return -1;
+    }
+    m->parts = PyList_AsTuple(parts);
+    if (m->parts == NULL) return -1;
+    m->nparts = PyTuple_GET_SIZE(m->parts);
+    m->ncols = PyTuple_GET_SIZE(out_cols);
+    if (m->nparts < 1 || m->ncols < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: %zd parts of %zd columns", func,
+                     m->nparts, m->ncols);
+        return -1;
+    }
+    Py_ssize_t nviews = m->nparts * (1 + m->ncols) + 1 + m->ncols + 1;
+    size_t nbytes = nviews * sizeof(Py_buffer)
+        + m->nparts * (sizeof(void *) * (1 + m->ncols) + sizeof(int64_t))
+        + m->ncols * sizeof(void *);
+    char *block = PyMem_Malloc(nbytes);
+    if (block == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    m->views = (Py_buffer *)block;
+    m->keys = (const int64_t **)(m->views + nviews);
+    m->cols = (const double **)(m->keys + m->nparts);
+    m->out_cols = (double **)(m->cols + m->nparts * m->ncols);
+    m->lens = (int64_t *)(m->out_cols + m->ncols);
+
+    for (Py_ssize_t q = 0; q < m->nparts; q++) {
+        PyObject *part = PyTuple_GET_ITEM(m->parts, q);
+        if (!PyTuple_Check(part) || PyTuple_GET_SIZE(part) != 2
+            || !PyTuple_Check(PyTuple_GET_ITEM(part, 1))) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s: part %zd is not a (keys, cols) tuple pair",
+                         func, q);
+            return -1;
+        }
+        PyObject *cols = PyTuple_GET_ITEM(part, 1);
+        if (PyTuple_GET_SIZE(cols) != m->ncols) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: part %zd has %zd columns, out_cols %zd",
+                         func, q, PyTuple_GET_SIZE(cols), m->ncols);
+            return -1;
+        }
+        Py_buffer *kv = &m->views[m->held];
+        if (get_array(func, "part keys", PyTuple_GET_ITEM(part, 0), 'i', 8,
+                      0, kv) < 0)
+            return -1;
+        m->held++;
+        m->keys[q] = kv->buf;
+        m->lens[q] = items(kv);
+        m->total += items(kv);
+        for (Py_ssize_t c = 0; c < m->ncols; c++) {
+            Py_buffer *cv = &m->views[m->held];
+            if (get_array(func, "part column", PyTuple_GET_ITEM(cols, c), 'f',
+                          8, 0, cv) < 0)
+                return -1;
+            m->held++;
+            m->cols[q * m->ncols + c] = cv->buf;
+            if (items(cv) != m->lens[q]) {
+                PyErr_Format(PyExc_ValueError,
+                             "%s: part %zd column %zd has %zd rows, its "
+                             "keys %lld", func, q, c, items(cv),
+                             (long long)m->lens[q]);
+                return -1;
+            }
+        }
+    }
+    Py_buffer *ov = &m->views[m->held];
+    if (get_array(func, "out_keys", out_keys, 'i', 8, 1, ov) < 0) return -1;
+    m->held++;
+    if (check_room(func, "out_keys", ov, m->total, "rows", 8) < 0) return -1;
+    m->out_keys = ov->buf;
+    for (Py_ssize_t c = 0; c < m->ncols; c++) {
+        Py_buffer *cv = &m->views[m->held];
+        if (get_array(func, "out_cols", PyTuple_GET_ITEM(out_cols, c), 'f', 8,
+                      1, cv) < 0)
+            return -1;
+        m->held++;
+        if (check_room(func, "out_cols", cv, m->total, "rows", 8) < 0)
+            return -1;
+        m->out_cols[c] = cv->buf;
+    }
+    if (scratch != NULL) {
+        Py_buffer *sv = &m->views[m->held];
+        if (get_array(func, "scratch", scratch, 'u', 1, 1, sv) < 0) return -1;
+        m->held++;
+        if (check_room(func, "scratch", sv, 32 * m->total, "bytes", 8) < 0)
+            return -1;
+        m->scratch = sv->buf;
+    }
+    return 0;
+}
+
+/* merge_sorted(parts, out_keys, out_cols) -> merged length; parts holds
+ * exactly two sorted-unique parts. */
+static PyObject *py_merge_sorted(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    static const char *func = "merge_sorted";
+    (void)self;
+    if (check_nargs(func, nargs, 3) < 0) return NULL;
+    MergeArgs m;
+    if (merge_acquire(func, args[0], args[1], args[2], NULL, &m) < 0) {
+        merge_release(&m);
+        return NULL;
+    }
+    if (m.nparts != 2) {
+        PyErr_Format(PyExc_ValueError, "%s: takes 2 parts, got %zd", func,
+                     m.nparts);
+        merge_release(&m);
+        return NULL;
+    }
+    int64_t count;
+    Py_BEGIN_ALLOW_THREADS
+    count = merge_sorted(m.keys[0], m.cols, m.lens[0],
+                         m.keys[1], m.cols + m.ncols, m.lens[1],
+                         m.ncols, m.out_keys, m.out_cols);
+    Py_END_ALLOW_THREADS
+    merge_release(&m);
+    return PyLong_FromLongLong(count);
+}
+
+/* merge_k(parts, out_keys, out_cols, scratch) -> merged length | None;
+ * any number of sorted-unique parts. */
+static PyObject *py_merge_k(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    static const char *func = "merge_k";
+    (void)self;
+    if (check_nargs(func, nargs, 4) < 0) return NULL;
+    MergeArgs m;
+    if (merge_acquire(func, args[0], args[1], args[2], args[3], &m) < 0) {
+        merge_release(&m);
+        return NULL;
+    }
+    int64_t count;
+    Py_BEGIN_ALLOW_THREADS
+    count = merge_k(m.keys, m.cols, m.lens, m.nparts, m.ncols,
+                    m.out_keys, m.out_cols, m.scratch);
+    Py_END_ALLOW_THREADS
+    merge_release(&m);
+    if (count < 0) Py_RETURN_NONE;
+    return PyLong_FromLongLong(count);
+}
+
+/* crc32_columns(columns, crcs) -> column count | None; columns is a
+ * list of 1-d C-contiguous arrays of any element type, crcs a uint32
+ * array with room for one value per column. */
+static PyObject *py_crc32_columns(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    static const char *func = "crc32_columns";
+    (void)self;
+    if (check_nargs(func, nargs, 2) < 0) return NULL;
+    if (!PyList_Check(args[0])) {
+        PyErr_Format(PyExc_TypeError, "%s: columns must be a list, got %.80s",
+                     func, Py_TYPE(args[0])->tp_name);
+        return NULL;
+    }
+    /* A tuple copy: acquiring a buffer cannot change the list under us. */
+    PyObject *list = PyList_AsTuple(args[0]);
+    if (list == NULL) return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(list), held = 0;
+    Py_buffer *views = PyMem_Malloc(
+        (n + 1) * (sizeof(Py_buffer) + sizeof(void *) + sizeof(int64_t)));
+    if (views == NULL) {
+        Py_DECREF(list);
+        return PyErr_NoMemory();
+    }
+    const uint8_t **columns = (const uint8_t **)(views + n + 1);
+    int64_t *lengths = (int64_t *)(columns + n + 1);
+    PyObject *result = NULL;
+    for (; held < n; held++) {
+        if (get_array(func, "column", PyTuple_GET_ITEM(list, held), 0, 0, 0,
+                      &views[held]) < 0)
+            goto done;
+        columns[held] = views[held].buf;
+        lengths[held] = views[held].len;
+    }
+    if (get_array(func, "crcs", args[1], 'u', 4, 1, &views[n]) < 0) goto done;
+    held++;
+    if (check_room(func, "crcs", &views[n], n, "values", 4) < 0) goto done;
+    int64_t status;
+    uint32_t *crcs = views[n].buf;
+    Py_BEGIN_ALLOW_THREADS
+    status = crc32_columns(columns, lengths, n, crcs);
+    Py_END_ALLOW_THREADS
+    if (status < 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        result = PyLong_FromSsize_t(n);
+    }
+done:
+    release_all(views, held);
+    PyMem_Free(views);
+    Py_DECREF(list);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"fold_chunk", (PyCFunction)(void (*)(void))py_fold_chunk,
+     METH_FASTCALL, "The fused per-chunk fold: four keyed parts."},
+    {"merge_sorted", (PyCFunction)(void (*)(void))py_merge_sorted,
+     METH_FASTCALL, "Linear merge of two sorted-unique keyed parts."},
+    {"merge_k", (PyCFunction)(void (*)(void))py_merge_k,
+     METH_FASTCALL, "Radix sort-reduce merge of sorted-unique keyed parts."},
+    {"crc32_columns", (PyCFunction)(void (*)(void))py_crc32_columns,
+     METH_FASTCALL, "zlib's CRC-32 of each column, one call per segment."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "_kernels",
+    "The native fold, merges and column checksums of repro.core.kernels.",
+    -1, kernel_methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__kernels(void) {
+    return PyModule_Create(&kernel_module);
 }

@@ -7,19 +7,26 @@ Two backends compute the accumulator's hot loops:
   regroup (``group_sum``) and the regroup of sorted-unique parts
   (``merge_sorted_parts``).  This arithmetic is written in numpy here
   and nowhere else; the accumulator has no regroup of its own.
-* ``native`` — :class:`NativeKernel`, the ctypes binding of
-  ``_kernels.c``: a fused radix-sort fold, and merges of sorted parts
-  (linear for two, the fold's radix sort-reduce for more) — the two
-  ops the layer budget shows earning their C (``group_sum`` of
-  unsorted parts and the stage masks are numpy under either backend).
-  A negative count from the C is a decline, and the reference takes
-  that call.  The same library checksums flowpack columns
-  (:func:`crc32_columns`: zlib's CRC-32 values, one C call per
-  segment).  The source is compiled once with the
-  system C compiler (cached under ``~/.cache/repro/kernels``) and
-  needs no Python dependency; without a compiler the backend silently
-  degrades to the reference (the engine emits a ``kernel`` trace event
-  with the fallback reason).
+* ``native`` — :class:`NativeKernel`, over ``_kernels.c`` built as a
+  CPython extension module: a fused radix-sort fold, and merges of
+  sorted parts (linear for two, the fold's radix sort-reduce for more)
+  — the two ops the layer budget shows earning their C (``group_sum``
+  of unsorted parts and the stage masks are numpy under either
+  backend).  Its functions take numpy arrays, and lists of
+  ``(keys, cols)`` parts, through the buffer protocol; they check every
+  array in C (dtype, 1-d, C-contiguous, lengths, output and scratch
+  room), drop the GIL around the loop, and return counts, or ``None``
+  for a decline, which the reference then takes.  One call costs a few
+  microseconds of boundary, not the tens that per-argument ctypes
+  conversion cost (docs/architecture.md has the per-call table).  The
+  same module checksums flowpack columns (:func:`crc32_columns`:
+  zlib's CRC-32 values, one C call per segment).  The source is
+  compiled once per source hash and interpreter ABI with the system C
+  compiler against the interpreter's own headers (cached under
+  ``~/.cache/repro/kernels`` as ``_kernels-<hash><EXT_SUFFIX>``) and
+  needs no Python dependency; without a compiler or without
+  ``Python.h`` the backend silently degrades to the reference (the
+  engine emits a ``kernel`` trace event with the fallback reason).
 
 **Identity contract.**  Both backends produce bit-identical
 classifications: native kernels accumulate per-key sums in original
@@ -31,18 +38,20 @@ suite (``tests/core/test_kernels.py``), which includes the
 numpy = native = forced-fallback identity check on a micro world.
 
 Backends are resolved by name through :func:`get_kernel`; ``auto``
-picks ``native`` when the C library is available.  Resolution is
+picks ``native`` when the extension module is available.  Resolution is
 cached per process.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 import zlib
@@ -73,7 +82,7 @@ KERNEL_CHOICES = ("auto", "numpy", "native")
 #: supported way to exercise the silent-fallback path.
 DISABLE_NATIVE_ENV = "REPRO_DISABLE_NATIVE_KERNEL"
 
-#: Override the on-disk cache directory for the compiled C library.
+#: Override the on-disk cache directory for the compiled extension module.
 CACHE_DIR_ENV = "REPRO_KERNEL_CACHE"
 
 
@@ -175,47 +184,24 @@ class NumpyKernel:
 
 
 # ---------------------------------------------------------------------------
-# The native provider: _kernels.c through ctypes
+# The native provider: _kernels.c as a CPython extension module
 # ---------------------------------------------------------------------------
 
-_I64 = ctypes.c_int64
-
-
-# Argument types: contiguous 1-d numpy arrays, dtype-checked per call.
-_U8, _U32, _KEYS, _SUMS = (
-    np.ctypeslib.ndpointer(dtype=dtype, ndim=1, flags="C_CONTIGUOUS")
-    for dtype in (np.uint8, np.uint32, np.int64, np.float64)
-)
-#: Pointer tables: int64 arrays of data addresses (see _addresses).
-_PTRS = _KEYS
-#: The fold's address columns: any dtype here, checked against
-#: ``_FOLD_KEYS`` in :meth:`NativeKernel.fold_chunk`.
-_ADDRS = np.ctypeslib.ndpointer(ndim=1, flags="C_CONTIGUOUS")
-
-#: Address dtype -> (the key width ``fold_chunk`` reads it at, bytes of
-#: the widest radix record that width can take).  32-bit keys always
-#: fit 12-byte records; a 64-bit key range wider than 32 bits needs 16.
-_FOLD_KEYS = {np.dtype(np.uint32): (32, 12), np.dtype(np.uint64): (64, 16)}
-
-
-def _addresses(arrays) -> np.ndarray:
-    """The arrays' data addresses as one int64 pointer table.
-
-    One integer per array instead of one ctypes pointer cast each; the
-    caller keeps the arrays alive across the C call.
-    """
-    return np.array([array.ctypes.data for array in arrays], dtype=np.int64)
+#: Address dtype -> bytes of the widest radix record ``fold_chunk`` can
+#: sort keys of that width in.  32-bit keys always fit 12-byte records;
+#: a 64-bit key range wider than 32 bits needs 16.
+_FOLD_RECORD_BYTES = {np.dtype(np.uint32): 12, np.dtype(np.uint64): 16}
 
 
 class _Staging(threading.local):
     """Pooled radix scratch (fold and k-way merge) and the fold's output
     staging, one set per thread.
 
-    ctypes drops the GIL for the C call, so two threads folding through
-    the process-wide :class:`NativeKernel` must not share buffers.
-    Thread-local rather than a lock: :mod:`repro.core.parallel` forks
-    pool workers from folding processes, and a child must not inherit a
-    held lock.
+    The extension drops the GIL for the C call, so two threads folding
+    through the process-wide :class:`NativeKernel` must not share
+    buffers.  Thread-local rather than a lock: :mod:`repro.core.parallel`
+    forks pool workers from folding processes, and a child must not
+    inherit a held lock.
     """
 
     def __init__(self) -> None:
@@ -255,41 +241,24 @@ def _copied_out(count: int, keys: np.ndarray, columns):
     return keys[:count].copy(), tuple(c[:count].copy() for c in columns)
 
 
-def _merge_outputs(rows: int, ncols: int):
-    """Owned merge outputs with room for every input row."""
-    return np.empty(rows, dtype=np.int64), [
-        np.empty(rows, dtype=np.float64) for _ in range(ncols)
-    ]
-
-
-def _trimmed(count: int, keys: np.ndarray, columns):
-    """A merge's outputs cut to its ``count`` rows in place, or None when
-    the C declined (a negative count)."""
-    if count < 0:
-        return None
-    # Shrinking an array nothing else references is a realloc, not a
-    # copy; the parts the accumulator keeps hold no slack.
-    for array in (keys, *columns):
-        array.resize(count, refcheck=False)
-    return keys, tuple(columns)
-
-
 class NativeKernel(NumpyKernel):
-    """The compiled fold and sorted-part merges, bound through ctypes.
+    """The compiled fold and sorted-part merges of the ``_kernels``
+    extension module.
 
-    ``lib`` is the loaded ``_kernels.c`` library; ``None`` means it
-    could not be built or loaded and the backend *is* the reference —
-    the silent-fallback contract (``fallback_reason`` says why, and the
-    engine surfaces it as a ``kernel`` trace event).
+    ``ext`` is the loaded module; ``None`` means it could not be built
+    or loaded and the backend *is* the reference — the silent-fallback
+    contract (``fallback_reason`` says why, and the engine surfaces it
+    as a ``kernel`` trace event).  The module checks every array it is
+    handed (dtype, 1-d, C-contiguous, lengths, capacity) and raises on
+    a bad one; this class only hands it arrays it accepts, and sends
+    any other layout to the reference.
     """
 
     name = "native"
 
-    def __init__(
-        self, lib: ctypes.CDLL | None, fallback_reason: str | None = None
-    ) -> None:
-        self._lib = lib
-        self.provider = "cc" if lib is not None else "numpy"
+    def __init__(self, ext, fallback_reason: str | None = None) -> None:
+        self._ext = ext
+        self.provider = "cc" if ext is not None else "numpy"
         self.fallback_reason = fallback_reason
         self._staging = _Staging()
 
@@ -297,43 +266,39 @@ class NativeKernel(NumpyKernel):
                    block_shift=8):
         # The fold is compiled for uint32 (IPv4) and uint64 (IPv6) keys
         # of one width; any other layout silently takes the reference
-        # path — same dtype-gate contract as a missing library.
-        key_layout = _FOLD_KEYS.get(dst_ip.dtype)
+        # path — same dtype-gate contract as a missing module.
+        record_bytes = _FOLD_RECORD_BYTES.get(dst_ip.dtype)
         if (
-            self._lib is not None
-            and key_layout is not None
+            self._ext is not None
+            and record_bytes is not None
             and src_ip.dtype == dst_ip.dtype
             and proto.dtype == np.uint8
             and packets.dtype == np.int64
             and bytes_.dtype == np.int64
         ):
             n = len(dst_ip)
-            key_bits, record_bytes = key_layout
             bufa, bufb = self._staging.buffers(n, record_bytes)
             keys, sums = self._staging.outputs(n, 4, 6)
             dst_keys, vol_keys, src_keys, raw_keys = keys
             dst_cols = sums[:3]
             vol_pk, src_pk, raw_pk = sums[3:]
-            counts = np.zeros(4, dtype=np.int64)
-            status = self._lib.fold_chunk(
+            counts = self._ext.fold_chunk(
                 np.ascontiguousarray(src_ip),
                 np.ascontiguousarray(dst_ip),
-                key_bits,
                 np.ascontiguousarray(proto),
                 np.ascontiguousarray(packets),
                 np.ascontiguousarray(bytes_),
-                n, float(factor), int(block_shift),
+                factor, block_shift,
                 dst_keys, *dst_cols,
                 vol_keys, vol_pk,
                 src_keys, src_pk,
                 raw_keys, raw_pk,
                 bufa, bufb,
-                counts,
             )
-            # Non-zero: a count outside the 31-bit record field (or
+            # None: a count outside the 31-bit record field (or
             # negative) — the reference path below takes the chunk.
-            if status == 0:
-                ndst, nvol, nsrc, nraw = (int(c) for c in counts)
+            if counts is not None:
+                ndst, nvol, nsrc, nraw = counts
                 return (
                     _copied_out(ndst, dst_keys, dst_cols),
                     _copied_out(nvol, vol_keys, (vol_pk,)),
@@ -345,7 +310,7 @@ class NativeKernel(NumpyKernel):
         )
 
     def merge_sorted_parts(self, parts):
-        if self._lib is None:
+        if self._ext is None:
             return super().merge_sorted_parts(parts)
         normalized = [
             (
@@ -359,42 +324,28 @@ class NativeKernel(NumpyKernel):
         ]
         if len(normalized) == 1:
             return normalized[0]
-        merged = (
-            self._merge_sorted(*normalized[0], *normalized[1])
-            if len(normalized) == 2
-            else self._merge_k(normalized)
+        total = sum(len(keys) for keys, _ in normalized)
+        out_keys = np.empty(total, dtype=np.int64)
+        out_cols = tuple(
+            np.empty(total, dtype=np.float64) for _ in normalized[0][1]
         )
-        # A negative count is the C declining the shape: the reference
-        # regroup takes it, as it takes a declined fold chunk.
-        return super().merge_sorted_parts(parts) if merged is None else merged
-
-    def _merge_sorted(self, ka, va, kb, vb):
-        if len(va) != len(vb):
-            return None
-        out_keys, out_cols = _merge_outputs(len(ka) + len(kb), len(va))
-        count = self._lib.merge_sorted(
-            ka, _addresses(va), len(ka),
-            kb, _addresses(vb), len(kb),
-            len(va), out_keys, _addresses(out_cols),
-        )
-        return _trimmed(count, out_keys, out_cols)
-
-    def _merge_k(self, parts):
-        ncols = len(parts[0][1])
-        if any(len(columns) != ncols for _, columns in parts):
-            return None
-        lens = np.array([len(keys) for keys, _ in parts], dtype=np.int64)
-        total = int(lens.sum())
-        out_keys, out_cols = _merge_outputs(total, ncols)
-        count = self._lib.merge_k(
-            _addresses(keys for keys, _ in parts),
-            _addresses(c for _, columns in parts for c in columns),
-            lens, len(parts), ncols,
-            out_keys, _addresses(out_cols),
+        if len(normalized) == 2:
+            count = self._ext.merge_sorted(normalized, out_keys, out_cols)
+        else:
             # Room for two 16-byte radix records per input row.
-            self._staging.scratch(32 * total),
-        )
-        return _trimmed(count, out_keys, out_cols)
+            count = self._ext.merge_k(
+                normalized, out_keys, out_cols,
+                self._staging.scratch(32 * total),
+            )
+        # None is the C declining the shape: the reference regroup takes
+        # it, as it takes a declined fold chunk.
+        if count is None:
+            return super().merge_sorted_parts(parts)
+        # Shrinking an array nothing else references is a realloc, not a
+        # copy; the parts the accumulator keeps hold no slack.
+        for array in (out_keys, *out_cols):
+            array.resize(count, refcheck=False)
+        return out_keys, out_cols
 
 
 def crc32_columns(arrays) -> list[int]:
@@ -407,44 +358,12 @@ def crc32_columns(arrays) -> list[int]:
     way, so archives do not depend on which computed them.
     """
     arrays = [np.ascontiguousarray(array) for array in arrays]
-    lib = _native_kernel()._lib
-    if lib is not None and arrays:
-        lengths = np.array([array.nbytes for array in arrays], dtype=np.int64)
+    ext = _native_kernel()._ext
+    if ext is not None and arrays:
         crcs = np.empty(len(arrays), dtype=np.uint32)
-        if lib.crc32_columns(
-            _addresses(arrays), lengths, len(arrays), crcs
-        ) == 0:
+        if ext.crc32_columns(arrays, crcs) is not None:
             return crcs.tolist()
     return [zlib.crc32(array) for array in arrays]
-
-
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the C signatures of the library's four exports."""
-    lib.fold_chunk.restype = _I64
-    lib.fold_chunk.argtypes = [
-        _ADDRS, _ADDRS, _I64,
-        _U8, _KEYS, _KEYS, _I64, ctypes.c_double, _I64,
-        _KEYS, _SUMS, _SUMS, _SUMS,
-        _KEYS, _SUMS,
-        _KEYS, _SUMS,
-        _KEYS, _SUMS,
-        _U8, _U8,
-        _KEYS,
-    ]
-    lib.merge_sorted.restype = _I64
-    lib.merge_sorted.argtypes = [
-        _KEYS, _PTRS, _I64,
-        _KEYS, _PTRS, _I64,
-        _I64, _KEYS, _PTRS,
-    ]
-    lib.merge_k.restype = _I64
-    lib.merge_k.argtypes = [
-        _PTRS, _PTRS, _KEYS, _I64, _I64,
-        _KEYS, _PTRS, _U8,
-    ]
-    lib.crc32_columns.restype = _I64
-    lib.crc32_columns.argtypes = [_PTRS, _KEYS, _I64, _U32]
-    return lib
 
 
 def _cache_dir() -> Path:
@@ -455,7 +374,9 @@ def _cache_dir() -> Path:
     return Path(base) / "repro" / "kernels"
 
 
-def _build(compiler: str, source: Path, shared: Path) -> str | None:
+def _build(
+    compiler: str, include: Path, source: Path, shared: Path
+) -> str | None:
     """Compile ``source`` into ``shared`` atomically; the failure reason."""
     shared.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.NamedTemporaryFile(
@@ -464,7 +385,8 @@ def _build(compiler: str, source: Path, shared: Path) -> str | None:
         temp = handle.name
     try:
         result = subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", "-o", temp, str(source)],
+            [compiler, "-O3", "-shared", "-fPIC", f"-I{include}",
+             "-o", temp, str(source)],
             capture_output=True,
             timeout=120,
         )
@@ -480,30 +402,44 @@ def _build(compiler: str, source: Path, shared: Path) -> str | None:
             os.unlink(temp)
 
 
-def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
-    """Build (once per source hash) and load ``_kernels.c``."""
+def _load_extension():
+    """Build (once per source hash and interpreter ABI) and import
+    ``_kernels.c``; ``(module, None)`` or ``(None, reason)``."""
     if os.environ.get(DISABLE_NATIVE_ENV):
         return None, f"disabled via {DISABLE_NATIVE_ENV}"
     source = Path(__file__).with_name("_kernels.c")
     if not source.exists():
         return None, "_kernels.c not packaged"
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None, "no C compiler on PATH"
     digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
-    shared = _cache_dir() / f"kernels-{digest}.so"
+    # The ABI suffix keys the build to this interpreter: another
+    # Python sharing the cache directory builds and loads its own.
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    shared = _cache_dir() / f"_kernels-{digest}{suffix}"
     if not shared.exists():
+        compiler = (
+            os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+        )
+        if compiler is None:
+            return None, "no C compiler on PATH"
+        include = Path(sysconfig.get_paths()["include"])
+        if not (include / "Python.h").is_file():
+            return None, f"no Python.h in {include} (Python headers missing)"
         try:
-            reason = _build(compiler, source, shared)
+            reason = _build(compiler, include, source, shared)
         except (OSError, subprocess.SubprocessError) as error:
             # Unwritable cache dir, missing compiler, build timeout.
             reason = f"{compiler} build failed: {error}"
         if reason is not None:
             return None, reason
+    loader = importlib.machinery.ExtensionFileLoader("_kernels", str(shared))
     try:
-        return _bind(ctypes.CDLL(str(shared))), None
-    except OSError as error:  # pragma: no cover - corrupt cache
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader("_kernels", loader)
+        )
+        loader.exec_module(module)
+    except (ImportError, OSError) as error:  # a corrupt build in the cache
         return None, f"cannot load {shared.name}: {error}"
+    return module, None
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +451,7 @@ _CACHE: dict[str, Any] = {}
 
 def _native_kernel() -> NativeKernel:
     if "native" not in _CACHE:
-        _CACHE["native"] = NativeKernel(*_load_library())
+        _CACHE["native"] = NativeKernel(*_load_extension())
     return _CACHE["native"]
 
 
@@ -523,7 +459,7 @@ def get_kernel(name: str | None) -> NumpyKernel:
     """The backend instance for a resolved knob value.
 
     ``numpy`` and ``native`` return the named backend (``native``
-    degrades to reference semantics when the library is unavailable);
+    degrades to reference semantics when the module is unavailable);
     ``auto``/``None`` resolve via :func:`resolve_kernel_name` first.
     """
     name = resolve_kernel_name(name)
@@ -537,7 +473,7 @@ def get_kernel(name: str | None) -> NumpyKernel:
 def resolve_kernel_name(name: str | None) -> str:
     """Resolve the public knob value to a concrete backend name.
 
-    ``auto`` (and ``None``) pick ``native`` when the C library is
+    ``auto`` (and ``None``) pick ``native`` when the extension module is
     actually available — never the degraded fallback — so ``auto``
     on a machine without a C compiler plans ``numpy``.
     """

@@ -21,7 +21,7 @@ state into a first-class artifact:
   producing engine's feed-quality/HealthReport summary;
 * a **flowpack-backed on-disk form** (``snapshot.fpk``): the generic
   table-archive kind of :mod:`repro.flowpack`, so opening is an
-  O(header) scan plus zero-copy ``np.memmap`` column views, with
+  O(header) scan plus zero-copy, read-only views of the mapped file, with
   per-column CRC-32 verification;
 * **O(log n) lookups**: point queries are one ``np.searchsorted``
   probe of the sorted block column, and a block range is two;
@@ -332,7 +332,7 @@ class ClassificationSnapshot:
         for name, column in columns.items():
             try:
                 column.setflags(write=False)
-            except ValueError:  # memmap-backed views are already frozen
+            except ValueError:  # views of the mapped file are already frozen
                 pass
             object.__setattr__(self, name, column)
 
@@ -513,7 +513,8 @@ class ClassificationSnapshot:
         cls, path: str | Path, verify: bool = True
     ) -> "ClassificationSnapshot":
         """Open a ``snapshot.fpk``: O(header) structural scan, zero-copy
-        ``np.memmap`` column views, CRC verification (skippable)."""
+        read-only column views of the mapped file, CRC verification
+        (skippable)."""
         archive = TableArchive(path, expected_columns=SNAPSHOT_COLUMNS)
         meta = archive.meta
         if meta.get("kind") != SNAPSHOT_KIND:

@@ -36,8 +36,9 @@ Design properties:
   capture streams straight to disk: every
   :meth:`TableWriter.write_columns` call appends one segment and
   nothing is ever rewritten.
-* **Zero-copy reads** — readers return numpy views into one shared
-  ``np.memmap``; slicing chunks out of them never copies a row.  All
+* **Zero-copy reads** — readers return plain, read-only numpy views
+  into one shared memory mapping of the file (an ``np.memmap`` viewed
+  as ``np.ndarray``); slicing chunks out of them never copies a row.  All
   offsets are 8-byte aligned by construction, and opening an archive is
   O(header): column payloads are touched only when read.
 * **Per-column checksums** — every buffer carries a CRC-32.  Strict
@@ -91,7 +92,7 @@ class FlowpackError(ValueError):
 
 def _crc32_columns(arrays) -> list[int]:
     """``zlib.crc32`` of each column buffer: one native call per
-    segment when the kernel library is available."""
+    segment when the native kernel module is available."""
     from repro.core.kernels import crc32_columns  # local: core imports us
 
     return crc32_columns(arrays)
@@ -478,8 +479,9 @@ def _scan_table(
 class TableArchive:
     """A memory-mapped generic columnar archive.
 
-    Column data is a single shared ``np.memmap``; every array this
-    object hands out is a zero-copy (read-only) view into it.  Each
+    Column data is one read-only memory mapping of the file, held as a
+    plain ``np.ndarray``; every array this object hands out is a
+    zero-copy (read-only) view into it.  Each
     segment's checksums are verified once, on first read; pass
     ``verify=False`` to skip (e.g. a worker re-reading a range the
     coordinator already verified).  ``expected_columns`` pins the
@@ -516,7 +518,12 @@ class TableArchive:
 
     def _data(self) -> np.ndarray:
         if self._mmap is None:
-            self._mmap = np.memmap(self.path, dtype=np.uint8, mode="r")
+            # A plain (read-only) ndarray over the mapping: a slice of
+            # an np.memmap pays a Python-level __array_finalize__, once
+            # per column handed out.
+            self._mmap = np.memmap(
+                self.path, dtype=np.uint8, mode="r"
+            ).view(np.ndarray)
         return self._mmap
 
     def verify_segment(self, index: int) -> None:
@@ -524,9 +531,7 @@ class TableArchive:
         if self._verified[index]:
             return
         segment = self.segments[index]
-        # Plain ndarray slices: a memmap slice costs a Python-level
-        # __array_finalize__ each, and these only feed the checksum.
-        data = self._data().view(np.ndarray)
+        data = self._data()
         computed = _crc32_columns(
             data[offset:offset + nbytes]
             for offset, nbytes in zip(segment.offsets, segment.nbytes)
@@ -545,7 +550,7 @@ class TableArchive:
     def segment_arrays(
         self, index: int, verify: bool = True
     ) -> dict[str, np.ndarray]:
-        """One segment as zero-copy memmap-backed column arrays."""
+        """One segment as zero-copy column views of the mapping."""
         if verify:
             self.verify_segment(index)
         segment = self.segments[index]
@@ -583,7 +588,7 @@ class FlowpackArchive(TableArchive):
     resolved family is exposed as :attr:`family` and stamped on every
     table handed out.  Every :class:`~repro.traffic.flows.FlowTable`
     this object returns holds zero-copy (read-only) views into one
-    shared ``np.memmap``.
+    shared memory mapping of the file.
     """
 
     def __init__(self, path: str | Path, *, _scanned=None) -> None:
@@ -598,7 +603,7 @@ class FlowpackArchive(TableArchive):
         )
 
     def segment_flows(self, index: int, verify: bool = True) -> FlowTable:
-        """One segment as a zero-copy memmap-backed flow table."""
+        """One segment as a zero-copy flow table over the mapping."""
         return FlowTable(
             **self.segment_arrays(index, verify=verify), family=self.family
         )
@@ -636,7 +641,7 @@ class FlowpackArchive(TableArchive):
         """Bounded-size chunks over the archive, zero-copy per segment.
 
         Chunks never cross a segment boundary (each is a slice of one
-        segment's memmap views), so they concatenate to exactly the
+        segment's mapped views), so they concatenate to exactly the
         full table; ``chunk_rows=None`` yields one chunk per segment.
         """
         if chunk_rows is not None and chunk_rows < 1:

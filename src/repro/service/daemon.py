@@ -198,8 +198,8 @@ class MetaTelescopeService:
     ) -> ClassificationSnapshot:
         """Serve straight off a flowpack-persisted ``snapshot.fpk``.
 
-        The opened snapshot's columns are zero-copy ``np.memmap`` views
-        (:meth:`ClassificationSnapshot.open`), so N processes serving
+        The opened snapshot's columns are zero-copy, read-only views of
+        the mapped file (:meth:`ClassificationSnapshot.open`), so N processes serving
         the same file share one page-cache copy instead of N heap
         copies; point and range queries run their ``searchsorted``
         probes directly on the mapped arrays.  The file's own stamped

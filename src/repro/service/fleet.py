@@ -12,8 +12,8 @@ supervisor persists each published snapshot as a flowpack
 ``snapshot.fpk`` (atomic ``os.replace``), bumps a version sentinel
 file and wakes its workers; each worker reads the sentinel and re-opens
 the file through
-:meth:`MetaTelescopeService.publish_path` — zero-copy ``np.memmap``
-column views, so N processes serve one page-cache copy instead of N
+:meth:`MetaTelescopeService.publish_path` — zero-copy views of the
+mapped file, so N processes serve one page-cache copy instead of N
 materialised heap copies, and the file's stamped version is adopted
 verbatim (every worker answers with the same ``snapshot_version``).
 

@@ -61,7 +61,7 @@ def _view_meta(view: VantageDayView) -> dict:
 class ArchiveDayView:
     """A vantage-day whose flows live in a flowpack archive on disk."""
 
-    #: Planner-visible storage class: rows stream off the memmap, so
+    #: Planner-visible storage class: rows stream off the mapping, so
     #: the view is paged, not resident.
     storage = "archive"
 
@@ -118,7 +118,7 @@ class ArchiveDayView:
         return self._flows
 
     def iter_chunks(self, chunk_rows: int | None = None):
-        """Bounded-size chunks straight off the memmap (zero-copy)."""
+        """Bounded-size chunks straight off the mapped file (zero-copy)."""
         return self.archive().iter_chunks(chunk_rows)
 
     def slice_ref(self, start: int, stop: int) -> "ArchiveSlice":

@@ -1,10 +1,10 @@
 """Kernel backend parity, fallback, and regression tests.
 
 The identity contract under test: ``kernel=numpy`` (the reference) and
-``kernel=native`` (the bundled C library, or the silent numpy fallback)
-produce bit-identical accumulator states and classifications for *any*
-input.  The explicit cases pin the shapes that have bitten compiled
-group-by kernels: empty and single-row chunks, all-duplicate keys,
+``kernel=native`` (the bundled C extension module, or the silent numpy
+fallback) produce bit-identical accumulator states and classifications
+for *any* input.  The explicit cases pin the shapes that have bitten
+compiled group-by kernels: empty and single-row chunks, all-duplicate keys,
 full-range 32-bit addresses (a ``uint32`` shifted by its own width is
 undefined behaviour in C — the regression here once looped forever),
 fault-injected feeds, the ignored-sender filter path, counts outside
@@ -19,12 +19,15 @@ ranges up to the full int64 span, fractional and -0.0 values, the
 reference regroup forbidden), and ``_KeyedSums`` runs as a state
 machine under both kernels against a dict of per-key sums.
 The numpy-vs-native classes are skipped (not passed numpy against
-numpy) on a host where the library cannot be built.
+numpy) on a host where the module cannot be built.
 """
 
+import hashlib
 import sys
+import sysconfig
 import threading
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -244,8 +247,8 @@ def assert_concurrent_calls_agree(calls, rounds=12):
     """Threads repeating one call each through the process-wide native
     kernel all get what the reference returns serially, every round.
 
-    ctypes drops the GIL for the C call: threads folding through the
-    process-wide native kernel once overwrote each other's pooled
+    The extension drops the GIL for the C call: threads folding through
+    the process-wide native kernel once overwrote each other's pooled
     output staging (silently wrong sums).
     """
     expected = [call(get_kernel("numpy")) for call in calls]
@@ -496,6 +499,65 @@ def v6_keys(rng, rows, span):
     return keys
 
 
+@st.composite
+def concurrent_jobs(draw):
+    """3-4 jobs for threads sharing the native kernel: a uint32 fold, a
+    uint64 fold, a merge of 2-20 sorted parts, and maybe one more of
+    any kind.  Each job is ``kernel -> result``."""
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    kinds = ["fold32", "fold64", "merge"]
+    if draw(st.booleans()):
+        kinds.append(draw(st.sampled_from(kinds)))
+    jobs = []
+    for kind in kinds:
+        if kind == "merge":
+            count = draw(st.integers(min_value=2, max_value=20))
+            pool = key_pool(rng, draw(st.sampled_from(MERGE_SPANS)), 4000)
+            ncols = draw(st.sampled_from([1, 3]))
+            parts = [
+                (keys, tuple(value_column(rng, len(keys)) for _ in range(ncols)))
+                for keys in (
+                    np.unique(rng.choice(pool, size=draw(
+                        st.integers(min_value=0, max_value=1500)
+                    )))
+                    for _ in range(count)
+                )
+            ]
+            jobs.append(lambda kernel, p=parts: kernel.merge_sorted_parts(p))
+            continue
+        rows = draw(st.integers(min_value=2, max_value=6000))
+        if kind == "fold32":
+            span = draw(st.sampled_from([2**12, 2**24, 2**32 - 1]))
+            keys = [
+                rng.integers(0, span, size=rows, dtype=np.uint64, endpoint=True)
+                .astype(np.uint32)
+                for _ in range(2)
+            ]
+            shift = 8
+        else:
+            span = draw(st.sampled_from([2**20, 2**40, 2**64 - 1 - V6_KEY]))
+            keys = [v6_keys(rng, rows, span) for _ in range(2)]
+            shift = 16
+        columns = traffic_columns(rng, *keys)
+        jobs.append(
+            lambda kernel, c=columns, s=shift: kernel.fold_chunk(*c, 2.0, s)
+        )
+    return jobs
+
+
+@needs_native
+class TestThreadsShareTheNativeKernel:
+    """The extension drops the GIL by hand around every kernel: threads
+    folding both key widths and merging at once through the one
+    process-wide kernel each get the reference's bits."""
+
+    @given(concurrent_jobs())
+    @settings(max_examples=15, deadline=None)
+    def test_property_concurrent_folds_and_merges_agree(self, jobs):
+        assert_concurrent_calls_agree(jobs, rounds=4)
+
+
 @needs_native
 class TestFold64Parity:
     """IPv6 tables (uint64 /64 keys, /48 blocks 16 bits up) fold in C."""
@@ -652,7 +714,7 @@ class TestCrc32Parity:
         assert crc32_in_c(arrays) == expected
 
     def test_concurrent_checksums_agree(self):
-        # ctypes drops the GIL: four threads checksum at once.
+        # The extension drops the GIL: four threads checksum at once.
         rng = np.random.default_rng(63)
         columns = [
             [rng.integers(0, 256, size=n, dtype=np.uint8) for n in sizes]
@@ -691,7 +753,7 @@ class TestCrc32Fallback:
             kernels._CACHE.clear()
 
     def test_declined_checksum_takes_zlib(self, monkeypatch):
-        declined = mock.Mock(return_value=-1)
+        declined = mock.Mock(return_value=None)
         stub = NativeKernel(SimpleNamespace(crc32_columns=declined))
         monkeypatch.setitem(kernels._CACHE, "native", stub)
         arrays = [CRC_BUFFER[7:7000], CRC_BUFFER[:64]]
@@ -703,6 +765,305 @@ class TestCrc32Fallback:
         strided = CRC_BUFFER[:2000:2]
         expected = zlib.crc32(np.ascontiguousarray(strided))
         assert crc32_columns([strided]) == [expected]
+
+
+#: ``fold_chunk``'s positional arguments in the extension module.
+FOLD_ARGS = (
+    "src_ip", "dst_ip", "proto", "packets", "bytes_", "factor",
+    "block_shift", "dst_keys", "dst_tcp_pk", "dst_tcp_by", "dst_tot",
+    "vol_keys", "vol_pk", "src_keys", "src_pk", "raw_keys", "raw_pk",
+    "bufa", "bufb",
+)
+#: Its int64 key outputs; the other outputs are float64 sums.
+FOLD_KEY_OUTPUTS = {"dst_keys", "vol_keys", "src_keys", "raw_keys"}
+#: Its outputs and scratch: what the C writes.
+FOLD_WRITTEN = FOLD_ARGS[FOLD_ARGS.index("dst_keys"):]
+
+
+def extension():
+    """The loaded ``_kernels`` module."""
+    return get_kernel("native")._ext
+
+
+def fold_arguments(key_dtype=np.uint32, rows=16):
+    """A valid argument list for the module's ``fold_chunk``, by name."""
+    rng = np.random.default_rng(83)
+    top = 2**32 - 1 if key_dtype == np.uint32 else 2**64 - 1
+    src, dst = (
+        rng.integers(0, top, size=rows, dtype=np.uint64, endpoint=True)
+        .astype(key_dtype)
+        for _ in range(2)
+    )
+    record = 12 if key_dtype == np.uint32 else 16
+    values = list(traffic_columns(rng, src, dst)) + [2.0, 8]
+    for name in FOLD_WRITTEN:
+        if name in ("bufa", "bufb"):
+            values.append(np.empty(record * rows, dtype=np.uint8))
+        else:
+            dtype = np.int64 if name in FOLD_KEY_OUTPUTS else np.float64
+            values.append(np.empty(rows, dtype=dtype))
+    return dict(zip(FOLD_ARGS, values))
+
+
+def strided(array):
+    """``array``'s values as a non-contiguous view."""
+    return np.repeat(array, 2)[::2]
+
+
+def misaligned(array):
+    """``array``'s values in a copy off its item alignment."""
+    copy = np.empty(array.nbytes + 1, dtype=np.uint8)[1:].view(array.dtype)
+    copy[:] = array
+    return copy
+
+
+def read_only(array):
+    array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+#: (argument, replacement, error): each is refused before the C runs.
+HOSTILE_FOLDS = [
+    ("dst_ip", lambda a: a.astype(np.float64), TypeError),
+    ("dst_ip", lambda a: a.astype(np.int32), TypeError),
+    # One key width beside the other.
+    ("src_ip", lambda a: a.astype(np.uint64 if a.itemsize == 4 else np.uint32),
+     TypeError),
+    ("dst_ip", lambda a: a.astype(np.uint16), TypeError),
+    ("packets", lambda a: a.astype(np.float64), TypeError),
+    ("bytes_", lambda a: a.astype(np.uint64), TypeError),
+    ("proto", lambda a: a.astype(np.int8), TypeError),
+    ("dst_keys", lambda a: a.astype(np.float64), TypeError),
+    ("dst_tcp_pk", lambda a: np.empty(len(a), np.int64), TypeError),
+    ("raw_pk", lambda a: np.empty(len(a), np.float32), TypeError),
+    ("dst_ip", lambda a: a.reshape(-1, 2), ValueError),
+    ("dst_keys", lambda a: a.reshape(2, -1), ValueError),
+    ("dst_ip", strided, ValueError),
+    ("vol_pk", strided, ValueError),
+    ("packets", misaligned, ValueError),
+    ("src_pk", misaligned, ValueError),
+    ("proto", lambda a: a[:-1], ValueError),
+    ("src_ip", lambda a: a[1:], ValueError),
+    ("src_keys", lambda a: a[:-1], ValueError),
+    ("bufb", lambda a: a[:-1], ValueError),
+    ("bufa", lambda a: np.empty(len(a) + 1, np.uint8)[1:], ValueError),
+    ("dst_tot", read_only, ValueError),
+    ("dst_ip", lambda a: a.tolist(), TypeError),
+    ("bufa", lambda a: bytes(len(a)), TypeError),
+    ("block_shift", lambda a: 64, ValueError),
+    ("block_shift", lambda a: -1, ValueError),
+    ("factor", lambda a: "2", TypeError),
+]
+
+def first_part(call, keys=None, cols=None, part=None):
+    """``call`` with its first part replaced, or its keys or its cols
+    mapped through ``keys`` / ``cols``."""
+    parts = list(call[0])
+    if part is None:
+        first_keys, first_cols = parts[0]
+        part = (
+            first_keys if keys is None else keys(first_keys),
+            first_cols if cols is None else cols(first_cols),
+        )
+    parts[0] = part
+    return [parts, *call[1:]]
+
+
+def first_column(cols, replace):
+    return (replace(cols[0]), *cols[1:])
+
+
+#: A merge call as ``[parts, out_keys, out_cols, scratch]``; each
+#: replacement maps one to a hostile variant.
+HOSTILE_MERGES = {
+    "parts-tuple": (lambda c: [tuple(c[0]), *c[1:]], TypeError),
+    "parts-generator": (lambda c: [iter(c[0]), *c[1:]], TypeError),
+    "no-parts": (lambda c: [[], *c[1:]], ValueError),
+    "part-list": (lambda c: first_part(c, part=list(c[0][0])), TypeError),
+    "part-triple": (
+        lambda c: first_part(c, part=(*c[0][0], None)), TypeError
+    ),
+    "cols-list": (lambda c: first_part(c, cols=list), TypeError),
+    "float-keys": (
+        lambda c: first_part(c, keys=lambda k: k.astype(np.float64)), TypeError
+    ),
+    "uint64-keys": (
+        lambda c: first_part(c, keys=lambda k: k.astype(np.uint64)), TypeError
+    ),
+    "int64-sums": (
+        lambda c: first_part(c, cols=lambda cols: first_column(
+            cols, lambda col: col.astype(np.int64))),
+        TypeError,
+    ),
+    "ragged-column": (
+        lambda c: first_part(c, cols=lambda cols: first_column(
+            cols, lambda col: col[:-1])),
+        ValueError,
+    ),
+    "missing-column": (
+        lambda c: first_part(c, cols=lambda cols: cols[:-1]), ValueError
+    ),
+    "2d-keys": (
+        lambda c: first_part(c, keys=lambda k: k.reshape(1, -1)), ValueError
+    ),
+    "strided-keys": (lambda c: first_part(c, keys=strided), ValueError),
+    "misaligned-keys": (lambda c: first_part(c, keys=misaligned), ValueError),
+    "strided-column": (
+        lambda c: first_part(c, cols=lambda cols: first_column(cols, strided)),
+        ValueError,
+    ),
+    "short-out-keys": (lambda c: [c[0], c[1][:-1], *c[2:]], ValueError),
+    "short-out-col": (
+        lambda c: [c[0], c[1], first_column(c[2], lambda col: col[:-1]), c[3]],
+        ValueError,
+    ),
+    "extra-out-col": (
+        lambda c: [c[0], c[1], (*c[2], c[2][0]), c[3]], ValueError
+    ),
+    "out-cols-list": (lambda c: [c[0], c[1], list(c[2]), c[3]], TypeError),
+    "read-only-out": (
+        lambda c: [c[0], read_only(c[1]), *c[2:]], ValueError
+    ),
+    "float-out-keys": (
+        lambda c: [c[0], c[1].astype(np.float64), *c[2:]], TypeError
+    ),
+}
+#: merge_k's scratch, on top of the shared cases.
+HOSTILE_SCRATCH = {
+    "short-scratch": (lambda c: [*c[:3], c[3][:-1]], ValueError),
+    "misaligned-scratch": (
+        lambda c: [*c[:3], np.empty(len(c[3]) + 1, np.uint8)[1:]], ValueError
+    ),
+    "int-scratch": (lambda c: [*c[:3], c[3].view(np.int8)], TypeError),
+}
+
+
+def merge_call(count, ncols=2, rows=5):
+    """A valid ``[parts, out_keys, out_cols, scratch]`` merge call."""
+    rng = np.random.default_rng(89)
+    parts = [
+        (
+            np.sort(rng.choice(100, size=rows, replace=False)).astype(np.int64),
+            tuple(value_column(rng, rows) for _ in range(ncols)),
+        )
+        for _ in range(count)
+    ]
+    total = count * rows
+    return [
+        parts,
+        np.empty(total, dtype=np.int64),
+        tuple(np.empty(total) for _ in range(ncols)),
+        np.empty(32 * total, dtype=np.uint8),
+    ]
+
+
+def call_merge(name, call):
+    merge = getattr(extension(), name)
+    return merge(*call) if name == "merge_k" else merge(*call[:3])
+
+
+@needs_native
+class TestHostileArguments:
+    """The module's four functions called directly with arguments the
+    Python side never hands them: each raises TypeError or ValueError
+    before its kernel runs — never a crash, never a read or write out
+    of bounds."""
+
+    def test_module_surface_is_the_four_functions(self):
+        public = {name for name in dir(extension()) if not name.startswith("_")}
+        assert public == {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
+
+    @pytest.mark.parametrize("key_dtype", [np.uint32, np.uint64])
+    def test_valid_fold_arguments_fold(self, key_dtype):
+        args = fold_arguments(key_dtype)
+        counts = extension().fold_chunk(*args.values())
+        assert len(counts) == 4 and all(0 < c <= 16 for c in counts)
+
+    @pytest.mark.parametrize(
+        "name,replace,error", HOSTILE_FOLDS,
+        ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(HOSTILE_FOLDS)],
+    )
+    @pytest.mark.parametrize("key_dtype", [np.uint32, np.uint64])
+    def test_hostile_fold_argument_raises(self, key_dtype, name, replace, error):
+        args = fold_arguments(key_dtype)
+        args[name] = replace(args[name])
+        with pytest.raises(error):
+            extension().fold_chunk(*args.values())
+
+    def test_fold_argument_count(self):
+        values = list(fold_arguments().values())
+        for wrong in (values[:-1], values + [values[-1]], []):
+            with pytest.raises(TypeError):
+                extension().fold_chunk(*wrong)
+
+    @pytest.mark.parametrize("name", FOLD_WRITTEN)
+    def test_short_fold_output_is_refused_before_any_write(self, name):
+        # The short array is the head of a sentinel-filled buffer: a C
+        # that wrote past its end would change the tail.
+        args = fold_arguments(np.uint64)
+        short = args[name]
+        room = np.full(len(short) + 64, 0x5A, dtype=np.uint8)
+        if short.dtype != np.uint8:
+            room = np.full(len(short) + 8, -7, dtype=short.dtype)
+        args[name] = room[:len(short) - 1]
+        with pytest.raises(ValueError, match=name):
+            extension().fold_chunk(*args.values())
+        assert (room == room[-1]).all()
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MERGES))
+    @pytest.mark.parametrize("name", ["merge_sorted", "merge_k"])
+    def test_hostile_merge_argument_raises(self, name, case):
+        replace, error = HOSTILE_MERGES[case]
+        call = merge_call(2 if name == "merge_sorted" else 3)
+        assert call_merge(name, call) > 0
+        with pytest.raises(error):
+            call_merge(name, replace(call))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SCRATCH))
+    def test_hostile_merge_scratch_raises(self, case):
+        replace, error = HOSTILE_SCRATCH[case]
+        with pytest.raises(error):
+            call_merge("merge_k", replace(merge_call(4)))
+
+    def test_merge_sorted_takes_exactly_two_parts(self):
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="2 parts"):
+                call_merge("merge_sorted", merge_call(count))
+
+    def test_merge_argument_count(self):
+        call = merge_call(3)
+        with pytest.raises(TypeError):
+            extension().merge_k(*call[:3])
+        with pytest.raises(TypeError):
+            extension().merge_sorted(*call)
+
+    @pytest.mark.parametrize(
+        "replace,error",
+        [
+            (lambda c: [tuple(c[0]), c[1]], TypeError),
+            (lambda c: [[strided(c[0][0])], c[1]], ValueError),
+            (lambda c: [[c[0][0].reshape(2, -1)], c[1]], ValueError),
+            (lambda c: [[list(c[0][0])], c[1]], TypeError),
+            (lambda c: [[None], c[1]], TypeError),
+            (lambda c: [c[0], c[1].astype(np.int32)], TypeError),
+            (lambda c: [c[0], c[1].astype(np.uint64)], TypeError),
+            (lambda c: [c[0], c[1][:-1]], ValueError),
+            (lambda c: [c[0], read_only(c[1])], ValueError),
+            (lambda c: [c[0]], TypeError),
+        ],
+        ids=[
+            "columns-tuple", "strided-column", "2d-column", "list-column",
+            "none-column", "int32-crcs", "uint64-crcs", "short-crcs",
+            "read-only-crcs", "no-crcs",
+        ],
+    )
+    def test_hostile_checksum_argument_raises(self, replace, error):
+        columns = [CRC_BUFFER[:400].copy(), CRC_BUFFER[:4].view(np.uint32)]
+        crcs = np.empty(2, dtype=np.uint32)
+        assert extension().crc32_columns(columns, crcs) == 2
+        with pytest.raises(error):
+            extension().crc32_columns(*replace([columns, crcs]))
 
 
 class TestClassificationParity:
@@ -814,10 +1175,71 @@ class TestFallback:
         finally:
             kernels._CACHE.clear()
 
+    def test_build_is_keyed_by_source_hash_and_abi(
+        self, monkeypatch, tmp_path
+    ):
+        # Two interpreters sharing one cache directory: each loads the
+        # build named for its own ABI suffix, never the other's.
+        monkeypatch.delenv(DISABLE_NATIVE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        source = Path(kernels.__file__).with_name("_kernels.c")
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        foreign_suffix = ".cpython-29-foreign.so"
+        foreign = tmp_path / f"_kernels-{digest}{foreign_suffix}"
+        foreign.write_bytes(b"another interpreter's build")
+        kernels._CACHE.clear()
+        try:
+            kernel = get_kernel("native")
+            assert kernel.fallback_reason is None
+            ours = f"_kernels-{digest}{suffix}"
+            assert Path(kernel._ext.__file__).name == ours
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                [ours, foreign.name]
+            )
+            # The name is the whole key: under the foreign suffix the
+            # foreign file is what would load (and it is not a module).
+            get_config_var = sysconfig.get_config_var
+            monkeypatch.setattr(
+                kernels.sysconfig, "get_config_var",
+                lambda name: foreign_suffix if name == "EXT_SUFFIX"
+                else get_config_var(name),
+            )
+            kernels._CACHE.clear()
+            degraded = get_kernel("native")
+            assert degraded.provider == "numpy"
+            assert f"cannot load {foreign.name}" in degraded.fallback_reason
+        finally:
+            kernels._CACHE.clear()
+
+    def test_missing_python_headers_degrade_by_name(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(DISABLE_NATIVE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        empty = tmp_path / "include"
+        empty.mkdir()
+        paths = sysconfig.get_paths()
+        monkeypatch.setattr(
+            kernels.sysconfig, "get_paths",
+            lambda: {**paths, "include": str(empty)},
+        )
+        kernels._CACHE.clear()
+        try:
+            kernel = get_kernel("native")
+            assert kernel.provider == "numpy"
+            assert "Python.h" in kernel.fallback_reason
+            assert str(empty) in kernel.fallback_reason
+            assert native_provider() is None
+            assert resolve_kernel_name("auto") == "numpy"
+            assert not (tmp_path / "cache").exists()
+        finally:
+            kernels._CACHE.clear()
+
     def test_declined_merge_takes_the_reference_path(self):
-        # A negative count from the C merges (today: a shape merge_k
-        # does not take) once went straight into the output slicing.
-        declined = mock.Mock(return_value=-1)
+        # A declined C merge (today: a shape merge_k does not take)
+        # once went straight into the output slicing.
+        declined = mock.Mock(return_value=None)
         stub = SimpleNamespace(
             fold_chunk=mock.Mock(), merge_sorted=declined, merge_k=declined
         )

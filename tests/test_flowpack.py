@@ -15,7 +15,7 @@ Three claims are load-bearing and proved here:
    chunk size and worker count;
 4. **Checksums do not depend on who computes them** — the native
    CRC-32 fold, zlib (native disabled) and zlib after a declining
-   library write the same bytes and report a flipped byte in the same
+   module write the same bytes and report a flipped byte in the same
    words.
 """
 
@@ -171,6 +171,29 @@ class TestRoundTrip:
         write_flows_archive(flows, path)
         segment = FlowpackArchive(path).segment_flows(0)
         assert segment.src_ip.base is not None
+
+    def test_served_columns_are_read_only_views_of_the_mapping(self, tmp_path):
+        # Plain ndarrays (no per-slice np.memmap finalizer), still
+        # read-only and still the mapped file's own memory.
+        flows = random_flows(np.random.default_rng(3), 300)
+        path = tmp_path / "t.fpk"
+        write_flows_archive(flows, path, chunk_rows=100)
+        archive = FlowpackArchive(path)
+        served = [
+            *archive.segment_arrays(1).values(),
+            *(getattr(chunk, name) for chunk in archive.iter_chunks(40)
+              for name in FLOW_COLUMNS),
+        ]
+        mapping = archive._data()
+        assert isinstance(mapping.base, np.memmap)
+        for column in served:
+            assert type(column) is np.ndarray
+            assert not column.flags.writeable
+            assert np.shares_memory(column, mapping)
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = column[:1]
+        first = archive.segment_arrays(0)["packets"]
+        assert first.tolist() == flows.packets[:100].tolist()
 
     def test_read_rows_spans_segments(self, tmp_path):
         flows = random_flows(np.random.default_rng(2), 300)
@@ -455,8 +478,8 @@ class TestGenericTables:
 def checksum_provider(name):
     """Route ``crc32_columns`` through one provider: ``native`` (the C
     fold, with zlib forbidden so a decline fails), ``disabled``
-    (``REPRO_DISABLE_NATIVE_KERNEL``: zlib) or ``declining`` (a library
-    whose checksum returns -1: zlib)."""
+    (``REPRO_DISABLE_NATIVE_KERNEL``: zlib) or ``declining`` (a module
+    whose checksum declines with None: zlib)."""
     saved = dict(kernels._CACHE)
     kernels._CACHE.clear()
     try:
@@ -466,12 +489,12 @@ def checksum_provider(name):
                 yield
         elif name == "declining":
             kernels._CACHE["native"] = kernels.NativeKernel(
-                SimpleNamespace(crc32_columns=mock.Mock(return_value=-1))
+                SimpleNamespace(crc32_columns=mock.Mock(return_value=None))
             )
             yield
         else:
             if kernels.native_provider() is None:
-                pytest.skip("the native library is unavailable")
+                pytest.skip("the native module is unavailable")
             forbidden = SimpleNamespace(crc32=mock.Mock(side_effect=AssertionError))
             with mock.patch.object(kernels, "zlib", forbidden):
                 yield
@@ -503,7 +526,7 @@ class TestChecksumProviders:
         path.write_bytes(bytes(damaged))
         name = list(FlowpackArchive(path).columns)[column]
         messages = set()
-        # The native leg only where the library loads (a run with the
+        # The native leg only where the module loads (a run with the
         # native kernel disabled still compares the two zlib legs).
         native = kernels.native_provider() is not None
         for provider in CHECKSUM_PROVIDERS[0 if native else 1:]:
@@ -542,7 +565,7 @@ class TestChecksumProviders:
 
     def test_concurrent_verification_agrees(self, tmp_path):
         # Four threads verify four archives at once through the one
-        # shared library (ctypes drops the GIL); one archive is damaged.
+        # native module (it drops the GIL); one archive is damaged.
         rng = np.random.default_rng(73)
         paths, expected = [], []
         for i, rows in enumerate((40_000, 7, 25_000, 3_000)):

@@ -6,8 +6,10 @@ arms are the serial loop and ``parallel``'s fan-out, both running
 accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
-fold's fan-out and the serving fleet; the native library exports exactly
-``fold_chunk``, ``merge_sorted`` and ``merge_k``.  This test keeps
+fold's fan-out and the serving fleet; the native extension module
+exports only its ``PyInit__kernels`` and has exactly four functions,
+``fold_chunk``, ``merge_sorted``, ``merge_k`` and ``crc32_columns``,
+and nothing imports ``ctypes`` (one binding path).  This test keeps
 second doors — a convenience fold loop, a second aggregation, a facade
 that plans for itself, a hand-built snapshot, a private process pool, a
 separate native fold per key width — from growing back.  Deleted layers
@@ -45,6 +47,9 @@ ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
 #: x.y`` and ``from x[.y] import z`` all import ``x``).
 ALLOWED_IMPORTERS = {
     "multiprocessing": {"core/parallel.py", "service/fleet.py"},
+    # The native kernels are a CPython extension module: no second,
+    # ctypes-bound path to them.
+    "ctypes": set(),
 }
 #: Public names deleted because no production entry point reached them
 #: (``tools/reach``): federation's partial-accumulator path, the scalar
@@ -101,10 +106,12 @@ DELETED = re.compile(
 )
 #: Where a ``def`` or ``class`` under ``src/repro`` may be referenced.
 REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
-#: The C source of the native kernel and the functions it may export:
-#: every other function in it is ``static``.
+#: The C source of the native extension module, the one symbol it may
+#: export (every other function in it is ``static``) and the functions
+#: its method table gives Python.
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
-KERNEL_EXPORTS = {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
+KERNEL_EXPORTS = {"PyInit__kernels"}
+KERNEL_METHODS = {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -217,6 +224,17 @@ def c_exports(source: str) -> set[str]:
     return {name for name, exported in c_functions(source).items() if exported}
 
 
+def c_methods(source: str) -> set[str]:
+    """The Python names in every ``PyMethodDef`` table of C ``source``."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    return {
+        name
+        for table in re.findall(r"PyMethodDef\s+\w+\s*\[\s*\]\s*=\s*\{(.*?)\};",
+                                code, flags=re.S)
+        for name in re.findall(r"\{\s*\"(\w+)\"", table)
+    }
+
+
 def tree_sources() -> dict[str, str]:
     return {
         path.relative_to(SRC).as_posix(): path.read_text()
@@ -268,7 +286,8 @@ def test_each_step_has_one_door():
         "in the engine, the facade plans only in MetaTelescope.plan / "
         ".accumulate (and run_pipeline), snapshots are built only by "
         "snapshot / metatelescope / online, and only "
-        "core/parallel.py and service/fleet.py import multiprocessing:\n"
+        "core/parallel.py and service/fleet.py import multiprocessing "
+        "(nothing imports ctypes):\n"
         + "\n".join(found)
     )
 
@@ -342,6 +361,14 @@ def test_lint_actually_catches_a_second_door():
         "src/repro/core/online.py:1: import multiprocessing"
     ]
     assert not offenders({"core/online.py": "from .multiprocessing import x\n"})
+    # A ctypes binding beside the extension module, in any form.
+    kernels_py = sources["core/kernels.py"]
+    assert not offenders({"core/kernels.py": kernels_py})
+    for fork in ("import ctypes", "from ctypes import CDLL", "import ctypes.util"):
+        line = kernels_py.count("\n") + 2
+        assert offenders({"core/kernels.py": kernels_py + "\n" + fork + "\n"}) == [
+            f"src/repro/core/kernels.py:{line}: import ctypes"
+        ]
     assert offenders({"core/confidence.py": pasted["core/confidence.py"]}) == [
         "src/repro/core/confidence.py:1: aggregates( in None"
     ]
@@ -454,19 +481,23 @@ def test_reference_lint_actually_catches_an_orphan():
 
 
 def test_native_library_exports_exactly_four_functions():
-    found = c_exports(KERNEL_SOURCE.read_text())
-    assert found == KERNEL_EXPORTS, (
-        "core/_kernels.c exports exactly fold_chunk, merge_sorted, merge_k "
-        "and crc32_columns (one op per job, every key width through the "
-        "same fold_chunk, every segment's checksums in one crc32_columns "
-        f"call); every other function is static: {sorted(found)}"
+    source = KERNEL_SOURCE.read_text()
+    found = c_exports(source), c_methods(source)
+    assert found == (KERNEL_EXPORTS, KERNEL_METHODS), (
+        "core/_kernels.c is an extension module: it exports only "
+        "PyInit__kernels, every other C function is static, and its "
+        "method table holds exactly fold_chunk, merge_sorted, merge_k and "
+        "crc32_columns (one op per job, every key width through the same "
+        "fold_chunk, every segment's checksums in one crc32_columns "
+        f"call): exports {sorted(found[0])}, methods {sorted(found[1])}"
     )
 
 
 def test_export_lint_actually_catches_a_fourth_export():
     # Guard the guard: a separate wide fold pasted in as a plain
     # function, stamped out by a macro, or a helper that lost its
-    # ``static``, is each found and named.
+    # ``static``, is each found and named; so is a fifth entry in the
+    # module's method table.
     source = KERNEL_SOURCE.read_text()
     pasted = {
         "fold_chunk64": (
@@ -488,16 +519,38 @@ def test_export_lint_actually_catches_a_fourth_export():
     }
     for name, fork in pasted.items():
         assert c_exports(source + "\n" + fork) == KERNEL_EXPORTS | {name}
-    unstatic = source.replace("static int bits_of(", "int bits_of(")
-    assert unstatic != source
-    assert c_exports(unstatic) == KERNEL_EXPORTS | {"bits_of"}
+    for helper in ("bits_of", "fold_chunk", "merge_k"):
+        unstatic = re.sub(rf"\bstatic (\w+ {helper}\()", r"\1", source)
+        assert unstatic != source
+        assert c_exports(unstatic) == KERNEL_EXPORTS | {helper}
+    # A fifth function in the method table, however it is spelled.
+    table = "static PyMethodDef kernel_methods[] = {\n"
+    assert table in source
+    fifth = source.replace(
+        table,
+        table + '    {"fold_chunk64", (PyCFunction)(void (*)(void))py_fold_chunk,\n'
+        "     METH_FASTCALL, NULL},\n",
+    )
+    assert c_methods(fifth) == KERNEL_METHODS | {"fold_chunk64"}
+    assert c_methods(
+        source + '\nstatic PyMethodDef more[] = {{ "extra", NULL, 0, NULL }};\n'
+    ) == KERNEL_METHODS | {"extra"}
     # The parser really sees the static helpers, macro-stamped included,
     # and is not fooled by a prototype or a comment.
     functions = c_functions(source)
     assert {"bits_of", "fold3", "fold1", "sort_reduce3_W"} <= set(functions)
     assert not any(functions[name] for name in ("bits_of", "sort_reduce1_W"))
-    # ... and the CPU-targeted checksum fold behind its attribute.
+    # ... the CPU-targeted checksum fold behind its attribute, and the
+    # kernels behind their Python wrappers.
     assert not any(functions[name] for name in ("crc32_fold", "crc32_bytes"))
+    assert not any(
+        functions[name] for name in KERNEL_METHODS | {"py_fold_chunk"}
+    )
     assert c_exports(
         source + "\nint64_t fold_chunk64(int64_t n);\n/* int64_t f(int n) { } */\n"
     ) == KERNEL_EXPORTS
+    commented = source.replace(
+        table, table + '    /* {"commented", NULL, 0, NULL}, */\n'
+    )
+    assert commented != source
+    assert c_methods(commented) == KERNEL_METHODS
