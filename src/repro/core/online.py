@@ -212,6 +212,10 @@ class OnlineMetaTelescope:
             raise ValueError(f"min_quality out of range: {self.min_quality}")
         if self.quarantine_days < 0:
             raise ValueError("quarantine_days must be >= 0")
+        if self.max_staleness is not None and self.max_staleness < 0:
+            raise ValueError("max_staleness must be >= 0 (or None)")
+        if self.expected_views is not None and self.expected_views < 1:
+            raise ValueError("expected_views must be >= 1 (or None)")
 
     # -- the daily loop ------------------------------------------------
 
@@ -294,18 +298,37 @@ class OnlineMetaTelescope:
             kernel=self.kernel, context=context,
         )
         self._window.append((day, day_accumulator))
-        with context.scoped("day"):
-            day_result = self.telescope.infer_accumulated(
-                day_accumulator,
-                use_spoofing_tolerance=self.use_spoofing_tolerance,
-                refine=False,
-                context=context,
-            )
-        day_dark = day_result.pipeline.dark_blocks
-        self._daily_dark.append(day_dark)
         while len(self._window) > self.window_days:
             self._window.popleft()
             self._daily_dark.popleft()
+
+        # A window holding only the new day is that day, inferred once.
+        # A longer window is a merge of per-day partial aggregates: no
+        # view in the window is ever re-aggregated.
+        window_accumulator = day_accumulator
+        day_dark = None
+        if len(self._window) > 1:
+            with context.scoped("day"):
+                day_dark = self.telescope.infer_accumulated(
+                    day_accumulator,
+                    use_spoofing_tolerance=self.use_spoofing_tolerance,
+                    refine=False,
+                    context=context,
+                ).pipeline.dark_blocks
+            window_accumulator = self._window[0][1].copy()
+            for _, accumulator in list(self._window)[1:]:
+                window_accumulator.merge(accumulator)
+        with context.scoped("window"):
+            window_result = self.telescope.infer_accumulated(
+                window_accumulator,
+                use_spoofing_tolerance=self.use_spoofing_tolerance,
+                context=context,
+            )
+        if day_dark is None:
+            # Refinement leaves the pipeline's dark set as it is.
+            day_dark = window_result.pipeline.dark_blocks
+        self._daily_dark.append(day_dark)
+        self._last_window_result = window_result
 
         if action == "degraded":
             self._staleness += 1
@@ -320,18 +343,6 @@ class OnlineMetaTelescope:
             self._staleness = 0
             self._tick_quarantine()
 
-        # Window inference is a merge of per-day partial aggregates: no
-        # view in the window is ever re-aggregated.
-        window_accumulator = self._window[0][1].copy()
-        for _, accumulator in list(self._window)[1:]:
-            window_accumulator.merge(accumulator)
-        with context.scoped("window"):
-            window_result = self.telescope.infer_accumulated(
-                window_accumulator,
-                use_spoofing_tolerance=self.use_spoofing_tolerance,
-                context=context,
-            )
-        self._last_window_result = window_result
         context.emit(
             "quarantine",
             f"d{day}",
@@ -408,7 +419,12 @@ class OnlineMetaTelescope:
         return np.array(sorted(self._quarantine), dtype=np.int64)
 
     def last_run_context(self) -> RunContext | None:
-        """RunContext of the latest folded day (full event stream)."""
+        """RunContext of the latest folded day (full event stream).
+
+        Scopes: ``fold`` (the aggregation), ``window`` (the window
+        inference) and, only when the window holds more than the new
+        day, ``day`` (the day's own unrefined inference).
+        """
         return self._last_context
 
     def snapshot(self, provenance=None) -> ClassificationSnapshot:

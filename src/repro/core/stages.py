@@ -176,10 +176,12 @@ def run_funnel(
         )
     ip_size_ok = ip_avg <= config.ip_size_threshold
     # A block's sources are forgiven entirely when their pooled sampled
-    # packets stay within the pooled tolerance, so only addresses inside
-    # a block that holds unforgiven sources are probed against the
-    # (sorted) source table at all.
-    ip_is_source = block_has_source[position]
+    # packets stay within the pooled tolerance, and a block that failed
+    # step 1 or 2 is out whatever its addresses do; classify calls a
+    # block with unforgiven sources gray without reading its addresses.
+    # So only addresses inside a still-surviving block that holds
+    # unforgiven sources are probed against the (sorted) source table.
+    ip_is_source = (surviving & block_has_source)[position]
     inside = np.flatnonzero(ip_is_source)
     ip_is_source[inside] = sorted_member_mask(
         finalized.dst_ips[inside], finalized.src_ips
@@ -204,10 +206,10 @@ def run_funnel(
     keep("volume", started, volume_est <= config.volume_threshold_pkts_day)
 
     # 7. Dark iff no address fails and no unforgiven source; gray iff a
-    # source; unclean otherwise.
+    # source; unclean otherwise.  Step 3 marks no address of a block
+    # without unforgiven sources a source, so one there fails on size.
     started = time.perf_counter()
-    fails = (has_tcp & ~ip_size_ok) | ip_is_source
-    any_failed = np.logical_or.reduceat(fails, starts)
+    any_failed = np.logical_or.reduceat(has_tcp & ~ip_size_ok, starts)
     clean = surviving & ~block_has_source
     dark = clean & ~any_failed
     unclean = clean & any_failed

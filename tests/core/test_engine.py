@@ -366,8 +366,13 @@ class TestFacadesRunThroughEngine:
             use_spoofing_tolerance=False,
             workers=2,
         )
-        for day in (0, 1):
-            online.update(day, [v for v in views if v.day == day])
+        online.update(0, [v for v in views if v.day == 0])
+        # Day 0 is the whole window: one inference, in scope window.
+        first = online.last_run_context()
+        assert [event.scope for event in first.events(["stage"])] == (
+            ["window"] * 7
+        )
+        online.update(1, [v for v in views if v.day == 1])
         context = online.last_run_context()
         assert context is not None
         assert context.events(["quarantine"])

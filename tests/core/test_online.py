@@ -4,11 +4,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.rib import Announcement, RouteViewsCollector
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.pipeline import PipelineConfig
+from repro.core.snapshot import SNAPSHOT_COLUMNS, build_snapshot
+from repro.datasets.liveness import LivenessDataset
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.vantage.archive import ArchiveDayView, export_view
 
@@ -116,6 +120,16 @@ class TestOnline:
         with pytest.raises(ValueError):
             online.update(0, [])
 
+    def test_negative_max_staleness_rejected(self):
+        with pytest.raises(ValueError, match="max_staleness"):
+            make_online(policy="carry", max_staleness=-1)
+        assert make_online(policy="carry", max_staleness=0).max_staleness == 0
+
+    def test_expected_views_below_one_rejected(self):
+        with pytest.raises(ValueError, match="expected_views"):
+            make_online(expected_views=0)
+        assert make_online(expected_views=1).expected_views == 1
+
     def test_on_world_views(self, integration_world, integration_observatory):
         online = make_world_online(integration_world)
         sizes = []
@@ -195,3 +209,178 @@ class TestWorldDays:
             "4 day(s) processed (4 inferred); serving 277 prefixes, "
             "staleness 0 day(s), 0 quarantined"
         )
+
+
+# ---------------------------------------------------------------------------
+# the engine against a from-scratch, two-inferences-a-day reference
+# ---------------------------------------------------------------------------
+
+#: Unrouted (outside 20.0.0.0/8) blocks the spoofing tolerance pools.
+UNROUTED = parse_ip("30.0.0.0") >> 8
+#: Clean days a block flapping under a degraded feed sits out.
+QUARANTINE_DAYS = 2
+
+
+def reference_telescope():
+    return MetaTelescope(
+        collector=RouteViewsCollector(
+            [Announcement(Prefix.parse("20.0.0.0/8"), 65001)]
+        ),
+        liveness=[LivenessDataset("probe", np.array([BASE + 1, BASE + 4]))],
+        unrouted_baseline=UNROUTED + np.arange(4),
+    )
+
+
+class TwoInferenceReference:
+    """The online window the slow way: every folded day is inferred on
+    its own views (unrefined), and the window's views are re-folded from
+    scratch and inferred (refined) — no accumulator is kept or merged.
+    Which days fold comes from the engine's action (feed scoring is
+    not under test here)."""
+
+    def __init__(self, telescope, window_days, min_stable_days):
+        self.telescope = telescope
+        self.window_days = window_days
+        self.min_stable_days = min_stable_days
+        self.window: list[tuple[int, list]] = []
+        self.daily: list[tuple[int, np.ndarray]] = []
+        self.quarantine: dict[int, int] = {}
+        self.serving: set[int] = set()
+        self.result = None
+
+    def infer(self, views, refine):
+        return self.telescope.infer_accumulated(
+            self.telescope.accumulate(views),
+            use_spoofing_tolerance=True,
+            refine=refine,
+        )
+
+    def step(self, day, views, action):
+        """Returns ``(added, removed)`` as sorted lists."""
+        if action in ("carried", "skipped"):
+            return [], []
+        previous = self.daily[-1][1] if self.daily else None
+        dark = self.infer(views, refine=False).pipeline.dark_blocks
+        self.window = (self.window + [(day, views)])[-self.window_days:]
+        self.daily = (self.daily + [(day, dark)])[-self.window_days:]
+        if action == "degraded":
+            if previous is not None:
+                for block in set(dark.tolist()) ^ set(previous.tolist()):
+                    self.quarantine[block] = QUARANTINE_DAYS
+        else:
+            self.quarantine = {
+                block: left - 1
+                for block, left in self.quarantine.items()
+                if left > 1
+            }
+        self.result = self.infer(
+            [view for _, day_views in self.window for view in day_views],
+            refine=True,
+        )
+        required = min(self.min_stable_days, len(self.daily))
+        stable = {
+            block
+            for block in set().union(*(d.tolist() for _, d in self.daily))
+            if sum(block in set(d.tolist()) for _, d in self.daily) >= required
+        }
+        serving = (
+            set(self.result.prefixes.tolist()) & stable
+        ) - set(self.quarantine)
+        added = sorted(serving - self.serving)
+        removed = sorted(self.serving - serving)
+        self.serving = serving
+        return added, removed
+
+    def snapshot(self, day):
+        pipeline = self.result.pipeline
+        served = np.array(sorted(self.serving), dtype=np.int64)
+        return build_snapshot(
+            day=day,
+            dark=served,
+            unclean=pipeline.unclean_blocks,
+            gray=pipeline.gray_blocks,
+            candidate=np.setdiff1d(pipeline.dark_blocks, served),
+            history=self.daily,
+        )
+
+
+#: One flow row: (dst block offset, host, packets, bytes per packet,
+#: source: None (an outside sender), a block offset (a sighting inside
+#: the telescope's space) or "unrouted" (pollution the tolerance pools)).
+FLOW_ROWS = st.tuples(
+    st.integers(0, 5),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([40, 40, 52, 120]),
+    st.one_of(st.none(), st.integers(0, 5), st.just("unrouted")),
+)
+
+
+def drawn_view(vantage, day, rows):
+    flows = []
+    for block, host, packets, size, source in rows:
+        row = {"dst_ip": ip(BASE + block, host), "packets": packets,
+               "bytes": packets * size}
+        if source == "unrouted":
+            row["src_ip"] = ip(UNROUTED + host, 9)
+        elif source is not None:
+            row["src_ip"] = ip(BASE + source, 9)
+        flows.append(row)
+    return make_view(flows, vantage=vantage, day=day)
+
+
+@st.composite
+def online_runs(draw):
+    policy = draw(st.sampled_from(["strict", "carry"]))
+    window_days = draw(st.integers(1, 3))
+    min_stable_days = draw(st.integers(1, window_days))
+    fewest = 1 if policy == "strict" else 0
+    days = draw(
+        st.lists(
+            st.lists(st.lists(FLOW_ROWS, min_size=1, max_size=10),
+                     min_size=fewest, max_size=2),
+            min_size=1, max_size=5,
+        )
+    )
+    return policy, window_days, min_stable_days, days
+
+
+@settings(max_examples=40, deadline=None)
+@given(online_runs())
+def test_engine_matches_a_from_scratch_window_reference(run):
+    policy, window_days, min_stable_days, days = run
+    online = OnlineMetaTelescope(
+        telescope=reference_telescope(),
+        window_days=window_days,
+        min_stable_days=min_stable_days,
+        policy=policy,
+        quarantine_days=QUARANTINE_DAYS,
+    )
+    reference = TwoInferenceReference(
+        reference_telescope(), window_days, min_stable_days
+    )
+    for day, vantages in enumerate(days):
+        views = [
+            drawn_view(name, day, rows)
+            for name, rows in zip(("A", "B"), vantages)
+        ]
+        update = online.update(day, views)
+        added, removed = reference.step(day, views, update.action)
+        assert update.added_blocks.tolist() == added
+        assert update.removed_blocks.tolist() == removed
+        assert online.current_prefixes().tolist() == sorted(reference.serving)
+        assert update.quarantined_blocks.tolist() == sorted(reference.quarantine)
+        if update.action in ("carried", "skipped"):
+            continue
+        ours = online.snapshot().arrays()
+        theirs = reference.snapshot(day).arrays()
+        for name in SNAPSHOT_COLUMNS:
+            assert np.array_equal(ours[name], theirs[name]), name
+        # A window holding only the new day infers it once.
+        scopes = [
+            event.scope for event in online.last_run_context().events(["stage"])
+        ]
+        if len(reference.window) == 1:
+            assert scopes == ["window"] * 7
+        else:
+            assert scopes == ["day"] * 7 + ["window"] * 7

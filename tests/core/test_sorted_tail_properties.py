@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.rib import Announcement, RoutingTable
@@ -429,6 +429,39 @@ def naive_funnel(finalized, config, routed, special):
     return counts, verdicts
 
 
+def sourced_blocks_out_early():
+    """Five /24s.  Four hold unforgiven sources and a source address:
+    one fails step 2 (60-byte TCP), one step 1 (no TCP at all), one
+    step 3 (its only TCP address sources) and one survives as gray.
+    The fifth has no source and is dark.  Step 3 probes the source
+    table only for the two sourced blocks that reach it."""
+    base = parse_ip("20.0.0.0") >> 8
+    rows = [
+        # (block offset, host, tcp packets, tcp bytes, is a source)
+        (0, 1, 2.0, 120.0, False), (0, 2, 0.0, 0.0, True),
+        (1, 1, 0.0, 0.0, False), (1, 2, 0.0, 0.0, True),
+        (2, 1, 2.0, 80.0, False),
+        (3, 1, 2.0, 80.0, False), (3, 2, 1.0, 40.0, True),
+        (4, 1, 2.0, 80.0, True),
+    ]
+    dst_ips = np.array([((base + b) << 8) | h for b, h, *_ in rows])
+    tcp_pkts = np.array([row[2] for row in rows])
+    source_blocks = base + np.array([0, 1, 3, 4])
+    return FinalizedAggregates(
+        dst_ips=dst_ips,
+        ip_tcp_pkts_est=tcp_pkts,
+        ip_tcp_bytes_est=np.array([row[3] for row in rows]),
+        ip_total_pkts_est=tcp_pkts + 1.0,
+        src_ips=dst_ips[[row[4] for row in rows]],
+        src_ip_pkts_sampled=np.ones(4),
+        vol_blocks=base + np.arange(5),
+        vol_median_est=np.ones(5),
+        src_blocks=source_blocks,
+        src_block_excess=np.ones(4),
+        applied_tolerances={},
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     finalized_aggregates(),
@@ -437,6 +470,8 @@ def naive_funnel(finalized, config, routed, special):
     # of its addresses fails: the unclean verdict.
     st.sampled_from([44.0, 52.0]),
 )
+# Seed 23 routes all five blocks and marks none special.
+@example(sourced_blocks_out_early(), 23, 44.0)
 def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size):
     rng = np.random.default_rng(seed)
     blocks = sorted(set((finalized.dst_ips >> finalized.block_shift).tolist()))
