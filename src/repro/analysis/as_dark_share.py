@@ -4,7 +4,7 @@ Section 3.3: the paper uses CAIDA's pfx2as "to characterize the
 portion of inferred dark address space of individual Autonomous
 Systems".  This module produces that characterisation: per-AS counts
 of inferred meta-telescope /24s, the share of each AS's announced
-space they represent, and organisation-level rollups via as2org.
+space they represent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bgp.rib import RoutingTable
-from repro.datasets.as2org import AsToOrgMap
 from repro.datasets.pfx2as import PrefixToAsMap
 
 
@@ -25,7 +24,6 @@ class AsDarkShare:
     asn: int
     dark_blocks: int
     announced_blocks: int
-    org_name: str | None = None
 
     @property
     def share(self) -> float:
@@ -37,14 +35,11 @@ def dark_share_by_as(
     dark_blocks: np.ndarray,
     routing: RoutingTable,
     pfx2as: PrefixToAsMap,
-    as2org: AsToOrgMap | None = None,
-    min_announced: int = 1,
 ) -> list[AsDarkShare]:
     """Per-AS dark counts and shares, largest dark footprint first.
 
     ``routing`` supplies each AS's announced block count (the share's
-    denominator); ASes announcing fewer than ``min_announced`` /24s are
-    skipped.
+    denominator); an AS it does not see announcing is skipped.
     """
     dark = np.unique(np.asarray(dark_blocks, dtype=np.int64))
     dark_asns = pfx2as.asns_of_blocks(dark)
@@ -62,9 +57,8 @@ def dark_share_by_as(
     rows = []
     for asn, dark_count in dark_counts.items():
         announced = announced_counts.get(asn, 0)
-        if announced < min_announced:
+        if not announced:
             continue
-        org = as2org.mapping.get(asn) if as2org is not None else None
         rows.append(
             AsDarkShare(
                 asn=asn,
@@ -72,7 +66,6 @@ def dark_share_by_as(
                 # More-specifics overlap their covering announcement;
                 # the dark count can therefore not exceed the space.
                 announced_blocks=max(announced, dark_count),
-                org_name=org.name if org else None,
             )
         )
     rows.sort(key=lambda row: -row.dark_blocks)

@@ -24,6 +24,9 @@ from repro.traffic.flows import FlowTable, aggregate_sums
 #: Ports below this are "service" ports; backscatter destination ports
 #: are ephemeral (the spoofer picked them randomly).
 EPHEMERAL_PORT_FLOOR = 1024
+#: A victim's modal destination port carries at most this share of its
+#: packets (spoofers pick ephemeral ports at random).
+MAX_MODAL_PORT_SHARE = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +61,6 @@ def detect_victims(
     captured: FlowTable,
     min_spread_blocks: int = 3,
     min_packets: int = 3,
-    max_modal_port_share: float = 0.5,
 ) -> BackscatterAnalysis:
     """Infer DDoS victims from traffic captured at the meta-telescope.
 
@@ -68,7 +70,7 @@ def detect_victims(
     ``min_spread_blocks`` distinct dark /24s with at least
     ``min_packets`` sampled packets, *and* those destination ports are
     dispersed (spoofers pick them randomly).  The dispersion test —
-    the most common dport carries at most ``max_modal_port_share`` of
+    the most common dport carries at most :data:`MAX_MODAL_PORT_SHARE` of
     the source's packets — separates backscatter from scanners that
     happen to probe high ports (8080, 37215, ...).
     """
@@ -114,7 +116,7 @@ def detect_victims(
         )
         if spread >= min_spread_blocks
         and pkts >= min_packets
-        and share <= max_modal_port_share
+        and share <= MAX_MODAL_PORT_SHARE
     ]
     victims.sort(key=lambda v: -v.packets)
     backscatter_packets = sum(v.packets for v in victims)

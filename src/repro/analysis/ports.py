@@ -62,14 +62,13 @@ def top_ports(flows: FlowTable, count: int = 10, tcp_only: bool = True) -> list[
 def port_activity_by_group(
     flows: FlowTable,
     group_of_block: dict[int, str],
-    tcp_only: bool = True,
 ) -> dict[str, PortActivity]:
-    """Per-group port activity (group = continent or network type).
+    """Per-group TCP port activity (group = continent or network type).
 
     ``group_of_block`` maps destination /24 block ids to group labels;
     unmapped blocks are skipped.
     """
-    table = flows.tcp() if tcp_only else flows
+    table = flows.tcp()
     groups: dict[str, PortActivity] = {}
     if len(table) == 0:
         return groups

@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.traffic.flows import FlowTable, aggregate_sums
 
+#: A source probing at most this many distinct ports is concentrated.
+MAX_SCANNER_PORTS = 6
+
 
 @dataclass(frozen=True, slots=True)
 class ScannerReport:
@@ -33,7 +36,6 @@ class ScannerReport:
 def detect_scanners(
     captured: FlowTable,
     min_footprint_blocks: int = 5,
-    max_ports: int = 6,
 ) -> list[ScannerReport]:
     """Characterise scanning sources in meta-telescope traffic.
 
@@ -63,7 +65,7 @@ def detect_scanners(
     modal = np.zeros(len(src_ips), dtype=np.int64)
     np.maximum.at(modal, pair_owner, pair_packets)
     concentrated = (modal / np.maximum(packets, 1) > 0.5) | (
-        distinct_ports <= max_ports
+        distinct_ports <= MAX_SCANNER_PORTS
     )
 
     sender_by_src = {}

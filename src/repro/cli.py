@@ -166,16 +166,21 @@ def _build(args: argparse.Namespace):
     return world, observatory, telescope, context
 
 
-def _views(world, observatory, args: argparse.Namespace):
-    days = min(args.days, world.config.num_days)
-    if args.vantage == "All":
-        return observatory.all_ixp_views(num_days=days)
+def _vantage(world, args: argparse.Namespace) -> str:
+    """``--vantage``, checked: ``All`` or one of the world's IXP codes."""
     codes = {ixp.code for ixp in world.fabric.ixps}
-    if args.vantage not in codes:
+    if args.vantage != "All" and args.vantage not in codes:
         raise SystemExit(
             f"unknown vantage {args.vantage!r}; choose from All, "
             + ", ".join(sorted(codes))
         )
+    return args.vantage
+
+
+def _views(world, observatory, args: argparse.Namespace):
+    days = min(args.days, world.config.num_days)
+    if _vantage(world, args) == "All":
+        return observatory.all_ixp_views(num_days=days)
     return observatory.ixp_views(args.vantage, num_days=days)
 
 
@@ -431,6 +436,7 @@ def _online(
 
 def cmd_faults(args: argparse.Namespace) -> int:
     world, observatory, telescope, context = _build(args)
+    _vantage(world, args)
     days = min(args.days, world.config.num_days)
     fault_day = args.fault_day if args.fault_day is not None else days // 2
     chosen = args.fault or ["all"]
@@ -585,6 +591,7 @@ def _feed_publisher(args: argparse.Namespace, make_publisher):
         )
     else:
         world, observatory, telescope, context = _build(args)
+        _vantage(world, args)
         days = min(args.days, world.config.num_days)
         online = _online(args, telescope, days, context)
         shared.update(pfx2as=world.datasets.pfx2as, geodb=world.datasets.geodb)
@@ -737,14 +744,18 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _chunk_size(value: str) -> int | str:
+    """An argparse ``type``: ``auto`` or an integer of at least 1."""
     if value == "auto":
         return value
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {value!r}"
         ) from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
 
 
 def _at_least(minimum: int):
@@ -775,7 +786,7 @@ def _add_execution_options(p: argparse.ArgumentParser) -> None:
         "memory; classification is identical at any value)",
     )
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="process-pool workers for the aggregation fan-out "
         "(default: serial; 0 = one per CPU; classification is "
         "bit-identical at any worker count)",

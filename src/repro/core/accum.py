@@ -59,6 +59,10 @@ DEFAULT_COMPACT_EVERY = 16
 #: Sentinel chunk size: derive a per-view chunk size from the view's
 #: row count (see :func:`adaptive_chunk_rows`).
 AUTO_CHUNK = "auto"
+#: :data:`AUTO_CHUNK`'s pieces per view, and its bounds on a chunk's rows.
+_AUTO_TARGET_CHUNKS = 8
+_AUTO_FLOOR = 8192
+_AUTO_CEILING = 1 << 18
 
 #: Wire-form version emitted by :meth:`PrefixAccumulator.to_state`.
 _STATE_VERSION = 2
@@ -68,22 +72,22 @@ def _empty_keys() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
 
-def adaptive_chunk_rows(
-    total_rows: int, target_chunks: int = 8, floor: int = 8192,
-    ceiling: int = 1 << 18,
-) -> int | None:
+def adaptive_chunk_rows(total_rows: int) -> int | None:
     """Chunk size balancing bounded memory against part build-up.
 
-    Small views are ingested whole (``None``): chunking them buys no
-    memory headroom but piles up log-structured parts, which is exactly
-    the chunked-path peak-memory regression seen at fixed tiny chunk
-    sizes.  Large views are split into about ``target_chunks`` pieces,
-    clamped to ``[floor, ceiling]`` rows, so ingestion memory stays a
+    Small views (up to :data:`_AUTO_FLOOR` rows) are ingested whole
+    (``None``): chunking them buys no memory headroom but piles up
+    log-structured parts, which is exactly the chunked-path peak-memory
+    regression seen at fixed tiny chunk sizes.  Large views are split
+    into about :data:`_AUTO_TARGET_CHUNKS` pieces, clamped to
+    ``[_AUTO_FLOOR, _AUTO_CEILING]`` rows, so ingestion memory stays a
     fraction of the view while each family stays a handful of parts.
     """
-    if total_rows <= floor:
+    if total_rows <= _AUTO_FLOOR:
         return None
-    return min(max(floor, -(-total_rows // target_chunks)), ceiling)
+    return min(
+        max(_AUTO_FLOOR, -(-total_rows // _AUTO_TARGET_CHUNKS)), _AUTO_CEILING
+    )
 
 
 def resolve_chunk_size(
@@ -573,15 +577,14 @@ class PrefixAccumulator:
     def from_state(
         cls,
         state: Mapping[str, Any],
-        compact_every: int = DEFAULT_COMPACT_EVERY,
         kernel=None,
     ) -> "PrefixAccumulator":
         """Rebuild an accumulator from :meth:`to_state` output.
 
         The round trip is exact: the rebuilt accumulator finalizes (and
-        merges) bit-identically to the original.  ``compact_every`` and
-        ``kernel`` are local execution policy, not data, so they are
-        not part of the wire form.
+        merges) bit-identically to the original.  ``kernel`` (like the
+        compaction threshold) is local execution policy, not data, so
+        it is not part of the wire form.
         """
         version = state.get("version")
         if version != _STATE_VERSION:
@@ -589,7 +592,7 @@ class PrefixAccumulator:
                 f"unsupported accumulator state version: {version!r}"
             )
         accumulator = cls(
-            frozenset(state["ignore_sources_from_asns"]), compact_every, kernel,
+            frozenset(state["ignore_sources_from_asns"]), kernel=kernel,
             family=state.get("family"),
         )
         resolved = accumulator.kernel
@@ -603,11 +606,11 @@ class PrefixAccumulator:
         load(accumulator._dst_ip_sums, state["dst_ip_sums"])
         load(accumulator._src_ip_sums, state["src_ip_sums"])
         for vantage, part in state["src_by_vantage"].items():
-            family = _KeyedSums(2, compact_every, resolved)
+            family = _KeyedSums(2, DEFAULT_COMPACT_EVERY, resolved)
             load(family, part)
             accumulator._src_by_vantage[vantage] = family
         for day, part in state["volume_by_day"].items():
-            family = _KeyedSums(1, compact_every, resolved)
+            family = _KeyedSums(1, DEFAULT_COMPACT_EVERY, resolved)
             load(family, part)
             accumulator._volume_by_day[int(day)] = family
         for vantage, days in state["days_by_vantage"].items():
@@ -615,7 +618,7 @@ class PrefixAccumulator:
                 int(day) for day in days
             )
             accumulator._src_by_vantage.setdefault(
-                vantage, _KeyedSums(2, compact_every, resolved)
+                vantage, _KeyedSums(2, DEFAULT_COMPACT_EVERY, resolved)
             )
         return accumulator
 

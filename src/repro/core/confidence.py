@@ -72,7 +72,6 @@ def score_prefixes(
     accumulator: "PrefixAccumulator",
     daily_dark: dict[int, np.ndarray],
     config: PipelineConfig | None = None,
-    weights: ConfidenceWeights | None = None,
     saturation_ips: int = 16,
 ) -> ConfidenceScores:
     """Score each inferred prefix on the three evidence dimensions.
@@ -85,8 +84,6 @@ def score_prefixes(
     """
     if config is None:
         config = PipelineConfig()
-    if weights is None:
-        weights = ConfidenceWeights()
     blocks = np.unique(np.asarray(dark_blocks, dtype=np.int64))
     finalized = accumulator.finalize()
 
@@ -116,7 +113,7 @@ def score_prefixes(
         recurrence += np.isin(blocks, daily)
     recurrence /= num_days
 
-    w_obs, w_margin, w_rec = weights.normalised()
+    w_obs, w_margin, w_rec = ConfidenceWeights().normalised()
     score = w_obs * observation + w_margin * margin + w_rec * recurrence
     return ConfidenceScores(
         blocks=blocks,

@@ -60,20 +60,13 @@ class MetaTelescopeResult:
         """Number of final meta-telescope /24 prefixes."""
         return len(self.refinement.final_blocks)
 
-    def to_snapshot(
-        self,
-        day: int,
-        history=None,
-        provenance=None,
-    ) -> ClassificationSnapshot:
+    def to_snapshot(self, day: int, provenance=None) -> ClassificationSnapshot:
         """Freeze this result into an immutable, servable snapshot.
 
         The served dark set is the *refined* prefix list; blocks the
         pipeline inferred dark but liveness refinement removed are kept
         as ``candidate`` so a snapshot consumer can tell "served" from
-        "provisionally dark".  ``history`` is the optional
-        ``[(day, dark_blocks), ...]`` record feeding since-day and
-        confidence (see :func:`repro.core.snapshot.build_snapshot`).
+        "provisionally dark".
         """
         return build_snapshot(
             day=day,
@@ -81,7 +74,6 @@ class MetaTelescopeResult:
             unclean=self.pipeline.unclean_blocks,
             gray=self.pipeline.gray_blocks,
             candidate=self.refinement.removed_blocks,
-            history=history,
             provenance=provenance,
             family=self.pipeline.family,
         )
@@ -272,38 +264,31 @@ class MetaTelescope:
     def infer_snapshot(
         self,
         views: list[VantageDayView],
-        day: int | None = None,
         use_spoofing_tolerance: bool = False,
         refine: bool = True,
         chunk_size: int | str | None = None,
-        workers: int | None = None,
-        context: RunContext | None = None,
-        provenance: dict | None = None,
         kernel: str | None = None,
     ) -> ClassificationSnapshot:
-        """Run :meth:`infer` and freeze the outcome as a snapshot.
+        """Run :meth:`infer` and freeze the outcome as a snapshot of the
+        latest day among the views.
 
         The snapshot's provenance records the execution plan that
-        produced it (read off the run's context) — including the
-        resolved kernel backend — plus anything the caller adds;
-        ``day`` defaults to the latest day among the views.
+        produced it (read off the run's context), including the
+        resolved kernel backend.
         """
-        if context is None:
-            context = RunContext()
+        context = RunContext()
         result = self.infer(
             views,
             use_spoofing_tolerance=use_spoofing_tolerance,
             refine=refine,
             chunk_size=chunk_size,
-            workers=workers,
             context=context,
             kernel=kernel,
         )
-        if day is None:
-            day = max(view.day for view in views)
-        record = {"plan": context.plan.to_dict()}
-        record.update(provenance or {})
-        return result.to_snapshot(day, provenance=record)
+        day = max(view.day for view in views)
+        return result.to_snapshot(
+            day, provenance={"plan": context.plan.to_dict()}
+        )
 
     def captured_traffic(
         self,

@@ -31,8 +31,8 @@ what a missing or degraded day does to the serving list:
   forward with staleness accounting;
 * ``"carry"`` — missing days carry the serving list forward; degraded
   days are still folded in, but prefixes that flap under degraded
-  input are quarantined until they survive ``quarantine_days`` clean
-  days.
+  input are quarantined until they survive :data:`QUARANTINE_DAYS`
+  clean days.
 
 :meth:`health_report` returns the structured operational record.
 """
@@ -58,6 +58,10 @@ from repro.vantage.sampling import VantageDayView
 
 #: Degraded-day policies accepted by :class:`OnlineMetaTelescope`.
 POLICIES = ("strict", "skip", "carry")
+#: Quality score below which a day counts as degraded.
+MIN_QUALITY = 0.5
+#: Clean days a flapping prefix sits out under the ``carry`` policy.
+QUARANTINE_DAYS = 2
 
 #: How many clean-day volume totals the quality baseline remembers.
 _VOLUME_HISTORY = 30
@@ -151,15 +155,6 @@ class OnlineMetaTelescope:
     use_spoofing_tolerance: bool = True
     #: Missing/degraded-day policy; see the module docstring.
     policy: str = "strict"
-    #: Quality score below which a day counts as degraded.
-    min_quality: float = 0.5
-    #: Clean days a flapping prefix sits out under the ``carry`` policy.
-    quarantine_days: int = 2
-    #: Feeds expected per day (None: learned as the max seen so far).
-    expected_views: int | None = None
-    #: With ``skip``/``carry``: staleness beyond which the carried
-    #: serving list is considered expired and cleared (None: never).
-    max_staleness: int | None = None
     #: Rows per ingestion chunk when folding a day's views into its
     #: accumulator (None: each view aggregated whole; ``"auto"`` picks a
     #: size from the view).  Classification is bit-identical either way;
@@ -208,14 +203,6 @@ class OnlineMetaTelescope:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {', '.join(POLICIES)}"
             )
-        if not 0.0 <= self.min_quality <= 1.0:
-            raise ValueError(f"min_quality out of range: {self.min_quality}")
-        if self.quarantine_days < 0:
-            raise ValueError("quarantine_days must be >= 0")
-        if self.max_staleness is not None and self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0 (or None)")
-        if self.expected_views is not None and self.expected_views < 1:
-            raise ValueError("expected_views must be >= 1 (or None)")
 
     # -- the daily loop ------------------------------------------------
 
@@ -227,7 +214,7 @@ class OnlineMetaTelescope:
                 "days must arrive strictly increasing (no duplicates, no replays)"
             )
         quality = self._score(day, views)
-        degraded = quality.degraded(self.min_quality)
+        degraded = quality.degraded(MIN_QUALITY)
 
         if self.policy == "strict":
             if not views:
@@ -262,14 +249,12 @@ class OnlineMetaTelescope:
     # -- internals -----------------------------------------------------
 
     def _score(self, day: int, views: list[VantageDayView]) -> FeedQuality:
-        expected = self.expected_views
-        if expected is None and self._views_seen_max:
-            expected = self._views_seen_max
+        # Feeds expected per day: the most seen on a clean day so far.
         return score_feed(
             day,
             views,
             history_packets=self._volume_history,
-            expected_views=expected,
+            expected_views=self._views_seen_max or None,
             typical_factors=self._typical_factors,
         )
 
@@ -332,13 +317,13 @@ class OnlineMetaTelescope:
 
         if action == "degraded":
             self._staleness += 1
-            if previous_dark is not None and self.quarantine_days > 0:
+            if previous_dark is not None:
                 flapped = sorted_difference(
                     sorted_union(day_dark, previous_dark),
                     sorted_intersection(day_dark, previous_dark),
                 )
                 for block in flapped.tolist():
-                    self._quarantine[block] = self.quarantine_days
+                    self._quarantine[block] = QUARANTINE_DAYS
         else:
             self._staleness = 0
             self._tick_quarantine()
@@ -371,19 +356,11 @@ class OnlineMetaTelescope:
     def _hold(self, day: int, quality: FeedQuality, action: str) -> DayUpdate:
         """Keep serving the current list; account for its staleness."""
         self._staleness += 1
-        removed = _empty_blocks()
-        if (
-            self.max_staleness is not None
-            and self._staleness > self.max_staleness
-            and len(self._serving)
-        ):
-            removed = self._serving
-            self._serving = _empty_blocks()
         return DayUpdate(
             day=day,
             serving_size=len(self._serving),
             added_blocks=_empty_blocks(),
-            removed_blocks=removed,
+            removed_blocks=_empty_blocks(),
             action=action,
             staleness=self._staleness,
             quality=quality,

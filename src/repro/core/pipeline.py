@@ -71,33 +71,21 @@ def run_pipeline(
     views: list[VantageDayView],
     routing: RoutingTable,
     config: PipelineConfig | None = None,
-    special: SpecialPurposeRegistry = SPECIAL_PURPOSE_REGISTRY,
-    chunk_size: int | str | None = None,
-    workers: int | None = None,
-    context: RunContext | None = None,
-    kernel: str | None = None,
 ) -> PipelineResult:
     """Run the full inference over pooled vantage-day views.
 
-    ``chunk_size=None`` ingests each view as a single chunk (the batch
-    path); an integer bounds the rows per chunk and ``"auto"`` picks a
-    bounded size per view.  Any chunk size (and any worker count, and
-    either ``kernel`` backend) yields bit-identical classifications.
     This is the facade-less composition of the engine's steps: plan,
-    fold (:func:`~repro.core.engine.execute_plan`), classify.
+    fold (:func:`~repro.core.engine.execute_plan`), classify.  Chunked,
+    parallel and native-kernel folds classify bit-identically; they are
+    :meth:`~repro.core.metatelescope.MetaTelescope.accumulate`'s knobs.
     """
     if config is None:
         config = PipelineConfig()
-    plan = ExecutionPlanner().plan(
-        views, chunk_size=chunk_size, workers=workers, kernel=kernel
-    )
     accumulator = execute_plan(
-        plan, views, context,
+        ExecutionPlanner().plan(views), views,
         ignore_sources_from_asns=config.ignore_sources_from_asns,
     )
-    return run_pipeline_accumulated(
-        accumulator, routing, config, special, context=context
-    )
+    return run_pipeline_accumulated(accumulator, routing, config)
 
 
 def run_pipeline_accumulated(

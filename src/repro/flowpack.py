@@ -141,15 +141,43 @@ class SegmentInfo:
 # -- writing ------------------------------------------------------------
 
 
+def _write_segment(
+    handle, columns: Mapping[str, np.dtype], arrays: Mapping[str, np.ndarray]
+) -> None:
+    """Write one segment holding ``arrays`` to ``handle`` (nothing when
+    empty).  Every schema column must be present, and all arrays must
+    share one length; either check fails before a byte is written."""
+    missing = set(columns) - set(arrays)
+    if missing:
+        raise ValueError(f"segment lacks columns: {sorted(missing)}")
+    lengths = {len(arrays[name]) for name in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"ragged segment columns: lengths {lengths}")
+    rows = lengths.pop()
+    if rows == 0:
+        return
+    buffers = [
+        np.ascontiguousarray(arrays[name], dtype=dtype)
+        for name, dtype in columns.items()
+    ]
+    header = [_SEGMENT_MAGIC, _SEGMENT_HEADER.pack(rows)]
+    for buffer, crc in zip(buffers, _crc32_columns(buffers)):
+        header.append(_COLUMN_HEADER.pack(buffer.nbytes, crc))
+    header_bytes = b"".join(header)
+    handle.write(header_bytes)
+    handle.write(b"\x00" * _pad8(len(header_bytes)))
+    for buffer in buffers:
+        handle.write(buffer)
+        handle.write(b"\x00" * _pad8(buffer.nbytes))
+
+
 class TableWriter:
-    """Append-able writer for a generic columnar archive.
+    """Writer for a generic columnar archive.
 
     ``columns`` declares the schema (``name -> dtype``); every
     :meth:`write_columns` call appends one self-describing segment.
-    ``append=True`` re-opens an existing archive, validates its header
-    against the declared schema, and appends after the last intact
-    segment.  Use as a context manager; an empty write is a no-op
-    (segments always hold at least one row).
+    Use as a context manager; an empty write is a no-op (segments always
+    hold at least one row).
     """
 
     def __init__(
@@ -157,7 +185,6 @@ class TableWriter:
         path: str | Path,
         columns: Mapping[str, Any],
         meta: Mapping[str, Any] | None = None,
-        append: bool = False,
     ) -> None:
         self.path = Path(path)
         self.columns = {
@@ -165,50 +192,19 @@ class TableWriter:
         }
         if not self.columns:
             raise ValueError("an archive needs at least one column")
-        if append and self.path.exists() and self.path.stat().st_size > 0:
-            # Appending to a damaged or differently-shaped archive fails
-            # here, before a byte is written.
-            _scan_table(self.path, strict=True, expected=_spec_of(self.columns))
-            self._handle = open(self.path, "ab")
-        else:
-            self._handle = open(self.path, "wb")
-            payload = json.dumps(
-                {"columns": _spec_of(self.columns), "meta": dict(meta or {})},
-                sort_keys=True,
-            ).encode()
-            self._handle.write(MAGIC)
-            self._handle.write(_FILE_HEADER.pack(FLOWPACK_VERSION, len(payload)))
-            self._handle.write(payload)
-            self._handle.write(b"\x00" * _pad8(len(payload)))
+        self._handle = open(self.path, "wb")
+        payload = json.dumps(
+            {"columns": _spec_of(self.columns), "meta": dict(meta or {})},
+            sort_keys=True,
+        ).encode()
+        self._handle.write(MAGIC)
+        self._handle.write(_FILE_HEADER.pack(FLOWPACK_VERSION, len(payload)))
+        self._handle.write(payload)
+        self._handle.write(b"\x00" * _pad8(len(payload)))
 
     def write_columns(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Append one segment holding ``arrays`` (no-op when empty).
-
-        Every schema column must be present, and all arrays must share
-        one length.
-        """
-        missing = set(self.columns) - set(arrays)
-        if missing:
-            raise ValueError(f"segment lacks columns: {sorted(missing)}")
-        lengths = {len(arrays[name]) for name in self.columns}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged segment columns: lengths {lengths}")
-        rows = lengths.pop()
-        if rows == 0:
-            return
-        buffers = [
-            np.ascontiguousarray(arrays[name], dtype=dtype)
-            for name, dtype in self.columns.items()
-        ]
-        header = [_SEGMENT_MAGIC, _SEGMENT_HEADER.pack(rows)]
-        for buffer, crc in zip(buffers, _crc32_columns(buffers)):
-            header.append(_COLUMN_HEADER.pack(buffer.nbytes, crc))
-        header_bytes = b"".join(header)
-        self._handle.write(header_bytes)
-        self._handle.write(b"\x00" * _pad8(len(header_bytes)))
-        for buffer in buffers:
-            self._handle.write(buffer)
-            self._handle.write(b"\x00" * _pad8(buffer.nbytes))
+        """Append one segment holding ``arrays`` (no-op when empty)."""
+        _write_segment(self._handle, self.columns, arrays)
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -222,34 +218,19 @@ class TableWriter:
 
 
 class FlowpackWriter(TableWriter):
-    """Append-able flow-archive writer (one segment per :meth:`write`).
+    """Flow-archive writer (one segment per :meth:`write`).
 
-    ``family`` picks the flow schema (``"ipv4"`` default).  Appending
-    to an existing archive adopts *its* family; passing a conflicting
-    one raises.
+    ``family`` picks the flow schema (``"ipv4"`` default).
     """
 
     def __init__(
         self,
         path: str | Path,
         meta: Mapping[str, Any] | None = None,
-        append: bool = False,
         family: str | None = None,
     ) -> None:
-        target = Path(path)
-        if append and target.exists() and target.stat().st_size > 0:
-            _, spec, _, _ = _scan_table(target, strict=True)
-            existing = _flow_family_of_spec(spec, target)
-            if family is not None and family != existing:
-                raise FlowpackError(
-                    f"{target}: cannot append {family} flows to an "
-                    f"{existing} archive"
-                )
-            family = existing
         self.family = family if family is not None else FAMILY_IPV4
-        super().__init__(
-            path, flow_columns(self.family), meta=meta, append=append
-        )
+        super().__init__(path, flow_columns(self.family), meta=meta)
 
     def write(self, flows: FlowTable) -> None:
         """Append one segment holding ``flows`` (no-op when empty)."""
@@ -307,12 +288,14 @@ def append_table_columns(
     empty append is a no-op, exactly like :meth:`TableWriter.write_columns`).
 
     This is how the snapshot delta store grows its ``deltas.fpk``: one
-    self-describing segment per publish, nothing ever rewritten.
+    self-describing segment per publish, nothing ever rewritten.  The
+    archive is scanned once, strictly, so a damaged one (or arrays that
+    lack one of its columns) fails before a byte is written.
     """
     _, spec, _, _ = _scan_table(path, strict=True)
     columns = {name: np.dtype(dtype) for name, dtype in spec}
-    with TableWriter(path, columns, append=True) as writer:
-        writer.write_columns(arrays)
+    with open(path, "ab") as handle:
+        _write_segment(handle, columns, arrays)
 
 
 # -- scanning -----------------------------------------------------------
@@ -592,10 +575,6 @@ class FlowpackArchive(TableArchive):
     """
 
     def __init__(self, path: str | Path, *, _scanned=None) -> None:
-        if _scanned is not None and len(_scanned) == 2:
-            # legacy (meta, segments) form: IPv4 by definition
-            meta, segments = _scanned
-            _scanned = (meta, _column_spec(), segments)
         super().__init__(path, _scanned=_scanned)
         #: Address family name resolved from the header schema.
         self.family = _flow_family_of_spec(
@@ -608,9 +587,7 @@ class FlowpackArchive(TableArchive):
             **self.segment_arrays(index, verify=verify), family=self.family
         )
 
-    def read_rows(
-        self, start: int, stop: int, verify: bool = True
-    ) -> FlowTable:
+    def read_rows(self, start: int, stop: int) -> FlowTable:
         """Rows ``[start, stop)`` of the whole archive.
 
         Touches only the segments the range spans; a range inside one
@@ -627,7 +604,7 @@ class FlowpackArchive(TableArchive):
                 continue
             if segment.start_row >= stop:
                 break
-            table = self.segment_flows(index, verify=verify)
+            table = self.segment_flows(index)
             lo = max(0, start - segment.start_row)
             hi = min(segment.rows, stop - segment.start_row)
             if lo > 0 or hi < segment.rows:
@@ -635,9 +612,7 @@ class FlowpackArchive(TableArchive):
             parts.append(table)
         return FlowTable.concat(parts)
 
-    def iter_chunks(
-        self, chunk_rows: int | None = None, verify: bool = True
-    ) -> Iterator[FlowTable]:
+    def iter_chunks(self, chunk_rows: int | None = None) -> Iterator[FlowTable]:
         """Bounded-size chunks over the archive, zero-copy per segment.
 
         Chunks never cross a segment boundary (each is a slice of one
@@ -647,9 +622,7 @@ class FlowpackArchive(TableArchive):
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         for index in range(len(self.segments)):
-            yield from self.segment_flows(index, verify=verify).iter_chunks(
-                chunk_rows
-            )
+            yield from self.segment_flows(index).iter_chunks(chunk_rows)
 
     def read_all(self, verify: bool = True) -> FlowTable:
         """The whole archive as one table (zero-copy iff one segment)."""

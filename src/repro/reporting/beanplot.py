@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 _BAR = "▁▂▃▄▅▆▇█"
+#: Characters per bar cell.
+_WIDTH = 12
 
 
 def render_bean_rows(
     ports: list[int],
     groups: list[str],
     matrix: np.ndarray,
-    width: int = 12,
 ) -> str:
     """Render a port x group share matrix as aligned bar rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -28,14 +29,14 @@ def render_bean_rows(
     lines = [
         "port".rjust(6)
         + "  "
-        + "  ".join(group.center(width) for group in groups)
+        + "  ".join(group.center(_WIDTH) for group in groups)
     ]
     for row, port in enumerate(ports):
         cells = []
         for column in range(len(groups)):
             share = matrix[row, column]
-            filled = int(round(share / peak * width))
-            bar = ("█" * filled).ljust(width)
+            filled = int(round(share / peak * _WIDTH))
+            bar = ("█" * filled).ljust(_WIDTH)
             cells.append(bar)
         lines.append(f"{port:>6}  " + "  ".join(cells))
     return "\n".join(lines)

@@ -26,13 +26,13 @@ class Ecdf:
 
 
 def render_ecdf_rows(
-    ecdfs: dict[str, Ecdf], grid: np.ndarray, value_format: str = "{:.3f}"
+    ecdfs: dict[str, Ecdf], grid: np.ndarray
 ) -> list[list[object]]:
     """Table rows: one per grid point, one column per ECDF."""
     rows: list[list[object]] = []
     for x in grid:
         row: list[object] = [float(x)]
         for label in ecdfs:
-            row.append(value_format.format(ecdfs[label].at(float(x))))
+            row.append(f"{ecdfs[label].at(float(x)):.3f}")
         rows.append(row)
     return rows

@@ -11,9 +11,12 @@ import math
 
 from repro.geo.countries import country_by_code
 
+#: Characters in the longest bar.
+_WIDTH = 40
+
 
 def render_country_bars(
-    counts: dict[str, int], top: int | None = None, width: int = 40
+    counts: dict[str, int], top: int | None = None
 ) -> str:
     """Log-scaled horizontal bars, most-covered country first."""
     items = sorted(counts.items(), key=lambda item: -item[1])
@@ -26,8 +29,8 @@ def render_country_bars(
     for code, count in items:
         country = country_by_code(code)
         magnitude = math.log10(count + 1)
-        filled = int(round(magnitude / peak * width)) if peak else 0
+        filled = int(round(magnitude / peak * _WIDTH)) if peak else 0
         lines.append(
-            f"{code} {country.continent.value:>3} {'█' * filled:<{width}} {count:>8,}"
+            f"{code} {country.continent.value:>3} {'█' * filled:<{_WIDTH}} {count:>8,}"
         )
     return "\n".join(lines)

@@ -76,6 +76,8 @@ from repro.service.handle import SnapshotHandle
 #: The served artifact and its version sentinel, inside the fleet root.
 SNAPSHOT_FILE = "snapshot.fpk"
 SENTINEL_FILE = "SERVING.json"
+#: Seconds :meth:`FleetSupervisor.stop` waits before killing a worker.
+_STOP_TIMEOUT = 10.0
 
 
 def _atomic_json(path: Path, payload: dict[str, Any]) -> None:
@@ -395,13 +397,13 @@ class FleetSupervisor:
                 restarted += 1
         return restarted
 
-    def stop(self, timeout: float = 10.0) -> None:
+    def stop(self) -> None:
         """Graceful drain: SIGTERM every worker, then join (kill
-        stragglers past ``timeout``)."""
+        stragglers past :data:`_STOP_TIMEOUT` seconds)."""
         for worker in self.workers:
             if worker.process.is_alive():
                 worker.process.terminate()  # SIGTERM -> daemon.drain()
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + _STOP_TIMEOUT
         for worker in self.workers:
             worker.process.join(max(0.1, deadline - time.monotonic()))
             if worker.process.is_alive():

@@ -94,7 +94,6 @@ def encode_ipfix(
     flows: FlowTable,
     observation_domain: int = 1,
     export_time: int = 0,
-    first_sequence: int = 0,
 ) -> list[bytes]:
     """Encode a flow table as one or more IPFIX messages.
 
@@ -106,7 +105,7 @@ def encode_ipfix(
     overhead = _MESSAGE_HEADER.size + len(template) + _SET_HEADER.size
     per_message = (_MAX_MESSAGE_LENGTH - overhead) // _RECORD_LENGTH
     messages = []
-    sequence = first_sequence
+    sequence = 0
     total = len(flows)
     start = 0
     while start < total or (total == 0 and not messages):

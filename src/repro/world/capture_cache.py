@@ -123,9 +123,7 @@ class CaptureCache:
         self.hits += 1
         return view
 
-    def store(
-        self, key: str, view: VantageDayView, chunk_rows: int | None = None
-    ) -> ArchiveDayView:
+    def store(self, key: str, view: VantageDayView) -> ArchiveDayView:
         """Persist a generated capture; returns the archive-backed view.
 
         The write is atomic (temp file + ``os.replace`` in the entry's
@@ -139,7 +137,7 @@ class CaptureCache:
         )
         os.close(handle)
         try:
-            export_view(view, temp, chunk_rows=chunk_rows)
+            export_view(view, temp)
             os.replace(temp, path)
         except BaseException:
             os.unlink(temp)

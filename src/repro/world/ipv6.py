@@ -182,9 +182,8 @@ class Ipv6Collector:
     present from day 0.
     """
 
-    def __init__(self, orgs: Iterable[Ipv6Org], leak: bool = True) -> None:
+    def __init__(self, orgs: Iterable[Ipv6Org]) -> None:
         self._orgs = tuple(orgs)
-        self._leak = leak
 
     def daily_table(self, day: int) -> RoutingTable:
         """The announcements visible on ``day`` (family-tagged IPv6)."""
@@ -193,13 +192,12 @@ class Ipv6Collector:
             for org in self._orgs
             if org.announce_day is not None and org.announce_day <= day
         ]
-        if self._leak:
-            announcements.append(
-                Announcement(
-                    prefix=Ipv6Prefix.parse(LEAKED_SPECIAL_PREFIX),
-                    origin_asn=LEAK_ASN,
-                )
+        announcements.append(
+            Announcement(
+                prefix=Ipv6Prefix.parse(LEAKED_SPECIAL_PREFIX),
+                origin_asn=LEAK_ASN,
             )
+        )
         return RoutingTable(announcements, family=IPV6)
 
 

@@ -69,8 +69,8 @@ class TestChunkedEqualsBatch:
         self, multi_day, routing, telescope, chunk_size
     ):
         batch = run_pipeline(multi_day, routing, telescope.config)
-        chunked = run_pipeline(
-            multi_day, routing, telescope.config, chunk_size=chunk_size
+        chunked = run_pipeline_accumulated(
+            fold(multi_day, chunk_size=chunk_size), routing, telescope.config
         )
         assert_identical(batch, chunked)
         assert batch.num_dark() > 0  # a vacuous world proves nothing
@@ -97,8 +97,8 @@ class TestChunkedEqualsBatch:
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
         batch = run_pipeline(faulted, routing, telescope.config)
-        chunked = run_pipeline(
-            faulted, routing, telescope.config, chunk_size=61
+        chunked = run_pipeline_accumulated(
+            fold(faulted, chunk_size=61), routing, telescope.config
         )
         assert_identical(batch, chunked)
 
@@ -110,8 +110,9 @@ class TestChunkedEqualsBatch:
             vantage="SILENT", day=9, flows=FlowTable.empty()
         )
         batch = run_pipeline(multi_day + [silent], routing, telescope.config)
-        chunked = run_pipeline(
-            multi_day + [silent], routing, telescope.config, chunk_size=50
+        chunked = run_pipeline_accumulated(
+            fold(multi_day + [silent], chunk_size=50), routing,
+            telescope.config,
         )
         assert "SILENT" in batch.applied_tolerances
         assert_identical(batch, chunked)
@@ -175,8 +176,8 @@ class TestProperties:
     def test_any_chunk_size_matches_batch(self, flows, chunk_size):
         view = VantageDayView(vantage="V", day=0, flows=flows)
         batch = run_pipeline([view], ROUTING, PipelineConfig())
-        chunked = run_pipeline(
-            [view], ROUTING, PipelineConfig(), chunk_size=chunk_size
+        chunked = run_pipeline_accumulated(
+            fold([view], chunk_size=chunk_size), ROUTING, PipelineConfig()
         )
         assert_identical(batch, chunked)
 

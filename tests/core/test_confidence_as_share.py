@@ -121,11 +121,12 @@ class TestAsDarkShare:
         )
         assert shares == []
 
-    def test_org_rollup(self):
+    def test_unannounced_origin_skipped(self):
+        """A dark block whose pfx2as origin the routing table does not
+        see announcing has no share to report."""
         routing = self.make_routing()
-        pfx2as = PrefixToAsMap.from_routing_table(routing)
+        pfx2as = PrefixToAsMap.from_routing_table(
+            RoutingTable([Announcement(Prefix.parse("20.0.0.0/16"), 65099)])
+        )
         dark = np.arange(BASE, BASE + 8)
-        shares = dark_share_by_as(dark, routing, pfx2as)
-        # No organisation on record: the footprint is named by its AS.
-        rows = [(row.org_name or f"AS{row.asn}", row.dark_blocks) for row in shares]
-        assert rows == [("AS65001", 8)]
+        assert dark_share_by_as(dark, routing, pfx2as) == []

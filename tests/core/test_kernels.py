@@ -53,7 +53,7 @@ from repro.core.kernels import (
 )
 from repro.core.metatelescope import MetaTelescope
 from repro.core.parallel import partial_states_identical
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults.injectors import CorruptedFields, DuplicatedRecords
 from repro.net.family import FAMILY_IPV4, FAMILY_IPV6
 from repro.net.ipv4 import parse_ip
@@ -63,7 +63,7 @@ from repro.vantage.sampling import VantageDayView
 from repro.world.observe import Observatory
 from repro.world.scenarios import micro_world
 
-from _factories import routing_for
+from _factories import fold as engine_fold, routing_for
 
 ROUTING = routing_for("20.0.0.0/8", "21.0.0.0/8")
 BASE = parse_ip("20.0.0.0") >> 8
@@ -1075,8 +1075,9 @@ class TestClassificationParity:
             for i, table in enumerate(tables)
         ]
         results = {
-            kernel: run_pipeline(
-                views, ROUTING, PipelineConfig(), chunk_size=17, kernel=kernel
+            kernel: run_pipeline_accumulated(
+                engine_fold(views, chunk_size=17, kernel=kernel), ROUTING,
+                PipelineConfig(),
             )
             for kernel in ("numpy", "native")
         }

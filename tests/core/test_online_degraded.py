@@ -131,7 +131,7 @@ class TestCarryPolicy:
         assert update.staleness == 1
 
     def test_flapping_block_quarantined(self):
-        online = make_online(policy="carry", quarantine_days=2)
+        online = make_online(policy="carry")
         online.update(0, day_views(0, blocks=(BASE, BASE + 1)))
         # Degraded day: BASE+1 vanishes from the daily dark set.
         update = online.update(1, day_views(1, blocks=(BASE,), invalid_rows=8))
@@ -140,7 +140,7 @@ class TestCarryPolicy:
         assert BASE in online.current_prefixes()
 
     def test_quarantine_released_after_clean_days(self):
-        online = make_online(policy="carry", quarantine_days=2)
+        online = make_online(policy="carry")
         online.update(0, day_views(0, blocks=(BASE, BASE + 1)))
         online.update(1, day_views(1, blocks=(BASE,), invalid_rows=8))
         online.update(2, day_views(2, blocks=(BASE, BASE + 1)))
@@ -149,14 +149,17 @@ class TestCarryPolicy:
         assert BASE + 1 in online.current_prefixes()
         assert len(online.quarantined_blocks()) == 0
 
-    def test_max_staleness_expires_the_list(self):
-        online = make_online(policy="carry", max_staleness=1)
+    def test_carried_list_never_expires(self):
+        """Missing days carry the serving list forward however many there
+        are; staleness only counts them."""
+        online = make_online(policy="carry")
         online.update(0, day_views(0))
-        online.update(1, [])
+        for day in range(1, 5):
+            update = online.update(day, [])
+            assert update.serving_size == 1
+            assert len(update.removed_blocks) == 0
+            assert update.staleness == day
         assert online.current_prefixes().tolist() == [BASE]
-        update = online.update(2, [])
-        assert update.serving_size == 0
-        assert BASE in update.removed_blocks
 
 
 class TestHealthReport:
@@ -192,10 +195,6 @@ class TestHealthReport:
     def test_validation_of_new_knobs(self):
         with pytest.raises(ValueError, match="policy"):
             make_online(policy="yolo")
-        with pytest.raises(ValueError, match="min_quality"):
-            make_online(min_quality=1.5)
-        with pytest.raises(ValueError, match="quarantine_days"):
-            make_online(quarantine_days=-1)
 
 
 class TestQualityLearning:

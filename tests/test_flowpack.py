@@ -139,13 +139,21 @@ class TestRoundTrip:
             assert FlowpackArchive(path).num_rows == len(rows)
 
     def test_append_extends_archive(self, tmp_path):
+        """The delta store's append path works on any table archive; a
+        flow archive grows by one segment and reads back whole."""
+        from repro.flowpack import append_table_columns
+
         path = tmp_path / "t.fpk"
         a = make_flows([{"packets": 1}, {"packets": 2}])
         b = make_flows([{"packets": 3}])
         write_flows_archive(a, path)
-        with FlowpackWriter(path, append=True, family=b.family) as writer:
-            writer.write(b)
-        assert FlowpackArchive(path).read_all().packets.tolist() == [1, 2, 3]
+        append_table_columns({name: getattr(b, name) for name in b.columns()}, path)
+        append_table_columns(
+            {name: getattr(b, name)[:0] for name in b.columns()}, path
+        )  # an empty append writes nothing
+        archive = FlowpackArchive(path)
+        assert len(archive.segments) == 2
+        assert archive.read_all().packets.tolist() == [1, 2, 3]
 
     def test_iter_matches_batch(self, tmp_path):
         flows = random_flows(np.random.default_rng(0), 500)
@@ -430,6 +438,26 @@ class TestGenericTables:
         archive = TableArchive(path)
         assert len(archive.segments) == 2
         assert archive.read_arrays()["ids"].tolist() == [0, 1, 2, 0, 1]
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad_magic", "schema"])
+    def test_append_fails_before_writing(self, tmp_path, damage):
+        """A damaged archive, or arrays in another schema, is refused
+        before a byte of the new segment is written."""
+        from repro.flowpack import append_table_columns, write_table_archive
+
+        path = tmp_path / "t.fpk"
+        write_table_archive(self.arrays(3), path)
+        arrays = self.arrays(2)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-5])
+        elif damage == "bad_magic":
+            path.write_bytes(b"X" + path.read_bytes()[1:])
+        else:
+            arrays = {"other": np.arange(2, dtype=np.int64)}
+        before = path.read_bytes()
+        with pytest.raises((FlowpackError, ValueError)):
+            append_table_columns(arrays, path)
+        assert path.read_bytes() == before
 
     def test_ragged_columns_rejected(self, tmp_path):
         from repro.flowpack import TableWriter

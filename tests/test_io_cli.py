@@ -290,6 +290,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["funnel", "--scale", "micro", "--vantage", "NOPE"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--days", "2"],
+            ["serve", "--days", "2", "--warm-days", "0", "--port", "0",
+             "--exit-after", "1"],
+        ],
+        ids=["faults", "serve"],
+    )
+    def test_online_commands_name_the_valid_vantages(self, argv, capsys):
+        from repro.cli import main
+
+        # Checked once the world exists, before a day is folded or a
+        # port is opened: the same message infer and demo give.
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--scale", "micro", "--vantage", "NOPE"])
+        assert "unknown vantage 'NOPE'; choose from All, CE1" in str(
+            raised.value.code
+        )
+        assert capsys.readouterr().out == ""
+
     def test_plan_prints_without_executing(self, capsys):
         from repro.cli import main
 
@@ -391,6 +412,31 @@ class TestCli:
         # and no world built.
         with pytest.raises(SystemExit) as raised:
             main([*argv, "--scale", "micro"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["plan", "infer", "funnel", "faults", "serve"]
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--chunk-size", "0"], "argument --chunk-size: must be >= 1, got 0"),
+            (["--chunk-size", "-5"], "argument --chunk-size: must be >= 1, got -5"),
+            (["--workers", "-1"], "argument --workers: must be >= 0, got -1"),
+        ],
+        ids=["chunk-size-0", "chunk-size-negative", "workers-negative"],
+    )
+    def test_bad_execution_knobs_are_usage_errors(
+        self, command, flags, message, capsys
+    ):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--scale", "micro", *flags])
         assert raised.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

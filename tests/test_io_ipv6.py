@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.flowpack import FlowpackArchive, FlowpackError, FlowpackWriter
+from repro.flowpack import FlowpackArchive
 from repro.io import (
     convert_flows,
     prefix_list_text,
@@ -74,20 +74,6 @@ class TestFlowRoundTrips:
         write_flows_archive(empty, path)
         loaded = FlowpackArchive(path).read_all()
         assert loaded.family == "ipv6" and len(loaded) == 0
-
-    def test_append_family_mismatch_rejected(self, flows, tmp_path):
-        path = tmp_path / "v6.fpk"
-        write_flows_archive(flows, path)
-        v4 = FlowTable.empty("ipv4")
-        with pytest.raises(FlowpackError, match="ipv6"):
-            FlowpackWriter(path, append=True, family=v4.family)
-
-    def test_append_same_family_extends(self, flows, tmp_path):
-        path = tmp_path / "v6.fpk"
-        write_flows_archive(flows, path)
-        with FlowpackWriter(path, append=True, family=flows.family) as writer:
-            writer.write(flows)
-        assert len(FlowpackArchive(path).read_all()) == 2 * len(flows)
 
     def test_convert_preserves_family_both_ways(self, flows, tmp_path):
         csv = tmp_path / "v6.csv"

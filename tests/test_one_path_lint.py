@@ -93,6 +93,47 @@ DELETED_SURFACE = (
     "is_heavy", "daily_dark_sets", "render_share_table", "by_type",
     "by_country", "org_of", "num_organizations", "countries_of_continent",
 )
+#: Parameters and dataclass fields deleted because no production entry
+#: point ever gave them a second value (``tools/reach``'s second
+#: section), as ``(module, function or class, parameter)``: the online
+#: engine's four degraded-mode settings, the snapshot and pipeline
+#: shortcuts' fold knobs, the auto chunk size's bounds, the archive
+#: writers' append mode, and the analysis and rendering knobs nothing
+#: passed.
+DELETED_PARAMETERS = (
+    *(("core/online.py", "OnlineMetaTelescope", name) for name in (
+        "max_staleness", "expected_views", "quarantine_days", "min_quality",
+    )),
+    *(("core/metatelescope.py", "MetaTelescope.infer_snapshot", name)
+      for name in ("day", "workers", "context", "provenance")),
+    ("core/metatelescope.py", "MetaTelescopeResult.to_snapshot", "history"),
+    *(("core/pipeline.py", "run_pipeline", name)
+      for name in ("chunk_size", "workers", "context", "kernel")),
+    *(("core/accum.py", "adaptive_chunk_rows", name)
+      for name in ("target_chunks", "floor", "ceiling")),
+    ("flowpack.py", "FlowpackWriter.__init__", "append"),
+    ("flowpack.py", "TableWriter.__init__", "append"),
+    # Knobs no caller anywhere (src, tests, benchmarks, examples) passed.
+    ("analysis/as_dark_share.py", "dark_share_by_as", "as2org"),
+    ("analysis/as_dark_share.py", "dark_share_by_as", "min_announced"),
+    ("analysis/as_dark_share.py", "AsDarkShare", "org_name"),
+    ("analysis/backscatter_analysis.py", "detect_victims",
+     "max_modal_port_share"),
+    ("analysis/scanners_analysis.py", "detect_scanners", "max_ports"),
+    ("analysis/ports.py", "port_activity_by_group", "tcp_only"),
+    ("core/accum.py", "PrefixAccumulator.from_state", "compact_every"),
+    ("core/confidence.py", "score_prefixes", "weights"),
+    ("core/pipeline.py", "run_pipeline", "special"),
+    ("flowpack.py", "FlowpackArchive.read_rows", "verify"),
+    ("flowpack.py", "FlowpackArchive.iter_chunks", "verify"),
+    ("reporting/beanplot.py", "render_bean_rows", "width"),
+    ("reporting/ecdf.py", "render_ecdf_rows", "value_format"),
+    ("reporting/worldmap.py", "render_country_bars", "width"),
+    ("service/fleet.py", "FleetSupervisor.stop", "timeout"),
+    ("vantage/ipfix.py", "encode_ipfix", "first_sequence"),
+    ("world/capture_cache.py", "CaptureCache.store", "chunk_rows"),
+    ("world/ipv6.py", "Ipv6Collector.__init__", "leak"),
+)
 #: Deleted second doors — the convenience fold, the per-view
 #: aggregation and its view-fed tolerances, the stage plugin layer and
 #: its second timing record, the test-only chunked captures: not
@@ -441,6 +482,90 @@ def test_unreached_surface_stays_deleted():
         ),
         "bgp/rib.py": "mask = self.routed_mask(blocks)\n",
     })
+
+
+def named(tree: ast.Module, qualname: str):
+    """The function or class ``qualname`` names in ``tree``, or None."""
+    node = tree
+    for part in qualname.split("."):
+        node = next(
+            (child for child in node.body
+             if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+             and child.name == part),
+            None,
+        )
+        if node is None:
+            return None
+    return node
+
+
+def parameters(node) -> set[str]:
+    """A function's parameter names, or a class's annotated fields."""
+    if isinstance(node, ast.ClassDef):
+        return {
+            statement.target.id for statement in node.body
+            if isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+        }
+    arguments = node.args
+    return {
+        arg.arg for arg in
+        arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+    }
+
+
+def pasted_parameters(sources: dict[str, str]) -> list[str]:
+    """Each deleted parameter that is back in its signature, and each
+    entry whose function or class is gone (so the list stays true)."""
+    found = []
+    for module, qualname, name in DELETED_PARAMETERS:
+        node = named(ast.parse(sources[module]), qualname)
+        if node is None:
+            found.append(f"src/repro/{module}: no {qualname}")
+        elif name in parameters(node):
+            found.append(f"src/repro/{module}:{node.lineno}: {qualname}({name})")
+    return found
+
+
+def test_deleted_parameters_stay_deleted():
+    found = pasted_parameters(tree_sources())
+    assert not found, (
+        "deleted knobs are back; no entry point sets them:\n"
+        + "\n".join(found)
+    )
+
+
+def test_parameter_lint_actually_catches_a_pasted_parameter():
+    # Guard the guard: each deleted parameter, pasted back into its
+    # signature (a keyword-only parameter, or a dataclass field), is
+    # found alone; the same name elsewhere in the module is not.
+    clean = tree_sources()
+    for module, qualname, name in DELETED_PARAMETERS:
+        tree = ast.parse(clean[module])
+        node = named(tree, qualname)
+        if isinstance(node, ast.ClassDef):
+            node.body.append(ast.parse(f"{name}: int | None = None").body[0])
+        else:
+            node.args.kwonlyargs.append(ast.arg(arg=name))
+            node.args.kw_defaults.append(ast.Constant(value=None))
+        sources = {**clean, module: ast.unparse(tree)}
+        found = pasted_parameters(sources)
+        assert len(found) == 1 and found[0].endswith(f"{qualname}({name})"), (
+            module, qualname, name, found,
+        )
+    assert not pasted_parameters({
+        **clean,
+        "core/pipeline.py": clean["core/pipeline.py"]
+        + "\n\ndef other(chunk_size=None, workers=None):\n    pass\n",
+    })
+    tree = ast.parse(clean["core/accum.py"])
+    tree.body = [
+        node for node in tree.body
+        if getattr(node, "name", None) != "adaptive_chunk_rows"
+    ]
+    assert pasted_parameters({**clean, "core/accum.py": ast.unparse(tree)}) == [
+        "src/repro/core/accum.py: no adaptive_chunk_rows"
+    ] * 3
 
 
 def test_every_definition_is_referenced():

@@ -5,18 +5,23 @@
 Each command runs as its own interpreter with ``tools/reach/site`` and
 ``src`` on ``PYTHONPATH`` and ``REACH_DIR=OUT_DIR``, so every process it
 starts (forked and spawned workers, the fleet, subprocesses) records the
-``src/repro`` functions it calls into ``OUT_DIR/<pid>.txt``.  The
-entry points are: the seven examples; every CLI subcommand and flag
-path (``serve`` in-process and as a two-worker fleet, with ``query`` on
-all seven endpoints against each; ``convert`` both ways; a cold and a
-warm ``--capture-cache``; ``--trace``); the four perf workloads with
+``src/repro`` functions, lines and parameter value classes it runs into
+``OUT_DIR/<pid>.txt``.  The entry points are: the seven examples; every
+CLI subcommand and flag path (``serve`` in-process, as a two-worker
+fleet on the saved snapshot and as a two-worker fleet folding a world,
+with ``query`` on all seven endpoints against the first two, ``point``
+by block, /24 and bare address, ``range`` by block ids and by prefix;
+``convert`` both ways; a cold and a warm ``--capture-cache``;
+``--trace``; ``--seed``, ``--workers 0``, a single ``--vantage`` and a
+degraded day under ``--policy skip``); the four perf workloads with
 ``--smoke`` and with ``--smoke --trace 1``; and the paper gate plus the
 scenario and fault benches.  The native kernel cache starts cold, so
 the library is compiled on every machine alike.  ``report.py OUT_DIR``
-turns the records into ``docs/unreached.txt``.  About 6 to 9 minutes on
-2 vCPUs; files land in a temporary directory, apart from the benches'
-own outputs (``benchmarks/output/``, rewritten byte for byte) and the
-perf harness's git-ignored work directories.
+turns the records into ``docs/unreached.txt``.  Tracing every line
+roughly doubles each command's time: the whole run takes 6.5 to 7.5 min on
+2 vCPUs (Python 3.11); files land in a temporary directory, apart from
+the benches' own outputs (``benchmarks/output/``, rewritten byte for
+byte) and the perf harness's git-ignored work directories.
 """
 
 from __future__ import annotations
@@ -66,8 +71,11 @@ def cli_runs(work: Path) -> list[list[str]]:
          "--output", str(work / "v6-native.txt")],
         ["infer", "--family", "ipv6", *MICRO, "--kernel", "numpy",
          "--output", str(work / "v6-numpy.txt")],
+        ["infer", "--family", "ipv6", *MICRO, "--seed", "3", "--chunk-size",
+         "500", "--workers", "2", "--output", str(work / "v6-chunked.txt")],
         ["plan", *MICRO, "--workers", "2", "--chunk-size", "auto"],
         ["plan", *MICRO, "--kernel", "native"],
+        ["plan", *MICRO, "--workers", "0"],
         ["plan", "--family", "ipv6", *MICRO],
         ["plan", "--family", "ipv6", "--scale", "small"],
         ["funnel", *MICRO, "--chunk-size", "500"],
@@ -79,6 +87,8 @@ def cli_runs(work: Path) -> list[list[str]]:
          "--fault", "truncate", "--fault-day", "1", "--window", "2"],
         ["faults", *MICRO, "--days", "4", "--policy", "skip", "--fault", "none",
          "--trace", str(work / "faults.jsonl")],
+        ["faults", *MICRO, "--days", "4", "--policy", "skip", "--fault",
+         "truncate", "--fault-day", "1", "--vantage", "CE1", "--seed", "3"],
         ["scenarios", "list", *MICRO],
         ["scenarios", "run", *MICRO, "--workers", "2", "--service-path",
          "--trace", str(work / "scenarios.jsonl")],
@@ -114,9 +124,14 @@ def fetch(url: str):
 
 
 def queries(url: str, env: dict[str, str], cwd: Path) -> None:
-    """``query`` on all seven endpoints, plus one refused request."""
+    """``query`` on all seven endpoints (``point`` by block id, by /24
+    and by a bare address inside it; ``range`` by block ids and by the
+    /16 covering it), plus one refused request."""
     head = fetch(url + "/v1/range?start=0&end=4294967295&limit=64")["rows"]
     dark = next(row for row in head if row["dark"])
+    block = dark["block"]
+    octets = f"{block >> 16}.{(block >> 8) & 0xFF}"
+    address = f"{octets}.{block & 0xFF}.1"
     asn = next(row["asn"] for row in head if row["asn"] is not None)
     country = next(row["country"] for row in head if row["country"])
     repro = [sys.executable, "-m", "repro", "query"]
@@ -124,8 +139,11 @@ def queries(url: str, env: dict[str, str], cwd: Path) -> None:
         ["health"],
         ["snapshot"],
         ["point", "--block", str(dark["block"])],
+        ["point", "--block", "0"],
         ["point", "--prefix", dark["prefix"]],
+        ["point", "--prefix", address],
         ["range", "--start", "0", "--end", "16777215", "--limit", "5"],
+        ["range", "--prefix", f"{octets}.0.0/16", "--limit", "5"],
         ["as", "--asn", str(asn), "--limit", "3"],
         ["geo", "--country", country],
         ["diff", "--since", "1"],
@@ -136,9 +154,10 @@ def queries(url: str, env: dict[str, str], cwd: Path) -> None:
     assert done.returncode == 1, "a point query with no target must fail"
 
 
-def serving(flags: list[str], env: dict[str, str], cwd: Path) -> None:
-    """``serve`` on an ephemeral port until the queries are done, then
-    the operator's Ctrl-C."""
+def serving(flags: list[str], env: dict[str, str], cwd: Path,
+            ask: bool = True) -> None:
+    """``serve`` on an ephemeral port until it is healthy and (with
+    ``ask``) the queries are done, then the operator's Ctrl-C."""
     command = [sys.executable, "-m", "repro", "serve", "--port", "0",
                "--exit-after", "600", *flags]
     started = time.monotonic()
@@ -166,7 +185,8 @@ def serving(flags: list[str], env: dict[str, str], cwd: Path) -> None:
             if time.monotonic() > deadline:
                 raise SystemExit(f"never healthy: {url}")
             time.sleep(0.05)
-        queries(url, env, cwd)
+        if ask:
+            queries(url, env, cwd)
         process.send_signal(signal.SIGINT)
         if process.wait(timeout=120) != 0:
             raise SystemExit(f"serve did not stop cleanly: {command}")
@@ -198,6 +218,8 @@ def main(argv: list[str]) -> int:
                  "--delta-archive", str(work / "deltas")], env, work)
         serving(["--snapshot", str(work / "snapshot.fpk"), "--processes", "2",
                  "--fleet-root", str(work / "fleet")], env, work)
+        serving([*MICRO, "--days", "2", "--warm-days", "1", "--processes", "2",
+                 "--fleet-root", str(work / "fleet-fold")], env, work, ask=False)
         for workload in PERF_WORKLOADS:
             for trace in ([], ["--trace", "1"]):
                 run([python, "benchmarks/perf/run.py", "--workload", workload,
