@@ -2,10 +2,11 @@
  *
  * A CPython extension module, _kernels, compiled on demand by
  * repro.core.kernels (cc -O3 -shared -fPIC -I<python include>).  Its
- * only exported symbol is PyInit__kernels; the module has exactly four
- * functions, fold_chunk, merge_sorted, merge_k and crc32_columns — the
- * ops that earn their C in the layer budget (the last checksums
- * flowpack columns; see its own comment further down).  Arrays arrive
+ * only exported symbol is PyInit__kernels; the module has exactly five
+ * functions, fold_chunk, merge_sorted, merge_k, crc32_columns and
+ * address_pass — the ops that earn their C in the layer budget
+ * (crc32_columns checksums flowpack columns, address_pass walks the
+ * funnel's address table; see their own comments further down).  Arrays arrive
  * through the buffer protocol and are checked here (see the binding
  * section at the end of this file) before the GIL is dropped.  Identity
  * contract: every kernel accumulates per-key sums in original row
@@ -472,11 +473,11 @@ static int64_t merge_reduce_##W(                                            \
         mrec_##W *swap = cur; cur = alt; alt = swap;                        \
     }                                                                       \
     /* A constant column count unrolls the gather: the per-key dst     \
-     * sums have 3 columns, the src, day and block families 1. */          \
+     * and per-vantage source sums have 2 columns, the day volumes 1. */   \
     if (ncols == 1)                                                         \
         return merge_scan_##W(cur, total, kmin, lbits, part_cols, 1, ko, vo); \
-    if (ncols == 3)                                                         \
-        return merge_scan_##W(cur, total, kmin, lbits, part_cols, 3, ko, vo); \
+    if (ncols == 2)                                                         \
+        return merge_scan_##W(cur, total, kmin, lbits, part_cols, 2, ko, vo); \
     return merge_scan_##W(cur, total, kmin, lbits, part_cols, ncols, ko, vo); \
 }
 
@@ -499,7 +500,7 @@ static int64_t merge_k(
     const int64_t *part_lens, int64_t nparts, int64_t ncols,
     int64_t *ko, double *const *vo, void *scratch)
 {
-    if (nparts < 1 || ncols < 1) return -1;
+    if (nparts < 1 || ncols < 0) return -1;
     int64_t total = 0, longest = 0;
     int64_t kmin = 0, kmax = 0;
     for (int64_t q = 0; q < nparts; q++) {
@@ -528,6 +529,100 @@ static int64_t merge_k(
                              total, (uint64_t)kmin, bits, lbits, ko, vo,
                              (mrec_wide *)base,
                              (mrec_wide *)(base + 16 * total));
+}
+
+/* The first index >= lo of sorted `a` (length n) whose key is >= key:
+ * a gallop from lo, then a binary search of the last step.  Probes
+ * arrive ascending, so each day's cursor only moves forward and a
+ * probe costs the log of the distance from the previous one. */
+static int64_t gallop(const int64_t *a, int64_t n, int64_t lo, int64_t key) {
+    int64_t hi = lo, step = 1;
+    while (hi < n && a[hi] < key) {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    if (hi > n) hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < key) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* Mean TCP size the reference computes: bytes / max(packets, 1).  Read
+ * only where packets > 0, so a NaN count never reaches the max. */
+static inline double mean_size(double bytes, double packets) {
+    return bytes / (packets > 1.0 ? packets : 1.0);
+}
+
+/* The funnel's address axis (paper §4.2 steps 1-3 and 7's evidence)
+ * in one walk of the strictly ascending key table: per block, its id,
+ * its TCP packet and byte sums (0.0 plus each row in row order, as
+ * np.bincount adds them), whether it holds unforgiven sources (a
+ * co-scan of the sorted `src_blocks`), whether some address survives
+ * (TCP, mean size <= ip_threshold, never a source) and whether some
+ * address fails (TCP over ip_threshold).  An address is probed against
+ * the per-day source key sets only inside a block that passes steps
+ * 1-2 and holds unforgiven sources — elsewhere no verdict reads the
+ * answer — and only until the block's first survivor.  `cursors` holds
+ * one position per day.  Returns the block count, or -1 for keys not
+ * strictly ascending (the caller's reference names the error). */
+static int64_t address_pass(
+    const int64_t *keys, const double *tcp_pk, const double *tcp_by,
+    int64_t n, int64_t block_shift,
+    const int64_t *src_blocks, int64_t nsrc,
+    const int64_t *const *days, const int64_t *day_lens, int64_t ndays,
+    int64_t *cursors, double avg_threshold, double ip_threshold,
+    int64_t *blocks, double *blk_pk, double *blk_by,
+    uint8_t *sourced, uint8_t *survives, uint8_t *fails)
+{
+    for (int64_t d = 0; d < ndays; d++) cursors[d] = 0;
+    int64_t nb = 0, s = 0, i = 0;
+    while (i < n) {
+        int64_t block = keys[i] >> block_shift, end = i;
+        double pk = 0.0, by = 0.0;
+        int small_any = 0, fail_any = 0;
+        do {
+            if (end > 0 && keys[end] <= keys[end - 1]) return -1;
+            double p = tcp_pk[end], b = tcp_by[end];
+            pk += p;
+            by += b;
+            int tcp = p > 0.0, small = mean_size(b, p) <= ip_threshold;
+            small_any |= tcp & small;
+            fail_any |= tcp & !small;
+            end++;
+        } while (end < n && (keys[end] >> block_shift) == block);
+        while (s < nsrc && src_blocks[s] < block) s++;
+        int has_src = s < nsrc && src_blocks[s] == block;
+        if (has_src && small_any && pk > 0.0
+            && mean_size(by, pk) <= avg_threshold) {
+            small_any = 0;
+            for (int64_t j = i; j < end && !small_any; j++) {
+                double p = tcp_pk[j];
+                if (!(p > 0.0 && mean_size(tcp_by[j], p) <= ip_threshold))
+                    continue;
+                int seen = 0;
+                for (int64_t d = 0; d < ndays && !seen; d++) {
+                    cursors[d] = gallop(days[d], day_lens[d], cursors[d],
+                                        keys[j]);
+                    seen = cursors[d] < day_lens[d]
+                        && days[d][cursors[d]] == keys[j];
+                }
+                small_any = !seen;
+            }
+        }
+        blocks[nb] = block;
+        blk_pk[nb] = pk;
+        blk_by[nb] = by;
+        sourced[nb] = (uint8_t)has_src;
+        survives[nb] = (uint8_t)small_any;
+        fails[nb] = (uint8_t)fail_any;
+        nb++;
+        i = end;
+    }
+    return nb;
 }
 
 /* CRC-32 of flowpack column buffers: zlib's crc32() values (reflected
@@ -708,7 +803,7 @@ static int64_t crc32_columns(
 }
 
 /* ------------------------------------------------------------------
- * The Python binding: four METH_FASTCALL functions.
+ * The Python binding: five METH_FASTCALL functions.
  *
  * Every array arrives through the buffer protocol and is checked here
  * before any kernel reads it: element kind and width, one dimension,
@@ -959,7 +1054,7 @@ static int merge_acquire(const char *func, PyObject *parts,
     if (m->parts == NULL) return -1;
     m->nparts = PyTuple_GET_SIZE(m->parts);
     m->ncols = PyTuple_GET_SIZE(out_cols);
-    if (m->nparts < 1 || m->ncols < 1) {
+    if (m->nparts < 1) {
         PyErr_Format(PyExc_ValueError, "%s: %zd parts of %zd columns", func,
                      m->nparts, m->ncols);
         return -1;
@@ -1097,6 +1192,110 @@ static PyObject *py_merge_k(PyObject *self, PyObject *const *args,
     return PyLong_FromLongLong(count);
 }
 
+/* address_pass(dst_ips, tcp_pkts, tcp_bytes, block_shift, src_blocks,
+ *              days, avg_threshold, ip_threshold, out_blocks, out_pkts,
+ *              out_bytes, out_sourced, out_survives, out_fails)
+ *   -> block count | None
+ *
+ * dst_ips and src_blocks int64, tcp_pkts / tcp_bytes float64 of
+ * dst_ips' length, days a list of int64 key arrays (any number); the
+ * outputs hold one row per key: out_blocks int64, out_pkts / out_bytes
+ * float64, the three flags uint8.  None: keys not strictly ascending. */
+#define PASS_ARRAYS 10
+static const struct { const char *name; char kind; Py_ssize_t width; int at; }
+pass_args[PASS_ARRAYS] = {
+    {"dst_ips", 'i', 8, 0}, {"tcp_pkts", 'f', 8, 1}, {"tcp_bytes", 'f', 8, 2},
+    {"src_blocks", 'i', 8, 4},
+    {"out_blocks", 'i', 8, 8}, {"out_pkts", 'f', 8, 9},
+    {"out_bytes", 'f', 8, 10}, {"out_sourced", 'u', 1, 11},
+    {"out_survives", 'u', 1, 12}, {"out_fails", 'u', 1, 13},
+};
+#define PASS_INPUTS 4
+
+static PyObject *py_address_pass(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    static const char *func = "address_pass";
+    (void)self;
+    if (check_nargs(func, nargs, 14) < 0) return NULL;
+    long long block_shift = PyLong_AsLongLong(args[3]);
+    if (block_shift == -1 && PyErr_Occurred()) return NULL;
+    if (block_shift < 0 || block_shift > 63) {
+        PyErr_Format(PyExc_ValueError, "%s: block_shift %lld outside 0..63",
+                     func, block_shift);
+        return NULL;
+    }
+    double avg_threshold = PyFloat_AsDouble(args[6]);
+    if (avg_threshold == -1.0 && PyErr_Occurred()) return NULL;
+    double ip_threshold = PyFloat_AsDouble(args[7]);
+    if (ip_threshold == -1.0 && PyErr_Occurred()) return NULL;
+    if (!PyList_Check(args[5])) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: days must be a list of key arrays, got %.80s",
+                     func, Py_TYPE(args[5])->tp_name);
+        return NULL;
+    }
+    /* A tuple copy: acquiring a buffer cannot change the list under us. */
+    PyObject *days = PyList_AsTuple(args[5]);
+    if (days == NULL) return NULL;
+    Py_ssize_t ndays = PyTuple_GET_SIZE(days), held = 0;
+    Py_buffer *views = PyMem_Malloc(
+        (PASS_ARRAYS + ndays) * sizeof(Py_buffer)
+        + ndays * (sizeof(void *) + 2 * sizeof(int64_t)));
+    if (views == NULL) {
+        Py_DECREF(days);
+        return PyErr_NoMemory();
+    }
+    const int64_t **day_keys = (const int64_t **)(views + PASS_ARRAYS + ndays);
+    int64_t *day_lens = (int64_t *)(day_keys + ndays);
+    int64_t *cursors = day_lens + ndays;
+    PyObject *result = NULL;
+    for (; held < PASS_ARRAYS; held++) {
+        if (get_array(func, pass_args[held].name, args[pass_args[held].at],
+                      pass_args[held].kind, pass_args[held].width,
+                      held >= PASS_INPUTS, &views[held]) < 0)
+            goto done;
+    }
+    Py_ssize_t n = items(&views[0]);
+    for (int i = 1; i < 3; i++) {
+        if (items(&views[i]) != n) {
+            PyErr_Format(PyExc_ValueError, "%s: %s has %zd rows, dst_ips has %zd",
+                         func, pass_args[i].name, items(&views[i]), n);
+            goto done;
+        }
+    }
+    for (int i = PASS_INPUTS; i < PASS_ARRAYS; i++)
+        if (check_room(func, pass_args[i].name, &views[i], n, "rows",
+                       (uintptr_t)pass_args[i].width) < 0)
+            goto done;
+    for (Py_ssize_t d = 0; d < ndays; d++, held++) {
+        if (get_array(func, "day keys", PyTuple_GET_ITEM(days, d), 'i', 8, 0,
+                      &views[held]) < 0)
+            goto done;
+        day_keys[d] = views[held].buf;
+        day_lens[d] = items(&views[held]);
+    }
+    int64_t count;
+    Py_BEGIN_ALLOW_THREADS
+    count = address_pass(
+        views[0].buf, views[1].buf, views[2].buf, n, block_shift,
+        views[3].buf, items(&views[3]), day_keys, day_lens, ndays, cursors,
+        avg_threshold, ip_threshold, views[4].buf, views[5].buf,
+        views[6].buf, views[7].buf, views[8].buf, views[9].buf);
+    Py_END_ALLOW_THREADS
+    if (count < 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        result = PyLong_FromLongLong(count);
+    }
+done:
+    release_all(views, held);
+    PyMem_Free(views);
+    Py_DECREF(days);
+    return result;
+}
+
 /* crc32_columns(columns, crcs) -> column count | None; columns is a
  * list of 1-d C-contiguous arrays of any element type, crcs a uint32
  * array with room for one value per column. */
@@ -1161,12 +1360,15 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "Radix sort-reduce merge of sorted-unique keyed parts."},
     {"crc32_columns", (PyCFunction)(void (*)(void))py_crc32_columns,
      METH_FASTCALL, "zlib's CRC-32 of each column, one call per segment."},
+    {"address_pass", (PyCFunction)(void (*)(void))py_address_pass,
+     METH_FASTCALL, "The funnel's per-block address evidence in one walk."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "The native fold, merges and column checksums of repro.core.kernels.",
+    "The native fold, merges, column checksums and address pass of "
+    "repro.core.kernels.",
     -1, kernel_methods, NULL, NULL, NULL, NULL,
 };
 

@@ -14,12 +14,14 @@ streaming semantics:
   :func:`~repro.core.stages.run_funnel` classifies from.
 
 Every statistic the seven-step pipeline needs is kept in mergeable
-struct-of-arrays form: per-destination-IP TCP packet/byte and total
-packet estimates (the per-IP survival fingerprint), per-source-IP
-sampled sightings, per-vantage per-/24 source packets (both with and
-without the ignored-sender filter, so the spoofing tolerance can be
-derived from the accumulator itself), and per-day per-/24 volume
-estimates (the across-days median of the volume filter).
+struct-of-arrays form: per-destination-IP TCP packet/byte estimates
+(the per-IP survival fingerprint), per-day source-IP key sets (the
+"never sent a packet" probe; keys only, and never merged across days,
+since a verdict only asks whether an address is in any of them),
+per-vantage per-/24 source packets (both with and without the
+ignored-sender filter, so the spoofing tolerance can be derived from
+the accumulator itself), and per-day per-/24 volume estimates (the
+across-days median of the volume filter).
 
 All counts are integers (or integer-valued floats after sampling-factor
 rescaling), so the partial sums are exact in float64 and the chunked
@@ -65,7 +67,7 @@ _AUTO_FLOOR = 8192
 _AUTO_CEILING = 1 << 18
 
 #: Wire-form version emitted by :meth:`PrefixAccumulator.to_state`.
-_STATE_VERSION = 2
+_STATE_VERSION = 3
 
 
 def _empty_keys() -> np.ndarray:
@@ -111,7 +113,8 @@ def resolve_chunk_size(
 
 
 class _KeyedSums:
-    """Mergeable sorted ``int64 key -> float64 sums`` column family."""
+    """Mergeable sorted ``int64 key -> float64 sums`` column family
+    (with no value columns: a mergeable sorted key set)."""
 
     __slots__ = (
         "num_values", "compact_every", "kernel", "_parts", "_sorted",
@@ -253,9 +256,7 @@ class FinalizedAggregates:
         "dst_ips",
         "ip_tcp_pkts_est",
         "ip_tcp_bytes_est",
-        "ip_total_pkts_est",
-        "src_ips",
-        "src_ip_pkts_sampled",
+        "src_ips_by_day",
         "vol_blocks",
         "vol_median_est",
         "src_blocks",
@@ -270,9 +271,7 @@ class FinalizedAggregates:
         dst_ips: np.ndarray,
         ip_tcp_pkts_est: np.ndarray,
         ip_tcp_bytes_est: np.ndarray,
-        ip_total_pkts_est: np.ndarray,
-        src_ips: np.ndarray,
-        src_ip_pkts_sampled: np.ndarray,
+        src_ips_by_day: tuple[np.ndarray, ...],
         vol_blocks: np.ndarray,
         vol_median_est: np.ndarray,
         src_blocks: np.ndarray,
@@ -284,9 +283,8 @@ class FinalizedAggregates:
         self.dst_ips = dst_ips
         self.ip_tcp_pkts_est = ip_tcp_pkts_est
         self.ip_tcp_bytes_est = ip_tcp_bytes_est
-        self.ip_total_pkts_est = ip_total_pkts_est
-        self.src_ips = src_ips
-        self.src_ip_pkts_sampled = src_ip_pkts_sampled
+        #: One sorted source-key set per day of the window, day order.
+        self.src_ips_by_day = src_ips_by_day
         self.vol_blocks = vol_blocks
         self.vol_median_est = vol_median_est
         self.src_blocks = src_blocks
@@ -332,14 +330,14 @@ class PrefixAccumulator:
             if self.ignore_sources_from_asns
             else None
         )
-        # dst IP -> (tcp pkts est, tcp bytes est, total pkts est)
-        self._dst_ip_sums = _KeyedSums(3, compact_every, self.kernel)
-        # src IP -> sampled packets (ignored senders filtered out)
-        self._src_ip_sums = _KeyedSums(1, compact_every, self.kernel)
+        # dst IP -> (tcp pkts est, tcp bytes est)
+        self._dst_ip_sums = _KeyedSums(2, compact_every, self.kernel)
         # vantage -> src /24 -> (filtered sampled pkts, raw sampled pkts)
         self._src_by_vantage: dict[str, _KeyedSums] = {}
         # day -> dst /24 -> estimated total packets
         self._volume_by_day: dict[int, _KeyedSums] = {}
+        # day -> src IP keys (ignored senders filtered out)
+        self._src_ips_by_day: dict[int, _KeyedSums] = {}
         self._days_by_vantage: dict[str, set[int]] = {}
 
     # -- address family ------------------------------------------------
@@ -379,6 +377,9 @@ class PrefixAccumulator:
         self._volume_by_day.setdefault(
             day, _KeyedSums(1, self.compact_every, self.kernel)
         )
+        self._src_ips_by_day.setdefault(
+            day, _KeyedSums(0, self.compact_every, self.kernel)
+        )
 
     def update(
         self,
@@ -397,8 +398,8 @@ class PrefixAccumulator:
         factor = float(sampling_factor)
         per_vantage = self._src_by_vantage[vantage]
         # One kernel call folds all four keyed parts of a chunk
-        # (per-dst-key sums, the block volume regroup, per-src-key
-        # sums, the raw block source regroup).  Every part comes back
+        # (per-dst-key sums, the block volume regroup, the source keys,
+        # the raw block source regroup).  Every part comes back
         # sorted-unique, so downstream compaction can merge linearly
         # instead of re-sorting.
         dst, vol, src, (raw_blocks, (raw_pkts,)) = self.kernel.fold_chunk(
@@ -409,11 +410,11 @@ class PrefixAccumulator:
         self._volume_by_day[day].add(vol[0], *vol[1], sorted_unique=True)
         if self._ignored_asns is None:
             per_vantage.add(raw_blocks, raw_pkts, raw_pkts, sorted_unique=True)
-            self._src_ip_sums.add(src[0], *src[1], sorted_unique=True)
+            self._src_ips_by_day[day].add(src[0], sorted_unique=True)
             return self
 
         # Ignored senders: the raw column keeps every source, the
-        # filtered column and the per-source sums see only kept rows.
+        # filtered column and the source keys see only kept rows.
         kept = chunk.filter(~np.isin(chunk.sender_asn, self._ignored_asns))
         src_ips, (src_pkts,) = aggregate_sums(
             kept.src_ip.astype(np.int64), kept.packets
@@ -424,7 +425,7 @@ class PrefixAccumulator:
         per_vantage.add(
             self._family.block_of(src_ips), src_pkts, np.zeros(len(src_ips))
         )
-        self._src_ip_sums.add(src_ips, src_pkts, sorted_unique=True)
+        self._src_ips_by_day[day].add(src_ips, sorted_unique=True)
         return self
 
     def update_view(
@@ -457,9 +458,9 @@ class PrefixAccumulator:
                 on_chunk(len(chunk), time.perf_counter() - started)
         if chunk_rows is not None:
             self._dst_ip_sums.squash_pending()
-            self._src_ip_sums.squash_pending()
             self._src_by_vantage[view.vantage].squash_pending()
             self._volume_by_day[view.day].squash_pending()
+            self._src_ips_by_day[view.day].squash_pending()
         return self
 
     # -- combination ---------------------------------------------------
@@ -470,7 +471,8 @@ class PrefixAccumulator:
         ``other`` is left untouched, so per-day partials can be merged
         into many different windows.  Merging is associative and
         commutative up to float summation order — exact for the
-        integer-valued counts the pipeline tracks.
+        integer-valued counts the pipeline tracks.  Source key sets
+        union per day only: a window of distinct days merges none.
         """
         if other.ignore_sources_from_asns != self.ignore_sources_from_asns:
             raise ValueError(
@@ -479,23 +481,17 @@ class PrefixAccumulator:
         if other._family_name is not None:
             self._adopt_family(other._family_name)
         self._dst_ip_sums.absorb(other._dst_ip_sums)
-        self._src_ip_sums.absorb(other._src_ip_sums)
-        for vantage, theirs in other._src_by_vantage.items():
-            mine = self._src_by_vantage.get(vantage)
-            if mine is None:
-                mine = _KeyedSums(
-                    theirs.num_values, self.compact_every, self.kernel
-                )
-                self._src_by_vantage[vantage] = mine
-            mine.absorb(theirs)
-        for day, theirs in other._volume_by_day.items():
-            mine = self._volume_by_day.get(day)
-            if mine is None:
-                mine = _KeyedSums(
-                    theirs.num_values, self.compact_every, self.kernel
-                )
-                self._volume_by_day[day] = mine
-            mine.absorb(theirs)
+        for mine, theirs in (
+            (self._src_by_vantage, other._src_by_vantage),
+            (self._volume_by_day, other._volume_by_day),
+            (self._src_ips_by_day, other._src_ips_by_day),
+        ):
+            for key, family in theirs.items():
+                if key not in mine:
+                    mine[key] = _KeyedSums(
+                        family.num_values, self.compact_every, self.kernel
+                    )
+                mine[key].absorb(family)
         for vantage, days in other._days_by_vantage.items():
             self._days_by_vantage.setdefault(vantage, set()).update(days)
         return self
@@ -508,11 +504,11 @@ class PrefixAccumulator:
         cheap) to call at any time.  Returns ``self``.
         """
         self._dst_ip_sums.compacted()
-        self._src_ip_sums.compacted()
-        for sums in self._src_by_vantage.values():
-            sums.compacted()
-        for sums in self._volume_by_day.values():
-            sums.compacted()
+        for families in (
+            self._src_by_vantage, self._volume_by_day, self._src_ips_by_day
+        ):
+            for sums in families.values():
+                sums.compacted()
         return self
 
     def copy(self) -> "PrefixAccumulator":
@@ -522,12 +518,14 @@ class PrefixAccumulator:
             family=self._family_name,
         )
         duplicate._dst_ip_sums = self._dst_ip_sums.copy()
-        duplicate._src_ip_sums = self._src_ip_sums.copy()
         duplicate._src_by_vantage = {
             vantage: sums.copy() for vantage, sums in self._src_by_vantage.items()
         }
         duplicate._volume_by_day = {
             day: sums.copy() for day, sums in self._volume_by_day.items()
+        }
+        duplicate._src_ips_by_day = {
+            day: sums.copy() for day, sums in self._src_ips_by_day.items()
         }
         duplicate._days_by_vantage = {
             vantage: set(days) for vantage, days in self._days_by_vantage.items()
@@ -558,7 +556,6 @@ class PrefixAccumulator:
                 sorted(self.ignore_sources_from_asns)
             ),
             "dst_ip_sums": part(self._dst_ip_sums),
-            "src_ip_sums": part(self._src_ip_sums),
             "src_by_vantage": {
                 vantage: part(sums)
                 for vantage, sums in self._src_by_vantage.items()
@@ -566,6 +563,11 @@ class PrefixAccumulator:
             "volume_by_day": {
                 int(day): part(sums)
                 for day, sums in self._volume_by_day.items()
+            },
+            # One ``(keys,)`` tuple per day: key sets, no columns.
+            "src_ips_by_day": {
+                int(day): part(sums)
+                for day, sums in self._src_ips_by_day.items()
             },
             "days_by_vantage": {
                 vantage: tuple(sorted(days))
@@ -604,15 +606,18 @@ class PrefixAccumulator:
             sums.add(keys, *values, sorted_unique=True)
 
         load(accumulator._dst_ip_sums, state["dst_ip_sums"])
-        load(accumulator._src_ip_sums, state["src_ip_sums"])
         for vantage, part in state["src_by_vantage"].items():
             family = _KeyedSums(2, DEFAULT_COMPACT_EVERY, resolved)
             load(family, part)
             accumulator._src_by_vantage[vantage] = family
-        for day, part in state["volume_by_day"].items():
-            family = _KeyedSums(1, DEFAULT_COMPACT_EVERY, resolved)
-            load(family, part)
-            accumulator._volume_by_day[int(day)] = family
+        for name, families, arity in (
+            ("volume_by_day", accumulator._volume_by_day, 1),
+            ("src_ips_by_day", accumulator._src_ips_by_day, 0),
+        ):
+            for day, part in state[name].items():
+                family = _KeyedSums(arity, DEFAULT_COMPACT_EVERY, resolved)
+                load(family, part)
+                families[int(day)] = family
         for vantage, days in state["days_by_vantage"].items():
             accumulator._days_by_vantage[vantage] = set(
                 int(day) for day in days
@@ -662,8 +667,7 @@ class PrefixAccumulator:
         Finalising does not consume the accumulator — more chunks may
         be folded in and a fresh finalize taken later.
         """
-        dst_ips, (tcp_pkts, tcp_bytes, total_pkts) = self._dst_ip_sums.compacted()
-        src_ips, (src_ip_pkts,) = self._src_ip_sums.compacted()
+        dst_ips, (tcp_pkts, tcp_bytes) = self._dst_ip_sums.compacted()
 
         applied: dict[str, float] = {}
         excess = _KeyedSums(1, kernel=self.kernel)
@@ -696,9 +700,9 @@ class PrefixAccumulator:
             dst_ips=dst_ips,
             ip_tcp_pkts_est=tcp_pkts,
             ip_tcp_bytes_est=tcp_bytes,
-            ip_total_pkts_est=total_pkts,
-            src_ips=src_ips,
-            src_ip_pkts_sampled=src_ip_pkts,
+            src_ips_by_day=tuple(
+                self._src_ips_by_day[day].compacted()[0] for day in self.days()
+            ),
             vol_blocks=vol_blocks,
             vol_median_est=vol_median_est,
             src_blocks=src_blocks,

@@ -4,16 +4,18 @@ Two backends compute the accumulator's hot loops:
 
 * ``numpy`` — the reference, :class:`NumpyKernel`: the per-chunk fold
   (``fold_chunk``), the ``np.unique`` + per-column ``np.bincount``
-  regroup (``group_sum``) and the regroup of sorted-unique parts
-  (``merge_sorted_parts``).  This arithmetic is written in numpy here
-  and nowhere else; the accumulator has no regroup of its own.
+  regroup (``group_sum``), the regroup of sorted-unique parts
+  (``merge_sorted_parts``) and the funnel's address pass
+  (``address_pass``).  This arithmetic is written in numpy here and
+  nowhere else; the accumulator has no regroup of its own.
 * ``native`` — :class:`NativeKernel`, over ``_kernels.c`` built as a
-  CPython extension module: a fused radix-sort fold, and merges of
-  sorted parts (linear for two, the fold's radix sort-reduce for more)
-  — the two ops the layer budget shows earning their C (``group_sum``
-  of unsorted parts and the stage masks are numpy under either
-  backend).  Its functions take numpy arrays, and lists of
-  ``(keys, cols)`` parts, through the buffer protocol; they check every
+  CPython extension module: a fused radix-sort fold, merges of sorted
+  parts (linear for two, the fold's radix sort-reduce for more) and
+  the address pass — the ops the layer budget shows earning their C
+  (``group_sum`` of unsorted parts and the funnel's block-axis masks
+  are numpy under either backend).  Its functions take numpy arrays,
+  and lists of ``(keys, cols)`` parts or of key arrays, through the
+  buffer protocol; they check every
   array in C (dtype, 1-d, C-contiguous, lengths, output and scratch
   room), drop the GIL around the loop, and return counts, or ``None``
   for a decline, which the reference then takes.  One call costs a few
@@ -60,6 +62,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.net.blocksets import sorted_member_mask
 from repro.traffic.flows import aggregate_sums
 from repro.traffic.packets import PROTO_TCP
 
@@ -116,12 +119,13 @@ class NumpyKernel:
         """The fused per-chunk fold: four keyed parts in one call.
 
         Returns ``(dst, vol, src, raw)`` parts, each ``(keys, cols)``:
-        per-dst-key (tcp pkts, tcp bytes, total pkts) estimates, the
-        per-block volume regroup, per-src-key sampled packets, and the
-        raw per-block source regroup — what
+        per-dst-key (tcp pkts, tcp bytes) estimates, the per-block
+        volume regroup of total packets, the source keys (no columns:
+        no verdict reads a per-source sum), and the raw per-block
+        source regroup of sampled packets — what
         :meth:`~repro.core.accum.PrefixAccumulator.update` appends for
         a chunk (under an ignored-sender filter it replaces the source
-        side with the filtered sums).  ``block_shift`` is the family's
+        side with the filtered rows).  ``block_shift`` is the family's
         key-to-block shift (8 for IPv4 /24s, 16 for IPv6 /48 sites over
         /64 keys).
         """
@@ -139,12 +143,9 @@ class NumpyKernel:
         src_ips, (src_pkts,) = aggregate_sums(src_ip.astype(np.int64), packets)
         raw_blocks, (raw_pkts,) = aggregate_sums(src_ips >> block_shift, src_pkts)
         return (
-            (
-                dst_ips,
-                (tcp_pkts * factor, tcp_bytes * factor, total_pkts * factor),
-            ),
+            (dst_ips, (tcp_pkts * factor, tcp_bytes * factor)),
             (vol_blocks, (vol_pkts * factor,)),
-            (src_ips, (np.asarray(src_pkts, dtype=np.float64),)),
+            (src_ips, ()),
             (raw_blocks, (np.asarray(raw_pkts, dtype=np.float64),)),
         )
 
@@ -173,6 +174,74 @@ class NumpyKernel:
         reproduces.
         """
         return self.group_sum(*concat_parts(parts))
+
+    def address_pass(
+        self,
+        dst_ips: np.ndarray,
+        tcp_pkts: np.ndarray,
+        tcp_bytes: np.ndarray,
+        block_shift: int,
+        source_blocks: np.ndarray,
+        source_days: list[np.ndarray],
+        avg_size_threshold: float,
+        ip_size_threshold: float,
+    ):
+        """The funnel's address axis folded onto its block axis.
+
+        ``dst_ips`` must ascend strictly (``finalize`` emits nothing
+        else); ``source_blocks`` are the sorted blocks holding
+        unforgiven sources and ``source_days`` one sorted source-key
+        set per day.  Returns six block-axis columns: block ids, TCP
+        packet and byte sums (``np.bincount`` order), and three masks —
+        holds unforgiven sources; some address survives (TCP, mean
+        size within ``ip_size_threshold``, never a source); some
+        address fails (TCP over that size).  Addresses are probed
+        against the source sets only inside blocks that pass the
+        funnel's steps 1-2 (``avg_size_threshold``) and hold unforgiven
+        sources: a block failing either step is out whatever its
+        addresses do, and classify calls one with unforgiven sources
+        gray without reading them.
+        """
+        if not np.all(dst_ips[1:] > dst_ips[:-1]):
+            raise ValueError("finalized columns must be sorted by destination key")
+        ip_blocks = dst_ips >> block_shift
+        firsts = np.ones(len(ip_blocks), dtype=bool)
+        np.not_equal(ip_blocks[1:], ip_blocks[:-1], out=firsts[1:])
+        starts = np.flatnonzero(firsts)
+        blocks = ip_blocks[starts]
+        position = np.cumsum(firsts) - 1
+        block_pkts, block_bytes = (
+            np.bincount(position, weights=column, minlength=len(blocks))
+            .astype(np.float64, copy=False)
+            for column in (tcp_pkts, tcp_bytes)
+        )
+        sourced = sorted_member_mask(blocks, source_blocks)
+        any_tcp = block_pkts > 0
+        has_tcp = tcp_pkts > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block_avg = np.where(
+                any_tcp, block_bytes / np.maximum(block_pkts, 1), np.inf
+            )
+            ip_avg = np.where(
+                has_tcp, tcp_bytes / np.maximum(tcp_pkts, 1), np.inf
+            )
+        ip_size_ok = ip_avg <= ip_size_threshold
+        passes = any_tcp & (block_avg <= avg_size_threshold)
+        ip_is_source = (passes & sourced)[position]
+        inside = np.flatnonzero(ip_is_source)
+        probes = dst_ips[inside]
+        seen = np.zeros(len(inside), dtype=bool)
+        for keys in source_days:
+            seen |= sorted_member_mask(probes, keys)
+        ip_is_source[inside] = seen
+        return (
+            blocks,
+            block_pkts,
+            block_bytes,
+            sourced,
+            np.logical_or.reduceat(has_tcp & ip_size_ok & ~ip_is_source, starts),
+            np.logical_or.reduceat(has_tcp & ~ip_size_ok, starts),
+        )
 
     def describe(self) -> dict[str, Any]:
         """Provenance record (plans, snapshots, trace events)."""
@@ -280,8 +349,7 @@ class NativeKernel(NumpyKernel):
             bufa, bufb = self._staging.buffers(n, record_bytes)
             keys, sums = self._staging.outputs(n, 4, 6)
             dst_keys, vol_keys, src_keys, raw_keys = keys
-            dst_cols = sums[:3]
-            vol_pk, src_pk, raw_pk = sums[3:]
+            dst_tcp_pk, dst_tcp_by, dst_tot, vol_pk, src_pk, raw_pk = sums
             counts = self._ext.fold_chunk(
                 np.ascontiguousarray(src_ip),
                 np.ascontiguousarray(dst_ip),
@@ -289,7 +357,7 @@ class NativeKernel(NumpyKernel):
                 np.ascontiguousarray(packets),
                 np.ascontiguousarray(bytes_),
                 factor, block_shift,
-                dst_keys, *dst_cols,
+                dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
                 vol_keys, vol_pk,
                 src_keys, src_pk,
                 raw_keys, raw_pk,
@@ -297,12 +365,14 @@ class NativeKernel(NumpyKernel):
             )
             # None: a count outside the 31-bit record field (or
             # negative) — the reference path below takes the chunk.
+            # The per-key total and source sums stay in staging: only
+            # the volume and raw regroups read them.
             if counts is not None:
                 ndst, nvol, nsrc, nraw = counts
                 return (
-                    _copied_out(ndst, dst_keys, dst_cols),
+                    _copied_out(ndst, dst_keys, (dst_tcp_pk, dst_tcp_by)),
                     _copied_out(nvol, vol_keys, (vol_pk,)),
-                    _copied_out(nsrc, src_keys, (src_pk,)),
+                    _copied_out(nsrc, src_keys, ()),
                     _copied_out(nraw, raw_keys, (raw_pk,)),
                 )
         return super().fold_chunk(
@@ -346,6 +416,40 @@ class NativeKernel(NumpyKernel):
         for array in (out_keys, *out_cols):
             array.resize(count, refcheck=False)
         return out_keys, out_cols
+
+    def address_pass(self, dst_ips, tcp_pkts, tcp_bytes, block_shift,
+                     source_blocks, source_days, avg_size_threshold,
+                     ip_size_threshold):
+        if self._ext is not None:
+            rows = len(dst_ips)
+            columns = (
+                np.empty(rows, dtype=np.int64),
+                np.empty(rows, dtype=np.float64),
+                np.empty(rows, dtype=np.float64),
+                *(np.empty(rows, dtype=np.uint8) for _ in range(3)),
+            )
+            count = self._ext.address_pass(
+                np.ascontiguousarray(dst_ips, dtype=np.int64),
+                np.ascontiguousarray(tcp_pkts, dtype=np.float64),
+                np.ascontiguousarray(tcp_bytes, dtype=np.float64),
+                block_shift,
+                np.ascontiguousarray(source_blocks, dtype=np.int64),
+                [np.ascontiguousarray(keys, dtype=np.int64)
+                 for keys in source_days],
+                avg_size_threshold, ip_size_threshold,
+                *columns,
+            )
+            # None: keys not strictly ascending — the reference below
+            # raises the named error.
+            if count is not None:
+                for array in columns:
+                    array.resize(count, refcheck=False)
+                blocks, pkts, bytes_, *flags = columns
+                return (blocks, pkts, bytes_, *(f.view(bool) for f in flags))
+        return super().address_pass(
+            dst_ips, tcp_pkts, tcp_bytes, block_shift, source_blocks,
+            source_days, avg_size_threshold, ip_size_threshold,
+        )
 
 
 def crc32_columns(arrays) -> list[int]:

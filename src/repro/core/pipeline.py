@@ -112,4 +112,6 @@ def run_pipeline_accumulated(
             "than the pipeline config"
         )
     finalized = accumulator.finalize(config.spoof_tolerance)
-    return run_funnel(finalized, routing, special, config, context)
+    return run_funnel(
+        finalized, routing, special, config, context, kernel=accumulator.kernel
+    )

@@ -4,10 +4,12 @@ The paper's Figure-2 funnel is one fixed sequence: six per-/24
 eligibility filters, then a per-IP classification of the survivors
 into dark / unclean / gray.  :func:`run_funnel` is that sequence,
 written out in paper order over the finalized columns
-(:class:`repro.core.accum.FinalizedAggregates`).  Each step computes
-the evidence it first needs and, given a
-:class:`~repro.core.engine.RunContext`, emits one ``stage`` event
-timing its own work — the trace is the only record of stage timings.
+(:class:`repro.core.accum.FinalizedAggregates`).  The per-address
+evidence is folded onto the block axis first, in one kernel call
+(``address_pass``, timed under step 1); every step then reads block
+columns and, given a :class:`~repro.core.engine.RunContext`, emits
+one ``stage`` event timing its own work — the trace is the only record
+of stage timings.
 
 The function is pure over *finalized* columns: whether those columns
 came from one giant vantage-day table, from a chunk-by-chunk stream,
@@ -23,12 +25,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bgp.rib import RoutingTable
-from repro.net.blocksets import align_sorted, sorted_member_mask
+from repro.net.blocksets import align_sorted
 from repro.net.special import SpecialPurposeRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.accum import FinalizedAggregates
     from repro.core.engine import RunContext
+    from repro.core.kernels import NumpyKernel
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,28 +113,34 @@ def run_funnel(
     special: SpecialPurposeRegistry,
     config: PipelineConfig,
     context: "RunContext | None" = None,
+    *,
+    kernel: "NumpyKernel",
 ) -> PipelineResult:
     """Run the six filters and classify the survivors.
 
     With a ``context``, every step lands on its observability spine as
     one ``stage`` event (``tcp`` … ``volume``, then ``classify`` with
-    the dark / unclean / gray counts in its ``meta``).
+    the dark / unclean / gray counts in its ``meta``).  ``kernel``
+    (the accumulator's) computes the address pass; every backend gives
+    identical block columns.
     """
-    ip_blocks = finalized.dst_ips >> finalized.block_shift
-    if not np.all(ip_blocks[1:] >= ip_blocks[:-1]):
-        raise ValueError("finalized columns must be sorted by destination key")
-    # Sorted keys (finalize() emits nothing else): the block axis falls
-    # out of one boundary scan, and every per-block reduction is a run
-    # reduction over the block starts it found.
-    firsts = np.ones(len(ip_blocks), dtype=bool)
-    np.not_equal(ip_blocks[1:], ip_blocks[:-1], out=firsts[1:])
-    starts = np.flatnonzero(firsts)
-    blocks = ip_blocks[starts]
-    position = np.cumsum(firsts) - 1
-
-    def per_block_sum(values: np.ndarray) -> np.ndarray:
-        return np.bincount(position, weights=values, minlength=len(blocks))
-
+    # One kernel call folds the address table onto the block axis:
+    # every per-block fact steps 1-3 and 7 read, step 3's source probe
+    # included.  It builds step 1's evidence, so the tcp stage times it.
+    started = time.perf_counter()
+    (
+        blocks, block_tcp_pkts, block_tcp_bytes,
+        block_has_source, any_survives, any_failed,
+    ) = kernel.address_pass(
+        finalized.dst_ips,
+        finalized.ip_tcp_pkts_est,
+        finalized.ip_tcp_bytes_est,
+        finalized.block_shift,
+        finalized.src_blocks[finalized.src_block_excess > 0],
+        finalized.src_ips_by_day,
+        config.avg_size_threshold,
+        config.ip_size_threshold,
+    )
     surviving = np.ones(len(blocks), dtype=bool)
     counts = [len(blocks)]
 
@@ -146,14 +155,11 @@ def run_funnel(
             )
 
     # 1. The block must receive TCP at all.
-    started = time.perf_counter()
-    block_tcp_pkts = per_block_sum(finalized.ip_tcp_pkts_est)
     any_tcp = block_tcp_pkts > 0
     keep("tcp", started, any_tcp)
 
     # 2. The block's inbound TCP mean size must stay small.
     started = time.perf_counter()
-    block_tcp_bytes = per_block_sum(finalized.ip_tcp_bytes_est)
     with np.errstate(divide="ignore", invalid="ignore"):
         block_avg = np.where(
             any_tcp, block_tcp_bytes / np.maximum(block_tcp_pkts, 1), np.inf
@@ -164,30 +170,7 @@ def run_funnel(
     # a source.  An address *fails* on payload-bearing TCP or when it
     # sources; UDP-only addresses carry no TCP evidence either way.
     started = time.perf_counter()
-    block_has_source = sorted_member_mask(
-        blocks, finalized.src_blocks[finalized.src_block_excess > 0]
-    )
-    has_tcp = finalized.ip_tcp_pkts_est > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ip_avg = np.where(
-            has_tcp,
-            finalized.ip_tcp_bytes_est / np.maximum(finalized.ip_tcp_pkts_est, 1),
-            np.inf,
-        )
-    ip_size_ok = ip_avg <= config.ip_size_threshold
-    # A block's sources are forgiven entirely when their pooled sampled
-    # packets stay within the pooled tolerance, and a block that failed
-    # step 1 or 2 is out whatever its addresses do; classify calls a
-    # block with unforgiven sources gray without reading its addresses.
-    # So only addresses inside a still-surviving block that holds
-    # unforgiven sources are probed against the (sorted) source table.
-    ip_is_source = (surviving & block_has_source)[position]
-    inside = np.flatnonzero(ip_is_source)
-    ip_is_source[inside] = sorted_member_mask(
-        finalized.dst_ips[inside], finalized.src_ips
-    )
-    survives = has_tcp & ip_size_ok & ~ip_is_source
-    keep("source-unseen", started, np.logical_or.reduceat(survives, starts))
+    keep("source-unseen", started, any_survives)
 
     # 4. Outside private / multicast / reserved space.
     started = time.perf_counter()
@@ -209,7 +192,6 @@ def run_funnel(
     # source; unclean otherwise.  Step 3 marks no address of a block
     # without unforgiven sources a source, so one there fails on size.
     started = time.perf_counter()
-    any_failed = np.logical_or.reduceat(has_tcp & ~ip_size_ok, starts)
     clean = surviving & ~block_has_source
     dark = clean & ~any_failed
     unclean = clean & any_failed

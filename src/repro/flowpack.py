@@ -503,9 +503,11 @@ class TableArchive:
         if self._mmap is None:
             # A plain (read-only) ndarray over the mapping: a slice of
             # an np.memmap pays a Python-level __array_finalize__, once
-            # per column handed out.
+            # per column handed out.  A str path: for a Path, memmap
+            # resolves it (an lstat per component) only to set the
+            # .filename that view drops.
             self._mmap = np.memmap(
-                self.path, dtype=np.uint8, mode="r"
+                str(self.path), dtype=np.uint8, mode="r"
             ).view(np.ndarray)
         return self._mmap
 

@@ -197,6 +197,37 @@ class TestProperties:
         )
 
 
+    @given(
+        st.lists(flow_tables(), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_days_folded_together_equal_day_partials_merged(
+        self, day_flows, random
+    ):
+        """One accumulator folding every day equals per-day partials
+        merged in any order — the per-day source key sets included."""
+        views = [
+            VantageDayView(vantage=vantage, day=day, flows=flows)
+            for day, flows in enumerate(day_flows)
+            for vantage in ("A", "B")
+        ]
+        together = fold(views)
+        partials = [fold(views[i:i + 2]) for i in range(0, len(views), 2)]
+        random.shuffle(partials)
+        merged = partials[0].copy()
+        for partial in partials[1:]:
+            merged.merge(partial)
+        assert partial_states_identical(together, merged)
+        assert merged.days() == list(range(len(day_flows)))
+        for ours, theirs in zip(
+            together.finalize().src_ips_by_day,
+            merged.finalize().src_ips_by_day,
+            strict=True,
+        ):
+            np.testing.assert_array_equal(ours, theirs)
+
+
 class TestAccumulatorState:
     def test_introspection(self, multi_day):
         accumulator = fold(multi_day)

@@ -224,7 +224,7 @@ def parts_identical(ours, theirs):
         return (
             isinstance(theirs, np.ndarray)
             and ours.dtype == theirs.dtype
-            and np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+            and ours.tobytes() == theirs.tobytes()
         )
     return len(ours) == len(theirs) and all(
         parts_identical(a, b) for a, b in zip(ours, theirs)
@@ -419,9 +419,10 @@ def value_column(rng, rows):
 
 @st.composite
 def sorted_parts(draw):
-    """2-100 sorted-unique keyed parts of 1-3 columns over one pool."""
+    """2-100 sorted-unique keyed parts of 0-3 columns over one pool
+    (0: the per-day source key sets)."""
     count = draw(st.integers(min_value=2, max_value=100))
-    ncols = draw(st.integers(min_value=1, max_value=3))
+    ncols = draw(st.integers(min_value=0, max_value=3))
     span = draw(st.sampled_from(MERGE_SPANS))
     sizes = draw(
         st.lists(
@@ -490,6 +491,119 @@ class TestMergeParity:
             ],
             rounds=6,
         )
+
+
+#: The block shift each drawn address table uses.
+PASS_SHIFTS = {"empty": 8, "one-block": 8, "v4": 8, "v6-site": 16}
+
+
+@st.composite
+def address_tables(draw):
+    """``address_pass`` arguments: a strictly ascending key table —
+    empty, one /24, several /24s, or an IPv6 /48 holding more than 256
+    /64 keys at shift 16 — with TCP packet estimates in (0, 1) among
+    them, unforgiven source blocks, 1-7 per-day source key sets that
+    overlap the table and each other, and thresholds up to +-inf."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    shape = draw(st.sampled_from(sorted(PASS_SHIFTS)))
+    shift = PASS_SHIFTS[shape]
+    if shape == "empty":
+        keys = np.empty(0, dtype=np.int64)
+    elif shape == "one-block":
+        keys = (BASE << 8) + np.unique(
+            rng.integers(0, 256, size=draw(st.integers(1, 40)))
+        )
+    elif shape == "v4":
+        keys = (BASE << 8) + np.unique(
+            rng.integers(0, 6 << 8, size=draw(st.integers(1, 200)))
+        )
+    else:
+        site = np.unique(rng.integers(0, 1 << 16, size=draw(st.integers(320, 600))))
+        other = np.unique(rng.integers(2 << 16, 3 << 16, size=draw(st.integers(0, 20))))
+        keys = V6_KEY + np.concatenate([site, other])
+    keys = keys.astype(np.int64)
+    assert shape != "v6-site" or np.sum(keys >> shift == V6_KEY >> shift) > 256
+    rows = len(keys)
+    tcp_pkts = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 3.0], size=rows)
+    tcp_bytes = tcp_pkts * rng.choice([0.0, 40.0, 48.0, 60.0, 1500.0], size=rows)
+    blocks = np.unique(keys >> shift)
+    source_blocks = blocks[rng.random(len(blocks)) < 0.6]
+    # A source block no address lives in, past the table's last block.
+    source_blocks = np.append(source_blocks, (blocks[-1] if rows else 0) + 3)
+    source_days = [
+        np.unique(np.concatenate([
+            keys[rng.random(rows) < 0.3],
+            (keys[0] if rows else BASE << 8) + rng.integers(-5, 5, size=3),
+        ]))
+        for _ in range(draw(st.integers(1, 7)))
+    ]
+    thresholds = st.sampled_from([-np.inf, 0.0, 24.0, 44.0, 48.0, 52.0, np.inf])
+    return (
+        keys, tcp_pkts, tcp_bytes, shift, source_blocks, source_days,
+        draw(thresholds), draw(thresholds),
+    )
+
+
+def passed_in_c(args):
+    """The native address pass with the reference forbidden."""
+    declined = AssertionError("the native kernel declined an address pass")
+    with mock.patch.object(NumpyKernel, "address_pass", side_effect=declined):
+        return get_kernel("native").address_pass(*args)
+
+
+@needs_native
+class TestAddressPassParity:
+    """``address_pass`` alone: the C walk against the numpy reference,
+    every block column array-equal."""
+
+    @given(address_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_property_block_columns_identical(self, args):
+        reference = NumpyKernel().address_pass(*args)
+        assert parts_identical(passed_in_c(args), reference)
+
+    def test_a_sourced_block_survives_on_an_unsourced_address(self):
+        # Three addresses of one sourced /24 pass size; the first is a
+        # source (on two days), the second is not: the block survives,
+        # and its fails column reads only the 60-byte address.
+        keys = (BASE << 8) + np.array([1, 2, 3, 4], dtype=np.int64)
+        args = (
+            keys, np.array([1.0, 1.0, 1.0, 1.0]),
+            np.array([40.0, 40.0, 40.0, 60.0]), 8,
+            np.array([BASE]), [keys[:1], keys[:1]], 52.0, 48.0,
+        )
+        columns = passed_in_c(args)
+        assert parts_identical(columns, NumpyKernel().address_pass(*args))
+        assert [column.tolist() for column in columns[3:]] == [
+            [True], [True], [True]
+        ]
+
+    @pytest.mark.parametrize(
+        "keys", [[5, 3], [5, 5], [1 << 8, 2, 3]], ids=["down", "repeat", "block-down"]
+    )
+    def test_keys_not_strictly_ascending_raise_in_both(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        args = (keys, np.ones(len(keys)), np.ones(len(keys)), 8,
+                np.empty(0, dtype=np.int64), [], 44.0, 48.0)
+        assert extension().address_pass(*args, *pass_outputs(len(keys))) is None
+        for kernel in (NumpyKernel(), get_kernel("native")):
+            with pytest.raises(ValueError, match="sorted by destination key"):
+                kernel.address_pass(*args)
+
+    def test_concurrent_passes_agree(self):
+        rng = np.random.default_rng(61)
+        calls = []
+        for seed in range(4):
+            keys = np.unique(
+                (BASE << 8) + rng.integers(0, 40 << 8, size=3000)
+            ).astype(np.int64)
+            args = (
+                keys, rng.choice([0.0, 1.0, 2.0], size=len(keys)),
+                rng.choice([0.0, 40.0, 120.0], size=len(keys)), 8,
+                np.unique(keys >> 8)[::2], [keys[::3], keys[1::5]], 44.0, 48.0,
+            )
+            calls.append(lambda kernel, a=args: kernel.address_pass(*a))
+        assert_concurrent_calls_agree(calls, rounds=6)
 
 
 def v6_keys(rng, rows, span):
@@ -856,6 +970,74 @@ HOSTILE_FOLDS = [
     ("factor", lambda a: "2", TypeError),
 ]
 
+#: The module's ``address_pass`` arguments, in order.
+PASS_ARGS = (
+    "dst_ips", "tcp_pkts", "tcp_bytes", "block_shift", "src_blocks", "days",
+    "avg_threshold", "ip_threshold", "out_blocks", "out_pkts", "out_bytes",
+    "out_sourced", "out_survives", "out_fails",
+)
+#: Its outputs: what the C writes.
+PASS_WRITTEN = PASS_ARGS[PASS_ARGS.index("out_blocks"):]
+
+
+def pass_outputs(rows):
+    """``address_pass``'s output columns, room for ``rows`` blocks."""
+    return [
+        np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows),
+        *(np.empty(rows, dtype=np.uint8) for _ in range(3)),
+    ]
+
+
+def pass_arguments(rows=16):
+    """A valid argument list for the module's ``address_pass``, by name."""
+    rng = np.random.default_rng(97)
+    keys = np.sort(rng.choice(1 << 12, size=rows, replace=False)).astype(np.int64)
+    inputs = [
+        keys, rng.choice([0.0, 1.0, 2.0], size=rows),
+        rng.choice([0.0, 40.0, 80.0], size=rows), 8, np.unique(keys >> 8),
+        [keys[::2].copy(), keys[1::3].copy()], 44.0, 48.0,
+    ]
+    return dict(zip(PASS_ARGS, inputs + pass_outputs(rows)))
+
+
+#: (argument, replacement, error): each is refused before the C runs.
+HOSTILE_PASSES = [
+    ("dst_ips", lambda a: a.astype(np.uint64), TypeError),
+    ("dst_ips", lambda a: a.astype(np.float64), TypeError),
+    ("tcp_pkts", lambda a: a.astype(np.float32), TypeError),
+    ("tcp_bytes", lambda a: a.astype(np.int64), TypeError),
+    ("src_blocks", lambda a: a.astype(np.int32), TypeError),
+    ("dst_ips", lambda a: a.reshape(2, -1), ValueError),
+    ("dst_ips", strided, ValueError),
+    ("tcp_pkts", misaligned, ValueError),
+    ("src_blocks", strided, ValueError),
+    ("tcp_pkts", lambda a: a[:-1], ValueError),
+    ("tcp_bytes", lambda a: a[1:], ValueError),
+    ("days", tuple, TypeError),
+    ("days", lambda d: iter(d), TypeError),
+    ("days", lambda d: [d[0].astype(np.uint64)], TypeError),
+    ("days", lambda d: [d[0], strided(d[1])], ValueError),
+    ("days", lambda d: [d[0].reshape(1, -1)], ValueError),
+    ("days", lambda d: [d[0], None], TypeError),
+    ("days", lambda d: [d[0].tolist()], TypeError),
+    ("out_blocks", lambda a: a.astype(np.float64), TypeError),
+    ("out_pkts", lambda a: np.empty(len(a), np.int64), TypeError),
+    ("out_survives", lambda a: a.view(bool), TypeError),
+    ("out_sourced", lambda a: a.astype(np.int8), TypeError),
+    ("out_blocks", lambda a: a[:-1], ValueError),
+    ("out_fails", lambda a: a[:-1], ValueError),
+    ("out_bytes", misaligned, ValueError),
+    ("out_pkts", strided, ValueError),
+    ("out_sourced", read_only, ValueError),
+    ("dst_ips", lambda a: a.tolist(), TypeError),
+    ("block_shift", lambda a: 64, ValueError),
+    ("block_shift", lambda a: -1, ValueError),
+    ("block_shift", lambda a: 8.0, TypeError),
+    ("avg_threshold", lambda a: "44", TypeError),
+    ("ip_threshold", lambda a: None, TypeError),
+]
+
+
 def first_part(call, keys=None, cols=None, part=None):
     """``call`` with its first part replaced, or its keys or its cols
     mapped through ``keys`` / ``cols``."""
@@ -965,14 +1147,49 @@ def call_merge(name, call):
 
 @needs_native
 class TestHostileArguments:
-    """The module's four functions called directly with arguments the
+    """The module's five functions called directly with arguments the
     Python side never hands them: each raises TypeError or ValueError
     before its kernel runs — never a crash, never a read or write out
     of bounds."""
 
-    def test_module_surface_is_the_four_functions(self):
+    def test_module_surface_is_the_five_functions(self):
         public = {name for name in dir(extension()) if not name.startswith("_")}
-        assert public == {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
+        assert public == {
+            "fold_chunk", "merge_sorted", "merge_k", "crc32_columns",
+            "address_pass",
+        }
+
+    def test_valid_pass_arguments_pass(self):
+        args = pass_arguments()
+        assert 0 < extension().address_pass(*args.values()) <= 16
+
+    @pytest.mark.parametrize(
+        "name,replace,error", HOSTILE_PASSES,
+        ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(HOSTILE_PASSES)],
+    )
+    def test_hostile_pass_argument_raises(self, name, replace, error):
+        args = pass_arguments()
+        args[name] = replace(args[name])
+        with pytest.raises(error):
+            extension().address_pass(*args.values())
+
+    def test_pass_argument_count(self):
+        values = list(pass_arguments().values())
+        for wrong in (values[:-1], values + [values[-1]], []):
+            with pytest.raises(TypeError):
+                extension().address_pass(*wrong)
+
+    @pytest.mark.parametrize("name", PASS_WRITTEN)
+    def test_short_pass_output_is_refused_before_any_write(self, name):
+        # As for the fold: a C that wrote past the short head of a
+        # sentinel-filled buffer would change its tail.
+        args = pass_arguments()
+        short = args[name]
+        room = np.full(len(short) + 8, 0x5A, dtype=short.dtype)
+        args[name] = room[:len(short) - 1]
+        with pytest.raises(ValueError, match=name):
+            extension().address_pass(*args.values())
+        assert (room == room[-1]).all()
 
     @pytest.mark.parametrize("key_dtype", [np.uint32, np.uint64])
     def test_valid_fold_arguments_fold(self, key_dtype):

@@ -396,6 +396,39 @@ class TestWireState:
         with pytest.raises(ValueError, match="version"):
             PrefixAccumulator.from_state(state)
 
+    def test_version_3_ships_per_day_source_key_sets(self, multi_day):
+        accumulator = fold(multi_day)
+        state = accumulator.to_state()
+        assert state["version"] == 3
+        assert "src_ip_sums" not in state
+        # dst sums: keys, TCP packets, TCP bytes.
+        assert len(state["dst_ip_sums"]) == 3
+        assert sorted(state["src_ips_by_day"]) == accumulator.days()
+        for part in state["src_ips_by_day"].values():
+            assert isinstance(part, tuple) and len(part) == 1
+            (keys,) = part
+            assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
+        restored = PrefixAccumulator.from_state(state)
+        assert partial_states_identical(accumulator, restored)
+        for ours, theirs in zip(
+            accumulator.finalize().src_ips_by_day,
+            restored.finalize().src_ips_by_day,
+            strict=True,
+        ):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_version_2_state_rejected(self, multi_day):
+        # The v2 wire form: one merged source table with packet sums.
+        state = fold(multi_day[:2]).to_state()
+        keys = np.unique(np.concatenate(
+            [keys for keys, in state.pop("src_ips_by_day").values()]
+        ))
+        state.update(version=2, src_ip_sums=(keys, np.ones(len(keys))))
+        with pytest.raises(
+            ValueError, match="unsupported accumulator state version: 2"
+        ):
+            PrefixAccumulator.from_state(state)
+
     @given(flow_tables())
     @settings(max_examples=25, deadline=None)
     def test_random_tables_round_trip(self, flows):
@@ -482,10 +515,13 @@ class TestChunkingKnobs:
         """A chunk-fed accumulator never carries a view's chunk log
         past the view boundary (two-tier invariant: base + squashed)."""
         accumulator = fold(multi_day, chunk_size=31)
-        for sums in (accumulator._dst_ip_sums, accumulator._src_ip_sums):
+        families = (
+            accumulator._dst_ip_sums, *accumulator._src_ips_by_day.values()
+        )
+        for sums in families:
             assert len(sums._parts) <= 2
         accumulator.compact()
-        for sums in (accumulator._dst_ip_sums, accumulator._src_ip_sums):
+        for sums in families:
             assert len(sums._parts) <= 1
 
 

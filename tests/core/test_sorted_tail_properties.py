@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.bgp.topology import AsTopology
 from repro.core.accum import FinalizedAggregates, PrefixAccumulator
+from repro.core.kernels import get_kernel
 from repro.core.refine import cone_filtered_view
 from repro.core.snapshot import (
     NO_ASN,
@@ -314,9 +315,10 @@ def test_finalize_volume_matches_the_dense_median(day_flows, native):
 @st.composite
 def finalized_aggregates(draw):
     """Finalize-shaped columns: sorted-unique address and block tables,
-    a source table that overlaps the destinations, and per-block excess
-    that is zero (forgiven by a tolerance) for some source blocks —
-    or for none of them, the run without a spoofing tolerance."""
+    1-3 per-day source key sets that overlap the destinations and each
+    other, and per-block excess that is zero (forgiven by a tolerance)
+    for some source blocks — or for none of them, the run without a
+    spoofing tolerance."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     shift = draw(st.sampled_from([8, 16]))
     base = draw(st.sampled_from([20 << 16, 2**45]))
@@ -324,7 +326,10 @@ def finalized_aggregates(draw):
         rng.integers(0, 6 << shift, size=draw(st.integers(0, 80)))
     )
     dst_ips = pool[rng.random(len(pool)) < 0.7]
-    src_ips = pool[rng.random(len(pool)) < 0.4]
+    src_ips_by_day = tuple(
+        pool[rng.random(len(pool)) < 0.2]
+        for _ in range(draw(st.integers(1, 3)))
+    )
     src_blocks = np.unique(pool >> shift)
     src_blocks = src_blocks[rng.random(len(src_blocks)) < 0.8]
     tolerance = draw(st.booleans())
@@ -338,9 +343,7 @@ def finalized_aggregates(draw):
         dst_ips=dst_ips,
         ip_tcp_pkts_est=tcp_pkts,
         ip_tcp_bytes_est=tcp_pkts * rng.choice([40.0, 48.0, 60.0], size=len(dst_ips)),
-        ip_total_pkts_est=tcp_pkts + 1.0,
-        src_ips=src_ips,
-        src_ip_pkts_sampled=np.ones(len(src_ips)),
+        src_ips_by_day=src_ips_by_day,
         vol_blocks=vol_blocks,
         vol_median_est=rng.choice([1.0, 500.0, 900.0], size=len(vol_blocks)),
         src_blocks=src_blocks,
@@ -378,7 +381,7 @@ def naive_funnel(finalized, config, routed, special):
     members: dict[int, list[int]] = {}
     for index, ip in enumerate(ips):
         members.setdefault(ip >> shift, []).append(index)
-    sources = set(finalized.src_ips.tolist())
+    sources = set().union(*(day.tolist() for day in finalized.src_ips_by_day))
     sourcing = {
         block
         for block, excess in zip(
@@ -451,9 +454,7 @@ def sourced_blocks_out_early():
         dst_ips=dst_ips,
         ip_tcp_pkts_est=tcp_pkts,
         ip_tcp_bytes_est=np.array([row[3] for row in rows]),
-        ip_total_pkts_est=tcp_pkts + 1.0,
-        src_ips=dst_ips[[row[4] for row in rows]],
-        src_ip_pkts_sampled=np.ones(4),
+        src_ips_by_day=(dst_ips[[row[4] for row in rows]],),
         vol_blocks=base + np.arange(5),
         vol_median_est=np.ones(5),
         src_blocks=source_blocks,
@@ -469,16 +470,21 @@ def sourced_blocks_out_early():
     # Above the 48-byte per-IP slack, a block can pass step 2 while one
     # of its addresses fails: the unclean verdict.
     st.sampled_from([44.0, 52.0]),
+    st.sampled_from(["numpy", "native"]),
 )
 # Seed 23 routes all five blocks and marks none special.
-@example(sourced_blocks_out_early(), 23, 44.0)
-def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size):
+@example(sourced_blocks_out_early(), 23, 44.0, "numpy")
+@example(sourced_blocks_out_early(), 23, 44.0, "native")
+def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size, kernel):
     rng = np.random.default_rng(seed)
     blocks = sorted(set((finalized.dst_ips >> finalized.block_shift).tolist()))
     routed = {block for block in blocks if rng.random() < 0.8}
     special = {block for block in blocks if rng.random() < 0.15}
     config = PipelineConfig(avg_size_threshold=avg_size)
-    result = run_funnel(finalized, BlockSet(routed), BlockSet(special), config)
+    result = run_funnel(
+        finalized, BlockSet(routed), BlockSet(special), config,
+        kernel=get_kernel(kernel),
+    )
     counts, verdicts = naive_funnel(finalized, config, routed, special)
     assert [count for _, count in result.funnel.as_rows()] == counts
     assert result.dark_blocks.tolist() == verdicts["dark"]
@@ -487,13 +493,35 @@ def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size):
     assert result.volume_filtered_blocks.tolist() == verdicts["volume"]
 
 
-def test_stage_context_rejects_unsorted_columns():
+def unsorted_finalized(dst_ips):
+    """An empty finalize with ``dst_ips`` swapped in (and TCP columns
+    of its length, so the native binding's length check passes)."""
     finalized = PrefixAccumulator().finalize()
-    finalized.dst_ips = np.array([0x14000101, 0x14000001], dtype=np.int64)
-    with pytest.raises(ValueError, match="sorted"):
-        run_funnel(
-            finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig()
-        )
+    finalized.dst_ips = np.array(dst_ips, dtype=np.int64)
+    finalized.ip_tcp_pkts_est = np.ones(len(dst_ips))
+    finalized.ip_tcp_bytes_est = np.full(len(dst_ips), 40.0)
+    return finalized
+
+
+def test_stage_context_rejects_unsorted_columns():
+    finalized = unsorted_finalized([0x14000101, 0x14000001])
+    for kernel in ("numpy", "native"):
+        with pytest.raises(ValueError, match="sorted"):
+            run_funnel(
+                finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig(),
+                kernel=get_kernel(kernel),
+            )
+
+
+def test_a_repeated_address_key_is_rejected():
+    # Sorted blocks, but one address twice: it must not count as two.
+    finalized = unsorted_finalized([0x14000001, 0x14000002, 0x14000002])
+    for kernel in ("numpy", "native"):
+        with pytest.raises(ValueError, match="sorted by destination key"):
+            run_funnel(
+                finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig(),
+                kernel=get_kernel(kernel),
+            )
 
 
 # ---------------------------------------------------------------------------

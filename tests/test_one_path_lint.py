@@ -7,9 +7,9 @@ accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
 fold's fan-out and the serving fleet; the native extension module
-exports only its ``PyInit__kernels`` and has exactly four functions,
-``fold_chunk``, ``merge_sorted``, ``merge_k`` and ``crc32_columns``,
-and nothing imports ``ctypes`` (one binding path).  This test keeps
+exports only its ``PyInit__kernels`` and has exactly five functions,
+``fold_chunk``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
+``address_pass``, and nothing imports ``ctypes`` (one binding path).  This test keeps
 second doors — a convenience fold loop, a second aggregation, a facade
 that plans for itself, a hand-built snapshot, a private process pool, a
 separate native fold per key width — from growing back.  Deleted layers
@@ -152,7 +152,9 @@ REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
 #: its method table gives Python.
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
 KERNEL_EXPORTS = {"PyInit__kernels"}
-KERNEL_METHODS = {"fold_chunk", "merge_sorted", "merge_k", "crc32_columns"}
+KERNEL_METHODS = {
+    "fold_chunk", "merge_sorted", "merge_k", "crc32_columns", "address_pass"
+}
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -605,23 +607,25 @@ def test_reference_lint_actually_catches_an_orphan():
     ]
 
 
-def test_native_library_exports_exactly_four_functions():
+def test_native_library_exports_exactly_five_functions():
     source = KERNEL_SOURCE.read_text()
     found = c_exports(source), c_methods(source)
     assert found == (KERNEL_EXPORTS, KERNEL_METHODS), (
         "core/_kernels.c is an extension module: it exports only "
         "PyInit__kernels, every other C function is static, and its "
-        "method table holds exactly fold_chunk, merge_sorted, merge_k and "
-        "crc32_columns (one op per job, every key width through the same "
-        "fold_chunk, every segment's checksums in one crc32_columns "
-        f"call): exports {sorted(found[0])}, methods {sorted(found[1])}"
+        "method table holds exactly fold_chunk, merge_sorted, merge_k, "
+        "crc32_columns and address_pass (one op per job, every key width "
+        "through the same fold_chunk, every segment's checksums in one "
+        "crc32_columns call, the funnel's address table in one "
+        f"address_pass walk): exports {sorted(found[0])}, methods "
+        f"{sorted(found[1])}"
     )
 
 
 def test_export_lint_actually_catches_a_fourth_export():
     # Guard the guard: a separate wide fold pasted in as a plain
     # function, stamped out by a macro, or a helper that lost its
-    # ``static``, is each found and named; so is a fifth entry in the
+    # ``static``, is each found and named; so is a sixth entry in the
     # module's method table.
     source = KERNEL_SOURCE.read_text()
     pasted = {
@@ -648,15 +652,15 @@ def test_export_lint_actually_catches_a_fourth_export():
         unstatic = re.sub(rf"\bstatic (\w+ {helper}\()", r"\1", source)
         assert unstatic != source
         assert c_exports(unstatic) == KERNEL_EXPORTS | {helper}
-    # A fifth function in the method table, however it is spelled.
+    # A sixth function in the method table, however it is spelled.
     table = "static PyMethodDef kernel_methods[] = {\n"
     assert table in source
-    fifth = source.replace(
+    sixth = source.replace(
         table,
         table + '    {"fold_chunk64", (PyCFunction)(void (*)(void))py_fold_chunk,\n'
         "     METH_FASTCALL, NULL},\n",
     )
-    assert c_methods(fifth) == KERNEL_METHODS | {"fold_chunk64"}
+    assert c_methods(sixth) == KERNEL_METHODS | {"fold_chunk64"}
     assert c_methods(
         source + '\nstatic PyMethodDef more[] = {{ "extra", NULL, 0, NULL }};\n'
     ) == KERNEL_METHODS | {"extra"}

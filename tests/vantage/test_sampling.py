@@ -22,7 +22,7 @@ class TestBlockAggregates:
         finalized = fold([view]).finalize()
         assert finalized.dst_ips.tolist() == [ip(5), ip(5, 2)]
         assert finalized.ip_tcp_pkts_est.tolist() == [3, 0]
-        assert finalized.ip_total_pkts_est.tolist() == [3, 2]
+        assert finalized.ip_tcp_bytes_est.tolist() == [120, 0]
         assert finalized.vol_blocks.tolist() == [5]
         assert finalized.vol_median_est.tolist() == [5]
 
@@ -56,9 +56,12 @@ class TestBlockAggregates:
         blocks, packets = accumulator.vantage_source_blocks()["V"]
         assert blocks.tolist() == [8, 9]
         assert packets.tolist() == [2, 5]
+        # Per source address only the sighting is kept: one sorted key
+        # set per day.
         finalized = accumulator.finalize()
-        assert finalized.src_ips.tolist() == [ip(8, 1), ip(9, 1), ip(9, 2)]
-        assert finalized.src_ip_pkts_sampled.tolist() == [2, 4, 1]
+        assert [keys.tolist() for keys in finalized.src_ips_by_day] == [
+            [ip(8, 1), ip(9, 1), ip(9, 2)]
+        ]
 
     def test_multiple_blocks_sorted(self):
         view = make_view([{"dst_ip": ip(20)}, {"dst_ip": ip(3)}])
