@@ -38,15 +38,15 @@ World commands accept ``--scale {micro,small,paper,giant}``, ``--seed``,
 ``--days``, ``--vantage`` (an IXP code or ``All``), ``--chunk-size``
 (rows per ingestion chunk, or ``auto``; classification is identical at
 any value — the flag only bounds aggregation memory), ``--workers``
-(process-pool fan-out of the aggregation; ``0`` = one per CPU; any
-worker count classifies bit-identically), ``--capture-cache DIR``
+(thread fan-out of the aggregation; ``0`` = one per CPU; any worker
+count classifies bit-identically), ``--capture-cache DIR``
 (content-addressed cache of generated vantage-day captures: re-runs
 with the same scale/seed serve days from flowpack archives instead of
 regenerating them — bit-identical, just faster) and ``--trace PATH``
 (append the run's structured execution events as JSONL — the engine's
 observability spine).  Commands that run the pipeline print a
-per-stage funnel timing table; parallel runs prepend per-worker, IPC
-and merge rows.  All of it comes from one event stream, recorded by
+per-stage funnel timing table; parallel runs prepend per-worker and
+merge rows.  All of it comes from one event stream, recorded by
 the :class:`~repro.core.engine.RunContext` threaded through the run.
 """
 
@@ -238,13 +238,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def _print_timings(
     context: RunContext | None, scopes: tuple[str, ...] | None = None
 ) -> None:
-    """The timing table: one row per fan-out, IPC, merge and stage
-    event of ``context`` (only those in ``scopes``, when given)."""
+    """The timing table: one row per fan-out, merge and stage event of
+    ``context`` (only those in ``scopes``, when given)."""
     if context is None:
         return
     rows = [
         (event.name, f"{event.seconds * 1e3:.2f}", event.rows_out)
-        for event in context.events(("worker", "ipc", "merge", "stage"))
+        for event in context.events(("worker", "merge", "stage"))
         if scopes is None or event.scope in scopes
     ]
     if rows:
@@ -787,7 +787,7 @@ def _add_execution_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers", type=_at_least(0), default=None,
-        help="process-pool workers for the aggregation fan-out "
+        help="threads for the aggregation fan-out "
         "(default: serial; 0 = one per CPU; classification is "
         "bit-identical at any worker count)",
     )

@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.thresholds` — packet-size fingerprint tuning (Table 3);
 * :mod:`repro.core.accum` — mergeable per-/24 streaming aggregation;
-* :mod:`repro.core.parallel` — process-pool fan-out with bit-identical
-  tree merge;
+* :mod:`repro.core.parallel` — thread fan-out with bit-identical tree
+  merge;
 * :mod:`repro.core.engine` — execution planning (ExecutionPlan /
   RunContext) and the observability spine every frontend runs through;
 * :mod:`repro.core.stages` — the funnel's steps over finalized columns;
@@ -35,12 +35,7 @@ from repro.core.engine import (
     validate_trace_event,
     validate_trace_file,
 )
-from repro.core.parallel import (
-    ParallelStats,
-    WorkerReport,
-    shard_views,
-    tree_merge,
-)
+from repro.core.parallel import shard_views, tree_merge
 from repro.core.pipeline import (
     FunnelCounts,
     PipelineConfig,
@@ -97,8 +92,6 @@ __all__ = [
     "resolve_execution_knobs",
     "validate_trace_event",
     "validate_trace_file",
-    "ParallelStats",
-    "WorkerReport",
     "shard_views",
     "tree_merge",
     "FunnelCounts",

@@ -34,12 +34,12 @@ and summed) every ``compact_every`` parts (a constructor knob,
 default :data:`DEFAULT_COMPACT_EVERY`), so ``update`` stays O(chunk)
 amortised and memory stays O(distinct keys), not O(rows).
 
-For IPC (the parallel engine, federation members) an accumulator has a
-compact columnar wire form: :meth:`PrefixAccumulator.to_state` compacts
-every family to a single part and returns plain numpy arrays keyed by
-stable names; :meth:`PrefixAccumulator.from_state` rebuilds an
-equivalent accumulator.  The wire form never carries log-structured
-parts, so shipping a partial is as cheap as its distinct keys.
+An accumulator has a compact columnar form:
+:meth:`PrefixAccumulator.to_state` compacts every family to a single
+part and returns plain numpy arrays keyed by stable names.  It is what
+two accumulators are compared by (bit identity across plans and
+kernels) and what the perf harness sizes the fold state from; nothing
+decodes it.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ AUTO_CHUNK = "auto"
 _AUTO_TARGET_CHUNKS = 8
 _AUTO_FLOOR = 8192
 _AUTO_CEILING = 1 << 18
-
-#: Wire-form version emitted by :meth:`PrefixAccumulator.to_state`.
-_STATE_VERSION = 3
 
 
 def _empty_keys() -> np.ndarray:
@@ -436,7 +433,7 @@ class PrefixAccumulator:
     ) -> "PrefixAccumulator":
         """Fold a vantage-day view (or a row-range shard of one) in.
 
-        This is the one fold loop: the serial engine and the pool
+        This is the one fold loop: the serial engine and the fan-out
         workers both run it, with the ``chunk_rows`` the execution plan
         resolved for the view (``None``: the view whole).  The view
         boundary is a natural compaction point: the chunk log is
@@ -532,25 +529,23 @@ class PrefixAccumulator:
         }
         return duplicate
 
-    # -- wire form -----------------------------------------------------
+    # -- columnar form ------------------------------------------------
 
     def to_state(self) -> dict[str, Any]:
-        """Compact columnar wire form of this accumulator.
+        """Compact columnar form of this accumulator.
 
-        Every family is compacted to a single grouped part and shipped
+        Every family is compacted to a single grouped part and returned
         as raw numpy arrays under stable keys — no log-structured parts,
-        no Python object graph — so worker->coordinator IPC and
-        federation transfers cost O(distinct keys).  The accumulator
-        itself stays usable (compaction is its normal maintenance).
+        no Python object graph — so the form costs O(distinct keys).
+        The accumulator itself stays usable (compaction is its normal
+        maintenance).
         """
         def part(sums: _KeyedSums) -> tuple[np.ndarray, ...]:
             keys, values = sums.compacted()
             return (keys, *values)
 
         return {
-            "version": _STATE_VERSION,
-            # The *adopted* family (None while empty), so an empty
-            # partial restored elsewhere can still adopt any family.
+            # The *adopted* family (None while empty).
             "family": self._family_name,
             "ignore_sources_from_asns": tuple(
                 sorted(self.ignore_sources_from_asns)
@@ -574,58 +569,6 @@ class PrefixAccumulator:
                 for vantage, days in self._days_by_vantage.items()
             },
         }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: Mapping[str, Any],
-        kernel=None,
-    ) -> "PrefixAccumulator":
-        """Rebuild an accumulator from :meth:`to_state` output.
-
-        The round trip is exact: the rebuilt accumulator finalizes (and
-        merges) bit-identically to the original.  ``kernel`` (like the
-        compaction threshold) is local execution policy, not data, so
-        it is not part of the wire form.
-        """
-        version = state.get("version")
-        if version != _STATE_VERSION:
-            raise ValueError(
-                f"unsupported accumulator state version: {version!r}"
-            )
-        accumulator = cls(
-            frozenset(state["ignore_sources_from_asns"]), kernel=kernel,
-            family=state.get("family"),
-        )
-        resolved = accumulator.kernel
-
-        def load(sums: _KeyedSums, part: tuple[np.ndarray, ...]) -> None:
-            keys, *values = part
-            # Wire parts come from `compacted()` — sorted-unique by
-            # construction.
-            sums.add(keys, *values, sorted_unique=True)
-
-        load(accumulator._dst_ip_sums, state["dst_ip_sums"])
-        for vantage, part in state["src_by_vantage"].items():
-            family = _KeyedSums(2, DEFAULT_COMPACT_EVERY, resolved)
-            load(family, part)
-            accumulator._src_by_vantage[vantage] = family
-        for name, families, arity in (
-            ("volume_by_day", accumulator._volume_by_day, 1),
-            ("src_ips_by_day", accumulator._src_ips_by_day, 0),
-        ):
-            for day, part in state[name].items():
-                family = _KeyedSums(arity, DEFAULT_COMPACT_EVERY, resolved)
-                load(family, part)
-                families[int(day)] = family
-        for vantage, days in state["days_by_vantage"].items():
-            accumulator._days_by_vantage[vantage] = set(
-                int(day) for day in days
-            )
-            accumulator._src_by_vantage.setdefault(
-                vantage, _KeyedSums(2, DEFAULT_COMPACT_EVERY, resolved)
-            )
-        return accumulator
 
     # -- introspection -------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Every way of running the seven-step inference — the batch facade
 (:class:`~repro.core.metatelescope.MetaTelescope`), the rolling-window
-online loop, the process-pool fan-out and the CLI — used to re-resolve
+online loop, the thread fan-out and the CLI — used to re-resolve
 the same knobs (``chunk_size``, ``workers``, ``kernel``) and report
 timings in its own shape.  This module centralises all of that:
 
@@ -27,8 +27,8 @@ timings in its own shape.  This module centralises all of that:
   every plan by the accumulator's associativity.
 
 Timings have no second shape: the CLI timing table is formatted
-straight from a context's ``worker`` / ``ipc`` / ``merge`` / ``stage``
-events, the same records a ``--trace`` file holds.
+straight from a context's ``worker`` / ``merge`` / ``stage`` events,
+the same records a ``--trace`` file holds.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ExecutionKnobs:
     kernel: str = "numpy"
 
     def parallel(self) -> bool:
-        """Whether this knob set fans out across a process pool."""
+        """Whether this knob set fans the fold out across threads."""
         return self.workers > 1
 
 
@@ -322,14 +322,15 @@ class ExecutionPlanner:
 class ExecutionEvent:
     """One structured record on the trace spine."""
 
-    #: ``plan`` | ``view`` | ``chunk`` | ``worker`` | ``ipc`` |
-    #: ``merge`` | ``stage`` | ``cache`` | ``generate`` |
-    #: ``quarantine`` — open set; sinks must pass unknown kinds on.
+    #: ``plan`` | ``view`` | ``chunk`` | ``worker`` | ``merge`` |
+    #: ``stage`` | ``cache`` | ``generate`` | ``quarantine`` — open
+    #: set; sinks must pass unknown kinds on.
     kind: str
     name: str
     #: Facade-assigned grouping label (e.g. ``fold`` / ``window``).
     scope: str = "run"
-    #: Wall-clock start (``time.time()``), for cross-process ordering.
+    #: Wall-clock start (``time.time()``), for ordering across threads
+    #: and processes.
     started: float = 0.0
     seconds: float = 0.0
     rows_in: int | None = None
@@ -470,10 +471,11 @@ def execute_plan(
 ) -> PrefixAccumulator:
     """Fold ``views`` into one accumulator, exactly as planned.
 
-    Serial and chunked modes run in-process, emitting one ``view``
-    event per vantage-day and one ``chunk`` event per ingestion chunk;
-    parallel mode fans out across the plan's shard buckets and emits
-    ``worker`` / ``ipc`` / ``merge`` events from the pool statistics.
+    Serial and chunked modes run on the calling thread, emitting one
+    ``view`` event per vantage-day and one ``chunk`` event per
+    ingestion chunk;
+    parallel mode folds the plan's shard buckets on threads and emits
+    one ``worker`` event per bucket and one ``merge`` event.
     Classification downstream is bit-identical across modes for the
     same views — the engine's core invariant.
     """
@@ -492,7 +494,9 @@ def execute_plan(
     kernel = get_kernel(plan.knobs.kernel)
     context.emit("kernel", kernel.name, meta=kernel.describe())
     if plan.mode == "parallel" and plan.views:
-        return _execute_parallel(plan, views, context, ignore_sources_from_asns)
+        return parallel_accumulate_views(
+            plan, views, context, kernel, ignore_sources_from_asns
+        )
     return _execute_serial(plan, views, context, ignore_sources_from_asns, kernel)
 
 
@@ -526,35 +530,6 @@ def _execute_serial(
             peak_rss_mib=_peak_rss_mib(),
             meta={"storage": spec.storage},
         )
-    return accumulator
-
-
-def _execute_parallel(
-    plan: ExecutionPlan,
-    views: Sequence["VantageDayView"],
-    context: RunContext,
-    ignored: frozenset[int],
-) -> PrefixAccumulator:
-    """Fan out over the plan's shard buckets; put the pool's statistics
-    on the spine: one ``worker`` event per worker report (named
-    ``fanout[wK]``, the CLI timing table's row name), one ``ipc`` and
-    one ``merge`` event."""
-    accumulator, stats = parallel_accumulate_views(plan, views, ignored)
-    for report in stats.reports:
-        context.emit(
-            "worker",
-            f"fanout[w{report.index}]",
-            report.fold_seconds,
-            rows_in=report.rows,
-            rows_out=report.rows,
-            meta={"shards": report.shards, "mode": stats.mode},
-        )
-    context.emit(
-        "ipc", "ipc", stats.ipc_seconds(), rows_out=stats.partials
-    )
-    context.emit(
-        "merge", "merge", stats.merge_seconds, rows_out=stats.partials
-    )
     return accumulator
 
 

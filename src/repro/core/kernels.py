@@ -266,11 +266,12 @@ class _Staging(threading.local):
     """Pooled radix scratch (fold and k-way merge) and the fold's output
     staging, one set per thread.
 
-    The extension drops the GIL for the C call, so two threads folding
-    through the process-wide :class:`NativeKernel` must not share
-    buffers.  Thread-local rather than a lock: :mod:`repro.core.parallel`
-    forks pool workers from folding processes, and a child must not
-    inherit a held lock.
+    The extension drops the GIL for the C call, and
+    :mod:`repro.core.parallel` folds one shard bucket per thread
+    through the one process-wide :class:`NativeKernel`, so those
+    threads must not share buffers.  Thread-local rather than a lock:
+    a lock would serialise the fan-out's C calls, which run
+    concurrently only because each thread stages into its own buffers.
     """
 
     def __init__(self) -> None:

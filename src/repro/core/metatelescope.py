@@ -199,7 +199,7 @@ class MetaTelescope:
         """Run the full pipeline (+ optional tolerance and refinement).
 
         ``chunk_size`` bounds ingestion memory (``"auto"`` picks a size
-        per view), ``workers`` shards the fold across a process pool
+        per view), ``workers`` shards the fold across threads
         and ``kernel`` picks the fold backend; classification is
         bit-identical under any combination.  The fold's and the
         stages' timings are ``context``'s events (a fresh context when

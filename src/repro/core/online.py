@@ -160,8 +160,8 @@ class OnlineMetaTelescope:
     #: size from the view).  Classification is bit-identical either way;
     #: the chunk size only bounds memory.
     chunk_size: int | str | None = None
-    #: Process-pool workers for each day's fold (None/1: serial,
-    #: ``0``: one per CPU).  Any worker count classifies bit-identically.
+    #: Fan-out threads for each day's fold (None/1: serial, ``0``: one
+    #: per CPU).  Any worker count classifies bit-identically.
     workers: int | None = None
     #: Fold kernel backend (``"numpy"``, ``"native"``, ``"auto"`` or
     #: None for the engine default).  Either backend classifies

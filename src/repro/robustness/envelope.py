@@ -212,7 +212,7 @@ class EvaluationSettings:
     """How the evaluator drives the engine for every run."""
 
     days: int = 3
-    #: Process-pool fan-out; the gate requires the parallel path, so
+    #: Fold fan-out threads; the gate requires the parallel path, so
     #: anything below 2 is raised to 2.
     workers: int = 2
     chunk_size: int | str | None = None

@@ -11,10 +11,10 @@ core cares (``vantage``/``day``/``sampling_factor``/``num_rows``/
 ``flows``/``iter_chunks``), so archives feed
 :meth:`repro.core.metatelescope.MetaTelescope.accumulate` (serial,
 chunked or parallel — :func:`repro.core.engine.execute_plan`)
-unchanged — and because an ``ArchiveDayView`` pickles as its *path*
-(never its mapped pages), parallel workers re-open the mmap in their
-own process and fold their assigned row-ranges directly, with no
-payload pickling even under ``spawn``.
+unchanged.  The parallel fan-out's threads share the view's one
+mapping: a whole-view shard folds the view itself, and a row-range
+shard reads only its rows (:meth:`FlowpackArchive.read_rows`) before
+the fan-out starts.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class ArchiveDayView:
         return view
 
     def archive(self) -> FlowpackArchive:
-        """The underlying archive (opened lazily, once per process)."""
+        """The underlying archive (opened lazily, once per view)."""
         if self._archive is None:
             self._archive = FlowpackArchive(self.path)
         return self._archive
@@ -120,18 +120,6 @@ class ArchiveDayView:
     def iter_chunks(self, chunk_rows: int | None = None):
         """Bounded-size chunks straight off the mapped file (zero-copy)."""
         return self.archive().iter_chunks(chunk_rows)
-
-    def slice_ref(self, start: int, stop: int) -> "ArchiveSlice":
-        """A picklable reference to rows ``[start, stop)``.
-
-        This is what the parallel engine ships to workers instead of
-        the rows themselves: the worker resolves it by opening the
-        archive (its own mmap) and reading the range directly.
-        """
-        return ArchiveSlice(
-            path=self.path, vantage=self.vantage, day=self.day,
-            sampling_factor=self.sampling_factor, start=start, stop=stop,
-        )
 
     def decimated(self, factor: int, rng) -> VantageDayView:
         """A further sub-sampled in-memory copy (Figure-10 operation)."""
@@ -157,27 +145,3 @@ class ArchiveDayView:
                 else sampling_factor
             ),
         )
-
-    def __getstate__(self):
-        # Pickle the descriptor, never the mapped pages: a spawned
-        # worker (or any unpickler) re-opens the archive itself.
-        state = self.__dict__.copy()
-        state["_archive"] = None
-        state["_flows"] = None
-        return state
-
-
-@dataclass(frozen=True)
-class ArchiveSlice:
-    """Picklable (path, row-range) shard reference for workers."""
-
-    path: Path
-    vantage: str
-    day: int
-    sampling_factor: float
-    start: int
-    stop: int
-
-    def load(self) -> FlowTable:
-        """Open the archive in this process and read the range."""
-        return FlowpackArchive(self.path).read_rows(self.start, self.stop)

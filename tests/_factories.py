@@ -103,8 +103,8 @@ def fold(
     ``knobs`` are the planner's (``chunk_size``, ``workers``,
     ``kernel``); ``max_shard_rows`` forces
     a finer shard layout onto a parallel plan.  Pass a ``context`` to
-    read the fold's events (``worker`` events carry the pool mode, the
-    shard and the row counts).
+    read the fold's events (``worker`` events carry the shard and the
+    row counts).
     """
     views = list(views)
     plan = ExecutionPlanner().plan(views, **knobs)

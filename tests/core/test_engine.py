@@ -241,8 +241,8 @@ class TestEventSpine:
         kinds = [event.kind for event in context.events()]
         assert kinds[0] == "plan"
         assert kinds.count("view") == len(views)
-        # A serial fold has no fan-out: no worker / ipc / merge events.
-        assert context.events(["worker", "ipc", "merge"]) == ()
+        # A serial fold has no fan-out: no worker / merge events.
+        assert context.events(["worker", "merge"]) == ()
 
     def test_chunked_fold_emits_chunk_events(self, views):
         plan = ExecutionPlanner().plan(views, chunk_size=128)
@@ -258,11 +258,10 @@ class TestEventSpine:
         plan = ExecutionPlanner().plan(views, workers=2)
         context = RunContext()
         execute_plan(plan, views, context)
-        names = [
-            event.name for event in context.events(["worker", "ipc", "merge"])
-        ]
-        assert names[:2] == ["fanout[w0]", "fanout[w1]"]
-        assert names[-2:] == ["ipc", "merge"]
+        names = [event.name for event in context.events(["worker", "merge"])]
+        assert names == ["fanout[w0]", "fanout[w1]", "merge"]
+        # The fan-out is threads: no wire form, so no IPC event.
+        assert context.events(["ipc"]) == ()
 
     def test_scoped_events_filter_timings(self):
         context = RunContext()
@@ -299,7 +298,8 @@ class TestTraceGolden:
             # Golden: the serialised key order IS the schema order.
             assert tuple(event) == TRACE_FIELDS
             kinds.add(event["kind"])
-        assert {"plan", "worker", "ipc", "merge", "stage"} <= kinds
+        assert {"plan", "worker", "merge", "stage"} <= kinds
+        assert "ipc" not in kinds
 
     def test_tampered_events_rejected(self, tmp_path):
         good = RunContext().emit("stage", "tcp", 0.1, rows_out=1).to_json()

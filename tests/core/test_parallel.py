@@ -1,18 +1,19 @@
 """Bit-identity and plumbing of the parallel inference engine.
 
 The contract of :mod:`repro.core.parallel`: fanning the aggregation out
-over any number of workers — any shard order, any merge grouping, the
-compact wire form in between — classifies **bit-identically** to the
-serial fold.  These tests pin that contract on seeded worlds, random
-flow tables, and fault-injected inputs, and cover the satellites that
-ride along (adaptive chunking, compaction knob, routing-table interval
-cache).
+over any number of threads — any shard order, any merge grouping, any
+thread interleaving — classifies **bit-identically** to the serial
+fold, and starts no process.  These tests pin that contract on seeded
+worlds, random flow tables, archive-backed and fault-injected inputs,
+and cover the satellites that ride along (adaptive chunking, compaction
+knob, routing-table interval cache).
 """
 
 import multiprocessing
 import os
-import signal
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.core.accum import (
 )
 from repro.core import parallel
 from repro.core.engine import ExecutionPlanner, RunContext, default_workers
+from repro.core.kernels import get_kernel
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
 from repro.core.parallel import (
@@ -37,12 +39,15 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
+from repro.net.family import FAMILY_IPV4, FAMILY_IPV6
 from repro.net.trie import PrefixTrie
 from repro.traffic.flows import FlowTable
+from repro.vantage.archive import export_view
 from repro.vantage.sampling import VantageDayView
 
 from _factories import fold
 from test_accumulator import assert_identical
+from test_kernels import flow_tables as family_flow_tables
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -73,18 +78,12 @@ def serial(multi_day):
     return fold(multi_day)
 
 
-def pool_modes(context: RunContext) -> set[str]:
-    """Which pool flavour(s) folded, from the context's worker events."""
-    return {event.meta["mode"] for event in context.events(["worker"])}
-
-
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("workers", [2, 3, 4, 8])
     def test_any_worker_count_identical(self, multi_day, serial, workers):
         context = RunContext()
         merged = fold(multi_day, workers=workers, context=context)
         assert partial_states_identical(serial, merged)
-        assert pool_modes(context) <= {"fork", "spawn"}
         (merge,) = context.events(["merge"])
         assert merge.rows_out >= 1  # partials
         assert sum(
@@ -126,7 +125,7 @@ class TestParallelEqualsSerial:
             assert not context.events(["worker"])
         else:
             assert context.plan.workers == default_workers()
-            assert pool_modes(context) <= {"fork", "spawn"}
+            assert len(context.events(["worker"])) == default_workers()
 
     def test_empty_views_observed_everywhere(self):
         from repro.traffic.flows import FlowTable
@@ -180,52 +179,6 @@ class TestParallelEqualsSerial:
         )
 
 
-class TestGracefulPoolExit:
-    def test_one_shot_folds_finish_under_a_python_sigterm_handler(
-        self, multi_day
-    ):
-        """A forked worker inherits the embedding process's Python-level
-        SIGTERM handler; ``Pool.terminate()`` then parks it in a lock
-        where the handler never runs and the parent's ``join()`` hangs.
-        The pools are left through ``close()`` instead, so 40 one-shot
-        fan-out pools must finish well inside the watchdog."""
-        owner = os.getpid()
-
-        def on_sigterm(signum, frame):  # what an operator wrapper installs
-            if os.getpid() == owner:
-                sys.exit(143)
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
-
-        def on_alarm(signum, frame):
-            raise TimeoutError("a one-shot worker pool never exited")
-
-        views = multi_day[:4]
-        expected = fold(views)
-
-        before = set(multiprocessing.active_children())
-        previous = {
-            signal.SIGTERM: signal.signal(signal.SIGTERM, on_sigterm),
-            signal.SIGALRM: signal.signal(signal.SIGALRM, on_alarm),
-        }
-        signal.alarm(120)
-        try:
-            for _ in range(40):
-                context = RunContext()
-                merged = fold(views, workers=2, context=context)
-                assert pool_modes(context) <= {"fork", "spawn"}
-                assert partial_states_identical(expected, merged)
-        finally:
-            signal.alarm(0)
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-            leftover = set(multiprocessing.active_children()) - before
-            for child in leftover:  # only a failed run leaves any
-                child.kill()
-                child.join(5)
-        assert not leftover
-
-
 class SpyTable:
     """A flow table that records the chunk rows it is asked for."""
 
@@ -247,7 +200,7 @@ class TestThePlanIsWhatRuns:
     def test_worker_folds_the_plans_chunk_rows_and_compaction(
         self, multi_day, monkeypatch
     ):
-        """A pool worker folds what the plan says: each shard in the
+        """A fan-out thread folds what the plan says: each shard in the
         chunk rows the plan resolved for its *view* (not re-resolved
         against the smaller shard), into an accumulator with the
         default compaction cadence."""
@@ -275,18 +228,144 @@ class TestThePlanIsWhatRuns:
             built.append(self.compact_every)
 
         monkeypatch.setattr(PrefixAccumulator, "__init__", spy)
-        monkeypatch.setattr(parallel, "_FORK_WORK", (plan, [view], frozenset()))
-        results = [parallel._fold_fork_bucket(bucket) for bucket in plan.shards]
+        merged = parallel.parallel_accumulate_views(
+            plan, [view], RunContext(), get_kernel(plan.knobs.kernel),
+            frozenset(),
+        )
         monkeypatch.undo()
 
         assert asked == [spec.chunk_rows] * len(shards)
         assert built == [DEFAULT_COMPACT_EVERY] * len(plan.shards)
-        partials = [
-            PrefixAccumulator.from_state(state) for state, *_ in results
-        ]
         assert partial_states_identical(
-            fold([VantageDayView("V", 0, flows)]), tree_merge(partials)
+            fold([VantageDayView("V", 0, flows)]), merged
         )
+
+
+class TestFanOutTrace:
+    def test_worker_events_end_before_the_merge_starts(
+        self, multi_day, monkeypatch
+    ):
+        """Each ``worker`` event is stamped when its thread starts, so a
+        trace places the folds inside the fan-out: after the ``kernel``
+        event, and over before the (here slowed) merge begins."""
+        merge = parallel.tree_merge
+
+        def slow_merge(partials):
+            time.sleep(0.05)
+            return merge(partials)
+
+        monkeypatch.setattr(parallel, "tree_merge", slow_merge)
+        context = RunContext()
+        fold(multi_day, workers=2, context=context)
+        (kernel,) = context.events(["kernel"])
+        (merged,) = context.events(["merge"])
+        workers = context.events(["worker"])
+        assert len(workers) == 2
+        assert merged.seconds >= 0.05
+        for event in workers:
+            assert event.started >= kernel.started, event.name
+            assert event.started + event.seconds <= merged.started, event.name
+
+
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Make starting a process, by fork or through multiprocessing, an
+    error for the duration of a test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fold started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+class TestNoProcesses:
+    """A ``workers >= 2`` fold starts no process, so it is safe inside a
+    multi-threaded caller (the serving daemon's background folder)."""
+
+    def test_memory_archive_and_mixed_views(
+        self, multi_day, serial, tmp_path, no_processes
+    ):
+        archived = [
+            export_view(view, tmp_path / f"{index}.fpk", chunk_rows=211)
+            for index, view in enumerate(multi_day)
+        ]
+        mixed = [
+            archived[index] if index % 2 else view
+            for index, view in enumerate(multi_day)
+        ]
+        for views in (multi_day, archived, mixed):
+            for max_shard_rows in (None, 157):
+                merged = fold(views, workers=2, max_shard_rows=max_shard_rows)
+                assert partial_states_identical(serial, merged)
+
+    def test_online_day_inside_a_thread(
+        self, observatory, telescope, no_processes
+    ):
+        views = list(observatory.day(0).ixp_views.values())
+
+        def run(workers):
+            online = OnlineMetaTelescope(
+                telescope=telescope,
+                window_days=2,
+                min_stable_days=1,
+                use_spoofing_tolerance=False,
+                workers=workers,
+            )
+            online.update(0, views)
+            return online
+
+        result, errors = [], []
+
+        def work():
+            try:
+                result.append(run(2))
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert not errors, errors
+        (parallel_run,) = result
+        np.testing.assert_array_equal(
+            run(None).current_prefixes(), parallel_run.current_prefixes()
+        )
+        assert parallel_run.last_run_context().events(["worker"])
+
+
+class TestInterleavings:
+    @given(
+        st.sampled_from([FAMILY_IPV4, FAMILY_IPV6]).flatmap(
+            lambda family: st.lists(
+                family_flow_tables(family), min_size=1, max_size=4
+            )
+        ),
+        st.integers(min_value=2, max_value=4),
+        st.sampled_from(["numpy", "native"]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_interleaving_equals_serial(
+        self, tables, workers, kernel, max_shard_rows
+    ):
+        """Threads switched every 10 µs, any worker count and row
+        split, under either kernel and family, fold what serial does."""
+        views = [
+            VantageDayView(f"V{index}", index % 2, table, 1.0 + index % 2)
+            for index, table in enumerate(tables)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            merged = fold(
+                views, workers=workers, kernel=kernel,
+                max_shard_rows=max_shard_rows,
+            )
+        finally:
+            sys.setswitchinterval(previous)
+        assert partial_states_identical(fold(views, kernel=kernel), merged)
 
 
 class TestSharding:
@@ -344,62 +423,11 @@ class TestTreeMerge:
             tree_merge([])
 
 
-class TestWireState:
-    def test_round_trip(self, multi_day, routing, telescope):
-        accumulator = fold(multi_day)
-        restored = PrefixAccumulator.from_state(accumulator.to_state())
-        assert partial_states_identical(accumulator, restored)
-        assert restored.days() == accumulator.days()
-        assert_identical(
-            run_pipeline_accumulated(accumulator, routing, telescope.config),
-            run_pipeline_accumulated(restored, routing, telescope.config),
-        )
-
-    def test_round_trip_under_fault_injection(self, multi_day):
-        plan = FaultPlan(seed=11)
-        for name in ("truncate", "duplicate", "corrupt", "missample"):
-            plan.add(standard_injector(name, days=frozenset({0, 2})))
-        faulted = []
-        for day in range(3):
-            day_views = [view for view in multi_day if view.day == day]
-            faulted.extend(plan.apply(day, day_views).views)
-        accumulator = fold(faulted, chunk_size=83)
-        restored = PrefixAccumulator.from_state(accumulator.to_state())
-        assert partial_states_identical(accumulator, restored)
-
-    def test_round_trip_preserves_ignore_set(self, multi_day):
-        accumulator = fold(
-            multi_day, ignore_sources_from_asns=frozenset({1, 9})
-        )
-        restored = PrefixAccumulator.from_state(accumulator.to_state())
-        assert restored.ignore_sources_from_asns == frozenset({1, 9})
-
-    def test_empty_round_trip(self):
-        accumulator = PrefixAccumulator()
-        accumulator.observe("V", 4)
-        restored = PrefixAccumulator.from_state(accumulator.to_state())
-        assert restored.days() == [4]
-        assert partial_states_identical(accumulator, restored)
-
-    def test_restored_still_mergeable(self, multi_day):
-        half_a = fold(multi_day[: len(multi_day) // 2])
-        half_b = fold(multi_day[len(multi_day) // 2 :])
-        restored = PrefixAccumulator.from_state(half_a.to_state())
-        restored.merge(half_b)
-        assert partial_states_identical(
-            fold(multi_day), restored
-        )
-
-    def test_version_checked(self):
-        state = PrefixAccumulator().to_state()
-        state["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            PrefixAccumulator.from_state(state)
-
-    def test_version_3_ships_per_day_source_key_sets(self, multi_day):
+class TestStateForm:
+    def test_ships_per_day_source_key_sets(self, multi_day):
         accumulator = fold(multi_day)
         state = accumulator.to_state()
-        assert state["version"] == 3
+        assert "version" not in state
         assert "src_ip_sums" not in state
         # dst sums: keys, TCP packets, TCP bytes.
         assert len(state["dst_ip_sums"]) == 3
@@ -408,34 +436,6 @@ class TestWireState:
             assert isinstance(part, tuple) and len(part) == 1
             (keys,) = part
             assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
-        restored = PrefixAccumulator.from_state(state)
-        assert partial_states_identical(accumulator, restored)
-        for ours, theirs in zip(
-            accumulator.finalize().src_ips_by_day,
-            restored.finalize().src_ips_by_day,
-            strict=True,
-        ):
-            np.testing.assert_array_equal(ours, theirs)
-
-    def test_version_2_state_rejected(self, multi_day):
-        # The v2 wire form: one merged source table with packet sums.
-        state = fold(multi_day[:2]).to_state()
-        keys = np.unique(np.concatenate(
-            [keys for keys, in state.pop("src_ips_by_day").values()]
-        ))
-        state.update(version=2, src_ip_sums=(keys, np.ones(len(keys))))
-        with pytest.raises(
-            ValueError, match="unsupported accumulator state version: 2"
-        ):
-            PrefixAccumulator.from_state(state)
-
-    @given(flow_tables())
-    @settings(max_examples=25, deadline=None)
-    def test_random_tables_round_trip(self, flows):
-        view = VantageDayView(vantage="V", day=0, flows=flows)
-        accumulator = fold([view], chunk_size=5)
-        restored = PrefixAccumulator.from_state(accumulator.to_state())
-        assert partial_states_identical(accumulator, restored)
 
 
 class TestFacadeIntegration:
@@ -451,9 +451,9 @@ class TestFacadeIntegration:
         assert_identical(serial.pipeline, parallel.pipeline)
         stages = [
             event.name
-            for event in context.events(["worker", "ipc", "merge"])
+            for event in context.events(["worker", "merge"])
         ]
-        assert "merge" in stages and "ipc" in stages
+        assert "merge" in stages
         assert any(stage.startswith("fanout[") for stage in stages)
 
     def test_online_workers_identical(self, world, observatory, telescope):

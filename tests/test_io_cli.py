@@ -355,9 +355,7 @@ class TestCli:
             json.loads(line)["kind"]
             for line in trace.read_text().splitlines()
         }
-        assert {
-            "plan", "generate", "worker", "ipc", "merge", "stage"
-        } <= kinds
+        assert {"plan", "generate", "worker", "merge", "stage"} <= kinds
 
     def test_faults_runs_all_classes(self, capsys):
         from repro.cli import main

@@ -6,7 +6,8 @@ arms are the serial loop and ``parallel``'s fan-out, both running
 accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
-fold's fan-out and the serving fleet; the native extension module
+serving fleet, and the fold's fan-out is the one thread pool in
+``core/``; the native extension module
 exports only its ``PyInit__kernels`` and has exactly five functions,
 ``fold_chunk``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
 ``address_pass``, and nothing imports ``ctypes`` (one binding path).  This test keeps
@@ -31,7 +32,6 @@ SRC = REPO / "src" / "repro"
 #: and ``snapshot.build_snapshot(`` are the same call.
 ALLOWED_CALLERS = {
     "PrefixAccumulator": {"core/accum.py", "core/engine.py", "core/parallel.py"},
-    "from_state": {"core/accum.py", "core/parallel.py"},
     "resolve_execution_knobs": {"core/engine.py"},
     "build_snapshot": {
         "core/snapshot.py",
@@ -43,10 +43,15 @@ ALLOWED_CALLERS = {
 }
 #: The same, but only for callers under ``src/repro/core/``.
 ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
-#: ``module -> modules allowed to import it`` (``import x``, ``import
-#: x.y`` and ``from x[.y] import z`` all import ``x``).
+#: ``module -> modules allowed to import it`` (``import x.y`` and
+#: ``from x.y import z`` import ``x`` and ``x.y``; ``from x import y``
+#: imports ``x`` and ``x.y``).
 ALLOWED_IMPORTERS = {
-    "multiprocessing": {"core/parallel.py", "service/fleet.py"},
+    # Processes serve queries; the fold fans out on threads.
+    "multiprocessing": {"service/fleet.py"},
+    # The fold's one fan-out: a second thread pool under core/ is a
+    # second door.
+    "concurrent.futures": {"core/parallel.py"},
     # The native kernels are a CPython extension module: no second,
     # ctypes-bound path to them.
     "ctypes": set(),
@@ -121,7 +126,6 @@ DELETED_PARAMETERS = (
      "max_modal_port_share"),
     ("analysis/scanners_analysis.py", "detect_scanners", "max_ports"),
     ("analysis/ports.py", "port_activity_by_group", "tcp_only"),
-    ("core/accum.py", "PrefixAccumulator.from_state", "compact_every"),
     ("core/confidence.py", "score_prefixes", "weights"),
     ("core/pipeline.py", "run_pipeline", "special"),
     ("flowpack.py", "FlowpackArchive.read_rows", "verify"),
@@ -136,13 +140,15 @@ DELETED_PARAMETERS = (
 )
 #: Deleted second doors — the convenience fold, the per-view
 #: aggregation and its view-fed tolerances, the stage plugin layer and
-#: its second timing record, the test-only chunked captures: not
+#: its second timing record, the test-only chunked captures, the fold's
+#: process pool with its wire-form decoder and archive descriptors: not
 #: defined, called or mentioned.
 DELETED = re.compile(
     r"\b(?:accumulate_views|BlockAggregates|compute_block_aggregates"
     r"|tolerances?_for_views?"
     r"|StageEngine|StageContext|StageTiming|DEFAULT_STAGES|stage_timings"
     r"|capture_chunks|export_day_chunks|export_view_chunks"
+    r"|from_state|_STATE_VERSION|ArchiveSlice|slice_ref|_FORK_WORK|_POOLS"
     r"|" + "|".join(DELETED_SURFACE) + r")\b"
 )
 #: Where a ``def`` or ``class`` under ``src/repro`` may be referenced.
@@ -187,15 +193,22 @@ def calls(source: str):
 
 
 def imports(source: str):
-    """``(top-level module imported, line)`` of every absolute import."""
+    """``(module imported, line)`` of every absolute import: each dotted
+    prefix of the path it names, once per statement."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found.extend(
-                (alias.name.split(".")[0], node.lineno) for alias in node.names
-            )
+            paths = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            found.append((node.module.split(".")[0], node.lineno))
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names = {
+            ".".join(parts[:end])
+            for parts in (path.split(".") for path in paths)
+            for end in range(1, len(parts) + 1)
+        }
+        found.extend((name, node.lineno) for name in sorted(names))
     return found
 
 
@@ -328,9 +341,9 @@ def test_each_step_has_one_door():
         "only from its accumulator, knobs resolve only "
         "in the engine, the facade plans only in MetaTelescope.plan / "
         ".accumulate (and run_pipeline), snapshots are built only by "
-        "snapshot / metatelescope / online, and only "
-        "core/parallel.py and service/fleet.py import multiprocessing "
-        "(nothing imports ctypes):\n"
+        "snapshot / metatelescope / online, only service/fleet.py "
+        "imports multiprocessing, only core/parallel.py imports "
+        "concurrent.futures (nothing imports ctypes):\n"
         + "\n".join(found)
     )
 
@@ -404,6 +417,22 @@ def test_lint_actually_catches_a_second_door():
         "src/repro/core/online.py:1: import multiprocessing"
     ]
     assert not offenders({"core/online.py": "from .multiprocessing import x\n"})
+    # The fold fans out once, on threads: a process pool pasted back into
+    # the fan-out, or a second thread pool beside it, is found.
+    parallel_py = sources["core/parallel.py"]
+    assert not offenders({"core/parallel.py": parallel_py})
+    line = parallel_py.count("\n") + 2
+    assert offenders(
+        {"core/parallel.py": parallel_py + "\nimport multiprocessing\n"}
+    ) == [f"src/repro/core/parallel.py:{line}: import multiprocessing"]
+    for fork in (
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures",
+        "from concurrent import futures",
+    ):
+        assert offenders({"core/online.py": fork + "\n"}) == [
+            "src/repro/core/online.py:1: import concurrent.futures"
+        ], fork
     # A ctypes binding beside the extension module, in any form.
     kernels_py = sources["core/kernels.py"]
     assert not offenders({"core/kernels.py": kernels_py})
@@ -431,9 +460,10 @@ def test_lint_actually_catches_a_second_door():
         ),
         "core/confidence.py": "finalized = accumulator.finalize()\n",
     })
-    # The import rule really covers code: both allowed importers import it.
-    for module in ALLOWED_IMPORTERS["multiprocessing"]:
-        assert "multiprocessing" in {name for name, _ in imports(sources[module])}
+    # The import rule really covers code: each allowed importer imports it.
+    for name, modules in ALLOWED_IMPORTERS.items():
+        for module in modules:
+            assert name in {found for found, _ in imports(sources[module])}
     # The scopes really cover code: the one fold and its callers exist.
     names = {name for name, _, _ in calls(sources["core/engine.py"])}
     assert {"update_view", "parallel_accumulate_views"} <= names
@@ -459,6 +489,11 @@ def test_deleted_layers_stay_deleted():
         "vantage/telescope.py": "chunks = telescope.capture_chunks(flows, 0)\n",
         "vantage/ixp.py": "exports = fabric.export_day_chunks(flows, rng)\n",
         "vantage/archive.py": "def export_view_chunks(vantage, day, chunks): ...\n",
+        "core/accum.py": "restored = PrefixAccumulator.from_state(state)\n",
+        "core/parallel.py": "entry = view.slice_ref(start, stop)\n",
+        "core/snapshot.py": "class ArchiveSlice: ...\n",
+        "core/thresholds.py": "_POOLS: dict = {}\n",
+        "core/combine.py": "_FORK_WORK = None\n",
     }
     for module, text in pasted.items():
         assert offenders({module: text}) == [
