@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.blocksets import BlockSet
+from repro.net.blocksets import (
+    as_sorted_unique,
+    sorted_intersection,
+    sorted_union,
+)
 
 
 @dataclass(frozen=True)
@@ -43,17 +47,19 @@ def stability_report(daily_sets: dict[int, np.ndarray]) -> StabilityReport:
     if not daily_sets:
         raise ValueError("need at least one day")
     days = tuple(sorted(daily_sets))
-    sets = [BlockSet(daily_sets[day]) for day in days]
+    sets = [as_sorted_unique(daily_sets[day]) for day in days]
     size = len(days)
     matrix = np.eye(size)
     for i in range(size):
         for j in range(i + 1, size):
-            matrix[i, j] = matrix[j, i] = sets[i].jaccard(sets[j])
+            union = len(sorted_union(sets[i], sets[j]))
+            shared = len(sorted_intersection(sets[i], sets[j]))
+            matrix[i, j] = matrix[j, i] = shared / union if union else 1.0
     retention = np.ones(size)
     for k in range(1, size):
         previous = sets[k - 1]
         retention[k] = (
-            len(previous.intersection(sets[k])) / len(previous)
+            len(sorted_intersection(previous, sets[k])) / len(previous)
             if len(previous)
             else 1.0
         )
@@ -61,7 +67,9 @@ def stability_report(daily_sets: dict[int, np.ndarray]) -> StabilityReport:
     first = sets[0]
     for k in range(size):
         survival[k] = (
-            len(first.intersection(sets[k])) / len(first) if len(first) else 1.0
+            len(sorted_intersection(first, sets[k])) / len(first)
+            if len(first)
+            else 1.0
         )
     return StabilityReport(
         days=days, jaccard_matrix=matrix, retention=retention, survival=survival

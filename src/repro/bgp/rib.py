@@ -16,9 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.net.family import IPV4, AddressFamily, family_of_prefix
+from repro.net.blocksets import block_spans, interval_covered_mask
 from repro.net.ipv4 import Prefix
-from repro.net.trie import interval_covered_mask
 
 DUMPS_PER_DAY = 12
 
@@ -36,30 +35,19 @@ class Announcement:
 class RoutingTable:
     """A set of announcements with fast block-coverage queries.
 
-    The table's address family is inferred from the first announcement's
-    prefix type (IPv4 when empty); mixing families in one table is not
-    supported.
+    Each announced prefix carries its address family, so one table type
+    routes IPv4 /24s and IPv6 /48 sites alike (an empty table routes
+    nothing in either); mixing families in one table is not supported.
     """
 
-    def __init__(
-        self,
-        announcements: Iterable[Announcement],
-        family: AddressFamily | None = None,
-    ) -> None:
+    def __init__(self, announcements: Iterable[Announcement]) -> None:
         self._announcements = tuple(announcements)
-        if family is None:
-            family = (
-                family_of_prefix(self._announcements[0].prefix)
-                if self._announcements
-                else IPV4
-            )
-        self.family = family
-        # Sorted-interval table for routed_mask, built lazily on first
-        # probe and pinned here: the table is immutable after __init__,
-        # so coordinators that keep one RoutingTable across many
-        # inference runs (online windows) never rebuild it, and the
-        # collector's per-dump tables that nobody probes never build it.
-        self._interval_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # Block-span table for routed_mask, built lazily on first probe
+        # and pinned here: the table is immutable after __init__, so
+        # coordinators that keep one RoutingTable across many inference
+        # runs (online windows) never rebuild it, and the collector's
+        # per-dump tables that nobody probes never build it.
+        self._spans: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def announcements(self) -> tuple[Announcement, ...]:
@@ -67,27 +55,15 @@ class RoutingTable:
         return self._announcements
 
     def routed_mask(self, blocks: np.ndarray) -> np.ndarray:
-        """Which ``blocks`` lie entirely inside an announced prefix."""
-        if self._interval_cache is None:
-            self._interval_cache = self._block_intervals()
-        starts, ends = self._interval_cache
-        return interval_covered_mask(starts, ends, blocks)
-
-    def _block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted ``(starts, ends)`` block spans of the announced
-        prefixes no longer than a block, ends a cumulative max (so a
-        nested prefix never shadows its cover during the probe)."""
-        block_length = self.family.block_prefix_length
-        spans = sorted({
-            (prefix.first_block(), prefix.first_block() + prefix.num_blocks() - 1)
-            for prefix in (a.prefix for a in self._announcements)
-            if prefix.length <= block_length
-        })
-        starts = np.array([lo for lo, _ in spans], dtype=np.int64)
-        ends = np.array([hi for _, hi in spans], dtype=np.int64)
-        if len(ends):
-            ends = np.maximum.accumulate(ends)
-        return starts, ends
+        """Which ``blocks`` lie entirely inside an announced prefix (one
+        no longer than a block)."""
+        if self._spans is None:
+            self._spans = block_spans(
+                prefix
+                for prefix in (a.prefix for a in self._announcements)
+                if prefix.length <= prefix.family.block_prefix_length
+            )
+        return interval_covered_mask(*self._spans, blocks)
 
 
 @dataclass(frozen=True, slots=True)

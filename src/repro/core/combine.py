@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.bgp.rib import RoutingTable
 from repro.core.pipeline import PipelineConfig, PipelineResult, run_pipeline
+from repro.net.blocksets import sorted_in_at_least
 from repro.vantage.sampling import VantageDayView
 
 
@@ -39,14 +40,10 @@ def stable_dark_blocks(
     """
     if min_days < 1:
         raise ValueError("min_days must be >= 1")
-    arrays = [
-        result.dark_blocks if hasattr(result, "dark_blocks") else result
-        for result in daily.values()
-    ]
-    all_blocks = np.unique(
-        np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    return sorted_in_at_least(
+        [
+            result.dark_blocks if hasattr(result, "dark_blocks") else result
+            for result in daily.values()
+        ],
+        min_days,
     )
-    counts = np.zeros(len(all_blocks), dtype=np.int64)
-    for dark in arrays:
-        counts += np.isin(all_blocks, dark)
-    return all_blocks[counts >= min_days]

@@ -130,7 +130,7 @@ def infer_ipv6(
     candidates = ipv6_candidate_sites(
         set(accumulator.observed_blocks().tolist()),
         observed_src,
-        [announcement.prefix for announcement in routing.announcements],
+        routing,
         world.hitlist_sites,
     )
 

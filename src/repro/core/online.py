@@ -50,8 +50,8 @@ from repro.core.snapshot import ClassificationSnapshot, build_snapshot
 from repro.faults.quality import FeedQuality, score_feed
 from repro.net.blocksets import (
     sorted_difference,
+    sorted_in_at_least,
     sorted_intersection,
-    sorted_member_mask,
     sorted_union,
 )
 from repro.vantage.sampling import VantageDayView
@@ -334,7 +334,9 @@ class OnlineMetaTelescope:
             quarantined=len(self._quarantine),
             meta={"action": action},
         )
-        stable = self._stable_blocks()
+        stable = sorted_in_at_least(
+            self._daily_dark, min(self.min_stable_days, len(self._daily_dark))
+        )
         quarantined = self.quarantined_blocks()
         serving = sorted_difference(
             sorted_intersection(window_result.prefixes, stable), quarantined
@@ -372,14 +374,6 @@ class OnlineMetaTelescope:
             self._quarantine[block] -= 1
             if self._quarantine[block] <= 0:
                 del self._quarantine[block]
-
-    def _stable_blocks(self) -> np.ndarray:
-        required = min(self.min_stable_days, len(self._daily_dark))
-        union = sorted_union(*self._daily_dark)
-        counts = np.zeros(len(union), dtype=np.int64)
-        for daily in self._daily_dark:
-            counts += sorted_member_mask(union, daily)
-        return union[counts >= required]
 
     # -- operator views ------------------------------------------------
 

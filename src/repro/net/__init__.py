@@ -1,10 +1,11 @@
-"""Address-space substrate: IPv4 arithmetic, special-purpose registries,
-Hilbert-curve indexing of the /24 space, and a longest-prefix-match trie.
+"""Address-space substrate: address arithmetic of both families, one
+prefix type, special-purpose registries, Hilbert-curve indexing of the
+/24 space, and a prefix trie (the block-span tables' test oracle).
 
-The rest of the library represents a /24 subnet as its *block id*: the
-24 most significant bits of its network address, i.e. ``int(ip) >> 8``.
-Block ids are plain ints (or numpy integer arrays), which keeps the
-inference pipeline vectorisable.
+The rest of the library represents a block (a /24 subnet, or an IPv6
+/48 site) as its *block id*: the top bits of its network address, i.e.
+``int(ip) >> 8`` for IPv4.  Block ids are plain ints (or numpy integer
+arrays), which keeps the inference pipeline vectorisable.
 """
 
 from repro.net.ipv4 import (
@@ -16,20 +17,8 @@ from repro.net.ipv4 import (
     format_ip,
     parse_ip,
 )
-from repro.net.ipv6 import (
-    MAX_IPV6,
-    Ipv6Prefix,
-    format_ip6,
-    parse_ip6,
-    site_of_ip6,
-)
-from repro.net.family import (
-    IPV4,
-    IPV6,
-    AddressFamily,
-    family,
-    family_of_prefix,
-)
+from repro.net.ipv6 import MAX_IPV6, format_ip6, parse_ip6
+from repro.net.family import IPV4, IPV6, AddressFamily, family
 from repro.net.special import (
     SPECIAL_PURPOSE_REGISTRY,
     SPECIAL_PURPOSE_REGISTRY_V6,
@@ -43,19 +32,16 @@ __all__ = [
     "MAX_IPV6",
     "NUM_BLOCKS",
     "Prefix",
-    "Ipv6Prefix",
     "AddressFamily",
     "IPV4",
     "IPV6",
     "family",
-    "family_of_prefix",
     "block_of_ip",
     "block_to_prefix",
     "format_ip",
     "format_ip6",
     "parse_ip",
     "parse_ip6",
-    "site_of_ip6",
     "SPECIAL_PURPOSE_REGISTRY",
     "SPECIAL_PURPOSE_REGISTRY_V6",
     "SpecialPurposeRegistry",

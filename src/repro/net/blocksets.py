@@ -1,13 +1,18 @@
-"""Block sets and CIDR aggregation.
+"""Block sets, CIDR aggregation and the block-span table.
 
 Operators do not ship 300 k-line /24 lists to routers: contiguous runs
 of meta-telescope /24s (whole dark /9s, telescope ranges) aggregate
 into a handful of covering prefixes.  This module provides the minimal
-CIDR cover of a /24 block set and the set algebra operators a serving
-pipeline needs.
+CIDR cover of a block set, the sorted set algebra a serving pipeline
+needs, and the one table of prefix block spans: :func:`block_spans`
+builds it from prefixes of either family, :func:`interval_covered_mask`
+probes it.  The BGP RIB (step 5, "Globally Routed") and the
+special-purpose registry (step 4) both answer their questions with it.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +35,7 @@ def aggregate_blocks(
         return []
     block_length = family.block_prefix_length
     shift = family.ip_block_shift
-    prefix_type = family.prefix_type
-    prefixes: list = []
+    prefixes: list[Prefix] = []
     # Split into maximal contiguous runs.
     boundaries = np.flatnonzero(np.diff(unique) != 1)
     starts = np.concatenate([[0], boundaries + 1])
@@ -44,7 +48,7 @@ def aggregate_blocks(
             align = position & -position if position else remaining
             size = min(_floor_pow2(remaining), align if align else remaining)
             length = block_length - size.bit_length() + 1
-            prefixes.append(prefix_type(position << shift, length))
+            prefixes.append(Prefix(position << shift, length, family.ip_bits))
             position += size
             remaining -= size
     return prefixes
@@ -136,27 +140,51 @@ def sorted_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[sorted_member_mask(a, as_sorted_unique(b))]
 
 
+def sorted_in_at_least(sets: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Sorted-unique members of at least ``count`` of ``sets`` (blocks
+    dark on at least ``count`` days, say)."""
+    sets = [as_sorted_unique(members) for members in sets]
+    union = sorted_union(*sets)
+    counts = np.zeros(len(union), dtype=np.int64)
+    for members in sets:
+        counts += sorted_member_mask(union, members)
+    return union[counts >= count]
+
+
+def block_spans(prefixes: Iterable[Prefix]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ``(starts, ends)`` block spans of ``prefixes``, for
+    :func:`interval_covered_mask`.
+
+    A prefix spans the blocks of its first and last address, so one
+    longer than a block spans (taints) its containing block.  Ends are
+    a cumulative max, so a nested prefix never shadows its cover during
+    the probe.  Each prefix reads the block shift of its own family.
+    """
+    spans = []
+    for prefix in prefixes:
+        shift = prefix.family.ip_block_shift
+        spans.append((prefix.network >> shift, prefix.last_ip() >> shift))
+    spans.sort()
+    starts = np.array([lo for lo, _ in spans], dtype=np.int64)
+    ends = np.array([hi for _, hi in spans], dtype=np.int64)
+    if len(ends):
+        ends = np.maximum.accumulate(ends)
+    return starts, ends
+
+
+def interval_covered_mask(
+    starts: np.ndarray, ends: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Which ``blocks`` fall inside the sorted, cumulative-max intervals."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if len(starts) == 0:
+        return np.zeros(blocks.shape, dtype=bool)
+    idx = np.searchsorted(starts, blocks, side="right") - 1
+    valid = idx >= 0
+    clamped = np.where(valid, idx, 0)
+    return valid & (blocks <= ends[clamped])
+
+
 def _floor_pow2(value: int) -> int:
     return 1 << (value.bit_length() - 1)
 
-
-class BlockSet:
-    """An immutable set of blocks with set algebra and CIDR export."""
-
-    def __init__(self, blocks: np.ndarray, family: AddressFamily = IPV4) -> None:
-        self._blocks = np.unique(np.asarray(blocks, dtype=np.int64))
-        self.family = family
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def intersection(self, other: "BlockSet") -> "BlockSet":
-        """Set intersection."""
-        return BlockSet(np.intersect1d(self._blocks, other._blocks), self.family)
-
-    def jaccard(self, other: "BlockSet") -> float:
-        """Jaccard similarity (for day-over-day stability metrics)."""
-        union = len(np.union1d(self._blocks, other._blocks))
-        if union == 0:
-            return 1.0
-        return len(np.intersect1d(self._blocks, other._blocks)) / union

@@ -15,7 +15,9 @@ conversions so the pipeline never hardcodes ``>> 8`` or ``np.uint32``:
   named home of the former ``ip >> 8`` literals.
 * **Text.**  ``parse_ip``/``format_ip``/``parse_prefix``/``format_block``
   round-trip the family's textual forms, and ``block_to_prefix`` gives
-  the canonical prefix object for a block.
+  the canonical prefix object for a block.  Both families share the one
+  :class:`~repro.net.ipv4.Prefix` type; a prefix's ``bits`` (32 or 128)
+  names its family.
 
 IPv6 caveat: block ids and engine keys are consumed as signed int64 by
 the numpy pipeline, so v6 addresses must sit below ``8000::`` — true for
@@ -26,7 +28,7 @@ enforced by the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,11 +38,7 @@ from repro.net.ipv4 import (
     format_ip,
     parse_ip,
 )
-from repro.net.ipv6 import (
-    Ipv6Prefix,
-    format_ip6,
-    parse_ip6,
-)
+from repro.net.ipv6 import format_ip6, parse_ip6
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.special import SpecialPurposeRegistry
@@ -114,22 +112,19 @@ class AddressFamily:
             return format_ip(value)
         return format_ip6(value)
 
-    def parse_prefix(self, text: str) -> Prefix | Ipv6Prefix:
-        """Parse ``addr/len`` into the family's prefix type."""
-        return self.prefix_type.parse(text)
+    def parse_prefix(self, text: str) -> Prefix:
+        """Parse ``addr/len`` into a prefix of this family."""
+        return Prefix.parse(text, self.ip_bits)
 
-    def block_to_prefix(self, block: int) -> Prefix | Ipv6Prefix:
+    def block_to_prefix(self, block: int) -> Prefix:
         """Canonical prefix object for a block id."""
-        return self.prefix_type(self.block_to_ip(block), self.block_prefix_length)
+        return Prefix(
+            self.block_to_ip(block), self.block_prefix_length, self.ip_bits
+        )
 
     def format_block(self, block: int) -> str:
         """Canonical ``addr/len`` text for a block id."""
         return str(self.block_to_prefix(block))
-
-    @property
-    def prefix_type(self) -> type:
-        """The family's prefix class."""
-        return Prefix if self.name == FAMILY_IPV4 else Ipv6Prefix
 
     def special_registry(self) -> "SpecialPurposeRegistry":
         """The family's default special-purpose (IANA) registry."""
@@ -166,7 +161,3 @@ def family(name: str) -> AddressFamily:
     except KeyError:
         raise AddressError(f"unknown address family: {name!r}") from None
 
-
-def family_of_prefix(prefix: Prefix | Ipv6Prefix) -> AddressFamily:
-    """The family a prefix object belongs to."""
-    return IPV6 if isinstance(prefix, Ipv6Prefix) else IPV4

@@ -1,8 +1,10 @@
-"""IPv4 address and prefix arithmetic.
+"""IPv4 address arithmetic, and the one prefix type of both families.
 
 Addresses are unsigned 32-bit integers; /24 subnets are *block ids*
-(``ip >> 8``).  We deliberately avoid :mod:`ipaddress` in hot paths: the
-inference pipeline handles millions of blocks and needs integer/numpy
+(``ip >> 8``).  :class:`Prefix` carries its address width, so the same
+class is an IPv6 prefix over /48 blocks when ``bits`` is 128.  We
+deliberately avoid :mod:`ipaddress` in hot paths: the inference
+pipeline handles millions of blocks and needs integer/numpy
 arithmetic, not per-object allocation.
 """
 
@@ -58,29 +60,32 @@ def block_of_ip(ip: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Prefix:
-    """An IPv4 prefix, canonicalised so host bits are zero.
+    """An IPv4 or IPv6 prefix, canonicalised so host bits are zero.
 
-    ``Prefix(0xC0000200, 24)`` is ``192.0.2.0/24``.  Instances are
-    hashable and ordered by (network, length), so more-specifics of the
-    same network sort after their covering prefix.
+    ``Prefix(0xC0000200, 24)`` is ``192.0.2.0/24``; ``bits`` is the
+    address width, 32 (IPv4, the default) or 128 (IPv6), and
+    :attr:`family` reads its block arithmetic and text forms from it.
+    Instances are hashable: equality and hashing are the tuple of the
+    three ints.
     """
 
     network: int
     length: int
+    bits: int = 32
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
+        if self.bits not in (32, 128):
+            raise AddressError(f"address width is not 32 or 128: {self.bits}")
+        if not 0 <= self.length <= self.bits:
             raise AddressError(f"prefix length out of range: {self.length}")
-        if not 0 <= self.network <= MAX_IPV4:
+        if not 0 <= self.network < 1 << self.bits:
             raise AddressError(f"network out of range: {self.network}")
         if self.network & (self.hostmask()):
-            raise AddressError(
-                f"host bits set in {format_ip(self.network)}/{self.length}"
-            )
+            raise AddressError(f"host bits set in {self}")
 
     @classmethod
-    def parse(cls, text: str) -> "Prefix":
-        """Parse ``"a.b.c.d/len"``; host bits must be zero.
+    def parse(cls, text: str, bits: int = 32) -> "Prefix":
+        """Parse ``"address/len"``; host bits must be zero.
 
         >>> Prefix.parse("10.0.0.0/8")
         Prefix.parse('10.0.0.0/8')
@@ -88,44 +93,49 @@ class Prefix:
         network_text, _, length_text = text.partition("/")
         if not length_text:
             raise AddressError(f"missing prefix length in {text!r}")
-        return cls(parse_ip(network_text), int(length_text))
+        network = _FAMILIES[bits].parse_ip(network_text)
+        return cls(network, int(length_text), bits)
 
     @classmethod
-    def from_ip(cls, ip: int, length: int) -> "Prefix":
+    def from_ip(cls, ip: int, length: int, bits: int = 32) -> "Prefix":
         """Build the length-``length`` prefix covering ``ip``."""
-        mask = _netmask(length)
-        return cls(ip & mask, length)
+        return cls(ip & _netmask(length, bits), length, bits)
+
+    @property
+    def family(self) -> "AddressFamily":
+        """The :class:`~repro.net.family.AddressFamily` of the prefix."""
+        return _FAMILIES[self.bits]
 
     def netmask(self) -> int:
-        """The network mask as a 32-bit integer."""
-        return _netmask(self.length)
+        """The network mask as an integer of the address width."""
+        return _netmask(self.length, self.bits)
 
     def hostmask(self) -> int:
         """The host mask (inverse of the netmask)."""
-        return MAX_IPV4 ^ _netmask(self.length)
+        return (1 << (self.bits - self.length)) - 1
 
     def last_ip(self) -> int:
         """The highest address inside the prefix."""
         return self.network | self.hostmask()
 
     def num_blocks(self) -> int:
-        """Number of whole /24 blocks covered (0 for prefixes longer than /24)."""
-        if self.length > 24:
+        """Number of whole blocks covered (/24s for IPv4, /48s for IPv6;
+        0 for prefixes longer than a block)."""
+        block_length = self.family.block_prefix_length
+        if self.length > block_length:
             return 0
-        return 1 << (24 - self.length)
+        return 1 << (block_length - self.length)
 
     def first_block(self) -> int:
-        """The first /24 block id inside the prefix."""
-        return self.network >> 8
+        """The first block id inside the prefix."""
+        return self.network >> self.family.ip_block_shift
 
     def contains_ip(self, ip: int) -> bool:
         """True if ``ip`` falls inside this prefix."""
         return (ip & self.netmask()) == self.network
 
     def blocks(self) -> range:
-        """Range of /24 block ids covered (empty for prefixes longer than /24)."""
-        if self.length > 24:
-            return range(0)
+        """Range of block ids covered (empty for prefixes longer than a block)."""
         start = self.first_block()
         return range(start, start + self.num_blocks())
 
@@ -135,25 +145,33 @@ class Prefix:
             raise AddressError(
                 f"cannot split /{self.length} into shorter /{length}"
             )
-        step = 1 << (32 - length)
+        step = 1 << (self.bits - length)
         for network in range(self.network, self.last_ip() + 1, step):
-            yield Prefix(network, length)
+            yield Prefix(network, length, self.bits)
 
     def __str__(self) -> str:
-        return f"{format_ip(self.network)}/{self.length}"
+        return f"{self.family.format_ip(self.network)}/{self.length}"
 
     def __repr__(self) -> str:
-        return f"Prefix.parse({str(self)!r})"
+        if self.bits == 32:
+            return f"Prefix.parse({str(self)!r})"
+        return f"Prefix.parse({str(self)!r}, bits={self.bits})"
 
 
-def _netmask(length: int) -> int:
-    if not 0 <= length <= 32:
+def _netmask(length: int, bits: int) -> int:
+    if not 0 <= length <= bits:
         raise AddressError(f"prefix length out of range: {length}")
-    if length == 0:
-        return 0
-    return (MAX_IPV4 << (32 - length)) & MAX_IPV4
+    return (1 << bits) - (1 << (bits - length))
 
 
 def block_to_prefix(block: int) -> Prefix:
     """Return the /24 :class:`Prefix` for a block id."""
     return Prefix(block << 8, 24)
+
+
+# The families read their prefixes from this module, so it binds them
+# last: by then ``Prefix`` and the text helpers exist for them to import.
+from repro.net.family import IPV4, IPV6, AddressFamily  # noqa: E402
+
+#: Each address width's family (what :attr:`Prefix.family` reads).
+_FAMILIES: dict[int, AddressFamily] = {IPV4.ip_bits: IPV4, IPV6.ip_bits: IPV6}

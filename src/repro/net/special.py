@@ -3,9 +3,12 @@
 Pipeline step 4 ("Private / Multicast / Reserved") must drop any block
 that is not usable on the public Internet.  This module carries the
 full special-purpose registries — the RFC 6890 IPv4 table and the IANA
-IPv6 special-purpose table — and answers block-level membership queries,
-including vectorised numpy queries over block-id arrays.  Blocks are
-/24s for IPv4 and /48 sites for IPv6.
+IPv6 special-purpose table — and answers block-level membership queries
+as vectorised numpy queries over block-id arrays.  Blocks are /24s for
+IPv4 and /48 sites for IPv6.  Both registries hold the one
+:class:`~repro.net.ipv4.Prefix` type and answer through the one
+block-span table (:func:`~repro.net.blocksets.block_spans`) the BGP
+RIB's step 5 probes too; an entry longer than a block taints its block.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.net.blocksets import block_spans, interval_covered_mask
 from repro.net.family import IPV4, IPV6, AddressFamily
 from repro.net.ipv4 import Prefix
-from repro.net.ipv6 import Ipv6Prefix
 
 
 @dataclass(frozen=True, slots=True)
 class SpecialPurposeEntry:
     """One row of a special-purpose registry."""
 
-    prefix: Prefix | Ipv6Prefix
+    prefix: Prefix
     name: str
     #: True if the block may appear as a source on the public Internet
     #: (e.g. shared address space can leak); irrelevant to filtering but
@@ -72,7 +75,7 @@ _REGISTRY_ROWS_V6: Sequence[tuple[str, str, bool]] = (
 
 
 class SpecialPurposeRegistry:
-    """Answers "is this address/block special-purpose?" queries.
+    """Answers "is this block special-purpose?" queries.
 
     The default instances, :data:`SPECIAL_PURPOSE_REGISTRY` (RFC 6890
     IPv4) and :data:`SPECIAL_PURPOSE_REGISTRY_V6` (IANA IPv6), cover the
@@ -86,77 +89,32 @@ class SpecialPurposeRegistry:
     ) -> None:
         self.family = family
         self.entries: tuple[SpecialPurposeEntry, ...] = tuple(entries)
-        block_length = family.block_prefix_length
-        shift = family.ip_block_shift
-        # Precompute block interval list [(first_block, last_block)].
-        intervals = []
-        for entry in self.entries:
-            prefix = entry.prefix
-            if prefix.length > block_length:
-                # A host route or similar taints its whole containing
-                # block: the pipeline works at block granularity and must
-                # not select a block that overlaps reserved space at all.
-                first = prefix.network >> shift
-                last = prefix.last_ip() >> shift
-            else:
-                first = prefix.first_block()
-                last = first + prefix.num_blocks() - 1
-            intervals.append((first, last))
-        intervals.sort()
-        self._starts = np.array([lo for lo, _ in intervals], dtype=np.int64)
-        self._ends = np.array([hi for _, hi in intervals], dtype=np.int64)
-        if len(self._ends):
-            # Cumulative-max so nested entries don't shadow a wider one.
-            self._ends = np.maximum.accumulate(self._ends)
-
-    @classmethod
-    def default(cls) -> "SpecialPurposeRegistry":
-        """The RFC 6890 IPv4 registry."""
-        return cls(
-            (
-                SpecialPurposeEntry(Prefix.parse(text), name, reachable)
-                for text, name, reachable in _REGISTRY_ROWS
-            ),
-            family=IPV4,
+        # Every entry spans its blocks: a host route or similar taints
+        # its whole containing block, because the pipeline works at
+        # block granularity and must not select a block that overlaps
+        # reserved space at all.
+        self._starts, self._ends = block_spans(
+            entry.prefix for entry in self.entries
         )
-
-    @classmethod
-    def default_v6(cls) -> "SpecialPurposeRegistry":
-        """The IANA IPv6 special-purpose registry."""
-        return cls(
-            (
-                SpecialPurposeEntry(Ipv6Prefix.parse(text), name, reachable)
-                for text, name, reachable in _REGISTRY_ROWS_V6
-            ),
-            family=IPV6,
-        )
-
-    def is_special_block(self, block: int) -> bool:
-        """True if ``block`` overlaps any special-purpose prefix."""
-        idx = int(np.searchsorted(self._starts, block, side="right")) - 1
-        if idx < 0:
-            return False
-        return block <= int(self._ends[idx])
-
-    def is_special_ip(self, ip: int) -> bool:
-        """True if address ``ip`` lies in special-purpose space."""
-        return self.is_special_block(self.family.block_of_ip(ip))
 
     def special_mask(self, blocks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_special_block` over an int array.
+        """Which ``blocks`` (an int array) overlap a special-purpose
+        prefix: a boolean array, True where the block is special."""
+        return interval_covered_mask(self._starts, self._ends, blocks)
 
-        Returns a boolean array, True where the block is special-purpose.
-        """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        idx = np.searchsorted(self._starts, blocks, side="right") - 1
-        valid = idx >= 0
-        result = np.zeros(blocks.shape, dtype=bool)
-        if valid.any():
-            clamped = np.where(valid, idx, 0)
-            result = valid & (blocks <= self._ends[clamped])
-        return result
+
+def _registry(
+    rows: Sequence[tuple[str, str, bool]], family: AddressFamily
+) -> SpecialPurposeRegistry:
+    return SpecialPurposeRegistry(
+        (
+            SpecialPurposeEntry(family.parse_prefix(text), name, reachable)
+            for text, name, reachable in rows
+        ),
+        family=family,
+    )
 
 
 #: Module-level default registries.
-SPECIAL_PURPOSE_REGISTRY = SpecialPurposeRegistry.default()
-SPECIAL_PURPOSE_REGISTRY_V6 = SpecialPurposeRegistry.default_v6()
+SPECIAL_PURPOSE_REGISTRY = _registry(_REGISTRY_ROWS, IPV4)
+SPECIAL_PURPOSE_REGISTRY_V6 = _registry(_REGISTRY_ROWS_V6, IPV6)

@@ -1,13 +1,15 @@
-"""Binary (Patricia-style) prefix trie and the block-coverage table.
+"""Binary (Patricia-style) prefix trie: the block-span table's oracle.
 
 The BGP RIB asks one question of its announcements: is this block
-entirely inside some announced prefix?  A sorted block-interval table
-probed by :func:`interval_covered_mask` answers it — what the
-pipeline's step 5 ("Globally Routed") uses at scale.  The RIB builds
-that table straight from its prefixes
-(:meth:`repro.bgp.rib.RoutingTable.routed_mask`); the trie builds the
-same table its own way (:meth:`PrefixTrie.block_intervals`), which is
-what the tests hold the RIB's table to.
+entirely inside some announced prefix?  A sorted block-span table
+probed by :func:`~repro.net.blocksets.interval_covered_mask` answers
+it — what the pipeline's step 5 ("Globally Routed") uses at scale.
+The RIB and the special-purpose registry build that table straight
+from their prefixes (:func:`~repro.net.blocksets.block_spans`); the
+trie builds the same table its own way, by walking its stored prefixes
+(:meth:`PrefixTrie.block_intervals`), and that independent build is
+what the tests hold the production table to.  No production module
+uses the trie.
 
 The trie is address-family generic: it defaults to IPv4 (/24 blocks,
 32-bit walks) and accepts ``family=IPV6`` for 128-bit prefixes over /48
@@ -21,6 +23,7 @@ from typing import Generic, Iterator, TypeVar
 import numpy as np
 
 from repro.net.family import IPV4, AddressFamily
+from repro.net.ipv4 import Prefix
 
 V = TypeVar("V")
 
@@ -43,7 +46,7 @@ class PrefixTrie(Generic[V]):
         self._block_length = family.block_prefix_length
         self._root: _Node[V] = _Node()
 
-    def insert(self, prefix, value: V) -> None:
+    def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value at ``prefix``."""
         node = self._root
         for bit in self._prefix_bits(prefix):
@@ -55,14 +58,13 @@ class PrefixTrie(Generic[V]):
         node.value = value
         node.has_value = True
 
-    def items(self) -> Iterator[tuple[object, V]]:
+    def items(self) -> Iterator[tuple[Prefix, V]]:
         """Yield (prefix, value) pairs in address order."""
-        prefix_type = self.family.prefix_type
         top = self._bits - 1
 
         def walk(node: _Node[V], network: int, depth: int):
             if node.has_value:
-                yield prefix_type(network, depth), node.value
+                yield Prefix(network, depth, self._bits), node.value
             for bit in (0, 1):
                 child = node.children[bit]
                 if child is not None:
@@ -76,12 +78,11 @@ class PrefixTrie(Generic[V]):
 
     def block_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted ``(starts, ends)`` block intervals of the prefixes
-        no longer than a block, for :func:`interval_covered_mask`.
+        no longer than a block, for
+        :func:`~repro.net.blocksets.interval_covered_mask`.
 
         Ends are a cumulative max, so a nested prefix never shadows its
-        covering prefix during the searchsorted probe.  Consumers that
-        probe repeatedly (e.g. a frozen
-        :class:`~repro.bgp.rib.RoutingTable`) hold the table once.
+        covering prefix during the searchsorted probe.
         """
         spans = sorted(
             (prefix.first_block(), prefix.first_block() + prefix.num_blocks() - 1)
@@ -94,20 +95,8 @@ class PrefixTrie(Generic[V]):
             ends = np.maximum.accumulate(ends)
         return starts, ends
 
-    def _prefix_bits(self, prefix) -> Iterator[int]:
+    def _prefix_bits(self, prefix: Prefix) -> Iterator[int]:
         top = self._bits - 1
         for depth in range(prefix.length):
             yield (prefix.network >> (top - depth)) & 1
 
-
-def interval_covered_mask(
-    starts: np.ndarray, ends: np.ndarray, blocks: np.ndarray
-) -> np.ndarray:
-    """Which ``blocks`` fall inside the sorted, cumulative-max intervals."""
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if len(starts) == 0:
-        return np.zeros(blocks.shape, dtype=bool)
-    idx = np.searchsorted(starts, blocks, side="right") - 1
-    valid = idx >= 0
-    clamped = np.where(valid, idx, 0)
-    return valid & (blocks <= ends[clamped])

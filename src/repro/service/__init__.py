@@ -12,7 +12,7 @@ that product surface over the :mod:`repro.core.snapshot` layer:
 * :mod:`repro.service.daemon` — the query engine
   (:class:`MetaTelescopeService`: point / range / AS / geo / diff /
   health, with per-query budgets, load-shed, version-based
-  ``ETag``/``if_version_changed`` conditional answers) and the
+  ``ETag``/``If-None-Match`` conditional answers) and the
   stdlib-asyncio HTTP/JSON front end (:class:`ServiceDaemon`), plus
   the :class:`BackgroundFolder` that folds new vantage-days through an
   :class:`~repro.core.online.OnlineMetaTelescope` off the read path

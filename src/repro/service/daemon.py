@@ -38,14 +38,13 @@ Answers are text rendered once per served version: each row's JSON is
 rendered from the snapshot's columns the first time it is asked for
 (:class:`~repro.core.snapshot.RenderedRows`), so a range answer is two
 ``searchsorted`` probes and a join, and a point answer one probe and a
-list index.  The dict-returning service methods decode that same text.
+list index.  The two dict-returning service methods, :meth:`point` and
+:meth:`range`, decode that same text.
 
 Polling clients are nearly free: every ``/v1/*`` answer carries a
 version-based ``ETag`` (``"v<N>"``).  A matching ``If-None-Match``
-request turns into a bodyless ``304`` and the header-less equivalent
-``?if_version_changed=N`` into a tiny ``{"not_modified": true}``
-payload, both once the parameters are validated and before any query
-work runs.
+request turns into a bodyless ``304`` once the parameters are
+validated and before any query work runs.
 
 Hostile clients get a status line, not a dropped connection: a request
 line or header over 64 KiB, or more than :data:`MAX_HEADERS` header
@@ -116,7 +115,7 @@ def parse_block(text: str, family: AddressFamily = IPV4) -> int:
     if "/" in text:
         try:
             prefix = family.parse_prefix(text)
-        except ValueError as error:  # AddressError and Ipv6Error
+        except ValueError as error:  # AddressError, or a bad length
             raise QueryError(str(error)) from error
         if prefix.length != family.block_prefix_length:
             raise QueryError(
@@ -321,7 +320,7 @@ class MetaTelescopeService:
             family = snapshot.address_family
             try:
                 parsed = family.parse_prefix(prefix)
-            except ValueError as error:  # AddressError and Ipv6Error
+            except ValueError as error:  # AddressError, or a bad length
                 raise QueryError(str(error)) from error
             if parsed.length > family.block_prefix_length:
                 raise QueryError(
@@ -340,11 +339,6 @@ class MetaTelescopeService:
             snapshot, range(*snapshot.row_span(start, end)), limit
         )
 
-    def by_as(self, asn: int, limit: int | None = None) -> dict[str, Any]:
-        """All classified blocks originated by ``asn`` (needs an
-        AS-enriched snapshot, i.e. a service with a ``pfx2as``)."""
-        return json.loads(self._by_as(self._require(), asn, limit)())
-
     def _by_as(
         self, snapshot: ClassificationSnapshot, asn: int, limit: int | None
     ) -> Render:
@@ -352,13 +346,6 @@ class MetaTelescopeService:
             snapshot, np.flatnonzero(snapshot.asns == asn), limit,
             tag=f'"asn": {asn}, ',
         )
-
-    def by_geo(
-        self, country: str, limit: int | None = None
-    ) -> dict[str, Any]:
-        """All classified blocks geolocated to ``country`` (needs a
-        geo-enriched snapshot)."""
-        return json.loads(self._by_geo(self._require(), country, limit)())
 
     def _by_geo(
         self, snapshot: ClassificationSnapshot, country: str, limit: int | None
@@ -368,15 +355,6 @@ class MetaTelescopeService:
             snapshot, np.flatnonzero(snapshot.countries == code), limit,
             tag=f'"country": {json.dumps(country.upper())}, ',
         )
-
-    def diff(self, since: int) -> dict[str, Any]:
-        """What changed since version ``since``.
-
-        When the base has been evicted from the handle's history the
-        answer says so (``"base_retained": false``) and carries the
-        current version, so the client knows to re-fetch in full.
-        """
-        return json.loads(self._diff(self._require(), since)())
 
     def _diff(self, snapshot: ClassificationSnapshot, since: int) -> Render:
         def render() -> str:
@@ -397,10 +375,6 @@ class MetaTelescopeService:
             return json.dumps(answer)
 
         return render
-
-    def snapshot_info(self) -> dict[str, Any]:
-        """Metadata of the currently served snapshot."""
-        return json.loads(self._info(self._require())())
 
     def _info(self, snapshot: ClassificationSnapshot) -> Render:
         return lambda: json.dumps({
@@ -665,9 +639,7 @@ class ServiceDaemon:
         etag = None
         try:
             params = parse_qs(split.query)
-            answer = self._conditional(path, params) or self._route(
-                path, params
-            )
+            answer = self._route(path, params)
             if answer is None:
                 status, body = 404, _error(f"no such endpoint: {path}")
             else:
@@ -695,27 +667,6 @@ class ServiceDaemon:
                 meta={"status": status},
             )
         return status, body, etag
-
-    def _conditional(
-        self, path: str, params: dict[str, list[str]]
-    ) -> tuple[int, Render] | None:
-        """The ``?if_version_changed=V`` short-circuit on ``/v1/*``.
-
-        When the served version still equals ``V`` the (possibly
-        expensive) query never runs — the polling client gets a tiny
-        304-equivalent JSON payload instead.  Returns None when the
-        query should proceed normally."""
-        if not path.startswith("/v1/"):
-            return None
-        since = _first_int(params, "if_version_changed")
-        if since is None:
-            return None
-        version = self.service.handle.version()
-        if version == 0 or version != since:
-            return None  # unpublished (let the query 503) or changed
-        return version, lambda: (
-            f'{{"not_modified": true, "snapshot_version": {version}}}'
-        )
 
     def _route(
         self, path: str, params: dict[str, list[str]]
@@ -777,9 +728,8 @@ def run_daemon_in_thread(
     """Boot a daemon on a background event-loop thread.
 
     Returns ``(daemon, stop)`` once the socket is listening (the bound
-    port is on ``daemon.port``).  This is what the tests, the benchmark
-    and the CI smoke use; the ``serve`` CLI runs the loop in the
-    foreground instead.
+    port is on ``daemon.port``).  The service tests use it; the
+    ``serve`` CLI runs the loop in the foreground instead.
     """
     daemon = ServiceDaemon(service, host=host, port=port)
     started = threading.Event()

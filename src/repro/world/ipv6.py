@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.net.family import IPV6
-from repro.net.ipv6 import Ipv6Prefix
+from repro.net.ipv4 import Prefix
 from repro.traffic.flows import FlowTable
 from repro.traffic.packets import PROTO_TCP, PROTO_UDP
 from repro.vantage.sampling import VantageDayView
@@ -76,7 +76,7 @@ LEAKED_SPECIAL_PREFIX = "2001:db8::/32"
 #: Origin ASN of the route leak.
 LEAK_ASN = 64666
 #: /48 site id inside the leaked prefix that receives scan traffic.
-LEAKED_SITE = Ipv6Prefix.parse(LEAKED_SPECIAL_PREFIX).first_site()
+LEAKED_SITE = IPV6.parse_prefix(LEAKED_SPECIAL_PREFIX).first_block()
 
 _SCAN_PORTS = (22, 23, 80, 443, 3389, 8080)
 _PRODUCTION_PORTS = (53, 80, 443)
@@ -154,7 +154,7 @@ class Ipv6Org:
 
     name: str
     asn: int
-    prefix: Ipv6Prefix
+    prefix: Prefix
     #: First day the prefix appears in the RIB; ``None`` = never
     #: announced (stale-hitlist replay is its only traffic).
     announce_day: int | None
@@ -194,11 +194,11 @@ class Ipv6Collector:
         ]
         announcements.append(
             Announcement(
-                prefix=Ipv6Prefix.parse(LEAKED_SPECIAL_PREFIX),
+                prefix=IPV6.parse_prefix(LEAKED_SPECIAL_PREFIX),
                 origin_asn=LEAK_ASN,
             )
         )
-        return RoutingTable(announcements, family=IPV6)
+        return RoutingTable(announcements)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +246,7 @@ def build_ipv6_world(config: Ipv6WorldConfig) -> Ipv6World:
     orgs = []
     for index in range(config.num_orgs):
         top40 = _ORG_PREFIX_BASE + index
-        prefix = Ipv6Prefix(top40 << 88, 40)
+        prefix = Prefix(top40 << 88, 40, IPV6.ip_bits)
         offsets = rng.choice(256, size=config.sites_per_org, replace=False)
         sites = tuple(int((top40 << 8) + offset) for offset in np.sort(offsets))
         dark = sites[: config.dark_sites_per_org]

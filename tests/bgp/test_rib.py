@@ -48,6 +48,13 @@ class TestRoutingTable:
     def test_len(self):
         assert len(RoutingTable([ann("10.0.0.0/8", 1)]).announcements) == 1
 
+    def test_empty_table_routes_nothing_in_either_family(self):
+        # The prefixes carry the family: a table with none has no spans.
+        table = RoutingTable([])
+        for family in (IPV4, IPV6):
+            blocks = np.array([0, 1, family.num_blocks - 1], dtype=np.int64)
+            assert table.routed_mask(blocks).tolist() == [False] * 3
+
 
 def covered_by_loop(announcements, family, block):
     """Is ``block`` entirely inside an announced prefix?  A plain reading:
@@ -87,7 +94,7 @@ def routing_cases(draw, family):
             1 << length
         )
         announcements.append(Announcement(
-            prefix=family.prefix_type(index << shift, length), origin_asn=asn
+            prefix=Prefix(index << shift, length, bits), origin_asn=asn
         ))
     block_shift = bits - family.block_prefix_length
     edges = {anchor >> block_shift for anchor in anchors}
@@ -112,7 +119,7 @@ class TestRoutedMaskAgainstALoop:
     @settings(max_examples=150, deadline=None)
     def test_routed_mask_matches_a_loop_over_announcements(self, family, data):
         announcements, blocks = data.draw(routing_cases(family))
-        table = RoutingTable(announcements, family=family)
+        table = RoutingTable(announcements)
         expected = [
             covered_by_loop(announcements, family, int(block)) for block in blocks
         ]

@@ -529,22 +529,23 @@ class TestRoutingTableCache:
     def test_routed_mask_cached_and_correct(self, routing):
         blocks = np.arange(0, 1 << 16, 7, dtype=np.int64)
         first = routing.routed_mask(blocks)
-        assert routing._interval_cache is not None
-        starts_before = routing._interval_cache[0]
+        assert routing._spans is not None
+        starts_before = routing._spans[0]
         second = routing.routed_mask(blocks)
-        assert routing._interval_cache[0] is starts_before
+        assert routing._spans[0] is starts_before
         np.testing.assert_array_equal(first, second)
 
     def test_matches_trie(self, routing):
         # Every block inside a stored prefix no longer than a block,
         # checked prefix by prefix rather than through the interval table.
-        trie = PrefixTrie(family=routing.family)
+        family = routing.announcements[0].prefix.family
+        trie = PrefixTrie(family=family)
         for announcement in routing.announcements:
             trie.insert(announcement.prefix, announcement.origin_asn)
         blocks = np.arange(0, 1 << 16, 13, dtype=np.int64)
         expected = np.zeros(blocks.shape, dtype=bool)
         for prefix, _ in trie.items():
-            if prefix.length <= routing.family.block_prefix_length:
+            if prefix.length <= family.block_prefix_length:
                 first = prefix.first_block()
                 expected |= (blocks >= first) & (blocks < first + prefix.num_blocks())
         np.testing.assert_array_equal(routing.routed_mask(blocks), expected)

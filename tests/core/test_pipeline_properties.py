@@ -88,8 +88,7 @@ class TestInvariants:
     def test_dark_blocks_are_routed_and_public(self, flows):
         result = run(flows)
         assert ROUTING.routed_mask(result.dark_blocks).all()
-        for block in result.dark_blocks:
-            assert not SPECIAL_PURPOSE_REGISTRY.is_special_block(int(block))
+        assert not SPECIAL_PURPOSE_REGISTRY.special_mask(result.dark_blocks).any()
 
     @given(flow_tables())
     @settings(max_examples=40, deadline=None)

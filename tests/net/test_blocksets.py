@@ -1,21 +1,25 @@
-"""Tests for block sets and CIDR aggregation."""
+"""Tests for block sets, CIDR aggregation and the block-span table."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.stability import stability_report
 from repro.net.blocksets import (
-    BlockSet,
     aggregate_blocks,
     align_sorted,
     as_sorted_unique,
+    block_spans,
     expand_prefixes,
+    interval_covered_mask,
     sorted_difference,
+    sorted_in_at_least,
     sorted_intersection,
     sorted_member_mask,
     sorted_union,
 )
+from repro.net.family import IPV6
 from repro.net.ipv4 import Prefix, parse_ip
 
 from _factories import same
@@ -76,29 +80,68 @@ class TestAggregation:
 
 
 class TestBlockSet:
+    """A block set is a sorted-unique int64 array; the algebra is the
+    sorted primitives, and CIDR export is :func:`aggregate_blocks`."""
+
     def test_membership(self):
-        block_set = BlockSet(np.array([9, 5, 9]))
+        block_set = as_sorted_unique(np.array([9, 5, 9]))
         assert len(block_set) == 2
-        assert len(block_set.intersection(BlockSet(np.array([5])))) == 1
-        assert len(block_set.intersection(BlockSet(np.array([6])))) == 0
+        assert len(sorted_intersection(block_set, np.array([5]))) == 1
+        assert len(sorted_intersection(block_set, np.array([6]))) == 0
 
     def test_algebra(self):
-        a = BlockSet(np.array([1, 2, 3]))
-        b = BlockSet(np.array([3, 4]))
-        assert len(a.intersection(b)) == 1
-        assert a.intersection(b).jaccard(BlockSet(np.array([3]))) == 1.0
+        a, b = np.array([1, 2, 3]), np.array([3, 4])
+        assert sorted_intersection(a, b).tolist() == [3]
+        assert sorted_union(a, b).tolist() == [1, 2, 3, 4]
+        assert sorted_difference(a, b).tolist() == [1, 2]
 
     def test_jaccard(self):
-        a = BlockSet(np.array([1, 2]))
-        b = BlockSet(np.array([2, 3]))
-        assert a.jaccard(b) == pytest.approx(1 / 3)
-        assert BlockSet(np.array([])).jaccard(BlockSet(np.array([]))) == 1.0
+        daily = {0: np.array([1, 2]), 1: np.array([2, 3])}
+        report = stability_report(daily)
+        assert report.jaccard_matrix[0, 1] == pytest.approx(1 / 3)
+        empty = stability_report({0: np.array([]), 1: np.array([])})
+        assert empty.jaccard_matrix[0, 1] == 1.0
 
     def test_cidr_roundtrip(self):
         base = parse_ip("10.0.0.0") >> 8
         original = np.arange(base, base + 7)
         rebuilt = expand_prefixes(aggregate_blocks(original))
         assert rebuilt.tolist() == original.tolist()
+
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=12), max_size=5),
+           st.integers(1, 6))
+    @settings(max_examples=120)
+    def test_in_at_least(self, sets, count):
+        # Against a count over Python sets: unsorted, duplicated input.
+        expected = sorted(
+            block for block in set().union(*map(set, sets))
+            if sum(block in members for members in sets) >= count
+        )
+        found = sorted_in_at_least([np.array(s, np.int64) for s in sets], count)
+        same(found, np.array(expected, dtype=np.int64))
+
+
+class TestBlockSpans:
+    def test_spans_of_both_families(self):
+        v4 = [Prefix.parse("10.0.0.0/23"), Prefix.parse("10.0.1.128/25")]
+        v6 = [IPV6.parse_prefix("2001:db8::/47"), IPV6.parse_prefix("::1/128")]
+        starts, ends = block_spans(v4)
+        first = parse_ip("10.0.0.0") >> 8
+        # The /25 taints its block and nests inside the /23's span.
+        assert (starts.tolist(), ends.tolist()) == (
+            [first, first + 1], [first + 1, first + 1]
+        )
+        starts, ends = block_spans(v6)
+        site = v6[0].first_block()
+        assert (starts.tolist(), ends.tolist()) == ([0, site], [0, site + 1])
+        assert starts.dtype == ends.dtype == np.int64
+
+    def test_empty(self):
+        starts, ends = block_spans([])
+        assert len(starts) == len(ends) == 0
+        assert interval_covered_mask(starts, ends, np.array([0, 5])).tolist() == [
+            False, False
+        ]
 
 
 #: Raw key lists: a narrow range (duplicates and overlaps are the norm)

@@ -9,10 +9,9 @@ from repro.net.family import (
     IPV4,
     IPV6,
     family,
-    family_of_prefix,
 )
 from repro.net.ipv4 import AddressError, Prefix, parse_ip
-from repro.net.ipv6 import Ipv6Prefix, parse_ip6
+from repro.net.ipv6 import parse_ip6
 
 
 class TestLookup:
@@ -32,8 +31,10 @@ class TestLookup:
             family("ipv5")
 
     def test_of_prefix(self):
-        assert family_of_prefix(Prefix.parse("10.0.0.0/8")) is IPV4
-        assert family_of_prefix(Ipv6Prefix.parse("2001:db8::/32")) is IPV6
+        # A prefix names its family by its address width.
+        assert Prefix.parse("10.0.0.0/8").family is IPV4
+        assert Prefix.parse("2001:db8::/32", 128).family is IPV6
+        assert IPV6.parse_prefix("2001:db8::/32").family is IPV6
 
 
 class TestConstants:
@@ -91,8 +92,19 @@ class TestText:
         assert IPV6.format_block(site) == "2001:db8:7::/48"
 
     def test_parse_prefix_types(self):
-        assert isinstance(IPV4.parse_prefix("10.0.0.0/24"), Prefix)
-        assert isinstance(IPV6.parse_prefix("2001:db8::/48"), Ipv6Prefix)
+        # One prefix type for both families, told apart by its width.
+        v4 = IPV4.parse_prefix("10.0.0.0/24")
+        v6 = IPV6.parse_prefix("2001:db8::/48")
+        assert type(v4) is type(v6) is Prefix
+        assert (v4.bits, v6.bits) == (32, 128)
+        assert v4 == Prefix.parse("10.0.0.0/24")
+        assert v6 == Prefix(parse_ip6("2001:db8::"), 48, 128)
+        assert Prefix(0, 24) != Prefix(0, 24, 128)
+        # Each family's text is its own: the other family's is refused.
+        with pytest.raises(AddressError):
+            IPV4.parse_prefix("2001:db8::/48")
+        with pytest.raises(AddressError):
+            IPV6.parse_prefix("10.0.0.0/24")
 
 
 class TestSpecialRegistry:
@@ -101,9 +113,8 @@ class TestSpecialRegistry:
         v6 = IPV6.special_registry()
         assert v4.family is IPV4
         assert v6.family is IPV6
-        assert v6.is_special_block(
-            Ipv6Prefix.parse("2001:db8::/48").first_site()
-        )
-        assert not v6.is_special_block(
-            Ipv6Prefix.parse("2001:d00::/48").first_site()
-        )
+        sites = [
+            IPV6.parse_prefix(text).first_block()
+            for text in ("2001:db8::/48", "2001:d00::/48")
+        ]
+        assert v6.special_mask(np.array(sites)).tolist() == [True, False]

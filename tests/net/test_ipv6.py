@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bgp.rib import Announcement, RoutingTable
 from repro.core.ipv6_candidates import Ipv6CandidateResult, ipv6_candidate_sites
-from repro.net.ipv6 import (
-    MAX_IPV6,
-    Ipv6Error,
-    Ipv6Prefix,
-    format_ip6,
-    parse_ip6,
-    site_of_ip6,
-)
+from repro.net.family import IPV6
+from repro.net.ipv4 import AddressError, Prefix
+from repro.net.ipv6 import MAX_IPV6, format_ip6, parse_ip6
+
+site_of = IPV6.block_of_ip
+v6 = IPV6.parse_prefix
+
+
+def rib(announced: list[Prefix]) -> RoutingTable:
+    return RoutingTable(
+        Announcement(prefix=prefix, origin_asn=64500) for prefix in announced
+    )
 
 
 class TestParsing:
@@ -50,7 +55,7 @@ class TestParsing:
         ],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(Ipv6Error):
+        with pytest.raises(AddressError):
             parse_ip6(text)
 
     @pytest.mark.parametrize(
@@ -69,7 +74,7 @@ class TestParsing:
         assert format_ip6(value) == text
 
     def test_format_rejects_out_of_range(self):
-        with pytest.raises(Ipv6Error):
+        with pytest.raises(AddressError):
             format_ip6(-1)
 
     @given(st.integers(min_value=0, max_value=MAX_IPV6))
@@ -79,32 +84,33 @@ class TestParsing:
 
 class TestPrefix:
     def test_parse(self):
-        prefix = Ipv6Prefix.parse("2001:db8::/32")
+        prefix = v6("2001:db8::/32")
         assert prefix.length == 32
         assert str(prefix) == "2001:db8::/32"
 
     def test_host_bits_rejected(self):
-        with pytest.raises(Ipv6Error):
-            Ipv6Prefix.parse("2001:db8::1/32")
+        with pytest.raises(AddressError):
+            v6("2001:db8::1/32")
 
     def test_contains_ip(self):
-        prefix = Ipv6Prefix.parse("2001:db8::/32")
+        prefix = v6("2001:db8::/32")
         assert prefix.contains_ip(parse_ip6("2001:db8:dead::beef"))
         assert not prefix.contains_ip(parse_ip6("2001:db9::1"))
 
     def test_sites(self):
-        prefix = Ipv6Prefix.parse("2001:db8::/32")
-        assert prefix.num_sites() == 2**16
-        site = site_of_ip6(parse_ip6("2001:db8:7::1"))
-        assert prefix.contains_site(site)
-        assert not prefix.contains_site(site_of_ip6(parse_ip6("2001:db9::1")))
+        prefix = v6("2001:db8::/32")
+        assert prefix.num_blocks() == 2**16
+        site = site_of(parse_ip6("2001:db8:7::1"))
+        assert site in prefix.blocks()
+        assert site_of(parse_ip6("2001:db9::1")) not in prefix.blocks()
 
     def test_long_prefix_has_no_sites(self):
-        assert Ipv6Prefix.parse("2001:db8::/64").num_sites() == 0
+        assert v6("2001:db8::/64").num_blocks() == 0
+        assert len(v6("2001:db8::/64").blocks()) == 0
 
     def test_first_site(self):
-        prefix = Ipv6Prefix.parse("2001:db8::/48")
-        assert prefix.first_site() == site_of_ip6(parse_ip6("2001:db8::1"))
+        prefix = v6("2001:db8::/48")
+        assert prefix.first_block() == site_of(parse_ip6("2001:db8::1"))
 
 
 def candidate_sites_by_scan(observed_dst, observed_src, announced, hitlist):
@@ -112,7 +118,7 @@ def candidate_sites_by_scan(observed_dst, observed_src, announced, hitlist):
     drops = {"unannounced": 0, "hitlist": 0, "sources": 0}
     candidates = []
     for site in sorted(observed_dst):
-        if not any(prefix.contains_site(site) for prefix in announced):
+        if not any(site in prefix.blocks() for prefix in announced):
             drops["unannounced"] += 1
         elif site in hitlist:
             drops["hitlist"] += 1
@@ -138,7 +144,9 @@ NEIGHBOURHOOD = parse_ip6("2001:db8::")
 def announcement_spaces(draw):
     """``(announced, observed dst, observed src, hitlist)`` site sets."""
     announced = [
-        Ipv6Prefix.from_ip(NEIGHBOURHOOD | (site << 80) | (subnet << 64), length)
+        Prefix.from_ip(
+            NEIGHBOURHOOD | (site << 80) | (subnet << 64), length, IPV6.ip_bits
+        )
         for site, subnet, length in draw(
             st.lists(
                 st.tuples(
@@ -152,9 +160,9 @@ def announcement_spaces(draw):
     # sites anywhere around the neighbourhood.
     edges = set()
     for prefix in announced:
-        if prefix.num_sites():
-            first = prefix.first_site()
-            end = first + prefix.num_sites()
+        if prefix.num_blocks():
+            first = prefix.first_block()
+            end = first + prefix.num_blocks()
             edges |= {first - 1, first, end - 1, end}
     base = NEIGHBOURHOOD >> 80
     around = draw(st.sets(st.integers(base - 4, base + 260), max_size=12))
@@ -169,12 +177,12 @@ class TestCandidatePrototype:
     def test_interval_lookup_matches_the_scan(self, space):
         announced, observed, sources, hitlist = space
         assert ipv6_candidate_sites(
-            observed, sources, announced, hitlist
+            observed, sources, rib(announced), hitlist
         ) == candidate_sites_by_scan(observed, sources, announced, hitlist)
 
     def make_space(self):
-        announced = [Ipv6Prefix.parse("2001:db8::/32")]
-        site = lambda text: site_of_ip6(parse_ip6(text))  # noqa: E731
+        announced = rib([v6("2001:db8::/32")])
+        site = lambda text: site_of(parse_ip6(text))  # noqa: E731
         return announced, site
 
     def test_candidate_selection(self):
@@ -188,7 +196,7 @@ class TestCandidatePrototype:
         result = ipv6_candidate_sites(
             observed_dst_sites=observed_dst,
             observed_src_sites={site("2001:db8:3::1")},
-            announced=announced,
+            routing=announced,
             hitlist_sites={site("2001:db8:2::1")},
         )
         assert result.candidate_sites == (site("2001:db8:1::1"),)

@@ -4,20 +4,19 @@ Hypothesis generates addresses across the whole 128-bit space; the
 invariants below pin the RFC 5952 behaviour the rest of the engine
 relies on: parse and format are inverse bijections, formatting is
 canonical (re-parsing a formatted address and formatting again is a
-no-op), and ``site_of_ip6`` maps exactly the addresses of a /48 to
-its site id.
+no-op), and ``IPV6.block_of_ip`` maps exactly the addresses of a /48
+to its site id.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.ipv6 import (
-    SITE_SHIFT,
-    Ipv6Prefix,
-    format_ip6,
-    parse_ip6,
-    site_of_ip6,
-)
+from repro.net.family import IPV6
+from repro.net.ipv4 import Prefix
+from repro.net.ipv6 import format_ip6, parse_ip6
+
+SITE_SHIFT = IPV6.ip_block_shift
+site_of = IPV6.block_of_ip
 
 MAX_IP6 = (1 << 128) - 1
 addresses = st.integers(min_value=0, max_value=MAX_IP6)
@@ -66,20 +65,21 @@ def test_parse_embedded_ipv4(v4):
 
 
 @given(sites)
-def test_site_of_ip6_covers_exactly_the_slash48(site):
+def test_block_of_ip_covers_exactly_the_slash48(site):
     first = site << SITE_SHIFT
     last = first + (1 << SITE_SHIFT) - 1
-    assert site_of_ip6(first) == site
-    assert site_of_ip6(last) == site
+    assert site_of(first) == site
+    assert site_of(last) == site
     if first > 0:
-        assert site_of_ip6(first - 1) == site - 1
+        assert site_of(first - 1) == site - 1
     if last < MAX_IP6:
-        assert site_of_ip6(last + 1) == site + 1
+        assert site_of(last + 1) == site + 1
 
 
 @given(sites)
 def test_prefix_from_site_roundtrip(site):
-    prefix = Ipv6Prefix(network=site << SITE_SHIFT, length=48)
-    assert prefix.first_site() == site
-    assert site_of_ip6(prefix.last_ip()) == site
-    assert Ipv6Prefix.parse(str(prefix)) == prefix
+    prefix = Prefix(network=site << SITE_SHIFT, length=48, bits=128)
+    assert prefix == IPV6.block_to_prefix(site)
+    assert prefix.first_block() == site
+    assert site_of(prefix.last_ip()) == site
+    assert IPV6.parse_prefix(str(prefix)) == prefix

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.ipv4 import MAX_IPV4, Prefix, parse_ip
-from repro.net.trie import PrefixTrie, interval_covered_mask
+from repro.net.blocksets import interval_covered_mask
+from repro.net.trie import PrefixTrie
 
 
 def build(*entries):

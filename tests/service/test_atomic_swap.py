@@ -9,12 +9,13 @@ it can; one inconsistent observation fails the test.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
 
 from repro.core.snapshot import ClassificationSnapshot, VERDICT_DARK
-from repro.service import MetaTelescopeService, SnapshotHandle
+from repro.service import MetaTelescopeService, ServiceDaemon, SnapshotHandle
 
 
 def stamped_snapshot(stamp: int, size: int = 64) -> ClassificationSnapshot:
@@ -80,13 +81,16 @@ def test_service_queries_are_single_snapshot():
     """Every service answer is internally from ONE snapshot version."""
     service = MetaTelescopeService()
     service.publish(stamped_snapshot(0))
+    daemon = ServiceDaemon(service)  # its text answers; no socket
     stop = threading.Event()
     failures: list[BaseException] = []
 
     def reader() -> None:
         try:
             while not stop.is_set():
-                info = service.snapshot_info()
+                status, body, _ = daemon._dispatch("GET", "/v1/snapshot")
+                assert status == 200, body
+                info = json.loads(body)
                 stamp = info["provenance"]["stamp"]
                 # day and provenance came from the same publish.
                 assert info["day"] == stamp

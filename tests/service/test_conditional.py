@@ -1,9 +1,8 @@
 """Conditional queries and connection semantics on the HTTP front end.
 
 Every ``/v1/*`` answer carries a version-derived ``ETag``; a client
-replaying it via ``If-None-Match`` (or asking ``?if_version_changed=V``)
-gets a body-free 304 / tiny not-modified answer instead of the full
-payload.  The daemon also speaks proper ``Connection`` semantics to
+replaying it via ``If-None-Match`` gets a body-free 304 instead of the
+full payload, and only once the query itself is valid.  The daemon also speaks proper ``Connection`` semantics to
 HTTP/1.0 clients: explicit request tokens win, the version's default
 applies otherwise, and the response always says what the server will do.
 """
@@ -103,34 +102,37 @@ def test_if_none_match_replays_as_bodyless_304(served_daemon):
     assert status == 200 and json.loads(body)["snapshot_version"] == 1
 
 
-def test_if_version_changed_short_circuits(served_daemon):
-    _, daemon = served_daemon
-    status, _, body = get(
-        daemon.base_url + "/v1/range?start=1&end=9&if_version_changed=1"
-    )
-    assert status == 200
-    assert json.loads(body) == {
-        "not_modified": True,
-        "snapshot_version": 1,
-    }
-    # A different since-version gets the real answer.
-    status, _, body = get(
-        daemon.base_url + "/v1/range?start=1&end=9&if_version_changed=0"
-    )
-    answer = json.loads(body)
-    assert status == 200 and answer["total"] > 0
-
-
-def test_if_version_changed_never_claims_unpublished_state():
+def test_if_none_match_never_claims_unpublished_state():
     service = MetaTelescopeService()
     daemon, stop = run_daemon_in_thread(service)
     try:
-        status, _, _ = get(
-            daemon.base_url + "/v1/point?block=1&if_version_changed=0"
+        status, headers, _ = get(
+            daemon.base_url + "/v1/point?block=1",
+            headers={"If-None-Match": '"v0"'},
         )
         assert status == 503  # still "no snapshot", not "unchanged"
+        assert "ETag" not in headers
     finally:
         stop()
+
+
+def test_a_version_parameter_is_no_second_door(served_daemon):
+    # The only conditional request is If-None-Match, answered after the
+    # URL is validated: a query parameter naming the served version
+    # neither hides an unknown endpoint nor a malformed query.
+    _, daemon = served_daemon
+    for target, status in (
+        ("/v1/nope", 404),
+        ("/v1/point", 400),
+    ):
+        assert get(daemon.base_url + target)[0] == status, target
+        found, _, body = get(daemon.base_url + target + "?if_version_changed=1")
+        assert found == status, (target, body)
+        assert b"not_modified" not in body
+    # On a valid query the parameter is ignored: the full answer.
+    plain = get(daemon.base_url + "/v1/range?start=1&end=9")
+    asked = get(daemon.base_url + "/v1/range?start=1&end=9&if_version_changed=1")
+    assert asked[0] == 200 and asked[2] == plain[2]
 
 
 def test_http10_defaults_to_close(served_daemon):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.ipv6_telescope import infer_ipv6
 from repro.net.family import IPV6
-from repro.net.ipv6 import Ipv6Prefix
 from repro.service import MetaTelescopeService, run_daemon_in_thread
 from repro.service.daemon import QueryError, parse_block
 from repro.world.ipv6 import ipv6_views, micro_ipv6_world
@@ -53,7 +52,7 @@ class TestV6Queries:
             service.point("2001:d00::/40")
 
     def test_parse_block_v6(self):
-        site = Ipv6Prefix.parse("2001:d00:42::/48").first_site()
+        site = IPV6.parse_prefix("2001:d00:42::/48").first_block()
         assert parse_block("2001:d00:42::/48", IPV6) == site
         assert parse_block("2001:d00:42::1", IPV6) == site
 
@@ -61,9 +60,9 @@ class TestV6Queries:
         # One org's /40 covers a contiguous band of /48 sites.
         org_prefix = "2001:d00::/40"
         answer = service.range(prefix=org_prefix)
-        parsed = Ipv6Prefix.parse(org_prefix)
+        parsed = IPV6.parse_prefix(org_prefix)
         for row in answer["rows"]:
-            assert parsed.contains_site(row["block"])
+            assert row["block"] in parsed.blocks()
 
 
 class TestStructuredErrors:

@@ -18,7 +18,7 @@ from repro.service import (
     QueryBudget,
     run_daemon_in_thread,
 )
-from repro.service.daemon import QueryError, parse_block
+from repro.service.daemon import QueryError, ServiceDaemon, parse_block
 
 
 def _telescope(world) -> MetaTelescope:
@@ -95,15 +95,22 @@ def test_range_budget_truncation(served):
     assert small["total"] == 1 and not small["truncated"]
 
 
+def answer(service, target: str) -> dict:
+    """The daemon's text answer to ``GET target``, decoded."""
+    status, body, _ = ServiceDaemon(service)._dispatch("GET", target)
+    assert status == 200, body
+    return json.loads(body)
+
+
 def test_by_as_and_geo(served):
     _, service = served
     snapshot = service.handle.current()
     asn = int(snapshot.asns[snapshot.asns >= 0][0])
-    by_as = service.by_as(asn, limit=5)
+    by_as = answer(service, f"/v1/as?asn={asn}&limit=5")
     assert by_as["total"] > 0
     assert all(row["asn"] == asn for row in by_as["rows"])
     country = snapshot.countries[snapshot.countries != b"??"][0].decode()
-    by_geo = service.by_geo(country, limit=5)
+    by_geo = answer(service, f"/v1/geo?country={country}&limit=5")
     assert by_geo["total"] > 0
     assert all(row["country"] == country for row in by_geo["rows"])
 
@@ -111,12 +118,12 @@ def test_by_as_and_geo(served):
 def test_diff_feed(served):
     _, service = served
     current_version = service.handle.version()
-    same = service.diff(since=current_version)
+    same = answer(service, f"/v1/diff?since={current_version}")
     assert same["base_retained"]
     assert same["added_dark"] == [] and same["removed_dark"] == []
-    earlier = service.diff(since=1)
+    earlier = answer(service, "/v1/diff?since=1")
     assert earlier["base_retained"]
-    evicted = service.diff(since=999)
+    evicted = answer(service, "/v1/diff?since=999")
     assert not evicted["base_retained"]
 
 

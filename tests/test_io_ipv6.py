@@ -14,7 +14,6 @@ from repro.io import (
     write_prefix_list,
 )
 from repro.net.family import IPV6
-from repro.net.ipv6 import Ipv6Prefix
 from repro.traffic.flows import FLOW_COLUMNS_V6, FlowTable
 
 
@@ -96,7 +95,7 @@ class TestPrefixLists:
 
     def blocks(self):
         return np.array(
-            [Ipv6Prefix.parse(p).first_site() for p in self.SITES],
+            [IPV6.parse_prefix(p).first_block() for p in self.SITES],
             dtype=np.int64,
         )
 

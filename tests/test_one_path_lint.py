@@ -40,6 +40,11 @@ ALLOWED_CALLERS = {
     },
     # A per-view aggregate: every per-/24 sum is read off the accumulator.
     "aggregates": set(),
+    # One block-span table: the RIB's routed check and the registry's
+    # special check build and probe it (the IPv6 candidates probe the
+    # RIB's); the trie's own build stays a test oracle.
+    "block_spans": {"bgp/rib.py", "net/special.py"},
+    "interval_covered_mask": {"bgp/rib.py", "net/special.py"},
 }
 #: The same, but only for callers under ``src/repro/core/``.
 ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
@@ -55,11 +60,16 @@ ALLOWED_IMPORTERS = {
     # The native kernels are a CPython extension module: no second,
     # ctypes-bound path to them.
     "ctypes": set(),
+    # The prefix trie is the block-span table's test oracle: only the
+    # package re-exports it, no production module builds one.
+    "repro.net.trie": {"net/__init__.py"},
 }
 #: Public names deleted because no production entry point reached them
 #: (``tools/reach``): federation's partial-accumulator path, the scalar
 #: lookups the vectorised ones replaced, the topology walks, the
-#: world-object wrappers and the test-only helpers.  Deleted methods
+#: world-object wrappers and the test-only helpers — and the IPv6
+#: copies of the address layer, the second conditional-query door and
+#: the block-set wrapper, deleted as duplicates.  Deleted methods
 #: whose names live code still uses (``dump``, ``describe``, ``union``,
 #: ``prefixes``, ...) cannot be banned by word and are not listed.
 DELETED_SURFACE = (
@@ -69,6 +79,7 @@ DELETED_SURFACE = (
     "longest_match", "covers_block", "covered_mask", "origin_of_ip",
     "origin_of_block", "is_routed_block", "asn_of_block", "mapped_prefixes",
     "ip_in_prefix", "prefix_from_ip", "blocks_of_prefix",
+    "is_special_block", "is_special_ip",
     # net/family.py, net/ipv4.py, net/ipv6.py, net/hilbert.py
     "family_names", "blocks_to_keys", "key_of_ip", "lo_of_ip",
     "block_of_key", "block_to_network_ip", "first_ip", "num_addresses",
@@ -97,6 +108,14 @@ DELETED_SURFACE = (
     "continent_counts", "log_scale_world_counts", "write_pgm",
     "is_heavy", "daily_dark_sets", "render_share_table", "by_type",
     "by_country", "org_of", "num_organizations", "countries_of_continent",
+    # The IPv6 copies of the address layer: one Prefix type (its width
+    # names the family), one AddressError, one block-span builder.
+    "Ipv6Prefix", "Ipv6Error", "family_of_prefix", "prefix_type",
+    "first_site", "num_sites", "contains_site", "site_of_ip6", "default_v6",
+    "_announced_site_intervals",
+    # service/daemon.py's second conditional door; net/blocksets.py's
+    # wrapper of the sorted set algebra.
+    "_conditional", "if_version_changed", "BlockSet",
 )
 #: Parameters and dataclass fields deleted because no production entry
 #: point ever gave them a second value (``tools/reach``'s second
@@ -137,6 +156,8 @@ DELETED_PARAMETERS = (
     ("vantage/ipfix.py", "encode_ipfix", "first_sequence"),
     ("world/capture_cache.py", "CaptureCache.store", "chunk_rows"),
     ("world/ipv6.py", "Ipv6Collector.__init__", "leak"),
+    # The prefixes carry their family.
+    ("bgp/rib.py", "RoutingTable.__init__", "family"),
 )
 #: Deleted second doors — the convenience fold, the per-view
 #: aggregation and its view-fed tolerances, the stage plugin layer and
@@ -518,6 +539,50 @@ def test_unreached_surface_stays_deleted():
             "tolerance = tolerances_from_accumulator(accumulator, baseline)\n"
         ),
         "bgp/rib.py": "mask = self.routed_mask(blocks)\n",
+    })
+
+
+def test_one_address_layer_stays_one():
+    # Guard the guard: the IPv6 copies pasted back are found, each alone.
+    sources = tree_sources()
+    pasted = {
+        "net/ipv6.py": "class Ipv6Prefix: ...\n",
+        "net/family.py": "prefix_type = Prefix if v4 else Ipv6Prefix\n",
+        "core/ipv6_candidates.py": "first = prefix.first_site()\n",
+        "world/ipv6.py": "from repro.net.ipv6 import Ipv6Error, site_of_ip6\n",
+        "service/daemon.py": 'since = _first_int(params, "if_version_changed")\n',
+        "analysis/stability.py": "from repro.net.blocksets import BlockSet\n",
+    }
+    for module, text in pasted.items():
+        assert offenders({module: text}) == [
+            f"src/repro/{module}:1: {text.strip()}"
+        ], module
+    # One span builder, called by the RIB and the registry only.
+    for module, text in (
+        ("core/ipv6_candidates.py", "starts, ends = block_spans(announced)\n"),
+        ("core/online.py", "mask = interval_covered_mask(starts, ends, b)\n"),
+    ):
+        name = text.split("= ")[1].split("(")[0]
+        assert offenders({module: text}) == [
+            f"src/repro/{module}:1: {name}( in None"
+        ], module
+    for module in ("bgp/rib.py", "net/special.py"):
+        names = {name for name, _, _ in calls(sources[module])}
+        assert {"block_spans", "interval_covered_mask"} <= names, module
+    # ... and the trie is no production module's import, in any form.
+    for fork in (
+        "from repro.net.trie import PrefixTrie",
+        "from repro.net import trie",
+        "import repro.net.trie",
+    ):
+        assert offenders({"bgp/rib.py": fork + "\n"}) == [
+            "src/repro/bgp/rib.py:1: import repro.net.trie"
+        ], fork
+    assert not offenders({"net/__init__.py": sources["net/__init__.py"]})
+    # Live names that contain a deleted one are not caught.
+    assert not offenders({
+        "bgp/rib.py": "spans = block_spans(BlockSets)\n",
+        "world/ipv6.py": "num_sites_total = first_sites = 0\n",
     })
 
 

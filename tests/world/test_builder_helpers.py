@@ -30,9 +30,9 @@ class TestAllocator:
         allocator = self.make()
         for _ in range(64):
             prefix = allocator.allocate(16)
-            for block in (prefix.first_block(),
-                          prefix.first_block() + prefix.num_blocks() - 1):
-                assert not SPECIAL_PURPOSE_REGISTRY.is_special_block(block)
+            edges = np.array([prefix.first_block(),
+                              prefix.first_block() + prefix.num_blocks() - 1])
+            assert not SPECIAL_PURPOSE_REGISTRY.special_mask(edges).any()
 
     def test_avoids_forbidden_octet(self):
         allocator = self.make()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.ipv6_candidates import ipv6_candidate_sites
 from repro.net.family import IPV6
-from repro.net.ipv6 import Ipv6Prefix
 from repro.world.ipv6 import (
     LEAK_ASN,
     LEAKED_SITE,
@@ -41,7 +40,7 @@ class TestBuild:
             for site in org.sites:
                 # All engine keys must stay below 2**63 (int64-safe).
                 assert (site << 16) < (1 << 63)
-                assert org.prefix.contains_site(site)
+                assert site in org.prefix.blocks()
         for site in world.scanner_sites:
             assert (site << 16) < (1 << 63)
 
@@ -148,9 +147,11 @@ class TestCandidateDrops:
             observed_dst |= observed_sites(view)
             observed_src |= set(IPV6.block_of(view.flows.src_ip).tolist())
         last = world.config.num_days - 1
-        announced = [a.prefix for a in world.collector.daily_table(last).announcements]
         return ipv6_candidate_sites(
-            observed_dst, observed_src, announced, world.hitlist_sites
+            observed_dst,
+            observed_src,
+            world.collector.daily_table(last),
+            world.hitlist_sites,
         )
 
     def test_micro_seed7_pinned_counts(self):
