@@ -3,7 +3,7 @@
  * A CPython extension module, _kernels, compiled on demand by
  * repro.core.kernels (cc -O3 -shared -fPIC -I<python include>).  Its
  * only exported symbol is PyInit__kernels; the module has exactly five
- * functions, fold_chunk, merge_sorted, merge_k, crc32_columns and
+ * functions, fold_batch, merge_sorted, merge_k, crc32_columns and
  * address_pass — the ops that earn their C in the layer budget
  * (crc32_columns checksums flowpack columns, address_pass walks the
  * funnel's address table; see their own comments further down).  Arrays arrive
@@ -12,21 +12,41 @@
  * contract: every kernel accumulates per-key sums in original row
  * order and merges parts left-to-right, reproducing numpy's np.unique
  * + np.bincount float operation order bit for bit (see
- * docs/architecture.md §12).
+ * docs/architecture.md §12).  A product and the sum it feeds round
+ * separately, as numpy's do: the runtime build passes
+ * -ffp-contract=off, so no compiler fuses them into one multiply-add.
  *
- * Grouping algorithm (fold3 / fold1): rows become compact records
- * (key offset + 32-bit values, the TCP flag packed into the sign bit
- * of the packet field), fully sorted by key with a stable LSD radix
- * sort in passes of <= 13 bits, then reduced by a branchless
- * segmented scan that accumulates each key's float64 sums in original
- * row order and emits unique keys ascending, with the per-block
- * regroup as a second branchless scan over the uniques — no hashing,
- * no comparison sort, no random gathers, no data-dependent branches
- * in the hot loops.  Keys are 32-bit (IPv4) or 64-bit (IPv6 /64 ids).
- * The record width follows the chunk's key range, not the key width:
- * a range that fits 32 bits sorts 12-/8-byte records with 32-bit
- * offsets in 1-3 passes; only a wider one (64-bit keys alone get
- * there) sorts 16-byte records with 64-bit offsets in up to 5.
+ * fold_batch folds a batch of row slices from one day — a slice is a
+ * run of one vantage's rows with its own sampling factor — in one
+ * call: one destination part, one volume part and one source-key set
+ * for the whole batch, plus one raw source-block part per slice.  Its
+ * semantics are the numpy reference's: each slice folded alone
+ * (unscaled per-key sums, then times the slice's factor), the slices'
+ * parts then group-summed in slice order.
+ *
+ * Grouping algorithm: the batch's rows, slice after slice, become
+ * compact records (key offset + 32-bit values, the TCP flag packed into
+ * the sign bit of the packet field and the slice index into the packet
+ * field's top bits), fully sorted by key with a stable LSD radix sort
+ * in passes of <= 13 bits — no hashing, no comparison sort, no random
+ * gathers — so a key's records keep slice order and, within a slice,
+ * row order.  A batch of several slices is then walked run by run: each
+ * (key, slice) run summed in row order from 0.0 — the slice's own
+ * unscaled per-key sums — and added times the slice's factor to the
+ * key's totals, in slice order from 0.0, while each block's per-slice
+ * volume subtotals are collected and added times their factors to the
+ * block's volume the same way.  A one-slice batch (a CSV chunk, one
+ * view a day) takes a branchless segmented scan instead, unique keys
+ * ascending, then a branchless block regroup and one scaling pass: on
+ * small chunks the run walk's data-dependent branches cost more than
+ * the two extra passes.  Keys are 32-bit (IPv4)
+ * or 64-bit (IPv6 /64 ids).  The record width follows the batch's key
+ * range, not the key width: a range that fits 32 bits sorts 12-/8-byte
+ * records with 32-bit offsets in 1-3 passes; only a wider one (64-bit
+ * keys alone get there) sorts 16-byte records with 64-bit offsets in
+ * up to 5.  The slice index costs no record width: a batch of k slices
+ * leaves 31 - bits(k - 1) bits for a row's packets (27 for 14 views),
+ * and a larger count declines the batch like any count past 31 bits.
  *
  * merge_k (any number of sorted-unique parts) is the same algorithm
  * over the parts' concatenation: (offset, row) records — 8 bytes when
@@ -38,7 +58,7 @@
  * per part head (a heap or a head scan pays one per part per key).
  * merge_sorted keeps the two-part case, where a linear merge measured
  * faster than the sort.  No kernel allocates: scratch comes from the
- * caller's per-thread pool.
+ * caller's per-thread pool, and the binding's per-call tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -120,59 +140,100 @@ static void radix_starts(int npass, const int *widths,
     }
 }
 
-/* All pass histograms in one read of the keys, turned into each
- * pass's scatter positions. */
-static inline __attribute__((always_inline)) void radix_positions(
-    const void *keys, int key_bits, int64_t n, uint64_t kmin,
-    int npass, const int *widths, const int *shifts, int maxp,
-    int64_t (*hist)[MAX_PASS_SLOTS])
-{
-    for (int p = 0; p < npass; p++)
-        memset(hist[p], 0, sizeof(int64_t) << widths[p]);
-    radix_count(keys, key_bits, n, kmin, npass, widths, shifts, maxp, hist);
-    radix_starts(npass, widths, hist);
-}
+/* One slice of a batch: `n` rows of src / dst keys (the batch's key
+ * width), protocol, packets and bytes. */
+typedef struct {
+    const void *src, *dst;
+    const uint8_t *proto;
+    const int64_t *packets, *bytes_;
+    int64_t n;
+} Slice;
 
-/* The record-typed half of the folds, stamped out once per offset
- * width W (OFF_T offsets, at most MAXP passes).  sort_reduce3 sums
- * (tcp_pkts, tcp_bytes, total_pkts) per key, sort_reduce1 the packets;
- * both unscaled, keys ascending as kmin + offset, each key's sums in
- * original row order.  Pass 1 scatters records straight from the input
- * columns (the TCP flag rides in the sign bit of the packet field);
- * the reduce starts every fresh key's sums from 0.0, as np.bincount
- * does.  n >= 1. */
-#define DEFINE_SORT_REDUCE(W, OFF_T, MAXP)                                  \
-typedef struct { OFF_T off; int32_t pktcp; int32_t by; } rec3_##W;          \
-typedef struct { OFF_T off; int32_t pk; } rec1_##W;                         \
-                                                                            \
-static int64_t sort_reduce3_##W(                                            \
-    const void *keys, int key_bits, const uint8_t *proto,                   \
-    const int64_t *packets, const int64_t *bytes_, int64_t n,               \
-    uint64_t kmin, int bits,                                                \
-    int64_t *out_keys, double *out_a, double *out_b, double *out_c,         \
-    rec3_##W *bufa, rec3_##W *bufb)                                         \
+/* Record value fields, built from row `i` of slice `sl` (index `q`):
+ * the packets with the slice index above their `pbits` bits (the scan
+ * checked every count fits below), the TCP flag in bit 31 of the packet
+ * field, the bytes. */
+#define PKT_SLICE ((uint32_t)sl->packets[i] | ((uint32_t)q << pbits))
+#define FILL_TCP                                                            \
+    rec.pktcp = (int32_t)(PKT_SLICE                                         \
+        | (sl->proto[i] == PROTO_TCP ? 0x80000000u : 0u));                  \
+    rec.by = (int32_t)sl->bytes_[i]
+#define FILL_PKT rec.pk = (int32_t)PKT_SLICE
+
+/* NAME: the stable LSD radix sort of every row of `nslices` slices, in
+ * slice order, as REC records keyed by the KEYS column's offset from
+ * kmin — all pass histograms in one read of every slice's keys, pass 1
+ * scattering records built straight from the slices' columns (FILL),
+ * later passes ping-ponging between the two buffers.  Returns the
+ * buffer holding the sorted records.  n >= 1. */
+#define DEFINE_SORT(NAME, REC, OFF_T, MAXP, KEYS, FILL)                     \
+static REC *NAME(const Slice *slices, int64_t nslices, int key_bits,       \
+                 int64_t n, uint64_t kmin, int bits, int pbits,             \
+                 REC *bufa, REC *bufb)                                      \
 {                                                                           \
     int widths[MAXP], shifts[MAXP];                                         \
     int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
     int npass = pass_plan(bits, widths, shifts);                            \
-    radix_positions(keys, key_bits, n, kmin, npass, widths, shifts,        \
-                    MAXP, hist);                                            \
+    for (int p = 0; p < npass; p++)                                         \
+        memset(hist[p], 0, sizeof(int64_t) << widths[p]);                   \
+    for (int64_t q = 0; q < nslices; q++)                                   \
+        radix_count(slices[q].KEYS, key_bits, slices[q].n, kmin, npass,     \
+                    widths, shifts, MAXP, hist);                            \
+    radix_starts(npass, widths, hist);                                      \
     OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
-    for (int64_t i = 0; i < n; i++) {                                       \
-        rec3_##W rec;                                                       \
-        rec.off = (OFF_T)((uint64_t)key_at(keys, key_bits, i) - kmin);      \
-        rec.pktcp = (int32_t)packets[i]                                     \
-            | (proto[i] == PROTO_TCP ? INT32_MIN : 0);                      \
-        rec.by = (int32_t)bytes_[i];                                        \
-        bufa[hist[0][rec.off & mask0]++] = rec;                             \
+    for (int64_t q = 0; q < nslices; q++) {                                 \
+        const Slice *sl = &slices[q];                                       \
+        for (int64_t i = 0; i < sl->n; i++) {                               \
+            REC rec;                                                        \
+            rec.off = (OFF_T)((uint64_t)key_at(sl->KEYS, key_bits, i)       \
+                              - kmin);                                      \
+            FILL;                                                           \
+            bufa[hist[0][rec.off & mask0]++] = rec;                         \
+        }                                                                   \
     }                                                                       \
-    rec3_##W *cur = bufa, *alt = bufb;                                      \
+    REC *cur = bufa, *alt = bufb;                                           \
     for (int p = 1; p < npass; p++) {                                       \
         OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
         for (int64_t i = 0; i < n; i++)                                     \
             alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
-        rec3_##W *swap = cur; cur = alt; alt = swap;                        \
+        REC *swap = cur; cur = alt; alt = swap;                             \
     }                                                                       \
+    return cur;                                                             \
+}
+
+/* The record-typed half of the fold, stamped out once per offset width
+ * W (OFF_T offsets, at most MAXP passes).  Each function sorts, then
+ * scans; a sum starts from 0.0, as np.bincount's do, and adds in row
+ * order.  dst_keys_W / src_keys_W take one slice and emit unique keys
+ * ascending as kmin + offset with a branchless segmented reduce: per
+ * key (tcp_pkts, tcp_bytes, total_pkts), or its packets, unscaled;
+ * they return the key count.  fold_dst_W / fold_src_W take many, their
+ * records carrying the slice index above `pbits` packet bits, and walk
+ * each key's (key, slice) runs — slice order within a key.  fold_dst_W
+ * emits the per-key totals 0.0 + (run sums x factor)
+ * in slice order and per block 0.0 + (per-slice subtotal x factor) in
+ * slice order, each subtotal 0.0 plus the slice's key totals in key
+ * order, as the reference regroups each slice's part (`vsub` / `vmark`
+ * hold one subtotal and its block's ordinal per slice, so no flag needs
+ * clearing).  fold_src_W emits the unique keys and each slice's raw
+ * per-block packet sums, built in the slice's own region (it starts at
+ * the rows of the slices before it, the most blocks they can hold) and
+ * then packed slice after slice.  counts = {keys, blocks}.  n >= 1. */
+#define DEFINE_FOLD(W, OFF_T, MAXP)                                         \
+typedef struct { OFF_T off; int32_t pktcp; int32_t by; } rec3_##W;          \
+typedef struct { OFF_T off; int32_t pk; } rec1_##W;                         \
+                                                                            \
+DEFINE_SORT(sort3_##W, rec3_##W, OFF_T, MAXP, dst, FILL_TCP)                \
+DEFINE_SORT(sort1_##W, rec1_##W, OFF_T, MAXP, src, FILL_PKT)                \
+                                                                            \
+static int64_t dst_keys_##W(                                                \
+    const Slice *sl, int key_bits, uint64_t kmin, int bits,                 \
+    int64_t *out_keys, double *out_a, double *out_b, double *out_c,         \
+    void *bufa, void *bufb)                                                 \
+{                                                                           \
+    int64_t n = sl->n;                                                      \
+    const rec3_##W *cur = sort3_##W(sl, 1, key_bits, n, kmin, bits, 31,     \
+                                    bufa, bufb);                            \
     OFF_T prev = ~cur[0].off;                                               \
     int64_t nu = 0;                                                         \
     for (int64_t i = 0; i < n; i++) {                                       \
@@ -195,30 +256,13 @@ static int64_t sort_reduce3_##W(                                            \
     return nu;                                                              \
 }                                                                           \
                                                                             \
-static int64_t sort_reduce1_##W(                                            \
-    const void *keys, int key_bits, const int64_t *packets, int64_t n,      \
-    uint64_t kmin, int bits, int64_t *out_keys, double *out_a,              \
-    rec1_##W *bufa, rec1_##W *bufb)                                         \
+static int64_t src_keys_##W(                                                \
+    const Slice *sl, int key_bits, uint64_t kmin, int bits,                 \
+    int64_t *out_keys, double *out_a, void *bufa, void *bufb)               \
 {                                                                           \
-    int widths[MAXP], shifts[MAXP];                                         \
-    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
-    int npass = pass_plan(bits, widths, shifts);                            \
-    radix_positions(keys, key_bits, n, kmin, npass, widths, shifts,        \
-                    MAXP, hist);                                            \
-    OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
-    for (int64_t i = 0; i < n; i++) {                                       \
-        rec1_##W rec;                                                       \
-        rec.off = (OFF_T)((uint64_t)key_at(keys, key_bits, i) - kmin);      \
-        rec.pk = (int32_t)packets[i];                                       \
-        bufa[hist[0][rec.off & mask0]++] = rec;                             \
-    }                                                                       \
-    rec1_##W *cur = bufa, *alt = bufb;                                      \
-    for (int p = 1; p < npass; p++) {                                       \
-        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
-        for (int64_t i = 0; i < n; i++)                                     \
-            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
-        rec1_##W *swap = cur; cur = alt; alt = swap;                        \
-    }                                                                       \
+    int64_t n = sl->n;                                                      \
+    const rec1_##W *cur = sort1_##W(sl, 1, key_bits, n, kmin, bits, 31,     \
+                                    bufa, bufb);                            \
     OFF_T prev = ~cur[0].off;                                               \
     int64_t nu = 0;                                                         \
     for (int64_t i = 0; i < n; i++) {                                       \
@@ -233,14 +277,132 @@ static int64_t sort_reduce1_##W(                                            \
         out_a[m] = sum + (double)rec.pk;                                    \
     }                                                                       \
     return nu;                                                              \
+}                                                                           \
+                                                                            \
+static void fold_dst_##W(                                                   \
+    const Slice *slices, int64_t nslices, int key_bits, int64_t n,          \
+    uint64_t kmin, int bits, int pbits, const double *factors,              \
+    int64_t block_shift, int64_t *keys, double *tcp_pk, double *tcp_by,     \
+    int64_t *vol_keys, double *vol_pk, double *vsub, int64_t *vmark,        \
+    int64_t *counts, void *bufa, void *bufb)                                \
+{                                                                           \
+    const rec3_##W *cur = sort3_##W(slices, nslices, key_bits, n, kmin,    \
+                                     bits, pbits, bufa, bufb);              \
+    uint32_t pmask = ((uint32_t)1 << pbits) - 1;                            \
+    for (int64_t s = 0; s < nslices; s++) {                                 \
+        vsub[s] = 0.0;                                                      \
+        vmark[s] = -1;                                                      \
+    }                                                                       \
+    int64_t nu = 0, nblk = 0, lo = nslices, hi = -1, i = 0;                 \
+    int64_t block = (int64_t)(kmin + cur[0].off) >> block_shift;            \
+    while (i < n) {                                                         \
+        OFF_T off = cur[i].off;                                             \
+        double sum_pk = 0.0, sum_by = 0.0;                                  \
+        do {                                                                \
+            uint32_t s = ((uint32_t)cur[i].pktcp & INT32_MAX) >> pbits;     \
+            double pk = 0.0, by = 0.0, tot = 0.0;                           \
+            do {                                                            \
+                rec3_##W rec = cur[i];                                      \
+                double tcp = (double)((uint32_t)rec.pktcp >> 31);           \
+                double p = (double)((uint32_t)rec.pktcp & pmask);           \
+                pk = pk + tcp * p;                                          \
+                by = by + tcp * (double)rec.by;                             \
+                tot = tot + p;                                              \
+                i++;                                                        \
+            } while (i < n && cur[i].off == off                             \
+                     && ((uint32_t)cur[i].pktcp & INT32_MAX) >> pbits == s); \
+            double factor = factors[s];                                     \
+            sum_pk = sum_pk + pk * factor;                                  \
+            sum_by = sum_by + by * factor;                                  \
+            double sub = vsub[s];                                           \
+            vsub[s] = (vmark[s] == nblk ? sub : 0.0) + tot;                 \
+            vmark[s] = nblk;                                                \
+            lo = (int64_t)s < lo ? (int64_t)s : lo;                         \
+            hi = (int64_t)s > hi ? (int64_t)s : hi;                         \
+        } while (i < n && cur[i].off == off);                               \
+        keys[nu] = (int64_t)(kmin + off);                                   \
+        tcp_pk[nu] = sum_pk;                                                \
+        tcp_by[nu] = sum_by;                                                \
+        nu++;                                                               \
+        int64_t next = i < n                                                \
+            ? (int64_t)(kmin + cur[i].off) >> block_shift : ~block;         \
+        if (next != block) {                                                \
+            double sum = 0.0;                                               \
+            for (int64_t t = lo; t <= hi; t++)                              \
+                if (vmark[t] == nblk) sum = sum + vsub[t] * factors[t];     \
+            vol_keys[nblk] = block;                                         \
+            vol_pk[nblk] = sum;                                             \
+            nblk++;                                                         \
+            lo = nslices;                                                   \
+            hi = -1;                                                        \
+            block = next;                                                   \
+        }                                                                   \
+    }                                                                       \
+    counts[0] = nu;                                                         \
+    counts[1] = nblk;                                                       \
+}                                                                           \
+                                                                            \
+static void fold_src_##W(                                                   \
+    const Slice *slices, int64_t nslices, int key_bits, int64_t n,          \
+    uint64_t kmin, int bits, int pbits, int64_t block_shift,                \
+    int64_t *src_keys, int64_t *raw_keys, double *raw_pk,                   \
+    int64_t *raw_counts, int64_t *base, int64_t *prev_blk, int64_t *counts, \
+    void *bufa, void *bufb)                                                 \
+{                                                                           \
+    const rec1_##W *cur = sort1_##W(slices, nslices, key_bits, n, kmin,    \
+                                     bits, pbits, bufa, bufb);              \
+    uint32_t pmask = ((uint32_t)1 << pbits) - 1;                            \
+    int64_t start = 0;                                                      \
+    for (int64_t s = 0; s < nslices; s++) {                                 \
+        base[s] = start;                                                    \
+        start += slices[s].n;                                               \
+        raw_counts[s] = 0;                                                  \
+        prev_blk[s] = 0;                                                    \
+    }                                                                       \
+    int64_t nsrc = 0, i = 0;                                                \
+    while (i < n) {                                                         \
+        OFF_T off = cur[i].off;                                             \
+        int64_t key = (int64_t)(kmin + off);                                \
+        int64_t block = key >> block_shift;                                 \
+        src_keys[nsrc++] = key;                                             \
+        do {                                                                \
+            uint32_t s = (uint32_t)cur[i].pk >> pbits;                      \
+            double pk = 0.0;                                                \
+            do {                                                            \
+                pk = pk + (double)((uint32_t)cur[i].pk & pmask);            \
+                i++;                                                        \
+            } while (i < n && cur[i].off == off                             \
+                     && (uint32_t)cur[i].pk >> pbits == s);                 \
+            int fresh = (raw_counts[s] == 0) | (block != prev_blk[s]);      \
+            prev_blk[s] = block;                                            \
+            raw_counts[s] += fresh;                                         \
+            int64_t at = base[s] + raw_counts[s] - 1;                       \
+            double sum = raw_pk[at];                                        \
+            sum = fresh ? 0.0 : sum;                                        \
+            raw_keys[at] = block;                                           \
+            raw_pk[at] = sum + pk;                                          \
+        } while (i < n && cur[i].off == off);                               \
+    }                                                                       \
+    /* Close the gaps: each slice's blocks follow the previous one's. */   \
+    int64_t packed = 0;                                                     \
+    for (int64_t s = 0; s < nslices; s++) {                                 \
+        memmove(raw_keys + packed, raw_keys + base[s],                      \
+                (size_t)raw_counts[s] * sizeof(int64_t));                   \
+        memmove(raw_pk + packed, raw_pk + base[s],                          \
+                (size_t)raw_counts[s] * sizeof(double));                    \
+        packed += raw_counts[s];                                            \
+    }                                                                       \
+    counts[0] = nsrc;                                                       \
+    counts[1] = packed;                                                     \
 }
 
-DEFINE_SORT_REDUCE(narrow, uint32_t, 3)
-DEFINE_SORT_REDUCE(wide, uint64_t, MAX_PASSES)
+DEFINE_FOLD(narrow, uint32_t, 3)
+DEFINE_FOLD(wide, uint64_t, MAX_PASSES)
 
 /* Per-block regroup of sorted-unique keys' (still unscaled) sums with
- * the reference's `key >> block_shift` (arithmetic on int64).  Returns
- * the block count. */
+ * the reference's `key >> block_shift` (arithmetic on int64).  `vals`
+ * may be `blk_vals` itself: row i is read before any index past the
+ * block count so far is written.  Returns the block count. */
 static int64_t regroup_blocks(
     const int64_t *keys, const double *vals, int64_t nu, int64_t block_shift,
     int64_t *blk_keys, double *blk_vals)
@@ -249,6 +411,7 @@ static int64_t regroup_blocks(
     int64_t nblk = 0;
     for (int64_t i = 0; i < nu; i++) {
         int64_t blk = keys[i] >> block_shift;
+        double val = vals[i];
         int fresh = blk != prev_blk;
         prev_blk = blk;
         nblk += fresh;
@@ -256,106 +419,121 @@ static int64_t regroup_blocks(
         blk_keys[m] = blk;
         double sum = blk_vals[m];
         sum = fresh ? 0.0 : sum;
-        blk_vals[m] = sum + vals[i];
+        blk_vals[m] = sum + val;
     }
     return nblk;
 }
 
-/* Grouped (tcp_pkts, tcp_bytes, total_pkts) float64 sums per dst key
- * plus the per-block regroup of total packets.  Sums accumulate
- * unscaled (exact for the integer counts involved) and are scaled by
- * `factor` once at the end — the same operation order as the numpy
- * reference.  Returns the unique-key count.  n >= 1. */
-static int64_t fold3(
-    const void *keys, int key_bits, const uint8_t *proto,
-    const int64_t *packets, const int64_t *bytes_, int64_t n,
-    int64_t kmin, int64_t kmax, double factor, int64_t block_shift,
-    int64_t *out_keys, double *out_a, double *out_b, double *out_c,
-    int64_t *blk_keys, double *blk_vals, int64_t *nblk_out,
-    void *bufa, void *bufb)
-{
-    int bits = bits_of((uint64_t)kmax - (uint64_t)kmin);
-    int64_t nu = bits <= 32
-        ? sort_reduce3_narrow(keys, key_bits, proto, packets, bytes_, n,
-                              (uint64_t)kmin, bits,
-                              out_keys, out_a, out_b, out_c, bufa, bufb)
-        : sort_reduce3_wide(keys, key_bits, proto, packets, bytes_, n,
-                            (uint64_t)kmin, bits,
-                            out_keys, out_a, out_b, out_c, bufa, bufb);
-    int64_t nblk = regroup_blocks(out_keys, out_c, nu, block_shift,
-                                  blk_keys, blk_vals);
-    for (int64_t i = 0; i < nu; i++) {
-        out_a[i] *= factor;
-        out_b[i] *= factor;
-        out_c[i] *= factor;
-    }
-    for (int64_t i = 0; i < nblk; i++) blk_vals[i] *= factor;
-    *nblk_out = nblk;
-    return nu;
-}
-
-/* Grouped packet sums per src key plus the per-block regroup
- * (unscaled).  n >= 1. */
-static int64_t fold1(
-    const void *keys, int key_bits, const int64_t *packets, int64_t n,
-    int64_t kmin, int64_t kmax, int64_t block_shift,
-    int64_t *out_keys, double *out_a,
-    int64_t *blk_keys, double *blk_vals, int64_t *nblk_out,
-    void *bufa, void *bufb)
-{
-    int bits = bits_of((uint64_t)kmax - (uint64_t)kmin);
-    int64_t nu = bits <= 32
-        ? sort_reduce1_narrow(keys, key_bits, packets, n, (uint64_t)kmin,
-                              bits, out_keys, out_a, bufa, bufb)
-        : sort_reduce1_wide(keys, key_bits, packets, n, (uint64_t)kmin,
-                            bits, out_keys, out_a, bufa, bufb);
-    *nblk_out = regroup_blocks(out_keys, out_a, nu, block_shift,
-                               blk_keys, blk_vals);
-    return nu;
-}
-
-/* The fused per-chunk accumulator fold: one call produces all four
- * keyed parts PrefixAccumulator.update() appends for a chunk with no
- * ignored-sender filter.  `src_ip` / `dst_ip` hold `key_bits` (32 or
- * 64) bit keys; `bufa` / `bufb` each hold n records of the widest
- * layout the key width can take (12 bytes for 32-bit keys, 16 for
- * 64-bit ones).  counts = {n_dst, n_vol, n_src, n_raw}; -1 on a count
- * outside the 31-bit record field or another key width (fallback). */
-static int64_t fold_chunk(
-    const void *src_ip, const void *dst_ip, int64_t key_bits,
-    const uint8_t *proto, const int64_t *packets, const int64_t *bytes_,
-    int64_t n, double factor, int64_t block_shift,
-    int64_t *dst_keys, double *dst_tcp_pk, double *dst_tcp_by, double *dst_tot,
+/* The batched fold: one call produces every keyed part
+ * PrefixAccumulator appends for a batch of one day's slices with no
+ * ignored-sender filter.  Every slice holds `key_bits` (32 or 64) bit
+ * keys; `factors` one sampling factor per slice.  Outputs (room for
+ * every row of the batch): the destination part (dst_keys, dst_tcp_pk,
+ * dst_tcp_by), the volume part (vol_keys, vol_pk), the source keys
+ * (src_keys) and the slices' raw source-block parts packed slice after
+ * slice (raw_keys, raw_pk; raw_counts gets each slice's length).
+ * `bufa` / `bufb` each hold one record per row (12 bytes for 32-bit
+ * keys, 16 for 64-bit ones); `state` 2 * nslices int64, `vsub`
+ * nslices doubles and `raw_counts` nslices int64.  counts = {n_dst, n_vol, n_src}; -1 on a count
+ * outside the record's packet or byte field or another key width
+ * (fallback). */
+static int64_t fold_batch(
+    const Slice *slices, int64_t nslices, int key_bits,
+    const double *factors, int64_t block_shift,
+    int64_t *dst_keys, double *dst_tcp_pk, double *dst_tcp_by,
     int64_t *vol_keys, double *vol_pk,
-    int64_t *src_keys, double *src_pk,
-    int64_t *raw_keys, double *raw_pk,
-    void *bufa, void *bufb,
-    int64_t *counts)
+    int64_t *src_keys, int64_t *raw_keys, double *raw_pk,
+    int64_t *raw_counts, int64_t *state, double *vsub,
+    void *bufa, void *bufb, int64_t *counts)
 {
-    counts[0] = counts[1] = counts[2] = counts[3] = 0;
+    counts[0] = counts[1] = counts[2] = 0;
+    for (int64_t s = 0; s < nslices; s++) raw_counts[s] = 0;
     if (key_bits != 32 && key_bits != 64) return -1;
-    if (n == 0) return 0;
-    int kb = (int)key_bits;
     /* Fused scan: both (signed) key ranges plus the 31-bit value guard. */
-    int64_t dmin = key_at(dst_ip, kb, 0), dmax = dmin;
-    int64_t smin = key_at(src_ip, kb, 0), smax = smin;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t d = key_at(dst_ip, kb, i), s = key_at(src_ip, kb, i);
-        if (d < dmin) dmin = d;
-        if (d > dmax) dmax = d;
-        if (s < smin) smin = s;
-        if (s > smax) smax = s;
-        if ((uint64_t)packets[i] >= INT32_MAX
-            || (uint64_t)bytes_[i] >= INT32_MAX)
-            return -1;
+    int64_t n = 0, dmin = 0, dmax = 0, smin = 0, smax = 0, filled = 0, one = 0;
+    uint64_t most = 0;
+    for (int64_t q = 0; q < nslices; q++) {
+        const Slice *sl = &slices[q];
+        if (sl->n == 0) continue;
+        if (n == 0) {
+            dmin = dmax = key_at(sl->dst, key_bits, 0);
+            smin = smax = key_at(sl->src, key_bits, 0);
+        }
+        for (int64_t i = 0; i < sl->n; i++) {
+            int64_t d = key_at(sl->dst, key_bits, i);
+            int64_t s = key_at(sl->src, key_bits, i);
+            if (d < dmin) dmin = d;
+            if (d > dmax) dmax = d;
+            if (s < smin) smin = s;
+            if (s > smax) smax = s;
+            if ((uint64_t)sl->packets[i] >= INT32_MAX
+                || (uint64_t)sl->bytes_[i] >= INT32_MAX)
+                return -1;
+            if ((uint64_t)sl->packets[i] > most) most = sl->packets[i];
+        }
+        n += sl->n;
+        filled++;
+        one = q;
     }
-    counts[0] = fold3(dst_ip, kb, proto, packets, bytes_, n,
-                      dmin, dmax, factor, block_shift,
-                      dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
-                      vol_keys, vol_pk, &counts[1], bufa, bufb);
-    counts[2] = fold1(src_ip, kb, packets, n, smin, smax, block_shift,
-                      src_keys, src_pk, raw_keys, raw_pk, &counts[3],
-                      bufa, bufb);
+    if (n == 0) return 0;
+    int dbits = bits_of((uint64_t)dmax - (uint64_t)dmin);
+    int sbits = bits_of((uint64_t)smax - (uint64_t)smin);
+    if (filled == 1) {
+        /* One slice: unique keys straight from the scan, the block
+         * regroups in place (the per-key totals are staged in the block
+         * columns), then one scaling pass. */
+        const Slice *sl = &slices[one];
+        double factor = factors[one];
+        int64_t nsrc = sbits <= 32
+            ? src_keys_narrow(sl, key_bits, (uint64_t)smin, sbits, src_keys,
+                              raw_pk, bufa, bufb)
+            : src_keys_wide(sl, key_bits, (uint64_t)smin, sbits, src_keys,
+                            raw_pk, bufa, bufb);
+        raw_counts[one] = regroup_blocks(src_keys, raw_pk, nsrc, block_shift,
+                                         raw_keys, raw_pk);
+        int64_t ndst = dbits <= 32
+            ? dst_keys_narrow(sl, key_bits, (uint64_t)dmin, dbits, dst_keys,
+                              dst_tcp_pk, dst_tcp_by, vol_pk, bufa, bufb)
+            : dst_keys_wide(sl, key_bits, (uint64_t)dmin, dbits, dst_keys,
+                            dst_tcp_pk, dst_tcp_by, vol_pk, bufa, bufb);
+        int64_t nvol = regroup_blocks(dst_keys, vol_pk, ndst, block_shift,
+                                      vol_keys, vol_pk);
+        for (int64_t i = 0; i < ndst; i++) {
+            dst_tcp_pk[i] *= factor;
+            dst_tcp_by[i] *= factor;
+        }
+        for (int64_t i = 0; i < nvol; i++) vol_pk[i] *= factor;
+        counts[0] = ndst;
+        counts[1] = nvol;
+        counts[2] = nsrc;
+        return 0;
+    }
+    /* Many slices.  The slice index rides in the packet field above
+     * `pbits` packet bits: a count that needs more declines. */
+    int pbits = 31 - bits_of((uint64_t)nslices - 1);
+    if (most >> pbits) return -1;
+    int64_t side[2];
+    if (sbits <= 32)
+        fold_src_narrow(slices, nslices, key_bits, n, (uint64_t)smin, sbits,
+                        pbits, block_shift, src_keys, raw_keys, raw_pk,
+                        raw_counts, state, state + nslices, side, bufa, bufb);
+    else
+        fold_src_wide(slices, nslices, key_bits, n, (uint64_t)smin, sbits,
+                      pbits, block_shift, src_keys, raw_keys, raw_pk,
+                      raw_counts, state, state + nslices, side, bufa, bufb);
+    counts[2] = side[0];
+    if (dbits <= 32)
+        fold_dst_narrow(slices, nslices, key_bits, n, (uint64_t)dmin, dbits,
+                        pbits, factors, block_shift, dst_keys, dst_tcp_pk,
+                        dst_tcp_by, vol_keys, vol_pk, vsub, state, side,
+                        bufa, bufb);
+    else
+        fold_dst_wide(slices, nslices, key_bits, n, (uint64_t)dmin, dbits,
+                      pbits, factors, block_shift, dst_keys, dst_tcp_pk,
+                      dst_tcp_by, vol_keys, vol_pk, vsub, state, side, bufa,
+                      bufb);
+    counts[0] = side[0];
+    counts[1] = side[1];
     return 0;
 }
 
@@ -920,92 +1098,168 @@ static int check_nargs(const char *func, Py_ssize_t nargs, Py_ssize_t want) {
     return -1;
 }
 
-/* fold_chunk(src_ip, dst_ip, proto, packets, bytes_, factor,
- *            block_shift, dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
- *            vol_keys, vol_pk, src_keys, src_pk, raw_keys, raw_pk,
- *            bufa, bufb) -> (n_dst, n_vol, n_src, n_raw) | None
+/* fold_batch(slices, factors, block_shift, dst_keys, dst_tcp_pk,
+ *            dst_tcp_by, vol_keys, vol_pk, src_keys, raw_keys, raw_pk,
+ *            bufa, bufb) -> (n_dst, n_vol, n_src, raw_lengths) | None
  *
- * Keys are uint32 or uint64 (both the same); proto uint8; packets and
- * bytes_ int64; every output holds n rows (int64 keys, float64 sums);
- * bufa / bufb each hold n records of 12 bytes (uint32 keys) or 16
- * (uint64), aligned to 4 or 8. */
-#define FOLD_ARRAYS 17
+ * slices is a list of (src_ip, dst_ip, proto, packets, bytes_) tuples:
+ * keys uint32 or uint64 (one width for the whole batch), proto uint8,
+ * packets and bytes_ int64, the five of one slice the same length;
+ * factors float64, one per slice.  Every output holds one row per batch
+ * row (int64 keys, float64 sums); bufa / bufb each hold one record per
+ * row, 12 bytes (uint32 keys) or 16 (uint64), aligned to the key width.
+ * raw_lengths is a tuple of each slice's raw part length, in slice
+ * order. */
+#define BATCH_COLUMNS 5
 static const struct { const char *name; char kind; Py_ssize_t width; }
-fold_args[FOLD_ARRAYS] = {
+batch_columns[BATCH_COLUMNS] = {
     {"src_ip", 'u', 0}, {"dst_ip", 'u', 0}, {"proto", 'u', 1},
     {"packets", 'i', 8}, {"bytes_", 'i', 8},
-    {"dst_keys", 'i', 8}, {"dst_tcp_pk", 'f', 8}, {"dst_tcp_by", 'f', 8},
-    {"dst_tot", 'f', 8}, {"vol_keys", 'i', 8}, {"vol_pk", 'f', 8},
-    {"src_keys", 'i', 8}, {"src_pk", 'f', 8}, {"raw_keys", 'i', 8},
-    {"raw_pk", 'f', 8}, {"bufa", 'u', 1}, {"bufb", 'u', 1},
 };
-#define FOLD_INPUTS 5
+/* The outputs, arguments 3-10; the scratch buffers follow. */
+#define BATCH_OUTPUTS 8
+static const struct { const char *name; char kind; }
+batch_outputs[BATCH_OUTPUTS] = {
+    {"dst_keys", 'i'}, {"dst_tcp_pk", 'f'}, {"dst_tcp_by", 'f'},
+    {"vol_keys", 'i'}, {"vol_pk", 'f'}, {"src_keys", 'i'},
+    {"raw_keys", 'i'}, {"raw_pk", 'f'},
+};
+#define BATCH_OUT 3
+#define BATCH_NARGS (BATCH_OUT + BATCH_OUTPUTS + 2)
 
-static PyObject *py_fold_chunk(PyObject *self, PyObject *const *args,
+static PyObject *py_fold_batch(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs)
 {
-    static const char *func = "fold_chunk";
+    static const char *func = "fold_batch";
     (void)self;
-    if (check_nargs(func, nargs, FOLD_ARRAYS + 2) < 0) return NULL;
-    double factor = PyFloat_AsDouble(args[FOLD_INPUTS]);
-    if (factor == -1.0 && PyErr_Occurred()) return NULL;
-    long long block_shift = PyLong_AsLongLong(args[FOLD_INPUTS + 1]);
+    if (check_nargs(func, nargs, BATCH_NARGS) < 0) return NULL;
+    long long block_shift = PyLong_AsLongLong(args[2]);
     if (block_shift == -1 && PyErr_Occurred()) return NULL;
     if (block_shift < 0 || block_shift > 63) {
         PyErr_Format(PyExc_ValueError, "%s: block_shift %lld outside 0..63",
                      func, block_shift);
         return NULL;
     }
-    Py_buffer v[FOLD_ARRAYS];
-    Py_ssize_t held = 0;
-    for (; held < FOLD_ARRAYS; held++) {
-        PyObject *obj = args[held < FOLD_INPUTS ? held : held + 2];
-        if (get_array(func, fold_args[held].name, obj, fold_args[held].kind,
-                      fold_args[held].width, held >= FOLD_INPUTS,
-                      &v[held]) < 0)
-            goto fail;
-    }
-    Py_ssize_t key_width = v[0].itemsize, n = items(&v[0]);
-    if ((key_width != 4 && key_width != 8) || v[1].itemsize != key_width) {
+    if (!PyList_Check(args[0])) {
         PyErr_Format(PyExc_TypeError,
-                     "%s: src_ip and dst_ip must both be uint32 or both "
-                     "uint64", func);
-        goto fail;
+                     "%s: slices must be a list of column tuples, got %.80s",
+                     func, Py_TYPE(args[0])->tp_name);
+        return NULL;
     }
-    for (int i = 1; i < FOLD_INPUTS; i++) {
-        if (items(&v[i]) != n) {
-            PyErr_Format(PyExc_ValueError,
-                         "%s: %s has %zd rows, src_ip has %zd",
-                         func, fold_args[i].name, items(&v[i]), n);
-            goto fail;
+    /* A tuple copy: acquiring a buffer cannot change the list under us. */
+    PyObject *list = PyList_AsTuple(args[0]);
+    if (list == NULL) return NULL;
+    Py_ssize_t nslices = PyTuple_GET_SIZE(list), held = 0;
+    Py_ssize_t nviews = BATCH_COLUMNS * nslices + BATCH_NARGS;
+    Py_buffer *views = PyMem_Malloc(
+        nviews * sizeof(Py_buffer)
+        + (nslices + 1) * (sizeof(Slice) + 4 * sizeof(int64_t)));
+    if (views == NULL) {
+        Py_DECREF(list);
+        return PyErr_NoMemory();
+    }
+    Slice *slices = (Slice *)(views + nviews);
+    int64_t *state = (int64_t *)(slices + nslices + 1);
+    int64_t *raw_counts = state + 2 * (nslices + 1);
+    double *vsub = (double *)(raw_counts + nslices + 1);
+    PyObject *result = NULL;
+    Py_ssize_t key_width = 0, n = 0;
+    if (nslices > (Py_ssize_t)INT32_MAX) {
+        PyErr_Format(PyExc_ValueError, "%s: %zd slices", func, nslices);
+        goto done;
+    }
+    for (Py_ssize_t q = 0; q < nslices; q++) {
+        PyObject *item = PyTuple_GET_ITEM(list, q);
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != BATCH_COLUMNS) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s: slice %zd is not a (src_ip, dst_ip, proto, "
+                         "packets, bytes_) tuple", func, q);
+            goto done;
         }
+        Py_buffer *v = &views[held];
+        for (int c = 0; c < BATCH_COLUMNS; c++, held++) {
+            if (get_array(func, batch_columns[c].name,
+                          PyTuple_GET_ITEM(item, c), batch_columns[c].kind,
+                          batch_columns[c].width, 0, &views[held]) < 0)
+                goto done;
+        }
+        Py_ssize_t width = v[0].itemsize;
+        if ((width != 4 && width != 8) || v[1].itemsize != width
+            || (key_width != 0 && width != key_width)) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s: slice %zd: src_ip and dst_ip of every slice "
+                         "must all be uint32 or all uint64", func, q);
+            goto done;
+        }
+        key_width = width;
+        Py_ssize_t rows = items(&v[0]);
+        for (int c = 1; c < BATCH_COLUMNS; c++) {
+            if (items(&v[c]) != rows) {
+                PyErr_Format(PyExc_ValueError,
+                             "%s: slice %zd: %s has %zd rows, src_ip has %zd",
+                             func, q, batch_columns[c].name, items(&v[c]),
+                             rows);
+                goto done;
+            }
+        }
+        slices[q] = (Slice){v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf,
+                            rows};
+        n += rows;
     }
-    for (int i = FOLD_INPUTS; i < FOLD_ARRAYS - 2; i++)
-        if (check_room(func, fold_args[i].name, &v[i], n, "rows", 8) < 0)
-            goto fail;
-    Py_ssize_t record = key_width == 4 ? 12 : 16;
-    for (int i = FOLD_ARRAYS - 2; i < FOLD_ARRAYS; i++)
-        if (check_room(func, fold_args[i].name, &v[i], record * n, "bytes",
-                       (uintptr_t)key_width) < 0)
-            goto fail;
-
-    int64_t counts[4];
-    int64_t status;
+    Py_buffer *fv = &views[held];
+    if (get_array(func, "factors", args[1], 'f', 8, 0, fv) < 0) goto done;
+    held++;
+    if (items(fv) != nslices) {
+        PyErr_Format(PyExc_ValueError, "%s: factors holds %zd values, "
+                     "%zd slices", func, items(fv), nslices);
+        goto done;
+    }
+    Py_buffer *out = &views[held];
+    for (int o = 0; o < BATCH_OUTPUTS; o++, held++) {
+        if (get_array(func, batch_outputs[o].name, args[BATCH_OUT + o],
+                      batch_outputs[o].kind, 8, 1, &views[held]) < 0)
+            goto done;
+        if (check_room(func, batch_outputs[o].name, &views[held], n, "rows",
+                       8) < 0)
+            goto done;
+    }
+    Py_ssize_t record = key_width == 8 ? 16 : 12;
+    for (int b = 0; b < 2; b++, held++) {
+        const char *name = b ? "bufb" : "bufa";
+        if (get_array(func, name, args[BATCH_OUT + BATCH_OUTPUTS + b], 'u',
+                      1, 1, &views[held]) < 0
+            || check_room(func, name, &views[held], record * n, "bytes",
+                          key_width ? (uintptr_t)key_width : 1) < 0)
+            goto done;
+    }
+    int64_t counts[3], status;
     Py_BEGIN_ALLOW_THREADS
-    status = fold_chunk(
-        v[0].buf, v[1].buf, 8 * key_width, v[2].buf, v[3].buf, v[4].buf,
-        n, factor, block_shift,
-        v[5].buf, v[6].buf, v[7].buf, v[8].buf, v[9].buf, v[10].buf,
-        v[11].buf, v[12].buf, v[13].buf, v[14].buf, v[15].buf, v[16].buf,
-        counts);
+    status = fold_batch(
+        slices, nslices, (int)(8 * key_width), fv->buf, block_shift,
+        out[0].buf, out[1].buf, out[2].buf, out[3].buf, out[4].buf,
+        out[5].buf, out[6].buf, out[7].buf, raw_counts, state, vsub,
+        out[8].buf, out[9].buf, counts);
     Py_END_ALLOW_THREADS
-    release_all(v, FOLD_ARRAYS);
-    if (status != 0) Py_RETURN_NONE;
-    return Py_BuildValue("(LLLL)", (long long)counts[0], (long long)counts[1],
-                         (long long)counts[2], (long long)counts[3]);
-fail:
-    release_all(v, held);
-    return NULL;
+    if (status != 0 && n > 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        PyObject *lengths = PyTuple_New(nslices);
+        for (Py_ssize_t q = 0; lengths != NULL && q < nslices; q++) {
+            PyObject *length = PyLong_FromLongLong(raw_counts[q]);
+            if (length == NULL) Py_CLEAR(lengths);
+            else PyTuple_SET_ITEM(lengths, q, length);
+        }
+        if (lengths != NULL)
+            result = Py_BuildValue("(LLLN)", (long long)counts[0],
+                                   (long long)counts[1],
+                                   (long long)counts[2], lengths);
+    }
+done:
+    release_all(views, held);
+    PyMem_Free(views);
+    Py_DECREF(list);
+    return result;
 }
 
 /* The checked buffers and pointer tables of one merge call: `parts` (a
@@ -1352,8 +1606,8 @@ done:
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"fold_chunk", (PyCFunction)(void (*)(void))py_fold_chunk,
-     METH_FASTCALL, "The fused per-chunk fold: four keyed parts."},
+    {"fold_batch", (PyCFunction)(void (*)(void))py_fold_batch,
+     METH_FASTCALL, "One day's batch of row slices folded in one call."},
     {"merge_sorted", (PyCFunction)(void (*)(void))py_merge_sorted,
      METH_FASTCALL, "Linear merge of two sorted-unique keyed parts."},
     {"merge_k", (PyCFunction)(void (*)(void))py_merge_k,

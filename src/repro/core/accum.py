@@ -4,8 +4,12 @@ The batch pipeline used to re-aggregate a whole vantage-day on every
 run.  A :class:`PrefixAccumulator` replaces that with bounded-memory
 streaming semantics:
 
-* ``update(chunk, vantage=..., day=..., sampling_factor=...)`` folds a
-  bounded-size :class:`~repro.traffic.flows.FlowTable` chunk in;
+* ``update_day(day, views, batch_rows)`` folds a day's views in, a
+  batch of row slices (``batch_rows`` rows at most, or the whole day)
+  per kernel call; ``update(chunk, vantage=..., day=...,
+  sampling_factor=...)`` folds one bounded-size
+  :class:`~repro.traffic.flows.FlowTable` chunk in as a one-slice
+  batch;
 * ``merge(other)`` combines two accumulators (associative — partial
   aggregates from different chunk orders, days or federation members
   combine into the same state);
@@ -29,10 +33,11 @@ path classifies **bit-identically** to the batch path — at chunk size
 1, 97 or a whole day.
 
 Internally each keyed column family is a small log-structured store:
-chunk aggregates append as sorted *parts* and are compacted (grouped
+batch aggregates append as sorted *parts* and are compacted (grouped
 and summed) every ``compact_every`` parts (a constructor knob,
-default :data:`DEFAULT_COMPACT_EVERY`), so ``update`` stays O(chunk)
-amortised and memory stays O(distinct keys), not O(rows).
+default :data:`DEFAULT_COMPACT_EVERY`), so a fold stays O(batch)
+amortised and memory stays O(distinct keys), not O(rows).  A day
+folded in one batch appends one part to each of its families.
 
 An accumulator has a compact columnar form:
 :meth:`PrefixAccumulator.to_state` compacts every family to a single
@@ -45,7 +50,7 @@ decodes it.
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -58,13 +63,23 @@ from repro.vantage.sampling import VantageDayView
 #: Default pending parts a :class:`_KeyedSums` tolerates before compacting.
 DEFAULT_COMPACT_EVERY = 16
 
-#: Sentinel chunk size: derive a per-view chunk size from the view's
-#: row count (see :func:`adaptive_chunk_rows`).
+#: Sentinel chunk size: derive a day's batch size from the day's row
+#: count (see :func:`adaptive_chunk_rows`).
 AUTO_CHUNK = "auto"
-#: :data:`AUTO_CHUNK`'s pieces per view, and its bounds on a chunk's rows.
+#: :data:`AUTO_CHUNK`'s batches per day, and its bounds on a batch's rows.
 _AUTO_TARGET_CHUNKS = 8
 _AUTO_FLOOR = 8192
 _AUTO_CEILING = 1 << 18
+
+
+def days_of(items: Sequence[Any], day_of) -> list[tuple[int, list[Any]]]:
+    """``items`` grouped by ``day_of(item)``: days in order of first
+    appearance, each day's items in their own order — a fold loop's
+    batches, which never span days."""
+    groups: dict[int, list[Any]] = {}
+    for item in items:
+        groups.setdefault(day_of(item), []).append(item)
+    return list(groups.items())
 
 
 def _empty_keys() -> np.ndarray:
@@ -72,15 +87,18 @@ def _empty_keys() -> np.ndarray:
 
 
 def adaptive_chunk_rows(total_rows: int) -> int | None:
-    """Chunk size balancing bounded memory against part build-up.
+    """Batch size balancing peak fold memory against part build-up.
 
-    Small views (up to :data:`_AUTO_FLOOR` rows) are ingested whole
-    (``None``): chunking them buys no memory headroom but piles up
-    log-structured parts, which is exactly the chunked-path peak-memory
-    regression seen at fixed tiny chunk sizes.  Large views are split
-    into about :data:`_AUTO_TARGET_CHUNKS` pieces, clamped to
-    ``[_AUTO_FLOOR, _AUTO_CEILING]`` rows, so ingestion memory stays a
-    fraction of the view while each family stays a handful of parts.
+    ``total_rows`` is a day's rows over all its views.  The fold's
+    transient memory — radix scratch and the not-yet-trimmed outputs,
+    a few dozen bytes per row — grows with the batch, not the day, so
+    a small day (up to :data:`_AUTO_FLOOR` rows) folds in one batch
+    (``None``): splitting it buys no memory headroom but piles up
+    log-structured parts.  A larger day is folded in about
+    :data:`_AUTO_TARGET_CHUNKS` batches, clamped to ``[_AUTO_FLOOR,
+    _AUTO_CEILING]`` rows, so the fold's transient memory stays a
+    fraction of the day's input while each family stays a handful of
+    parts.
     """
     if total_rows <= _AUTO_FLOOR:
         return None
@@ -92,10 +110,12 @@ def adaptive_chunk_rows(total_rows: int) -> int | None:
 def resolve_chunk_size(
     chunk_size: int | str | None, total_rows: int
 ) -> int | None:
-    """Resolve the public ``chunk_size`` knob for one view.
+    """Resolve the public ``chunk_size`` knob for one day.
 
-    ``None`` ingests the view whole, an integer is used as-is, and
-    :data:`AUTO_CHUNK` (``"auto"``) picks :func:`adaptive_chunk_rows`.
+    ``chunk_size`` bounds the rows of one fold batch: ``None`` folds
+    the day (``total_rows`` over all its views) in one batch, an
+    integer is used as-is, and :data:`AUTO_CHUNK` (``"auto"``) picks
+    :func:`adaptive_chunk_rows`.
     """
     if chunk_size is None:
         return None
@@ -368,15 +388,17 @@ class PrefixAccumulator:
         window tolerance and a volume-matrix row for its day.
         """
         self._days_by_vantage.setdefault(vantage, set()).add(day)
-        self._src_by_vantage.setdefault(
-            vantage, _KeyedSums(2, self.compact_every, self.kernel)
-        )
-        self._volume_by_day.setdefault(
-            day, _KeyedSums(1, self.compact_every, self.kernel)
-        )
-        self._src_ips_by_day.setdefault(
-            day, _KeyedSums(0, self.compact_every, self.kernel)
-        )
+        if vantage not in self._src_by_vantage:
+            self._src_by_vantage[vantage] = _KeyedSums(
+                2, self.compact_every, self.kernel
+            )
+        if day not in self._volume_by_day:
+            self._volume_by_day[day] = _KeyedSums(
+                1, self.compact_every, self.kernel
+            )
+            self._src_ips_by_day[day] = _KeyedSums(
+                0, self.compact_every, self.kernel
+            )
 
     def update(
         self,
@@ -388,77 +410,132 @@ class PrefixAccumulator:
     ) -> "PrefixAccumulator":
         """Fold one flow chunk of a vantage-day in; returns ``self``."""
         self.observe(vantage, day)
-        if len(chunk) == 0:
-            return self
-        self._adopt_family(chunk.family)
-        block_shift = self._family.key_block_shift
-        factor = float(sampling_factor)
-        per_vantage = self._src_by_vantage[vantage]
-        # One kernel call folds all four keyed parts of a chunk
-        # (per-dst-key sums, the block volume regroup, the source keys,
-        # the raw block source regroup).  Every part comes back
-        # sorted-unique, so downstream compaction can merge linearly
-        # instead of re-sorting.
-        dst, vol, src, (raw_blocks, (raw_pkts,)) = self.kernel.fold_chunk(
-            chunk.src_ip, chunk.dst_ip, chunk.proto, chunk.packets,
-            chunk.bytes, factor, block_shift,
+        self._fold_batch(day, [(vantage, float(sampling_factor), chunk)])
+        return self
+
+    def update_day(
+        self,
+        day: int,
+        views: Sequence[VantageDayView],
+        batch_rows: int | None = None,
+        on_batch=None,
+        on_view=None,
+    ) -> "PrefixAccumulator":
+        """Fold one day's views (or row-range shards of them) in.
+
+        This is the one fold loop: the serial engine and the fan-out
+        workers both run it, with the ``batch_rows`` the execution plan
+        resolved for the day.  The views' rows, view after view, are cut
+        into batches of at most ``batch_rows`` rows (``None``: the whole
+        day in one batch), and each batch is one kernel call — one
+        destination part, one volume part and one source-key set for
+        the batch, one raw part per slice — so a day folded in one
+        batch leaves ``finalize`` nothing to merge in those families.
+        A batch never spans days.  After a day folded in several
+        batches the pending parts are squashed, so they never outlive
+        the day that produced them (without re-sorting the whole
+        table).  ``on_batch(rows, seconds)`` is called after each folded
+        batch and ``on_view(view, seconds)`` after each view's rows are
+        read — the execution engine's observability hooks.
+        """
+        pending: list[tuple[str, float, FlowTable]] = []
+        pending_rows = 0
+
+        def fold_pending() -> float:
+            nonlocal pending, pending_rows
+            started = time.perf_counter()
+            self._fold_batch(day, pending)
+            seconds = time.perf_counter() - started
+            if on_batch is not None:
+                on_batch(pending_rows, seconds)
+            pending, pending_rows = [], 0
+            return seconds
+
+        for view in views:
+            if view.day != day:
+                raise ValueError(
+                    f"a batch never spans days: {view.vantage}@d{view.day} "
+                    f"in the batch of day {day}"
+                )
+            self.observe(view.vantage, day)
+            started = time.perf_counter()
+            folding = 0.0
+            for chunk in view.iter_chunks(batch_rows):
+                while chunk is not None:
+                    room = len(chunk) if batch_rows is None else (
+                        batch_rows - pending_rows
+                    )
+                    piece, chunk = (chunk, None) if room >= len(chunk) else (
+                        chunk.slice_rows(0, room),
+                        chunk.slice_rows(room, len(chunk)),
+                    )
+                    pending.append(
+                        (view.vantage, float(view.sampling_factor), piece)
+                    )
+                    pending_rows += len(piece)
+                    if pending_rows == batch_rows:
+                        folding += fold_pending()
+            if on_view is not None:
+                on_view(view, time.perf_counter() - started - folding)
+        if pending:
+            fold_pending()
+        if batch_rows is not None:
+            self._dst_ip_sums.squash_pending()
+            self._volume_by_day[day].squash_pending()
+            self._src_ips_by_day[day].squash_pending()
+            for vantage in {view.vantage for view in views}:
+                self._src_by_vantage[vantage].squash_pending()
+        return self
+
+    def _fold_batch(
+        self, day: int, slices: Sequence[tuple[str, float, FlowTable]]
+    ) -> None:
+        """Fold one batch of a day's ``(vantage, factor, rows)`` slices
+        (every vantage already observed) with one kernel call."""
+        slices = [piece for piece in slices if len(piece[2])]
+        if not slices:
+            return
+        for _, _, rows in slices:
+            self._adopt_family(rows.family)
+        # One kernel call folds every keyed part of the batch: the
+        # per-dst-key sums, the block volumes and the source keys once
+        # for the batch, the raw block source regroup once per slice.
+        # Every part comes back sorted-unique, so downstream compaction
+        # can merge linearly instead of re-sorting.
+        dst, vol, src, raws = self.kernel.fold_batch(
+            [
+                (rows.src_ip, rows.dst_ip, rows.proto, rows.packets, rows.bytes)
+                for _, _, rows in slices
+            ],
+            [factor for _, factor, _ in slices],
+            self._family.key_block_shift,
         )
         self._dst_ip_sums.add(dst[0], *dst[1], sorted_unique=True)
         self._volume_by_day[day].add(vol[0], *vol[1], sorted_unique=True)
         if self._ignored_asns is None:
-            per_vantage.add(raw_blocks, raw_pkts, raw_pkts, sorted_unique=True)
             self._src_ips_by_day[day].add(src[0], sorted_unique=True)
-            return self
+            for (vantage, _, _), (raw_blocks, (raw_pkts,)) in zip(slices, raws):
+                self._src_by_vantage[vantage].add(
+                    raw_blocks, raw_pkts, raw_pkts, sorted_unique=True
+                )
+            return
 
         # Ignored senders: the raw column keeps every source, the
         # filtered column and the source keys see only kept rows.
-        kept = chunk.filter(~np.isin(chunk.sender_asn, self._ignored_asns))
-        src_ips, (src_pkts,) = aggregate_sums(
-            kept.src_ip.astype(np.int64), kept.packets
-        )
-        per_vantage.add(
-            raw_blocks, np.zeros(len(raw_blocks)), raw_pkts, sorted_unique=True
-        )
-        per_vantage.add(
-            self._family.block_of(src_ips), src_pkts, np.zeros(len(src_ips))
-        )
-        self._src_ips_by_day[day].add(src_ips, sorted_unique=True)
-        return self
-
-    def update_view(
-        self,
-        view: VantageDayView,
-        chunk_rows: int | None = None,
-        on_chunk=None,
-    ) -> "PrefixAccumulator":
-        """Fold a vantage-day view (or a row-range shard of one) in.
-
-        This is the one fold loop: the serial engine and the fan-out
-        workers both run it, with the ``chunk_rows`` the execution plan
-        resolved for the view (``None``: the view whole).  The view
-        boundary is a natural compaction point: the chunk log is
-        squashed so pending parts never outlive the view that produced
-        them (without re-sorting the whole table).
-        ``on_chunk(rows, seconds)`` is called after each folded chunk —
-        the execution engine's per-chunk observability hook.
-        """
-        self.observe(view.vantage, view.day)
-        for chunk in view.iter_chunks(chunk_rows):
-            started = time.perf_counter() if on_chunk is not None else 0.0
-            self.update(
-                chunk,
-                vantage=view.vantage,
-                day=view.day,
-                sampling_factor=view.sampling_factor,
+        for (vantage, _, rows), (raw_blocks, (raw_pkts,)) in zip(slices, raws):
+            kept = rows.filter(~np.isin(rows.sender_asn, self._ignored_asns))
+            src_ips, (src_pkts,) = aggregate_sums(
+                kept.src_ip.astype(np.int64), kept.packets
             )
-            if on_chunk is not None:
-                on_chunk(len(chunk), time.perf_counter() - started)
-        if chunk_rows is not None:
-            self._dst_ip_sums.squash_pending()
-            self._src_by_vantage[view.vantage].squash_pending()
-            self._volume_by_day[view.day].squash_pending()
-            self._src_ips_by_day[view.day].squash_pending()
-        return self
+            per_vantage = self._src_by_vantage[vantage]
+            per_vantage.add(
+                raw_blocks, np.zeros(len(raw_blocks)), raw_pkts,
+                sorted_unique=True,
+            )
+            per_vantage.add(
+                self._family.block_of(src_ips), src_pkts, np.zeros(len(src_ips))
+            )
+            self._src_ips_by_day[day].add(src_ips, sorted_unique=True)
 
     # -- combination ---------------------------------------------------
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from repro.core.accum import PrefixAccumulator, resolve_chunk_size
+from repro.core.accum import PrefixAccumulator, days_of, resolve_chunk_size
 from repro.core.kernels import get_kernel, resolve_kernel_name
 from repro.core.parallel import parallel_accumulate_views, shard_views
 
@@ -101,7 +101,7 @@ class ExecutionKnobs:
     """The resolved execution knobs every layer reads from.
 
     ``chunk_size`` keeps the public tri-state form (``None`` | int |
-    ``"auto"``) because chunk rows resolve *per view*;
+    ``"auto"``) because batch rows resolve *per day*;
     ``workers`` is always a concrete count >= 1; ``kernel`` is always
     a concrete backend name (``auto`` resolves at knob time).
     """
@@ -173,7 +173,8 @@ class ViewSpec:
     #: ``"archive"`` (memory-mapped flowpack) or ``"memory"``.
     storage: str
     sampling_factor: float
-    #: Resolved ingestion chunk rows for this view (None: whole view).
+    #: Resolved rows per fold batch for this view's day (None: the
+    #: whole day in one batch).
     chunk_rows: int | None
 
 
@@ -226,7 +227,7 @@ class ExecutionPlan:
             ),
             (
                 "chunk rows",
-                ", ".join(f"{rows:,}" for rows in chunk_rows) or "whole view",
+                ", ".join(f"{rows:,}" for rows in chunk_rows) or "whole day",
             ),
             ("kernel", self.knobs.kernel),
         ]
@@ -252,18 +253,28 @@ class ExecutionPlan:
         }
 
 
-def view_spec(
-    view: "VantageDayView", chunk_size: int | str | None
-) -> ViewSpec:
-    """Planner-side descriptor of one view (no payload touched)."""
-    rows = int(view.num_rows)
-    return ViewSpec(
-        vantage=view.vantage,
-        day=view.day,
-        num_rows=rows,
-        storage=view.storage,
-        sampling_factor=float(view.sampling_factor),
-        chunk_rows=resolve_chunk_size(chunk_size, rows),
+def view_specs(
+    views: Sequence["VantageDayView"], chunk_size: int | str | None
+) -> tuple[ViewSpec, ...]:
+    """Planner-side descriptors of the views (no payload touched).
+
+    ``chunk_size`` resolves per day, against the day's rows over all
+    its views: a day's views share one batch size.
+    """
+    rows = [int(view.num_rows) for view in views]
+    day_rows: dict[int, int] = {}
+    for view, count in zip(views, rows):
+        day_rows[view.day] = day_rows.get(view.day, 0) + count
+    return tuple(
+        ViewSpec(
+            vantage=view.vantage,
+            day=view.day,
+            num_rows=count,
+            storage=view.storage,
+            sampling_factor=float(view.sampling_factor),
+            chunk_rows=resolve_chunk_size(chunk_size, day_rows[view.day]),
+        )
+        for view, count in zip(views, rows)
     )
 
 
@@ -294,7 +305,7 @@ class ExecutionPlanner:
         knobs = resolve_execution_knobs(
             chunk_size, workers, kernel, cpus=self.cpus
         )
-        specs = tuple(view_spec(view, knobs.chunk_size) for view in views)
+        specs = view_specs(views, knobs.chunk_size)
         if knobs.parallel() and specs:
             return ExecutionPlan(
                 mode="parallel",
@@ -471,9 +482,9 @@ def execute_plan(
 ) -> PrefixAccumulator:
     """Fold ``views`` into one accumulator, exactly as planned.
 
-    Serial and chunked modes run on the calling thread, emitting one
-    ``view`` event per vantage-day and one ``chunk`` event per
-    ingestion chunk;
+    Serial and chunked modes run on the calling thread, a day at a
+    time, emitting one ``view`` event per vantage-day (reading its
+    rows) and one ``chunk`` event per fold batch;
     parallel mode folds the plan's shard buckets on threads and emits
     one ``worker`` event per bucket and one ``merge`` event.
     Classification downstream is bit-identical across modes for the
@@ -508,27 +519,24 @@ def _execute_serial(
     kernel,
 ) -> PrefixAccumulator:
     accumulator = PrefixAccumulator(ignored, kernel=kernel)
-    for view, spec in zip(views, plan.views):
-        wall = time.time()
-        started = time.perf_counter()
+    batch_rows = {spec.day: spec.chunk_rows for spec in plan.views}
+    for day, members in days_of(views, lambda view: view.day):
 
-        def on_chunk(rows: int, seconds: float) -> None:
+        def on_batch(rows: int, seconds: float) -> None:
+            context.emit("chunk", f"d{day}", seconds, rows_in=rows)
+
+        def on_view(view: "VantageDayView", seconds: float) -> None:
             context.emit(
-                "chunk",
-                f"{spec.vantage}@d{spec.day}",
+                "view",
+                f"{view.vantage}@d{view.day}",
                 seconds,
-                rows_in=rows,
+                rows_in=int(view.num_rows),
+                peak_rss_mib=_peak_rss_mib(),
+                meta={"storage": view.storage},
             )
 
-        accumulator.update_view(view, spec.chunk_rows, on_chunk)
-        context.emit(
-            "view",
-            f"{spec.vantage}@d{spec.day}",
-            time.perf_counter() - started,
-            started=wall,
-            rows_in=spec.num_rows,
-            peak_rss_mib=_peak_rss_mib(),
-            meta={"storage": spec.storage},
+        accumulator.update_day(
+            day, members, batch_rows[day], on_batch, on_view
         )
     return accumulator
 

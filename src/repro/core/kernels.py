@@ -2,41 +2,43 @@
 
 Two backends compute the accumulator's hot loops:
 
-* ``numpy`` — the reference, :class:`NumpyKernel`: the per-chunk fold
-  (``fold_chunk``), the ``np.unique`` + per-column ``np.bincount``
-  regroup (``group_sum``), the regroup of sorted-unique parts
-  (``merge_sorted_parts``) and the funnel's address pass
-  (``address_pass``).  This arithmetic is written in numpy here and
+* ``numpy`` — the reference, :class:`NumpyKernel`: the batched fold
+  of a day's row slices (``fold_batch``), the ``np.unique`` +
+  per-column ``np.bincount`` regroup (``group_sum``), the regroup of
+  sorted-unique parts (``merge_sorted_parts``) and the funnel's address
+  pass (``address_pass``).  This arithmetic is written in numpy here and
   nowhere else; the accumulator has no regroup of its own.
 * ``native`` — :class:`NativeKernel`, over ``_kernels.c`` built as a
-  CPython extension module: a fused radix-sort fold, merges of sorted
-  parts (linear for two, the fold's radix sort-reduce for more) and
-  the address pass — the ops the layer budget shows earning their C
-  (``group_sum`` of unsorted parts and the funnel's block-axis masks
-  are numpy under either backend).  Its functions take numpy arrays,
-  and lists of ``(keys, cols)`` parts or of key arrays, through the
-  buffer protocol; they check every
-  array in C (dtype, 1-d, C-contiguous, lengths, output and scratch
-  room), drop the GIL around the loop, and return counts, or ``None``
-  for a decline, which the reference then takes.  One call costs a few
-  microseconds of boundary, not the tens that per-argument ctypes
-  conversion cost (docs/architecture.md has the per-call table).  The
-  same module checksums flowpack columns (:func:`crc32_columns`:
-  zlib's CRC-32 values, one C call per segment).  The source is
-  compiled once per source hash and interpreter ABI with the system C
-  compiler against the interpreter's own headers (cached under
-  ``~/.cache/repro/kernels`` as ``_kernels-<hash><EXT_SUFFIX>``) and
-  needs no Python dependency; without a compiler or without
-  ``Python.h`` the backend silently degrades to the reference (the
-  engine emits a ``kernel`` trace event with the fallback reason).
+  CPython extension module: a fused radix-sort fold of a whole batch of
+  slices in one call, merges of sorted parts (linear for two, the fold's
+  radix sort-reduce for more) and the address pass — the ops the layer
+  budget shows earning their C (``group_sum`` of unsorted parts and the
+  funnel's block-axis masks are numpy under either backend).  Its
+  functions take numpy arrays, and lists of column tuples, of ``(keys,
+  cols)`` parts or of key arrays, through the buffer protocol; they check
+  every array in C (dtype, 1-d, lengths, C-contiguous, output and scratch
+  room), drop the GIL, and return counts, or ``None`` for a decline, which
+  the reference then takes.  One call costs a few microseconds of
+  boundary, not the tens that per-argument ctypes conversion cost
+  (docs/architecture.md has the per-call table).  The same module
+  checksums flowpack columns (:func:`crc32_columns`: zlib's CRC-32 values,
+  one C call per segment).  The source is compiled once per source hash
+  and interpreter ABI with the system C compiler against the interpreter's
+  own headers (cached under ``~/.cache/repro/kernels`` as
+  ``_kernels-<hash><EXT_SUFFIX>``) and needs no Python dependency; without
+  a compiler or without ``Python.h`` the backend silently degrades to the
+  reference (the engine emits a ``kernel`` trace event with the fallback
+  reason).
 
 **Identity contract.**  Both backends produce bit-identical
 classifications: native kernels accumulate per-key sums in original
 row order and merge parts left-to-right — the same float operation
-order as ``np.bincount`` over concatenated parts — so for the
-integer-valued counts the pipeline tracks (exact in float64) every
-sum is reproduced bit for bit.  The contract is gated by the parity
-suite (``tests/core/test_kernels.py``), which includes the
+order as ``np.bincount`` over concatenated parts — and the batched
+fold adds each slice's scaled sums to a key's total in slice order, as
+the reference's regroup of the per-slice parts does, so every sum is
+reproduced bit for bit, for any sampling factors.  The contract is
+gated by the parity suite (``tests/core/test_kernels.py``), which
+includes the
 numpy = native = forced-fallback identity check on a micro world.
 
 Backends are resolved by name through :func:`get_kernel`; ``auto``
@@ -106,29 +108,51 @@ class NumpyKernel:
     provider = "numpy"
     fallback_reason: str | None = None
 
-    def fold_chunk(
-        self,
-        src_ip: np.ndarray,
-        dst_ip: np.ndarray,
-        proto: np.ndarray,
-        packets: np.ndarray,
-        bytes_: np.ndarray,
-        factor: float,
-        block_shift: int = 8,
-    ):
-        """The fused per-chunk fold: four keyed parts in one call.
+    def fold_batch(self, slices, factors, block_shift: int = 8):
+        """The batched fold: a batch of one day's row slices in one call.
 
-        Returns ``(dst, vol, src, raw)`` parts, each ``(keys, cols)``:
-        per-dst-key (tcp pkts, tcp bytes) estimates, the per-block
-        volume regroup of total packets, the source keys (no columns:
-        no verdict reads a per-source sum), and the raw per-block
-        source regroup of sampled packets — what
-        :meth:`~repro.core.accum.PrefixAccumulator.update` appends for
-        a chunk (under an ignored-sender filter it replaces the source
-        side with the filtered rows).  ``block_shift`` is the family's
-        key-to-block shift (8 for IPv4 /24s, 16 for IPv6 /48 sites over
-        /64 keys).
+        ``slices`` holds one ``(src_ip, dst_ip, proto, packets, bytes_)``
+        column tuple per slice (a run of one vantage's rows; one slice at
+        least), ``factors`` one sampling factor per slice.  Returns ``(dst,
+        vol, src, raws)``, each part ``(keys, cols)``: per-dst-key (tcp pkts,
+        tcp bytes) estimates and the per-block volume estimate of total
+        packets over the whole batch, the batch's source keys (no columns: no
+        verdict reads a per-source sum), and one raw per-block source regroup
+        of sampled packets per slice — what
+        :meth:`~repro.core.accum.PrefixAccumulator.update_day` appends for a
+        batch (under an ignored-sender filter it replaces the source side
+        with the filtered rows).  ``block_shift`` is the family's
+        key-to-block shift (8 for IPv4 /24s, 16 for IPv6 /48 sites over /64
+        keys).
+
+        The reference semantics: each slice folded alone (unscaled
+        integer sums, times its factor), then the slices' parts
+        group-summed in slice order — the float operation order of the
+        per-slice parts merged left to right, for any factors.
         """
+        if len(factors) != len(slices):
+            raise ValueError(
+                f"{len(factors)} factors for {len(slices)} slices"
+            )
+        parts = [
+            self._fold_slice(*columns, float(factor), block_shift)
+            for columns, factor in zip(slices, factors)
+        ]
+        if len(parts) == 1:
+            dst, vol, src, raw = parts[0]
+            return dst, vol, src, [raw]
+        return (
+            self.group_sum(*concat_parts([part[0] for part in parts])),
+            self.group_sum(*concat_parts([part[1] for part in parts])),
+            (np.unique(np.concatenate([part[2][0] for part in parts])), ()),
+            [part[3] for part in parts],
+        )
+
+    @staticmethod
+    def _fold_slice(src_ip, dst_ip, proto, packets, bytes_, factor,
+                    block_shift):
+        """One slice's four keyed parts: the per-key and per-block sums
+        of :meth:`fold_batch` before any other slice joins them."""
         is_tcp = proto == PROTO_TCP
         dst_ips, (tcp_pkts, tcp_bytes, total_pkts) = aggregate_sums(
             dst_ip.astype(np.int64),
@@ -138,7 +162,7 @@ class NumpyKernel:
         )
         # Re-group the per-key sums by block instead of sorting the raw
         # rows a second time: the unique-key table is far smaller than
-        # the chunk, and integer sums regroup exactly.
+        # the slice, and integer sums regroup exactly.
         vol_blocks, (vol_pkts,) = aggregate_sums(dst_ips >> block_shift, total_pkts)
         src_ips, (src_pkts,) = aggregate_sums(src_ip.astype(np.int64), packets)
         raw_blocks, (raw_pkts,) = aggregate_sums(src_ips >> block_shift, src_pkts)
@@ -256,28 +280,25 @@ class NumpyKernel:
 # The native provider: _kernels.c as a CPython extension module
 # ---------------------------------------------------------------------------
 
-#: Address dtype -> bytes of the widest radix record ``fold_chunk`` can
+#: Address dtype -> bytes of the widest radix record ``fold_batch`` can
 #: sort keys of that width in.  32-bit keys always fit 12-byte records;
 #: a 64-bit key range wider than 32 bits needs 16.
 _FOLD_RECORD_BYTES = {np.dtype(np.uint32): 12, np.dtype(np.uint64): 16}
 
 
 class _Staging(threading.local):
-    """Pooled radix scratch (fold and k-way merge) and the fold's output
-    staging, one set per thread.
+    """Pooled radix scratch (fold and k-way merge), one pool per thread.
 
     The extension drops the GIL for the C call, and
     :mod:`repro.core.parallel` folds one shard bucket per thread
     through the one process-wide :class:`NativeKernel`, so those
     threads must not share buffers.  Thread-local rather than a lock:
     a lock would serialise the fan-out's C calls, which run
-    concurrently only because each thread stages into its own buffers.
+    concurrently only because each thread has its own scratch.
     """
 
     def __init__(self) -> None:
         self.pool = np.empty(0, dtype=np.uint8)
-        self.keys: list[np.ndarray] = []
-        self.sums: list[np.ndarray] = []
 
     def scratch(self, nbytes: int) -> np.ndarray:
         """At least ``nbytes`` of radix scratch (the C never allocates)."""
@@ -293,22 +314,16 @@ class _Staging(threading.local):
         pool = self.scratch(2 * need)
         return pool[:need], pool[need:2 * need]
 
-    def outputs(self, rows: int, nkeys: int, ncols: int):
-        """Full-length output staging (results are copied out)."""
-        for pool, count, dtype in (
-            (self.keys, nkeys, np.int64), (self.sums, ncols, np.float64),
-        ):
-            for i in range(count):
-                if i == len(pool):
-                    pool.append(np.empty(rows, dtype=dtype))
-                elif len(pool[i]) < rows:
-                    pool[i] = np.empty(rows, dtype=dtype)
-        return self.keys[:nkeys], self.sums[:ncols]
 
+def _trimmed(count: int, *arrays: np.ndarray) -> None:
+    """Shrink freshly allocated outputs to their first ``count`` rows.
 
-def _copied_out(count: int, keys: np.ndarray, columns):
-    """The first ``count`` staged rows as an owned ``(keys, cols)`` part."""
-    return keys[:count].copy(), tuple(c[:count].copy() for c in columns)
+    Shrinking an array nothing else references is a realloc, not a
+    copy, and rows the C never wrote were never touched: the parts the
+    accumulator keeps hold no slack and cost no staging copy.
+    """
+    for array in arrays:
+        array.resize(count, refcheck=False)
 
 
 class NativeKernel(NumpyKernel):
@@ -332,53 +347,67 @@ class NativeKernel(NumpyKernel):
         self.fallback_reason = fallback_reason
         self._staging = _Staging()
 
-    def fold_chunk(self, src_ip, dst_ip, proto, packets, bytes_, factor,
-                   block_shift=8):
+    def fold_batch(self, slices, factors, block_shift=8):
         # The fold is compiled for uint32 (IPv4) and uint64 (IPv6) keys
         # of one width; any other layout silently takes the reference
         # path — same dtype-gate contract as a missing module.
-        record_bytes = _FOLD_RECORD_BYTES.get(dst_ip.dtype)
+        record_bytes = (
+            _FOLD_RECORD_BYTES.get(slices[0][1].dtype) if slices else None
+        )
         if (
             self._ext is not None
             and record_bytes is not None
-            and src_ip.dtype == dst_ip.dtype
-            and proto.dtype == np.uint8
-            and packets.dtype == np.int64
-            and bytes_.dtype == np.int64
-        ):
-            n = len(dst_ip)
-            bufa, bufb = self._staging.buffers(n, record_bytes)
-            keys, sums = self._staging.outputs(n, 4, 6)
-            dst_keys, vol_keys, src_keys, raw_keys = keys
-            dst_tcp_pk, dst_tcp_by, dst_tot, vol_pk, src_pk, raw_pk = sums
-            counts = self._ext.fold_chunk(
-                np.ascontiguousarray(src_ip),
-                np.ascontiguousarray(dst_ip),
-                np.ascontiguousarray(proto),
-                np.ascontiguousarray(packets),
-                np.ascontiguousarray(bytes_),
-                factor, block_shift,
-                dst_keys, dst_tcp_pk, dst_tcp_by, dst_tot,
-                vol_keys, vol_pk,
-                src_keys, src_pk,
-                raw_keys, raw_pk,
-                bufa, bufb,
+            and len(factors) == len(slices)
+            and all(
+                src_ip.dtype == slices[0][1].dtype
+                and dst_ip.dtype == slices[0][1].dtype
+                and proto.dtype == np.uint8
+                and packets.dtype == np.int64
+                and bytes_.dtype == np.int64
+                for src_ip, dst_ip, proto, packets, bytes_ in slices
             )
-            # None: a count outside the 31-bit record field (or
-            # negative) — the reference path below takes the chunk.
-            # The per-key total and source sums stay in staging: only
-            # the volume and raw regroups read them.
+        ):
+            rows = sum(len(columns[1]) for columns in slices)
+            # Outputs are the parts themselves, not staging: the C
+            # writes each part's rows in place and the tail is trimmed.
+            dst_keys, vol_keys, src_keys, raw_keys = (
+                np.empty(rows, dtype=np.int64) for _ in range(4)
+            )
+            dst_pk, dst_by, vol_pk, raw_pk = (np.empty(rows) for _ in range(4))
+            bufa, bufb = self._staging.buffers(rows, record_bytes)
+            counts = self._ext.fold_batch(
+                [
+                    tuple(np.ascontiguousarray(column) for column in columns)
+                    for columns in slices
+                ],
+                np.asarray(factors, dtype=np.float64),
+                block_shift,
+                dst_keys, dst_pk, dst_by, vol_keys, vol_pk, src_keys,
+                raw_keys, raw_pk, bufa, bufb,
+            )
+            # None: a count outside the record's packet or byte field
+            # (31 bits, less the slice index's for packets; or
+            # negative) — the reference path below takes the batch.
             if counts is not None:
-                ndst, nvol, nsrc, nraw = counts
+                ndst, nvol, nsrc, raw_lengths = counts
+                _trimmed(ndst, dst_keys, dst_pk, dst_by)
+                _trimmed(nvol, vol_keys, vol_pk)
+                _trimmed(nsrc, src_keys)
+                _trimmed(sum(raw_lengths), raw_keys, raw_pk)
+                raws, start = [], 0
+                for length in raw_lengths:
+                    raws.append((
+                        raw_keys[start:start + length],
+                        (raw_pk[start:start + length],),
+                    ))
+                    start += length
                 return (
-                    _copied_out(ndst, dst_keys, (dst_tcp_pk, dst_tcp_by)),
-                    _copied_out(nvol, vol_keys, (vol_pk,)),
-                    _copied_out(nsrc, src_keys, ()),
-                    _copied_out(nraw, raw_keys, (raw_pk,)),
+                    (dst_keys, (dst_pk, dst_by)),
+                    (vol_keys, (vol_pk,)),
+                    (src_keys, ()),
+                    raws,
                 )
-        return super().fold_chunk(
-            src_ip, dst_ip, proto, packets, bytes_, factor, block_shift
-        )
+        return super().fold_batch(slices, factors, block_shift)
 
     def merge_sorted_parts(self, parts):
         if self._ext is None:
@@ -409,13 +438,10 @@ class NativeKernel(NumpyKernel):
                 self._staging.scratch(32 * total),
             )
         # None is the C declining the shape: the reference regroup takes
-        # it, as it takes a declined fold chunk.
+        # it, as it takes a declined fold batch.
         if count is None:
             return super().merge_sorted_parts(parts)
-        # Shrinking an array nothing else references is a realloc, not a
-        # copy; the parts the accumulator keeps hold no slack.
-        for array in (out_keys, *out_cols):
-            array.resize(count, refcheck=False)
+        _trimmed(count, out_keys, *out_cols)
         return out_keys, out_cols
 
     def address_pass(self, dst_ips, tcp_pkts, tcp_bytes, block_shift,
@@ -443,8 +469,7 @@ class NativeKernel(NumpyKernel):
             # None: keys not strictly ascending — the reference below
             # raises the named error.
             if count is not None:
-                for array in columns:
-                    array.resize(count, refcheck=False)
+                _trimmed(count, *columns)
                 blocks, pkts, bytes_, *flags = columns
                 return (blocks, pkts, bytes_, *(f.view(bool) for f in flags))
         return super().address_pass(
@@ -490,7 +515,8 @@ def _build(
         temp = handle.name
     try:
         result = subprocess.run(
-            [compiler, "-O3", "-shared", "-fPIC", f"-I{include}",
+            [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+             f"-I{include}",
              "-o", temp, str(source)],
             capture_output=True,
             timeout=120,

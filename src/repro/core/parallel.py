@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.accum import PrefixAccumulator
+from repro.core.accum import PrefixAccumulator, days_of
 from repro.vantage.sampling import VantageDayView
 
 __all__ = [
@@ -153,9 +153,10 @@ def parallel_accumulate_views(
 
     Everything comes from ``plan`` (an
     :class:`~repro.core.engine.ExecutionPlan`): one thread per shard
-    bucket, each shard folded with the chunk rows the plan resolved
-    for its *view*; ``kernel`` is the backend instance the coordinator
-    resolved, shared by every thread; ``ignored`` are the ASNs whose
+    bucket, its shards folded a day at a time in batches of the rows
+    the plan resolved for that *day*; ``kernel`` is the backend
+    instance the coordinator resolved, shared by every thread;
+    ``ignored`` are the ASNs whose
     sources the fold drops.  The merged accumulator is bit-identical
     to the serial fold for any shard layout — aggregation is
     exact-integer associative.
@@ -180,8 +181,10 @@ def parallel_accumulate_views(
         wall = time.time()
         started = time.perf_counter()
         partial = PrefixAccumulator(ignored, kernel=kernel)
-        for view, chunk_rows in bucket:
-            partial.update_view(view, chunk_rows)
+        for day, members in days_of(bucket, lambda member: member[0].day):
+            partial.update_day(
+                day, [view for view, _ in members], members[0][1]
+            )
         return partial, wall, time.perf_counter() - started
 
     with ThreadPoolExecutor(max_workers=len(buckets)) as executor:

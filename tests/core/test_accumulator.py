@@ -243,7 +243,7 @@ class TestAccumulatorState:
         first = run_pipeline_accumulated(accumulator, routing, telescope.config)
         again = run_pipeline_accumulated(accumulator, routing, telescope.config)
         assert_identical(first, again)
-        accumulator.update_view(multi_day[3])  # still ingestible afterwards
+        accumulator.update_day(multi_day[3].day, [multi_day[3]])  # still ingestible
         assert partial_states_identical(accumulator, fold(multi_day[:4]))
 
     def test_empty_accumulator_rejected(self, routing):
@@ -253,7 +253,7 @@ class TestAccumulatorState:
     def test_copy_is_independent(self, multi_day):
         original = fold(multi_day[:2])
         duplicate = original.copy()
-        duplicate.update_view(multi_day[2])
+        duplicate.update_day(multi_day[2].day, [multi_day[2]])
         assert partial_states_identical(original, fold(multi_day[:2]))
         assert not partial_states_identical(original, duplicate)
 

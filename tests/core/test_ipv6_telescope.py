@@ -118,8 +118,8 @@ class TestExecutionIdentity:
         # Forbid the reference fold, so a native kernel that declines
         # the uint64 keys fails here instead of comparing numpy with
         # numpy.
-        declined = AssertionError("the native kernel declined a v6 chunk")
-        with mock.patch.object(NumpyKernel, "fold_chunk", side_effect=declined):
+        declined = AssertionError("the native kernel declined a v6 batch")
+        with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
             native = infer_ipv6(world, views, kernel="native")
         assert np.array_equal(native.served_sites, report.served_sites)
         assert native.snapshot.identical_to(report.snapshot)

@@ -9,7 +9,10 @@ full-range 32-bit addresses (a ``uint32`` shifted by its own width is
 undefined behaviour in C — the regression here once looped forever),
 fault-injected feeds, the ignored-sender filter path, counts outside
 the 31-bit record field, and more pending parts than the k-way merge's
-old 64-entry head index held.
+old 64-entry head index held.  The batched fold is checked against the
+reference's per-slice folds regrouped in slice order: 1-20 slices with
+shared keys, non-integral factors and empty slices, both key widths,
+either side of the record width switch.
 64-bit IPv6 keys get the same cases plus their own: a range needing a
 shift by 64, keys >= 2**63 (the reference's int64 cast turns them
 negative) and ranges either side of the narrow/wide record boundary —
@@ -22,6 +25,7 @@ The numpy-vs-native classes are skipped (not passed numpy against
 numpy) on a host where the module cannot be built.
 """
 
+import contextlib
 import hashlib
 import sys
 import sysconfig
@@ -125,14 +129,10 @@ def make_flows(
     )
 
 
-@st.composite
-def flow_tables(draw, family=FAMILY_IPV4):
-    """Random flow tables spanning the family's full key range."""
-    count = draw(st.integers(min_value=0, max_value=80))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+def key_pools(rng, family):
+    """The family's key dtype and the key pools random tables draw from."""
     if family == FAMILY_IPV6:
-        key_dtype = np.uint64
-        pools = [
+        return np.uint64, [
             # Eight /48 sites: a narrow (12-byte record) range.
             V6_KEY + (np.arange(8, dtype=np.uint64) << np.uint64(16)),
             # Full 64-bit range across the int64 sign flip.
@@ -141,15 +141,21 @@ def flow_tables(draw, family=FAMILY_IPV4):
             V6_KEY + np.array([0, 2**32 - 1, 2**32, 2**40], dtype=np.uint64),
             rng.integers(0, 2**64 - 1, size=8, dtype=np.uint64, endpoint=True),
         ]
-    else:
-        key_dtype = np.uint32
-        pools = [
-            np.array([BASE + i for i in range(8)], dtype=np.uint64) << 8,
-            # Full-range keys: 0, the top of the address space, and
-            # random points in between (the radix-plan regression).
-            np.array([0, 2**32 - 1, 2**31, 2**16], dtype=np.uint64),
-            rng.integers(0, 2**32, size=8, dtype=np.uint64),
-        ]
+    return np.uint32, [
+        np.array([BASE + i for i in range(8)], dtype=np.uint64) << 8,
+        # Full-range keys: 0, the top of the address space, and random
+        # points in between (the radix-plan regression).
+        np.array([0, 2**32 - 1, 2**31, 2**16], dtype=np.uint64),
+        rng.integers(0, 2**32, size=8, dtype=np.uint64),
+    ]
+
+
+@st.composite
+def flow_tables(draw, family=FAMILY_IPV4):
+    """Random flow tables spanning the family's full key range."""
+    count = draw(st.integers(min_value=0, max_value=80))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    key_dtype, pools = key_pools(rng, family)
     pool = draw(st.sampled_from(pools))
     dst_ip = rng.choice(pool, size=count).astype(key_dtype)
     src_ip = rng.choice(pool, size=count).astype(key_dtype)
@@ -193,10 +199,10 @@ def assert_backends_agree(tables, ignored=frozenset()):
 
 
 def fold_in_c(tables, ignored=frozenset()):
-    """The native fold with the reference fold forbidden: a chunk the C
+    """The native fold with the reference fold forbidden: a batch the C
     kernel declines fails the test instead of passing numpy = numpy."""
-    declined = AssertionError("the native kernel declined a chunk")
-    with mock.patch.object(NumpyKernel, "fold_chunk", side_effect=declined):
+    declined = AssertionError("the native kernel declined a batch")
+    with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
         return fold(tables, "native", ignored)
 
 
@@ -206,7 +212,7 @@ def assert_folds_in_c_and_agrees(tables, ignored=frozenset()):
 
 
 def traffic_columns(rng, src_ip, dst_ip):
-    """``fold_chunk``'s positional columns around the given keys."""
+    """One ``fold_batch`` slice's columns around the given keys."""
     rows = len(dst_ip)
     return (
         src_ip,
@@ -231,13 +237,28 @@ def parts_identical(ours, theirs):
     )
 
 
+def as_batch(columns, factors):
+    """``columns`` cut into ``len(factors)`` even slices: a
+    ``fold_batch`` call's ``(slices, factors)``."""
+    cuts = np.linspace(0, len(columns[0]), len(factors) + 1).astype(int)
+    slices = [
+        tuple(column[start:stop] for column in columns)
+        for start, stop in zip(cuts[:-1], cuts[1:])
+    ]
+    return slices, list(factors)
+
+
 def assert_concurrent_folds_agree(columns, block_shift, rounds=12):
-    """Threads folding ``columns`` (one set each) through the shared
-    native kernel all get the reference's parts, every round."""
+    """Threads folding ``columns`` (one set each, as a one-slice batch
+    and as a three-slice one) through the shared native kernel all get
+    the reference's parts, every round."""
     assert_concurrent_calls_agree(
         [
-            lambda kernel, c=c: kernel.fold_chunk(*c, 2.0, block_shift)
+            lambda kernel, b=as_batch(c, factors): kernel.fold_batch(
+                *b, block_shift
+            )
             for c in columns
+            for factors in ([2.0], [2.0, 0.5, 3.25])
         ],
         rounds,
     )
@@ -654,8 +675,11 @@ def concurrent_jobs(draw):
             keys = [v6_keys(rng, rows, span) for _ in range(2)]
             shift = 16
         columns = traffic_columns(rng, *keys)
+        factors = [2.0] if draw(st.booleans()) else [2.0, 0.1, 7.0]
         jobs.append(
-            lambda kernel, c=columns, s=shift: kernel.fold_chunk(*c, 2.0, s)
+            lambda kernel, b=as_batch(columns, factors), s=shift: (
+                kernel.fold_batch(*b, s)
+            )
         )
     return jobs
 
@@ -746,8 +770,8 @@ class TestFold64Parity:
         tables = [make_flows(ips, packets=packets, family=FAMILY_IPV6)]
         reference = fold(tables, "numpy")
         with mock.patch.object(
-            NumpyKernel, "fold_chunk", autospec=True,
-            side_effect=NumpyKernel.fold_chunk,
+            NumpyKernel, "fold_batch", autospec=True,
+            side_effect=NumpyKernel.fold_batch,
         ) as reference_fold:
             native = fold(tables, "native")
         assert reference_fold.call_count == 1
@@ -771,6 +795,190 @@ class TestFold64Parity:
     @settings(max_examples=40, deadline=None)
     def test_property_states_identical(self, tables):
         assert_folds_in_c_and_agrees(tables)
+
+
+#: Sampling factors a batch draws from: integral ones, and fractions no
+#: float holds exactly (a slice's sums then round when scaled).
+BATCH_FACTORS = st.sampled_from([1.0, 4.0, 16.0, 0.1, 1 / 3, 2.5, 7.25, 1e-3])
+
+
+@st.composite
+def batches(draw, family=FAMILY_IPV4):
+    """A ``fold_batch`` call, ``(slices, factors, block_shift)``: 1-20
+    slices, some empty, drawing keys from one pool, so destination
+    keys, source keys and blocks recur across slices."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    key_dtype, pools = key_pools(rng, family)
+    pool = draw(st.sampled_from(pools))
+    slices, factors = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        rows = draw(st.sampled_from([0, 1, 7, 40, 120]))
+        keys = (rng.choice(pool, size=rows).astype(key_dtype) for _ in range(2))
+        slices.append(traffic_columns(rng, *keys))
+        factors.append(draw(BATCH_FACTORS))
+    return slices, factors, 16 if family == FAMILY_IPV6 else 8
+
+
+def batch_in_c(slices, factors, block_shift):
+    """The native batched fold with the reference fold forbidden."""
+    declined = AssertionError("the native kernel declined a batch")
+    with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
+        return get_kernel("native").fold_batch(slices, factors, block_shift)
+
+
+def assert_batch_in_c_agrees(slices, factors, block_shift):
+    reference = NumpyKernel().fold_batch(slices, factors, block_shift)
+    assert parts_identical(batch_in_c(slices, factors, block_shift), reference)
+
+
+@needs_native
+class TestBatchParity:
+    """``fold_batch`` in C against the reference — each slice folded
+    alone, the parts regrouped in slice order — bit for bit, for any
+    factors: a key's total is 0.0 plus each slice's sum times its
+    factor, in slice order, and a block's volume the same over its
+    per-slice subtotals."""
+
+    @given(batches())
+    @settings(max_examples=60, deadline=None)
+    def test_property_v4_batches_identical(self, batch):
+        assert_batch_in_c_agrees(*batch)
+
+    @given(batches(FAMILY_IPV6))
+    @settings(max_examples=60, deadline=None)
+    def test_property_v6_batches_identical(self, batch):
+        assert_batch_in_c_agrees(*batch)
+
+    @pytest.mark.parametrize("family", [FAMILY_IPV4, FAMILY_IPV6])
+    def test_zero_row_slices(self, family):
+        rng = np.random.default_rng(41)
+        key_dtype, pools = key_pools(rng, family)
+        shift = 16 if family == FAMILY_IPV6 else 8
+        empty = traffic_columns(
+            rng, np.empty(0, dtype=key_dtype), np.empty(0, dtype=key_dtype)
+        )
+        full = traffic_columns(
+            rng, *(rng.choice(pools[0], size=50).astype(key_dtype)
+                   for _ in range(2))
+        )
+        for layout in (
+            [empty], [empty, empty], [empty, full], [full, empty],
+            [empty, full, empty, full, empty],
+        ):
+            factors = [0.3, 2.0, 1 / 3, 5.0, 0.7][:len(layout)]
+            assert_batch_in_c_agrees(layout, factors, shift)
+        batch = batch_in_c([empty, empty], [1.0, 2.0], shift)
+        assert all(len(part[0]) == 0 for part in (*batch[:3], *batch[3]))
+
+    def test_no_slices_fold_nothing(self):
+        args = fold_arguments(rows=0, slices=1)
+        args["slices"], args["factors"] = [], np.empty(0)
+        assert extension().fold_batch(*args.values()) == (0, 0, 0, ())
+
+    @pytest.mark.parametrize("slices", [1, 4])
+    @pytest.mark.parametrize("span", [2**32 - 1, 2**32], ids=["narrow", "wide"])
+    def test_record_width_switch(self, span, slices):
+        # A key range of 2**32-1 still sorts 32-bit offsets (8-/12-byte
+        # records); 2**32 is the first that takes the 64-bit ones (16
+        # bytes), with one slice and with a slice index in the records.
+        rng = np.random.default_rng(43)
+        columns = traffic_columns(
+            rng, v6_keys(rng, 400, span), v6_keys(rng, 400, span)
+        )
+        assert_batch_in_c_agrees(
+            *as_batch(columns, [0.7, 3.0, 1.0, 1 / 3][:slices]), 16
+        )
+
+    def test_narrow_destinations_beside_wide_sources(self):
+        rng = np.random.default_rng(47)
+        columns = traffic_columns(
+            rng, v6_keys(rng, 300, 2**40), v6_keys(rng, 300, 2**12)
+        )
+        assert_batch_in_c_agrees(*as_batch(columns, [1.5, 0.25, 9.0]), 16)
+
+    def test_a_count_outside_the_record_field_declines_the_batch(self):
+        # A wide count in the last slice sends the whole batch, once,
+        # to the reference.
+        rng = np.random.default_rng(53)
+        keys = rng.integers(0, 2**20, size=90, dtype=np.uint64).astype(np.uint32)
+        slices, factors = as_batch(traffic_columns(rng, keys, keys), [1.0, 2.0, 0.5])
+        packets = slices[-1][3].copy()
+        packets[5] = 2**31
+        slices[-1] = (*slices[-1][:3], packets, slices[-1][4])
+        reference = NumpyKernel().fold_batch(slices, factors, 8)
+        with mock.patch.object(
+            NumpyKernel, "fold_batch", autospec=True,
+            side_effect=NumpyKernel.fold_batch,
+        ) as reference_fold:
+            native = get_kernel("native").fold_batch(slices, factors, 8)
+        assert reference_fold.call_count == 1
+        assert parts_identical(native, reference)
+
+
+    def test_the_slice_index_takes_the_top_packet_bits(self):
+        # A batch of k slices keeps 31 - bits(k - 1) bits for a row's
+        # packets, the slice index rides above them: 14 slices leave
+        # 27.  The largest count that fits folds in C, one past it
+        # declines the batch to the reference — which a one-slice batch
+        # of the same rows, with all 31 bits, does not.
+        rng = np.random.default_rng(59)
+        keys = rng.integers(0, 2**24, size=280, dtype=np.uint64).astype(np.uint32)
+        columns = traffic_columns(rng, keys, keys)
+        for count, declines in ((2**27 - 1, False), (2**27, True)):
+            packets = columns[3].copy()
+            packets[-3] = count
+            wide = (*columns[:3], packets, columns[4])
+            slices, factors = as_batch(wide, [1.0 + i / 4 for i in range(14)])
+            if declines:
+                with mock.patch.object(
+                    NumpyKernel, "fold_batch", autospec=True,
+                    side_effect=NumpyKernel.fold_batch,
+                ) as reference_fold:
+                    native = get_kernel("native").fold_batch(slices, factors, 8)
+                assert reference_fold.call_count == 1
+                assert parts_identical(
+                    native, NumpyKernel().fold_batch(slices, factors, 8)
+                )
+            else:
+                assert_batch_in_c_agrees(slices, factors, 8)
+            assert_batch_in_c_agrees([wide], [3.0], 8)
+
+
+class TestTwoFactorsOneKey:
+    """Two views of one day, with different factors, hit the same
+    destination key and the same block: one batch, and each key total
+    and block volume is 0.0 plus each view's unscaled sum times its
+    factor, in view order."""
+
+    @pytest.mark.parametrize(
+        "kernel", ["numpy", pytest.param("native", marks=needs_native)]
+    )
+    def test_sums_scale_per_view_in_view_order(self, kernel):
+        key, neighbour = (BASE << 8) | 5, (BASE << 8) | 6
+        views = [
+            VantageDayView(
+                "A", 0, make_flows([key, key, neighbour], packets=[3, 7, 2]),
+                sampling_factor=0.3,
+            ),
+            VantageDayView("B", 0, make_flows([key], packets=[4]),
+                           sampling_factor=2.5),
+        ]
+        accumulator = PrefixAccumulator(kernel=kernel)
+        declined = AssertionError("the native kernel declined the batch")
+        with mock.patch.object(
+            NumpyKernel, "fold_batch", side_effect=declined
+        ) if kernel == "native" else contextlib.nullcontext():
+            accumulator.update_day(0, views)
+        final = accumulator.finalize()
+        assert final.dst_ips.tolist() == [key, neighbour]
+        assert final.ip_tcp_pkts_est.tolist() == [
+            0.0 + 10 * 0.3 + 4 * 2.5, 0.0 + 2 * 0.3,
+        ]
+        assert final.ip_tcp_bytes_est.tolist() == [
+            0.0 + 440 * 0.3 + 176 * 2.5, 0.0 + 88 * 0.3,
+        ]
+        assert final.vol_blocks.tolist() == [BASE]
+        assert final.vol_median_est.tolist() == [0.0 + 12 * 0.3 + 4 * 2.5]
 
 
 @needs_native
@@ -881,17 +1089,20 @@ class TestCrc32Fallback:
         assert crc32_columns([strided]) == [expected]
 
 
-#: ``fold_chunk``'s positional arguments in the extension module.
+#: ``fold_batch``'s positional arguments in the extension module.
 FOLD_ARGS = (
-    "src_ip", "dst_ip", "proto", "packets", "bytes_", "factor",
-    "block_shift", "dst_keys", "dst_tcp_pk", "dst_tcp_by", "dst_tot",
-    "vol_keys", "vol_pk", "src_keys", "src_pk", "raw_keys", "raw_pk",
+    "slices", "factors", "block_shift", "dst_keys", "dst_tcp_pk",
+    "dst_tcp_by", "vol_keys", "vol_pk", "src_keys", "raw_keys", "raw_pk",
     "bufa", "bufb",
 )
-#: Its int64 key outputs; the other outputs are float64 sums.
+#: One slice's columns, in order.
+SLICE_COLUMNS = ("src_ip", "dst_ip", "proto", "packets", "bytes_")
+#: Its int64 outputs; the other outputs are float64 sums.
 FOLD_KEY_OUTPUTS = {"dst_keys", "vol_keys", "src_keys", "raw_keys"}
 #: Its outputs and scratch: what the C writes.
 FOLD_WRITTEN = FOLD_ARGS[FOLD_ARGS.index("dst_keys"):]
+#: Radix record bytes by key width.
+FOLD_RECORDS = {np.dtype(np.uint32): 12, np.dtype(np.uint64): 16}
 
 
 def extension():
@@ -899,8 +1110,9 @@ def extension():
     return get_kernel("native")._ext
 
 
-def fold_arguments(key_dtype=np.uint32, rows=16):
-    """A valid argument list for the module's ``fold_chunk``, by name."""
+def fold_arguments(key_dtype=np.uint32, rows=16, slices=2):
+    """A valid argument list for the module's ``fold_batch``, by name:
+    ``rows`` rows cut into ``slices`` slices."""
     rng = np.random.default_rng(83)
     top = 2**32 - 1 if key_dtype == np.uint32 else 2**64 - 1
     src, dst = (
@@ -908,8 +1120,11 @@ def fold_arguments(key_dtype=np.uint32, rows=16):
         .astype(key_dtype)
         for _ in range(2)
     )
-    record = 12 if key_dtype == np.uint32 else 16
-    values = list(traffic_columns(rng, src, dst)) + [2.0, 8]
+    batch, factors = as_batch(
+        traffic_columns(rng, src, dst), [2.0, 0.5, 3.0][:slices]
+    )
+    record = FOLD_RECORDS[np.dtype(key_dtype)]
+    values = [batch, np.array(factors), 8]
     for name in FOLD_WRITTEN:
         if name in ("bufa", "bufb"):
             values.append(np.empty(record * rows, dtype=np.uint8))
@@ -917,6 +1132,25 @@ def fold_arguments(key_dtype=np.uint32, rows=16):
             dtype = np.int64 if name in FOLD_KEY_OUTPUTS else np.float64
             values.append(np.empty(rows, dtype=dtype))
     return dict(zip(FOLD_ARGS, values))
+
+
+def with_hostile(args, name, replace):
+    """``args`` with ``name`` replaced — a slice column in the batch's
+    last slice, so checks past the first slice are exercised."""
+    if name in SLICE_COLUMNS:
+        columns = list(args["slices"][-1])
+        at = SLICE_COLUMNS.index(name)
+        columns[at] = replace(columns[at])
+        args["slices"] = [*args["slices"][:-1], tuple(columns)]
+    else:
+        args[name] = replace(args[name])
+    return args
+
+
+def other_width(columns):
+    """A slice whose keys take the other key width."""
+    swap = np.uint64 if columns[0].itemsize == 4 else np.uint32
+    return (columns[0].astype(swap), columns[1].astype(swap), *columns[2:])
 
 
 def strided(array):
@@ -956,18 +1190,37 @@ HOSTILE_FOLDS = [
     ("dst_ip", strided, ValueError),
     ("vol_pk", strided, ValueError),
     ("packets", misaligned, ValueError),
-    ("src_pk", misaligned, ValueError),
+    ("raw_pk", misaligned, ValueError),
+    # Ragged slice columns.
     ("proto", lambda a: a[:-1], ValueError),
     ("src_ip", lambda a: a[1:], ValueError),
     ("src_keys", lambda a: a[:-1], ValueError),
     ("bufb", lambda a: a[:-1], ValueError),
     ("bufa", lambda a: np.empty(len(a) + 1, np.uint8)[1:], ValueError),
-    ("dst_tot", read_only, ValueError),
+    ("vol_pk", read_only, ValueError),
     ("dst_ip", lambda a: a.tolist(), TypeError),
     ("bufa", lambda a: bytes(len(a)), TypeError),
     ("block_shift", lambda a: 64, ValueError),
     ("block_shift", lambda a: -1, ValueError),
-    ("factor", lambda a: "2", TypeError),
+    ("factors", lambda a: "2", TypeError),
+    # The key widths of two slices differ.
+    ("slices", lambda s: [*s[:-1], other_width(s[-1])], TypeError),
+    ("bytes_", lambda a: np.concatenate([a, a]), ValueError),
+    # A slice that is not a five-column tuple, and slices not a list.
+    ("slices", lambda s: [*s[:-1], list(s[-1])], TypeError),
+    ("slices", lambda s: [*s[:-1], s[-1][:4]], TypeError),
+    ("slices", lambda s: [*s[:-1], (*s[-1], s[-1][0])], TypeError),
+    ("slices", lambda s: [*s[:-1], None], TypeError),
+    ("slices", tuple, TypeError),
+    ("slices", lambda s: iter(s), TypeError),
+    # A factor count that differs from the slice count.
+    ("factors", lambda f: f[:-1], ValueError),
+    ("factors", lambda f: np.append(f, 1.0), ValueError),
+    ("factors", lambda f: f.astype(np.float32), TypeError),
+    ("factors", lambda f: f.astype(np.int64), TypeError),
+    ("factors", lambda f: f.tolist(), TypeError),
+    ("factors", strided, ValueError),
+    ("block_shift", lambda a: 8.0, TypeError),
 ]
 
 #: The module's ``address_pass`` arguments, in order.
@@ -1155,7 +1408,7 @@ class TestHostileArguments:
     def test_module_surface_is_the_five_functions(self):
         public = {name for name in dir(extension()) if not name.startswith("_")}
         assert public == {
-            "fold_chunk", "merge_sorted", "merge_k", "crc32_columns",
+            "fold_batch", "merge_sorted", "merge_k", "crc32_columns",
             "address_pass",
         }
 
@@ -1193,9 +1446,12 @@ class TestHostileArguments:
 
     @pytest.mark.parametrize("key_dtype", [np.uint32, np.uint64])
     def test_valid_fold_arguments_fold(self, key_dtype):
-        args = fold_arguments(key_dtype)
-        counts = extension().fold_chunk(*args.values())
-        assert len(counts) == 4 and all(0 < c <= 16 for c in counts)
+        for slices in (1, 2, 3):
+            args = fold_arguments(key_dtype, slices=slices)
+            *counts, raw_lengths = extension().fold_batch(*args.values())
+            assert len(counts) == 3 and all(0 < c <= 16 for c in counts)
+            assert len(raw_lengths) == slices
+            assert 0 < sum(raw_lengths) <= 16
 
     @pytest.mark.parametrize(
         "name,replace,error", HOSTILE_FOLDS,
@@ -1203,29 +1459,29 @@ class TestHostileArguments:
     )
     @pytest.mark.parametrize("key_dtype", [np.uint32, np.uint64])
     def test_hostile_fold_argument_raises(self, key_dtype, name, replace, error):
-        args = fold_arguments(key_dtype)
-        args[name] = replace(args[name])
+        args = with_hostile(fold_arguments(key_dtype), name, replace)
         with pytest.raises(error):
-            extension().fold_chunk(*args.values())
+            extension().fold_batch(*args.values())
 
     def test_fold_argument_count(self):
         values = list(fold_arguments().values())
         for wrong in (values[:-1], values + [values[-1]], []):
             with pytest.raises(TypeError):
-                extension().fold_chunk(*wrong)
+                extension().fold_batch(*wrong)
 
+    @pytest.mark.parametrize("slices", [1, 3])
     @pytest.mark.parametrize("name", FOLD_WRITTEN)
-    def test_short_fold_output_is_refused_before_any_write(self, name):
+    def test_short_fold_output_is_refused_before_any_write(self, name, slices):
         # The short array is the head of a sentinel-filled buffer: a C
         # that wrote past its end would change the tail.
-        args = fold_arguments(np.uint64)
+        args = fold_arguments(np.uint64, slices=slices)
         short = args[name]
         room = np.full(len(short) + 64, 0x5A, dtype=np.uint8)
         if short.dtype != np.uint8:
             room = np.full(len(short) + 8, -7, dtype=short.dtype)
         args[name] = room[:len(short) - 1]
         with pytest.raises(ValueError, match=name):
-            extension().fold_chunk(*args.values())
+            extension().fold_batch(*args.values())
         assert (room == room[-1]).all()
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_MERGES))
@@ -1459,7 +1715,7 @@ class TestFallback:
         # once went straight into the output slicing.
         declined = mock.Mock(return_value=None)
         stub = SimpleNamespace(
-            fold_chunk=mock.Mock(), merge_sorted=declined, merge_k=declined
+            fold_batch=mock.Mock(), merge_sorted=declined, merge_k=declined
         )
         kernel = NativeKernel(stub)
         rng = np.random.default_rng(47)

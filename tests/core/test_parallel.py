@@ -504,7 +504,7 @@ class TestChunkingKnobs:
         for compact_every in (2, 1000):
             accumulator = PrefixAccumulator(compact_every=compact_every)
             for view in multi_day:
-                accumulator.update_view(view, 17)
+                accumulator.update_day(view.day, [view], 17)
             assert partial_states_identical(serial, accumulator)
 
     def test_compact_every_validated(self):

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import (
+    PipelineConfig,
+    run_pipeline,
+    run_pipeline_accumulated,
+)
 from repro.net.ipv4 import parse_ip
 from repro.traffic.packets import PROTO_TCP, PROTO_UDP
 
-from _factories import ip, make_view, routing_for
+from _factories import fold, ip, make_view, routing_for
 
 # Blocks inside the announced test prefix 20.0.0.0/8.
 BASE = parse_ip("20.0.0.0") >> 8
@@ -221,6 +225,46 @@ class TestVolumeFilter:
         config = PipelineConfig(volume_threshold_pkts_day=100.0)
         result = run(rows, config=config)
         assert len(result.dark_blocks) == 0
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "native"])
+class TestThresholdsAreInclusive:
+    """A block exactly at a funnel bound stays dark, one step past it
+    is removed: step 2 keeps a TCP mean equal to ``avg_size_threshold``
+    and step 6 a daily volume estimate equal to
+    ``volume_threshold_pkts_day`` (``<=``, not ``<``), under both
+    kernels."""
+
+    def classify(self, rows, kernel, sampling_factor=1.0, **config):
+        views = [make_view(rows, sampling_factor=sampling_factor)]
+        return run_pipeline_accumulated(
+            fold(views, kernel=kernel), ROUTING, PipelineConfig(**config)
+        )
+
+    def test_volume_estimate_at_the_threshold_is_dark(self, kernel):
+        # 25 sampled packets at factor 4: an estimate of exactly 100.
+        at = self.classify(
+            [syn_row(BASE, packets=25)], kernel, sampling_factor=4.0,
+            volume_threshold_pkts_day=100.0,
+        )
+        assert at.dark_blocks.tolist() == [BASE]
+        assert at.volume_filtered_blocks.tolist() == []
+        past = self.classify(
+            [syn_row(BASE, packets=25)], kernel, sampling_factor=4.0,
+            volume_threshold_pkts_day=99.0,
+        )
+        assert past.dark_blocks.tolist() == []
+        assert past.volume_filtered_blocks.tolist() == [BASE]
+
+    def test_tcp_mean_at_the_size_threshold_is_dark(self, kernel):
+        # 88 bytes over 2 packets: the block's TCP mean is exactly 44 B.
+        rows = [syn_row(BASE, packets=2, bytes=88)]
+        at = self.classify(rows, kernel, avg_size_threshold=44.0)
+        assert at.funnel.after_avg_size == 1
+        assert at.dark_blocks.tolist() == [BASE]
+        past = self.classify(rows, kernel, avg_size_threshold=43.5)
+        assert past.funnel.after_avg_size == 0
+        assert past.dark_blocks.tolist() == []
 
 
 class TestMultiView:

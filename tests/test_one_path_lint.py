@@ -2,14 +2,14 @@
 
 Views become an accumulator only in ``engine.execute_plan`` (whose two
 arms are the serial loop and ``parallel``'s fan-out, both running
-``PrefixAccumulator.update_view``); per-/24 sums exist only in that
+``PrefixAccumulator.update_day``); per-/24 sums exist only in that
 accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
 serving fleet, and the fold's fan-out is the one thread pool in
 ``core/``; the native extension module
 exports only its ``PyInit__kernels`` and has exactly five functions,
-``fold_chunk``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
+``fold_batch``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
 ``address_pass``, and nothing imports ``ctypes`` (one binding path).  This test keeps
 second doors — a convenience fold loop, a second aggregation, a facade
 that plans for itself, a hand-built snapshot, a private process pool, a
@@ -180,7 +180,7 @@ REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
 KERNEL_EXPORTS = {"PyInit__kernels"}
 KERNEL_METHODS = {
-    "fold_chunk", "merge_sorted", "merge_k", "crc32_columns", "address_pass"
+    "fold_batch", "merge_sorted", "merge_k", "crc32_columns", "address_pass"
 }
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
@@ -377,7 +377,7 @@ def test_lint_actually_catches_a_second_door():
             "def accumulate_views(views):\n"
             "    accumulator = PrefixAccumulator()\n"
             "    for view in views:\n"
-            "        accumulator.update_view(view)\n"
+            "        accumulator.update_day(view.day, [view])\n"
             "    return accumulator\n"
         ),
         "core/pipeline.py": "convenience = accumulate_views([])\n",
@@ -487,7 +487,7 @@ def test_lint_actually_catches_a_second_door():
             assert name in {found for found, _ in imports(sources[module])}
     # The scopes really cover code: the one fold and its callers exist.
     names = {name for name, _, _ in calls(sources["core/engine.py"])}
-    assert {"update_view", "parallel_accumulate_views"} <= names
+    assert {"update_day", "parallel_accumulate_views"} <= names
     assert "iter_chunks" in {
         name for name, _, _ in calls(sources["core/accum.py"])
     }
@@ -713,9 +713,10 @@ def test_native_library_exports_exactly_five_functions():
     assert found == (KERNEL_EXPORTS, KERNEL_METHODS), (
         "core/_kernels.c is an extension module: it exports only "
         "PyInit__kernels, every other C function is static, and its "
-        "method table holds exactly fold_chunk, merge_sorted, merge_k, "
+        "method table holds exactly fold_batch, merge_sorted, merge_k, "
         "crc32_columns and address_pass (one op per job, every key width "
-        "through the same fold_chunk, every segment's checksums in one "
+        "and every batch through the same fold_batch, every segment's "
+        "checksums in one "
         "crc32_columns call, the funnel's address table in one "
         f"address_pass walk): exports {sorted(found[0])}, methods "
         f"{sorted(found[1])}"
@@ -748,7 +749,7 @@ def test_export_lint_actually_catches_a_fourth_export():
     }
     for name, fork in pasted.items():
         assert c_exports(source + "\n" + fork) == KERNEL_EXPORTS | {name}
-    for helper in ("bits_of", "fold_chunk", "merge_k"):
+    for helper in ("bits_of", "fold_batch", "merge_k"):
         unstatic = re.sub(rf"\bstatic (\w+ {helper}\()", r"\1", source)
         assert unstatic != source
         assert c_exports(unstatic) == KERNEL_EXPORTS | {helper}
@@ -757,7 +758,7 @@ def test_export_lint_actually_catches_a_fourth_export():
     assert table in source
     sixth = source.replace(
         table,
-        table + '    {"fold_chunk64", (PyCFunction)(void (*)(void))py_fold_chunk,\n'
+        table + '    {"fold_chunk64", (PyCFunction)(void (*)(void))py_fold_batch,\n'
         "     METH_FASTCALL, NULL},\n",
     )
     assert c_methods(sixth) == KERNEL_METHODS | {"fold_chunk64"}
@@ -767,13 +768,13 @@ def test_export_lint_actually_catches_a_fourth_export():
     # The parser really sees the static helpers, macro-stamped included,
     # and is not fooled by a prototype or a comment.
     functions = c_functions(source)
-    assert {"bits_of", "fold3", "fold1", "sort_reduce3_W"} <= set(functions)
-    assert not any(functions[name] for name in ("bits_of", "sort_reduce1_W"))
+    assert {"bits_of", "fold_batch", "fold_dst_W", "fold_src_W"} <= set(functions)
+    assert not any(functions[name] for name in ("bits_of", "fold_src_W"))
     # ... the CPU-targeted checksum fold behind its attribute, and the
     # kernels behind their Python wrappers.
     assert not any(functions[name] for name in ("crc32_fold", "crc32_bytes"))
     assert not any(
-        functions[name] for name in KERNEL_METHODS | {"py_fold_chunk"}
+        functions[name] for name in KERNEL_METHODS | {"py_fold_batch"}
     )
     assert c_exports(
         source + "\nint64_t fold_chunk64(int64_t n);\n/* int64_t f(int n) { } */\n"
