@@ -57,8 +57,11 @@
  * construction, with no part-count limit and no data-dependent branch
  * per part head (a heap or a head scan pays one per part per key).
  * merge_sorted keeps the two-part case, where a linear merge measured
- * faster than the sort.  No kernel allocates: scratch comes from the
- * caller's per-thread pool, and the binding's per-call tables.
+ * faster than the sort.  Both merges decline a call in which a part's
+ * keys do not ascend strictly: merge_k checks them as its first pass
+ * reads them, merge_sorted checks its output.  No kernel allocates:
+ * scratch comes from the caller's per-thread pool, and the binding's
+ * per-call tables.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -537,10 +540,22 @@ static int64_t fold_batch(
     return 0;
 }
 
+/* Whether keys[0..n) ascend strictly.  No early exit: the loop stays
+ * branch-free. */
+static int strictly_ascending(const int64_t *keys, int64_t n) {
+    int bad = 0;
+    for (int64_t i = 1; i < n; i++) bad |= keys[i] <= keys[i - 1];
+    return !bad;
+}
+
 /* Two-way merge of sorted-unique keyed parts, summing equal keys as
  * 0.0 + left + right — the float operation order np.bincount applies
  * to the concatenated parts (a lone -0.0 comes out +0.0, as there).
- * Returns the merged length. */
+ * Returns the merged length, or -1 for a part whose keys do not ascend
+ * strictly (the caller falls back).  Each part's keys reach the output
+ * in their own order, so the output ascends strictly exactly when both
+ * parts do: one pass over the output checks both (measured cheaper
+ * than a pass over each part, or a check inside the merge loop). */
 static int64_t merge_sorted(
     const int64_t *ka, const double *const *va, int64_t na,
     const int64_t *kb, const double *const *vb, int64_t nb,
@@ -578,7 +593,7 @@ static int64_t merge_sorted(
         j++;
         m++;
     }
-    return m;
+    return strictly_ascending(ko, m) ? m : -1;
 }
 
 /* The k-way merge's sort-reduce, stamped out once per record width W
@@ -587,7 +602,10 @@ static int64_t merge_sorted(
  * offset — equal keys keep part order — and a branchless segmented
  * reduce gathers each record's values into sums that start from 0.0.
  * A row id is (part << lbits) | index within the part, so the gather
- * reads the parts' own columns.  total >= 1. */
+ * reads the parts' own columns.  total >= 1.  Returns -1, after the
+ * first pass, when a part's keys do not ascend strictly: every digit
+ * is masked, so a key outside the range read off the part's ends
+ * still lands inside the histograms and buffers. */
 #define DEFINE_MERGE_REDUCE(W, OFF_T, MAXP)                                 \
 typedef struct { OFF_T off; OFF_T row; } mrec_##W;                          \
                                                                             \
@@ -634,15 +652,20 @@ static int64_t merge_reduce_##W(                                            \
                     shifts, MAXP, hist);                                    \
     radix_starts(npass, widths, hist);                                      \
     OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
+    int bad = 0;                                                            \
     for (int64_t q = 0; q < nparts; q++) {                                  \
         const int64_t *keys = part_keys[q];                                 \
+        int64_t prev = 0;                                                   \
         for (int64_t i = 0; i < part_lens[q]; i++) {                        \
             mrec_##W rec;                                                   \
+            bad |= (i > 0) & (keys[i] <= prev);                             \
+            prev = keys[i];                                                 \
             rec.off = (OFF_T)((uint64_t)keys[i] - kmin);                    \
             rec.row = (OFF_T)(((uint64_t)q << lbits) | (uint64_t)i);        \
             bufa[hist[0][rec.off & mask0]++] = rec;                         \
         }                                                                   \
     }                                                                       \
+    if (bad) return -1;                                                     \
     mrec_##W *cur = bufa, *alt = bufb;                                      \
     for (int p = 1; p < npass; p++) {                                       \
         OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
@@ -671,8 +694,9 @@ DEFINE_MERGE_REDUCE(wide, uint64_t, MAX_PASSES)
  * every input row.  `scratch` holds 2*total 16-byte records (the
  * caller's pooled buffer: no allocation here).  A key range and row
  * ids that fit 32 bits sort 8-byte records, anything wider 16-byte
- * ones.  Returns the merged length, or -1 on a shape it does not take
- * (the caller falls back). */
+ * ones.  Returns the merged length, or -1 on a shape it does not take,
+ * a part whose keys do not ascend strictly among them (the caller falls
+ * back). */
 static int64_t merge_k(
     const int64_t *const *part_keys, const double *const *part_cols,
     const int64_t *part_lens, int64_t nparts, int64_t ncols,
@@ -685,7 +709,8 @@ static int64_t merge_k(
         int64_t len = part_lens[q];
         if (len < 0) return -1;
         if (len == 0) continue;
-        /* Sorted parts: the range is read off the ends. */
+        /* Sorted parts: the range is read off the ends (the sort-reduce
+         * declines a part that is not sorted). */
         int64_t lo = part_keys[q][0], hi = part_keys[q][len - 1];
         if (total == 0 || lo < kmin) kmin = lo;
         if (total == 0 || hi > kmax) kmax = hi;
@@ -1394,8 +1419,8 @@ static int merge_acquire(const char *func, PyObject *parts,
     return 0;
 }
 
-/* merge_sorted(parts, out_keys, out_cols) -> merged length; parts holds
- * exactly two sorted-unique parts. */
+/* merge_sorted(parts, out_keys, out_cols) -> merged length | None;
+ * parts holds exactly two parts, None: one is not sorted-unique. */
 static PyObject *py_merge_sorted(PyObject *self, PyObject *const *args,
                                  Py_ssize_t nargs)
 {
@@ -1420,11 +1445,13 @@ static PyObject *py_merge_sorted(PyObject *self, PyObject *const *args,
                          m.ncols, m.out_keys, m.out_cols);
     Py_END_ALLOW_THREADS
     merge_release(&m);
+    if (count < 0) Py_RETURN_NONE;
     return PyLong_FromLongLong(count);
 }
 
 /* merge_k(parts, out_keys, out_cols, scratch) -> merged length | None;
- * any number of sorted-unique parts. */
+ * any number of parts, None: one is not sorted-unique (or a shape the
+ * sort does not take). */
 static PyObject *py_merge_k(PyObject *self, PyObject *const *args,
                             Py_ssize_t nargs)
 {

@@ -32,12 +32,13 @@ rescaling), so the partial sums are exact in float64 and the chunked
 path classifies **bit-identically** to the batch path — at chunk size
 1, 97 or a whole day.
 
-Internally each keyed column family is a small log-structured store:
-batch aggregates append as sorted *parts* and are compacted (grouped
-and summed) every ``compact_every`` parts (a constructor knob,
-default :data:`DEFAULT_COMPACT_EVERY`), so a fold stays O(batch)
-amortised and memory stays O(distinct keys), not O(rows).  A day
-folded in one batch appends one part to each of its families.
+Internally each keyed column family is a short list of *parts*, each
+with strictly ascending unique keys — the shape every fold output and
+every compaction has.  Parts are merged into one every
+:data:`_COMPACT_EVERY` appends and at the end of a day folded in
+several batches, so a fold stays O(batch) amortised and memory stays
+O(distinct keys), not O(rows).  A day folded in one batch appends one
+part to each of its families.
 
 An accumulator has a compact columnar form:
 :meth:`PrefixAccumulator.to_state` compacts every family to a single
@@ -54,14 +55,14 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.kernels import concat_parts, get_kernel
+from repro.core.kernels import get_kernel
 from repro.net.blocksets import sorted_union
 from repro.net.family import FAMILY_IPV4, IPV4, family as _family_of
 from repro.traffic.flows import FlowTable, aggregate_sums
 from repro.vantage.sampling import VantageDayView
 
-#: Default pending parts a :class:`_KeyedSums` tolerates before compacting.
-DEFAULT_COMPACT_EVERY = 16
+#: Parts a :class:`_KeyedSums` holds before it merges them into one.
+_COMPACT_EVERY = 16
 
 #: Sentinel chunk size: derive a day's batch size from the day's row
 #: count (see :func:`adaptive_chunk_rows`).
@@ -94,7 +95,7 @@ def adaptive_chunk_rows(total_rows: int) -> int | None:
     a few dozen bytes per row — grows with the batch, not the day, so
     a small day (up to :data:`_AUTO_FLOOR` rows) folds in one batch
     (``None``): splitting it buys no memory headroom but piles up
-    log-structured parts.  A larger day is folded in about
+    parts.  A larger day is folded in about
     :data:`_AUTO_TARGET_CHUNKS` batches, clamped to ``[_AUTO_FLOOR,
     _AUTO_CEILING]`` rows, so the fold's transient memory stays a
     fraction of the day's input while each family stays a handful of
@@ -131,42 +132,23 @@ def resolve_chunk_size(
 
 class _KeyedSums:
     """Mergeable sorted ``int64 key -> float64 sums`` column family
-    (with no value columns: a mergeable sorted key set)."""
+    (with no value columns: a mergeable sorted key set).
 
-    __slots__ = (
-        "num_values", "compact_every", "kernel", "_parts", "_sorted",
-        "_normalized",
-    )
+    Every part has strictly ascending unique keys, so compaction is one
+    :meth:`~repro.core.kernels.NumpyKernel.merge_sorted_parts` call:
+    sums per key follow part order, which the native merges and the
+    reference regroup of the concatenation reproduce bit for bit.
+    """
 
-    def __init__(
-        self,
-        num_values: int,
-        compact_every: int = DEFAULT_COMPACT_EVERY,
-        kernel=None,
-    ) -> None:
-        if compact_every < 2:
-            raise ValueError(f"compact_every must be >= 2: {compact_every}")
+    __slots__ = ("num_values", "kernel", "_parts")
+
+    def __init__(self, num_values: int, kernel=None) -> None:
         self.num_values = num_values
-        self.compact_every = compact_every
         self.kernel = get_kernel("numpy") if kernel is None else kernel
         self._parts: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
-        # Parallel flags: True when that part is known sorted-unique
-        # (fold/compaction output), unlocking linear merge compaction.
-        self._sorted: list[bool] = []
-        self._normalized = True
 
-    def add(
-        self,
-        keys: np.ndarray,
-        *values: np.ndarray,
-        sorted_unique: bool = False,
-    ) -> None:
-        """Append one keyed part (keys need not be unique or sorted).
-
-        ``sorted_unique`` asserts the part already has strictly
-        ascending unique keys — the shape every grouped-fold output has
-        — letting compaction merge linearly instead of re-sorting.
-        """
+    def add(self, keys: np.ndarray, *values: np.ndarray) -> None:
+        """Append one keyed part; ``keys`` must ascend strictly."""
         if len(values) != self.num_values:
             raise ValueError(
                 f"expected {self.num_values} value column(s), got {len(values)}"
@@ -177,87 +159,29 @@ class _KeyedSums:
         self._parts.append(
             (keys, tuple(np.asarray(v, dtype=np.float64) for v in values))
         )
-        self._sorted.append(bool(sorted_unique))
-        self._normalized = len(self._parts) == 1 and sorted_unique
-        if len(self._parts) >= self.compact_every:
+        if len(self._parts) >= _COMPACT_EVERY:
             self.compacted()
 
     def absorb(self, other: "_KeyedSums") -> None:
-        """Merge another family in (the other keeps its logical state).
-
-        The other side is compacted first so at most one part crosses
-        over — absorbing a long chunk log would otherwise multiply the
-        pending-part memory on this side before the next compaction.
-        """
-        if other.num_values != self.num_values:
-            raise ValueError("cannot merge column families of different arity")
+        """Merge another family in (the other keeps its logical state):
+        one compacted part crosses over, not the other's part list."""
         keys, values = other.compacted()
-        if len(keys):
-            self._parts.append((keys, values))
-            self._sorted.append(True)
-            self._normalized = False
-        if len(self._parts) >= self.compact_every:
-            self.compacted()
+        self.add(keys, *values)
 
     def copy(self) -> "_KeyedSums":
         """An independent copy (parts share immutable arrays)."""
-        duplicate = _KeyedSums(self.num_values, self.compact_every, self.kernel)
+        duplicate = _KeyedSums(self.num_values, self.kernel)
         duplicate._parts = list(self._parts)
-        duplicate._sorted = list(self._sorted)
-        duplicate._normalized = self._normalized
         return duplicate
 
-    def _group_parts(
-        self, parts: list[tuple[np.ndarray, tuple[np.ndarray, ...]]],
-        sorted_flags: list[bool],
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Group-by-sum a run of parts into one sorted-unique part.
-
-        Sums per key follow part order, then row order within a part —
-        the operation order of the reference regroup over the
-        concatenation (:meth:`NumpyKernel.group_sum`) — so the linear
-        merge chain the native kernel takes and the reference regroup
-        produce identical bits.
-        """
-        if len(parts) == 1 and sorted_flags[0]:
-            return parts[0]
-        if all(sorted_flags):
-            return self.kernel.merge_sorted_parts(parts)
-        return self.kernel.group_sum(*concat_parts(parts))
-
-    def squash_pending(self) -> None:
-        """Collapse the pending parts without touching the base part.
-
-        Tiered compaction: parts after the first (fresh chunk
-        aggregates) are grouped and summed into one, so pending memory
-        dies with the view that produced it — at O(pending keys) cost,
-        not the O(total keys) a full :meth:`compacted` pays.  When the
-        squashed tier has grown to the base part's size it is promoted
-        (full compaction), keeping the total work amortised-logarithmic
-        instead of quadratic in the number of views.
-        """
-        if len(self._parts) <= 2:
-            return
-        squashed = self._group_parts(self._parts[1:], self._sorted[1:])
-        self._parts = [self._parts[0], squashed]
-        self._sorted = [self._sorted[0], True]
-        if len(squashed[0]) >= len(self._parts[0][0]):
-            self.compacted()
-
     def compacted(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Group-by-sum all parts; returns (and keeps) the single part."""
+        """Merge all parts into one; returns (and keeps) that part."""
         if not self._parts:
             return _empty_keys(), tuple(
                 np.empty(0, dtype=np.float64) for _ in range(self.num_values)
             )
-        if self._normalized:
-            return self._parts[0]
-        # A lone sorted-unique part falls through `_group_parts`
-        # untouched: already-compacted state costs nothing.  A lone raw
-        # part is regrouped like any other (it may carry duplicates).
-        self._parts = [self._group_parts(self._parts, self._sorted)]
-        self._sorted = [True]
-        self._normalized = True
+        if len(self._parts) > 1:
+            self._parts = [self.kernel.merge_sorted_parts(self._parts)]
         return self._parts[0]
 
 
@@ -323,12 +247,10 @@ class PrefixAccumulator:
     def __init__(
         self,
         ignore_sources_from_asns: frozenset[int] = frozenset(),
-        compact_every: int = DEFAULT_COMPACT_EVERY,
         kernel=None,
         family: str | None = None,
     ) -> None:
         self.ignore_sources_from_asns = frozenset(ignore_sources_from_asns)
-        self.compact_every = compact_every
         self._family_name: str | None = None
         self._family = None
         if family is not None:
@@ -348,7 +270,7 @@ class PrefixAccumulator:
             else None
         )
         # dst IP -> (tcp pkts est, tcp bytes est)
-        self._dst_ip_sums = _KeyedSums(2, compact_every, self.kernel)
+        self._dst_ip_sums = _KeyedSums(2, self.kernel)
         # vantage -> src /24 -> (filtered sampled pkts, raw sampled pkts)
         self._src_by_vantage: dict[str, _KeyedSums] = {}
         # day -> dst /24 -> estimated total packets
@@ -389,16 +311,10 @@ class PrefixAccumulator:
         """
         self._days_by_vantage.setdefault(vantage, set()).add(day)
         if vantage not in self._src_by_vantage:
-            self._src_by_vantage[vantage] = _KeyedSums(
-                2, self.compact_every, self.kernel
-            )
+            self._src_by_vantage[vantage] = _KeyedSums(2, self.kernel)
         if day not in self._volume_by_day:
-            self._volume_by_day[day] = _KeyedSums(
-                1, self.compact_every, self.kernel
-            )
-            self._src_ips_by_day[day] = _KeyedSums(
-                0, self.compact_every, self.kernel
-            )
+            self._volume_by_day[day] = _KeyedSums(1, self.kernel)
+            self._src_ips_by_day[day] = _KeyedSums(0, self.kernel)
 
     def update(
         self,
@@ -431,12 +347,12 @@ class PrefixAccumulator:
         destination part, one volume part and one source-key set for
         the batch, one raw part per slice — so a day folded in one
         batch leaves ``finalize`` nothing to merge in those families.
-        A batch never spans days.  After a day folded in several
-        batches the pending parts are squashed, so they never outlive
-        the day that produced them (without re-sorting the whole
-        table).  ``on_batch(rows, seconds)`` is called after each folded
-        batch and ``on_view(view, seconds)`` after each view's rows are
-        read — the execution engine's observability hooks.
+        A batch never spans days.  A day folded in several batches ends
+        with its families compacted, so its parts never outlive the day
+        that produced them.  ``on_batch(rows, seconds)`` is called after
+        each folded batch and ``on_view(view, seconds)`` after each
+        view's rows are read — the execution engine's observability
+        hooks.
         """
         pending: list[tuple[str, float, FlowTable]] = []
         pending_rows = 0
@@ -480,11 +396,11 @@ class PrefixAccumulator:
         if pending:
             fold_pending()
         if batch_rows is not None:
-            self._dst_ip_sums.squash_pending()
-            self._volume_by_day[day].squash_pending()
-            self._src_ips_by_day[day].squash_pending()
+            self._dst_ip_sums.compacted()
+            self._volume_by_day[day].compacted()
+            self._src_ips_by_day[day].compacted()
             for vantage in {view.vantage for view in views}:
-                self._src_by_vantage[vantage].squash_pending()
+                self._src_by_vantage[vantage].compacted()
         return self
 
     def _fold_batch(
@@ -500,8 +416,8 @@ class PrefixAccumulator:
         # One kernel call folds every keyed part of the batch: the
         # per-dst-key sums, the block volumes and the source keys once
         # for the batch, the raw block source regroup once per slice.
-        # Every part comes back sorted-unique, so downstream compaction
-        # can merge linearly instead of re-sorting.
+        # Every part comes back sorted-unique, the shape every family
+        # part must have.
         dst, vol, src, raws = self.kernel.fold_batch(
             [
                 (rows.src_ip, rows.dst_ip, rows.proto, rows.packets, rows.bytes)
@@ -510,32 +426,30 @@ class PrefixAccumulator:
             [factor for _, factor, _ in slices],
             self._family.key_block_shift,
         )
-        self._dst_ip_sums.add(dst[0], *dst[1], sorted_unique=True)
-        self._volume_by_day[day].add(vol[0], *vol[1], sorted_unique=True)
+        self._dst_ip_sums.add(dst[0], *dst[1])
+        self._volume_by_day[day].add(vol[0], *vol[1])
         if self._ignored_asns is None:
-            self._src_ips_by_day[day].add(src[0], sorted_unique=True)
+            self._src_ips_by_day[day].add(src[0])
             for (vantage, _, _), (raw_blocks, (raw_pkts,)) in zip(slices, raws):
-                self._src_by_vantage[vantage].add(
-                    raw_blocks, raw_pkts, raw_pkts, sorted_unique=True
-                )
+                self._src_by_vantage[vantage].add(raw_blocks, raw_pkts, raw_pkts)
             return
 
         # Ignored senders: the raw column keeps every source, the
-        # filtered column and the source keys see only kept rows.
+        # filtered column and the source keys see only kept rows.  The
+        # kept sources' blocks ascend but repeat, so they are grouped
+        # into a sorted-unique part (integer sums: exact) first.
         for (vantage, _, rows), (raw_blocks, (raw_pkts,)) in zip(slices, raws):
             kept = rows.filter(~np.isin(rows.sender_asn, self._ignored_asns))
             src_ips, (src_pkts,) = aggregate_sums(
                 kept.src_ip.astype(np.int64), kept.packets
             )
+            src_blocks, (block_pkts,) = aggregate_sums(
+                self._family.block_of(src_ips), src_pkts
+            )
             per_vantage = self._src_by_vantage[vantage]
-            per_vantage.add(
-                raw_blocks, np.zeros(len(raw_blocks)), raw_pkts,
-                sorted_unique=True,
-            )
-            per_vantage.add(
-                self._family.block_of(src_ips), src_pkts, np.zeros(len(src_ips))
-            )
-            self._src_ips_by_day[day].add(src_ips, sorted_unique=True)
+            per_vantage.add(raw_blocks, np.zeros(len(raw_blocks)), raw_pkts)
+            per_vantage.add(src_blocks, block_pkts, np.zeros(len(src_blocks)))
+            self._src_ips_by_day[day].add(src_ips)
 
     # -- combination ---------------------------------------------------
 
@@ -562,20 +476,31 @@ class PrefixAccumulator:
         ):
             for key, family in theirs.items():
                 if key not in mine:
-                    mine[key] = _KeyedSums(
-                        family.num_values, self.compact_every, self.kernel
-                    )
+                    mine[key] = _KeyedSums(family.num_values, self.kernel)
                 mine[key].absorb(family)
         for vantage, days in other._days_by_vantage.items():
             self._days_by_vantage.setdefault(vantage, set()).update(days)
         return self
 
+    @classmethod
+    def merged(
+        cls, accumulators: Sequence["PrefixAccumulator"]
+    ) -> "PrefixAccumulator":
+        """A fresh accumulator, with the first one's ignored-sender set
+        and kernel, holding the merge of ``accumulators`` (each left
+        untouched, as :meth:`merge` leaves it)."""
+        first = accumulators[0]
+        total = cls(first.ignore_sources_from_asns, first.kernel)
+        for accumulator in accumulators:
+            total.merge(accumulator)
+        return total
+
     def compact(self) -> "PrefixAccumulator":
         """Collapse every column family to a single grouped part.
 
-        Called before merging partials on a coordinator and before
-        serialization so neither ships or carries a chunk log; safe (and
-        cheap) to call at any time.  Returns ``self``.
+        Called on a partial before it is merged, so a coordinator never
+        takes over a chunk log; safe (and cheap) to call at any time.
+        Returns ``self``.
         """
         self._dst_ip_sums.compacted()
         for families in (
@@ -588,8 +513,7 @@ class PrefixAccumulator:
     def copy(self) -> "PrefixAccumulator":
         """An independent copy safe to merge elsewhere."""
         duplicate = PrefixAccumulator(
-            self.ignore_sources_from_asns, self.compact_every, self.kernel,
-            family=self._family_name,
+            self.ignore_sources_from_asns, self.kernel, family=self._family_name,
         )
         duplicate._dst_ip_sums = self._dst_ip_sums.copy()
         duplicate._src_by_vantage = {
@@ -612,7 +536,7 @@ class PrefixAccumulator:
         """Compact columnar form of this accumulator.
 
         Every family is compacted to a single grouped part and returned
-        as raw numpy arrays under stable keys — no log-structured parts,
+        as raw numpy arrays under stable keys — no part lists,
         no Python object graph — so the form costs O(distinct keys).
         The accumulator itself stays usable (compaction is its normal
         maintenance).
@@ -695,9 +619,7 @@ class PrefixAccumulator:
             blocks, (filtered, _) = sums.compacted()
             tolerance = self._tolerance_of(spoof_tolerance, vantage)
             applied[vantage] = tolerance
-            excess.add(
-                blocks, np.maximum(filtered - tolerance, 0), sorted_unique=True
-            )
+            excess.add(blocks, np.maximum(filtered - tolerance, 0))
         src_blocks, (src_excess,) = excess.compacted()
 
         day_tables = [

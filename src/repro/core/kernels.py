@@ -12,8 +12,8 @@ Two backends compute the accumulator's hot loops:
   CPython extension module: a fused radix-sort fold of a whole batch of
   slices in one call, merges of sorted parts (linear for two, the fold's
   radix sort-reduce for more) and the address pass — the ops the layer
-  budget shows earning their C (``group_sum`` of unsorted parts and the
-  funnel's block-axis masks are numpy under either backend).  Its
+  budget shows earning their C (the funnel's block-axis masks are numpy
+  under either backend, and so is the regroup behind a decline).  Its
   functions take numpy arrays, and lists of column tuples, of ``(keys,
   cols)`` parts or of key arrays, through the buffer protocol; they check
   every array in C (dtype, 1-d, lengths, C-contiguous, output and scratch
@@ -73,7 +73,6 @@ __all__ = [
     "DISABLE_NATIVE_ENV",
     "NumpyKernel",
     "NativeKernel",
-    "concat_parts",
     "crc32_columns",
     "get_kernel",
     "resolve_kernel_name",
@@ -176,8 +175,9 @@ class NumpyKernel:
     def group_sum(self, keys: np.ndarray, values: tuple[np.ndarray, ...]):
         """Group-by-sum one keyed part into ascending unique keys.
 
-        The compaction math of :class:`~repro.core.accum._KeyedSums`:
-        float64 sums accumulated in row order via ``np.bincount``.
+        The reference regroup behind :meth:`fold_batch` and
+        :meth:`merge_sorted_parts`: float64 sums accumulated in row
+        order via ``np.bincount``.
         """
         unique_keys, inverse = np.unique(keys, return_inverse=True)
         # np.bincount of no rows is int64 even with weights: the cast
@@ -437,8 +437,9 @@ class NativeKernel(NumpyKernel):
                 normalized, out_keys, out_cols,
                 self._staging.scratch(32 * total),
             )
-        # None is the C declining the shape: the reference regroup takes
-        # it, as it takes a declined fold batch.
+        # None is the C declining the call — a part whose keys do not
+        # ascend strictly, or a shape merge_k does not take: the
+        # reference regroup takes it, as it takes a declined fold batch.
         if count is None:
             return super().merge_sorted_parts(parts)
         _trimmed(count, out_keys, *out_cols)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.accum import PrefixAccumulator
 from repro.core.engine import RunContext
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
@@ -300,9 +301,9 @@ class OnlineMetaTelescope:
                     refine=False,
                     context=context,
                 ).pipeline.dark_blocks
-            window_accumulator = self._window[0][1].copy()
-            for _, accumulator in list(self._window)[1:]:
-                window_accumulator.merge(accumulator)
+            window_accumulator = PrefixAccumulator.merged(
+                [accumulator for _, accumulator in self._window]
+            )
         with context.scoped("window"):
             window_result = self.telescope.infer_accumulated(
                 window_accumulator,

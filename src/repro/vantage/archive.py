@@ -121,27 +121,7 @@ class ArchiveDayView:
         """Bounded-size chunks straight off the mapped file (zero-copy)."""
         return self.archive().iter_chunks(chunk_rows)
 
-    def decimated(self, factor: int, rng) -> VantageDayView:
-        """A further sub-sampled in-memory copy (Figure-10 operation)."""
-        return VantageDayView(
-            vantage=self.vantage,
-            day=self.day,
-            flows=self.flows.decimate(factor, rng),
-            sampling_factor=self.sampling_factor * factor,
-        )
-
-    def with_flows(
-        self, flows: FlowTable, sampling_factor: float | None = None
-    ) -> VantageDayView:
-        """An in-memory view carrying different flows (e.g. after a
-        fault injector rewrote the records)."""
-        return VantageDayView(
-            vantage=self.vantage,
-            day=self.day,
-            flows=flows,
-            sampling_factor=(
-                self.sampling_factor
-                if sampling_factor is None
-                else sampling_factor
-            ),
-        )
+    # Both build an in-memory view from this one's vantage, day and
+    # sampling factor: ``VantageDayView``'s own definitions.
+    decimated = VantageDayView.decimated
+    with_flows = VantageDayView.with_flows

@@ -115,3 +115,13 @@ def fold(
     return execute_plan(
         plan, views, context, ignore_sources_from_asns=ignore_sources_from_asns
     )
+
+
+def families_of(accumulator: PrefixAccumulator) -> list:
+    """Every keyed column family an accumulator holds."""
+    return [
+        accumulator._dst_ip_sums,
+        *accumulator._src_by_vantage.values(),
+        *accumulator._volume_by_day.values(),
+        *accumulator._src_ips_by_day.values(),
+    ]

@@ -24,7 +24,7 @@ from repro.core.pipeline import (
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
 
-from _factories import fold
+from _factories import families_of, fold
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -154,6 +154,15 @@ class TestMerge:
         assert partial_states_identical(b, before)
         assert partial_states_identical(a, fold(multi_day[:4]))
 
+    def test_merged_is_a_fresh_accumulator(self, multi_day):
+        partials = [fold([view]) for view in multi_day[:3]]
+        before = [partial.copy() for partial in partials]
+        merged = PrefixAccumulator.merged(partials)
+        assert all(merged is not partial for partial in partials)
+        assert partial_states_identical(merged, fold(multi_day[:3]))
+        for partial, unchanged in zip(partials, before):
+            assert partial_states_identical(partial, unchanged)
+
     def test_mismatched_ignore_sets_refuse_to_merge(self):
         with pytest.raises(ValueError, match="ignored-sender"):
             PrefixAccumulator().merge(
@@ -261,30 +270,74 @@ class TestAccumulatorState:
 class TestKeyedSumsShortCircuit:
     """Already-compacted state must cost nothing to re-compact."""
 
-    def _family(self):
+    def test_compacted_single_sorted_part_is_no_copy(self):
         from repro.core.accum import _KeyedSums
 
         family = _KeyedSums(1)
         keys = np.array([3, 5, 9], dtype=np.int64)
         sums = np.array([1.0, 2.0, 3.0])
-        family.add(keys, sums, sorted_unique=True)
-        return family, keys, sums
-
-    def test_compacted_single_sorted_part_is_no_copy(self):
-        family, keys, sums = self._family()
+        family.add(keys, sums)
         out_keys, (out_sums,) = family.compacted()
         # The short-circuit returns the stored arrays themselves — any
         # copy here would put an O(total keys) tax on every chunk of a
-        # long stream (compacted() runs once per squash promotion).
+        # long stream (compacted() runs at the end of every such day).
         assert out_keys is keys
         assert out_sums is sums
         again_keys, (again_sums,) = family.compacted()
         assert again_keys is keys
         assert again_sums is sums
 
-    def test_squash_pending_without_pending_is_noop(self):
-        family, keys, sums = self._family()
-        family.squash_pending()
-        out_keys, (out_sums,) = family.compacted()
-        assert out_keys is keys
-        assert out_sums is sums
+
+def strictly_ascending(keys):
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+class TestSortedUniqueParts:
+    """Every part of every column family ascends strictly: compaction is
+    one sorted-part merge and nothing regroups an unsorted part."""
+
+    @pytest.mark.parametrize("ignoring", [False, True])
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    def test_every_part_ascends_strictly(
+        self, multi_day, kernel, ignoring, monkeypatch
+    ):
+        from repro.core.accum import _KeyedSums
+
+        ignored = frozenset()
+        if ignoring:
+            # The most frequent sender AS of the first view: the filter
+            # drops rows of every IXP.
+            asns, counts = np.unique(
+                multi_day[0].flows.sender_asn, return_counts=True
+            )
+            ignored = frozenset({int(asns[np.argmax(counts)])})
+        added = []
+        add = _KeyedSums.add
+
+        def recording_add(self, keys, *values):
+            added.append(np.asarray(keys))
+            add(self, keys, *values)
+
+        monkeypatch.setattr(_KeyedSums, "add", recording_add)
+        partials = [
+            fold(multi_day, ignored, kernel=kernel, chunk_size=chunk_size)
+            for chunk_size in (None, 97)
+        ]
+        # Before the merge compacts them: a multi-day unchunked fold
+        # still holds one part per day in its cross-day families.
+        assert max(len(f._parts) for f in families_of(partials[0])) > 1
+        merged = PrefixAccumulator(ignored, kernel=kernel)
+        for partial in partials:
+            merged.merge(partial)
+        assert len(added) > 100
+        assert all(strictly_ascending(keys) for keys in added)
+        for accumulator in (*partials, merged):
+            for family in families_of(accumulator):
+                for keys, _ in family._parts:
+                    assert strictly_ascending(keys)
+        if ignoring:
+            state = merged.to_state()["src_by_vantage"]
+            assert any(
+                not np.array_equal(filtered, raw)
+                for _, filtered, raw in state.values()
+            )

@@ -177,11 +177,10 @@ def flow_tables(draw, family=FAMILY_IPV4):
     )
 
 
-def fold(tables, kernel, ignored=frozenset(), compact_every=4):
-    """Fold tables across two vantages/days under one backend."""
-    accumulator = PrefixAccumulator(
-        ignored, compact_every=compact_every, kernel=kernel
-    )
+def fold(tables, kernel, ignored=frozenset(), compact=False):
+    """Fold tables across two vantages/days under one backend;
+    ``compact`` compacts every family after each update."""
+    accumulator = PrefixAccumulator(ignored, kernel=kernel)
     for index, table in enumerate(tables):
         accumulator.update(
             table,
@@ -189,6 +188,8 @@ def fold(tables, kernel, ignored=frozenset(), compact_every=4):
             day=index % 3,
             sampling_factor=4.0 if index % 2 else 1.0,
         )
+        if compact:
+            accumulator.compact()
     return accumulator
 
 
@@ -341,9 +342,8 @@ class TestFoldParity:
             assert_backends_agree([faulted.flows])
 
     def test_many_parts_exercise_merge(self):
-        # compact_every=2 forces a compaction per update: the native
-        # linear/k-way merges run repeatedly against the reference
-        # regroup's operation order.
+        # A compaction per update: the native linear/k-way merges run
+        # repeatedly against the reference regroup's operation order.
         rng = np.random.default_rng(23)
         tables = [
             make_flows(
@@ -351,8 +351,8 @@ class TestFoldParity:
             )
             for _ in range(6)
         ]
-        reference = fold(tables, "numpy", compact_every=2)
-        native = fold(tables, "native", compact_every=2)
+        reference = fold(tables, "numpy", compact=True)
+        native = fold(tables, "native", compact=True)
         assert partial_states_identical(reference, native)
 
     @pytest.mark.parametrize("count", [2**31, 2**40, -5])
@@ -366,22 +366,19 @@ class TestFoldParity:
         assert_backends_agree([make_flows(ips, packets=packets)])
 
     def test_more_parts_than_the_old_head_index_merge_in_c(self):
-        # 70 pending sorted parts in one family: past the 64-part head
-        # index merge_k once had, one C call still merges them all —
-        # with the reference regroup forbidden, a decline fails.
+        # 70 sorted parts: past the 64-part head index merge_k once had,
+        # one C call still merges them all — with the reference regroup
+        # forbidden, a decline fails.
         rng = np.random.default_rng(29)
-        tables = [
-            make_flows(
-                rng.integers(0, 2**32, size=20, dtype=np.uint64).astype(np.uint32)
+        parts = [
+            (keys, (value_column(rng, len(keys)), value_column(rng, len(keys))))
+            for keys in (
+                np.unique(rng.integers(0, 2**32, size=20)) for _ in range(70)
             )
-            for _ in range(70)
         ]
-        reference = fold(tables, "numpy", compact_every=100)
-        reference.to_state()  # compacts the reference before the ban
-        native = fold(tables, "native", compact_every=100)
-        declined = AssertionError("the native kernel declined a merge")
-        with mock.patch.object(NumpyKernel, "group_sum", side_effect=declined):
-            assert partial_states_identical(reference, native)
+        assert parts_identical(
+            merged_in_c(parts), NumpyKernel().merge_sorted_parts(parts)
+        )
 
     def test_concurrent_folds_do_not_share_staging(self):
         rng = np.random.default_rng(31)
@@ -461,6 +458,18 @@ def sorted_parts(draw):
     return parts
 
 
+#: Ways a part's keys break strict ascent, each keeping the length.
+#: "past-the-ends" keeps the first and last key, so a range read off
+#: the ends is wrong and no cheaper check than a full walk sees it.
+NOT_SORTED_UNIQUE = {
+    "descending": lambda keys: keys[::-1].copy(),
+    "repeated": lambda keys: np.concatenate([keys[:1], keys[:-1]]),
+    "past-the-ends": lambda keys: np.concatenate(
+        [keys[:1], [keys[-1] + 2**40], keys[2:]]
+    ),
+}
+
+
 def merged_in_c(parts):
     """The native merge with the reference regroup forbidden."""
     declined = AssertionError("the native kernel declined a merge")
@@ -478,6 +487,39 @@ class TestMergeParity:
     def test_property_merge_identical(self, parts):
         reference = NumpyKernel().merge_sorted_parts(parts)
         assert parts_identical(merged_in_c(parts), reference)
+
+    @pytest.mark.parametrize("bad", sorted(NOT_SORTED_UNIQUE))
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_part_not_sorted_unique_takes_the_reference(self, count, bad):
+        # One part breaks the order both C merges read their parts in:
+        # the C declines (returns None) and the reference regroup of the
+        # concatenation answers, so the merged sums are still right.
+        ext = extension()
+        returned = []
+
+        def recorded(name):
+            def merge(*args):
+                returned.append((name, getattr(ext, name)(*args)))
+                return returned[-1][1]
+            return merge
+
+        kernel = NativeKernel(SimpleNamespace(
+            merge_sorted=recorded("merge_sorted"), merge_k=recorded("merge_k")
+        ))
+        rng = np.random.default_rng(53)
+        parts = [
+            (keys, (value_column(rng, len(keys)),))
+            for keys in (
+                np.unique(rng.integers(0, 50, size=20)) for _ in range(count)
+            )
+        ]
+        keys, cols = parts[count // 2]
+        parts[count // 2] = (NOT_SORTED_UNIQUE[bad](keys), cols)
+        assert parts_identical(
+            kernel.merge_sorted_parts(parts),
+            NumpyKernel().merge_sorted_parts(parts),
+        )
+        assert returned == [("merge_sorted" if count == 2 else "merge_k", None)]
 
     @pytest.mark.parametrize("span", MERGE_SPANS)
     def test_one_hundred_parts(self, span):
@@ -1493,6 +1535,13 @@ class TestHostileArguments:
         with pytest.raises(error):
             call_merge(name, replace(call))
 
+    @pytest.mark.parametrize("bad", sorted(NOT_SORTED_UNIQUE))
+    @pytest.mark.parametrize("name", ["merge_sorted", "merge_k"])
+    def test_merge_declines_a_part_not_sorted_unique(self, name, bad):
+        call = merge_call(2 if name == "merge_sorted" else 3)
+        keys = NOT_SORTED_UNIQUE[bad](call[0][0][0])
+        assert call_merge(name, first_part(call, keys=lambda _: keys)) is None
+
     @pytest.mark.parametrize("case", sorted(HOSTILE_SCRATCH))
     def test_hostile_merge_scratch_raises(self, case):
         replace, error = HOSTILE_SCRATCH[case]
@@ -1771,11 +1820,10 @@ MACHINE_ROWS = st.lists(
 )
 
 
-def keyed_part(rows, sorted_unique):
-    """``(keys, cols)`` from drawn rows; sorted-unique keeps each key's
+def keyed_part(rows):
+    """A sorted-unique ``(keys, cols)`` part from drawn rows: each key's
     first row (the model is told which rows went in)."""
-    if sorted_unique:
-        rows = sorted({key: (key, a, b) for key, a, b in reversed(rows)}.values())
+    rows = sorted({key: (key, a, b) for key, a, b in reversed(rows)}.values())
     keys = np.array([row[0] for row in rows], dtype=np.int64)
     cols = tuple(
         np.array([row[i] for row in rows], dtype=np.float64) for i in (1, 2)
@@ -1793,7 +1841,7 @@ class KeyedSumsMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.families = {
-            name: _KeyedSums(2, compact_every=3, kernel=get_kernel(name))
+            name: _KeyedSums(2, kernel=get_kernel(name))
             for name in ("numpy", "native")
         }
         self.model: dict[int, list[float]] = {}
@@ -1804,30 +1852,23 @@ class KeyedSumsMachine(RuleBasedStateMachine):
             sums[0] += a
             sums[1] += b
 
-    @rule(rows=MACHINE_ROWS, sorted_unique=st.booleans())
-    def add(self, rows, sorted_unique):
-        rows, keys, cols = keyed_part(rows, sorted_unique)
+    @rule(rows=MACHINE_ROWS)
+    def add(self, rows):
+        rows, keys, cols = keyed_part(rows)
         for family in self.families.values():
-            family.add(keys, *cols, sorted_unique=sorted_unique)
+            family.add(keys, *cols)
         self._count(rows)
 
-    @rule(
-        parts=st.lists(st.tuples(MACHINE_ROWS, st.booleans()), max_size=4)
-    )
+    @rule(parts=st.lists(MACHINE_ROWS, max_size=4))
     def absorb(self, parts):
         for family in self.families.values():
-            other = _KeyedSums(2, compact_every=3, kernel=family.kernel)
-            for rows, sorted_unique in parts:
-                _, keys, cols = keyed_part(rows, sorted_unique)
-                other.add(keys, *cols, sorted_unique=sorted_unique)
+            other = _KeyedSums(2, kernel=family.kernel)
+            for rows in parts:
+                _, keys, cols = keyed_part(rows)
+                other.add(keys, *cols)
             family.absorb(other)
-        for rows, sorted_unique in parts:
-            self._count(keyed_part(rows, sorted_unique)[0])
-
-    @rule()
-    def squash_pending(self):
-        for family in self.families.values():
-            family.squash_pending()
+        for rows in parts:
+            self._count(keyed_part(rows)[0])
 
     @rule()
     def compacted(self):
@@ -1838,7 +1879,7 @@ class KeyedSumsMachine(RuleBasedStateMachine):
     def copy(self, rows):
         # Carry on with the copy; the original takes one more part,
         # which the copy must not see.
-        _, keys, cols = keyed_part(rows, False)
+        _, keys, cols = keyed_part(rows)
         for name, family in self.families.items():
             self.families[name] = family.copy()
             family.add(keys, *cols)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.accum import (
     AUTO_CHUNK,
-    DEFAULT_COMPACT_EVERY,
     PrefixAccumulator,
     adaptive_chunk_rows,
     resolve_chunk_size,
@@ -45,7 +44,7 @@ from repro.traffic.flows import FlowTable
 from repro.vantage.archive import export_view
 from repro.vantage.sampling import VantageDayView
 
-from _factories import fold
+from _factories import families_of, fold
 from test_accumulator import assert_identical
 from test_kernels import flow_tables as family_flow_tables
 from test_pipeline_properties import ROUTING, flow_tables
@@ -202,8 +201,8 @@ class TestThePlanIsWhatRuns:
     ):
         """A fan-out thread folds what the plan says: each shard in the
         chunk rows the plan resolved for its *view* (not re-resolved
-        against the smaller shard), into an accumulator with the
-        default compaction cadence."""
+        against the smaller shard), into one fresh accumulator per
+        shard bucket."""
         flows = FlowTable.concat([view.flows for view in multi_day])
         flows = flows.slice_rows(0, 10_000)
         asked: list = []
@@ -225,7 +224,7 @@ class TestThePlanIsWhatRuns:
 
         def spy(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            built.append(self.compact_every)
+            built.append(self)
 
         monkeypatch.setattr(PrefixAccumulator, "__init__", spy)
         merged = parallel.parallel_accumulate_views(
@@ -235,7 +234,7 @@ class TestThePlanIsWhatRuns:
         monkeypatch.undo()
 
         assert asked == [spec.chunk_rows] * len(shards)
-        assert built == [DEFAULT_COMPACT_EVERY] * len(plan.shards)
+        assert len(built) == len(plan.shards)
         assert partial_states_identical(
             fold([VantageDayView("V", 0, flows)]), merged
         )
@@ -500,28 +499,11 @@ class TestChunkingKnobs:
         auto = fold(multi_day, chunk_size=AUTO_CHUNK)
         assert partial_states_identical(serial, auto)
 
-    def test_compact_every_knob_identical(self, multi_day, serial):
-        for compact_every in (2, 1000):
-            accumulator = PrefixAccumulator(compact_every=compact_every)
-            for view in multi_day:
-                accumulator.update_day(view.day, [view], 17)
-            assert partial_states_identical(serial, accumulator)
-
-    def test_compact_every_validated(self):
-        with pytest.raises(ValueError, match="compact_every"):
-            PrefixAccumulator(compact_every=1)
-
     def test_chunked_squashes_pending_parts(self, multi_day):
-        """A chunk-fed accumulator never carries a view's chunk log
-        past the view boundary (two-tier invariant: base + squashed)."""
+        """A chunk-fed accumulator never carries a day's chunk log past
+        the day: every family ends the day as one part."""
         accumulator = fold(multi_day, chunk_size=31)
-        families = (
-            accumulator._dst_ip_sums, *accumulator._src_ips_by_day.values()
-        )
-        for sums in families:
-            assert len(sums._parts) <= 2
-        accumulator.compact()
-        for sums in families:
+        for sums in families_of(accumulator):
             assert len(sums._parts) <= 1
 
 

@@ -363,6 +363,30 @@ class TestArchiveFedInference:
         assert view._flows is None
         assert partial_states_identical(fold(archived), merged)
 
+    def test_derived_views_match_the_in_memory_twin(self, tmp_path):
+        # decimated / with_flows of an archive view and of the in-memory
+        # view it was exported from: same in-memory view, same seed.
+        memory, archived = _views_pair(tmp_path, num_views=2)
+
+        def same_view(ours, theirs):
+            assert type(ours) is type(theirs) is VantageDayView
+            assert (ours.vantage, ours.day, ours.sampling_factor) == (
+                theirs.vantage, theirs.day, theirs.sampling_factor
+            )
+            assert tables_equal(ours.flows, theirs.flows)
+
+        for twin, view in zip(memory, archived):
+            for factor in (1, 3):
+                ours = view.decimated(factor, np.random.default_rng(5))
+                same_view(ours, twin.decimated(factor, np.random.default_rng(5)))
+                assert ours.sampling_factor == twin.sampling_factor * factor
+            rewritten = twin.flows.slice_rows(0, 50)
+            for factor in (None, 7.0):
+                same_view(
+                    view.with_flows(rewritten, factor),
+                    twin.with_flows(rewritten, factor),
+                )
+
     def test_open_requires_vantage_metadata(self, tmp_path):
         path = tmp_path / "bare.fpk"
         write_flows_archive(make_flows([{}]), path)
