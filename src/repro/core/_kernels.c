@@ -30,16 +30,15 @@
  * field's top bits), fully sorted by key with a stable LSD radix sort
  * in passes of <= 13 bits — no hashing, no comparison sort, no random
  * gathers — so a key's records keep slice order and, within a slice,
- * row order.  A batch of several slices is then walked run by run: each
- * (key, slice) run summed in row order from 0.0 — the slice's own
- * unscaled per-key sums — and added times the slice's factor to the
- * key's totals, in slice order from 0.0, while each block's per-slice
- * volume subtotals are collected and added times their factors to the
- * block's volume the same way.  A one-slice batch (a CSV chunk, one
- * view a day) takes a branchless segmented scan instead, unique keys
- * ascending, then a branchless block regroup and one scaling pass: on
- * small chunks the run walk's data-dependent branches cost more than
- * the two extra passes.  Keys are 32-bit (IPv4)
+ * row order.  Every batch, of one slice or fourteen, is then walked run
+ * by run: each (key, slice) run summed in row order from 0.0 — the
+ * slice's own unscaled per-key sums — and added times the slice's
+ * factor to the key's totals, in slice order from 0.0, while each
+ * block's per-slice volume subtotals are collected and added times
+ * their factors to the block's volume the same way.  A one-slice batch
+ * (a CSV chunk, one IPv6 view a day) takes the same walk: its one
+ * run per key gives 0.0 + sum x factor, the reference's sum x factor
+ * bit for bit, as no sum is negative.  Keys are 32-bit (IPv4)
  * or 64-bit (IPv6 /64 ids).  The record width follows the batch's key
  * range, not the key width: a range that fits 32 bits sorts 12-/8-byte
  * records with 32-bit offsets in 1-3 passes; only a wider one (64-bit
@@ -207,12 +206,11 @@ static REC *NAME(const Slice *slices, int64_t nslices, int key_bits,       \
 /* The record-typed half of the fold, stamped out once per offset width
  * W (OFF_T offsets, at most MAXP passes).  Each function sorts, then
  * scans; a sum starts from 0.0, as np.bincount's do, and adds in row
- * order.  dst_keys_W / src_keys_W take one slice and emit unique keys
- * ascending as kmin + offset with a branchless segmented reduce: per
- * key (tcp_pkts, tcp_bytes, total_pkts), or its packets, unscaled;
- * they return the key count.  fold_dst_W / fold_src_W take many, their
- * records carrying the slice index above `pbits` packet bits, and walk
- * each key's (key, slice) runs — slice order within a key.  fold_dst_W
+ * order.  fold_dst_W / fold_src_W take one slice or many, their
+ * records carrying the slice index above `pbits` packet bits (31 for
+ * one slice, whose index is 0), and walk each key's (key, slice) runs
+ * — slice order within a key — emitting keys ascending as kmin +
+ * offset.  fold_dst_W
  * emits the per-key totals 0.0 + (run sums x factor)
  * in slice order and per block 0.0 + (per-slice subtotal x factor) in
  * slice order, each subtotal 0.0 plus the slice's key totals in key
@@ -228,59 +226,6 @@ typedef struct { OFF_T off; int32_t pk; } rec1_##W;                         \
                                                                             \
 DEFINE_SORT(sort3_##W, rec3_##W, OFF_T, MAXP, dst, FILL_TCP)                \
 DEFINE_SORT(sort1_##W, rec1_##W, OFF_T, MAXP, src, FILL_PKT)                \
-                                                                            \
-static int64_t dst_keys_##W(                                                \
-    const Slice *sl, int key_bits, uint64_t kmin, int bits,                 \
-    int64_t *out_keys, double *out_a, double *out_b, double *out_c,         \
-    void *bufa, void *bufb)                                                 \
-{                                                                           \
-    int64_t n = sl->n;                                                      \
-    const rec3_##W *cur = sort3_##W(sl, 1, key_bits, n, kmin, bits, 31,     \
-                                    bufa, bufb);                            \
-    OFF_T prev = ~cur[0].off;                                               \
-    int64_t nu = 0;                                                         \
-    for (int64_t i = 0; i < n; i++) {                                       \
-        rec3_##W rec = cur[i];                                              \
-        int fresh = rec.off != prev;                                        \
-        prev = rec.off;                                                     \
-        nu += fresh;                                                        \
-        int64_t m = nu - 1;                                                 \
-        out_keys[m] = (int64_t)(kmin + rec.off);                            \
-        double sum_a = out_a[m], sum_b = out_b[m], sum_c = out_c[m];        \
-        sum_a = fresh ? 0.0 : sum_a;                                        \
-        sum_b = fresh ? 0.0 : sum_b;                                        \
-        sum_c = fresh ? 0.0 : sum_c;                                        \
-        double tcp = (double)((uint32_t)rec.pktcp >> 31);                   \
-        double pk = (double)(rec.pktcp & INT32_MAX);                        \
-        out_a[m] = sum_a + tcp * pk;                                        \
-        out_b[m] = sum_b + tcp * (double)rec.by;                            \
-        out_c[m] = sum_c + pk;                                              \
-    }                                                                       \
-    return nu;                                                              \
-}                                                                           \
-                                                                            \
-static int64_t src_keys_##W(                                                \
-    const Slice *sl, int key_bits, uint64_t kmin, int bits,                 \
-    int64_t *out_keys, double *out_a, void *bufa, void *bufb)               \
-{                                                                           \
-    int64_t n = sl->n;                                                      \
-    const rec1_##W *cur = sort1_##W(sl, 1, key_bits, n, kmin, bits, 31,     \
-                                    bufa, bufb);                            \
-    OFF_T prev = ~cur[0].off;                                               \
-    int64_t nu = 0;                                                         \
-    for (int64_t i = 0; i < n; i++) {                                       \
-        rec1_##W rec = cur[i];                                              \
-        int fresh = rec.off != prev;                                        \
-        prev = rec.off;                                                     \
-        nu += fresh;                                                        \
-        int64_t m = nu - 1;                                                 \
-        out_keys[m] = (int64_t)(kmin + rec.off);                            \
-        double sum = out_a[m];                                              \
-        sum = fresh ? 0.0 : sum;                                            \
-        out_a[m] = sum + (double)rec.pk;                                    \
-    }                                                                       \
-    return nu;                                                              \
-}                                                                           \
                                                                             \
 static void fold_dst_##W(                                                   \
     const Slice *slices, int64_t nslices, int key_bits, int64_t n,          \
@@ -402,31 +347,6 @@ static void fold_src_##W(                                                   \
 DEFINE_FOLD(narrow, uint32_t, 3)
 DEFINE_FOLD(wide, uint64_t, MAX_PASSES)
 
-/* Per-block regroup of sorted-unique keys' (still unscaled) sums with
- * the reference's `key >> block_shift` (arithmetic on int64).  `vals`
- * may be `blk_vals` itself: row i is read before any index past the
- * block count so far is written.  Returns the block count. */
-static int64_t regroup_blocks(
-    const int64_t *keys, const double *vals, int64_t nu, int64_t block_shift,
-    int64_t *blk_keys, double *blk_vals)
-{
-    int64_t prev_blk = ~(keys[0] >> block_shift);
-    int64_t nblk = 0;
-    for (int64_t i = 0; i < nu; i++) {
-        int64_t blk = keys[i] >> block_shift;
-        double val = vals[i];
-        int fresh = blk != prev_blk;
-        prev_blk = blk;
-        nblk += fresh;
-        int64_t m = nblk - 1;
-        blk_keys[m] = blk;
-        double sum = blk_vals[m];
-        sum = fresh ? 0.0 : sum;
-        blk_vals[m] = sum + val;
-    }
-    return nblk;
-}
-
 /* The batched fold: one call produces every keyed part
  * PrefixAccumulator appends for a batch of one day's slices with no
  * ignored-sender filter.  Every slice holds `key_bits` (32 or 64) bit
@@ -453,7 +373,7 @@ static int64_t fold_batch(
     for (int64_t s = 0; s < nslices; s++) raw_counts[s] = 0;
     if (key_bits != 32 && key_bits != 64) return -1;
     /* Fused scan: both (signed) key ranges plus the 31-bit value guard. */
-    int64_t n = 0, dmin = 0, dmax = 0, smin = 0, smax = 0, filled = 0, one = 0;
+    int64_t n = 0, dmin = 0, dmax = 0, smin = 0, smax = 0;
     uint64_t most = 0;
     for (int64_t q = 0; q < nslices; q++) {
         const Slice *sl = &slices[q];
@@ -475,44 +395,12 @@ static int64_t fold_batch(
             if ((uint64_t)sl->packets[i] > most) most = sl->packets[i];
         }
         n += sl->n;
-        filled++;
-        one = q;
     }
     if (n == 0) return 0;
     int dbits = bits_of((uint64_t)dmax - (uint64_t)dmin);
     int sbits = bits_of((uint64_t)smax - (uint64_t)smin);
-    if (filled == 1) {
-        /* One slice: unique keys straight from the scan, the block
-         * regroups in place (the per-key totals are staged in the block
-         * columns), then one scaling pass. */
-        const Slice *sl = &slices[one];
-        double factor = factors[one];
-        int64_t nsrc = sbits <= 32
-            ? src_keys_narrow(sl, key_bits, (uint64_t)smin, sbits, src_keys,
-                              raw_pk, bufa, bufb)
-            : src_keys_wide(sl, key_bits, (uint64_t)smin, sbits, src_keys,
-                            raw_pk, bufa, bufb);
-        raw_counts[one] = regroup_blocks(src_keys, raw_pk, nsrc, block_shift,
-                                         raw_keys, raw_pk);
-        int64_t ndst = dbits <= 32
-            ? dst_keys_narrow(sl, key_bits, (uint64_t)dmin, dbits, dst_keys,
-                              dst_tcp_pk, dst_tcp_by, vol_pk, bufa, bufb)
-            : dst_keys_wide(sl, key_bits, (uint64_t)dmin, dbits, dst_keys,
-                            dst_tcp_pk, dst_tcp_by, vol_pk, bufa, bufb);
-        int64_t nvol = regroup_blocks(dst_keys, vol_pk, ndst, block_shift,
-                                      vol_keys, vol_pk);
-        for (int64_t i = 0; i < ndst; i++) {
-            dst_tcp_pk[i] *= factor;
-            dst_tcp_by[i] *= factor;
-        }
-        for (int64_t i = 0; i < nvol; i++) vol_pk[i] *= factor;
-        counts[0] = ndst;
-        counts[1] = nvol;
-        counts[2] = nsrc;
-        return 0;
-    }
-    /* Many slices.  The slice index rides in the packet field above
-     * `pbits` packet bits: a count that needs more declines. */
+    /* The slice index rides in the packet field above `pbits` packet
+     * bits (all 31 for one slice): a count that needs more declines. */
     int pbits = 31 - bits_of((uint64_t)nslices - 1);
     if (most >> pbits) return -1;
     int64_t side[2];

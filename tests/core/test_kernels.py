@@ -985,6 +985,39 @@ class TestBatchParity:
                 assert_batch_in_c_agrees(slices, factors, 8)
             assert_batch_in_c_agrees([wide], [3.0], 8)
 
+    @pytest.mark.parametrize("column", [3, 4], ids=["packets", "bytes"])
+    @pytest.mark.parametrize("family", [FAMILY_IPV4, FAMILY_IPV6])
+    def test_one_slice_keeps_all_31_count_bits(self, family, column):
+        # A one-slice batch's index is 0, so the run walk keeps all 31
+        # bits: 2**31 - 2 folds in C, 2**31 - 1 declines the batch,
+        # once, to the reference.
+        rng = np.random.default_rng(61)
+        key_dtype, pools = key_pools(rng, family)
+        shift = 16 if family == FAMILY_IPV6 else 8
+        columns = traffic_columns(
+            rng, *(rng.choice(pools[0], size=60).astype(key_dtype)
+                   for _ in range(2))
+        )
+        for count, declines in ((2**31 - 2, False), (2**31 - 1, True)):
+            wide = list(columns)
+            wide[column] = columns[column].copy()
+            wide[column][7] = count
+            slices, factors = [tuple(wide)], [1 / 3]
+            if declines:
+                with mock.patch.object(
+                    NumpyKernel, "fold_batch", autospec=True,
+                    side_effect=NumpyKernel.fold_batch,
+                ) as reference_fold:
+                    native = get_kernel("native").fold_batch(
+                        slices, factors, shift
+                    )
+                assert reference_fold.call_count == 1
+                assert parts_identical(
+                    native, NumpyKernel().fold_batch(slices, factors, shift)
+                )
+            else:
+                assert_batch_in_c_agrees(slices, factors, shift)
+
 
 class TestTwoFactorsOneKey:
     """Two views of one day, with different factors, hit the same

@@ -5,7 +5,8 @@ The report turns a reach run's function, line and parameter records into
 the records a run over it would leave, then check the listing: never-run
 arms are grouped and keyed by their text, ``raise`` arms and ``except``
 handlers are left out, keys do not move when unrelated lines are
-inserted, and an entry without a category fails the command.
+inserted, an entry without a category fails the command, and so does a
+source edited after the run wrote its manifest.
 """
 
 import importlib.util
@@ -56,16 +57,18 @@ def report(tmp_path, monkeypatch):
 
 
 def write_tree(report, source: str, records: Path) -> None:
-    """The module as ``src/repro/mod.py`` and one process's records."""
+    """The module as ``src/repro/mod.py``, the run's source manifest and
+    one process's records."""
     report.SRC.mkdir(parents=True, exist_ok=True)
     (report.SRC / "mod.py").write_text(source)
+    records.mkdir(exist_ok=True)
+    report.write_manifest(records, report.SRC)
     lines = source.splitlines()
     first = next(i for i, line in enumerate(lines, 1) if "def reached" in line)
     hit = [
         number for number, line in enumerate(lines, 1)
         if line.strip() in EXECUTED
     ]
-    records.mkdir(exist_ok=True)
     (records / "1.txt").write_text(
         f"F\tmod.py\t{first}\n"
         + "".join(f"L\tmod.py\t{number}\n" for number in hit)
@@ -136,3 +139,36 @@ def test_reached_arm_drops_out(report, tmp_path):
                 records.write(f"L\tmod.py\t{number}\n")
     report.main([str(tmp_path / "records")])
     assert not any("arm" in entry for entry in entries(report))
+
+
+@pytest.mark.parametrize("edit", ["edited", "added", "removed"])
+def test_source_changed_since_the_run_is_refused(report, tmp_path, capsys,
+                                                 edit):
+    # The run's line numbers belong to the source it traced: an edit
+    # made since then is named, and the listing is left as it was.
+    (report.SRC / "pkg").mkdir(parents=True)
+    (report.SRC / "pkg" / "other.py").write_text("X = 1\n")
+    write_tree(report, SOURCE, tmp_path / "records")
+    assert report.main([str(tmp_path / "records")]) == 1
+    listing = report.LISTING.read_text()
+    if edit == "edited":
+        (report.SRC / "mod.py").write_text("import os\n" + SOURCE)
+        named = "mod.py"
+    elif edit == "added":
+        (report.SRC / "pkg" / "new.py").write_text("Y = 2\n")
+        named = "pkg/new.py"
+    else:
+        (report.SRC / "pkg" / "other.py").unlink()
+        named = "pkg/other.py"
+    capsys.readouterr()
+    assert report.main([str(tmp_path / "records")]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  {named}" in err and "unreviewed" not in err
+    assert report.LISTING.read_text() == listing
+
+
+def test_bytecode_is_not_source(report, tmp_path):
+    write_tree(report, SOURCE, tmp_path / "records")
+    (report.SRC / "__pycache__").mkdir()
+    (report.SRC / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert report.changed_sources(tmp_path / "records", report.SRC) == []

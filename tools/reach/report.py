@@ -29,6 +29,12 @@ edit elsewhere in the file does not change it.  Arms that start with
 ``raise``, and everything inside ``except`` handlers, are safety code
 (category a) and are not listed.  A parameter's key is its name.
 
+Line numbers only mean something against the source the run traced:
+``run.py`` records the sha256 of every file under ``src/repro`` in
+``OUT_DIR/sources.sha256`` when it starts, and the report refuses (exit
+1, the listing untouched) when any file was edited, added or removed
+since, naming each one.  Rerun ``run.py`` on the edited tree.
+
 Categories and reasons are carried over from the file's previous
 contents by key.  An entry that is new gets category ``?``, and the
 command exits 1 naming it: delete it with its tests, or give it a
@@ -40,6 +46,7 @@ code.
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 import sys
 from collections import defaultdict
@@ -77,11 +84,46 @@ LINES_HEADER = [
     "# Format: <path>:<function>  arm `<first line>`  <category>  <reason>",
     "#         <path>:<function>  param `<name>=<value class>`  <category>  <reason>",
 ]
+MANIFEST = "sources.sha256"
 UNREVIEWED = "?"
 ENTRY = re.compile(r"^(\S+)  (arm|param) `(.*?)`  (\S+)  (.*)$")
 NEUTRAL = (ast.Global, ast.Nonlocal)
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 _KEY_CHARS = 80
+
+
+def source_hashes(root: Path) -> dict[str, str]:
+    """``path under root -> sha256`` of every file under ``root`` but
+    compiled bytecode."""
+    return {
+        path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+def write_manifest(out: Path, root: Path) -> None:
+    """The hashes of ``root``'s files, as ``sha256sum`` prints them."""
+    (out / MANIFEST).write_text("".join(
+        f"{digest}  {name}\n" for name, digest in source_hashes(root).items()
+    ))
+
+
+def changed_sources(out: Path, root: Path) -> list[str]:
+    """Files under ``root`` edited, added or removed since the run wrote
+    its manifest."""
+    manifest = out / MANIFEST
+    if not manifest.exists():
+        raise SystemExit(f"no {MANIFEST} under {out}: not a run.py record "
+                         f"directory")
+    before = {
+        name: digest for digest, name in
+        (line.split("  ", 1) for line in manifest.read_text().splitlines())
+    }
+    now = source_hashes(root)
+    return sorted(name for name in before.keys() | now.keys()
+                  if before.get(name) != now.get(name))
 
 
 class Records:
@@ -337,7 +379,17 @@ def render(records: Records, kept) -> tuple[list[str], list[str], int, int]:
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         raise SystemExit(__doc__)
-    records = Records(Path(argv[0]))
+    out = Path(argv[0])
+    changed = changed_sources(out, SRC)
+    if changed:
+        print(
+            "src/repro changed since the run started, so its line records "
+            "no longer match the source (rerun run.py):\n  "
+            + "\n  ".join(changed),
+            file=sys.stderr,
+        )
+        return 1
+    records = Records(out)
     if not records.calls:
         raise SystemExit(f"no reach records under {argv[0]}")
     lines, unreviewed, functions, entries = render(records, previous(LISTING))

@@ -6,7 +6,9 @@ Each command runs as its own interpreter with ``tools/reach/site`` and
 ``src`` on ``PYTHONPATH`` and ``REACH_DIR=OUT_DIR``, so every process it
 starts (forked and spawned workers, the fleet, subprocesses) records the
 ``src/repro`` functions, lines and parameter value classes it runs into
-``OUT_DIR/<pid>.txt``.  The entry points are: the seven examples; every
+``OUT_DIR/<pid>.txt``; before the first command it writes the sha256 of
+every file under ``src/repro`` to ``OUT_DIR/sources.sha256``, which
+``report.py`` checks.  The entry points are: the seven examples; every
 CLI subcommand and flag path (``serve`` in-process, as a two-worker
 fleet on the saved snapshot and as a two-worker fleet folding a world,
 with ``query`` on all seven endpoints against the first two, ``point``
@@ -36,6 +38,8 @@ import tempfile
 import time
 import urllib.request
 from pathlib import Path
+
+from report import SRC, write_manifest
 
 REPO = Path(__file__).resolve().parents[2]
 SITE = Path(__file__).resolve().parent / "site"
@@ -204,6 +208,7 @@ def main(argv: list[str]) -> int:
         raise SystemExit(__doc__)
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
+    write_manifest(out, SRC)
     python = sys.executable
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         work = Path(scratch)
