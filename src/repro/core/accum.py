@@ -67,9 +67,7 @@ _COMPACT_EVERY = 16
 #: Sentinel chunk size: derive a day's batch size from the day's row
 #: count (see :func:`adaptive_chunk_rows`).
 AUTO_CHUNK = "auto"
-#: :data:`AUTO_CHUNK`'s batches per day, and its bounds on a batch's rows.
-_AUTO_TARGET_CHUNKS = 8
-_AUTO_FLOOR = 8192
+#: :data:`AUTO_CHUNK`'s largest batch: a day of more rows is split.
 _AUTO_CEILING = 1 << 18
 
 
@@ -88,24 +86,17 @@ def _empty_keys() -> np.ndarray:
 
 
 def adaptive_chunk_rows(total_rows: int) -> int | None:
-    """Batch size balancing peak fold memory against part build-up.
+    """Batch size for a day of ``total_rows`` rows over all its views.
 
-    ``total_rows`` is a day's rows over all its views.  The fold's
-    transient memory — radix scratch and the not-yet-trimmed outputs,
-    a few dozen bytes per row — grows with the batch, not the day, so
-    a small day (up to :data:`_AUTO_FLOOR` rows) folds in one batch
-    (``None``): splitting it buys no memory headroom but piles up
-    parts.  A larger day is folded in about
-    :data:`_AUTO_TARGET_CHUNKS` batches, clamped to ``[_AUTO_FLOOR,
-    _AUTO_CEILING]`` rows, so the fold's transient memory stays a
-    fraction of the day's input while each family stays a handful of
-    parts.
+    A day of up to :data:`_AUTO_CEILING` rows folds in one batch
+    (``None``): one kernel call, one part per family and nothing to
+    compact at the end of the day, which measured faster than every
+    split.  A larger day is folded in ceiling-sized batches, so the
+    fold's transient memory — radix scratch and the not-yet-trimmed
+    outputs, a few dozen bytes per row — is bounded by one such batch,
+    not by the day.
     """
-    if total_rows <= _AUTO_FLOOR:
-        return None
-    return min(
-        max(_AUTO_FLOOR, -(-total_rows // _AUTO_TARGET_CHUNKS)), _AUTO_CEILING
-    )
+    return None if total_rows <= _AUTO_CEILING else _AUTO_CEILING
 
 
 def resolve_chunk_size(

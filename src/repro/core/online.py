@@ -156,10 +156,11 @@ class OnlineMetaTelescope:
     use_spoofing_tolerance: bool = True
     #: Missing/degraded-day policy; see the module docstring.
     policy: str = "strict"
-    #: Rows per ingestion chunk when folding a day's views into its
-    #: accumulator (None: each view aggregated whole; ``"auto"`` picks a
-    #: size from the view).  Classification is bit-identical either way;
-    #: the chunk size only bounds memory.
+    #: Rows per fold batch when folding a day's views into its
+    #: accumulator (None: the day in one batch; ``"auto"``: the day in
+    #: one batch up to 2^18 rows, 2^18-row batches above).
+    #: Classification is bit-identical either way; the chunk size only
+    #: bounds memory.
     chunk_size: int | str | None = None
     #: Fan-out threads for each day's fold (None/1: serial, ``0``: one
     #: per CPU).  Any worker count classifies bit-identically.

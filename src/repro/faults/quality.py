@@ -27,11 +27,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.faults.injectors import MIN_BYTES_PER_PACKET
+from repro.net.family import FAMILY_IPV6
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
 
 #: Two rows are exact duplicates when they agree on all of these.
 DUPLICATE_COLUMNS = ("src_ip", "dst_ip", "proto", "dport", "packets", "bytes")
+#: An IPv6 table's ``src_ip``/``dst_ip`` are /64 ids, so its rows are
+#: compared on the low 64 address bits as well.
+DUPLICATE_COLUMNS_V6 = DUPLICATE_COLUMNS + ("src_ip_lo", "dst_ip_lo")
 #: Exact-duplicate share below this is considered natural collision noise.
 NATURAL_DUPLICATE_SHARE = 0.02
 #: Duplicate share at which the duplicates component reaches zero.
@@ -62,26 +66,33 @@ class FeedQuality:
 
 
 def _duplicate_fraction(flows: FlowTable) -> float:
-    """Share of rows that repeat another in all of ``DUPLICATE_COLUMNS``.
+    """Share of rows that repeat another in all of ``DUPLICATE_COLUMNS``
+    (``DUPLICATE_COLUMNS_V6`` for an IPv6 table).
 
-    Equal rows share their 64-bit address-pair key, so one sort of that
-    key leaves only the rows whose key ties with a neighbour to compare
-    in full.
+    Equal rows share their 64-bit address-pair key.  One sort of the
+    keys settles a table whose keys never repeat, which is a clean
+    feed's usual day; otherwise the rows whose key ties with a
+    neighbour are found by an argsort and compared in full.
     """
     total = len(flows)
     if total == 0:
         return 0.0
     key = flows.src_ip.astype(np.uint64) << np.uint64(32)
     key ^= flows.dst_ip.astype(np.uint64)
+    ordered = np.sort(key)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return 0.0
     order = np.argsort(key)
     key = key[order]
     tied = np.zeros(total, dtype=bool)
     tied[1:] = key[1:] == key[:-1]
     tied[:-1] |= tied[1:]
     rows = order[tied]
-    columns = [getattr(flows, name)[rows] for name in DUPLICATE_COLUMNS]
+    v6 = flows.family == FAMILY_IPV6
+    names = DUPLICATE_COLUMNS_V6 if v6 else DUPLICATE_COLUMNS
+    columns = [getattr(flows, name)[rows] for name in names]
     adjacent = np.lexsort(columns)
-    repeats = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    repeats = np.ones(len(rows) - 1, dtype=bool)
     for column in columns:
         column = column[adjacent]
         repeats &= column[1:] == column[:-1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.world.observe import Observatory
 from repro.world.scenarios import (
@@ -15,6 +16,47 @@ from repro.world.scenarios import (
     small_observatory,
     small_world,
 )
+
+#: ``--hypothesis-profile=sanitizers``: the native kernels run under
+#: ASan + UBSan, several times slower, so no deadline, and ten times the
+#: examples to reach the edges parity rarely draws.  Tests that set
+#: their own ``max_examples`` get ten times that (see
+#: :func:`pytest_collection_modifyitems`).
+settings.register_profile(
+    "sanitizers",
+    max_examples=10 * settings.get_profile("default").max_examples,
+    deadline=None,
+)
+
+
+def pytest_collection_modifyitems(items):
+    """Scale each property test's own ``max_examples`` by the loaded
+    profile's multiple of the default one (1 unless a profile such as
+    ``sanitizers`` raises it)."""
+    scale = (
+        settings.default.max_examples
+        // settings.get_profile("default").max_examples
+    )
+    if scale <= 1:
+        return
+    seen = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)
+        if getattr(test, "_hypothesis_state_machine_class", None):
+            owner, name = item.cls, "settings"
+        elif getattr(test, "is_hypothesis_test", False):
+            owner, name = test, "_hypothesis_internal_use_settings"
+        else:
+            continue
+        own = getattr(owner, name)
+        # A test without its own settings already runs the profile.
+        if id(owner) in seen or own is settings.default:
+            continue
+        seen.add(id(owner))
+        setattr(
+            owner, name, settings(own, max_examples=own.max_examples * scale)
+        )
 
 
 @pytest.fixture(scope="session")

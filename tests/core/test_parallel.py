@@ -26,7 +26,7 @@ from repro.core.accum import (
     adaptive_chunk_rows,
     resolve_chunk_size,
 )
-from repro.core import parallel
+from repro.core import accum, parallel
 from repro.core.engine import ExecutionPlanner, RunContext, default_workers
 from repro.core.kernels import get_kernel
 from repro.core.metatelescope import MetaTelescope
@@ -207,17 +207,10 @@ class TestThePlanIsWhatRuns:
         flows = flows.slice_rows(0, 10_000)
         asked: list = []
         view = VantageDayView("V", 0, SpyTable(flows, asked))
-        plan = ExecutionPlanner().plan(
-            [view], chunk_size=AUTO_CHUNK, workers=2
-        )
+        plan = ExecutionPlanner().plan([view], chunk_size=8192, workers=2)
         (spec,) = plan.views
         assert spec.chunk_rows == 8192
         shards = [shard for bucket in plan.shards for shard in bucket]
-        # "auto" against a shard alone would have meant "whole".
-        assert all(
-            adaptive_chunk_rows(stop - start) is None
-            for _, start, stop in shards
-        )
 
         built = []
         original = PrefixAccumulator.__init__
@@ -485,13 +478,16 @@ class TestChunkingKnobs:
     def test_adaptive_chunk_rows(self):
         assert adaptive_chunk_rows(0) is None
         assert adaptive_chunk_rows(8192) is None
-        assert adaptive_chunk_rows(80_000) == 10_000
-        assert adaptive_chunk_rows(10**9) == 1 << 18  # ceiling
+        assert adaptive_chunk_rows(80_000) is None
+        assert adaptive_chunk_rows(1 << 18) is None
+        assert adaptive_chunk_rows((1 << 18) + 1) == 1 << 18  # ceiling
+        assert adaptive_chunk_rows(10**9) == 1 << 18
 
     def test_resolve_chunk_size(self):
         assert resolve_chunk_size(None, 10**6) is None
         assert resolve_chunk_size(4096, 10**6) == 4096
-        assert resolve_chunk_size(AUTO_CHUNK, 80_000) == 10_000
+        assert resolve_chunk_size(AUTO_CHUNK, 80_000) is None
+        assert resolve_chunk_size(AUTO_CHUNK, 10**6) == 1 << 18
         with pytest.raises(ValueError, match="auto"):
             resolve_chunk_size("bogus", 10**6)
 
@@ -505,6 +501,73 @@ class TestChunkingKnobs:
         accumulator = fold(multi_day, chunk_size=31)
         for sums in families_of(accumulator):
             assert len(sums._parts) <= 1
+
+
+def _online_days(telescope, observatory, monkeypatch, kernel, **knobs):
+    """Three micro days through a fresh online engine, counting the
+    kernel's ``fold_batch`` calls per day; returns the engine, each
+    day's snapshot and each day's call count."""
+    calls = []
+    folder = type(get_kernel(kernel))
+    fold_batch = folder.fold_batch
+
+    def spy(self, *args, **kwargs):
+        calls[-1] += 1
+        return fold_batch(self, *args, **kwargs)
+
+    online = OnlineMetaTelescope(
+        telescope=telescope, window_days=3, min_stable_days=2,
+        kernel=kernel, **knobs,
+    )
+    snapshots = []
+    with monkeypatch.context() as patch:
+        patch.setattr(folder, "fold_batch", spy)
+        for day in range(3):
+            calls.append(0)
+            online.update(day, list(observatory.day(day).ixp_views.values()))
+            snapshots.append(online.snapshot())
+    return online, snapshots, calls
+
+
+class TestAutoFoldsADayInOneBatch:
+    """``chunk_size="auto"`` folds a day of up to ``_AUTO_CEILING`` rows
+    in one kernel call, and a larger day in ceiling-sized batches."""
+
+    def test_one_fold_batch_call_per_day(
+        self, telescope, observatory, monkeypatch
+    ):
+        online, _, calls = _online_days(
+            telescope, observatory, monkeypatch, "numpy",
+            chunk_size=AUTO_CHUNK,
+        )
+        assert calls == [1, 1, 1]
+        for _, accumulator in online._window:
+            for sums in families_of(accumulator):
+                assert len(sums._parts) == 1
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    def test_days_above_the_ceiling_split_and_compact(
+        self, telescope, observatory, monkeypatch, kernel
+    ):
+        _, whole, _ = _online_days(
+            telescope, observatory, monkeypatch, kernel, chunk_size=None
+        )
+        ceiling = 4096
+        monkeypatch.setattr(accum, "_AUTO_CEILING", ceiling)
+        online, split, calls = _online_days(
+            telescope, observatory, monkeypatch, kernel,
+            chunk_size=AUTO_CHUNK,
+        )
+        rows = [
+            sum(view.num_rows for view in observatory.day(day).ixp_views.values())
+            for day in range(3)
+        ]
+        assert min(rows) > ceiling
+        assert calls == [-(-count // ceiling) for count in rows]
+        for _, accumulator in online._window:
+            for sums in families_of(accumulator):
+                assert len(sums._parts) <= 1
+        assert all(a.identical_to(b) for a, b in zip(split, whole))
 
 
 class TestRoutingTableCache:

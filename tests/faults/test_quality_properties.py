@@ -1,6 +1,7 @@
 """Property tests: the one-sort duplicate share is the exact one.
 
-``np.unique(key, axis=0)`` over the six compared columns is the
+``np.unique(key, axis=0)`` over the compared columns — six for IPv4,
+eight for IPv6, whose rows also carry the low 64 address bits — is the
 definition (and the former implementation); it stays here as the
 oracle the sort-then-settle scorer must reproduce bit for bit.
 """
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.faults import DuplicatedRecords
 from repro.faults.quality import _duplicate_fraction, score_feed
-from repro.traffic.flows import FlowTable
+from repro.traffic.flows import FlowTable, flow_columns
 
 #: Tiny per-column value pools, so generated rows collide often and in
 #: every pattern: equal everywhere, equal on the address pair only,
@@ -25,13 +26,19 @@ POOLS = {
     "bytes": (40, 80),
 }
 #: IPv6 engine keys are 64-bit: sources that differ only above bit 32
-#: share the scorer's address-pair sort key without being equal.
+#: share the scorer's address-pair sort key without being equal, and
+#: rows that differ only in the low 64 address bits share the /64 ids.
 POOLS_V6 = {
     **POOLS,
     "src_ip": (1, 1 + (1 << 32), 1 + (1 << 45), 2),
     "dst_ip": (7, 7 + (1 << 32), (1 << 62) + 7),
+    "src_ip_lo": (0, 1, 1 << 63),
+    "dst_ip_lo": (5, 5 + (1 << 40)),
 }
-COLUMNS = tuple(POOLS)
+
+
+def columns_of(family: str) -> tuple[str, ...]:
+    return tuple(POOLS_V6 if family == "ipv6" else POOLS)
 
 
 def dense_duplicate_fraction(flows: FlowTable) -> float:
@@ -39,27 +46,19 @@ def dense_duplicate_fraction(flows: FlowTable) -> float:
     if len(flows) == 0:
         return 0.0
     key = np.column_stack(
-        [getattr(flows, name).astype(np.int64) for name in COLUMNS]
+        [
+            getattr(flows, name).astype(np.int64)
+            for name in columns_of(flows.family)
+        ]
     )
     return 1.0 - len(np.unique(key, axis=0)) / len(flows)
 
 
 def table(rows: list[tuple], family: str) -> FlowTable:
+    dtypes = flow_columns(family)
     columns = {
-        name: np.array([row[i] for row in rows], dtype=dtype)
-        for i, (name, dtype) in enumerate(
-            zip(
-                COLUMNS,
-                (
-                    np.uint64 if family == "ipv6" else np.uint32,
-                    np.uint64 if family == "ipv6" else np.uint32,
-                    np.uint8,
-                    np.uint16,
-                    np.int64,
-                    np.int64,
-                ),
-            )
-        )
+        name: np.array([row[i] for row in rows], dtype=dtypes[name])
+        for i, name in enumerate(columns_of(family))
     }
     return FlowTable(
         **columns,
@@ -73,7 +72,7 @@ def table(rows: list[tuple], family: str) -> FlowTable:
 def colliding_tables(draw):
     family = draw(st.sampled_from(["ipv4", "ipv6"]))
     pools = POOLS_V6 if family == "ipv6" else POOLS
-    row = st.tuples(*(st.sampled_from(pools[name]) for name in COLUMNS))
+    row = st.tuples(*(st.sampled_from(pools[name]) for name in pools))
     return table(draw(st.lists(row, min_size=0, max_size=50)), family)
 
 
@@ -82,13 +81,14 @@ def one_column_apart(draw):
     """Copies of one row, each altered in at most one column."""
     family = draw(st.sampled_from(["ipv4", "ipv6"]))
     pools = POOLS_V6 if family == "ipv6" else POOLS
-    base = [pools[name][0] for name in COLUMNS]
+    columns = columns_of(family)
+    base = [pools[name][0] for name in columns]
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=30))):
         row = list(base)
-        column = draw(st.integers(min_value=0, max_value=len(COLUMNS)))
-        if column < len(COLUMNS):
-            row[column] = draw(st.sampled_from(pools[COLUMNS[column]]))
+        column = draw(st.integers(min_value=0, max_value=len(columns)))
+        if column < len(columns):
+            row[column] = draw(st.sampled_from(pools[columns[column]]))
         rows.append(tuple(row))
     return table(rows, family)
 
@@ -109,7 +109,7 @@ class TestDuplicateFraction:
     )
     def test_identical_single_and_empty_tables(self, family, count):
         pools = POOLS_V6 if family == "ipv6" else POOLS
-        row = tuple(pools[name][-1] for name in COLUMNS)
+        row = tuple(pools[name][-1] for name in pools)
         flows = table([row] * count, family)
         assert _duplicate_fraction(flows) == dense_duplicate_fraction(flows)
         if count:
