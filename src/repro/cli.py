@@ -38,15 +38,16 @@ World commands accept ``--scale {micro,small,paper,giant}``, ``--seed``,
 ``--days``, ``--vantage`` (an IXP code or ``All``), ``--chunk-size``
 (rows per ingestion chunk, or ``auto``; classification is identical at
 any value — the flag only bounds aggregation memory), ``--workers``
-(thread fan-out of the aggregation; ``0`` = one per CPU; any worker
-count classifies bit-identically), ``--capture-cache DIR``
+(threads folding the days, one day each; ``0`` = one per CPU; any
+worker count folds bit-identically; ``faults`` and ``serve`` fold one
+day per update and reject it), ``--capture-cache DIR``
 (content-addressed cache of generated vantage-day captures: re-runs
 with the same scale/seed serve days from flowpack archives instead of
 regenerating them — bit-identical, just faster) and ``--trace PATH``
 (append the run's structured execution events as JSONL — the engine's
 observability spine).  Commands that run the pipeline print a
-per-stage funnel timing table; parallel runs prepend per-worker and
-merge rows.  All of it comes from one event stream, recorded by
+per-stage funnel timing table; parallel runs prepend per-day worker
+and merge rows.  All of it comes from one event stream, recorded by
 the :class:`~repro.core.engine.RunContext` threaded through the run.
 """
 
@@ -238,7 +239,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def _print_timings(
     context: RunContext | None, scopes: tuple[str, ...] | None = None
 ) -> None:
-    """The timing table: one row per fan-out, merge and stage event of
+    """The timing table: one row per worker, merge and stage event of
     ``context`` (only those in ``scopes``, when given)."""
     if context is None:
         return
@@ -428,7 +429,6 @@ def _online(
         use_spoofing_tolerance=not args.no_tolerance,
         policy=args.policy,
         chunk_size=args.chunk_size,
-        workers=args.workers,
         kernel=args.kernel,
         sinks=context.sinks,
     )
@@ -485,8 +485,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for event in events:
         print(f"  injected day {event.day} @ {event.vantage}: "
               f"{event.fault} ({event.detail})")
-    # The latest folded day: its fold (fan-out, if any) and window
-    # stages; the per-day inference's rows stay trace-only.
+    # The latest folded day: its fold and window stages; the per-day
+    # inference's rows stay trace-only.
     _print_timings(online.last_run_context(), scopes=("fold", "window"))
     context.close()
     return 0
@@ -787,8 +787,8 @@ def _add_execution_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers", type=_at_least(0), default=None,
-        help="threads for the aggregation fan-out "
-        "(default: serial; 0 = one per CPU; classification is "
+        help="threads folding the days, one day each "
+        "(default: serial; 0 = one per CPU; the fold is "
         "bit-identical at any worker count)",
     )
     p.add_argument(
@@ -1023,6 +1023,12 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("faults", "serve") and args.workers is not None:
+        parser.error(
+            f"{args.command}: argument --workers: the online engine folds "
+            "one day per update and a worker pool shares out whole days, "
+            "so a pool would have nothing to share"
+        )
     if args.command == "faults" and args.fault_day is not None:
         # Same clamp as cmd_faults: a day past the folded ones injects
         # nothing, so it is a usage error, not a quiet no-op.

@@ -2,10 +2,10 @@
 
 * :mod:`repro.core.thresholds` — packet-size fingerprint tuning (Table 3);
 * :mod:`repro.core.accum` — mergeable per-/24 streaming aggregation;
-* :mod:`repro.core.parallel` — thread fan-out with bit-identical tree
-  merge;
 * :mod:`repro.core.engine` — execution planning (ExecutionPlan /
-  RunContext) and the observability spine every frontend runs through;
+  RunContext), the one fold loop (each day into its own partial, on a
+  pool of threads or not, the days merged in order) and the
+  observability spine every frontend runs through;
 * :mod:`repro.core.stages` — the funnel's steps over finalized columns;
 * :mod:`repro.core.pipeline` — the seven-step inference pipeline (Figure 2);
 * :mod:`repro.core.spoofing_tolerance` — the unrouted-space tolerance (§7.2);
@@ -35,7 +35,6 @@ from repro.core.engine import (
     validate_trace_event,
     validate_trace_file,
 )
-from repro.core.parallel import shard_views, tree_merge
 from repro.core.pipeline import (
     FunnelCounts,
     PipelineConfig,
@@ -92,8 +91,6 @@ __all__ = [
     "resolve_execution_knobs",
     "validate_trace_event",
     "validate_trace_file",
-    "shard_views",
-    "tree_merge",
     "FunnelCounts",
     "PipelineConfig",
     "PipelineResult",

@@ -27,10 +27,14 @@ ignored-sender filter, so the spoofing tolerance can be derived from
 the accumulator itself), and per-day per-/24 volume estimates (the
 across-days median of the volume filter).
 
-All counts are integers (or integer-valued floats after sampling-factor
-rescaling), so the partial sums are exact in float64 and the chunked
-path classifies **bit-identically** to the batch path — at chunk size
-1, 97 or a whole day.
+Sampled counts are integers, and so is every world preset's sampling
+factor, so the partial sums are exact in float64 and a chunked fold
+classifies **bit-identically** to a whole-day one — at chunk size 1,
+97 or a whole day.  A non-integer factor (the ``missample`` fault)
+makes a scaled sum depend on its order in the last bit; the execution
+engine fixes that order for every plan (a day's batches in row order,
+then the days in day order), so plans that batch a day alike agree bit
+for bit whatever the factors.
 
 Internally each keyed column family is a short list of *parts*, each
 with strictly ascending unique keys — the shape every fold output and
@@ -328,10 +332,10 @@ class PrefixAccumulator:
         on_batch=None,
         on_view=None,
     ) -> "PrefixAccumulator":
-        """Fold one day's views (or row-range shards of them) in.
+        """Fold one day's views in.
 
-        This is the one fold loop: the serial engine and the fan-out
-        workers both run it, with the ``batch_rows`` the execution plan
+        This is the one fold loop: the execution engine runs it once
+        per day, on a fresh partial, with the ``batch_rows`` the plan
         resolved for the day.  The views' rows, view after view, are cut
         into batches of at most ``batch_rows`` rows (``None``: the whole
         day in one batch), and each batch is one kernel call — one
@@ -489,9 +493,8 @@ class PrefixAccumulator:
     def compact(self) -> "PrefixAccumulator":
         """Collapse every column family to a single grouped part.
 
-        Called on a partial before it is merged, so a coordinator never
-        takes over a chunk log; safe (and cheap) to call at any time.
-        Returns ``self``.
+        Safe (and cheap) to call at any time: compaction is the
+        accumulator's normal maintenance.  Returns ``self``.
         """
         self._dst_ip_sums.compacted()
         for families in (

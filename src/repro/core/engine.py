@@ -2,29 +2,29 @@
 
 Every way of running the seven-step inference — the batch facade
 (:class:`~repro.core.metatelescope.MetaTelescope`), the rolling-window
-online loop, the thread fan-out and the CLI — used to re-resolve
-the same knobs (``chunk_size``, ``workers``, ``kernel``) and report
-timings in its own shape.  This module centralises all of that:
+online loop and the CLI — used to re-resolve the same knobs
+(``chunk_size``, ``workers``, ``kernel``) and report timings in its own
+shape.  This module centralises all of that:
 
 * :func:`resolve_execution_knobs` — the **single** knob-resolution
   point (chunk-size validation, worker count, kernel backend).  No
   facade resolves knobs on its own anymore.
-* :class:`ExecutionPlanner` — inspects the views (row counts, archive
-  vs in-memory storage, CPU count) and emits a declarative,
+* :class:`ExecutionPlanner` — inspects the views (row counts, days,
+  archive vs in-memory storage, CPU count) and emits a declarative,
   inspectable :class:`ExecutionPlan`: execution mode (``serial`` |
-  ``chunked`` | ``parallel``), per-view chunk resolution, deterministic
-  shard layout and kernel backend.  A plan is data — print it,
-  serialise it, compare it — and ``python -m repro plan`` does exactly
-  that without executing anything.
+  ``chunked`` | ``parallel``), per-day batch rows, the size of the
+  pool that folds the days, and the kernel backend.  A plan is data —
+  print it, serialise it, compare it — and ``python -m repro plan``
+  does exactly that without executing anything.
 * :class:`RunContext` — threaded through every layer; carries the
   plan being executed and the **observability spine**: structured
   per-stage / per-chunk / per-worker :class:`ExecutionEvent` records
   emitted to pluggable sinks (:class:`MemorySink` for tests and
   facades, :class:`JsonlSink` for trace files).
 * :func:`execute_plan` — the one fold path: the only code that turns
-  views into an accumulator.  Serial, chunked and parallel execution
-  all run through it; classification downstream is bit-identical for
-  every plan by the accumulator's associativity.
+  views into an accumulator.  Every plan runs its one loop: each day
+  folds into its own partial and the partials merge in day order, so
+  every plan folds bit-identically.
 
 Timings have no second shape: the CLI timing table is formatted
 straight from a context's ``worker`` / ``merge`` / ``stage`` events,
@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.core.accum import PrefixAccumulator, days_of, resolve_chunk_size
 from repro.core.kernels import get_kernel, resolve_kernel_name
-from repro.core.parallel import parallel_accumulate_views, shard_views
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vantage.sampling import VantageDayView
@@ -110,10 +110,6 @@ class ExecutionKnobs:
     workers: int
     kernel: str = "numpy"
 
-    def parallel(self) -> bool:
-        """Whether this knob set fans the fold out across threads."""
-        return self.workers > 1
-
 
 def resolve_execution_knobs(
     chunk_size: int | str | None = None,
@@ -125,9 +121,10 @@ def resolve_execution_knobs(
     """Resolve the public execution knobs once, for every frontend.
 
     * ``workers``: ``None``/``1`` → serial (1); ``0`` → one per
-      available CPU (the capped auto setting); an explicit count is
-      honoured literally — oversubscription is the operator's call,
-      and classification is identical at any count regardless.
+      available CPU; an explicit count is honoured literally —
+      oversubscription is the operator's call.  The planner caps it at
+      the number of days, the unit the pool folds; the fold is
+      bit-identical at any count regardless.
     * ``chunk_size``: validated tri-state (``None`` | int >= 1 |
       ``"auto"``); per-view rows resolve later against each view's
       ``num_rows`` via :func:`~repro.core.accum.resolve_chunk_size`.
@@ -185,23 +182,23 @@ class ExecutionPlan:
     The plan is pure data: building it touches no flow payload (row
     counts come from ``num_rows``, which archive-backed views answer
     from segment headers), and executing it is
-    :func:`execute_plan`'s job.  Identical classification across plans
-    is the engine's core invariant, pinned by
-    ``tests/core/test_engine.py``.
+    :func:`execute_plan`'s job.  An identical fold across plans is the
+    engine's core invariant, pinned by ``tests/core/test_engine.py``.
     """
 
     #: ``"serial"`` | ``"chunked"`` | ``"parallel"``.
     mode: str
     views: tuple[ViewSpec, ...]
     knobs: ExecutionKnobs
-    #: Per-worker shard buckets (``()`` outside parallel mode); each
-    #: shard is (view index, first row, one-past-last row).
-    shards: tuple[tuple[tuple[int, int, int], ...], ...] = ()
 
     @property
     def workers(self) -> int:
-        """Concrete worker count (1 outside parallel mode)."""
+        """Threads folding the days (1 outside parallel mode)."""
         return self.knobs.workers
+
+    def days(self) -> int:
+        """Days the plan folds, one partial each."""
+        return len({view.day for view in self.views})
 
     def total_rows(self) -> int:
         """Flow rows the plan will fold."""
@@ -218,13 +215,8 @@ class ExecutionPlan:
             ("views", f"{len(self.views)}"),
             ("rows", f"{self.total_rows():,}"),
             ("storage", ", ".join(sorted(storages)) or "-"),
+            ("days", f"{self.days()}"),
             ("workers", f"{self.workers}"),
-            (
-                "shards",
-                f"{sum(len(bucket) for bucket in self.shards)}"
-                if self.shards
-                else "-",
-            ),
             (
                 "chunk rows",
                 ", ".join(f"{rows:,}" for rows in chunk_rows) or "whole day",
@@ -249,7 +241,6 @@ class ExecutionPlan:
                 }
                 for view in self.views
             ],
-            "shards": [list(map(list, bucket)) for bucket in self.shards],
         }
 
 
@@ -298,29 +289,24 @@ class ExecutionPlanner:
     ) -> ExecutionPlan:
         """Build the plan for one fold.
 
-        The planner picks ``parallel`` when the resolved worker count
-        exceeds 1 and there are views to shard, else ``chunked`` when
-        any view resolves a bounded chunk size, else ``serial``.
+        The days are the unit a pool of threads shares out, so the
+        pool has ``min(workers, days)`` threads; the planner picks
+        ``parallel`` when that exceeds 1, else ``chunked`` when any
+        day resolves a bounded batch size, else ``serial``.
         """
         knobs = resolve_execution_knobs(
             chunk_size, workers, kernel, cpus=self.cpus
         )
         specs = view_specs(views, knobs.chunk_size)
-        if knobs.parallel() and specs:
-            return ExecutionPlan(
-                mode="parallel",
-                views=specs,
-                knobs=knobs,
-                shards=tuple(
-                    tuple(bucket)
-                    for bucket in shard_views(list(views), knobs.workers)
-                ),
-            )
-        chunked = any(spec.chunk_rows is not None for spec in specs)
+        pool = max(1, min(knobs.workers, len({spec.day for spec in specs})))
+        if pool > 1:
+            mode = "parallel"
+        elif any(spec.chunk_rows is not None for spec in specs):
+            mode = "chunked"
+        else:
+            mode = "serial"
         return ExecutionPlan(
-            mode="chunked" if chunked else "serial",
-            views=specs,
-            knobs=replace(knobs, workers=1),
+            mode=mode, views=specs, knobs=replace(knobs, workers=pool)
         )
 
 
@@ -482,13 +468,20 @@ def execute_plan(
 ) -> PrefixAccumulator:
     """Fold ``views`` into one accumulator, exactly as planned.
 
-    Serial and chunked modes run on the calling thread, a day at a
-    time, emitting one ``view`` event per vantage-day (reading its
-    rows) and one ``chunk`` event per fold batch;
-    parallel mode folds the plan's shard buckets on threads and emits
-    one ``worker`` event per bucket and one ``merge`` event.
-    Classification downstream is bit-identical across modes for the
-    same views — the engine's core invariant.
+    Every plan runs the same loop: each day (in ``days_of`` order)
+    folds into a fresh partial through
+    :meth:`~repro.core.accum.PrefixAccumulator.update_day`, in batches
+    of the rows the plan resolved for that day, and the partials merge
+    in day order (one day: its partial is the result).  A parallel
+    plan only maps the days over a pool of ``plan.workers`` threads;
+    the code each day runs and the merge are the same, so every plan
+    folds bit-identically, whatever the sampling factors.
+
+    Each day's ``view`` and ``chunk`` events are recorded while it
+    folds and emitted from the calling thread once it is done, so a
+    sink never sees two threads at once.  A parallel plan adds one
+    ``worker`` event per day (``fanout[dN]``, stamped when its thread
+    started it) and one ``merge`` event.
     """
     if context is None:
         context = RunContext()
@@ -504,41 +497,74 @@ def execute_plan(
     # meta carries the provider and the fallback reason, if any).
     kernel = get_kernel(plan.knobs.kernel)
     context.emit("kernel", kernel.name, meta=kernel.describe())
-    if plan.mode == "parallel" and plan.views:
-        return parallel_accumulate_views(
-            plan, views, context, kernel, ignore_sources_from_asns
-        )
-    return _execute_serial(plan, views, context, ignore_sources_from_asns, kernel)
-
-
-def _execute_serial(
-    plan: ExecutionPlan,
-    views: Sequence["VantageDayView"],
-    context: RunContext,
-    ignored: frozenset[int],
-    kernel,
-) -> PrefixAccumulator:
-    accumulator = PrefixAccumulator(ignored, kernel=kernel)
     batch_rows = {spec.day: spec.chunk_rows for spec in plan.views}
-    for day, members in days_of(views, lambda view: view.day):
+
+    def fold_day(day_views):
+        day, members = day_views
+        events: list[tuple[tuple, dict[str, Any]]] = []
 
         def on_batch(rows: int, seconds: float) -> None:
-            context.emit("chunk", f"d{day}", seconds, rows_in=rows)
+            events.append((
+                ("chunk", f"d{day}", seconds),
+                {"started": time.time() - seconds, "rows_in": rows},
+            ))
 
         def on_view(view: "VantageDayView", seconds: float) -> None:
-            context.emit(
-                "view",
-                f"{view.vantage}@d{view.day}",
-                seconds,
-                rows_in=int(view.num_rows),
-                peak_rss_mib=_peak_rss_mib(),
-                meta={"storage": view.storage},
-            )
+            events.append((
+                ("view", f"{view.vantage}@d{view.day}", seconds),
+                {
+                    "started": time.time() - seconds,
+                    "rows_in": int(view.num_rows),
+                    "peak_rss_mib": _peak_rss_mib(),
+                    "meta": {"storage": view.storage},
+                },
+            ))
 
-        accumulator.update_day(
-            day, members, batch_rows[day], on_batch, on_view
+        wall = time.time()
+        started = time.perf_counter()
+        partial = PrefixAccumulator(ignore_sources_from_asns, kernel=kernel)
+        partial.update_day(day, members, batch_rows[day], on_batch, on_view)
+        return partial, events, wall, time.perf_counter() - started
+
+    days = days_of(views, lambda view: view.day)
+    pooled = plan.workers > 1
+    if pooled:
+        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+            folded = list(pool.map(fold_day, days))
+    else:
+        folded = map(fold_day, days)
+    partials = []
+    for (day, members), (partial, events, wall, seconds) in zip(days, folded):
+        for args, counters in events:
+            context.emit(*args, **counters)
+        if pooled:
+            rows = sum(int(view.num_rows) for view in members)
+            context.emit(
+                "worker",
+                f"fanout[d{day}]",
+                seconds,
+                started=wall,
+                rows_in=rows,
+                rows_out=rows,
+                meta={"views": len(members)},
+            )
+        partials.append(partial)
+    if not partials:
+        return PrefixAccumulator(ignore_sources_from_asns, kernel=kernel)
+    if len(partials) == 1:
+        return partials[0]
+    wall = time.time()
+    started = time.perf_counter()
+    merged = PrefixAccumulator.merged(partials)
+    if pooled:
+        context.emit(
+            "merge",
+            "merge",
+            time.perf_counter() - started,
+            started=wall,
+            rows_out=len(partials),
         )
-    return accumulator
+    return merged
 
 
 # ---------------------------------------------------------------------------

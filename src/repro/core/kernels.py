@@ -289,12 +289,12 @@ _FOLD_RECORD_BYTES = {np.dtype(np.uint32): 12, np.dtype(np.uint64): 16}
 class _Staging(threading.local):
     """Pooled radix scratch (fold and k-way merge), one pool per thread.
 
-    The extension drops the GIL for the C call, and
-    :mod:`repro.core.parallel` folds one shard bucket per thread
+    The extension drops the GIL for the C call, and a parallel plan
+    (:func:`~repro.core.engine.execute_plan`) folds one day per thread
     through the one process-wide :class:`NativeKernel`, so those
     threads must not share buffers.  Thread-local rather than a lock:
-    a lock would serialise the fan-out's C calls, which run
-    concurrently only because each thread has its own scratch.
+    a lock would serialise the pool's C calls, which run concurrently
+    only because each thread has its own scratch.
     """
 
     def __init__(self) -> None:

@@ -150,8 +150,8 @@ class MetaTelescope:
         """Build (without executing) the plan a fold of ``views`` would run.
 
         This is what ``python -m repro plan`` (and ``infer --explain``)
-        prints: mode, storage, shard layout, chunk resolution and the
-        resolved kernel backend — pure data, nothing folded.
+        prints: mode, storage, days, worker pool, chunk resolution and
+        the resolved kernel backend — pure data, nothing folded.
         """
         return ExecutionPlanner().plan(
             views, chunk_size=chunk_size, workers=workers, kernel=kernel
@@ -199,8 +199,8 @@ class MetaTelescope:
         """Run the full pipeline (+ optional tolerance and refinement).
 
         ``chunk_size`` bounds ingestion memory (``"auto"`` picks a size
-        per day), ``workers`` shards the fold across threads
-        and ``kernel`` picks the fold backend; classification is
+        per day), ``workers`` folds the days on a pool of threads and
+        ``kernel`` picks the fold backend; classification is
         bit-identical under any combination.  The fold's and the
         stages' timings are ``context``'s events (a fresh context when
         none is passed).

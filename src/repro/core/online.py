@@ -162,9 +162,6 @@ class OnlineMetaTelescope:
     #: Classification is bit-identical either way; the chunk size only
     #: bounds memory.
     chunk_size: int | str | None = None
-    #: Fan-out threads for each day's fold (None/1: serial, ``0``: one
-    #: per CPU).  Any worker count classifies bit-identically.
-    workers: int | None = None
     #: Fold kernel backend (``"numpy"``, ``"native"``, ``"auto"`` or
     #: None for the engine default).  Either backend classifies
     #: bit-identically; the knob only trades speed.
@@ -281,8 +278,8 @@ class OnlineMetaTelescope:
         context = RunContext(sinks=self.sinks, scope="fold")
         self._last_context = context
         day_accumulator = self.telescope.accumulate(
-            views, chunk_size=self.chunk_size, workers=self.workers,
-            kernel=self.kernel, context=context,
+            views, chunk_size=self.chunk_size, kernel=self.kernel,
+            context=context,
         )
         self._window.append((day, day_accumulator))
         while len(self._window) > self.window_days:

@@ -589,31 +589,6 @@ class FlowpackArchive(TableArchive):
             **self.segment_arrays(index, verify=verify), family=self.family
         )
 
-    def read_rows(self, start: int, stop: int) -> FlowTable:
-        """Rows ``[start, stop)`` of the whole archive.
-
-        Touches only the segments the range spans; a range inside one
-        segment stays zero-copy, a spanning range concatenates the
-        spanned slices (bounded by the range size, never the file).
-        """
-        start = max(0, start)
-        stop = min(self.num_rows, stop)
-        if stop <= start:
-            return FlowTable.empty(self.family)
-        parts = []
-        for index, segment in enumerate(self.segments):
-            if segment.stop_row <= start:
-                continue
-            if segment.start_row >= stop:
-                break
-            table = self.segment_flows(index)
-            lo = max(0, start - segment.start_row)
-            hi = min(segment.rows, stop - segment.start_row)
-            if lo > 0 or hi < segment.rows:
-                table = table.slice_rows(lo, hi)
-            parts.append(table)
-        return FlowTable.concat(parts)
-
     def iter_chunks(self, chunk_rows: int | None = None) -> Iterator[FlowTable]:
         """Bounded-size chunks over the archive, zero-copy per segment.
 

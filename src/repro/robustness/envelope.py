@@ -212,8 +212,9 @@ class EvaluationSettings:
     """How the evaluator drives the engine for every run."""
 
     days: int = 3
-    #: Fold fan-out threads; the gate requires the parallel path, so
-    #: anything below 2 is raised to 2.
+    #: Threads folding the batch path's days; the gate requires the
+    #: parallel path, so anything below 2 is raised to 2.  The online
+    #: path folds one day per update and takes no pool.
     workers: int = 2
     chunk_size: int | str | None = None
     #: Fold kernel backend (None: engine default; both backends
@@ -233,7 +234,7 @@ class EvaluationSettings:
     service_path: bool = False
 
     def effective_workers(self) -> int:
-        """The fan-out actually used (parallel path mandatory)."""
+        """The batch path's pool size (parallel path mandatory)."""
         return max(2, self.workers)
 
 
@@ -376,7 +377,6 @@ def _run_paths(
         use_spoofing_tolerance=True,
         policy=settings.policy,
         chunk_size=settings.chunk_size,
-        workers=workers,
         kernel=settings.kernel,
         sinks=sinks,
         scenario=scenario,

@@ -11,10 +11,8 @@ core cares (``vantage``/``day``/``sampling_factor``/``num_rows``/
 ``flows``/``iter_chunks``), so archives feed
 :meth:`repro.core.metatelescope.MetaTelescope.accumulate` (serial,
 chunked or parallel — :func:`repro.core.engine.execute_plan`)
-unchanged.  The parallel fan-out's threads share the view's one
-mapping: a whole-view shard folds the view itself, and a row-range
-shard reads only its rows (:meth:`FlowpackArchive.read_rows`) before
-the fan-out starts.
+unchanged.  A parallel fold hands each day to one thread, so a view's
+lazy mapping is only ever opened by the thread folding its day.
 """
 
 from __future__ import annotations

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.core.accum import PrefixAccumulator
 from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
-from repro.core.parallel import shard_views
 from repro.net.ipv4 import Prefix
 from repro.traffic.flows import FlowTable
 from repro.traffic.packets import PROTO_TCP
@@ -95,23 +92,16 @@ def fold(
     ignore_sources_from_asns: frozenset[int] = frozenset(),
     *,
     context: RunContext | None = None,
-    max_shard_rows: int | None = None,
     **knobs,
 ) -> PrefixAccumulator:
     """Fold ``views`` through the engine's one fold path.
 
     ``knobs`` are the planner's (``chunk_size``, ``workers``,
-    ``kernel``); ``max_shard_rows`` forces
-    a finer shard layout onto a parallel plan.  Pass a ``context`` to
-    read the fold's events (``worker`` events carry the shard and the
-    row counts).
+    ``kernel``).  Pass a ``context`` to read the fold's events (a
+    parallel plan's ``worker`` events carry each day's row count).
     """
     views = list(views)
     plan = ExecutionPlanner().plan(views, **knobs)
-    if max_shard_rows is not None:
-        plan = dataclasses.replace(
-            plan, shards=shard_views(views, plan.workers, max_shard_rows)
-        )
     return execute_plan(
         plan, views, context, ignore_sources_from_asns=ignore_sources_from_asns
     )

@@ -4,7 +4,8 @@ The engine's core invariant — every (plan, knob) combination folds and
 classifies **bit-identically** — is pinned here as a matrix over
 execution modes {serial, chunked, parallel(2), parallel(3),
 parallel(4)}, storage backends {in-memory views, flowpack archive
-views}, and fault-injected inputs.  The trace
+views}, and fault-injected inputs (non-integer sampling factors
+included: every plan folds a day and merges the days alike).  The trace
 spine gets a golden schema test: every JSONL event must carry exactly
 the :data:`~repro.core.engine.TRACE_FIELDS` keys, in order, with the
 schema's types.
@@ -93,7 +94,6 @@ class TestKnobResolution:
         knobs = resolve_execution_knobs()
         assert knobs.workers == 1
         assert knobs.chunk_size is None
-        assert not knobs.parallel()
 
     def test_workers_zero_means_one_per_cpu(self):
         assert resolve_execution_knobs(workers=0).workers == default_workers()
@@ -123,7 +123,7 @@ class TestPlanner:
         plan = ExecutionPlanner().plan(views)
         assert plan.mode == "serial"
         assert plan.workers == 1
-        assert plan.shards == ()
+        assert plan.days() == 2
         assert plan.total_rows() == sum(view.num_rows for view in views)
 
     def test_chunk_size_plans_chunked(self, views):
@@ -131,17 +131,18 @@ class TestPlanner:
         assert plan.mode == "chunked"
         assert all(spec.chunk_rows == 100 for spec in plan.views)
 
-    def test_workers_plan_parallel_with_shards(self, views):
+    def test_workers_plan_parallel_over_days(self, views):
+        # The pool shares out days: two days take two of three threads,
+        # and one day is a serial fold whatever the worker count.
         plan = ExecutionPlanner().plan(views, workers=3)
         assert plan.mode == "parallel"
-        assert plan.workers == 3
-        assert len(plan.shards) == 3
-        shard_rows = sum(
-            stop - start
-            for bucket in plan.shards
-            for _, start, stop in bucket
-        )
-        assert shard_rows == plan.total_rows()
+        assert plan.workers == 2
+        assert dict(plan.describe_rows())["days"] == "2"
+        one_day = [view for view in views if view.day == 0]
+        for knobs, mode in (({}, "serial"), ({"chunk_size": 100}, "chunked")):
+            plan = ExecutionPlanner().plan(one_day, workers=3, **knobs)
+            assert (plan.mode, plan.workers) == (mode, 1)
+        assert ExecutionPlanner().plan([], workers=3).workers == 1
 
     def test_archive_views_are_planned_as_memmap(self, archive_views):
         plan = ExecutionPlanner().plan(archive_views)
@@ -152,12 +153,12 @@ class TestPlanner:
         plan = ExecutionPlanner().plan(views, workers=2, chunk_size="auto")
         encoded = json.loads(json.dumps(plan.to_dict()))
         assert list(encoded) == [
-            "mode", "workers", "total_rows", "kernel", "views", "shards",
+            "mode", "workers", "total_rows", "kernel", "views",
         ]
         assert encoded["mode"] == "parallel"
         assert len(encoded["views"]) == len(views)
         assert [name for name, _ in plan.describe_rows()] == [
-            "mode", "views", "rows", "storage", "workers", "shards",
+            "mode", "views", "rows", "storage", "days", "workers",
             "chunk rows", "kernel",
         ]
 
@@ -199,12 +200,15 @@ class TestBitIdenticalMatrix:
     def test_fault_injected_views_fold_identically(
         self, faulted_views, telescope, knobs
     ):
-        # ``missample`` injects non-integer sampling factors, where raw
-        # float sums may differ in the last bit between shard splits —
-        # the pinned contract here is classification identity.
-        baseline = fold(faulted_views)
+        # ``missample`` injects non-integer sampling factors: a pool
+        # folds the serial fold's state bit for bit; a chunked day sums
+        # its scaled batches in another order than a whole day, so the
+        # contract across batch sizes is classification identity.
+        baseline = fold(faulted_views, chunk_size=knobs.get("chunk_size"))
         plan = ExecutionPlanner().plan(faulted_views, **knobs)
         folded = execute_plan(plan, faulted_views)
+        assert partial_states_identical(baseline, folded)
+        baseline = fold(faulted_views)
         for got, expected in zip(
             classify(telescope, folded), classify(telescope, baseline)
         ):
@@ -259,7 +263,12 @@ class TestEventSpine:
         context = RunContext()
         execute_plan(plan, views, context)
         names = [event.name for event in context.events(["worker", "merge"])]
-        assert names == ["fanout[w0]", "fanout[w1]", "merge"]
+        assert names == ["fanout[d0]", "fanout[d1]", "merge"]
+        # Each day's views are read on its thread and reported from the
+        # calling thread once the day is folded, day after day.
+        assert [event.name for event in context.events(["view"])] == [
+            f"{view.vantage}@d{view.day}" for view in views
+        ]
         # The fan-out is threads: no wire form, so no IPC event.
         assert context.events(["ipc"]) == ()
 
@@ -364,7 +373,6 @@ class TestFacadesRunThroughEngine:
             window_days=2,
             min_stable_days=1,
             use_spoofing_tolerance=False,
-            workers=2,
         )
         online.update(0, [v for v in views if v.day == 0])
         # Day 0 is the whole window: one inference, in scope window.
@@ -376,7 +384,7 @@ class TestFacadesRunThroughEngine:
         context = online.last_run_context()
         assert context is not None
         assert context.events(["quarantine"])
-        assert {event.scope for event in context.events(["worker"])} == {
+        assert {event.scope for event in context.events(["view"])} == {
             "fold"
         }
         stages = context.events(["stage"])

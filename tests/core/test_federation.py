@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.accum import PrefixAccumulator
 from repro.core.federation import (
     FederatedResult,
     MarkingRegistry,
@@ -300,8 +301,6 @@ class TestPartialAccumulators:
         )
 
     def test_partials_vote_like_finished_reports(self, world, observatory):
-        from repro.core.parallel import tree_merge
-
         telescope = self._telescope(world)
         whole, merged = [], []
         for code in ("CE1", "NA1"):
@@ -310,7 +309,11 @@ class TestPartialAccumulators:
             # One partial per day, as a member node streams them, merged
             # on the member's side before it reports.
             partials = [fold([view], chunk_size=97) for view in views]
-            merged.append(self._report(code, tree_merge(partials), telescope))
+            merged.append(
+                self._report(
+                    code, PrefixAccumulator.merged(partials), telescope
+                )
+            )
         np.testing.assert_array_equal(
             federate(whole).prefixes, federate(merged).prefixes
         )

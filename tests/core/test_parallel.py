@@ -1,12 +1,14 @@
-"""Bit-identity and plumbing of the parallel inference engine.
+"""Bit-identity and plumbing of the parallel fold.
 
-The contract of :mod:`repro.core.parallel`: fanning the aggregation out
-over any number of threads — any shard order, any merge grouping, any
-thread interleaving — classifies **bit-identically** to the serial
-fold, and starts no process.  These tests pin that contract on seeded
+The contract of :func:`repro.core.engine.execute_plan`: every plan
+folds each day into its own partial and merges the partials in day
+order, and a parallel plan only maps the days over a pool of threads.
+So any worker count and any thread interleaving folds the serial
+fold's state **bit for bit** — for non-integer sampling factors too —
+and starts no process.  These tests pin that contract on seeded
 worlds, random flow tables, archive-backed and fault-injected inputs,
-and cover the satellites that ride along (adaptive chunking, compaction
-knob, routing-table interval cache).
+and cover the satellites that ride along (adaptive chunking, the
+state form, routing-table interval cache).
 """
 
 import multiprocessing
@@ -26,16 +28,17 @@ from repro.core.accum import (
     adaptive_chunk_rows,
     resolve_chunk_size,
 )
-from repro.core import accum, parallel
-from repro.core.engine import ExecutionPlanner, RunContext, default_workers
+from repro.core import accum
+from repro.core.engine import (
+    ExecutionPlanner,
+    RunContext,
+    default_workers,
+    execute_plan,
+)
 from repro.core.kernels import get_kernel
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
-from repro.core.parallel import (
-    partial_states_identical,
-    shard_views,
-    tree_merge,
-)
+from repro.core.parallel import partial_states_identical
 from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
 from repro.net.family import FAMILY_IPV4, FAMILY_IPV6
@@ -48,6 +51,11 @@ from _factories import families_of, fold
 from test_accumulator import assert_identical
 from test_kernels import flow_tables as family_flow_tables
 from test_pipeline_properties import ROUTING, flow_tables
+
+
+#: Non-integer sampling factors: a scaled estimate's float sums depend
+#: on their order in the last bit.
+FACTORS = (1 / 0.3, 7.3, 2.2)
 
 
 @pytest.fixture(scope="module")
@@ -89,16 +97,6 @@ class TestParallelEqualsSerial:
             event.rows_in for event in context.events(["worker"])
         ) == sum(len(view.flows) for view in multi_day)
 
-    def test_oversized_views_split_into_row_shards(self, multi_day, serial):
-        context = RunContext()
-        merged = fold(
-            multi_day, workers=4, max_shard_rows=257, context=context
-        )
-        assert partial_states_identical(serial, merged)
-        assert sum(
-            event.meta["shards"] for event in context.events(["worker"])
-        ) > len(multi_day)
-
     @pytest.mark.parametrize("chunk_size", [64, AUTO_CHUNK, None])
     def test_chunking_inside_workers_identical(
         self, multi_day, serial, chunk_size
@@ -123,8 +121,9 @@ class TestParallelEqualsSerial:
             assert context.plan.mode == "serial"
             assert not context.events(["worker"])
         else:
-            assert context.plan.workers == default_workers()
-            assert len(context.events(["worker"])) == default_workers()
+            assert context.plan.workers == min(default_workers(), 3)
+            # One worker event per day, whatever the pool's size.
+            assert len(context.events(["worker"])) == 3
 
     def test_empty_views_observed_everywhere(self):
         from repro.traffic.flows import FlowTable
@@ -138,12 +137,11 @@ class TestParallelEqualsSerial:
         assert set(merged.vantage_source_blocks()) == {"S0", "S1", "S2"}
 
     def test_identical_under_fault_injection(self, multi_day, routing, telescope):
-        """Fault-injected inputs classify identically at any worker count.
+        """Fault-injected inputs fold identically at any worker count.
 
-        The ``missample`` fault injects *non-integer* sampling factors,
-        where raw float sums may differ in the last bit between shard
-        splits (the same caveat the chunked path carries) — so this
-        pins the classification contract, like the chunked fault test.
+        The ``missample`` fault injects *non-integer* sampling factors;
+        the pool folds and merges the days as the serial loop does, so
+        the state is bit-identical, not only the classification.
         """
         plan = FaultPlan(seed=3)
         for name in ("truncate", "duplicate", "corrupt", "missample"):
@@ -153,6 +151,7 @@ class TestParallelEqualsSerial:
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
         merged = fold(faulted, workers=4)
+        assert partial_states_identical(fold(faulted), merged)
         assert_identical(
             run_pipeline_accumulated(
                 fold(faulted), routing, telescope.config
@@ -171,11 +170,51 @@ class TestParallelEqualsSerial:
             VantageDayView(vantage="A", day=0, flows=flows_a),
             VantageDayView(vantage="B", day=1, flows=flows_b),
         ]
-        merged = fold(views, workers=workers, max_shard_rows=7)
+        merged = fold(views, workers=workers)
         assert_identical(
             run_pipeline_accumulated(fold(views), ROUTING),
             run_pipeline_accumulated(merged, ROUTING),
         )
+
+
+class TestNonIntegerFactorsPoolEqualsSerial:
+    """Serial and pooled folds of several days with non-integer sampling
+    factors carry bit-identical state: every plan folds a day into its
+    own partial, with the same batches, and merges the days in day
+    order."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self, multi_day):
+        return [
+            view.with_flows(view.flows, sampling_factor=FACTORS[index % 3])
+            for index, view in enumerate(multi_day)
+        ]
+
+    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("chunk_size", [None, 500, AUTO_CHUNK])
+    def test_any_worker_count(self, scaled, kernel, chunk_size):
+        serial = fold(scaled, kernel=kernel, chunk_size=chunk_size)
+        for workers in (2, 3, 4):
+            pooled = fold(
+                scaled, workers=workers, kernel=kernel, chunk_size=chunk_size
+            )
+            assert partial_states_identical(serial, pooled), workers
+
+    def test_missample_day(self, multi_day):
+        plan = FaultPlan(seed=11)
+        plan.add(standard_injector("missample", days=frozenset({1})))
+        faulted = [
+            view
+            for day in range(3)
+            for view in plan.apply(
+                day, [view for view in multi_day if view.day == day]
+            ).views
+        ]
+        assert any(view.sampling_factor % 1 for view in faulted)
+        serial = fold(faulted)
+        for workers in (2, 3, 4):
+            pooled = fold(faulted, workers=workers)
+            assert partial_states_identical(serial, pooled), workers
 
 
 class SpyTable:
@@ -199,18 +238,23 @@ class TestThePlanIsWhatRuns:
     def test_worker_folds_the_plans_chunk_rows_and_compaction(
         self, multi_day, monkeypatch
     ):
-        """A fan-out thread folds what the plan says: each shard in the
-        chunk rows the plan resolved for its *view* (not re-resolved
-        against the smaller shard), into one fresh accumulator per
-        shard bucket."""
+        """A pool thread folds what the plan says: each day's views in
+        the batch rows the plan resolved for that day, into one fresh
+        accumulator per day, and the days' partials merge into one
+        more."""
         flows = FlowTable.concat([view.flows for view in multi_day])
-        flows = flows.slice_rows(0, 10_000)
         asked: list = []
-        view = VantageDayView("V", 0, SpyTable(flows, asked))
-        plan = ExecutionPlanner().plan([view], chunk_size=8192, workers=2)
-        (spec,) = plan.views
-        assert spec.chunk_rows == 8192
-        shards = [shard for bucket in plan.shards for shard in bucket]
+        views = [
+            VantageDayView(
+                "V",
+                day,
+                SpyTable(flows.slice_rows(3000 * day, 3000 * day + 2500), asked),
+            )
+            for day in range(3)
+        ]
+        plan = ExecutionPlanner().plan(views, chunk_size=1024, workers=2)
+        assert plan.mode == "parallel" and plan.workers == 2
+        assert {spec.chunk_rows for spec in plan.views} == {1024}
 
         built = []
         original = PrefixAccumulator.__init__
@@ -220,16 +264,22 @@ class TestThePlanIsWhatRuns:
             built.append(self)
 
         monkeypatch.setattr(PrefixAccumulator, "__init__", spy)
-        merged = parallel.parallel_accumulate_views(
-            plan, [view], RunContext(), get_kernel(plan.knobs.kernel),
-            frozenset(),
-        )
+        merged = execute_plan(plan, views)
         monkeypatch.undo()
 
-        assert asked == [spec.chunk_rows] * len(shards)
-        assert len(built) == len(plan.shards)
+        assert asked == [1024] * 3
+        assert len(built) == 3 + 1
+        assert merged is built[-1]
+        for partial in built[:-1]:
+            for sums in families_of(partial):
+                assert len(sums._parts) <= 1
         assert partial_states_identical(
-            fold([VantageDayView("V", 0, flows)]), merged
+            fold(
+                [VantageDayView("V", day, view.flows.flows)
+                 for day, view in enumerate(views)],
+                chunk_size=1024,
+            ),
+            merged,
         )
 
 
@@ -237,22 +287,27 @@ class TestFanOutTrace:
     def test_worker_events_end_before_the_merge_starts(
         self, multi_day, monkeypatch
     ):
-        """Each ``worker`` event is stamped when its thread starts, so a
-        trace places the folds inside the fan-out: after the ``kernel``
-        event, and over before the (here slowed) merge begins."""
-        merge = parallel.tree_merge
+        """Each ``worker`` event is stamped when its thread started its
+        day, so a trace places the folds inside the pool: after the
+        ``kernel`` event, and over before the (here slowed) merge
+        begins."""
+        merged_of = PrefixAccumulator.merged
 
-        def slow_merge(partials):
+        def slow_merged(partials):
             time.sleep(0.05)
-            return merge(partials)
+            return merged_of(partials)
 
-        monkeypatch.setattr(parallel, "tree_merge", slow_merge)
+        monkeypatch.setattr(
+            PrefixAccumulator, "merged", staticmethod(slow_merged)
+        )
         context = RunContext()
         fold(multi_day, workers=2, context=context)
         (kernel,) = context.events(["kernel"])
         (merged,) = context.events(["merge"])
         workers = context.events(["worker"])
-        assert len(workers) == 2
+        assert [event.name for event in workers] == [
+            "fanout[d0]", "fanout[d1]", "fanout[d2]"
+        ]
         assert merged.seconds >= 0.05
         for event in workers:
             assert event.started >= kernel.started, event.name
@@ -287,31 +342,38 @@ class TestNoProcesses:
             for index, view in enumerate(multi_day)
         ]
         for views in (multi_day, archived, mixed):
-            for max_shard_rows in (None, 157):
-                merged = fold(views, workers=2, max_shard_rows=max_shard_rows)
+            for workers in (2, 3):
+                merged = fold(views, workers=workers)
                 assert partial_states_identical(serial, merged)
 
     def test_online_day_inside_a_thread(
         self, observatory, telescope, no_processes
     ):
-        views = list(observatory.day(0).ixp_views.values())
+        """The serving daemon folds on a background thread: an online
+        day there, and a pooled fold of three days, start no process
+        and fold what the calling thread folds."""
+        days = [
+            list(observatory.day(day).ixp_views.values()) for day in range(3)
+        ]
 
-        def run(workers):
+        def run():
             online = OnlineMetaTelescope(
                 telescope=telescope,
                 window_days=2,
                 min_stable_days=1,
                 use_spoofing_tolerance=False,
-                workers=workers,
             )
-            online.update(0, views)
-            return online
+            online.update(0, days[0])
+            pooled = telescope.accumulate(
+                [view for views in days for view in views], workers=2
+            )
+            return online, pooled
 
         result, errors = [], []
 
         def work():
             try:
-                result.append(run(2))
+                result.append(run())
             except Exception as error:  # surfaced below
                 errors.append(error)
 
@@ -320,11 +382,13 @@ class TestNoProcesses:
         thread.join(timeout=120)
         assert not thread.is_alive()
         assert not errors, errors
-        (parallel_run,) = result
+        ((online, pooled),) = result
+        here, _ = run()
         np.testing.assert_array_equal(
-            run(None).current_prefixes(), parallel_run.current_prefixes()
+            here.current_prefixes(), online.current_prefixes()
         )
-        assert parallel_run.last_run_context().events(["worker"])
+        serial = telescope.accumulate([view for views in days for view in views])
+        assert partial_states_identical(serial, pooled)
 
 
 class TestInterleavings:
@@ -340,79 +404,26 @@ class TestInterleavings:
     )
     @settings(max_examples=40, deadline=None)
     def test_any_interleaving_equals_serial(
-        self, tables, workers, kernel, max_shard_rows
+        self, tables, workers, kernel, chunk_size
     ):
-        """Threads switched every 10 µs, any worker count and row
-        split, under either kernel and family, fold what serial does."""
+        """Threads switched every 10 µs, any worker count and batch
+        size, under either kernel and family and with non-integer
+        sampling factors, fold what serial does."""
         views = [
-            VantageDayView(f"V{index}", index % 2, table, 1.0 + index % 2)
+            VantageDayView(f"V{index}", index % 3, table, FACTORS[index % 3])
             for index, table in enumerate(tables)
         ]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             merged = fold(
-                views, workers=workers, kernel=kernel,
-                max_shard_rows=max_shard_rows,
+                views, workers=workers, kernel=kernel, chunk_size=chunk_size,
             )
         finally:
             sys.setswitchinterval(previous)
-        assert partial_states_identical(fold(views, kernel=kernel), merged)
-
-
-class TestSharding:
-    def test_deterministic(self, multi_day):
-        first = shard_views(multi_day, 4)
-        second = shard_views(multi_day, 4)
-        assert first == second
-
-    def test_every_row_exactly_once(self, multi_day):
-        buckets = shard_views(multi_day, 5, max_shard_rows=100)
-        seen: dict[int, list[tuple[int, int]]] = {}
-        for bucket in buckets:
-            for index, start, stop in bucket:
-                seen.setdefault(index, []).append((start, stop))
-        for index, view in enumerate(multi_day):
-            ranges = sorted(seen[index])
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == len(view.flows)
-            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                assert stop == start  # contiguous, no overlap, no gap
-
-    def test_balance(self, multi_day):
-        buckets = shard_views(multi_day, 4)
-        loads = [
-            sum(stop - start for _, start, stop in bucket)
-            for bucket in buckets
-        ]
-        total = sum(len(view.flows) for view in multi_day)
-        # LPT with shards capped at total/workers keeps buckets within
-        # 2x of the ideal split.
-        assert max(loads) <= 2 * (total / len(buckets))
-
-    def test_rejects_bad_arguments(self, multi_day):
-        with pytest.raises(ValueError, match="workers"):
-            shard_views(multi_day, 0)
-        with pytest.raises(ValueError, match="max_shard_rows"):
-            shard_views(multi_day, 2, max_shard_rows=0)
-
-
-class TestTreeMerge:
-    def test_any_grouping_identical(self, multi_day):
-        flat = fold([multi_day[0]])
-        for view in multi_day[1:]:
-            flat.merge(fold([view]))
-        tree = tree_merge([fold([view]) for view in multi_day])
-        assert partial_states_identical(flat, tree)
-
-    def test_shard_order_invariant(self, multi_day):
-        forward = tree_merge([fold([view]) for view in multi_day])
-        backward = tree_merge([fold([view]) for view in reversed(multi_day)])
-        assert partial_states_identical(forward, backward)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            tree_merge([])
+        assert partial_states_identical(
+            fold(views, kernel=kernel, chunk_size=chunk_size), merged
+        )
 
 
 class TestStateForm:
@@ -448,30 +459,28 @@ class TestFacadeIntegration:
         assert "merge" in stages
         assert any(stage.startswith("fanout[") for stage in stages)
 
-    def test_online_workers_identical(self, world, observatory, telescope):
-        def run(workers):
-            online = OnlineMetaTelescope(
-                telescope=telescope,
-                window_days=2,
-                min_stable_days=1,
-                use_spoofing_tolerance=False,
-                workers=workers,
-            )
-            for day in range(2):
-                views = list(observatory.day(day).ixp_views.values())
-                online.update(day, views)
-            return online
-
-        serial = run(None)
-        parallel = run(2)
-        np.testing.assert_array_equal(
-            serial.current_prefixes(), parallel.current_prefixes()
+    def test_online_workers_identical(self, observatory, telescope):
+        """The online window is the pooled fold: both fold each day
+        into its own partial and merge the partials in day order."""
+        online = OnlineMetaTelescope(
+            telescope=telescope,
+            window_days=2,
+            min_stable_days=1,
+            use_spoofing_tolerance=False,
         )
-        stages = [
-            event.name
-            for event in parallel.last_run_context().events(["worker"])
-        ]
-        assert any(stage.startswith("fanout[") for stage in stages)
+        views = []
+        for day in range(2):
+            day_views = list(observatory.day(day).ixp_views.values())
+            online.update(day, day_views)
+            views.extend(day_views)
+        window = PrefixAccumulator.merged(
+            [accumulator for _, accumulator in online._window]
+        )
+        context = RunContext()
+        pooled = telescope.accumulate(views, workers=2, context=context)
+        assert partial_states_identical(window, pooled)
+        stages = [event.name for event in context.events(["worker"])]
+        assert stages == ["fanout[d0]", "fanout[d1]"]
 
 
 class TestChunkingKnobs:
@@ -497,10 +506,18 @@ class TestChunkingKnobs:
 
     def test_chunked_squashes_pending_parts(self, multi_day):
         """A chunk-fed accumulator never carries a day's chunk log past
-        the day: every family ends the day as one part."""
+        the day: every family ends the day as one part, so the merge of
+        the days holds at most one part per day."""
+        days = sorted({view.day for view in multi_day})
+        for day in days:
+            accumulator = fold(
+                [view for view in multi_day if view.day == day], chunk_size=31
+            )
+            for sums in families_of(accumulator):
+                assert len(sums._parts) <= 1
         accumulator = fold(multi_day, chunk_size=31)
         for sums in families_of(accumulator):
-            assert len(sums._parts) <= 1
+            assert len(sums._parts) <= len(days)
 
 
 def _online_days(telescope, observatory, monkeypatch, kernel, **knobs):

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.parallel import partial_states_identical, shard_views
+from repro.core.parallel import partial_states_identical
 from repro.flowpack import (
     FlowpackArchive,
     FlowpackError,
@@ -203,13 +203,6 @@ class TestRoundTrip:
         first = archive.segment_arrays(0)["packets"]
         assert first.tolist() == flows.packets[:100].tolist()
 
-    def test_read_rows_spans_segments(self, tmp_path):
-        flows = random_flows(np.random.default_rng(2), 300)
-        path = tmp_path / "t.fpk"
-        write_flows_archive(flows, path, chunk_rows=100)
-        window = FlowpackArchive(path).read_rows(150, 250)
-        assert window.packets.tolist() == flows.packets[150:250].tolist()
-
     def test_meta_travels_with_archive(self, tmp_path):
         path = tmp_path / "t.fpk"
         write_flows_archive(
@@ -342,8 +335,6 @@ class TestArchiveFedInference:
         for workers in (2, 3):
             merged = fold(archived, workers=workers)
             assert partial_states_identical(serial, merged), workers
-        merged = fold(archived, workers=2, max_shard_rows=101)
-        assert partial_states_identical(serial, merged)
 
     def test_mixed_memory_and_archive_views(self, tmp_path):
         memory, archived = _views_pair(tmp_path)
@@ -351,17 +342,6 @@ class TestArchiveFedInference:
         assert partial_states_identical(
             fold(memory), fold(mixed)
         )
-
-    def test_shard_views_uses_headers_only(self, tmp_path):
-        _, archived = _views_pair(tmp_path, num_views=1)
-        view = ArchiveDayView.open(archived[0].path)
-        shard_views([view], workers=4, max_shard_rows=50)
-        assert view._flows is None
-        # The fan-out reads each row-range shard off the archive on the
-        # calling thread; the whole table is never materialised.
-        merged = fold([view], workers=4, max_shard_rows=50)
-        assert view._flows is None
-        assert partial_states_identical(fold(archived), merged)
 
     def test_derived_views_match_the_in_memory_twin(self, tmp_path):
         # decimated / with_flows of an archive view and of the in-memory

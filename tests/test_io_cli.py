@@ -315,7 +315,7 @@ class TestCli:
         from repro.cli import main
 
         assert main([
-            "plan", "--scale", "micro", "--workers", "2",
+            "plan", "--scale", "micro", "--days", "2", "--workers", "2",
             "--chunk-size", "100",
         ]) == 0
         out = capsys.readouterr().out
@@ -325,7 +325,7 @@ class TestCli:
         # Title, header and rule, then one row per plan field, in order.
         rows = out.splitlines()[3:]
         assert [row.split("  ")[0] for row in rows] == [
-            "mode", "views", "rows", "storage", "workers", "shards",
+            "mode", "views", "rows", "storage", "days", "workers",
             "chunk rows", "kernel",
         ]
 
@@ -347,7 +347,7 @@ class TestCli:
 
         trace = tmp_path / "trace.jsonl"
         assert main([
-            "demo", "--scale", "micro", "--workers", "2",
+            "demo", "--scale", "micro", "--days", "3", "--workers", "2",
             "--trace", str(trace),
         ]) == 0
         assert validate_trace_file(trace) > 0
@@ -440,6 +440,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage: ")
         assert message in captured.err
+
+    @pytest.mark.parametrize("command", ["faults", "serve"])
+    def test_online_commands_reject_workers(self, command, capsys):
+        from repro.cli import main
+
+        # The online engine folds one day per update and the pool shares
+        # out days: a usage error that says so, before a world is built.
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--scale", "micro", "--workers", "2"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert (
+            f"{command}: argument --workers: the online engine folds one "
+            "day per update" in captured.err
+        )
 
     def test_faults_strict_policy_crashes_on_outage(self):
         from repro.cli import main

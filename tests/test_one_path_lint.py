@@ -1,12 +1,13 @@
 """Lint: one door per step of *plan -> fold -> classify -> snapshot*.
 
-Views become an accumulator only in ``engine.execute_plan`` (whose two
-arms are the serial loop and ``parallel``'s fan-out, both running
-``PrefixAccumulator.update_day``); per-/24 sums exist only in that
+Views become an accumulator only in ``engine.execute_plan`` (whose one
+loop folds each day into its own partial with
+``PrefixAccumulator.update_day``, on a pool of threads or not); per-/24
+sums exist only in that
 accumulator, never as a per-view aggregate; knobs are resolved only by
 the engine; the facade plans in one place; snapshots are built only by
 the modules that own a serving state; processes are started only by the
-serving fleet, and the fold's fan-out is the one thread pool in
+serving fleet, and the fold's day pool is the one thread pool in
 ``core/``; the native extension module
 exports only its ``PyInit__kernels`` and has exactly five functions,
 ``fold_batch``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
@@ -31,7 +32,7 @@ SRC = REPO / "src" / "repro"
 #: A call is named by its last dotted component, so ``build_snapshot(``
 #: and ``snapshot.build_snapshot(`` are the same call.
 ALLOWED_CALLERS = {
-    "PrefixAccumulator": {"core/accum.py", "core/engine.py", "core/parallel.py"},
+    "PrefixAccumulator": {"core/accum.py", "core/engine.py"},
     "resolve_execution_knobs": {"core/engine.py"},
     "build_snapshot": {
         "core/snapshot.py",
@@ -52,11 +53,11 @@ ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
 #: ``from x.y import z`` import ``x`` and ``x.y``; ``from x import y``
 #: imports ``x`` and ``x.y``).
 ALLOWED_IMPORTERS = {
-    # Processes serve queries; the fold fans out on threads.
+    # Processes serve queries; the fold's days share out on threads.
     "multiprocessing": {"service/fleet.py"},
-    # The fold's one fan-out: a second thread pool under core/ is a
+    # The fold's one day pool: a second thread pool under core/ is a
     # second door.
-    "concurrent.futures": {"core/parallel.py"},
+    "concurrent.futures": {"core/engine.py"},
     # The native kernels are a CPython extension module: no second,
     # ctypes-bound path to them.
     "ctypes": set(),
@@ -116,6 +117,12 @@ DELETED_SURFACE = (
     # service/daemon.py's second conditional door; net/blocksets.py's
     # wrapper of the sorted set algebra.
     "_conditional", "if_version_changed", "BlockSet",
+    # The fold's row-range shards, their LPT buckets and tree merge
+    # (core/parallel.py, ExecutionPlan.shards), and the archive's
+    # row-range read that only they reached: every plan now folds each
+    # day into its own partial and merges the days in order.
+    "shard_views", "Shard", "_shard_view", "tree_merge", "shards",
+    "max_shard_rows", "parallel_accumulate_views", "read_rows",
 )
 #: Parameters and dataclass fields deleted because no production entry
 #: point ever gave them a second value (``tools/reach``'s second
@@ -123,10 +130,12 @@ DELETED_SURFACE = (
 #: engine's four degraded-mode settings, the snapshot and pipeline
 #: shortcuts' fold knobs, the auto chunk size's bounds, the archive
 #: writers' append mode, and the analysis and rendering knobs nothing
-#: passed.
+#: passed — and the online engine's ``workers``, which had nothing to
+#: share out: each update folds one day, and the pool shares out days.
 DELETED_PARAMETERS = (
     *(("core/online.py", "OnlineMetaTelescope", name) for name in (
         "max_staleness", "expected_views", "quarantine_days", "min_quality",
+        "workers",
     )),
     *(("core/metatelescope.py", "MetaTelescope.infer_snapshot", name)
       for name in ("day", "workers", "context", "provenance")),
@@ -147,7 +156,6 @@ DELETED_PARAMETERS = (
     ("analysis/ports.py", "port_activity_by_group", "tcp_only"),
     ("core/confidence.py", "score_prefixes", "weights"),
     ("core/pipeline.py", "run_pipeline", "special"),
-    ("flowpack.py", "FlowpackArchive.read_rows", "verify"),
     ("flowpack.py", "FlowpackArchive.iter_chunks", "verify"),
     ("reporting/beanplot.py", "render_bean_rows", "width"),
     ("reporting/ecdf.py", "render_ecdf_rows", "value_format"),
@@ -363,7 +371,7 @@ def test_each_step_has_one_door():
         "in the engine, the facade plans only in MetaTelescope.plan / "
         ".accumulate (and run_pipeline), snapshots are built only by "
         "snapshot / metatelescope / online, only service/fleet.py "
-        "imports multiprocessing, only core/parallel.py imports "
+        "imports multiprocessing, only core/engine.py imports "
         "concurrent.futures (nothing imports ctypes):\n"
         + "\n".join(found)
     )
@@ -429,7 +437,7 @@ def test_lint_actually_catches_a_second_door():
     assert found == [
         "src/repro/core/pipeline.py:1: convenience = accumulate_views([])"
     ]
-    assert not DELETED.search("from repro.core.parallel import parallel_accumulate_views")
+    assert DELETED.search("from repro.core.parallel import parallel_accumulate_views")
     # Each rule names what it found, and only that.
     assert offenders({"core/federation.py": pasted["core/federation.py"]}) == [
         "src/repro/core/federation.py:1: resolve_execution_knobs( in None"
@@ -438,14 +446,14 @@ def test_lint_actually_catches_a_second_door():
         "src/repro/core/online.py:1: import multiprocessing"
     ]
     assert not offenders({"core/online.py": "from .multiprocessing import x\n"})
-    # The fold fans out once, on threads: a process pool pasted back into
-    # the fan-out, or a second thread pool beside it, is found.
-    parallel_py = sources["core/parallel.py"]
-    assert not offenders({"core/parallel.py": parallel_py})
-    line = parallel_py.count("\n") + 2
+    # The fold's days share out once, on threads: a process pool pasted
+    # back into the engine, or a second thread pool beside it, is found.
+    engine_py = sources["core/engine.py"]
+    assert not offenders({"core/engine.py": engine_py})
+    line = engine_py.count("\n") + 2
     assert offenders(
-        {"core/parallel.py": parallel_py + "\nimport multiprocessing\n"}
-    ) == [f"src/repro/core/parallel.py:{line}: import multiprocessing"]
+        {"core/engine.py": engine_py + "\nimport multiprocessing\n"}
+    ) == [f"src/repro/core/engine.py:{line}: import multiprocessing"]
     for fork in (
         "from concurrent.futures import ThreadPoolExecutor",
         "import concurrent.futures",
@@ -487,7 +495,7 @@ def test_lint_actually_catches_a_second_door():
             assert name in {found for found, _ in imports(sources[module])}
     # The scopes really cover code: the one fold and its callers exist.
     names = {name for name, _, _ in calls(sources["core/engine.py"])}
-    assert {"update_day", "parallel_accumulate_views"} <= names
+    assert {"update_day", "merged", "ThreadPoolExecutor"} <= names
     assert "iter_chunks" in {
         name for name, _, _ in calls(sources["core/accum.py"])
     }

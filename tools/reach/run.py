@@ -62,7 +62,8 @@ def cli_runs(work: Path) -> list[list[str]]:
     cache = str(work / "capture-cache")
     return [
         ["demo", *MICRO],
-        ["demo", *MICRO, "--workers", "2", "--trace", str(work / "demo.jsonl")],
+        ["demo", *MICRO, "--days", "3", "--workers", "2", "--trace",
+         str(work / "demo.jsonl")],
         ["demo", *MICRO, "--capture-cache", cache],  # cold
         ["demo", *MICRO, "--capture-cache", cache],  # warm
         ["infer", *MICRO, "--output", str(work / "v4.txt"), "--aggregate",
@@ -75,8 +76,9 @@ def cli_runs(work: Path) -> list[list[str]]:
          "--output", str(work / "v6-native.txt")],
         ["infer", "--family", "ipv6", *MICRO, "--kernel", "numpy",
          "--output", str(work / "v6-numpy.txt")],
-        ["infer", "--family", "ipv6", *MICRO, "--seed", "3", "--chunk-size",
-         "500", "--workers", "2", "--output", str(work / "v6-chunked.txt")],
+        ["infer", "--family", "ipv6", *MICRO, "--seed", "3", "--days", "2",
+         "--chunk-size", "500", "--workers", "2",
+         "--output", str(work / "v6-chunked.txt")],
         ["plan", *MICRO, "--workers", "2", "--chunk-size", "auto"],
         ["plan", *MICRO, "--kernel", "native"],
         ["plan", *MICRO, "--workers", "0"],
