@@ -12,7 +12,6 @@ from __future__ import annotations
 import pathlib
 
 from repro.core.metatelescope import MetaTelescope, MetaTelescopeResult
-from repro.core.pipeline import PipelineConfig
 from repro.vantage.sampling import VantageDayView
 from repro.world.observe import Observatory
 from repro.world.scenarios import paper_observatory, paper_world
@@ -34,16 +33,7 @@ class PaperStudy:
     def __init__(self, seed: int = 7) -> None:
         self.world = paper_world(seed)
         self.observatory: Observatory = paper_observatory(seed)
-        config = self.world.config
-        self.telescope = MetaTelescope(
-            collector=self.world.collector,
-            liveness=self.world.datasets.liveness,
-            unrouted_baseline=self.world.unrouted_baseline_blocks,
-            config=PipelineConfig(
-                avg_size_threshold=config.avg_size_threshold,
-                volume_threshold_pkts_day=config.volume_threshold_pkts_day,
-            ),
-        )
+        self.telescope = MetaTelescope.for_world(self.world)
         self._inference_cache: dict[tuple, MetaTelescopeResult] = {}
 
     # -- view selection --------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from _common import emit
 from repro.core.metatelescope import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.geo.countries import Continent
 from repro.reporting.tables import format_table
 from repro.world.builder import build_world
@@ -41,13 +40,7 @@ def _regional_stats(world, views, prefixes, continent: Continent):
 def _run(config):
     world = build_world(config)
     observatory = Observatory(world)
-    telescope = MetaTelescope(
-        collector=world.collector,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     week = config.num_days
     views = observatory.all_ixp_views(num_days=week)
     result = telescope.infer(views, use_spoofing_tolerance=True, refine=False)

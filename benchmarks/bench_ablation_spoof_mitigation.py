@@ -13,8 +13,9 @@ paper discusses:
 
 from __future__ import annotations
 
+import dataclasses
+
 from _common import emit
-from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.refine import (
     cone_filtered_view,
     drop_spoofed_ground_truth,
@@ -27,17 +28,13 @@ def test_ablation_spoof_mitigation(study, benchmark):
     world = study.world
     week = world.config.num_days
     views = study.views("All", days=week)
-    routing = study.telescope.routing_for_days(list(range(week)))
-    base_config = PipelineConfig(
-        avg_size_threshold=world.config.avg_size_threshold,
-        volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-    )
+
+    def num_dark(views, telescope=study.telescope):
+        return telescope.infer(views, refine=False).pipeline.num_dark()
 
     def sweep():
         rows = []
-        rows.append(
-            ("none", run_pipeline(views, routing, base_config).num_dark())
-        )
+        rows.append(("none", num_dark(views)))
         rows.append(
             (
                 "unrouted tolerance",
@@ -45,25 +42,20 @@ def test_ablation_spoof_mitigation(study, benchmark):
             )
         )
         spoofers = non_bcp38_asns(world.registry)
-        bcp_config = PipelineConfig(
-            avg_size_threshold=base_config.avg_size_threshold,
-            volume_threshold_pkts_day=base_config.volume_threshold_pkts_day,
-            ignore_sources_from_asns=spoofers,
+        bcp_telescope = dataclasses.replace(
+            study.telescope,
+            config=dataclasses.replace(
+                study.telescope.config, ignore_sources_from_asns=spoofers
+            ),
         )
-        rows.append(
-            ("BCP38/Spoofer list", run_pipeline(views, routing, bcp_config).num_dark())
-        )
+        rows.append(("BCP38/Spoofer list", num_dark(views, bcp_telescope)))
         cone_views = [
             cone_filtered_view(view, world.topology, world.datasets.pfx2as)
             for view in views
         ]
-        rows.append(
-            ("customer cone", run_pipeline(cone_views, routing, base_config).num_dark())
-        )
+        rows.append(("customer cone", num_dark(cone_views)))
         oracle_views = [drop_spoofed_ground_truth(view) for view in views]
-        rows.append(
-            ("oracle (no spoofing)", run_pipeline(oracle_views, routing, base_config).num_dark())
-        )
+        rows.append(("oracle (no spoofing)", num_dark(oracle_views)))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

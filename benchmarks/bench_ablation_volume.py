@@ -8,10 +8,11 @@ they are filtered while ordinary dark space is untouched.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from _common import emit
-from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.reporting.tables import format_table
 from repro.world.ground_truth import BlockState
 
@@ -19,7 +20,6 @@ from repro.world.ground_truth import BlockState
 def test_ablation_volume_filter(study, benchmark):
     world = study.world
     views = study.views("All", days=1)
-    routing = study.telescope.routing_for_days([0])
     cdn_blocks = world.index.blocks_in_state(BlockState.CDN_SINK)
     thresholds = (
         world.config.volume_threshold_pkts_day / 30,
@@ -30,11 +30,13 @@ def test_ablation_volume_filter(study, benchmark):
     def sweep():
         rows = []
         for threshold in thresholds:
-            config = PipelineConfig(
-                avg_size_threshold=world.config.avg_size_threshold,
-                volume_threshold_pkts_day=threshold,
+            telescope = dataclasses.replace(
+                study.telescope,
+                config=dataclasses.replace(
+                    study.telescope.config, volume_threshold_pkts_day=threshold
+                ),
             )
-            result = run_pipeline(views, routing, config)
+            result = telescope.infer(views, refine=False).pipeline
             cdn_dark = int(np.isin(cdn_blocks, result.dark_blocks).sum())
             rows.append(
                 (

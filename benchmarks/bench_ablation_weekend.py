@@ -14,7 +14,6 @@ from __future__ import annotations
 from _common import emit
 from repro.analysis.variability import daily_series
 from repro.core.metatelescope import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.tables import format_table
 from repro.world.builder import build_world
 from repro.world.config import small_config
@@ -23,13 +22,7 @@ from repro.world.observe import Observatory
 
 def _series(world) -> "daily_series":
     observatory = Observatory(world)
-    telescope = MetaTelescope(
-        collector=world.collector,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     views_by_day = {
         day: list(observatory.day(day).ixp_views.values())
         for day in range(world.config.num_days)

@@ -22,7 +22,6 @@ from _common import emit
 from repro.core.evaluation import confusion_against_truth
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.faults import STANDARD_FAULTS, FaultPlan, standard_injector
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
@@ -31,18 +30,6 @@ SEED = 7
 FAULT_DAY = 2
 NUM_DAYS = 5
 WINDOW = 3
-
-
-def _telescope(world) -> MetaTelescope:
-    return MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
 
 
 def _plan(fault: str) -> FaultPlan:
@@ -54,7 +41,7 @@ def _plan(fault: str) -> FaultPlan:
 
 def _run(world, observatory, fault: str, policy: str):
     plan = _plan(fault)
-    telescope = _telescope(world)
+    telescope = MetaTelescope.for_world(world)
     telescope.replace_collector(plan.wrap_collector(telescope.collector))
     online = OnlineMetaTelescope(
         telescope=telescope,

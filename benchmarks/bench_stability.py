@@ -12,7 +12,7 @@ import numpy as np
 
 from _common import emit
 from repro.analysis.stability import stability_report
-from repro.core.combine import stable_dark_blocks
+from repro.net.blocksets import sorted_in_at_least
 from repro.reporting.tables import format_table
 
 
@@ -40,7 +40,7 @@ def test_prefix_set_stability(study, benchmark):
         ]
         for i, day in enumerate(report.days)
     ]
-    stable3 = stable_dark_blocks(daily, min_days=3)
+    stable3 = sorted_in_at_least(list(daily.values()), 3)
     emit(
         "stability",
         format_table(

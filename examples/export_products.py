@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.core import MetaTelescope
 from repro.core.confidence import score_prefixes
-from repro.core.pipeline import PipelineConfig
 from repro.io import read_prefix_list, write_flows_csv, write_prefix_list
 from repro.net.blocksets import aggregate_blocks
 from repro.net.ipv4 import block_to_prefix
@@ -34,14 +33,7 @@ def main(output_dir: str | None = None) -> None:
 
     world = small_world()
     observatory = small_observatory()
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     views = observatory.all_ixp_views(num_days=2)
     accumulator = telescope.accumulate(views)
     result = telescope.infer_accumulated(accumulator, use_spoofing_tolerance=True)

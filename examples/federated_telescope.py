@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.core import MetaTelescope, MarkingRegistry, OperatorReport, federate
 from repro.core.evaluation import confusion_against_truth
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
 
@@ -22,14 +21,7 @@ from repro.world.scenarios import small_observatory, small_world
 def main() -> None:
     world = small_world()
     observatory = small_observatory()
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
 
     members = ("CE1", "NA1", "SE2")
     reports = []

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.analysis.ports import top_ports
 from repro.core import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
 
@@ -34,14 +33,7 @@ def main(ixp_code: str = "CE1") -> None:
 
     print(f"== meta-telescope service report for {ixp_code} ==")
     views = observatory.ixp_views(ixp_code, num_days=world.config.num_days)
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     result = telescope.infer(views, use_spoofing_tolerance=True)
     print(
         f"product (a): {result.num_prefixes():,} meta-telescope /24 prefixes "

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.core import MetaTelescope
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
 
@@ -36,15 +35,7 @@ def main() -> None:
     total_flows = sum(len(view.flows) for view in views)
     print(f"  {total_flows:,} sampled flows exported")
 
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     result = telescope.infer(views, use_spoofing_tolerance=True)
 
     print("\npipeline funnel (Figure 2):")

@@ -18,7 +18,6 @@ from repro.analysis.ports import (
     top_ports_per_group,
 )
 from repro.core import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.beanplot import render_bean_rows
 from repro.world.scenarios import small_observatory, small_world
 
@@ -26,14 +25,7 @@ from repro.world.scenarios import small_observatory, small_world
 def main() -> None:
     world = small_world()
     observatory = small_observatory()
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     week = world.config.num_days
     views = observatory.all_ixp_views(num_days=week)
     result = telescope.infer(views, use_spoofing_tolerance=True)

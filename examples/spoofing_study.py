@@ -12,9 +12,8 @@ Run:  python examples/spoofing_study.py
 from __future__ import annotations
 
 from repro.analysis.variability import daily_series
-from repro.core import MetaTelescope, stable_dark_blocks
-from repro.core.combine import per_day_results
-from repro.core.pipeline import PipelineConfig
+from repro.core import MetaTelescope
+from repro.net.blocksets import sorted_in_at_least
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
 
@@ -23,14 +22,7 @@ def main() -> None:
     world = small_world()
     observatory = small_observatory()
     week = world.config.num_days
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     views_by_day = {
         day: list(observatory.day(day).ixp_views.values()) for day in range(week)
     }
@@ -62,10 +54,12 @@ def main() -> None:
     print("\n7-day window tolerances (top 5 vantages):", biggest)
 
     # -- Section 7.1: stability recommendation ---------------------------
-    routing = telescope.routing_for_days(list(range(week)))
-    daily = per_day_results(views_by_day, routing, telescope.config)
+    daily = [
+        telescope.infer(views, refine=False).pipeline.dark_blocks
+        for views in views_by_day.values()
+    ]
     for min_days in (1, 3, 5):
-        stable = stable_dark_blocks(daily, min_days=min_days)
+        stable = sorted_in_at_least(daily, min_days)
         print(
             f"prefixes inferred dark on >= {min_days} of {week} days: "
             f"{len(stable):,}"

@@ -16,7 +16,6 @@ from repro.analysis.backscatter_analysis import detect_victims
 from repro.analysis.scanners_analysis import campaign_summary, detect_scanners
 from repro.core import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.net.ipv4 import format_ip
 from repro.reporting.tables import format_table
 from repro.world.scenarios import small_observatory, small_world
@@ -25,14 +24,7 @@ from repro.world.scenarios import small_observatory, small_world
 def main() -> None:
     world = small_world()
     observatory = small_observatory()
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
 
     # -- the operational loop: one inference per day -----------------------
     online = OnlineMetaTelescope(

@@ -19,11 +19,7 @@ Quickstart::
     world = small_world()
     observatory = small_observatory()
     views = observatory.all_ixp_views(num_days=1)
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-    )
+    telescope = MetaTelescope.for_world(world)
     result = telescope.infer(views)
     print(result.num_prefixes(), "meta-telescope /24 prefixes")
 """

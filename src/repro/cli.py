@@ -71,7 +71,6 @@ from repro.core.engine import JsonlSink, RunContext
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
 from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
 from repro.core.online import OnlineMetaTelescope, POLICIES
-from repro.core.pipeline import PipelineConfig
 from repro.faults import STANDARD_FAULTS, FaultPlan, standard_injector
 from repro.io import (
     FLOW_FORMATS,
@@ -155,16 +154,7 @@ def _build(args: argparse.Namespace):
     if getattr(args, "capture_cache", None):
         cache = CaptureCache(args.capture_cache)
     observatory = Observatory(world, capture_cache=cache, context=context)
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
-    return world, observatory, telescope, context
+    return world, observatory, MetaTelescope.for_world(world), context
 
 
 def _vantage(world, args: argparse.Namespace) -> str:

@@ -9,11 +9,17 @@
 * :mod:`repro.core.stages` — the funnel's steps over finalized columns;
 * :mod:`repro.core.pipeline` — the seven-step inference pipeline (Figure 2);
 * :mod:`repro.core.spoofing_tolerance` — the unrouted-space tolerance (§7.2);
-* :mod:`repro.core.combine` — multi-day / multi-vantage composition;
 * :mod:`repro.core.refine` — liveness refinement and spoof-mitigation
   extensions (§4.3, §9);
-* :mod:`repro.core.metatelescope` — the public facade;
+* :mod:`repro.core.metatelescope` — the public facade, the one door
+  from views to verdicts;
 * :mod:`repro.core.evaluation` — coverage and ground-truth metrics (§4.3).
+
+A simulated world's operator is ``MetaTelescope.for_world(world)``;
+``telescope.infer(views)`` then plans, folds, classifies and refines.
+Per-day series are one ``infer(views, refine=False)`` per day, and the
+§7.1 stability recommendation is
+:func:`repro.net.blocksets.sorted_in_at_least` over their dark sets.
 """
 
 from repro.core.accum import (
@@ -39,7 +45,6 @@ from repro.core.pipeline import (
     FunnelCounts,
     PipelineConfig,
     PipelineResult,
-    run_pipeline,
     run_pipeline_accumulated,
 )
 from repro.core.thresholds import (
@@ -48,7 +53,6 @@ from repro.core.thresholds import (
     label_isp_blocks,
 )
 from repro.core.spoofing_tolerance import tolerances_from_accumulator
-from repro.core.combine import stable_dark_blocks
 from repro.core.refine import refine_with_liveness
 from repro.core.federation import (
     FederatedResult,
@@ -94,13 +98,11 @@ __all__ = [
     "FunnelCounts",
     "PipelineConfig",
     "PipelineResult",
-    "run_pipeline",
     "run_pipeline_accumulated",
     "ClassifierEvaluation",
     "evaluate_thresholds",
     "label_isp_blocks",
     "tolerances_from_accumulator",
-    "stable_dark_blocks",
     "refine_with_liveness",
     "FederatedResult",
     "MarkingRegistry",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from repro.net.blocksets import as_sorted_unique
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
 from repro.traffic.flows import FlowTable
 from repro.vantage.sampling import VantageDayView
+
+if TYPE_CHECKING:
+    from repro.world.builder import World
 
 
 @dataclass(frozen=True)
@@ -91,19 +95,37 @@ class MetaTelescope:
     #: Unrouted baseline /24s for the spoofing tolerance (None disables).
     unrouted_baseline: np.ndarray | None = None
     config: PipelineConfig = field(default_factory=PipelineConfig)
+    #: The caches are not constructor arguments, so a copy made with
+    #: ``dataclasses.replace`` (another feed, say) starts with its own.
     _routing_cache: dict[tuple[int, ...], RoutingTable] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, repr=False, init=False
     )
     #: ``(datasets, their union)``: the liveness union refinement probes,
     #: merged once and rebuilt only when ``liveness`` holds other datasets.
     _liveness_cache: tuple[tuple, list[LivenessDataset]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False, compare=False, init=False
     )
 
     def __post_init__(self) -> None:
         if self.unrouted_baseline is not None:
             # Sorted-unique once, so no inference's tolerance re-derives it.
             self.unrouted_baseline = as_sorted_unique(self.unrouted_baseline)
+
+    @classmethod
+    def for_world(cls, world: "World") -> "MetaTelescope":
+        """The operator of a simulated IPv4 world: its Route Views feed,
+        liveness datasets and unrouted baseline, and its preset size and
+        volume thresholds (:func:`~repro.core.ipv6_telescope.ipv6_telescope`
+        is the IPv6 counterpart)."""
+        return cls(
+            collector=world.collector,
+            liveness=world.datasets.liveness,
+            unrouted_baseline=world.unrouted_baseline_blocks,
+            config=PipelineConfig(
+                avg_size_threshold=world.config.avg_size_threshold,
+                volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
+            ),
+        )
 
     def replace_collector(self, collector) -> None:
         """Swap the RIB feed (e.g. for a fault-plan's stale-RIB proxy).

@@ -24,9 +24,10 @@ Since the streaming refactor this module is a thin facade: ingestion
 folds views (whole, or chunk by chunk) into a mergeable
 :class:`~repro.core.accum.PrefixAccumulator`, and the classification
 itself is :func:`repro.core.stages.run_funnel`, the funnel's steps in
-paper order.  Batch and chunked runs of :func:`run_pipeline` are
-classification-identical by construction — they differ only in how
-the accumulator is fed.
+paper order.  Views reach this module only through
+:class:`~repro.core.metatelescope.MetaTelescope`, whose fold hands
+:func:`run_pipeline_accumulated` the accumulator; batch and chunked
+folds differ only in how that accumulator is fed.
 
 Granularity note.  The paper applies filters 1, 2 and 6 "per subnet"
 but classifies per IP ("all IPv4 addresses have to survive").  Taken
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from repro.bgp.rib import RoutingTable
 from repro.core.accum import PrefixAccumulator
-from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
+from repro.core.engine import RunContext
 from repro.core.stages import (
     FunnelCounts,
     PipelineConfig,
@@ -55,37 +56,14 @@ from repro.core.stages import (
     run_funnel,
 )
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
-from repro.vantage.sampling import VantageDayView
 
 __all__ = [
     "FunnelCounts",
     "PipelineConfig",
     "PipelineResult",
     "PrefixAccumulator",
-    "run_pipeline",
     "run_pipeline_accumulated",
 ]
-
-
-def run_pipeline(
-    views: list[VantageDayView],
-    routing: RoutingTable,
-    config: PipelineConfig | None = None,
-) -> PipelineResult:
-    """Run the full inference over pooled vantage-day views.
-
-    This is the facade-less composition of the engine's steps: plan,
-    fold (:func:`~repro.core.engine.execute_plan`), classify.  Chunked,
-    parallel and native-kernel folds classify bit-identically; they are
-    :meth:`~repro.core.metatelescope.MetaTelescope.accumulate`'s knobs.
-    """
-    if config is None:
-        config = PipelineConfig()
-    accumulator = execute_plan(
-        ExecutionPlanner().plan(views), views,
-        ignore_sources_from_asns=config.ignore_sources_from_asns,
-    )
-    return run_pipeline_accumulated(accumulator, routing, config)
 
 
 def run_pipeline_accumulated(
@@ -97,8 +75,10 @@ def run_pipeline_accumulated(
 ) -> PipelineResult:
     """Classify from an already-populated accumulator.
 
-    This is the online/federation entry: the accumulator may be the
-    merge of per-day partials or of other operators' contributions.
+    The classify step of every inference
+    (:meth:`~repro.core.metatelescope.MetaTelescope.infer_accumulated`
+    calls it): the accumulator may be one fold, the merge of per-day
+    partials or of other operators' contributions.
     With a :class:`~repro.core.engine.RunContext` every stage also
     lands on the observability spine as a ``stage`` event.
     """

@@ -142,7 +142,11 @@ def sorted_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sorted_in_at_least(sets: Sequence[np.ndarray], count: int) -> np.ndarray:
     """Sorted-unique members of at least ``count`` of ``sets`` (blocks
-    dark on at least ``count`` days, say)."""
+    dark on at least ``count`` days, say: the paper's §7.1 stability
+    recommendation).  ``count`` must be at least 1; 0 would make every
+    member of the union qualify."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     sets = [as_sorted_unique(members) for members in sets]
     union = sorted_union(*sets)
     counts = np.zeros(len(union), dtype=np.int64)

@@ -34,7 +34,6 @@ from repro.core.engine import RunContext
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import OnlineMetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.faults.plan import FaultPlan, standard_injector
 from repro.world.builder import World, build_world
 from repro.world.observe import Observatory
@@ -257,19 +256,6 @@ def composition_fault_plan(settings: EvaluationSettings) -> FaultPlan:
     return plan
 
 
-def _make_telescope(world: World) -> MetaTelescope:
-    """A fresh operator instance configured like the CLI's."""
-    return MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
-
-
 def _daily_views(world: World, settings: EvaluationSettings):
     """Per-day all-IXP views, optionally run through the fault plan."""
     observatory = Observatory(world)
@@ -344,7 +330,7 @@ def _run_paths(
     )
 
     # Parallel (batch) path: every view of the campaign in one fold.
-    batch_telescope = _make_telescope(world)
+    batch_telescope = MetaTelescope.for_world(world)
     if fault_plan is not None:
         batch_telescope.replace_collector(
             fault_plan.wrap_collector(batch_telescope.collector)
@@ -365,7 +351,7 @@ def _run_paths(
     ]
 
     # Online (rolling-window) path: one day at a time, carry policy.
-    online_telescope = _make_telescope(world)
+    online_telescope = MetaTelescope.for_world(world)
     if fault_plan is not None:
         online_telescope.replace_collector(
             fault_plan.wrap_collector(online_telescope.collector)

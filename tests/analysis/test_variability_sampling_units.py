@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.sampling_study import SamplingPoint, sampling_sweep
 from repro.analysis.variability import DailySeries, daily_series
 from repro.bgp.rib import Announcement, RouteViewsCollector
-from repro.core.combine import per_day_results
 from repro.core.metatelescope import MetaTelescope
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.world.ground_truth import BlockIndex, BlockState
@@ -51,11 +50,13 @@ class TestDailySeries:
     def test_daily_dark_sets(self):
         # Per-day dark sets: one inference per day over that day's routing.
         telescope = make_telescope()
-        views = self.views_by_day()
-        routing = telescope.routing_for_days(sorted(views))
-        sets = per_day_results(views, routing, telescope.config)
+        sets = {
+            day: telescope.infer(views, refine=False).pipeline
+            for day, views in self.views_by_day().items()
+        }
         assert set(sets) == set(range(7))
         assert sets[6].num_dark() == 7
+        assert set(telescope._routing_cache) == {(day,) for day in range(7)}
 
 
 class TestSamplingSweepUnits:

@@ -3,9 +3,11 @@
 The contract of the streaming refactor: folding views into a
 :class:`~repro.core.accum.PrefixAccumulator` chunk by chunk — at *any*
 chunk size, in any merge grouping, batch or incremental — classifies
-bit-identically to the one-shot batch pipeline.  These tests pin that
-contract on a seeded multi-day world, under fault injection, and with
-the per-vantage spoofing tolerance engaged.
+identically to the facade's one-shot batch inference: bit-identically
+at integer sampling factors, verdict-identically at non-integer ones.
+These tests pin that contract on a seeded multi-day world, at
+non-integer factors, under fault injection, and with the per-vantage
+spoofing tolerance engaged.
 """
 
 import numpy as np
@@ -16,11 +18,7 @@ from hypothesis import strategies as st
 from repro.core.accum import PrefixAccumulator
 from repro.core.metatelescope import MetaTelescope
 from repro.core.parallel import partial_states_identical
-from repro.core.pipeline import (
-    PipelineConfig,
-    run_pipeline,
-    run_pipeline_accumulated,
-)
+from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
 
@@ -48,14 +46,7 @@ def multi_day(observatory):
 
 @pytest.fixture(scope="module")
 def telescope(world):
-    return MetaTelescope(
-        collector=world.collector,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
+    return MetaTelescope.for_world(world)
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +55,39 @@ def routing(telescope, multi_day):
 
 
 class TestChunkedEqualsBatch:
+    """The batch side is the facade's inference, one fold of whole
+    days; the chunked side folds the same views in bounded batches."""
+
     @pytest.mark.parametrize("chunk_size", [1, 97, None])
     def test_world_classification_identical(
         self, multi_day, routing, telescope, chunk_size
     ):
-        batch = run_pipeline(multi_day, routing, telescope.config)
+        batch = telescope.infer(multi_day, refine=False).pipeline
         chunked = run_pipeline_accumulated(
             fold(multi_day, chunk_size=chunk_size), routing, telescope.config
         )
         assert_identical(batch, chunked)
         assert batch.num_dark() > 0  # a vacuous world proves nothing
+
+    @pytest.mark.parametrize("chunk_size", [1, 97, None])
+    def test_non_integer_factors_classify_identically(
+        self, multi_day, routing, telescope, chunk_size
+    ):
+        """Views re-weighted by non-integer sampling factors (7.3 and
+        1/0.3).  A scaled estimate's float sums depend on their order in
+        the last bit, so this pair is verdict-identical, not
+        bit-identical: every class, the funnel and the tolerances agree,
+        while a sum may differ by an ULP."""
+        scaled = [
+            view.with_flows(view.flows, sampling_factor=(7.3, 1 / 0.3)[i % 2])
+            for i, view in enumerate(multi_day)
+        ]
+        batch = telescope.infer(scaled, refine=False).pipeline
+        chunked = run_pipeline_accumulated(
+            fold(scaled, chunk_size=chunk_size), routing, telescope.config
+        )
+        assert_identical(batch, chunked)
+        assert batch.num_dark() > 0
 
     def test_spoofing_tolerance_identical(self, multi_day, telescope):
         batch = telescope.infer(
@@ -96,24 +110,23 @@ class TestChunkedEqualsBatch:
         for day in range(3):
             day_views = [view for view in multi_day if view.day == day]
             faulted.extend(plan.apply(day, day_views).views)
-        batch = run_pipeline(faulted, routing, telescope.config)
+        batch = telescope.infer(faulted, refine=False).pipeline
         chunked = run_pipeline_accumulated(
             fold(faulted, chunk_size=61), routing, telescope.config
         )
         assert_identical(batch, chunked)
 
-    def test_empty_view_still_counts(self, multi_day, routing, telescope):
+    def test_empty_view_still_counts(self, multi_day, telescope):
         """An empty view must claim a tolerance slot and a volume day."""
         from repro.traffic.flows import FlowTable
 
         silent = VantageDayView(
             vantage="SILENT", day=9, flows=FlowTable.empty()
         )
-        batch = run_pipeline(multi_day + [silent], routing, telescope.config)
-        chunked = run_pipeline_accumulated(
-            fold(multi_day + [silent], chunk_size=50), routing,
-            telescope.config,
-        )
+        batch = telescope.infer(multi_day + [silent], refine=False).pipeline
+        chunked = telescope.infer(
+            multi_day + [silent], refine=False, chunk_size=50
+        ).pipeline
         assert "SILENT" in batch.applied_tolerances
         assert_identical(batch, chunked)
 
@@ -184,9 +197,9 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_any_chunk_size_matches_batch(self, flows, chunk_size):
         view = VantageDayView(vantage="V", day=0, flows=flows)
-        batch = run_pipeline([view], ROUTING, PipelineConfig())
+        batch = run_pipeline_accumulated(fold([view]), ROUTING)
         chunked = run_pipeline_accumulated(
-            fold([view], chunk_size=chunk_size), ROUTING, PipelineConfig()
+            fold([view], chunk_size=chunk_size), ROUTING
         )
         assert_identical(batch, chunked)
 

@@ -1,11 +1,14 @@
 """Tests for the MetaTelescope facade and evaluation helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bgp.rib import Announcement, RouteViewsCollector
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
 from repro.core.metatelescope import MetaTelescope
+from repro.core.pipeline import PipelineConfig
 from repro.datasets.liveness import LivenessDataset
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.vantage.telescope import Telescope
@@ -81,6 +84,39 @@ class TestMetaTelescope:
         first = telescope.routing_for_days([0, 1])
         second = telescope.routing_for_days([1, 0])
         assert first is second
+
+    def test_replaced_telescope_builds_its_own_caches(self):
+        """``dataclasses.replace`` with another feed or other liveness
+        datasets must not serve the original's cached routing or union."""
+        telescope = MetaTelescope(
+            collector=collector(),
+            liveness=[LivenessDataset(name="c", active_blocks=np.array([BASE]))],
+        )
+        views = [make_view([{"dst_ip": ip(BASE)}])]
+        assert telescope.infer(views).num_prefixes() == 0  # fills both caches
+        other = RouteViewsCollector(
+            [Announcement(Prefix.parse("30.0.0.0/8"), 65002)]
+        )
+        rerouted = dataclasses.replace(telescope, collector=other)
+        (announcement,) = rerouted.routing_for_days([0]).announcements
+        assert str(announcement.prefix) == "30.0.0.0/8"
+        assert rerouted.infer(views).num_prefixes() == 0  # 20/8 unrouted now
+        unrefined = dataclasses.replace(telescope, liveness=[])
+        assert unrefined.infer(views).prefixes.tolist() == [BASE]
+        (announcement,) = telescope.routing_for_days([0]).announcements
+        assert str(announcement.prefix) == "20.0.0.0/8"
+
+    def test_for_world_wires_the_world_presets(self, world):
+        telescope = MetaTelescope.for_world(world)
+        assert telescope.collector is world.collector
+        assert telescope.liveness is world.datasets.liveness
+        np.testing.assert_array_equal(
+            telescope.unrouted_baseline, np.unique(world.unrouted_baseline_blocks)
+        )
+        assert telescope.config == PipelineConfig(
+            avg_size_threshold=world.config.avg_size_threshold,
+            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
+        )
 
     def test_liveness_union_cached_until_the_datasets_change(self):
         first = LivenessDataset(name="c", active_blocks=np.array([BASE + 1, BASE]))

@@ -11,7 +11,6 @@ from repro.bgp.rib import Announcement, RouteViewsCollector
 from repro.core.metatelescope import MetaTelescope
 from repro.core.online import QUARANTINE_DAYS as ENGINE_QUARANTINE_DAYS
 from repro.core.online import OnlineMetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.core.snapshot import SNAPSHOT_COLUMNS, build_snapshot
 from repro.datasets.liveness import LivenessDataset
 from repro.net.ipv4 import Prefix, parse_ip
@@ -39,16 +38,9 @@ def make_online(**overrides):
 
 def make_world_online(world):
     """A 3-day-window online instance over a generated world."""
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
     return OnlineMetaTelescope(
-        telescope=telescope, window_days=3, min_stable_days=2
+        telescope=MetaTelescope.for_world(world), window_days=3,
+        min_stable_days=2,
     )
 
 

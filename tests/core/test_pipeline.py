@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    PipelineConfig,
-    run_pipeline,
-    run_pipeline_accumulated,
-)
+from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.net.ipv4 import parse_ip
 from repro.traffic.packets import PROTO_TCP, PROTO_UDP
 
@@ -21,7 +17,10 @@ ROUTING = routing_for("20.0.0.0/8")
 def run(rows, config=None, views=None):
     if views is None:
         views = [make_view(rows)]
-    return run_pipeline(views, ROUTING, config or PipelineConfig())
+    config = config or PipelineConfig()
+    return run_pipeline_accumulated(
+        fold(views, config.ignore_sources_from_asns), ROUTING, config
+    )
 
 
 def syn_row(block, host=1, packets=1, **overrides):
@@ -289,7 +288,7 @@ class TestMultiView:
 
     def test_empty_views_rejected(self):
         with pytest.raises(ValueError):
-            run_pipeline([], ROUTING)
+            run(None, views=[])
 
 
 class TestFunnelConsistency:

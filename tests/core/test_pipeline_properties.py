@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.net.ipv4 import parse_ip
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY
 from repro.traffic.flows import FlowTable
 from repro.traffic.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.vantage.sampling import VantageDayView
 
-from _factories import routing_for
+from _factories import fold, routing_for
 
 ROUTING = routing_for("20.0.0.0/8", "21.0.0.0/8")
 BASE = parse_ip("20.0.0.0") >> 8
@@ -56,7 +56,14 @@ def flow_tables(draw):
 
 def run(flows, **config_kwargs):
     view = VantageDayView(vantage="V", day=0, flows=flows)
-    return run_pipeline([view], ROUTING, PipelineConfig(**config_kwargs))
+    return pipeline([view], PipelineConfig(**config_kwargs))
+
+
+def pipeline(views, config=PipelineConfig()):
+    """Fold ``views`` and classify them over :data:`ROUTING`."""
+    return run_pipeline_accumulated(
+        fold(views, config.ignore_sources_from_asns), ROUTING, config
+    )
 
 
 class TestInvariants:
@@ -136,7 +143,7 @@ class TestInvariants:
         solo = run(flows_a)
         view_a = VantageDayView(vantage="A", day=0, flows=flows_a)
         view_b = VantageDayView(vantage="B", day=0, flows=flows_b)
-        pooled = run_pipeline([view_a, view_b], ROUTING, PipelineConfig())
+        pooled = pipeline([view_a, view_b])
         solo_gray = set(solo.gray_blocks.tolist())
         pooled_dark = set(pooled.dark_blocks.tolist())
         assert not (solo_gray & pooled_dark)

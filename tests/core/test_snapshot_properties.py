@@ -122,17 +122,8 @@ def test_single_block_snapshot_round_trip():
 def test_infer_snapshot_matches_batch_infer(world, day0):
     """The frozen snapshot serves exactly what batch inference decided."""
     from repro.core.metatelescope import MetaTelescope
-    from repro.core.pipeline import PipelineConfig
 
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     views = list(day0.ixp_views.values())
     result = telescope.infer(views)
     snapshot = telescope.infer_snapshot(views)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.combine import per_day_results, stable_dark_blocks
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import run_pipeline_accumulated
 from repro.core.refine import (
     cone_filtered_view,
     drop_spoofed_ground_truth,
@@ -17,6 +16,7 @@ from repro.bgp.rib import Announcement, RoutingTable
 from repro.bgp.topology import AsTopology
 from repro.datasets.liveness import LivenessDataset
 from repro.datasets.pfx2as import PrefixToAsMap
+from repro.net.blocksets import sorted_in_at_least
 from repro.net.ipv4 import Prefix, parse_ip
 
 from _factories import fold, ip, make_view, routing_for
@@ -75,39 +75,38 @@ class TestTolerance:
 
 
 class TestCombine:
+    """Per-day inferences, the growing window and the stability
+    recommendation over their dark sets."""
+
     def views_by_day(self):
         return {
             0: [make_view([{"dst_ip": ip(BASE)}], day=0)],
             1: [make_view([{"dst_ip": ip(BASE)}, {"dst_ip": ip(BASE + 1)}], day=1)],
         }
 
+    def dark_by_day(self):
+        return [
+            run_pipeline_accumulated(fold(views), ROUTING).dark_blocks
+            for views in self.views_by_day().values()
+        ]
+
     def test_per_day(self):
-        results = per_day_results(self.views_by_day(), ROUTING)
-        assert results[0].num_dark() == 1
-        assert results[1].num_dark() == 2
+        assert [len(dark) for dark in self.dark_by_day()] == [1, 2]
 
     def test_cumulative(self):
         # Days 0-1 pooled into one inference: the growing window.
         by_day = self.views_by_day()
-        assert run_pipeline(by_day[0] + by_day[1], ROUTING).num_dark() == 2
+        pooled = fold(by_day[0] + by_day[1])
+        assert run_pipeline_accumulated(pooled, ROUTING).num_dark() == 2
 
     def test_stable_blocks(self):
-        daily = per_day_results(self.views_by_day(), ROUTING)
-        stable = stable_dark_blocks(daily, min_days=2)
-        assert stable.tolist() == [BASE]
-
-    def test_stable_validates(self):
-        with pytest.raises(ValueError):
-            stable_dark_blocks({}, min_days=0)
+        assert sorted_in_at_least(self.dark_by_day(), 2).tolist() == [BASE]
 
     def test_union_and_intersection(self):
         # Dark on any day (the union) and on every day (the intersection).
-        daily = per_day_results(self.views_by_day(), ROUTING)
-        assert stable_dark_blocks(daily, min_days=1).tolist() == [BASE, BASE + 1]
-        assert stable_dark_blocks(daily, min_days=len(daily)).tolist() == [BASE]
-
-    def test_empty_results(self):
-        assert len(stable_dark_blocks({}, min_days=1)) == 0
+        daily = self.dark_by_day()
+        assert sorted_in_at_least(daily, 1).tolist() == [BASE, BASE + 1]
+        assert sorted_in_at_least(daily, len(daily)).tolist() == [BASE]
 
 
 class TestRefine:

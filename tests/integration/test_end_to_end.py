@@ -15,22 +15,12 @@ from repro.analysis.sampling_study import sampling_sweep
 from repro.analysis.variability import daily_series
 from repro.core import MetaTelescope
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
-from repro.core.pipeline import PipelineConfig
 from repro.world.ground_truth import BlockState
 
 
 @pytest.fixture(scope="module")
 def telescope(integration_world):
-    world = integration_world
-    return MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
+    return MetaTelescope.for_world(integration_world)
 
 
 @pytest.fixture(scope="module")

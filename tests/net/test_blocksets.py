@@ -120,6 +120,14 @@ class TestBlockSet:
         found = sorted_in_at_least([np.array(s, np.int64) for s in sets], count)
         same(found, np.array(expected, dtype=np.int64))
 
+    def test_in_at_least_validates(self):
+        # At least 0 of the sets would be the union: a caller's slip.
+        with pytest.raises(ValueError, match="count"):
+            sorted_in_at_least([np.array([1], np.int64)], 0)
+
+    def test_in_at_least_of_no_sets(self):
+        assert len(sorted_in_at_least([], 1)) == 0
+
 
 class TestBlockSpans:
     def test_spans_of_both_families(self):

@@ -3,21 +3,13 @@
 import pytest
 
 from repro.core import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.reporting.report import generate_report
 
 
 @pytest.fixture(scope="module")
 def report_setup(integration_world, integration_observatory):
     world = integration_world
-    telescope = MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-        ),
-    )
+    telescope = MetaTelescope.for_world(world)
     views = integration_observatory.all_ixp_views(num_days=1)
     result = telescope.infer(views, use_spoofing_tolerance=True)
     return world, telescope, views, result

@@ -1,11 +1,11 @@
 """Tests for envelope bounds, scenario scoring and the regression gate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-import repro.robustness.envelope as envelope_module
 from repro.core.metatelescope import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.robustness import (
     Bounds,
     Envelope,
@@ -142,21 +142,16 @@ class TestRegressionGate:
         padded blocks stay served — the miss-rate lower bound fails on
         both engine paths."""
 
-        def weakened(world):
-            return MetaTelescope(
-                collector=world.collector,
-                liveness=world.datasets.liveness,
-                unrouted_baseline=world.unrouted_baseline_blocks,
-                config=PipelineConfig(
-                    avg_size_threshold=68.0,
-                    ip_size_threshold=72.0,
-                    volume_threshold_pkts_day=(
-                        world.config.volume_threshold_pkts_day
-                    ),
-                ),
-            )
+        for_world = MetaTelescope.for_world
 
-        monkeypatch.setattr(envelope_module, "_make_telescope", weakened)
+        def weakened(world):
+            telescope = for_world(world)
+            telescope.config = dataclasses.replace(
+                telescope.config, avg_size_threshold=68.0, ip_size_threshold=72.0
+            )
+            return telescope
+
+        monkeypatch.setattr(MetaTelescope, "for_world", staticmethod(weakened))
         catalog = {s.name: s for s in standard_catalog(micro_config(7))}
         verdict = evaluate_scenario(
             catalog["padded-evasive"], baseline, settings

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.online import OnlineMetaTelescope
 from repro.core.metatelescope import MetaTelescope
-from repro.core.pipeline import PipelineConfig
 from repro.core.snapshot import build_snapshot
 from repro.service import (
     MetaTelescopeService,
@@ -21,25 +20,14 @@ from repro.service import (
 from repro.service.daemon import QueryError, ServiceDaemon, parse_block
 
 
-def _telescope(world) -> MetaTelescope:
-    return MetaTelescope(
-        collector=world.collector,
-        liveness=world.datasets.liveness,
-        unrouted_baseline=world.unrouted_baseline_blocks,
-        config=PipelineConfig(
-            avg_size_threshold=world.config.avg_size_threshold,
-            volume_threshold_pkts_day=world.config.volume_threshold_pkts_day,
-        ),
-    )
-
-
 @pytest.fixture(scope="module")
 def served(request):
     """An online engine folded over three micro-world days, published."""
     world = request.getfixturevalue("world")
     observatory = request.getfixturevalue("observatory")
     online = OnlineMetaTelescope(
-        telescope=_telescope(world), window_days=3, min_stable_days=2
+        telescope=MetaTelescope.for_world(world), window_days=3,
+        min_stable_days=2,
     )
     service = MetaTelescopeService(
         pfx2as=world.datasets.pfx2as,

@@ -9,7 +9,6 @@ import repro.net.ipv4
 import repro.net.hilbert
 from repro.core import MetaTelescope
 from repro.core.evaluation import confusion_against_truth
-from repro.core.pipeline import PipelineConfig
 from repro.world.builder import build_world
 from repro.world.config import micro_config
 from repro.world.observe import Observatory
@@ -33,14 +32,7 @@ class TestSeedRobustness:
     def inference(self, seed):
         world = build_world(micro_config(seed=seed))
         observatory = Observatory(world)
-        telescope = MetaTelescope(
-            collector=world.collector,
-            liveness=world.datasets.liveness,
-            unrouted_baseline=world.unrouted_baseline_blocks,
-            config=PipelineConfig(
-                volume_threshold_pkts_day=world.config.volume_threshold_pkts_day
-            ),
-        )
+        telescope = MetaTelescope.for_world(world)
         views = observatory.all_ixp_views(num_days=1)
         return world, telescope.infer(views, use_spoofing_tolerance=True)
 

@@ -5,7 +5,9 @@ loop folds each day into its own partial with
 ``PrefixAccumulator.update_day``, on a pool of threads or not); per-/24
 sums exist only in that
 accumulator, never as a per-view aggregate; knobs are resolved only by
-the engine; the facade plans in one place; snapshots are built only by
+the engine; the facade plans in one place and a world's operator is
+wired in one place (``MetaTelescope.for_world``, ``ipv6_telescope``
+for the v6 world); snapshots are built only by
 the modules that own a serving state; processes are started only by the
 serving fleet, and the fold's day pool is the one thread pool in
 ``core/``; the native extension module
@@ -46,6 +48,9 @@ ALLOWED_CALLERS = {
     # RIB's); the trie's own build stays a test oracle.
     "block_spans": {"bgp/rib.py", "net/special.py"},
     "interval_covered_mask": {"bgp/rib.py", "net/special.py"},
+    # A world's operator is wired once: MetaTelescope.for_world, and
+    # ipv6_telescope for the v6 world.
+    "MetaTelescope": {"core/metatelescope.py", "core/ipv6_telescope.py"},
 }
 #: The same, but only for callers under ``src/repro/core/``.
 ALLOWED_CORE_CALLERS = {"iter_chunks": {"core/accum.py"}}
@@ -90,6 +95,12 @@ DELETED_SURFACE = (
     # core/combine.py, core/online.py, core/accum.py, core/kernels.py
     "cumulative_day_results", "intersect_dark", "union_dark",
     "max_staleness_seen", "rows_ingested", "invalidate_cache",
+    # The facade-less fold-and-classify door, core/combine.py's per-day
+    # re-inference and stability wrapper (per-day inference is
+    # MetaTelescope.infer, the stability count sorted_in_at_least), and
+    # the envelope's private copy of MetaTelescope.for_world.
+    "run_pipeline", "per_day_results", "stable_dark_blocks",
+    "_make_telescope",
     # service/handle.py, core/snapshot.py
     "diff_since", "empty_snapshot",
     # flowpack.py, repro.io and its re-exports
@@ -140,8 +151,6 @@ DELETED_PARAMETERS = (
     *(("core/metatelescope.py", "MetaTelescope.infer_snapshot", name)
       for name in ("day", "workers", "context", "provenance")),
     ("core/metatelescope.py", "MetaTelescopeResult.to_snapshot", "history"),
-    *(("core/pipeline.py", "run_pipeline", name)
-      for name in ("chunk_size", "workers", "context", "kernel")),
     *(("core/accum.py", "adaptive_chunk_rows", name)
       for name in ("target_chunks", "floor", "ceiling")),
     ("flowpack.py", "FlowpackWriter.__init__", "append"),
@@ -155,7 +164,6 @@ DELETED_PARAMETERS = (
     ("analysis/scanners_analysis.py", "detect_scanners", "max_ports"),
     ("analysis/ports.py", "port_activity_by_group", "tcp_only"),
     ("core/confidence.py", "score_prefixes", "weights"),
-    ("core/pipeline.py", "run_pipeline", "special"),
     ("flowpack.py", "FlowpackArchive.iter_chunks", "verify"),
     ("reporting/beanplot.py", "render_bean_rows", "width"),
     ("reporting/ecdf.py", "render_ecdf_rows", "value_format"),
@@ -194,7 +202,6 @@ KERNEL_METHODS = {
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
     ("core/metatelescope.py", "accumulate"),
-    ("core/pipeline.py", "run_pipeline"),
 }
 
 
@@ -369,8 +376,9 @@ def test_each_step_has_one_door():
         "views fold only through engine.execute_plan, per-/24 sums come "
         "only from its accumulator, knobs resolve only "
         "in the engine, the facade plans only in MetaTelescope.plan / "
-        ".accumulate (and run_pipeline), snapshots are built only by "
-        "snapshot / metatelescope / online, only service/fleet.py "
+        ".accumulate, a world's operator is wired only by "
+        "MetaTelescope.for_world / ipv6_telescope, snapshots are built "
+        "only by snapshot / metatelescope / online, only service/fleet.py "
         "imports multiprocessing, only core/engine.py imports "
         "concurrent.futures (nothing imports ctypes):\n"
         + "\n".join(found)
@@ -399,6 +407,13 @@ def test_lint_actually_catches_a_second_door():
             "    return self.telescope.plan(views)\n"
         ),
         "core/ipv6_telescope.py": "snapshot = build_snapshot(day=0, dark=[])\n",
+        # A world wired by hand beside MetaTelescope.for_world.
+        "cli.py": (
+            "telescope = MetaTelescope(\n"
+            "    collector=world.collector,\n"
+            "    liveness=world.datasets.liveness,\n"
+            ")\n"
+        ),
         "robustness/envelope.py": (
             "workers = resolve_execution_knobs(workers=0).workers\n"
             "partial = PrefixAccumulator()\n"
@@ -442,6 +457,11 @@ def test_lint_actually_catches_a_second_door():
     assert offenders({"core/federation.py": pasted["core/federation.py"]}) == [
         "src/repro/core/federation.py:1: resolve_execution_knobs( in None"
     ]
+    assert offenders({"cli.py": pasted["cli.py"]}) == [
+        "src/repro/cli.py:1: MetaTelescope( in None"
+    ]
+    # The online engine's own class is not the facade's constructor.
+    assert not offenders({"cli.py": "online = OnlineMetaTelescope(t)\n"})
     assert offenders({"core/online.py": pasted["core/online.py"]}) == [
         "src/repro/core/online.py:1: import multiprocessing"
     ]
@@ -499,6 +519,9 @@ def test_lint_actually_catches_a_second_door():
     assert "iter_chunks" in {
         name for name, _, _ in calls(sources["core/accum.py"])
     }
+    assert "MetaTelescope" in {
+        name for name, _, _ in calls(sources["core/ipv6_telescope.py"])
+    }
     assert {
         (module, function)
         for module in ("core/metatelescope.py", "core/pipeline.py")
@@ -522,7 +545,7 @@ def test_deleted_layers_stay_deleted():
         "core/parallel.py": "entry = view.slice_ref(start, stop)\n",
         "core/snapshot.py": "class ArchiveSlice: ...\n",
         "core/thresholds.py": "_POOLS: dict = {}\n",
-        "core/combine.py": "_FORK_WORK = None\n",
+        "core/refine.py": "_FORK_WORK = None\n",
     }
     for module, text in pasted.items():
         assert offenders({module: text}) == [
