@@ -150,6 +150,13 @@ class MetaTelescope:
         self._routing_cache[key] = table
         return table
 
+    def forget_routing_before(self, day: int) -> None:
+        """Drop the cached routing tables of day-sets that reach back
+        before ``day``: an online window calls this as days leave it,
+        so the cache holds at most the window's day-sets."""
+        for key in [key for key in self._routing_cache if key and key[0] < day]:
+            del self._routing_cache[key]
+
     def liveness_union(self) -> list[LivenessDataset]:
         """``liveness`` merged into at most one dataset, computed once."""
         cached = self._liveness_cache

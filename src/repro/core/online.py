@@ -285,6 +285,7 @@ class OnlineMetaTelescope:
         while len(self._window) > self.window_days:
             self._window.popleft()
             self._daily_dark.popleft()
+        self.telescope.forget_routing_before(self._window[0][0])
 
         # A window holding only the new day is that day, inferred once.
         # A longer window is a merge of per-day partial aggregates: no

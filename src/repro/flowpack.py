@@ -3,9 +3,9 @@
 Row-oriented CSV is untenable at replay scale — a multi-GB vantage-day
 costs one Python ``int()`` call per cell in both directions.  Flowpack
 stores columnar data the way the pipeline already holds it: **per-column
-contiguous numpy buffers**, so reading a day back is an ``np.memmap``
-plus a handful of zero-copy views instead of millions of string
-conversions.
+contiguous numpy buffers**, so reading a day back is one read-only
+``mmap`` plus a handful of zero-copy views instead of millions of
+string conversions.
 
 The container is schema-generic: the header JSON names the columns and
 their dtypes, and two archive *kinds* are built on it —
@@ -36,11 +36,16 @@ Design properties:
   capture streams straight to disk: every
   :meth:`TableWriter.write_columns` call appends one segment and
   nothing is ever rewritten.
-* **Zero-copy reads** — readers return plain, read-only numpy views
-  into one shared memory mapping of the file (an ``np.memmap`` viewed
-  as ``np.ndarray``); slicing chunks out of them never copies a row.  All
-  offsets are 8-byte aligned by construction, and opening an archive is
-  O(header): column payloads are touched only when read.
+* **Zero-copy reads** — opening an archive opens the file once and
+  maps it read-only (``mmap.mmap``, held as a plain ``np.ndarray``
+  through ``np.frombuffer``; no ``np.memmap``).  The one header walk
+  runs over that mapping with ``struct.unpack_from``, and readers
+  return read-only numpy views into it; slicing chunks out of them
+  never copies a row.  All offsets are 8-byte aligned by construction,
+  and opening is O(header): column payloads are touched only when
+  read.  Each distinct header schema (dtypes, itemsizes, the
+  segment-header ``Struct``, the flow family) is resolved once per
+  process.
 * **Per-column checksums** — every buffer carries a CRC-32.  Strict
   readers raise :class:`FlowpackError` naming the file, segment and
   column; the lenient reader degrades exactly like damaged CSV does,
@@ -62,8 +67,11 @@ is the strict whole-archive read.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -80,6 +88,8 @@ FLOWPACK_VERSION = 1
 _SEGMENT_MAGIC = b"SEGM"
 
 _FILE_HEADER = struct.Struct("<II")  # version, json_len
+#: Offset of the header JSON: the magic plus the file header.
+_JSON_START = len(MAGIC) + _FILE_HEADER.size
 _SEGMENT_HEADER = struct.Struct("<Q")  # rows
 _COLUMN_HEADER = struct.Struct("<QI")  # nbytes, crc32
 
@@ -106,18 +116,6 @@ def _pad8(n: int) -> int:
 def _spec_of(columns: Mapping[str, Any]) -> list[list[str]]:
     """The header-JSON form of a ``name -> dtype`` column schema."""
     return [[name, np.dtype(dtype).str] for name, dtype in columns.items()]
-
-
-def _column_spec(family: str = FAMILY_IPV4) -> list[list[str]]:
-    return _spec_of(flow_columns(family))
-
-
-def _flow_family_of_spec(spec: list[list[str]], path) -> str:
-    """The address family whose flow schema matches a header spec."""
-    for name in (FAMILY_IPV4, FAMILY_IPV6):
-        if spec == _column_spec(name):
-            return name
-    raise FlowpackError(f"{path}: not a flow archive schema: {spec}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,13 +290,12 @@ def append_table_columns(
     archive is scanned once, strictly, so a damaged one (or arrays that
     lack one of its columns) fails before a byte is written.
     """
-    _, spec, _, _ = _scan_table(path, strict=True)
-    columns = {name: np.dtype(dtype) for name, dtype in spec}
+    columns = TableArchive(path).columns
     with open(path, "ab") as handle:
         _write_segment(handle, columns, arrays)
 
 
-# -- scanning -----------------------------------------------------------
+# -- opening ------------------------------------------------------------
 
 
 def is_flowpack(path: str | Path) -> bool:
@@ -310,150 +307,161 @@ def is_flowpack(path: str | Path) -> bool:
         return False
 
 
-def _scan_table(
-    path: str | Path,
-    strict: bool = True,
-    expected: list[list[str]] | None = None,
-):
-    """Walk an archive's headers without touching the column data.
+@dataclass(frozen=True, slots=True)
+class _Schema:
+    """A header schema, resolved once per process by :func:`_schema_of`."""
 
-    Returns ``(meta, columns_spec, segments, report)`` where
-    ``columns_spec`` is the header's ``[[name, dtype], ...]`` schema.
-    With ``expected`` the header schema must match it exactly —
-    structural damage before the first segment (bad magic, header,
-    schema) is always fatal, exactly like a wrong CSV header.  A
-    truncated or malformed *segment* is fatal in strict mode; lenient
-    mode stops at the damage and records it in the report (everything
-    after a truncation point is unreadable).
+    #: The header-JSON ``[[name, dtype], ...]`` entries, as tuples.
+    spec: tuple[tuple[str, str], ...]
+    columns: dict[str, np.dtype]
+    itemsizes: tuple[int, ...]
+    #: ``b"SEGM"``, rows, then ``(nbytes, crc32)`` per column.
+    segment_header: struct.Struct
+    #: ``segment_header.size`` padded to 8 bytes (first column offset).
+    segment_header_size: int
+    #: The flow family whose schema this is; None for any other table.
+    family: str | None
 
-    Checksums are **not** verified here — scanning must stay O(header)
-    so an ``np.memmap`` open of a multi-GB archive is instant;
-    per-segment verification happens on first read.
+
+@lru_cache(maxsize=64)
+def _resolve_schema(spec: tuple[tuple[str, str], ...]) -> _Schema:
+    """The :class:`_Schema` of a header spec (``TypeError`` on a dtype
+    numpy cannot read)."""
+    dtypes = [np.dtype(dtype) for _, dtype in spec]
+    segment_header = struct.Struct(
+        f"<{len(_SEGMENT_MAGIC)}s"
+        + _SEGMENT_HEADER.format.lstrip("<")
+        + _COLUMN_HEADER.format.lstrip("<") * len(spec)
+    )
+    flow_specs = {
+        tuple(map(tuple, _spec_of(flow_columns(name)))): name
+        for name in (FAMILY_IPV4, FAMILY_IPV6)
+    }
+    return _Schema(
+        spec=spec,
+        columns={name: dtype for (name, _), dtype in zip(spec, dtypes)},
+        itemsizes=tuple(dtype.itemsize for dtype in dtypes),
+        segment_header=segment_header,
+        segment_header_size=segment_header.size + _pad8(segment_header.size),
+        family=flow_specs.get(spec),
+    )
+
+
+def _schema_of(spec, path: Path) -> _Schema:
+    """The resolved schema of a header's ``columns`` entry."""
+    if (
+        not isinstance(spec, list)
+        or not spec
+        or not all(isinstance(col, list) and len(col) == 2 for col in spec)
+    ):
+        raise FlowpackError(f"{path}: malformed column schema: {spec}")
+    try:
+        return _resolve_schema(tuple(map(tuple, spec)))
+    except TypeError as error:
+        raise FlowpackError(f"{path}: unreadable column dtype: {error}") from None
+
+
+def _walk(data: mmap.mmap, path: Path, expected, report):
+    """Walk an archive's file header and segment headers in ``data``.
+
+    Returns ``(meta, schema, segments)``.  With ``expected`` (a header
+    spec) the schema must match it exactly.  Damage before the first
+    segment (bad magic, version, header, schema) is always fatal, like a
+    wrong CSV header.  A truncated or malformed *segment* raises when
+    ``report`` is None; otherwise it is recorded in the report and the
+    walk resyncs on the next segment magic, so one damaged header loses
+    one segment, not the rest of the archive.
+
+    Checksums are **not** verified here: the walk stays O(header) so
+    opening a multi-GB archive is instant; per-segment verification
+    happens on first read.
     """
-    from repro.io import ParseReport, RowError  # local: io imports us
+    size = len(data)
+    if data[:len(MAGIC)] != MAGIC:
+        raise FlowpackError(f"{path}: not a flowpack file")
+    version, json_len = _FILE_HEADER.unpack_from(data, len(MAGIC))
+    if version != FLOWPACK_VERSION:
+        raise FlowpackError(f"{path}: unsupported flowpack version {version}")
+    pos = _JSON_START + json_len
+    if pos + _pad8(json_len) > size:
+        raise FlowpackError(f"{path}: truncated header")
+    try:
+        header = json.loads(data[_JSON_START:pos].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise FlowpackError(f"{path}: corrupt header JSON: {error}") from None
+    if not isinstance(header, dict):
+        header = {}
+    spec = header.get("columns")
+    if expected is not None and spec != expected:
+        raise FlowpackError(f"{path}: unexpected flowpack schema: {spec}")
+    schema = _schema_of(spec, path)
+    pos += _pad8(json_len)
 
-    path = Path(path)
-    report = ParseReport(path=str(path))
-    size = path.stat().st_size
-    with open(path, "rb") as handle:
-        prefix = handle.read(len(MAGIC) + _FILE_HEADER.size)
-        if len(prefix) < len(MAGIC) + _FILE_HEADER.size or not prefix.startswith(
-            MAGIC
-        ):
-            raise FlowpackError(f"{path}: not a flowpack file")
-        version, json_len = _FILE_HEADER.unpack_from(prefix, len(MAGIC))
-        if version != FLOWPACK_VERSION:
-            raise FlowpackError(
-                f"{path}: unsupported flowpack version {version}"
-            )
-        payload = handle.read(json_len)
-        if len(payload) < json_len:
-            raise FlowpackError(f"{path}: truncated header")
-        try:
-            header = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise FlowpackError(f"{path}: corrupt header JSON: {error}") from None
-        spec = header.get("columns")
-        if expected is not None and spec != expected:
-            raise FlowpackError(
-                f"{path}: unexpected flowpack schema: {spec}"
-            )
-        if (
-            not isinstance(spec, list)
-            or not spec
-            or not all(
-                isinstance(col, list) and len(col) == 2 for col in spec
-            )
-        ):
-            raise FlowpackError(f"{path}: malformed column schema: {spec}")
-        try:
-            itemsizes = [np.dtype(dtype).itemsize for _, dtype in spec]
-        except TypeError as error:
-            raise FlowpackError(
-                f"{path}: unreadable column dtype: {error}"
-            ) from None
-        meta = header.get("meta", {})
-        ncols = len(spec)
-        handle.seek(_pad8(json_len), 1)
-
-        segments: list[SegmentInfo] = []
-        start_row = 0
-        seg_header_size = (
-            len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
-            + ncols * _COLUMN_HEADER.size
-        )
-        seg_header_size += _pad8(seg_header_size)
-        while True:
-            base = handle.tell()
-            if base >= size:
-                break
-            raw = handle.read(seg_header_size)
-            damage = None
-            if len(raw) < seg_header_size or not raw.startswith(_SEGMENT_MAGIC):
-                damage = "truncated or corrupt segment header"
-                rows = 0
-            else:
-                (rows,) = _SEGMENT_HEADER.unpack_from(raw, len(_SEGMENT_MAGIC))
-                offsets, nbytes, checksums = [], [], []
-                cursor = base + seg_header_size
-                pos = len(_SEGMENT_MAGIC) + _SEGMENT_HEADER.size
-                for (name, _), itemsize in zip(spec, itemsizes):
-                    length, crc = _COLUMN_HEADER.unpack_from(raw, pos)
-                    pos += _COLUMN_HEADER.size
-                    if length != rows * itemsize:
-                        damage = (
-                            f"column {name!r} holds {length} bytes, "
-                            f"expected {rows * itemsize}"
-                        )
-                        break
-                    offsets.append(cursor)
-                    nbytes.append(length)
-                    checksums.append(crc)
-                    cursor += length + _pad8(length)
-                if damage is None and cursor > size:
+    unpack = schema.segment_header.unpack_from
+    header_size = schema.segment_header_size
+    names = [name for name, _ in schema.spec]
+    segments: list[SegmentInfo] = []
+    start_row = 0
+    while pos < size:
+        damage = None
+        fields = unpack(data, pos) if pos + header_size <= size else None
+        if fields is None or fields[0] != _SEGMENT_MAGIC:
+            damage = "truncated or corrupt segment header"
+        else:
+            rows = fields[1]
+            nbytes = fields[2::2]
+            offsets = []
+            cursor = pos + header_size
+            for name, itemsize, length in zip(names, schema.itemsizes, nbytes):
+                if length != rows * itemsize:
                     damage = (
-                        f"segment data runs past end of file "
-                        f"({cursor} > {size} bytes)"
+                        f"column {name!r} holds {length} bytes, "
+                        f"expected {rows * itemsize}"
                     )
-                if damage is None and rows == 0:
-                    damage = "segment with zero rows"
-            if damage is not None:
-                message = f"segment {len(segments)}: {damage}"
-                if strict:
-                    raise FlowpackError(f"{path}: {message}")
-                report.errors.append(
-                    RowError(
-                        line=len(segments) + 1, message=message,
-                        text=f"byte offset {base}",
-                    )
-                )
-                # Resync: scan forward for the next segment magic, so a
-                # single damaged header loses one segment, not the rest
-                # of the archive.  (A 4-byte magic plus per-column exact
-                # length checks makes a false resync vanishingly
-                # unlikely.)  No magic ahead = a truncated tail; stop.
-                handle.seek(base + 1)
-                rest = handle.read()
-                resync = rest.find(_SEGMENT_MAGIC)
-                if resync < 0:
                     break
-                handle.seek(base + 1 + resync)
-                continue
-            segments.append(
-                SegmentInfo(
-                    index=len(segments),
-                    start_row=start_row,
-                    rows=rows,
-                    offsets=tuple(offsets),
-                    nbytes=tuple(nbytes),
-                    checksums=tuple(checksums),
+                offsets.append(cursor)
+                cursor += length + _pad8(length)
+            if damage is None and cursor > size:
+                damage = (
+                    f"segment data runs past end of file "
+                    f"({cursor} > {size} bytes)"
+                )
+            if damage is None and rows == 0:
+                damage = "segment with zero rows"
+        if damage is not None:
+            message = f"segment {len(segments)}: {damage}"
+            if report is None:
+                raise FlowpackError(f"{path}: {message}")
+            from repro.io import RowError  # local: io imports us
+
+            report.errors.append(
+                RowError(
+                    line=len(segments) + 1, message=message,
+                    text=f"byte offset {pos}",
                 )
             )
+            # A 4-byte magic plus per-column exact length checks make a
+            # false resync vanishingly unlikely.  No magic ahead = a
+            # truncated tail; stop.
+            pos = data.find(_SEGMENT_MAGIC, pos + 1)
+            if pos < 0:
+                break
+            continue
+        segments.append(
+            SegmentInfo(
+                index=len(segments),
+                start_row=start_row,
+                rows=rows,
+                offsets=tuple(offsets),
+                nbytes=nbytes,
+                checksums=fields[3::2],
+            )
+        )
+        if report is not None:
             report.total_rows += rows
-            report.good_rows += rows
-            start_row += rows
-            handle.seek(cursor)
-    return meta, spec, segments, report
+        start_row += rows
+        pos = cursor
+    return header.get("meta", {}), schema, segments
 
 
 # -- reading ------------------------------------------------------------
@@ -462,14 +470,15 @@ def _scan_table(
 class TableArchive:
     """A memory-mapped generic columnar archive.
 
-    Column data is one read-only memory mapping of the file, held as a
-    plain ``np.ndarray``; every array this object hands out is a
-    zero-copy (read-only) view into it.  Each
-    segment's checksums are verified once, on first read; pass
-    ``verify=False`` to skip (e.g. a worker re-reading a range the
-    coordinator already verified).  ``expected_columns`` pins the
-    schema (open fails on a mismatch); without it the archive's own
-    header schema is served as-is.
+    Opening maps the file once, read-only, and walks its headers over
+    that mapping; column data stays untouched until read.  The mapping
+    is held as a plain read-only ``np.ndarray`` (``np.frombuffer`` over
+    the ``mmap``), and every array this object hands out is a zero-copy
+    (read-only) view into it.  Each segment's checksums are verified
+    once, on first read; pass ``verify=False`` to skip (e.g. a worker
+    re-reading a range the coordinator already verified).
+    ``expected_columns`` pins the schema (open fails on a mismatch);
+    without it the archive's own header schema is served as-is.
     """
 
     def __init__(
@@ -477,46 +486,41 @@ class TableArchive:
         path: str | Path,
         expected_columns: Mapping[str, Any] | None = None,
         *,
-        _scanned=None,
+        _report=None,
     ) -> None:
-        self.path = Path(path)
+        # A Path is kept as given: re-parsing one costs ~5 us an open.
+        self.path = path if isinstance(path, Path) else Path(path)
         expected = (
             _spec_of(expected_columns) if expected_columns is not None else None
         )
-        if _scanned is None:
-            self.meta, spec, self.segments, _ = _scan_table(
-                self.path, strict=True, expected=expected
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            if os.fstat(fd).st_size < _JSON_START:
+                raise FlowpackError(f"{self.path}: not a flowpack file")
+            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        try:
+            self.meta, self._schema, self.segments = _walk(
+                mapping, self.path, expected, _report
             )
-        else:  # pre-scanned (the lenient reader's salvage path)
-            self.meta, spec, self.segments = _scanned
+        except BaseException:
+            mapping.close()
+            raise
         #: The archive's schema, as ``name -> np.dtype``.
-        self.columns: dict[str, np.dtype] = {
-            name: np.dtype(dtype) for name, dtype in spec
-        }
+        self.columns: dict[str, np.dtype] = dict(self._schema.columns)
         self.num_rows = (
             self.segments[-1].stop_row if self.segments else 0
         )
-        self._mmap: np.ndarray | None = None
+        self._data = np.frombuffer(mapping, dtype=np.uint8)
         self._verified = [False] * len(self.segments)
-
-    def _data(self) -> np.ndarray:
-        if self._mmap is None:
-            # A plain (read-only) ndarray over the mapping: a slice of
-            # an np.memmap pays a Python-level __array_finalize__, once
-            # per column handed out.  A str path: for a Path, memmap
-            # resolves it (an lstat per component) only to set the
-            # .filename that view drops.
-            self._mmap = np.memmap(
-                str(self.path), dtype=np.uint8, mode="r"
-            ).view(np.ndarray)
-        return self._mmap
 
     def verify_segment(self, index: int) -> None:
         """Check one segment's per-column CRC-32s (idempotent)."""
         if self._verified[index]:
             return
         segment = self.segments[index]
-        data = self._data()
+        data = self._data
         computed = _crc32_columns(
             data[offset:offset + nbytes]
             for offset, nbytes in zip(segment.offsets, segment.nbytes)
@@ -539,7 +543,7 @@ class TableArchive:
         if verify:
             self.verify_segment(index)
         segment = self.segments[index]
-        data = self._data()
+        data = self._data
         arrays = {}
         for (name, dtype), offset, nbytes in zip(
             self.columns.items(), segment.offsets, segment.nbytes
@@ -576,12 +580,15 @@ class FlowpackArchive(TableArchive):
     shared memory mapping of the file.
     """
 
-    def __init__(self, path: str | Path, *, _scanned=None) -> None:
-        super().__init__(path, _scanned=_scanned)
+    def __init__(self, path: str | Path, *, _report=None) -> None:
+        super().__init__(path, _report=_report)
+        if self._schema.family is None:
+            spec = [list(col) for col in self._schema.spec]
+            raise FlowpackError(
+                f"{self.path}: not a flow archive schema: {spec}"
+            )
         #: Address family name resolved from the header schema.
-        self.family = _flow_family_of_spec(
-            _spec_of(self.columns), self.path
-        )
+        self.family = self._schema.family
 
     def segment_flows(self, index: int, verify: bool = True) -> FlowTable:
         """One segment as a zero-copy flow table over the mapping."""
@@ -639,19 +646,14 @@ def read_flows_archive_lenient(path: str | Path):
     disk damage through the identical ``ParseReport``/quarantine path
     CSV damage uses.  A corrupt file header stays fatal in both modes.
     """
-    from repro.io import RowError
+    from repro.io import ParseReport, RowError
 
-    path = Path(path)
-    meta, spec, segments, report = _scan_table(path, strict=False)
-    family = _flow_family_of_spec(spec, path)
-    archive: FlowpackArchive | None = None
+    report = ParseReport(path=str(path))
+    archive = FlowpackArchive(path, _report=report)
     good: list[FlowTable] = []
-    if segments:
-        archive = FlowpackArchive(path, _scanned=(meta, spec, segments))
-    report.good_rows = 0
-    for segment in segments:
+    for segment in archive.segments:
         try:
-            good.append(archive.segment_flows(segment.index, verify=True))
+            good.append(archive.segment_flows(segment.index))
             report.good_rows += segment.rows
         except FlowpackError as error:
             report.errors.append(
@@ -664,5 +666,5 @@ def read_flows_archive_lenient(path: str | Path):
             )
     report.errors.sort(key=lambda error: error.line)
     if not good:
-        return FlowTable.empty(family), report
+        return FlowTable.empty(archive.family), report
     return FlowTable.concat(good), report

@@ -33,8 +33,8 @@ stream holds at most ``chunk_rows`` parsed rows plus two blocks.
 Flow tables additionally serialise to **flowpack**, a binary columnar
 archive format (:mod:`repro.flowpack`) re-exported here: per-column
 contiguous numpy buffers with per-column checksums, append-able
-segment by segment, read back via ``np.memmap`` as zero-copy chunk
-views — the replay-scale counterpart of the CSV interchange format.
+segment by segment, read back through one read-only ``mmap`` as
+zero-copy chunk views — the replay-scale counterpart of the CSV interchange format.
 ``iter_flows_archive`` is drop-in for ``iter_flows_csv``, with the
 same strict/lenient split (:func:`read_flows_archive_lenient` reports
 damaged segments through the same :class:`ParseReport` path).

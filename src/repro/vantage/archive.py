@@ -91,7 +91,7 @@ class ArchiveDayView:
         view = cls(
             vantage=str(meta["vantage"]),
             day=int(meta["day"]),
-            path=Path(path),
+            path=archive.path,
             sampling_factor=float(meta.get("sampling_factor", 1.0)),
         )
         view._archive = archive
@@ -116,8 +116,17 @@ class ArchiveDayView:
         return self._flows
 
     def iter_chunks(self, chunk_rows: int | None = None):
-        """Bounded-size chunks straight off the mapped file (zero-copy)."""
-        return self.archive().iter_chunks(chunk_rows)
+        """Bounded-size chunks straight off the mapped file (zero-copy).
+
+        A one-segment archive chunks :attr:`flows`, so a view whose
+        table was already read (the feed score reads it first) builds
+        no second one.  Chunks never cross a segment either way, so
+        the chunks, and every fold batch, are the same.
+        """
+        archive = self.archive()
+        if len(archive.segments) == 1:
+            return self.flows.iter_chunks(chunk_rows)
+        return archive.iter_chunks(chunk_rows)
 
     # Both build an in-memory view from this one's vantage, day and
     # sampling factor: ``VantageDayView``'s own definitions.

@@ -97,6 +97,25 @@ class TestOnline:
         assert BASE in online.current_prefixes()
         assert online.days_in_window() == [1, 2]
 
+    def test_routing_cache_stays_within_the_window(self):
+        # Each day adds two day-sets (the day's and the window's); those
+        # reaching back before the window are dropped, so a long run
+        # holds at most 2 * window_days - 1 tables (the ramp-up), then
+        # the window's singles plus the window itself.
+        online = make_online(window_days=3)
+        cache = online.telescope._routing_cache
+        for day in range(7):
+            online.update(day, day_views(day))
+            first = online.days_in_window()[0]
+            assert all(min(key) >= first for key in cache), (day, list(cache))
+            assert len(cache) <= 2 * 3 - 1
+        assert sorted(cache) == [(4,), (4, 5, 6), (5,), (6,)]
+        # A fresh engine on the same telescope starts over at day 0 and
+        # drops nothing it can still use.
+        restarted = make_online(window_days=3, telescope=online.telescope)
+        restarted.update(0, day_views(0))
+        assert (4, 5, 6) in cache and (0,) in cache
+
     def test_churn_reporting(self):
         online = make_online(min_stable_days=1)
         first = online.update(0, day_views(0, blocks=(BASE,)))

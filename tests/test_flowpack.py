@@ -11,7 +11,7 @@ Three claims are load-bearing and proved here:
    :class:`~repro.io.ParseReport` / strict-raise contract the CSV
    reader honours, never as bare numpy errors;
 3. **Archive-fed inference is bit-identical** — chunked accumulation
-   straight off the memmap equals the in-memory batch fold at every
+   straight off the mapping equals the in-memory batch fold at every
    chunk size and worker count;
 4. **Checksums do not depend on who computes them** — the native
    CRC-32 fold, zlib (native disabled) and zlib after a declining
@@ -20,7 +20,9 @@ Three claims are load-bearing and proved here:
 """
 
 import contextlib
+import mmap
 import os
+import struct
 import sys
 import threading
 from types import SimpleNamespace
@@ -173,6 +175,14 @@ class TestRoundTrip:
             )
             assert tables_equal(joined, flows)
 
+    def test_one_schema_object_per_header_schema(self, tmp_path):
+        for name in ("a.fpk", "b.fpk"):
+            write_flows_archive(make_flows([{}]), tmp_path / name)
+        first, second = (
+            FlowpackArchive(tmp_path / name) for name in ("a.fpk", "b.fpk")
+        )
+        assert first._schema is second._schema
+
     def test_zero_copy_views(self, tmp_path):
         flows = random_flows(np.random.default_rng(1), 64)
         path = tmp_path / "t.fpk"
@@ -181,8 +191,8 @@ class TestRoundTrip:
         assert segment.src_ip.base is not None
 
     def test_served_columns_are_read_only_views_of_the_mapping(self, tmp_path):
-        # Plain ndarrays (no per-slice np.memmap finalizer), still
-        # read-only and still the mapped file's own memory.
+        # Plain ndarrays (no np.memmap subclass), still read-only and
+        # still the mapped file's own memory.
         flows = random_flows(np.random.default_rng(3), 300)
         path = tmp_path / "t.fpk"
         write_flows_archive(flows, path, chunk_rows=100)
@@ -192,8 +202,12 @@ class TestRoundTrip:
             *(getattr(chunk, name) for chunk in archive.iter_chunks(40)
               for name in FLOW_COLUMNS),
         ]
-        mapping = archive._data()
-        assert isinstance(mapping.base, np.memmap)
+        mapping = archive._data
+        assert type(mapping) is np.ndarray
+        assert not mapping.flags.writeable
+        # np.frombuffer's base: the mmap, or a memoryview of it.
+        assert isinstance(getattr(mapping.base, "obj", mapping.base), mmap.mmap)
+        assert len(mapping) == path.stat().st_size
         for column in served:
             assert type(column) is np.ndarray
             assert not column.flags.writeable
@@ -202,6 +216,24 @@ class TestRoundTrip:
                 column[:1] = column[:1]
         first = archive.segment_arrays(0)["packets"]
         assert first.tolist() == flows.packets[:100].tolist()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_no_descriptor_outlives_its_archive(self, tmp_path):
+        # The mapping holds the file's only descriptor, and dropping the
+        # archive (or failing to open one) releases it.
+        path, torn = tmp_path / "t.fpk", tmp_path / "torn.fpk"
+        write_flows_archive(
+            random_flows(np.random.default_rng(4), 100), path, chunk_rows=40
+        )
+        torn.write_bytes(path.read_bytes()[:-8])
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(500):
+            assert len(FlowpackArchive(path).read_all()) == 100
+            with pytest.raises(FlowpackError):
+                FlowpackArchive(torn)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_meta_travels_with_archive(self, tmp_path):
         path = tmp_path / "t.fpk"
@@ -286,6 +318,16 @@ class TestDamage:
             FlowpackArchive(path).read_all()
         with pytest.raises(FlowpackError):
             read_flows_archive_lenient(path)
+
+    def test_header_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "t.fpk"
+        payload = b"[]"
+        path.write_bytes(
+            b"FLOWPACK" + struct.pack("<II", 1, len(payload)) + payload
+            + b"\x00" * 6
+        )
+        with pytest.raises(FlowpackError, match="malformed column schema"):
+            FlowpackArchive(path)
 
     def test_strict_error_names_file_and_segment(self, tmp_path):
         path, _ = self._archive(tmp_path)

@@ -134,6 +134,10 @@ DELETED_SURFACE = (
     # day into its own partial and merges the days in order.
     "shard_views", "Shard", "_shard_view", "tree_merge", "shards",
     "max_shard_rows", "parallel_accumulate_views", "read_rows",
+    # flowpack.py's file-handle header scan and its per-open flow family
+    # match: an open walks the headers once, over its mapping (_walk),
+    # and each header schema resolves once per process.
+    "_scan_table", "_flow_family_of_spec", "_column_spec",
 )
 #: Parameters and dataclass fields deleted because no production entry
 #: point ever gave them a second value (``tools/reach``'s second
