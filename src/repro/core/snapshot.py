@@ -447,14 +447,17 @@ class ClassificationSnapshot:
 
         ``pfx2as`` is a :class:`~repro.datasets.pfx2as.PrefixToAsMap`,
         ``geodb`` a :class:`~repro.datasets.geodb.GeoDatabase`; either
-        may be None to leave that column as-is.
+        may be None to leave that column as-is.  Both datasets did their
+        work when they were built (the map is a flat partition of the
+        block axis, the database holds its codes as the column's bytes),
+        so each column is one sorted probe and a gather.
         """
         updates: dict[str, np.ndarray] = {}
         if pfx2as is not None and len(self.blocks):
-            asns = pfx2as.asns_of_blocks(self.blocks)
-            updates["asns"] = np.where(asns < 0, NO_ASN, asns)
+            # The map's -1 for an uncovered block is NO_ASN.
+            updates["asns"] = pfx2as.asns_of_blocks(self.blocks)
         if geodb is not None and len(self.blocks):
-            updates["countries"] = geodb.lookup(self.blocks)
+            updates["countries"] = geodb.codes_of_blocks(self.blocks)
         if not updates:
             return self
         return replace(self, **updates)

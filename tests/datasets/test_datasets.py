@@ -98,6 +98,26 @@ class TestGeoDatabase:
         with pytest.raises(ValueError):
             GeoDatabase(blocks=np.array([1]), country_codes=np.array(["US", "DE"]))
 
+    def test_code_bytes_follow_the_block_order(self):
+        geodb = GeoDatabase(
+            blocks=np.array([20, 10]), country_codes=np.array(["DE", "US"])
+        )
+        assert geodb.codes_of_blocks(np.array([10, 30, 20])).tolist() == [
+            b"US", b"??", b"DE"
+        ]
+        empty = GeoDatabase(blocks=np.array([]), country_codes=np.array([]))
+        assert empty.codes_of_blocks(np.array([10])).tolist() == [b"??"]
+        assert empty.lookup(np.array([10])).tolist() == ["??"]
+
+    @pytest.mark.parametrize("code", ["USA", "U", "", "ÜS", "日本"])
+    def test_code_not_two_ascii_characters_rejected(self, code):
+        # "USA" would have become b"US" and "ÜS" a UnicodeEncodeError in
+        # every snapshot published with this database.
+        with pytest.raises(ValueError, match="of block 20 is not two ASCII"):
+            GeoDatabase(
+                blocks=np.array([10, 20]), country_codes=np.array(["US", code])
+            )
+
 
 class TestPfx2As:
     def make_map(self):
