@@ -165,11 +165,22 @@ class SnapshotDeltaStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.compact_threshold = compact_threshold
         self.compactions = 0
+        # The store is the one writer of its files, so what it last wrote
+        # stays in memory: the manifest, how many segments deltas.fpk
+        # holds, and the latest snapshot.  An append reads back only the
+        # segment headers append_table_columns checks before it writes.
         self._latest: ClassificationSnapshot | None = None
-        manifest = self._read_manifest()
-        if manifest is not None:
-            self.compactions = int(manifest.get("compactions", 0))
-            self._latest = self._reconstruct(manifest, None)
+        self._manifest = self._read_manifest()
+        self._segments = 0
+        if self._manifest is not None:
+            self.compactions = int(self._manifest.get("compactions", 0))
+            if self.deltas_path.exists():
+                self._segments = len(
+                    TableArchive(
+                        self.deltas_path, expected_columns=DELTA_COLUMNS
+                    ).segments
+                )
+            self._latest = self._reconstruct(self._manifest, None)
 
     # -- paths & manifest ----------------------------------------------
 
@@ -197,7 +208,7 @@ class SnapshotDeltaStore:
         return manifest
 
     def _require_manifest(self) -> dict[str, Any]:
-        manifest = self._read_manifest()
+        manifest = self._manifest
         if manifest is None:
             raise SnapshotStoreError(f"{self.root}: empty snapshot store")
         return manifest
@@ -209,6 +220,7 @@ class SnapshotDeltaStore:
             self.manifest_path,
             json.dumps(manifest, separators=(",", ":")) + "\n",
         )
+        self._manifest = manifest
 
     # -- the write path ------------------------------------------------
 
@@ -223,14 +235,11 @@ class SnapshotDeltaStore:
             raise SnapshotStoreError(
                 "only published snapshots (version >= 1) can be stored"
             )
-        manifest = self._read_manifest()
+        manifest, latest = self._manifest, self._latest
         if manifest is None:
             self._write_base(snapshot)
             self._latest = snapshot
             return
-        latest = self._latest
-        if latest is None:  # store reopened without replayable state
-            latest = self._reconstruct(manifest, None)
         if snapshot.version <= latest.version:
             raise SnapshotStoreError(
                 f"store already holds version {latest.version}; "
@@ -245,7 +254,7 @@ class SnapshotDeltaStore:
             "segment": None,
         }
         if entry["rows"]:
-            if not self.deltas_path.exists():
+            if not self._segments:
                 write_table_archive(
                     {
                         name: np.empty(0, dtype=dtype)
@@ -254,12 +263,12 @@ class SnapshotDeltaStore:
                     self.deltas_path,
                     meta={"kind": DELTA_KIND},
                 )
-            archive = TableArchive(
-                self.deltas_path, expected_columns=DELTA_COLUMNS
-            )
-            entry["segment"] = len(archive.segments)
+            entry["segment"] = self._segments
             append_table_columns(delta, self.deltas_path)
-        manifest["deltas"].append(entry)
+            self._segments += 1
+        # A new dict, so a manifest write that fails leaves the one in
+        # memory as it is on disk.
+        manifest = {**manifest, "deltas": [*manifest["deltas"], entry]}
         self._write_manifest(manifest)
         self._latest = snapshot
         if (
@@ -275,6 +284,7 @@ class SnapshotDeltaStore:
         os.replace(tmp, self.base_path)
         if self.deltas_path.exists():
             self.deltas_path.unlink()
+        self._segments = 0
         self._write_manifest(
             {
                 "base": {
@@ -288,7 +298,7 @@ class SnapshotDeltaStore:
 
     def compact(self) -> None:
         """Fold all deltas into a new base (narrows retention to now)."""
-        latest = self.load()
+        latest = self._latest if self._latest is not None else self.load()
         self.compactions += 1
         self._write_base(latest)
         self._latest = latest
@@ -301,7 +311,7 @@ class SnapshotDeltaStore:
 
     def versions(self) -> list[int]:
         """Retained versions, oldest first (empty store: ``[]``)."""
-        manifest = self._read_manifest()
+        manifest = self._manifest
         if manifest is None:
             return []
         return [manifest["base"]["version"]] + [
