@@ -2,13 +2,20 @@
  *
  * A CPython extension module, _kernels, compiled on demand by
  * repro.core.kernels (cc -O3 -shared -fPIC -I<python include>).  Its
- * only exported symbol is PyInit__kernels; the module has exactly five
- * functions, fold_batch, merge_sorted, merge_k, crc32_columns and
- * address_pass — the ops that earn their C in the layer budget
- * (crc32_columns checksums flowpack columns, address_pass walks the
- * funnel's address table; see their own comments further down).  Arrays arrive
- * through the buffer protocol and are checked here (see the binding
- * section at the end of this file) before the GIL is dropped.  Identity
+ * only exported symbol is PyInit__kernels; the module has exactly six
+ * functions, fold_batch, merge_sorted, merge_k, crc32_columns,
+ * address_pass and parse_csv_block — the ops that earn their C in the
+ * layer budget (crc32_columns checksums flowpack columns, address_pass
+ * walks the funnel's address table, parse_csv_block turns a plain flow
+ * CSV block into typed columns; see their own comments further down).
+ * parse_csv_block reads untrusted bytes: it reads only the block, writes
+ * only the rows its outputs hold, and declines (None) every block that
+ * is not exactly what repro.io's plain path takes — a byte outside
+ * "0-9,-\r\n", a lone CR, a ragged row, an empty field, a misplaced '-',
+ * a value out of range — so the per-row reader names the damage.
+ * Arrays arrive through the buffer protocol and are checked here (see
+ * the binding section at the end of this file) before the GIL is
+ * dropped.  Identity
  * contract: every kernel accumulates per-key sums in original row
  * order and merges parts left-to-right, reproducing numpy's np.unique
  * + np.bincount float operation order bit for bit (see
@@ -893,8 +900,109 @@ static int64_t crc32_columns(
 #endif
 }
 
+/* A plain flow-CSV block parsed into typed columns: what the np.loadtxt
+ * reference in repro.core.kernels does, in one pass over the bytes.
+ *
+ * A block is whole lines.  A line is either blank (LF or CRLF alone,
+ * skipped) or a row of exactly one field per column, separated by
+ * commas, ended by LF, CRLF or the end of the block.  A field is an
+ * optional '-' and one or more ASCII digits, read with overflow checks
+ * against its column's parse type: uint64 for a uint64 column (no '-'
+ * at all, "-0" included), int64 for every other (one leading '-';
+ * INT64_MIN reads).  The value is then range-checked against the
+ * column's own type — the bool flag takes any int64 and stores
+ * nonzero — and written straight into the column's output row.
+ *
+ * The kernel declines (returns -1) on anything else, and the caller
+ * hands the block to its per-row reader: a byte outside "0-9,-\r\n"
+ * (NUL and bytes >= 0x80 included), a CR that is not the first half of
+ * a CRLF, a ragged row, an empty field, a misplaced or doubled '-', a
+ * value past its parse type or outside its column's, no row at all (an
+ * empty block, or blank lines only), or more rows than the outputs hold.
+ * Leading zeros are digits like any other: "00000000000000000007" is 7.
+ * On success it returns the rows written and stores the block's LF count
+ * in *lines.  It reads only [buf, buf + n) and writes only rows below
+ * `room`; the outputs past the last row it returns are left as they
+ * were, and a declined call may have written rows it then abandons. */
+typedef struct {
+    void *out;
+    int width;         /* bytes per output value */
+    int unsigned64;    /* parsed as uint64: no '-', no range check */
+    int flag;          /* the bool flag: stores value != 0 */
+    int64_t min, max;  /* the column type's range, for int64 parses */
+} CsvColumn;
+
+static int64_t parse_csv_block(const uint8_t *buf, int64_t n,
+                               const CsvColumn *cols, int64_t ncols,
+                               int64_t room, int64_t *lines)
+{
+    const uint8_t *p = buf, *end = buf + n;
+    int64_t rows = 0, lfs = 0;
+    while (p < end) {
+        if (*p == '\n') {
+            lfs++;
+            p++;
+            continue;
+        }
+        if (*p == '\r') {
+            if (end - p < 2 || p[1] != '\n') return -1;
+            lfs++;
+            p += 2;
+            continue;
+        }
+        if (rows == room) return -1;
+        for (int64_t c = 0; c < ncols; c++) {
+            const CsvColumn *col = &cols[c];
+            int neg = p < end && *p == '-';
+            if (neg && col->unsigned64) return -1;
+            p += neg;
+            const uint8_t *digits = p;
+            uint64_t v = 0;
+            unsigned d;
+            while (p < end && (d = (unsigned)*p - '0') <= 9) {
+                if (__builtin_mul_overflow(v, 10, &v)
+                    || __builtin_add_overflow(v, d, &v))
+                    return -1;
+                p++;
+            }
+            if (p == digits) return -1;
+            /* A comma between fields; the line's (or block's) end after
+             * the last, left for the loop head to count. */
+            if (c + 1 < ncols) {
+                if (p == end || *p != ',') return -1;
+                p++;
+            } else if (p != end && *p != '\n' && *p != '\r') {
+                return -1;
+            }
+            if (col->unsigned64) {
+                ((uint64_t *)col->out)[rows] = v;
+                continue;
+            }
+            if (v > (uint64_t)INT64_MAX + neg) return -1;
+            /* -v without overflow at v = 2**63. */
+            int64_t value = !neg ? (int64_t)v
+                          : v ? -(int64_t)(v - 1) - 1 : 0;
+            if (value < col->min || value > col->max) return -1;
+            if (col->flag) value = value != 0;
+            /* In range, so the low `width` bytes are the value in the
+             * column's own type, signed or not. */
+            switch (col->width) {
+            case 1: ((uint8_t *)col->out)[rows] = (uint8_t)value; break;
+            case 2: ((uint16_t *)col->out)[rows] = (uint16_t)value; break;
+            case 4: ((uint32_t *)col->out)[rows] = (uint32_t)value; break;
+            default: ((int64_t *)col->out)[rows] = value; break;
+            }
+        }
+        /* The row read a digit at least, so the walk moved on. */
+        rows++;
+    }
+    if (rows == 0) return -1;
+    *lines = lfs;
+    return rows;
+}
+
 /* ------------------------------------------------------------------
- * The Python binding: five METH_FASTCALL functions.
+ * The Python binding: six METH_FASTCALL functions.
  *
  * Every array arrives through the buffer protocol and is checked here
  * before any kernel reads it: element kind and width, one dimension,
@@ -908,9 +1016,9 @@ static int64_t crc32_columns(
  * caller then takes the numpy reference.
  * ------------------------------------------------------------------ */
 
-/* 'i' (signed), 'u' (unsigned) or 'f' (floating) for a native-order
- * scalar struct format, 0 for anything else (bool, structs, other
- * byte orders). */
+/* 'i' (signed), 'u' (unsigned), 'f' (floating) or 'b' (bool) for a
+ * native-order scalar struct format, 0 for anything else (structs,
+ * other byte orders). */
 static char format_kind(const char *format) {
     static const char native_order = PY_LITTLE_ENDIAN ? '<' : '>';
     if (format == NULL) return 'u'; /* "B" by the protocol */
@@ -920,16 +1028,17 @@ static char format_kind(const char *format) {
     if (strchr("bhilqn", format[0])) return 'i';
     if (strchr("BHILQN", format[0])) return 'u';
     if (strchr("efd", format[0])) return 'f';
+    if (format[0] == '?') return 'b';
     return 0;
 }
 
 static const char *kind_name(char kind) {
     return kind == 'i' ? "int" : kind == 'u' ? "uint"
-         : kind == 'f' ? "float" : "typed";
+         : kind == 'f' ? "float" : kind == 'b' ? "bool" : "typed";
 }
 
 /* Acquire `obj`'s buffer into `view` as a 1-d, C-contiguous array of
- * `kind` ('i', 'u', 'f') aligned to its item width, or of any element
+ * `kind` ('i', 'u', 'f', 'b') aligned to its item width, or of any element
  * type (kind 0: read as bytes), with `width` bytes per item (0: any),
  * writable if asked.  On failure raises and leaves
  * view->obj NULL. */
@@ -1520,6 +1629,106 @@ done:
     return result;
 }
 
+/* parse_csv_block(block, kinds, columns) -> (rows, lines) | None
+ *
+ * block is any 1-d C-contiguous buffer of bytes; kinds a bytes object
+ * with one struct code per column, one of the flow columns' types:
+ * B H I Q (uint8, 16, 32, 64), i q (int32, 64) or ? (the bool flag);
+ * columns a list of writable outputs, one per code, of the code's type
+ * and all the same length (the most rows the call may write).  None:
+ * the kernel declines the block. */
+#define CSV_KINDS 7
+static const struct { char code, kind; Py_ssize_t width; int64_t min, max; }
+csv_kinds[CSV_KINDS] = {
+    {'B', 'u', 1, 0, UINT8_MAX}, {'H', 'u', 2, 0, UINT16_MAX},
+    {'I', 'u', 4, 0, UINT32_MAX}, {'Q', 'u', 8, 0, 0},
+    {'i', 'i', 4, INT32_MIN, INT32_MAX}, {'q', 'i', 8, INT64_MIN, INT64_MAX},
+    {'?', 'b', 1, INT64_MIN, INT64_MAX},
+};
+
+static PyObject *py_parse_csv_block(PyObject *self, PyObject *const *args,
+                                    Py_ssize_t nargs)
+{
+    static const char *func = "parse_csv_block";
+    (void)self;
+    if (check_nargs(func, nargs, 3) < 0) return NULL;
+    if (!PyBytes_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError, "%s: kinds must be bytes, got %.80s",
+                     func, Py_TYPE(args[1])->tp_name);
+        return NULL;
+    }
+    if (!PyList_Check(args[2])) {
+        PyErr_Format(PyExc_TypeError, "%s: columns must be a list, got %.80s",
+                     func, Py_TYPE(args[2])->tp_name);
+        return NULL;
+    }
+    const char *codes = PyBytes_AS_STRING(args[1]);
+    Py_ssize_t ncols = PyBytes_GET_SIZE(args[1]);
+    if (ncols != PyList_GET_SIZE(args[2]) || ncols == 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: %zd column kinds for %zd columns (one each, one "
+                     "at least)", func, ncols, PyList_GET_SIZE(args[2]));
+        return NULL;
+    }
+    /* A tuple copy: acquiring a buffer cannot change the list under us. */
+    PyObject *list = PyList_AsTuple(args[2]);
+    if (list == NULL) return NULL;
+    Py_ssize_t held = 0;
+    Py_buffer *views = PyMem_Malloc(
+        (ncols + 1) * sizeof(Py_buffer) + ncols * sizeof(CsvColumn));
+    if (views == NULL) {
+        Py_DECREF(list);
+        return PyErr_NoMemory();
+    }
+    CsvColumn *cols = (CsvColumn *)(views + ncols + 1);
+    PyObject *result = NULL;
+    if (get_array(func, "block", args[0], 0, 1, 0, &views[0]) < 0) goto done;
+    held++;
+    Py_ssize_t room = 0;
+    for (Py_ssize_t c = 0; c < ncols; c++) {
+        int k = 0;
+        while (k < CSV_KINDS && csv_kinds[k].code != codes[c]) k++;
+        if (k == CSV_KINDS) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: column %zd: unknown kind code %d", func, c,
+                         (int)(unsigned char)codes[c]);
+            goto done;
+        }
+        if (get_array(func, "column", PyTuple_GET_ITEM(list, c),
+                      csv_kinds[k].kind, csv_kinds[k].width, 1,
+                      &views[held]) < 0)
+            goto done;
+        held++;
+        if (c == 0) room = items(&views[1]);
+        if (items(&views[held - 1]) != room) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: column %zd holds %zd rows, column 0 holds %zd",
+                         func, c, items(&views[held - 1]), room);
+            goto done;
+        }
+        cols[c] = (CsvColumn){
+            views[held - 1].buf, (int)csv_kinds[k].width, codes[c] == 'Q',
+            codes[c] == '?', csv_kinds[k].min, csv_kinds[k].max,
+        };
+    }
+    int64_t rows, lines = 0;
+    Py_BEGIN_ALLOW_THREADS
+    rows = parse_csv_block(views[0].buf, views[0].len, cols, ncols, room,
+                           &lines);
+    Py_END_ALLOW_THREADS
+    if (rows < 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    } else {
+        result = Py_BuildValue("(LL)", (long long)rows, (long long)lines);
+    }
+done:
+    release_all(views, held);
+    PyMem_Free(views);
+    Py_DECREF(list);
+    return result;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"fold_batch", (PyCFunction)(void (*)(void))py_fold_batch,
      METH_FASTCALL, "One day's batch of row slices folded in one call."},
@@ -1531,13 +1740,15 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL, "zlib's CRC-32 of each column, one call per segment."},
     {"address_pass", (PyCFunction)(void (*)(void))py_address_pass,
      METH_FASTCALL, "The funnel's per-block address evidence in one walk."},
+    {"parse_csv_block", (PyCFunction)(void (*)(void))py_parse_csv_block,
+     METH_FASTCALL, "A plain flow-CSV block into typed columns, or None."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "The native fold, merges, column checksums and address pass of "
-    "repro.core.kernels.",
+    "The native fold, merges, column checksums, address pass and CSV "
+    "block parser of repro.core.kernels.",
     -1, kernel_methods, NULL, NULL, NULL, NULL,
 };
 

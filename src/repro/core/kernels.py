@@ -22,7 +22,10 @@ Two backends compute the accumulator's hot loops:
   boundary, not the tens that per-argument ctypes conversion cost
   (docs/architecture.md has the per-call table).  The same module
   checksums flowpack columns (:func:`crc32_columns`: zlib's CRC-32 values,
-  one C call per segment).  The source is compiled once per source hash
+  one C call per segment) and parses plain flow-CSV blocks
+  (:func:`parse_csv_block`: one C pass from a block's bytes to one typed
+  array per column, declining every block its ``np.loadtxt`` reference
+  declines).  The source is compiled once per source hash
   and interpreter ABI with the system C compiler against the interpreter's
   own headers (cached under ``~/.cache/repro/kernels`` as
   ``_kernels-<hash><EXT_SUFFIX>``) and needs no Python dependency; without
@@ -58,7 +61,9 @@ import subprocess
 import sysconfig
 import tempfile
 import threading
+import warnings
 import zlib
+from io import BytesIO
 from pathlib import Path
 from typing import Any
 
@@ -74,6 +79,7 @@ __all__ = [
     "NumpyKernel",
     "NativeKernel",
     "crc32_columns",
+    "parse_csv_block",
     "get_kernel",
     "resolve_kernel_name",
     "native_provider",
@@ -495,6 +501,106 @@ def crc32_columns(arrays) -> list[int]:
         if ext.crc32_columns(arrays, crcs) is not None:
             return crcs.tolist()
     return [zlib.crc32(array) for array in arrays]
+
+
+#: The only bytes a plain CSV block holds (``-`` for the signed columns'
+#: negatives, such as an unknown ASN's -1).
+_PLAIN_BYTES = b"0123456789,-\r\n"
+
+#: A flow column's dtype -> its code in the C parser's kind table.
+_CSV_KINDS = {
+    np.dtype(dtype): code
+    for dtype, code in (
+        (np.uint8, "B"), (np.uint16, "H"), (np.uint32, "I"), (np.uint64, "Q"),
+        (np.int32, "i"), (np.int64, "q"), (np.bool_, "?"),
+    )
+}
+
+
+def parse_csv_block(
+    block: bytes, dtypes: list[np.dtype]
+) -> tuple[list[np.ndarray], int] | None:
+    """A plain CSV block's rows as column arrays, with its line count.
+
+    A block is plain when it holds only digits, commas, minus signs and
+    newlines, and every CR is the first half of a CRLF.  It then has no
+    plus sign, space, underscore, quote or comment, and its lines are
+    exactly its LFs.  Blank lines are skipped, as ``csv.reader`` skips
+    them.  Each field is read as uint64 in a uint64 column and as int64
+    in any other, then range-checked against its column's dtype (the
+    bool flag takes any integer).
+
+    ``None`` when the block is not plain, or some row needs a per-row
+    reader: a ragged row, an empty field, a misplaced or doubled ``-``,
+    a ``-`` in a uint64 column, a value past the parse dtype or outside
+    its column's, or no row at all.
+
+    The native provider parses the block in one C pass straight into
+    one array per column; without it — disabled, or no compiler — the
+    ``np.loadtxt`` reference (:func:`_loadtxt_csv_block`) does.  Both
+    return the same columns and decline the same blocks
+    (``tests/core/test_kernels.py`` and ``tests/test_streaming.py``
+    check it).
+    """
+    ext = _native_kernel()._ext
+    if ext is None:
+        return _loadtxt_csv_block(block, dtypes)
+    # A row takes a digit and a comma (or its line end) per column at
+    # least, but the block's last may lack its line end.
+    rows = (len(block) + 1) // (2 * len(dtypes))
+    columns = [np.empty(rows, dtype=d) for d in dtypes]
+    parsed = ext.parse_csv_block(
+        block, "".join(_CSV_KINDS[np.dtype(d)] for d in dtypes).encode(),
+        columns,
+    )
+    if parsed is None:
+        return None
+    rows, lines = parsed
+    _trimmed(rows, *columns)
+    return columns, lines
+
+
+def _loadtxt_csv_block(
+    block: bytes, dtypes: list[np.dtype]
+) -> tuple[list[np.ndarray], int] | None:
+    """:func:`parse_csv_block` through numpy's C text reader.
+
+    This relies on ``np.loadtxt`` raising ``ValueError`` for any integer
+    field that ``int()`` would not give the same value for: an empty
+    field, a misplaced or doubled ``-``, a ``-`` in a uint64 column, or
+    a value past the parse dtype.  Older numpy instead reads such a
+    field through a float and warns with a ``DeprecationWarning``; that
+    warning is raised as an error here, so it also hands over.
+    """
+    # A block of blank lines only would make loadtxt warn.
+    if block.translate(None, _PLAIN_BYTES) or not block.strip(b"\r\n"):
+        return None
+    codes = np.frombuffer(block, dtype=np.uint8)
+    lf, cr = codes == 10, codes == 13
+    if cr[-1] or (cr[:-1] > lf[1:]).any():
+        return None
+    parse = np.dtype([
+        (f"f{i}", np.uint64 if d == np.uint64 else np.int64)
+        for i, d in enumerate(dtypes)
+    ])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(
+                BytesIO(block), delimiter=",", dtype=parse,
+                comments=None, quotechar=None, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    columns = []
+    for name, dtype in zip(parse.names, dtypes):
+        values = records[name]
+        if dtype != bool:
+            info = np.iinfo(dtype)
+            if values.min() < info.min or values.max() > info.max:
+                return None
+        columns.append(values.astype(dtype))
+    return columns, int(np.count_nonzero(lf))
 
 
 def _cache_dir() -> Path:

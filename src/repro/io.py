@@ -22,13 +22,16 @@ The three CSV flow readers share one core, which reads the body in
 fixed blocks of whole lines (``_BLOCK_BYTES``).  A *plain* block —
 only digits, commas, minus signs and newlines, every CR the first half
 of a CRLF, which is everything :func:`write_flows_csv` emits (the -1 of
-an unknown ASN included) — is parsed in one call to numpy's C text
-reader.  From the first block that is not plain (or whose rows are
-ragged, have an empty field or a value outside its column), the rest
-of the file goes row by row through ``csv.reader`` and ``int()``, with
-line numbers offset by the lines already consumed, so damage is
-rejected with the same rows, line numbers and messages either way.  A
-stream holds at most ``chunk_rows`` parsed rows plus two blocks.
+an unknown ASN included) — is parsed in one pass from its bytes to
+typed columns by :func:`repro.core.kernels.parse_csv_block` (the native
+provider's C parser, or its ``np.loadtxt`` reference when the extension
+is unavailable or disabled).  From the first block that is not plain
+(or whose rows are ragged, have an empty field or a value outside its
+column), the rest of the file goes row by row through ``csv.reader``
+and ``int()``, with line numbers offset by the lines already consumed,
+so damage is rejected with the same rows, line numbers and messages
+either way.  A stream holds at most ``chunk_rows`` parsed rows plus two
+blocks.
 
 Flow tables additionally serialise to **flowpack**, a binary columnar
 archive format (:mod:`repro.flowpack`) re-exported here: per-column
@@ -43,9 +46,8 @@ damaged segments through the same :class:`ParseReport` path).
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
-from io import BytesIO, TextIOWrapper
+from io import TextIOWrapper
 from itertools import chain
 from operator import le
 from pathlib import Path
@@ -252,10 +254,6 @@ def write_flows_csv(flows: FlowTable, path: str | Path) -> None:
 #: so a block always holds whole lines.
 _BLOCK_BYTES = 1 << 20
 
-#: The only bytes a plain block holds (``-`` for the signed columns'
-#: negatives, such as an unknown ASN's -1).
-_PLAIN_BYTES = b"0123456789,-\r\n"
-
 
 def _header_family(header: list[str] | None) -> str:
     """The address family whose schema matches a CSV header row."""
@@ -301,61 +299,6 @@ def _line_blocks(handle) -> Iterator[bytes]:
         yield data[:cut]
     if carry:
         yield carry
-
-
-def _plain_columns(
-    block: bytes, dtypes: list[np.dtype]
-) -> tuple[list[np.ndarray], int] | None:
-    """A plain block's rows as column arrays, with its line count.
-
-    A block is plain when it holds only digits, commas, minus signs and
-    newlines, and every CR is the first half of a CRLF.  It then has no
-    plus sign, space, underscore, quote or comment, and its lines are
-    exactly its LFs.  Blank lines are skipped, as ``csv.reader`` skips
-    them.  Each field is read by numpy's C text reader as uint64 in a
-    uint64 column and as int64 in any other, then range-checked against
-    its column's dtype (the bool flag takes any integer).
-
-    This relies on ``np.loadtxt`` raising ``ValueError`` for any integer
-    field that ``int()`` would not give the same value for: an empty
-    field, a misplaced or doubled ``-``, a ``-`` in a uint64 column, or
-    a value past the parse dtype.  Older numpy instead reads such a
-    field through a float and warns with a ``DeprecationWarning``; that
-    warning is raised as an error here, so it also hands over.
-
-    ``None`` when the block is not plain, or some row needs the per-row
-    path: any of the fields above, a ragged row, a value outside its
-    column's dtype, or no row at all.
-    """
-    # A block of blank lines only would make loadtxt warn.
-    if block.translate(None, _PLAIN_BYTES) or not block.strip(b"\r\n"):
-        return None
-    codes = np.frombuffer(block, dtype=np.uint8)
-    lf, cr = codes == 10, codes == 13
-    if cr[-1] or (cr[:-1] > lf[1:]).any():
-        return None
-    parse = np.dtype([
-        (f"f{i}", np.uint64 if d == np.uint64 else np.int64)
-        for i, d in enumerate(dtypes)
-    ])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            records = np.loadtxt(
-                BytesIO(block), delimiter=",", dtype=parse,
-                comments=None, quotechar=None, ndmin=1,
-            )
-    except (ValueError, DeprecationWarning):
-        return None
-    columns = []
-    for name, dtype in zip(parse.names, dtypes):
-        values = records[name]
-        if dtype != bool:
-            info = np.iinfo(dtype)
-            if values.min() < info.min or values.max() > info.max:
-                return None
-        columns.append(values.astype(dtype))
-    return columns, int(np.count_nonzero(lf))
 
 
 def _parsed_rows(
@@ -427,14 +370,19 @@ def _iter_flow_columns(
     arrays in schema order.
 
     Behind the writer's own header the body is read in blocks of whole
-    lines, and each plain block (:func:`_plain_columns`) is one run.
-    From the first block that is not plain, and for a file with any
-    other header from its first line, the rest goes through
-    :func:`_parsed_rows`.  That path yields a run whenever the good
-    rows so far reach a multiple of ``flush_rows`` (``None``: once, at
-    the end), so a strict stream's chunks land before a bad row raises,
-    exactly as when every row went that way.
+    lines, and each plain block is one run: its columns as
+    :func:`repro.core.kernels.parse_csv_block` returns them, in their
+    dtypes (native or reference, the same arrays).  From the first
+    block that declines, and for a file with any other header from its
+    first line, the rest goes through :func:`_parsed_rows`; a body the
+    blocks took whole never starts it.  That path yields a run whenever
+    the good rows so far reach a multiple of ``flush_rows`` (``None``:
+    once, at the end), so a strict stream's chunks land before a bad row
+    raises, exactly as when every row went that way.
     """
+    # Local: importing repro.core loads the whole engine.
+    from repro.core.kernels import parse_csv_block
+
     with open(path, "rb") as handle:
         family = _plain_header_family(handle)
         plain = family is not None
@@ -448,7 +396,7 @@ def _iter_flow_columns(
         if plain:
             skipped_lines, offset = 1, handle.tell()
             for block in _line_blocks(handle):
-                parsed = _plain_columns(block, dtypes)
+                parsed = parse_csv_block(block, dtypes)
                 if parsed is None:
                     break
                 columns, lines = parsed
@@ -458,6 +406,9 @@ def _iter_flow_columns(
                 report.good_rows += len(columns[0])
                 yield columns
             handle.seek(offset)
+            # The blocks took the whole body: no row is left for csv.reader.
+            if not handle.peek(1):
+                return
             reader = csv.reader(TextIOWrapper(handle, newline=""))
         rows = []
         for row in _parsed_rows(
@@ -497,13 +448,14 @@ def iter_flows_csv(
     The streaming counterpart of :func:`read_flows_csv` — strict (a
     malformed row raises with the file name and line number) — and
     every chunk has exactly ``chunk_rows`` rows but the last, which may
-    be shorter.  Plain blocks of the body go through numpy's C text
-    reader, anything else row by row through ``csv.reader`` (see
-    :func:`_iter_flow_columns`).  Either way at most ``chunk_rows``
-    parsed rows plus two blocks are held at once: the block being
-    parsed (up to 1 MiB of text and its columns), and the columns of
-    the previous one while its last rows wait for the next chunk.  So
-    a multi-GB export can feed a
+    be shorter.  Plain blocks of the body are parsed in one pass each,
+    straight into typed columns (the native C parser, or its
+    ``np.loadtxt`` reference without the extension), anything else row
+    by row through ``csv.reader`` (see :func:`_iter_flow_columns`).
+    Either way at most ``chunk_rows`` parsed rows plus two blocks are
+    held at once: the block being parsed (up to 1 MiB of text and its
+    columns), and the columns of the previous one while its last rows
+    wait for the next chunk.  So a multi-GB export can feed a
     :class:`repro.core.accum.PrefixAccumulator` without loading the day
     into memory.  Chunks concatenate to exactly the one-shot read.
     """

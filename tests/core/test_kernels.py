@@ -21,6 +21,10 @@ The k-way merge is checked on its own the same way (2-100 parts, key
 ranges up to the full int64 span, fractional and -0.0 values, the
 reference regroup forbidden), and ``_KeyedSums`` runs as a state
 machine under both kernels against a dict of per-key sums.
+The CSV block parser is checked against its ``np.loadtxt`` reference:
+on drawn blocks and on named hostile ones (NUL and high bytes, lone
+CRs, signs, both parse types' extremes, zero padding) both decline, or
+both give the same line count and the same column bytes.
 The numpy-vs-native classes are skipped (not passed numpy against
 numpy) on a host where the module cannot be built.
 """
@@ -53,6 +57,7 @@ from repro.core.kernels import (
     crc32_columns,
     get_kernel,
     native_provider,
+    parse_csv_block,
     resolve_kernel_name,
 )
 from repro.core.metatelescope import MetaTelescope
@@ -61,7 +66,7 @@ from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults.injectors import CorruptedFields, DuplicatedRecords
 from repro.net.family import FAMILY_IPV4, FAMILY_IPV6
 from repro.net.ipv4 import parse_ip
-from repro.traffic.flows import FlowTable
+from repro.traffic.flows import FlowTable, flow_columns
 from repro.traffic.packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.vantage.sampling import VantageDayView
 from repro.world.observe import Observatory
@@ -1164,6 +1169,194 @@ class TestCrc32Fallback:
         assert crc32_columns([strided]) == [expected]
 
 
+#: Fields on a parse or range boundary, or one step past it: the signs
+#: ``int()`` and numpy read differently, both parse types' extremes, the
+#: flow columns' own, and zero-padded twenty-digit fields.
+CSV_EDGE_FIELDS = [
+    "0", "-0", "-", "--1", "1-", "1-2", "-1", "", "007",
+    "00000000000000000007", "00000000000000000000",
+    "000000000000000000000000000000001",
+    "255", "256", "65535", "65536", "4294967295", "4294967296",
+    "2147483647", "2147483648", "-2147483648", "-2147483649",
+    "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809",
+    "18446744073709551615", "18446744073709551616", "99999999999999999999",
+]
+
+
+def csv_good_field(draw, dtype):
+    """A value the writer emits for a column of ``dtype``."""
+    if dtype == bool:
+        return str(draw(st.integers(0, 1)))
+    info = np.iinfo(dtype)
+    return str(draw(st.one_of(
+        st.sampled_from([int(info.min), int(info.max), 0]),
+        st.integers(int(info.min), int(info.max)),
+    )))
+
+
+@st.composite
+def csv_blocks(draw):
+    """``(dtypes, block)``: a flow family's column dtypes and a block of
+    lines — mostly writer rows, some with an edge field, a ragged row,
+    a blank line or a stray byte — LF or CRLF, its last line ending or
+    not."""
+    family = draw(st.sampled_from([FAMILY_IPV4, FAMILY_IPV6]))
+    dtypes = list(flow_columns(family).values())
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [csv_good_field(draw, dtype) for dtype in dtypes]
+        kind = draw(st.sampled_from(
+            ["good", "good", "good", "edge", "blank", "ragged", "byte"]
+        ))
+        at = draw(st.integers(0, len(fields) - 1))
+        if kind == "edge":
+            fields[at] = draw(st.sampled_from(CSV_EDGE_FIELDS))
+        elif kind == "ragged":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
+        line = "" if kind == "blank" else ",".join(fields)
+        if kind == "byte":
+            spot = draw(st.integers(0, len(line)))
+            stray = chr(draw(st.sampled_from([0, 9, 13, 32, 43, 95, 128, 255])))
+            line = line[:spot] + stray + line[spot:]
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    block = "".join(lines)
+    if draw(st.booleans()):
+        block = block.rstrip("\r\n")
+    return dtypes, block.encode("latin-1")
+
+
+def assert_csv_parsers_agree(dtypes, block):
+    """The C parser and the ``np.loadtxt`` reference both decline
+    ``block``, or give the same line count and the same columns."""
+    native = parse_csv_block(block, dtypes)
+    reference = kernels._loadtxt_csv_block(block, dtypes)
+    assert (native is None) == (reference is None), (block, native, reference)
+    if reference is None:
+        return
+    (ours, lines), (theirs, their_lines) = native, reference
+    assert lines == their_lines
+    assert [(c.dtype, c.tobytes()) for c in ours] == [
+        (c.dtype, c.tobytes()) for c in theirs
+    ]
+
+
+V4_CSV = list(flow_columns(FAMILY_IPV4).values())
+V6_CSV = list(flow_columns(FAMILY_IPV6).values())
+V4_ROW = b"16843009,33686018,6,23,1,40,65000,-1,0"
+V6_ROW = b"1,2,6,23,1,40,65000,-1,1,18446744073709551615,4"
+
+def v4_line(field=None, value=b""):
+    """``V4_ROW`` with its ``bytes`` field (``field`` None) or the named
+    field's text replaced by ``value``, plus an LF."""
+    return V4_ROW.replace(field or b",40,", value or b",40,") + b"\n"
+
+
+def v6_line(value):
+    """``V6_ROW`` with its last field replaced by ``value``, plus an LF."""
+    return V6_ROW.rsplit(b",", 1)[0] + b"," + value + b"\n"
+
+
+#: Blocks on the plain path's edges, by name, with the family dtypes
+#: they are parsed for: both parsers decline each, or parse it the same.
+HOSTILE_CSV_BLOCKS = {
+    "nul": (V4_CSV, V4_ROW + b"\x00\n"),
+    "nul-field": (V4_CSV, v4_line(b",6,", b",\x006,")),
+    "high-byte": (V4_CSV, V4_ROW + b"\n" + v4_line(b",23,", b",2\x803,")),
+    "byte-ff": (V4_CSV, b"\xff" + v4_line()),
+    "cr-at-end": (V4_CSV, V4_ROW + b"\r"),
+    "cr-inside": (V4_CSV, V4_ROW.replace(b",6,", b",6\r,") + b"\r\n"),
+    "crlf-rows": (V4_CSV, V4_ROW + b"\r\n" + V4_ROW + b"\r\n"),
+    "blank-only": (V4_CSV, b"\n\r\n\n"),
+    "blank-around": (V4_CSV, b"\n" + V4_ROW + b"\n\r\n" + V4_ROW + b"\n\n"),
+    "lone-minus": (V4_CSV, v4_line(value=b",-,")),
+    "minus-zero": (V4_CSV, v4_line(value=b",-0,")),
+    "minus-zero-unsigned": (V4_CSV, v4_line(b",23,", b",-0,")),
+    "minus-zero-uint64": (V6_CSV, v6_line(b"-0")),
+    "double-minus": (V4_CSV, v4_line(value=b",--1,")),
+    "trailing-minus": (V4_CSV, v4_line(value=b",1-,")),
+    "int64-min": (V4_CSV, v4_line(value=b",-9223372036854775808,")),
+    "int64-max-plus-one": (V4_CSV, v4_line(value=b",9223372036854775808,")),
+    "int64-min-minus-one": (V4_CSV, v4_line(value=b",-9223372036854775809,")),
+    "uint64-max": (V6_CSV, v6_line(b"18446744073709551615")),
+    "uint64-max-plus-one": (V6_CSV, v6_line(b"18446744073709551616")),
+    "flag-past-int64": (V4_CSV, V4_ROW[:-1] + b"9223372036854775808\n"),
+    "flag-negative": (V4_CSV, V4_ROW[:-1] + b"-7\n"),
+    "zero-padded": (V4_CSV, v4_line(value=b",00000000000000000040,")),
+    "zero-padded-uint64": (V6_CSV, v6_line(b"00000000000000000004")),
+    "zero-padded-past-uint64": (
+        V6_CSV, v6_line(b"000000000000000000018446744073709551616")
+    ),
+    "trailing-comma": (V4_CSV, V4_ROW + b",\n"),
+    "leading-comma": (V4_CSV, b"," + v4_line()),
+    "empty-field": (V4_CSV, v4_line(value=b",,")),
+    "no-final-newline": (V4_CSV, V4_ROW + b"\n" + V4_ROW),
+    "one-row-no-newline": (V4_CSV, V4_ROW),
+    "short-row": (V4_CSV, V4_ROW.rsplit(b",", 1)[0] + b"\n"),
+    "long-row": (V4_CSV, V4_ROW + b",1\n"),
+    "empty": (V4_CSV, b""),
+}
+
+
+@needs_native
+class TestCsvBlockParity:
+    """The C block parser against the ``np.loadtxt`` reference: the
+    same declines, and otherwise the same line count and the same
+    columns, dtype and bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_blocks())
+    def test_property_parsers_agree(self, drawn):
+        assert_csv_parsers_agree(*drawn)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_CSV_BLOCKS))
+    def test_hostile_block(self, name):
+        assert_csv_parsers_agree(*HOSTILE_CSV_BLOCKS[name])
+
+    def test_writer_rows_are_parsed_not_declined(self):
+        block = b"\r\n".join([V4_ROW] * 5) + b"\r\n"
+        columns, lines = parse_csv_block(block, V4_CSV)
+        assert lines == 5
+        assert [c.tolist() for c in columns] == [
+            [value] * 5 for value in
+            [16843009, 33686018, 6, 23, 1, 40, 65000, -1, False]
+        ]
+        # The outputs hold exactly the rows: no slack past the last.
+        assert all(len(c) == 5 and c.base is None for c in columns)
+
+    def test_two_mebibyte_fields(self):
+        # Every digit is overflow-checked: a field of 2**21 nines
+        # declines, and one of 2**21 zeros reads 0.
+        assert parse_csv_block(b"9" * (1 << 21), V4_CSV[:1]) is None
+        columns, lines = parse_csv_block(b"0" * (1 << 21), V4_CSV[:1])
+        assert lines == 0 and columns[0].tolist() == [0]
+
+
+class TestCsvBlockFallback:
+    def test_reference_parses_without_the_library(self, monkeypatch):
+        monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
+        kernels._CACHE.clear()
+        try:
+            reference = mock.Mock(wraps=kernels._loadtxt_csv_block)
+            monkeypatch.setattr(kernels, "_loadtxt_csv_block", reference)
+            columns, lines = parse_csv_block(V4_ROW + b"\n", V4_CSV)
+            assert lines == 1 and columns[6].tolist() == [65000]
+            assert reference.call_count == 1
+        finally:
+            kernels._CACHE.clear()
+
+    def test_declined_block_is_not_parsed_again(self, monkeypatch):
+        # A decline hands the block to the per-row reader, not to the
+        # reference: the two decline the same blocks.
+        declined = mock.Mock(return_value=None)
+        stub = NativeKernel(SimpleNamespace(parse_csv_block=declined))
+        monkeypatch.setitem(kernels._CACHE, "native", stub)
+        reference = mock.Mock(side_effect=AssertionError("reference ran"))
+        monkeypatch.setattr(kernels, "_loadtxt_csv_block", reference)
+        assert parse_csv_block(V4_ROW + b"\n", V4_CSV) is None
+        assert declined.call_count == 1
+
+
 #: ``fold_batch``'s positional arguments in the extension module.
 FOLD_ARGS = (
     "slices", "factors", "block_shift", "dst_keys", "dst_tcp_pk",
@@ -1473,18 +1666,95 @@ def call_merge(name, call):
     return merge(*call) if name == "merge_k" else merge(*call[:3])
 
 
+#: ``parse_csv_block``'s kind codes for the IPv4 flow columns.
+V4_KINDS = b"IIBHqqii?"
+
+
+def csv_call(rows=4):
+    """A valid ``[block, kinds, columns]`` call: three IPv4 rows, room
+    for ``rows``."""
+    return [
+        (V4_ROW + b"\r\n") * 3,
+        V4_KINDS,
+        [np.empty(rows, dtype=dtype) for dtype in V4_CSV],
+    ]
+
+
+def csv_column(call, at, replace):
+    """``call`` with column ``at`` mapped through ``replace``."""
+    columns = list(call[2])
+    columns[at] = replace(columns[at])
+    return [call[0], call[1], columns]
+
+
+#: A hostile ``parse_csv_block`` call, and the error it raises.
+HOSTILE_CSV = {
+    "block-str": (lambda c: [c[0].decode(), *c[1:]], TypeError),
+    "block-uint32": (
+        lambda c: [np.frombuffer(c[0][:80], np.uint32), *c[1:]], TypeError
+    ),
+    "block-2d": (
+        lambda c: [np.frombuffer(c[0][:80], np.uint8).reshape(8, 10), *c[1:]],
+        ValueError,
+    ),
+    "block-strided": (
+        lambda c: [np.frombuffer(c[0], np.uint8)[::2], *c[1:]], ValueError
+    ),
+    "kinds-str": (lambda c: [c[0], c[1].decode(), c[2]], TypeError),
+    "kinds-array": (
+        lambda c: [c[0], np.frombuffer(c[1], np.uint8), c[2]], TypeError
+    ),
+    "kinds-short": (lambda c: [c[0], c[1][:-1], c[2]], ValueError),
+    "kinds-long": (lambda c: [c[0], c[1] + b"q", c[2]], ValueError),
+    "kinds-unknown": (lambda c: [c[0], c[1][:-1] + b"d", c[2]], ValueError),
+    # int8 is a struct code, but no flow column's type.
+    "kinds-int8": (lambda c: [c[0], c[1][:-1] + b"b", c[2]], ValueError),
+    "kinds-nul": (lambda c: [c[0], c[1][:-1] + b"\x00", c[2]], ValueError),
+    "no-columns": (lambda c: [c[0], b"", []], ValueError),
+    "columns-tuple": (lambda c: [c[0], c[1], tuple(c[2])], TypeError),
+    "column-none": (lambda c: csv_column(c, 0, lambda a: None), TypeError),
+    "column-list": (lambda c: csv_column(c, 0, lambda a: a.tolist()), TypeError),
+    "column-float": (
+        lambda c: csv_column(c, 0, lambda a: a.astype(np.float64)), TypeError
+    ),
+    "column-signed": (
+        lambda c: csv_column(c, 0, lambda a: a.astype(np.int32)), TypeError
+    ),
+    "column-wider": (
+        lambda c: csv_column(c, 2, lambda a: a.astype(np.uint16)), TypeError
+    ),
+    "column-uint8-flag": (
+        lambda c: csv_column(c, 8, lambda a: a.view(np.uint8)), TypeError
+    ),
+    "column-bool-proto": (
+        lambda c: csv_column(c, 2, lambda a: a.view(bool)), TypeError
+    ),
+    "column-2d": (
+        lambda c: csv_column(c, 4, lambda a: a.reshape(2, -1)), ValueError
+    ),
+    "column-strided": (lambda c: csv_column(c, 4, strided), ValueError),
+    "column-misaligned": (lambda c: csv_column(c, 5, misaligned), ValueError),
+    "column-read-only": (lambda c: csv_column(c, 6, read_only), ValueError),
+    "column-short": (lambda c: csv_column(c, 7, lambda a: a[:-1]), ValueError),
+    "column-long": (
+        lambda c: csv_column(c, 0, lambda a: np.empty(len(a) + 1, a.dtype)),
+        ValueError,
+    ),
+}
+
+
 @needs_native
 class TestHostileArguments:
-    """The module's five functions called directly with arguments the
+    """The module's six functions called directly with arguments the
     Python side never hands them: each raises TypeError or ValueError
     before its kernel runs — never a crash, never a read or write out
     of bounds."""
 
-    def test_module_surface_is_the_five_functions(self):
+    def test_module_surface_is_the_six_functions(self):
         public = {name for name in dir(extension()) if not name.startswith("_")}
         assert public == {
             "fold_batch", "merge_sorted", "merge_k", "crc32_columns",
-            "address_pass",
+            "address_pass", "parse_csv_block",
         }
 
     def test_valid_pass_arguments_pass(self):
@@ -1619,6 +1889,42 @@ class TestHostileArguments:
         assert extension().crc32_columns(columns, crcs) == 2
         with pytest.raises(error):
             extension().crc32_columns(*replace([columns, crcs]))
+
+
+    def test_valid_csv_call_parses(self):
+        call = csv_call()
+        assert extension().parse_csv_block(*call) == (3, 3)
+        assert call[2][0][:3].tolist() == [16843009] * 3
+        # Any bytes-like block, any room from the rows up.
+        for block in (bytearray(call[0]), memoryview(call[0])):
+            assert extension().parse_csv_block(block, *call[1:]) == (3, 3)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CSV))
+    def test_hostile_csv_argument_raises(self, case):
+        replace, error = HOSTILE_CSV[case]
+        with pytest.raises(error):
+            extension().parse_csv_block(*replace(csv_call()))
+
+    def test_csv_argument_count(self):
+        call = csv_call()
+        for wrong in (call[:2], call + [call[2]], []):
+            with pytest.raises(TypeError):
+                extension().parse_csv_block(*wrong)
+
+    def test_zero_byte_block_declines(self):
+        call = csv_call()
+        assert extension().parse_csv_block(b"", *call[1:]) is None
+        assert extension().parse_csv_block(b"", call[1], csv_call(0)[2]) is None
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_outputs_short_of_the_rows_decline_without_overrun(self, rows):
+        # Every output the head of a sentinel-filled buffer: a C that
+        # wrote a row past the room it was given would change a tail.
+        call = csv_call()
+        rooms = [np.full(rows + 8, 0x5A, dtype=dtype) for dtype in V4_CSV]
+        call[2] = [room[:rows] for room in rooms]
+        assert extension().parse_csv_block(*call) is None
+        assert all((room[rows:] == room[-1]).all() for room in rooms)
 
 
 class TestClassificationParity:

@@ -11,12 +11,15 @@ for the v6 world); snapshots are built only by
 the modules that own a serving state; processes are started only by the
 serving fleet, and the fold's day pool is the one thread pool in
 ``core/``; the native extension module
-exports only its ``PyInit__kernels`` and has exactly five functions,
-``fold_batch``, ``merge_sorted``, ``merge_k``, ``crc32_columns`` and
-``address_pass``, and nothing imports ``ctypes`` (one binding path).  This test keeps
+exports only its ``PyInit__kernels`` and has exactly six functions,
+``fold_batch``, ``merge_sorted``, ``merge_k``, ``crc32_columns``,
+``address_pass`` and ``parse_csv_block``, and nothing imports ``ctypes``
+(one binding path); ``np.loadtxt`` is called in one function, the CSV
+block parser's reference.  This test keeps
 second doors — a convenience fold loop, a second aggregation, a facade
 that plans for itself, a hand-built snapshot, a private process pool, a
-separate native fold per key width — from growing back.  Deleted layers
+separate native fold per key width, a second text parser — from growing
+back.  Deleted layers
 stay deleted by name, and every ``def`` and ``class`` under
 ``src/repro`` is referenced from src, tests, benchmarks or examples, so
 a helper nothing calls is found the day it stops being called.
@@ -200,8 +203,14 @@ REFERENCE_ROOTS = ("src", "tests", "benchmarks", "examples")
 KERNEL_SOURCE = SRC / "core" / "_kernels.c"
 KERNEL_EXPORTS = {"PyInit__kernels"}
 KERNEL_METHODS = {
-    "fold_batch", "merge_sorted", "merge_k", "crc32_columns", "address_pass"
+    "fold_batch", "merge_sorted", "merge_k", "crc32_columns", "address_pass",
+    "parse_csv_block",
 }
+#: numpy's text readers, and the one ``(module, function)`` under
+#: ``src/repro`` that may call one: the reference of the native CSV
+#: block parser.
+TEXT_READERS = {"loadtxt", "genfromtxt"}
+TEXT_PARSERS = {("core/kernels.py", "_loadtxt_csv_block")}
 #: The functions under ``src/repro/core/`` that may call ``.plan(``.
 PLAN_CALLERS = {
     ("core/metatelescope.py", "plan"),
@@ -742,26 +751,68 @@ def test_reference_lint_actually_catches_an_orphan():
     ]
 
 
-def test_native_library_exports_exactly_five_functions():
+def text_parsers(sources: dict[str, str]) -> set[tuple[str, str | None]]:
+    """``(module, enclosing function)`` of every numpy text-reader call
+    in ``{module path under src/repro: source}``."""
+    return {
+        (module, function)
+        for module, source in sources.items()
+        for name, function, _ in calls(source)
+        if name in TEXT_READERS
+    }
+
+
+def test_one_text_parser():
+    found = text_parsers(tree_sources())
+    assert found == TEXT_PARSERS, (
+        "flow CSV blocks are parsed by core.kernels.parse_csv_block: the "
+        "native parser, or its np.loadtxt reference in "
+        f"_loadtxt_csv_block and nowhere else: {sorted(found)}"
+    )
+
+
+def test_text_parser_lint_actually_catches_a_second_loadtxt():
+    # Guard the guard: a second numpy text reader, in any module and
+    # however it is imported, is found with its function.
+    sources = tree_sources()
+    pasted = {
+        ("io.py", "_plain_columns"): (
+            "def _plain_columns(block, parse):\n"
+            "    return np.loadtxt(BytesIO(block), delimiter=',', dtype=parse)\n"
+        ),
+        ("core/kernels.py", "parse_rows"): (
+            "def parse_rows(path):\n"
+            "    from numpy import genfromtxt\n"
+            "    return genfromtxt(path, delimiter=',')\n"
+        ),
+        ("flowpack.py", None): "ROWS = numpy.loadtxt('rows.csv')\n",
+    }
+    for (module, function), fork in pasted.items():
+        forked = {**sources, module: sources[module] + "\n" + fork}
+        assert text_parsers(forked) == TEXT_PARSERS | {(module, function)}
+    assert text_parsers({"io.py": "table = np.load(path)\n"}) == set()
+
+
+def test_native_library_exports_exactly_six_functions():
     source = KERNEL_SOURCE.read_text()
     found = c_exports(source), c_methods(source)
     assert found == (KERNEL_EXPORTS, KERNEL_METHODS), (
         "core/_kernels.c is an extension module: it exports only "
         "PyInit__kernels, every other C function is static, and its "
         "method table holds exactly fold_batch, merge_sorted, merge_k, "
-        "crc32_columns and address_pass (one op per job, every key width "
-        "and every batch through the same fold_batch, every segment's "
-        "checksums in one "
-        "crc32_columns call, the funnel's address table in one "
-        f"address_pass walk): exports {sorted(found[0])}, methods "
-        f"{sorted(found[1])}"
+        "crc32_columns, address_pass and parse_csv_block (one op per "
+        "job, every key width and every batch through the same "
+        "fold_batch, every segment's checksums in one crc32_columns "
+        "call, the funnel's address table in one address_pass walk, a "
+        "plain CSV block in one parse_csv_block pass): exports "
+        f"{sorted(found[0])}, methods {sorted(found[1])}"
     )
 
 
 def test_export_lint_actually_catches_a_fourth_export():
     # Guard the guard: a separate wide fold pasted in as a plain
     # function, stamped out by a macro, or a helper that lost its
-    # ``static``, is each found and named; so is a sixth entry in the
+    # ``static``, is each found and named; so is a seventh entry in the
     # module's method table.
     source = KERNEL_SOURCE.read_text()
     pasted = {
@@ -788,15 +839,15 @@ def test_export_lint_actually_catches_a_fourth_export():
         unstatic = re.sub(rf"\bstatic (\w+ {helper}\()", r"\1", source)
         assert unstatic != source
         assert c_exports(unstatic) == KERNEL_EXPORTS | {helper}
-    # A sixth function in the method table, however it is spelled.
+    # A seventh function in the method table, however it is spelled.
     table = "static PyMethodDef kernel_methods[] = {\n"
     assert table in source
-    sixth = source.replace(
+    seventh = source.replace(
         table,
         table + '    {"fold_chunk64", (PyCFunction)(void (*)(void))py_fold_batch,\n'
         "     METH_FASTCALL, NULL},\n",
     )
-    assert c_methods(sixth) == KERNEL_METHODS | {"fold_chunk64"}
+    assert c_methods(seventh) == KERNEL_METHODS | {"fold_chunk64"}
     assert c_methods(
         source + '\nstatic PyMethodDef more[] = {{ "extra", NULL, 0, NULL }};\n'
     ) == KERNEL_METHODS | {"extra"}

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import repro.io
 from repro.cli import main
+from repro.core import kernels
+from repro.core.kernels import DISABLE_NATIVE_ENV, native_provider
 from repro.io import (
     ParseReport,
     RowError,
@@ -332,24 +334,30 @@ def _damaged_csv(draw):
     return text.encode()
 
 
+def _same_chunks_property(test):
+    """The block-vs-row property's settings and draws."""
+    return settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )(given(
+        data=_damaged_csv(),
+        spare=st.integers(0, 96),
+        chunk_rows=st.integers(1, 9),
+    )(test))
+
+
 class TestBlockReaderMatchesRowReader:
     """The block reader against the per-row reader it replaced.
 
     The block constant is patched small, so damage lands on both sides
     of a block cut.  Chunks (sizes and column bytes), ParseReports and
-    strict messages must all be equal.
+    strict messages must all be equal.  Blocks go through the native
+    C parser here (when it builds) and through the ``np.loadtxt``
+    reference in :class:`TestReferenceBlockReaderMatchesRowReader`.
     """
 
-    @settings(
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        data=_damaged_csv(),
-        spare=st.integers(0, 96),
-        chunk_rows=st.integers(1, 9),
-    )
+    @_same_chunks_property
     def test_same_chunks_reports_and_messages(
         self, tmp_path, data, spare, chunk_rows
     ):
@@ -449,6 +457,33 @@ class TestBlockReaderMatchesRowReader:
         path.write_text("\n".join(lines) + "\n")
         assert len(read_flows_csv(path)) == 50
         assert 5 <= len(per_row) < 50
+
+
+class TestReferenceBlockReaderMatchesRowReader(TestBlockReaderMatchesRowReader):
+    """The same checks with the native provider disabled: plain blocks
+    go through the ``np.loadtxt`` reference parser."""
+
+    @pytest.fixture(autouse=True)
+    def reference_parser(self, monkeypatch):
+        monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
+        kernels._CACHE.clear()
+        try:
+            assert native_provider() is None
+            yield
+        finally:
+            # The provider loads again, lazily, once monkeypatch restores
+            # the environment.
+            kernels._CACHE.clear()
+
+    @_same_chunks_property
+    def test_same_chunks_reports_and_messages(
+        self, tmp_path, data, spare, chunk_rows
+    ):
+        # Its own property test: hypothesis refuses one test run from
+        # two classes (its differing-executors health check).
+        super().test_same_chunks_reports_and_messages.hypothesis.inner_test(
+            self, tmp_path, data, spare, chunk_rows
+        )
 
 
 class TestCliChunkSize:
