@@ -70,6 +70,7 @@ from repro.core import MetaTelescope
 from repro.core.engine import JsonlSink, RunContext
 from repro.core.evaluation import confusion_against_truth, telescope_coverage
 from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
+from repro.core.kernels import KERNEL_CHOICES
 from repro.core.online import OnlineMetaTelescope, POLICIES
 from repro.faults import STANDARD_FAULTS, FaultPlan, standard_injector
 from repro.io import (
@@ -782,9 +783,9 @@ def _add_execution_options(p: argparse.ArgumentParser) -> None:
         "bit-identical at any worker count)",
     )
     p.add_argument(
-        "--kernel", choices=["auto", "numpy", "native"], default=None,
+        "--kernel", choices=KERNEL_CHOICES, default=None,
         help="aggregation kernel backend (default: auto — native when "
-        "a compiled provider is available, else the numpy reference; "
+        "the compiled module loads, else the numpy reference; "
         "classification is bit-identical on either backend)",
     )
     p.add_argument(

@@ -137,9 +137,9 @@ class _KeyedSums:
 
     __slots__ = ("num_values", "kernel", "_parts")
 
-    def __init__(self, num_values: int, kernel=None) -> None:
+    def __init__(self, num_values: int, kernel) -> None:
         self.num_values = num_values
-        self.kernel = get_kernel("numpy") if kernel is None else kernel
+        self.kernel = kernel
         self._parts: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
 
     def add(self, keys: np.ndarray, *values: np.ndarray) -> None:
@@ -250,12 +250,10 @@ class PrefixAccumulator:
         self._family = None
         if family is not None:
             self._adopt_family(family)
-        # ``None`` means the numpy reference: direct library use stays
-        # on the extracted semantics; the execution engine resolves the
-        # public ``kernel`` knob (including ``auto``) before passing a
-        # name or backend instance down.
+        # A knob value (``None`` is ``auto``, as for the engine) or a
+        # backend the engine already resolved.
         self.kernel = (
-            get_kernel(kernel if kernel is not None else "numpy")
+            get_kernel(kernel)
             if kernel is None or isinstance(kernel, str)
             else kernel
         )
@@ -608,7 +606,7 @@ class PrefixAccumulator:
         dst_ips, (tcp_pkts, tcp_bytes) = self._dst_ip_sums.compacted()
 
         applied: dict[str, float] = {}
-        excess = _KeyedSums(1, kernel=self.kernel)
+        excess = _KeyedSums(1, self.kernel)
         for vantage, sums in self._src_by_vantage.items():
             blocks, (filtered, _) = sums.compacted()
             tolerance = self._tolerance_of(spoof_tolerance, vantage)

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.core.accum import PrefixAccumulator, days_of, resolve_chunk_size
-from repro.core.kernels import get_kernel, resolve_kernel_name
+from repro.core.kernels import NumpyKernel, get_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vantage.sampling import VantageDayView
@@ -103,12 +103,14 @@ class ExecutionKnobs:
     ``chunk_size`` keeps the public tri-state form (``None`` | int |
     ``"auto"``) because batch rows resolve *per day*;
     ``workers`` is always a concrete count >= 1; ``kernel`` is always
-    a concrete backend name (``auto`` resolves at knob time).
+    a concrete backend name (``auto`` resolves at knob time), and
+    ``backend`` the backend it names, which plans do not compare.
     """
 
     chunk_size: int | str | None
     workers: int
-    kernel: str = "numpy"
+    kernel: str
+    backend: NumpyKernel = field(compare=False, repr=False)
 
 
 def resolve_execution_knobs(
@@ -128,10 +130,10 @@ def resolve_execution_knobs(
     * ``chunk_size``: validated tri-state (``None`` | int >= 1 |
       ``"auto"``); per-view rows resolve later against each view's
       ``num_rows`` via :func:`~repro.core.accum.resolve_chunk_size`.
-    * ``kernel``: compute backend (``numpy`` | ``native`` | ``auto``;
-      default ``auto``).  Resolved here to a concrete backend name via
-      :func:`~repro.core.kernels.resolve_kernel_name` — ``auto`` plans
-      ``native`` only when a provider is actually available.
+    * ``kernel``: compute backend (``auto`` | ``numpy``; default
+      ``auto``).  Resolved here to a backend by
+      :func:`~repro.core.kernels.get_kernel` — ``auto`` plans
+      ``native`` only when the extension module loaded.
       Classification is bit-identical either way.
     """
     if cpus is None:
@@ -148,10 +150,12 @@ def resolve_execution_knobs(
         resolve_chunk_size(chunk_size, 0)
     elif chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
+    backend = get_kernel(kernel)
     return ExecutionKnobs(
         chunk_size=chunk_size,
         workers=workers,
-        kernel=resolve_kernel_name(kernel),
+        kernel=backend.name,
+        backend=backend,
     )
 
 
@@ -492,10 +496,10 @@ def execute_plan(
         rows_in=plan.total_rows(),
         meta=plan.to_dict(),
     )
-    # One "kernel" event per execution: which backend actually computes
-    # (``native`` may degrade to reference semantics — the describe()
-    # meta carries the provider and the fallback reason, if any).
-    kernel = get_kernel(plan.knobs.kernel)
+    # One "kernel" event per execution: which backend computes (the
+    # describe() meta carries the provider, and the reason when
+    # ``auto`` fell back to the reference).
+    kernel = plan.knobs.backend
     context.emit("kernel", kernel.name, meta=kernel.describe())
     batch_rows = {spec.day: spec.chunk_rows for spec in plan.views}
 

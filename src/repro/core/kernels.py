@@ -1,4 +1,4 @@
-"""Kernel registry: the ``kernel=numpy|native|auto`` execution knob.
+"""Kernel registry: the ``kernel=auto|numpy`` execution knob.
 
 Two backends compute the accumulator's hot loops:
 
@@ -28,10 +28,9 @@ Two backends compute the accumulator's hot loops:
   declines).  The source is compiled once per source hash
   and interpreter ABI with the system C compiler against the interpreter's
   own headers (cached under ``~/.cache/repro/kernels`` as
-  ``_kernels-<hash><EXT_SUFFIX>``) and needs no Python dependency; without
-  a compiler or without ``Python.h`` the backend silently degrades to the
-  reference (the engine emits a ``kernel`` trace event with the fallback
-  reason).
+  ``_kernels-<hash><EXT_SUFFIX>``) and needs no Python dependency.  It
+  exists only when that module loaded: a :class:`NativeKernel` always
+  runs C, short of a decline.
 
 **Identity contract.**  Both backends produce bit-identical
 classifications: native kernels accumulate per-key sums in original
@@ -44,9 +43,8 @@ gated by the parity suite (``tests/core/test_kernels.py``), which
 includes the
 numpy = native = forced-fallback identity check on a micro world.
 
-Backends are resolved by name through :func:`get_kernel`; ``auto``
-picks ``native`` when the extension module is available.  Resolution is
-cached per process.
+The knob is resolved in one place, :func:`get_kernel`; ``auto`` falls
+back to the reference, with the reason, when the module did not load.
 """
 
 from __future__ import annotations
@@ -81,15 +79,14 @@ __all__ = [
     "crc32_columns",
     "parse_csv_block",
     "get_kernel",
-    "resolve_kernel_name",
     "native_provider",
 ]
 
 #: Accepted values of the ``kernel`` execution knob.
-KERNEL_CHOICES = ("auto", "numpy", "native")
+KERNEL_CHOICES = ("auto", "numpy")
 
 #: Set (to any non-empty value) to disable the native provider — the
-#: supported way to exercise the silent-fallback path.
+#: supported way to make ``auto`` fall back to the reference.
 DISABLE_NATIVE_ENV = "REPRO_DISABLE_NATIVE_KERNEL"
 
 #: Override the on-disk cache directory for the compiled extension module.
@@ -111,6 +108,7 @@ class NumpyKernel:
 
     name = "numpy"
     provider = "numpy"
+    #: Why ``auto`` resolved to the reference (see :func:`get_kernel`).
     fallback_reason: str | None = None
 
     def fold_batch(self, slices, factors, block_shift: int = 8):
@@ -297,8 +295,8 @@ class _Staging(threading.local):
 
     The extension drops the GIL for the C call, and a parallel plan
     (:func:`~repro.core.engine.execute_plan`) folds one day per thread
-    through the one process-wide :class:`NativeKernel`, so those
-    threads must not share buffers.  Thread-local rather than a lock:
+    through :class:`NativeKernel`, so those threads must not share
+    buffers.  Thread-local rather than a lock:
     a lock would serialise the pool's C calls, which run concurrently
     only because each thread has its own scratch.
     """
@@ -321,6 +319,10 @@ class _Staging(threading.local):
         return pool[:need], pool[need:2 * need]
 
 
+#: The process's one scratch pool, shared by every :class:`NativeKernel`.
+_STAGING = _Staging()
+
+
 def _trimmed(count: int, *arrays: np.ndarray) -> None:
     """Shrink freshly allocated outputs to their first ``count`` rows.
 
@@ -336,33 +338,26 @@ class NativeKernel(NumpyKernel):
     """The compiled fold and sorted-part merges of the ``_kernels``
     extension module.
 
-    ``ext`` is the loaded module; ``None`` means it could not be built
-    or loaded and the backend *is* the reference — the silent-fallback
-    contract (``fallback_reason`` says why, and the engine surfaces it
-    as a ``kernel`` trace event).  The module checks every array it is
-    handed (dtype, 1-d, C-contiguous, lengths, capacity) and raises on
-    a bad one; this class only hands it arrays it accepts, and sends
-    any other layout to the reference.
+    ``ext`` is the loaded module.  It checks every array it is handed
+    (dtype, 1-d, C-contiguous, lengths, capacity) and raises on a bad
+    one; this class only hands it arrays it accepts, and sends any
+    other layout, and every call the C declines, to the reference.
     """
 
     name = "native"
+    provider = "cc"
 
-    def __init__(self, ext, fallback_reason: str | None = None) -> None:
+    def __init__(self, ext) -> None:
         self._ext = ext
-        self.provider = "cc" if ext is not None else "numpy"
-        self.fallback_reason = fallback_reason
-        self._staging = _Staging()
 
     def fold_batch(self, slices, factors, block_shift=8):
         # The fold is compiled for uint32 (IPv4) and uint64 (IPv6) keys
-        # of one width; any other layout silently takes the reference
-        # path — same dtype-gate contract as a missing module.
+        # of one width; any other layout takes the reference path.
         record_bytes = (
             _FOLD_RECORD_BYTES.get(slices[0][1].dtype) if slices else None
         )
         if (
-            self._ext is not None
-            and record_bytes is not None
+            record_bytes is not None
             and len(factors) == len(slices)
             and all(
                 src_ip.dtype == slices[0][1].dtype
@@ -380,7 +375,7 @@ class NativeKernel(NumpyKernel):
                 np.empty(rows, dtype=np.int64) for _ in range(4)
             )
             dst_pk, dst_by, vol_pk, raw_pk = (np.empty(rows) for _ in range(4))
-            bufa, bufb = self._staging.buffers(rows, record_bytes)
+            bufa, bufb = _STAGING.buffers(rows, record_bytes)
             counts = self._ext.fold_batch(
                 [
                     tuple(np.ascontiguousarray(column) for column in columns)
@@ -416,8 +411,6 @@ class NativeKernel(NumpyKernel):
         return super().fold_batch(slices, factors, block_shift)
 
     def merge_sorted_parts(self, parts):
-        if self._ext is None:
-            return super().merge_sorted_parts(parts)
         normalized = [
             (
                 np.ascontiguousarray(keys, dtype=np.int64),
@@ -441,7 +434,7 @@ class NativeKernel(NumpyKernel):
             # Room for two 16-byte radix records per input row.
             count = self._ext.merge_k(
                 normalized, out_keys, out_cols,
-                self._staging.scratch(32 * total),
+                _STAGING.scratch(32 * total),
             )
         # None is the C declining the call — a part whose keys do not
         # ascend strictly, or a shape merge_k does not take: the
@@ -454,31 +447,30 @@ class NativeKernel(NumpyKernel):
     def address_pass(self, dst_ips, tcp_pkts, tcp_bytes, block_shift,
                      source_blocks, source_days, avg_size_threshold,
                      ip_size_threshold):
-        if self._ext is not None:
-            rows = len(dst_ips)
-            columns = (
-                np.empty(rows, dtype=np.int64),
-                np.empty(rows, dtype=np.float64),
-                np.empty(rows, dtype=np.float64),
-                *(np.empty(rows, dtype=np.uint8) for _ in range(3)),
-            )
-            count = self._ext.address_pass(
-                np.ascontiguousarray(dst_ips, dtype=np.int64),
-                np.ascontiguousarray(tcp_pkts, dtype=np.float64),
-                np.ascontiguousarray(tcp_bytes, dtype=np.float64),
-                block_shift,
-                np.ascontiguousarray(source_blocks, dtype=np.int64),
-                [np.ascontiguousarray(keys, dtype=np.int64)
-                 for keys in source_days],
-                avg_size_threshold, ip_size_threshold,
-                *columns,
-            )
-            # None: keys not strictly ascending — the reference below
-            # raises the named error.
-            if count is not None:
-                _trimmed(count, *columns)
-                blocks, pkts, bytes_, *flags = columns
-                return (blocks, pkts, bytes_, *(f.view(bool) for f in flags))
+        rows = len(dst_ips)
+        columns = (
+            np.empty(rows, dtype=np.int64),
+            np.empty(rows, dtype=np.float64),
+            np.empty(rows, dtype=np.float64),
+            *(np.empty(rows, dtype=np.uint8) for _ in range(3)),
+        )
+        count = self._ext.address_pass(
+            np.ascontiguousarray(dst_ips, dtype=np.int64),
+            np.ascontiguousarray(tcp_pkts, dtype=np.float64),
+            np.ascontiguousarray(tcp_bytes, dtype=np.float64),
+            block_shift,
+            np.ascontiguousarray(source_blocks, dtype=np.int64),
+            [np.ascontiguousarray(keys, dtype=np.int64)
+             for keys in source_days],
+            avg_size_threshold, ip_size_threshold,
+            *columns,
+        )
+        # None: keys not strictly ascending — the reference below
+        # raises the named error.
+        if count is not None:
+            _trimmed(count, *columns)
+            blocks, pkts, bytes_, *flags = columns
+            return (blocks, pkts, bytes_, *(f.view(bool) for f in flags))
         return super().address_pass(
             dst_ips, tcp_pkts, tcp_bytes, block_shift, source_blocks,
             source_days, avg_size_threshold, ip_size_threshold,
@@ -495,7 +487,7 @@ def crc32_columns(arrays) -> list[int]:
     way, so archives do not depend on which computed them.
     """
     arrays = [np.ascontiguousarray(array) for array in arrays]
-    ext = _native_kernel()._ext
+    ext = _extension()[0]
     if ext is not None and arrays:
         crcs = np.empty(len(arrays), dtype=np.uint32)
         if ext.crc32_columns(arrays, crcs) is not None:
@@ -542,7 +534,7 @@ def parse_csv_block(
     (``tests/core/test_kernels.py`` and ``tests/test_streaming.py``
     check it).
     """
-    ext = _native_kernel()._ext
+    ext = _extension()[0]
     if ext is None:
         return _loadtxt_csv_block(block, dtypes)
     # A row takes a digit and a comma (or its line end) per column at
@@ -684,49 +676,43 @@ def _load_extension():
 # Resolution
 # ---------------------------------------------------------------------------
 
-_CACHE: dict[str, Any] = {}
+#: ``(module, None)`` or ``(None, reason)`` from :func:`_load_extension`,
+#: loaded once per process; the kernels, :func:`crc32_columns` and
+#: :func:`parse_csv_block` all read it through :func:`_extension`.
+_HANDLE: tuple[Any, str | None] | None = None
+#: Day-pool threads may ask first: one of them builds and loads.
+_LOADING = threading.Lock()
 
 
-def _native_kernel() -> NativeKernel:
-    if "native" not in _CACHE:
-        _CACHE["native"] = NativeKernel(*_load_extension())
-    return _CACHE["native"]
+def _extension() -> tuple[Any, str | None]:
+    """The extension module handle, loaded on first use."""
+    global _HANDLE
+    with _LOADING:
+        if _HANDLE is None:
+            _HANDLE = _load_extension()
+        return _HANDLE
 
 
 def get_kernel(name: str | None) -> NumpyKernel:
-    """The backend instance for a resolved knob value.
+    """The backend a ``kernel`` knob value resolves to.
 
-    ``numpy`` and ``native`` return the named backend (``native``
-    degrades to reference semantics when the module is unavailable);
-    ``auto``/``None`` resolve via :func:`resolve_kernel_name` first.
+    ``numpy`` is the reference.  ``auto`` (and ``None``) is the native
+    backend when the extension module loaded, and otherwise the
+    reference, with ``fallback_reason`` saying why the module did not.
     """
-    name = resolve_kernel_name(name)
-    if name == "numpy":
-        if "numpy" not in _CACHE:
-            _CACHE["numpy"] = NumpyKernel()
-        return _CACHE["numpy"]
-    return _native_kernel()
-
-
-def resolve_kernel_name(name: str | None) -> str:
-    """Resolve the public knob value to a concrete backend name.
-
-    ``auto`` (and ``None``) pick ``native`` when the extension module is
-    actually available — never the degraded fallback — so ``auto``
-    on a machine without a C compiler plans ``numpy``.
-    """
-    if name is None:
-        name = "auto"
-    if name not in KERNEL_CHOICES:
+    if name not in (None, *KERNEL_CHOICES):
         raise ValueError(
             f"kernel must be one of {', '.join(KERNEL_CHOICES)}; got {name!r}"
         )
-    if name == "auto":
-        return "native" if native_provider() is not None else "numpy"
-    return name
+    ext, reason = (None, None) if name == "numpy" else _extension()
+    if ext is not None:
+        return NativeKernel(ext)
+    kernel = NumpyKernel()
+    kernel.fallback_reason = reason
+    return kernel
 
 
 def native_provider() -> str | None:
-    """The native backend's provider name, or None when degraded."""
-    kernel = _native_kernel()
-    return kernel.provider if kernel.fallback_reason is None else None
+    """The native backend's provider name, or None when the extension
+    module did not load."""
+    return NativeKernel.provider if _extension()[0] is not None else None

@@ -162,9 +162,10 @@ class OnlineMetaTelescope:
     #: Classification is bit-identical either way; the chunk size only
     #: bounds memory.
     chunk_size: int | str | None = None
-    #: Fold kernel backend (``"numpy"``, ``"native"``, ``"auto"`` or
-    #: None for the engine default).  Either backend classifies
-    #: bit-identically; the knob only trades speed.
+    #: Fold kernel knob (``"auto"``, ``"numpy"`` or None, which is
+    #: ``"auto"``): ``auto`` folds natively when the compiled module
+    #: loads.  Either backend classifies bit-identically; the knob
+    #: only trades speed.
     kernel: str | None = None
     #: Extra trace sinks attached to every day's
     #: :class:`~repro.core.engine.RunContext` (e.g. a

@@ -428,16 +428,16 @@ def _row_columns(rows: list[tuple[int, ...]], dtypes: list) -> list[np.ndarray]:
 
 
 def _flow_table(runs: list[list[np.ndarray]], family: str) -> FlowTable:
-    """Runs of column arrays stacked into one table."""
+    """Runs of column arrays stacked into one table: a lone run whose
+    arrays own their memory as it is, anything else (a slice of a run
+    too, so it pins no whole block's columns) concatenated."""
     if not runs:
         return FlowTable.empty(family)
-    return FlowTable(
-        **{
-            name: np.concatenate(parts)
-            for name, parts in zip(flow_columns(family), zip(*runs))
-        },
-        family=family,
-    )
+    if len(runs) == 1 and all(column.base is None for column in runs[0]):
+        columns = runs[0]
+    else:
+        columns = [np.concatenate(parts) for parts in zip(*runs)]
+    return FlowTable(**dict(zip(flow_columns(family), columns)), family=family)
 
 
 def iter_flows_csv(
@@ -473,7 +473,8 @@ def iter_flows_csv(
             yield _flow_table(pending, family)
             pending, held, start = [], 0, cut
         if start < stop:
-            pending.append([column[start:] for column in run])
+            # A whole run goes in as it is: alone in a chunk, it is not copied.
+            pending.append(run if start == 0 else [c[start:] for c in run])
             held += stop - start
     if pending:
         yield _flow_table(pending, family)

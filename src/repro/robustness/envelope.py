@@ -216,8 +216,9 @@ class EvaluationSettings:
     #: path folds one day per update and takes no pool.
     workers: int = 2
     chunk_size: int | str | None = None
-    #: Fold kernel backend (None: engine default; both backends
-    #: classify bit-identically, so the gate scores are unaffected).
+    #: Fold kernel knob (``"auto"``, ``"numpy"`` or None, which is
+    #: ``"auto"``); both backends classify bit-identically, so the gate
+    #: scores are unaffected.
     kernel: str | None = None
     #: Online degraded-day policy (the operational default).
     policy: str = "carry"

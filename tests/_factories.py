@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.core.accum import PrefixAccumulator
 from repro.core.engine import ExecutionPlanner, RunContext, execute_plan
+from repro.core.kernels import get_kernel, native_provider
 from repro.net.ipv4 import Prefix
 from repro.traffic.flows import FlowTable
 from repro.traffic.packets import PROTO_TCP
 from repro.vantage.sampling import VantageDayView
+
+#: Skips a case that must run the C kernels where the extension module
+#: does not load (it would compare numpy with numpy).
+needs_native = pytest.mark.skipif(
+    native_provider() is None,
+    reason=f"native module unavailable: {get_kernel('auto').fallback_reason}",
+)
+#: The ``kernel="auto"`` leg of a numpy-vs-native parametrization.
+NATIVE = pytest.param("auto", marks=needs_native, id="native")
 
 
 def make_flows(rows: list[dict]) -> FlowTable:

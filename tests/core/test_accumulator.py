@@ -22,7 +22,7 @@ from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
 
-from _factories import families_of, fold
+from _factories import NATIVE, families_of, fold
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -285,8 +285,9 @@ class TestKeyedSumsShortCircuit:
 
     def test_compacted_single_sorted_part_is_no_copy(self):
         from repro.core.accum import _KeyedSums
+        from repro.core.kernels import get_kernel
 
-        family = _KeyedSums(1)
+        family = _KeyedSums(1, get_kernel("numpy"))
         keys = np.array([3, 5, 9], dtype=np.int64)
         sums = np.array([1.0, 2.0, 3.0])
         family.add(keys, sums)
@@ -310,7 +311,7 @@ class TestSortedUniqueParts:
     one sorted-part merge and nothing regroups an unsorted part."""
 
     @pytest.mark.parametrize("ignoring", [False, True])
-    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("kernel", ["numpy", NATIVE])
     def test_every_part_ascends_strictly(
         self, multi_day, kernel, ignoring, monkeypatch
     ):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.ipv6_telescope import infer_ipv6, ipv6_telescope
-from repro.core.kernels import NumpyKernel, native_provider
+from repro.core.kernels import NumpyKernel
 from repro.core.online import OnlineMetaTelescope
 from repro.core.snapshot import VERDICT_CANDIDATE, ClassificationSnapshot
 from repro.io import read_prefix_list
@@ -22,6 +22,8 @@ from repro.world.ipv6 import (
     micro_ipv6_config,
     micro_ipv6_world,
 )
+
+from _factories import needs_native
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +115,14 @@ class TestExecutionIdentity:
         assert np.array_equal(parallel.served_sites, report.served_sites)
         assert parallel.snapshot.identical_to(report.snapshot)
 
-    @pytest.mark.skipif(native_provider() is None, reason="native degraded")
+    @needs_native
     def test_native_kernel_matches_numpy(self, world, views, report):
         # Forbid the reference fold, so a native kernel that declines
         # the uint64 keys fails here instead of comparing numpy with
         # numpy.
         declined = AssertionError("the native kernel declined a v6 batch")
         with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
-            native = infer_ipv6(world, views, kernel="native")
+            native = infer_ipv6(world, views, kernel="auto")
         assert np.array_equal(native.served_sites, report.served_sites)
         assert native.snapshot.identical_to(report.snapshot)
 

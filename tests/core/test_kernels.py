@@ -1,12 +1,13 @@
 """Kernel backend parity, fallback, and regression tests.
 
 The identity contract under test: ``kernel=numpy`` (the reference) and
-``kernel=native`` (the bundled C extension module, or the silent numpy
-fallback) produce bit-identical accumulator states and classifications
-for *any* input.  The explicit cases pin the shapes that have bitten
-compiled group-by kernels: empty and single-row chunks, all-duplicate keys,
-full-range 32-bit addresses (a ``uint32`` shifted by its own width is
-undefined behaviour in C — the regression here once looped forever),
+``kernel=auto`` (the bundled C extension module when it loads, the
+reference otherwise) produce bit-identical accumulator states and
+classifications for *any* input.  The explicit cases pin the shapes
+that have bitten compiled group-by kernels: empty and single-row
+chunks, all-duplicate keys, full-range 32-bit addresses (a ``uint32``
+shifted by its own width is undefined behaviour in C — the regression
+here once looped forever),
 fault-injected feeds, the ignored-sender filter path, counts outside
 the 31-bit record field, and more pending parts than the k-way merge's
 old 64-entry head index held.  The batched fold is checked against the
@@ -58,7 +59,6 @@ from repro.core.kernels import (
     get_kernel,
     native_provider,
     parse_csv_block,
-    resolve_kernel_name,
 )
 from repro.core.metatelescope import MetaTelescope
 from repro.core.parallel import partial_states_identical
@@ -72,17 +72,12 @@ from repro.vantage.sampling import VantageDayView
 from repro.world.observe import Observatory
 from repro.world.scenarios import micro_world
 
-from _factories import fold as engine_fold, routing_for
+from _factories import NATIVE, fold as engine_fold, needs_native, routing_for
 
 ROUTING = routing_for("20.0.0.0/8", "21.0.0.0/8")
 BASE = parse_ip("20.0.0.0") >> 8
 #: The engine key (/64 id) of 2001:db8::/64.
 V6_KEY = 0x2001_0DB8_0000_0000
-
-needs_native = pytest.mark.skipif(
-    native_provider() is None,
-    reason=f"native degraded: {get_kernel('native').fallback_reason}",
-)
 
 
 def make_flows(
@@ -200,7 +195,7 @@ def fold(tables, kernel, ignored=frozenset(), compact=False):
 
 def assert_backends_agree(tables, ignored=frozenset()):
     reference = fold(tables, "numpy", ignored)
-    native = fold(tables, "native", ignored)
+    native = fold(tables, "auto", ignored)
     assert partial_states_identical(reference, native)
 
 
@@ -209,7 +204,7 @@ def fold_in_c(tables, ignored=frozenset()):
     kernel declines fails the test instead of passing numpy = numpy."""
     declined = AssertionError("the native kernel declined a batch")
     with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
-        return fold(tables, "native", ignored)
+        return fold(tables, "auto", ignored)
 
 
 def assert_folds_in_c_and_agrees(tables, ignored=frozenset()):
@@ -279,7 +274,7 @@ def assert_concurrent_calls_agree(calls, rounds=12):
     output staging (silently wrong sums).
     """
     expected = [call(get_kernel("numpy")) for call in calls]
-    native = get_kernel("native")
+    native = get_kernel("auto")
     agreed = [0] * len(calls)
 
     def work(index):
@@ -357,7 +352,7 @@ class TestFoldParity:
             for _ in range(6)
         ]
         reference = fold(tables, "numpy", compact=True)
-        native = fold(tables, "native", compact=True)
+        native = fold(tables, "auto", compact=True)
         assert partial_states_identical(reference, native)
 
     @pytest.mark.parametrize("count", [2**31, 2**40, -5])
@@ -408,12 +403,12 @@ class TestFoldParity:
         # absorb() crosses compacted parts between accumulators — the
         # merge path a parallel or federated fold takes.
         halves = {}
-        for kernel in ("numpy", "native"):
+        for kernel in ("numpy", "auto"):
             left = fold(tables[: len(tables) // 2 + 1], kernel)
             right = fold(tables[len(tables) // 2 + 1 :], kernel)
             left.merge(right)
             halves[kernel] = left
-        assert partial_states_identical(halves["numpy"], halves["native"])
+        assert partial_states_identical(halves["numpy"], halves["auto"])
 
 
 #: Key domains of the merge property: a narrow (32-bit) range, one
@@ -479,7 +474,7 @@ def merged_in_c(parts):
     """The native merge with the reference regroup forbidden."""
     declined = AssertionError("the native kernel declined a merge")
     with mock.patch.object(NumpyKernel, "group_sum", side_effect=declined):
-        return get_kernel("native").merge_sorted_parts(parts)
+        return get_kernel("auto").merge_sorted_parts(parts)
 
 
 @needs_native
@@ -616,7 +611,7 @@ def passed_in_c(args):
     """The native address pass with the reference forbidden."""
     declined = AssertionError("the native kernel declined an address pass")
     with mock.patch.object(NumpyKernel, "address_pass", side_effect=declined):
-        return get_kernel("native").address_pass(*args)
+        return get_kernel("auto").address_pass(*args)
 
 
 @needs_native
@@ -654,7 +649,7 @@ class TestAddressPassParity:
         args = (keys, np.ones(len(keys)), np.ones(len(keys)), 8,
                 np.empty(0, dtype=np.int64), [], 44.0, 48.0)
         assert extension().address_pass(*args, *pass_outputs(len(keys))) is None
-        for kernel in (NumpyKernel(), get_kernel("native")):
+        for kernel in (NumpyKernel(), get_kernel("auto")):
             with pytest.raises(ValueError, match="sorted by destination key"):
                 kernel.address_pass(*args)
 
@@ -820,7 +815,7 @@ class TestFold64Parity:
             NumpyKernel, "fold_batch", autospec=True,
             side_effect=NumpyKernel.fold_batch,
         ) as reference_fold:
-            native = fold(tables, "native")
+            native = fold(tables, "auto")
         assert reference_fold.call_count == 1
         assert partial_states_identical(reference, native)
 
@@ -870,7 +865,7 @@ def batch_in_c(slices, factors, block_shift):
     """The native batched fold with the reference fold forbidden."""
     declined = AssertionError("the native kernel declined a batch")
     with mock.patch.object(NumpyKernel, "fold_batch", side_effect=declined):
-        return get_kernel("native").fold_batch(slices, factors, block_shift)
+        return get_kernel("auto").fold_batch(slices, factors, block_shift)
 
 
 def assert_batch_in_c_agrees(slices, factors, block_shift):
@@ -957,7 +952,7 @@ class TestBatchParity:
             NumpyKernel, "fold_batch", autospec=True,
             side_effect=NumpyKernel.fold_batch,
         ) as reference_fold:
-            native = get_kernel("native").fold_batch(slices, factors, 8)
+            native = get_kernel("auto").fold_batch(slices, factors, 8)
         assert reference_fold.call_count == 1
         assert parts_identical(native, reference)
 
@@ -981,7 +976,7 @@ class TestBatchParity:
                     NumpyKernel, "fold_batch", autospec=True,
                     side_effect=NumpyKernel.fold_batch,
                 ) as reference_fold:
-                    native = get_kernel("native").fold_batch(slices, factors, 8)
+                    native = get_kernel("auto").fold_batch(slices, factors, 8)
                 assert reference_fold.call_count == 1
                 assert parts_identical(
                     native, NumpyKernel().fold_batch(slices, factors, 8)
@@ -1013,7 +1008,7 @@ class TestBatchParity:
                     NumpyKernel, "fold_batch", autospec=True,
                     side_effect=NumpyKernel.fold_batch,
                 ) as reference_fold:
-                    native = get_kernel("native").fold_batch(
+                    native = get_kernel("auto").fold_batch(
                         slices, factors, shift
                     )
                 assert reference_fold.call_count == 1
@@ -1030,9 +1025,7 @@ class TestTwoFactorsOneKey:
     and block volume is 0.0 plus each view's unscaled sum times its
     factor, in view order."""
 
-    @pytest.mark.parametrize(
-        "kernel", ["numpy", pytest.param("native", marks=needs_native)]
-    )
+    @pytest.mark.parametrize("kernel", ["numpy", NATIVE])
     def test_sums_scale_per_view_in_view_order(self, kernel):
         key, neighbour = (BASE << 8) | 5, (BASE << 8) | 6
         views = [
@@ -1047,7 +1040,7 @@ class TestTwoFactorsOneKey:
         declined = AssertionError("the native kernel declined the batch")
         with mock.patch.object(
             NumpyKernel, "fold_batch", side_effect=declined
-        ) if kernel == "native" else contextlib.nullcontext():
+        ) if kernel == "auto" else contextlib.nullcontext():
             accumulator.update_day(0, views)
         final = accumulator.finalize()
         assert final.dst_ips.tolist() == [key, neighbour]
@@ -1146,18 +1139,14 @@ class TestCrc32Parity:
 class TestCrc32Fallback:
     def test_zlib_values_without_the_library(self, monkeypatch):
         monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-        kernels._CACHE.clear()
-        try:
-            arrays = [CRC_BUFFER[1:5000], CRC_BUFFER[:0]]
-            assert crc32_columns(arrays) == [zlib.crc32(a) for a in arrays]
-        finally:
-            monkeypatch.delenv(DISABLE_NATIVE_ENV)
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        arrays = [CRC_BUFFER[1:5000], CRC_BUFFER[:0]]
+        assert crc32_columns(arrays) == [zlib.crc32(a) for a in arrays]
 
     def test_declined_checksum_takes_zlib(self, monkeypatch):
         declined = mock.Mock(return_value=None)
-        stub = NativeKernel(SimpleNamespace(crc32_columns=declined))
-        monkeypatch.setitem(kernels._CACHE, "native", stub)
+        stub = SimpleNamespace(crc32_columns=declined)
+        monkeypatch.setattr(kernels, "_HANDLE", (stub, None))
         arrays = [CRC_BUFFER[7:7000], CRC_BUFFER[:64]]
         assert crc32_columns(arrays) == [zlib.crc32(a) for a in arrays]
         assert declined.call_count == 1
@@ -1335,22 +1324,19 @@ class TestCsvBlockParity:
 class TestCsvBlockFallback:
     def test_reference_parses_without_the_library(self, monkeypatch):
         monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-        kernels._CACHE.clear()
-        try:
-            reference = mock.Mock(wraps=kernels._loadtxt_csv_block)
-            monkeypatch.setattr(kernels, "_loadtxt_csv_block", reference)
-            columns, lines = parse_csv_block(V4_ROW + b"\n", V4_CSV)
-            assert lines == 1 and columns[6].tolist() == [65000]
-            assert reference.call_count == 1
-        finally:
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        reference = mock.Mock(wraps=kernels._loadtxt_csv_block)
+        monkeypatch.setattr(kernels, "_loadtxt_csv_block", reference)
+        columns, lines = parse_csv_block(V4_ROW + b"\n", V4_CSV)
+        assert lines == 1 and columns[6].tolist() == [65000]
+        assert reference.call_count == 1
 
     def test_declined_block_is_not_parsed_again(self, monkeypatch):
         # A decline hands the block to the per-row reader, not to the
         # reference: the two decline the same blocks.
         declined = mock.Mock(return_value=None)
-        stub = NativeKernel(SimpleNamespace(parse_csv_block=declined))
-        monkeypatch.setitem(kernels._CACHE, "native", stub)
+        stub = SimpleNamespace(parse_csv_block=declined)
+        monkeypatch.setattr(kernels, "_HANDLE", (stub, None))
         reference = mock.Mock(side_effect=AssertionError("reference ran"))
         monkeypatch.setattr(kernels, "_loadtxt_csv_block", reference)
         assert parse_csv_block(V4_ROW + b"\n", V4_CSV) is None
@@ -1375,7 +1361,7 @@ FOLD_RECORDS = {np.dtype(np.uint32): 12, np.dtype(np.uint64): 16}
 
 def extension():
     """The loaded ``_kernels`` module."""
-    return get_kernel("native")._ext
+    return kernels._extension()[0]
 
 
 def fold_arguments(key_dtype=np.uint32, rows=16, slices=2):
@@ -1940,59 +1926,85 @@ class TestClassificationParity:
                 engine_fold(views, chunk_size=17, kernel=kernel), ROUTING,
                 PipelineConfig(),
             )
-            for kernel in ("numpy", "native")
+            for kernel in ("numpy", "auto")
         }
         assert np.array_equal(
-            results["numpy"].dark_blocks, results["native"].dark_blocks
+            results["numpy"].dark_blocks, results["auto"].dark_blocks
         )
         assert np.array_equal(
-            results["numpy"].gray_blocks, results["native"].gray_blocks
+            results["numpy"].gray_blocks, results["auto"].gray_blocks
         )
         assert np.array_equal(
-            results["numpy"].unclean_blocks, results["native"].unclean_blocks
+            results["numpy"].unclean_blocks, results["auto"].unclean_blocks
         )
-        assert results["numpy"].funnel == results["native"].funnel
+        assert results["numpy"].funnel == results["auto"].funnel
 
 
 class TestResolution:
     def test_choices_and_validation(self):
-        assert set(KERNEL_CHOICES) == {"auto", "numpy", "native"}
+        assert KERNEL_CHOICES == ("auto", "numpy")
         with pytest.raises(ValueError, match="kernel must be one of"):
-            resolve_kernel_name("fortran")
+            get_kernel("fortran")
+
+    @pytest.mark.parametrize("name", ["native", "cc"])
+    def test_backend_names_are_not_knob_values(self, name):
+        # ``native`` names a resolved backend, never a knob value: it
+        # cannot ask for a NativeKernel that might compute in numpy.
+        with pytest.raises(ValueError, match="one of auto, numpy; got"):
+            get_kernel(name)
+        with pytest.raises(ValueError, match="one of auto, numpy; got"):
+            ExecutionPlanner().plan([], kernel=name)
 
     def test_numpy_resolves_to_reference(self):
         kernel = get_kernel("numpy")
         assert type(kernel) is NumpyKernel
-        assert kernel.describe()["provider"] == "numpy"
+        assert kernel.describe() == {
+            "name": "numpy", "provider": "numpy", "fallback_reason": None,
+        }
 
     def test_auto_matches_provider_availability(self):
-        resolved = resolve_kernel_name("auto")
-        assert resolved == ("native" if native_provider() else "numpy")
+        kernel = get_kernel("auto")
+        assert get_kernel(None).describe() == kernel.describe()
+        if native_provider() is None:
+            assert type(kernel) is NumpyKernel
+            assert kernel.fallback_reason
+        else:
+            assert type(kernel) is NativeKernel
+            assert kernel.describe() == {
+                "name": "native", "provider": "cc", "fallback_reason": None,
+            }
 
 
 class TestFallback:
     @pytest.fixture()
     def disabled_native(self, monkeypatch):
         monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-        kernels._CACHE.clear()
-        yield
-        monkeypatch.delenv(DISABLE_NATIVE_ENV)
-        kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
 
-    def test_native_degrades_to_reference(self, disabled_native):
-        kernel = get_kernel("native")
-        assert kernel.provider == "numpy"
-        assert DISABLE_NATIVE_ENV in kernel.fallback_reason
-        # Degraded native is the reference computation.
+    def assert_falls_back(self, reason):
+        """``auto`` is the reference, naming ``reason``; it plans
+        ``numpy``, and an engine run's ``kernel`` event names it too."""
+        kernel = get_kernel("auto")
+        assert type(kernel) is NumpyKernel
+        assert reason in kernel.fallback_reason
+        assert native_provider() is None
+        plan = ExecutionPlanner().plan([])
+        assert plan.knobs.kernel == "numpy"
+        context = RunContext()
+        execute_plan(plan, [], context)
+        (event,) = context.events(["kernel"])
+        assert event.name == "numpy"
+        assert event.meta["provider"] == "numpy"
+        assert reason in event.meta["fallback_reason"]
+        return kernel
+
+    def test_auto_falls_back_to_reference(self, disabled_native):
+        self.assert_falls_back(DISABLE_NATIVE_ENV)
         table = make_flows(
             np.array([(BASE << 8) | 3, (BASE << 8) | 4], dtype=np.uint32)
         )
         reference = fold([table], "numpy")
-        assert partial_states_identical(reference, fold([table], "native"))
-
-    def test_auto_plans_numpy_when_degraded(self, disabled_native):
-        assert native_provider() is None
-        assert resolve_kernel_name("auto") == "numpy"
+        assert partial_states_identical(reference, fold([table], "auto"))
 
     def test_degraded_engine_emits_fallback_trace_event(self, disabled_native):
         views = [
@@ -2003,19 +2015,27 @@ class TestFallback:
             )
         ]
         sink = MemorySink()
-        plan = ExecutionPlanner().plan(views, kernel="native")
+        plan = ExecutionPlanner().plan(views, kernel="auto")
         context = RunContext(sinks=(sink,))
         execute_plan(plan, views, context)
         events = [event for event in sink.events if event.kind == "kernel"]
         assert len(events) == 1
+        assert events[0].name == "numpy"
         assert events[0].meta["provider"] == "numpy"
         assert DISABLE_NATIVE_ENV in events[0].meta["fallback_reason"]
 
-    def test_plan_still_names_native_when_degraded(self, disabled_native):
-        # The knob records intent ("native"); the trace event records
-        # what actually computed (the fallback) — both are provenance.
-        plan = ExecutionPlanner().plan([], kernel="native")
-        assert plan.knobs.kernel == "native"
+    def test_auto_plans_numpy_when_degraded(self, disabled_native):
+        # The plan names what computes: with the module unavailable,
+        # ``auto`` (and its default, None) plans the reference.
+        assert native_provider() is None
+        plan = ExecutionPlanner().plan([], kernel=None)
+        assert plan.knobs.kernel == "numpy"
+        assert plan.to_dict()["kernel"] == "numpy"
+        assert ("kernel", "numpy") in plan.describe_rows()
+
+    def test_explicit_numpy_carries_no_reason(self, disabled_native):
+        # Only ``auto`` falls back; ``numpy`` is what was asked for.
+        assert get_kernel("numpy").fallback_reason is None
 
     def test_failed_build_degrades_and_leaves_no_files(self, monkeypatch, tmp_path):
         # A build that *raises* (missing compiler, timeout) once left
@@ -2023,19 +2043,13 @@ class TestFallback:
         monkeypatch.delenv(DISABLE_NATIVE_ENV, raising=False)
         monkeypatch.setenv("CC", "/no/such/cc")
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        kernels._CACHE.clear()
-        try:
-            kernel = get_kernel("native")
-            assert kernel.provider == "numpy"
-            assert "/no/such/cc" in kernel.fallback_reason
-            assert native_provider() is None
-            assert list(tmp_path.iterdir()) == []
-            table = make_flows(np.array([(BASE << 8) | 3], dtype=np.uint32))
-            assert partial_states_identical(
-                fold([table], "numpy"), fold([table], "native")
-            )
-        finally:
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        self.assert_falls_back("/no/such/cc")
+        assert list(tmp_path.iterdir()) == []
+        table = make_flows(np.array([(BASE << 8) | 3], dtype=np.uint32))
+        assert partial_states_identical(
+            fold([table], "numpy"), fold([table], "auto")
+        )
 
     def test_build_is_keyed_by_source_hash_and_abi(
         self, monkeypatch, tmp_path
@@ -2050,29 +2064,24 @@ class TestFallback:
         foreign_suffix = ".cpython-29-foreign.so"
         foreign = tmp_path / f"_kernels-{digest}{foreign_suffix}"
         foreign.write_bytes(b"another interpreter's build")
-        kernels._CACHE.clear()
-        try:
-            kernel = get_kernel("native")
-            assert kernel.fallback_reason is None
-            ours = f"_kernels-{digest}{suffix}"
-            assert Path(kernel._ext.__file__).name == ours
-            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-                [ours, foreign.name]
-            )
-            # The name is the whole key: under the foreign suffix the
-            # foreign file is what would load (and it is not a module).
-            get_config_var = sysconfig.get_config_var
-            monkeypatch.setattr(
-                kernels.sysconfig, "get_config_var",
-                lambda name: foreign_suffix if name == "EXT_SUFFIX"
-                else get_config_var(name),
-            )
-            kernels._CACHE.clear()
-            degraded = get_kernel("native")
-            assert degraded.provider == "numpy"
-            assert f"cannot load {foreign.name}" in degraded.fallback_reason
-        finally:
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        kernel = get_kernel("auto")
+        assert type(kernel) is NativeKernel
+        ours = f"_kernels-{digest}{suffix}"
+        assert Path(kernel._ext.__file__).name == ours
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [ours, foreign.name]
+        )
+        # The name is the whole key: under the foreign suffix the
+        # foreign file is what would load (and it is not a module).
+        get_config_var = sysconfig.get_config_var
+        monkeypatch.setattr(
+            kernels.sysconfig, "get_config_var",
+            lambda name: foreign_suffix if name == "EXT_SUFFIX"
+            else get_config_var(name),
+        )
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        self.assert_falls_back(f"cannot load {foreign.name}")
 
     def test_missing_python_headers_degrade_by_name(
         self, monkeypatch, tmp_path
@@ -2086,17 +2095,10 @@ class TestFallback:
             kernels.sysconfig, "get_paths",
             lambda: {**paths, "include": str(empty)},
         )
-        kernels._CACHE.clear()
-        try:
-            kernel = get_kernel("native")
-            assert kernel.provider == "numpy"
-            assert "Python.h" in kernel.fallback_reason
-            assert str(empty) in kernel.fallback_reason
-            assert native_provider() is None
-            assert resolve_kernel_name("auto") == "numpy"
-            assert not (tmp_path / "cache").exists()
-        finally:
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        kernel = self.assert_falls_back("Python.h")
+        assert str(empty) in kernel.fallback_reason
+        assert not (tmp_path / "cache").exists()
 
     def test_declined_merge_takes_the_reference_path(self):
         # A declined C merge (today: a shape merge_k does not take)
@@ -2121,8 +2123,9 @@ class TestFallback:
 
     def test_micro_world_identity_numpy_native_fallback(self, request):
         # The end-to-end identity gate: two days of a micro world
-        # classify identically under the reference, the native backend
-        # and the forced fallback.
+        # classify identically under the reference, ``auto`` (the
+        # native backend where the module loads) and the forced
+        # fallback.
         world = micro_world(7)
         views = Observatory(world).all_ixp_views(num_days=2)
         telescope = MetaTelescope(
@@ -2137,10 +2140,10 @@ class TestFallback:
             result = telescope.infer(views, kernel=kernel)
             return int(result.pipeline.num_dark()), int(result.num_prefixes())
 
-        dark = {kernel: counts(kernel) for kernel in ("numpy", "native")}
+        dark = {kernel: counts(kernel) for kernel in ("numpy", "auto")}
         request.getfixturevalue("disabled_native")
         assert native_provider() is None
-        dark["fallback"] = counts("native")
+        dark["fallback"] = counts("auto")
         assert len(set(dark.values())) == 1, dark
         assert dark["numpy"][0] > 0
 
@@ -2181,7 +2184,7 @@ class KeyedSumsMachine(RuleBasedStateMachine):
         super().__init__()
         self.families = {
             name: _KeyedSums(2, kernel=get_kernel(name))
-            for name in ("numpy", "native")
+            for name in ("numpy", "auto")
         }
         self.model: dict[int, list[float]] = {}
 
@@ -2239,7 +2242,7 @@ class KeyedSumsMachine(RuleBasedStateMachine):
             assert np.array_equal(keys, expected_keys)
             assert keys.dtype == np.int64
             assert all(np.array_equal(c, e) for c, e in zip(cols, expected))
-        assert parts_identical(states["numpy"], states["native"])
+        assert parts_identical(states["numpy"], states["auto"])
 
 
 TestKeyedSumsMachine = KeyedSumsMachine.TestCase

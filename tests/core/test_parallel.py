@@ -47,7 +47,7 @@ from repro.traffic.flows import FlowTable
 from repro.vantage.archive import export_view
 from repro.vantage.sampling import VantageDayView
 
-from _factories import families_of, fold
+from _factories import NATIVE, families_of, fold
 from test_accumulator import assert_identical
 from test_kernels import flow_tables as family_flow_tables
 from test_pipeline_properties import ROUTING, flow_tables
@@ -190,7 +190,7 @@ class TestNonIntegerFactorsPoolEqualsSerial:
             for index, view in enumerate(multi_day)
         ]
 
-    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("kernel", ["numpy", NATIVE])
     @pytest.mark.parametrize("chunk_size", [None, 500, AUTO_CHUNK])
     def test_any_worker_count(self, scaled, kernel, chunk_size):
         serial = fold(scaled, kernel=kernel, chunk_size=chunk_size)
@@ -399,7 +399,7 @@ class TestInterleavings:
             )
         ),
         st.integers(min_value=2, max_value=4),
-        st.sampled_from(["numpy", "native"]),
+        st.sampled_from(["numpy", "auto"]),
         st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
     )
     @settings(max_examples=40, deadline=None)
@@ -562,7 +562,7 @@ class TestAutoFoldsADayInOneBatch:
             for sums in families_of(accumulator):
                 assert len(sums._parts) == 1
 
-    @pytest.mark.parametrize("kernel", ["numpy", "native"])
+    @pytest.mark.parametrize("kernel", ["numpy", NATIVE])
     def test_days_above_the_ceiling_split_and_compact(
         self, telescope, observatory, monkeypatch, kernel
     ):

@@ -7,7 +7,7 @@ from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.net.ipv4 import parse_ip
 from repro.traffic.packets import PROTO_TCP, PROTO_UDP
 
-from _factories import fold, ip, make_view, routing_for
+from _factories import NATIVE, fold, ip, make_view, routing_for
 
 # Blocks inside the announced test prefix 20.0.0.0/8.
 BASE = parse_ip("20.0.0.0") >> 8
@@ -226,7 +226,7 @@ class TestVolumeFilter:
         assert len(result.dark_blocks) == 0
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "native"])
+@pytest.mark.parametrize("kernel", ["numpy", NATIVE])
 class TestThresholdsAreInclusive:
     """A block exactly at a funnel bound stays dark, one step past it
     is removed: step 2 keeps a TCP mean equal to ``avg_size_threshold``

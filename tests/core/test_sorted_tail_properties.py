@@ -470,11 +470,11 @@ def sourced_blocks_out_early():
     # Above the 48-byte per-IP slack, a block can pass step 2 while one
     # of its addresses fails: the unclean verdict.
     st.sampled_from([44.0, 52.0]),
-    st.sampled_from(["numpy", "native"]),
+    st.sampled_from(["numpy", "auto"]),
 )
 # Seed 23 routes all five blocks and marks none special.
 @example(sourced_blocks_out_early(), 23, 44.0, "numpy")
-@example(sourced_blocks_out_early(), 23, 44.0, "native")
+@example(sourced_blocks_out_early(), 23, 44.0, "auto")
 def test_funnel_matches_a_dict_and_loop_reading(finalized, seed, avg_size, kernel):
     rng = np.random.default_rng(seed)
     blocks = sorted(set((finalized.dst_ips >> finalized.block_shift).tolist()))
@@ -505,7 +505,7 @@ def unsorted_finalized(dst_ips):
 
 def test_stage_context_rejects_unsorted_columns():
     finalized = unsorted_finalized([0x14000101, 0x14000001])
-    for kernel in ("numpy", "native"):
+    for kernel in ("numpy", "auto"):
         with pytest.raises(ValueError, match="sorted"):
             run_funnel(
                 finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig(),
@@ -516,7 +516,7 @@ def test_stage_context_rejects_unsorted_columns():
 def test_a_repeated_address_key_is_rejected():
     # Sorted blocks, but one address twice: it must not count as two.
     finalized = unsorted_finalized([0x14000001, 0x14000002, 0x14000002])
-    for kernel in ("numpy", "native"):
+    for kernel in ("numpy", "auto"):
         with pytest.raises(ValueError, match="sorted by destination key"):
             run_funnel(
                 finalized, ROUTING, SPECIAL_PURPOSE_REGISTRY, PipelineConfig(),

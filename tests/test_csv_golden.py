@@ -182,15 +182,11 @@ def provider(request, monkeypatch):
             pytest.skip("native provider unavailable")
         yield request.param
         return
+    # monkeypatch restores the environment and the loaded module handle.
     monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-    kernels._CACHE.clear()
-    try:
-        assert native_provider() is None
-        yield request.param
-    finally:
-        # The provider loads again, lazily, once monkeypatch restores
-        # the environment.
-        kernels._CACHE.clear()
+    monkeypatch.setattr(kernels, "_HANDLE", None)
+    assert native_provider() is None
+    yield request.param
 
 
 @pytest.fixture()

@@ -545,16 +545,17 @@ def checksum_provider(name):
     fold, with zlib forbidden so a decline fails), ``disabled``
     (``REPRO_DISABLE_NATIVE_KERNEL``: zlib) or ``declining`` (a module
     whose checksum declines with None: zlib)."""
-    saved = dict(kernels._CACHE)
-    kernels._CACHE.clear()
+    saved = kernels._HANDLE
+    kernels._HANDLE = None
     try:
         if name == "disabled":
             with mock.patch.dict(os.environ, {kernels.DISABLE_NATIVE_ENV: "1"}):
                 assert kernels.native_provider() is None
                 yield
         elif name == "declining":
-            kernels._CACHE["native"] = kernels.NativeKernel(
-                SimpleNamespace(crc32_columns=mock.Mock(return_value=None))
+            kernels._HANDLE = (
+                SimpleNamespace(crc32_columns=mock.Mock(return_value=None)),
+                None,
             )
             yield
         else:
@@ -564,8 +565,7 @@ def checksum_provider(name):
             with mock.patch.object(kernels, "zlib", forbidden):
                 yield
     finally:
-        kernels._CACHE.clear()
-        kernels._CACHE.update(saved)
+        kernels._HANDLE = saved
 
 
 CHECKSUM_PROVIDERS = ("native", "disabled", "declining")

@@ -15,6 +15,7 @@ from repro.io import (
     write_prefix_list,
 )
 from repro.net.ipv4 import parse_ip
+from repro.traffic.flows import flow_columns
 
 from _factories import make_flows
 
@@ -201,6 +202,55 @@ class TestFlowsCsv:
         assert len(flows) == 1
         assert report.ok()
         assert "no errors" in report.summary()
+
+
+class TestCsvChunkColumns:
+    """A chunk that is one whole parsed block is that block's columns as
+    the parser wrote them; any other chunk owns its copies, so a small
+    chunk pins no whole block's columns."""
+
+    @pytest.fixture()
+    def parsed(self, tmp_path, monkeypatch):
+        from repro.core import kernels
+
+        path = tmp_path / "flows.csv"
+        write_flows_csv(
+            make_flows([{"dst_ip": 0x14000000 + i, "packets": 1 + i}
+                        for i in range(30)]),
+            path,
+        )
+        runs, parse = [], kernels.parse_csv_block
+
+        def recording(block, dtypes):
+            result = parse(block, dtypes)
+            runs.append(result[0])
+            return result
+
+        monkeypatch.setattr(kernels, "parse_csv_block", recording)
+        return path, runs
+
+    def test_one_block_reads_are_not_copied(self, parsed):
+        from repro.io import iter_flows_csv
+
+        path, runs = parsed
+        packets = list(flow_columns("ipv4")).index("packets")
+        assert read_flows_csv(path).packets is runs[-1][packets]
+        (chunk,) = iter_flows_csv(path, chunk_rows=64)
+        assert chunk.packets is runs[-1][packets]
+        assert len(runs) == 2
+
+    def test_slices_of_a_block_are_copied(self, parsed):
+        from repro.io import iter_flows_csv
+
+        path, runs = parsed
+        chunks = list(iter_flows_csv(path, chunk_rows=8))
+        assert [len(chunk) for chunk in chunks] == [8, 8, 8, 6]
+        for chunk in chunks:
+            assert chunk.packets.base is None
+            assert not any(np.shares_memory(chunk.packets, c) for c in runs[-1])
+        assert np.concatenate([c.packets for c in chunks]).tolist() == list(
+            range(1, 31)
+        )
 
 
 class TestCli:
@@ -425,8 +475,11 @@ class TestCli:
             (["--chunk-size", "0"], "argument --chunk-size: must be >= 1, got 0"),
             (["--chunk-size", "-5"], "argument --chunk-size: must be >= 1, got -5"),
             (["--workers", "-1"], "argument --workers: must be >= 0, got -1"),
+            # ``native`` names a resolved backend, not a knob value.
+            (["--kernel", "native"], "argument --kernel: invalid choice: 'native'"),
         ],
-        ids=["chunk-size-0", "chunk-size-negative", "workers-negative"],
+        ids=["chunk-size-0", "chunk-size-negative", "workers-negative",
+             "kernel-native"],
     )
     def test_bad_execution_knobs_are_usage_errors(
         self, command, flags, message, capsys
@@ -440,6 +493,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage: ")
         assert message in captured.err
+
+    def test_kernel_choices_are_the_knob_values(self):
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.core.kernels import KERNEL_CHOICES
+
+        (commands,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        choices = {
+            name: tuple(action.choices)
+            for name, sub in commands.choices.items()
+            for action in sub._actions if action.dest == "kernel"
+        }
+        assert {"plan", "infer", "faults", "serve"} <= set(choices)
+        assert set(choices.values()) == {KERNEL_CHOICES}
 
     @pytest.mark.parametrize("command", ["faults", "serve"])
     def test_online_commands_reject_workers(self, command, capsys):

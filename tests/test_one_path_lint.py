@@ -39,6 +39,11 @@ SRC = REPO / "src" / "repro"
 ALLOWED_CALLERS = {
     "PrefixAccumulator": {"core/accum.py", "core/engine.py"},
     "resolve_execution_knobs": {"core/engine.py"},
+    # One resolution of the ``kernel`` knob: the engine's knobs and the
+    # accumulator's ask get_kernel, and only get_kernel builds a
+    # NativeKernel (and only over a module that loaded).
+    "get_kernel": {"core/engine.py", "core/accum.py"},
+    "NativeKernel": {"core/kernels.py"},
     "build_snapshot": {
         "core/snapshot.py",
         "core/metatelescope.py",
@@ -141,6 +146,9 @@ DELETED_SURFACE = (
     # match: an open walks the headers once, over its mapping (_walk),
     # and each header schema resolves once per process.
     "_scan_table", "_flow_family_of_spec", "_column_spec",
+    # core/kernels.py's second kernel-name resolver and its cache of a
+    # NativeKernel that might compute in numpy: get_kernel resolves.
+    "resolve_kernel_name", "_native_kernel",
 )
 #: Parameters and dataclass fields deleted because no production entry
 #: point ever gave them a second value (``tools/reach``'s second
@@ -181,6 +189,9 @@ DELETED_PARAMETERS = (
     ("world/ipv6.py", "Ipv6Collector.__init__", "leak"),
     # The prefixes carry their family.
     ("bgp/rib.py", "RoutingTable.__init__", "family"),
+    # A NativeKernel without its module: ``auto`` falls back to the
+    # reference instead, which says why.
+    ("core/kernels.py", "NativeKernel", "fallback_reason"),
 )
 #: Deleted second doors — the convenience fold, the per-view
 #: aggregation and its view-fed tolerances, the stage plugin layer and
@@ -646,13 +657,15 @@ def named(tree: ast.Module, qualname: str):
 
 
 def parameters(node) -> set[str]:
-    """A function's parameter names, or a class's annotated fields."""
+    """A function's parameter names, or a class's annotated fields and
+    its ``__init__``'s parameters."""
     if isinstance(node, ast.ClassDef):
+        init = named(node, "__init__")
         return {
             statement.target.id for statement in node.body
             if isinstance(statement, ast.AnnAssign)
             and isinstance(statement.target, ast.Name)
-        }
+        } | (parameters(init) if init is not None else set())
     arguments = node.args
     return {
         arg.arg for arg in
@@ -712,6 +725,33 @@ def test_parameter_lint_actually_catches_a_pasted_parameter():
     assert pasted_parameters({**clean, "core/accum.py": ast.unparse(tree)}) == [
         "src/repro/core/accum.py: no adaptive_chunk_rows"
     ] * 3
+
+
+def test_kernel_resolution_lint_actually_catches_a_second_resolver():
+    # Guard the guard: the degraded shell's parameter, pasted back into
+    # NativeKernel.__init__, is found, and so is a kernel resolved or a
+    # NativeKernel built outside get_kernel's module and its two callers.
+    clean = tree_sources()
+    tree = ast.parse(clean["core/kernels.py"])
+    init = named(tree, "NativeKernel.__init__")
+    init.args.args.append(ast.arg(arg="fallback_reason"))
+    init.args.defaults.append(ast.Constant(value=None))
+    found = pasted_parameters({**clean, "core/kernels.py": ast.unparse(tree)})
+    assert len(found) == 1 and found[0].endswith(
+        "NativeKernel(fallback_reason)"
+    ), found
+    for module, text, caught in (
+        ("cli.py", "kernel = get_kernel(args.kernel)\n", "get_kernel( in None"),
+        ("core/online.py", "kernel = NativeKernel(ext)\n", "NativeKernel( in None"),
+        ("core/engine.py", "name = resolve_kernel_name(kernel)\n",
+         "name = resolve_kernel_name(kernel)"),
+        ("core/kernels.py", "def _native_kernel(): ...\n",
+         "def _native_kernel(): ..."),
+    ):
+        assert offenders({module: text}) == [
+            f"src/repro/{module}:1: {caught}"
+        ], module
+    assert not offenders({"core/accum.py": "kernel = get_kernel(None)\n"})
 
 
 def test_every_definition_is_referenced():

@@ -465,15 +465,11 @@ class TestReferenceBlockReaderMatchesRowReader(TestBlockReaderMatchesRowReader):
 
     @pytest.fixture(autouse=True)
     def reference_parser(self, monkeypatch):
+        # monkeypatch restores the environment and the loaded module
+        # handle.
         monkeypatch.setenv(DISABLE_NATIVE_ENV, "1")
-        kernels._CACHE.clear()
-        try:
-            assert native_provider() is None
-            yield
-        finally:
-            # The provider loads again, lazily, once monkeypatch restores
-            # the environment.
-            kernels._CACHE.clear()
+        monkeypatch.setattr(kernels, "_HANDLE", None)
+        assert native_provider() is None
 
     @_same_chunks_property
     def test_same_chunks_reports_and_messages(

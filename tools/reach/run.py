@@ -72,7 +72,7 @@ def cli_runs(work: Path) -> list[list[str]]:
          "--chunk-size", "auto", "--output", str(work / "ce1.txt"),
          "--capture-output", str(work / "captured.fpk"), "--format", "flowpack"],
         ["infer", *MICRO, "--explain", "--output", str(work / "never.txt")],
-        ["infer", "--family", "ipv6", *MICRO, "--kernel", "native",
+        ["infer", "--family", "ipv6", *MICRO, "--kernel", "auto",
          "--output", str(work / "v6-native.txt")],
         ["infer", "--family", "ipv6", *MICRO, "--kernel", "numpy",
          "--output", str(work / "v6-numpy.txt")],
@@ -80,7 +80,7 @@ def cli_runs(work: Path) -> list[list[str]]:
          "--chunk-size", "500", "--workers", "2",
          "--output", str(work / "v6-chunked.txt")],
         ["plan", *MICRO, "--workers", "2", "--chunk-size", "auto"],
-        ["plan", *MICRO, "--kernel", "native"],
+        ["plan", *MICRO, "--kernel", "auto"],
         ["plan", *MICRO, "--workers", "0"],
         ["plan", "--family", "ipv6", *MICRO],
         ["plan", "--family", "ipv6", "--scale", "small"],
