@@ -2026,12 +2026,24 @@ class TestFallback:
 
     def test_auto_plans_numpy_when_degraded(self, disabled_native):
         # The plan names what computes: with the module unavailable,
-        # ``auto`` (and its default, None) plans the reference.
+        # ``auto`` plans the reference.
         assert native_provider() is None
-        plan = ExecutionPlanner().plan([], kernel=None)
+        plan = ExecutionPlanner().plan([], kernel="auto")
         assert plan.knobs.kernel == "numpy"
         assert plan.to_dict()["kernel"] == "numpy"
         assert ("kernel", "numpy") in plan.describe_rows()
+
+    def test_plan_names_numpy_when_degraded(self, disabled_native):
+        # A plan never says ``native`` while numpy computes: the default
+        # knob (None) plans the reference, and the run's ``kernel``
+        # event says why the module is unavailable.
+        plan = ExecutionPlanner().plan([], kernel=None)
+        assert plan.knobs.kernel == "numpy"
+        context = RunContext()
+        execute_plan(plan, [], context)
+        (event,) = context.events(["kernel"])
+        assert event.name == "numpy"
+        assert DISABLE_NATIVE_ENV in event.meta["fallback_reason"]
 
     def test_explicit_numpy_carries_no_reason(self, disabled_native):
         # Only ``auto`` falls back; ``numpy`` is what was asked for.
