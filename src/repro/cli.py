@@ -558,6 +558,19 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         context.close()
 
 
+def _window_feed(world, observatory, args: argparse.Namespace, online, days):
+    """``serve``'s feed: each day's ``(day, views)`` in order.
+
+    Once a day is folded, the observatory keeps only the days the online
+    window still holds (the window keeps accumulators, never views):
+    a feed of any length then holds a window of days' views, and of a
+    warm capture cache's mappings, not every day it has served.
+    """
+    for day in range(days):
+        yield day, _day_views(world, observatory, args, day)
+        observatory.retain(online.days_in_window())
+
+
 def _feed_publisher(args: argparse.Namespace, make_publisher):
     """Build ``serve``'s publisher and publish what it serves at boot.
 
@@ -589,10 +602,7 @@ def _feed_publisher(args: argparse.Namespace, make_publisher):
         publisher = make_publisher(context, **shared)
         folder = BackgroundFolder(online, publisher)
         warm = days if args.warm_days is None else min(args.warm_days, days)
-        feed = (
-            (day, _day_views(world, observatory, args, day))
-            for day in range(days)
-        )
+        feed = _window_feed(world, observatory, args, online, days)
         for day, views in itertools.islice(feed, warm):
             snapshot = folder.fold(day, views)
             print(

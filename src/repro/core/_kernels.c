@@ -37,7 +37,15 @@
  * field's top bits), fully sorted by key with a stable LSD radix sort
  * in passes of <= 13 bits — no hashing, no comparison sort, no random
  * gathers — so a key's records keep slice order and, within a slice,
- * row order.  Every batch, of one slice or fourteen, is then walked run
+ * row order.  The destination side sorts one record per row.  The
+ * source side sorts one record per run of consecutive rows of one
+ * slice with one source key: its histogram read counts run heads, its
+ * first scatter sums each run's packets into the run's record, and a
+ * run whose sum would leave the packet field opens a new record there
+ * (a feed that emits each scanner's probes together — the simulated v6
+ * one does — sorts a few records per hundred rows; one that does not
+ * sorts about one a row, as before).  Every batch, of one slice or
+ * fourteen, is then walked run
  * by run: each (key, slice) run summed in row order from 0.0 — the
  * slice's own unscaled per-key sums — and added times the slice's
  * factor to the key's totals, in slice order from 0.0, while each
@@ -45,14 +53,20 @@
  * their factors to the block's volume the same way.  A one-slice batch
  * (a CSV chunk, one IPv6 view a day) takes the same walk: its one
  * run per key gives 0.0 + sum x factor, the reference's sum x factor
- * bit for bit, as no sum is negative.  Keys are 32-bit (IPv4)
+ * bit for bit, as no sum is negative.  The source side's sums are
+ * integer packet counts and are never scaled: below a batch packet
+ * total of 2**53 each is exact in any grouping, so summing a run in
+ * integers first changes no double.  The fused scan that checks every
+ * count also totals them, and a batch at 2**53 or past it declines to
+ * the reference.  Keys are 32-bit (IPv4)
  * or 64-bit (IPv6 /64 ids).  The record width follows the batch's key
  * range, not the key width: a range that fits 32 bits sorts 12-/8-byte
  * records with 32-bit offsets in 1-3 passes; only a wider one (64-bit
  * keys alone get there) sorts 16-byte records with 64-bit offsets in
  * up to 5.  The slice index costs no record width: a batch of k slices
- * leaves 31 - bits(k - 1) bits for a row's packets (27 for 14 views),
- * and a larger count declines the batch like any count past 31 bits.
+ * leaves 31 - bits(k - 1) bits for a row's packets, or a run's packet
+ * sum (27 for 14 views), and a larger row count declines the batch
+ * like any count past 31 bits.
  *
  * merge_k (any number of sorted-unique parts) is the same algorithm
  * over the parts' concatenation: (offset, row) records — 8 bytes when
@@ -103,23 +117,35 @@ static int bits_of(uint64_t range) {
 }
 
 /* Split `bits` into the fewest stable LSD passes of <= MAX_PASS_BITS
- * each (1-3 for a 32-bit range, up to 5 for a 64-bit one) and the bit
- * position of each pass's digit. */
-static int pass_plan(int bits, int *widths, int *shifts) {
+ * each (1-3 for a 32-bit range, up to 5 for a 64-bit one): each pass's
+ * digit width and bit position, and its histogram zeroed.
+ * Returns the pass count. */
+static int radix_plan(int bits, int *widths, int *shifts,
+                      int64_t (*hist)[MAX_PASS_SLOTS])
+{
     int npass = bits <= MAX_PASS_BITS ? 1
                                       : (bits + MAX_PASS_BITS - 1) / MAX_PASS_BITS;
     int shift = 0;
     for (int p = 0; p < npass; p++) {
         widths[p] = bits / npass + (p < bits % npass);
         shifts[p] = shift;
+        memset(hist[p], 0, sizeof(int64_t) << widths[p]);
         shift += widths[p];
     }
     return npass;
 }
 
-/* Add one key column to every pass histogram in a single read.
- * Inlined per record width so the pass loop unrolls over the constant
- * `maxp`. */
+/* Count key offset `u` in every pass histogram.  Inlined per record
+ * width so the pass loop unrolls over the constant `maxp`. */
+static inline __attribute__((always_inline)) void hist_add(
+    uint64_t u, int npass, const uint64_t *masks, const int *shifts,
+    int maxp, int64_t (*hist)[MAX_PASS_SLOTS])
+{
+    for (int p = 0; p < maxp; p++)
+        if (p < npass) hist[p][(u >> shifts[p]) & masks[p]]++;
+}
+
+/* Add one key column to every pass histogram in a single read. */
 static inline __attribute__((always_inline)) void radix_count(
     const void *keys, int key_bits, int64_t n, uint64_t kmin,
     int npass, const int *widths, const int *shifts, int maxp,
@@ -128,11 +154,9 @@ static inline __attribute__((always_inline)) void radix_count(
     uint64_t masks[MAX_PASSES] = {0};
     for (int p = 0; p < npass; p++)
         masks[p] = ((uint64_t)1 << widths[p]) - 1;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t u = (uint64_t)key_at(keys, key_bits, i) - kmin;
-        for (int p = 0; p < maxp; p++)
-            if (p < npass) hist[p][(u >> shifts[p]) & masks[p]]++;
-    }
+    for (int64_t i = 0; i < n; i++)
+        hist_add((uint64_t)key_at(keys, key_bits, i) - kmin, npass, masks,
+                 shifts, maxp, hist);
 }
 
 /* Counted histograms -> each pass's scatter positions. */
@@ -158,56 +182,160 @@ typedef struct {
     int64_t n;
 } Slice;
 
-/* Record value fields, built from row `i` of slice `sl` (index `q`):
- * the packets with the slice index above their `pbits` bits (the scan
- * checked every count fits below), the TCP flag in bit 31 of the packet
- * field, the bytes. */
-#define PKT_SLICE ((uint32_t)sl->packets[i] | ((uint32_t)q << pbits))
-#define FILL_TCP                                                            \
-    rec.pktcp = (int32_t)(PKT_SLICE                                         \
-        | (sl->proto[i] == PROTO_TCP ? 0x80000000u : 0u));                  \
-    rec.by = (int32_t)sl->bytes_[i]
-#define FILL_PKT rec.pk = (int32_t)PKT_SLICE
+/* Whether a row heads a new source run record: it is its slice's first
+ * row (`first`), its key differs from the previous row's, or (`split`
+ * 1) its packets would carry the run's sum out of the `pmask` packet
+ * field.  `*sum` becomes the record's sum so far, this row's packets
+ * included; `*prev` this row's key.  The histogram read and the first
+ * scatter call it alike, so they count and fill the same records.
+ * The histogram read passes a constant 0 for `split` where the batch's
+ * packet total fits the field (no run can split there) and then reads
+ * no packets. */
+static inline __attribute__((always_inline)) int run_head(
+    int64_t key, uint64_t packets, int first, int split, uint64_t pmask,
+    int64_t *prev, uint64_t *sum)
+{
+    int head = first | (key != *prev) | (split && *sum + packets > pmask);
+    *sum = head ? packets : *sum + packets;
+    *prev = key;
+    return head;
+}
+
+/* Count slice `sl`'s source run records into every pass histogram;
+ * their number.  With `split` 0 it reads no packets. */
+static inline __attribute__((always_inline)) int64_t run_count(
+    const Slice *sl, int key_bits, uint64_t kmin, uint64_t pmask, int split,
+    int npass, const int *widths, const int *shifts, int maxp,
+    int64_t (*hist)[MAX_PASS_SLOTS])
+{
+    uint64_t masks[MAX_PASSES] = {0};
+    for (int p = 0; p < npass; p++)
+        masks[p] = ((uint64_t)1 << widths[p]) - 1;
+    int64_t prev = 0, heads = 0;
+    uint64_t sum = 0;
+    for (int64_t i = 0; i < sl->n; i++) {
+        int64_t key = key_at(sl->src, key_bits, i);
+        if (!run_head(key, (uint64_t)sl->packets[i], i == 0, split, pmask,
+                      &prev, &sum))
+            continue;
+        hist_add((uint64_t)key - kmin, npass, masks, shifts, maxp, hist);
+        heads++;
+    }
+    return heads;
+}
+
+/* The pass tables of a sort of at most MAXP passes over a `bits`-bit
+ * key range (see radix_plan). */
+#define RADIX_PLAN(MAXP)                                                    \
+    int widths[MAXP], shifts[MAXP];                                         \
+    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
+    int npass = radix_plan(bits, widths, shifts, hist)
+
+/* NAME: passes 2..npass of a stable LSD radix sort of `m` REC records
+ * that pass 1 scattered into `bufa`, ping-ponging between the two
+ * buffers.  Returns the buffer holding the sorted records. */
+#define DEFINE_RADIX_REST(NAME, REC, OFF_T)                                 \
+static inline __attribute__((always_inline)) REC *NAME(                     \
+    REC *bufa, REC *bufb, int64_t m, int npass, const int *widths,          \
+    const int *shifts, int64_t (*hist)[MAX_PASS_SLOTS])                     \
+{                                                                           \
+    REC *cur = bufa, *alt = bufb;                                           \
+    for (int p = 1; p < npass; p++) {                                       \
+        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
+        for (int64_t i = 0; i < m; i++)                                     \
+            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
+        REC *swap = cur; cur = alt; alt = swap;                             \
+    }                                                                       \
+    return cur;                                                             \
+}
 
 /* NAME: the stable LSD radix sort of every row of `nslices` slices, in
- * slice order, as REC records keyed by the KEYS column's offset from
- * kmin — all pass histograms in one read of every slice's keys, pass 1
- * scattering records built straight from the slices' columns (FILL),
- * later passes ping-ponging between the two buffers.  Returns the
- * buffer holding the sorted records.  n >= 1. */
-#define DEFINE_SORT(NAME, REC, OFF_T, MAXP, KEYS, FILL)                     \
+ * slice order, as REC records keyed by the destination key's offset
+ * from kmin — all pass histograms in one read of every slice's keys,
+ * pass 1 scattering records built straight from the slices' columns:
+ * the packets with the slice index above their `pbits` bits (the scan
+ * checked every count fits below), the TCP flag in bit 31 of the packet
+ * field, the bytes.  Returns the buffer holding the sorted records.
+ * n >= 1. */
+#define DEFINE_ROW_SORT(NAME, REC, OFF_T, MAXP)                             \
+DEFINE_RADIX_REST(NAME##_rest, REC, OFF_T)                                  \
 static REC *NAME(const Slice *slices, int64_t nslices, int key_bits,       \
                  int64_t n, uint64_t kmin, int bits, int pbits,             \
                  REC *bufa, REC *bufb)                                      \
 {                                                                           \
-    int widths[MAXP], shifts[MAXP];                                         \
-    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
-    int npass = pass_plan(bits, widths, shifts);                            \
-    for (int p = 0; p < npass; p++)                                         \
-        memset(hist[p], 0, sizeof(int64_t) << widths[p]);                   \
+    RADIX_PLAN(MAXP);                                                       \
     for (int64_t q = 0; q < nslices; q++)                                   \
-        radix_count(slices[q].KEYS, key_bits, slices[q].n, kmin, npass,     \
+        radix_count(slices[q].dst, key_bits, slices[q].n, kmin, npass,      \
                     widths, shifts, MAXP, hist);                            \
     radix_starts(npass, widths, hist);                                      \
     OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
     for (int64_t q = 0; q < nslices; q++) {                                 \
         const Slice *sl = &slices[q];                                       \
+        uint32_t tag = (uint32_t)q << pbits;                                \
         for (int64_t i = 0; i < sl->n; i++) {                               \
             REC rec;                                                        \
-            rec.off = (OFF_T)((uint64_t)key_at(sl->KEYS, key_bits, i)       \
+            rec.off = (OFF_T)((uint64_t)key_at(sl->dst, key_bits, i)        \
                               - kmin);                                      \
-            FILL;                                                           \
+            rec.pktcp = (int32_t)((uint32_t)sl->packets[i] | tag            \
+                | (sl->proto[i] == PROTO_TCP ? 0x80000000u : 0u));          \
+            rec.by = (int32_t)sl->bytes_[i];                                \
             bufa[hist[0][rec.off & mask0]++] = rec;                         \
         }                                                                   \
     }                                                                       \
-    REC *cur = bufa, *alt = bufb;                                           \
-    for (int p = 1; p < npass; p++) {                                       \
-        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
-        for (int64_t i = 0; i < n; i++)                                     \
-            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
-        REC *swap = cur; cur = alt; alt = swap;                             \
+    return NAME##_rest(bufa, bufb, n, npass, widths, shifts, hist);         \
+}
+
+/* NAME: the stable LSD radix sort of the source side as run records,
+ * one per run of rows of one slice with one source key (run_head
+ * splits a run whose packet sum would leave the field).  A record holds
+ * the key's offset from kmin and the run's packet sum with the slice
+ * index above its `pbits` bits.  The histogram read counts run heads
+ * (reading the packets only when the batch's packet `total` exceeds the
+ * field, the one case a run can split); pass 1 opens a record at each
+ * head and sums the run's packets into it as it reads them; later
+ * passes move records only.  Sets `*sorted` to the buffer holding the
+ * sorted records and returns their count, 1..n. */
+#define DEFINE_RUN_SORT(NAME, REC, OFF_T, MAXP)                             \
+DEFINE_RADIX_REST(NAME##_rest, REC, OFF_T)                                  \
+static int64_t NAME(const Slice *slices, int64_t nslices, int key_bits,    \
+                    uint64_t kmin, int bits, int pbits, uint64_t total,     \
+                    REC *bufa, REC *bufb, const REC **sorted)               \
+{                                                                           \
+    RADIX_PLAN(MAXP);                                                       \
+    uint64_t pmask = ((uint64_t)1 << pbits) - 1;                            \
+    int64_t m = 0;                                                          \
+    for (int64_t q = 0; q < nslices; q++)                                   \
+        m += total > pmask                                                  \
+            ? run_count(&slices[q], key_bits, kmin, pmask, 1, npass,       \
+                        widths, shifts, MAXP, hist)                         \
+            : run_count(&slices[q], key_bits, kmin, pmask, 0, npass,       \
+                        widths, shifts, MAXP, hist);                        \
+    radix_starts(npass, widths, hist);                                      \
+    OFF_T mask0 = ((OFF_T)1 << widths[0]) - 1;                              \
+    for (int64_t q = 0; q < nslices; q++) {                                 \
+        const Slice *sl = &slices[q];                                       \
+        uint32_t tag = (uint32_t)q << pbits;                                \
+        int64_t prev = 0;                                                   \
+        uint64_t sum = 0;                                                   \
+        REC *rec = bufa;                                                    \
+        for (int64_t i = 0; i < sl->n; i++) {                               \
+            int64_t key = key_at(sl->src, key_bits, i);                     \
+            int head = run_head(key, (uint64_t)sl->packets[i], i == 0, 1,   \
+                                pmask, &prev, &sum);                        \
+            int32_t pk = (int32_t)(tag | (uint32_t)sum);                    \
+            if (head) {                                                     \
+                /* One store of the whole record: where runs are short,  \
+                 * most rows are heads. */                                  \
+                REC open = {(OFF_T)((uint64_t)key - kmin), pk};             \
+                rec = &bufa[hist[0][open.off & mask0]++];                   \
+                *rec = open;                                                \
+            } else {                                                        \
+                rec->pk = pk;                                               \
+            }                                                               \
+        }                                                                   \
     }                                                                       \
-    return cur;                                                             \
+    *sorted = NAME##_rest(bufa, bufb, m, npass, widths, shifts, hist);      \
+    return m;                                                               \
 }
 
 /* The record-typed half of the fold, stamped out once per offset width
@@ -223,16 +351,17 @@ static REC *NAME(const Slice *slices, int64_t nslices, int key_bits,       \
  * slice order, each subtotal 0.0 plus the slice's key totals in key
  * order, as the reference regroups each slice's part (`vsub` / `vmark`
  * hold one subtotal and its block's ordinal per slice, so no flag needs
- * clearing).  fold_src_W emits the unique keys and each slice's raw
- * per-block packet sums, built in the slice's own region (it starts at
+ * clearing).  fold_src_W walks run records (sort1_W), adding their
+ * packet sums in row order, and emits the unique keys and each slice's
+ * raw per-block packet sums, built in the slice's own region (it starts at
  * the rows of the slices before it, the most blocks they can hold) and
  * then packed slice after slice.  counts = {keys, blocks}.  n >= 1. */
 #define DEFINE_FOLD(W, OFF_T, MAXP)                                         \
 typedef struct { OFF_T off; int32_t pktcp; int32_t by; } rec3_##W;          \
 typedef struct { OFF_T off; int32_t pk; } rec1_##W;                         \
                                                                             \
-DEFINE_SORT(sort3_##W, rec3_##W, OFF_T, MAXP, dst, FILL_TCP)                \
-DEFINE_SORT(sort1_##W, rec1_##W, OFF_T, MAXP, src, FILL_PKT)                \
+DEFINE_ROW_SORT(sort3_##W, rec3_##W, OFF_T, MAXP)                           \
+DEFINE_RUN_SORT(sort1_##W, rec1_##W, OFF_T, MAXP)                           \
                                                                             \
 static void fold_dst_##W(                                                   \
     const Slice *slices, int64_t nslices, int key_bits, int64_t n,          \
@@ -298,14 +427,15 @@ static void fold_dst_##W(                                                   \
 }                                                                           \
                                                                             \
 static void fold_src_##W(                                                   \
-    const Slice *slices, int64_t nslices, int key_bits, int64_t n,          \
-    uint64_t kmin, int bits, int pbits, int64_t block_shift,                \
+    const Slice *slices, int64_t nslices, int key_bits, uint64_t kmin,      \
+    int bits, int pbits, uint64_t total, int64_t block_shift,               \
     int64_t *src_keys, int64_t *raw_keys, double *raw_pk,                   \
     int64_t *raw_counts, int64_t *base, int64_t *prev_blk, int64_t *counts, \
     void *bufa, void *bufb)                                                 \
 {                                                                           \
-    const rec1_##W *cur = sort1_##W(slices, nslices, key_bits, n, kmin,    \
-                                     bits, pbits, bufa, bufb);              \
+    const rec1_##W *cur;                                                    \
+    int64_t n = sort1_##W(slices, nslices, key_bits, kmin, bits, pbits,    \
+                          total, bufa, bufb, &cur);                         \
     uint32_t pmask = ((uint32_t)1 << pbits) - 1;                            \
     int64_t start = 0;                                                      \
     for (int64_t s = 0; s < nslices; s++) {                                 \
@@ -363,10 +493,11 @@ DEFINE_FOLD(wide, uint64_t, MAX_PASSES)
  * (src_keys) and the slices' raw source-block parts packed slice after
  * slice (raw_keys, raw_pk; raw_counts gets each slice's length).
  * `bufa` / `bufb` each hold one record per row (12 bytes for 32-bit
- * keys, 16 for 64-bit ones); `state` 2 * nslices int64, `vsub`
- * nslices doubles and `raw_counts` nslices int64.  counts = {n_dst, n_vol, n_src}; -1 on a count
- * outside the record's packet or byte field or another key width
- * (fallback). */
+ * keys, 16 for 64-bit ones; the source side's run records are at most
+ * one per row); `state` 2 * nslices int64, `vsub` nslices doubles and
+ * `raw_counts` nslices int64.  counts = {n_dst, n_vol, n_src}; -1 on a
+ * count outside the record's packet or byte field, a packet total of
+ * 2**53 or more, or another key width (fallback). */
 static int64_t fold_batch(
     const Slice *slices, int64_t nslices, int key_bits,
     const double *factors, int64_t block_shift,
@@ -379,9 +510,10 @@ static int64_t fold_batch(
     counts[0] = counts[1] = counts[2] = 0;
     for (int64_t s = 0; s < nslices; s++) raw_counts[s] = 0;
     if (key_bits != 32 && key_bits != 64) return -1;
-    /* Fused scan: both (signed) key ranges plus the 31-bit value guard. */
+    /* Fused scan: both (signed) key ranges, the 31-bit value guard and
+     * the packet total run records are exact below. */
     int64_t n = 0, dmin = 0, dmax = 0, smin = 0, smax = 0;
-    uint64_t most = 0;
+    uint64_t most = 0, total = 0;
     for (int64_t q = 0; q < nslices; q++) {
         const Slice *sl = &slices[q];
         if (sl->n == 0) continue;
@@ -400,6 +532,7 @@ static int64_t fold_batch(
                 || (uint64_t)sl->bytes_[i] >= INT32_MAX)
                 return -1;
             if ((uint64_t)sl->packets[i] > most) most = sl->packets[i];
+            total += (uint64_t)sl->packets[i];
         }
         n += sl->n;
     }
@@ -410,14 +543,19 @@ static int64_t fold_batch(
      * bits (all 31 for one slice): a count that needs more declines. */
     int pbits = 31 - bits_of((uint64_t)nslices - 1);
     if (most >> pbits) return -1;
+    /* A run record's sum is exact in integers; below a batch total of
+     * 2**53 every source sum the reference adds row by row is exact
+     * too, in any grouping.  At or past it the reference takes the
+     * batch. */
+    if (total >> 53) return -1;
     int64_t side[2];
     if (sbits <= 32)
-        fold_src_narrow(slices, nslices, key_bits, n, (uint64_t)smin, sbits,
-                        pbits, block_shift, src_keys, raw_keys, raw_pk,
+        fold_src_narrow(slices, nslices, key_bits, (uint64_t)smin, sbits,
+                        pbits, total, block_shift, src_keys, raw_keys, raw_pk,
                         raw_counts, state, state + nslices, side, bufa, bufb);
     else
-        fold_src_wide(slices, nslices, key_bits, n, (uint64_t)smin, sbits,
-                      pbits, block_shift, src_keys, raw_keys, raw_pk,
+        fold_src_wide(slices, nslices, key_bits, (uint64_t)smin, sbits,
+                      pbits, total, block_shift, src_keys, raw_keys, raw_pk,
                       raw_counts, state, state + nslices, side, bufa, bufb);
     counts[2] = side[0];
     if (dbits <= 32)
@@ -503,6 +641,7 @@ static int64_t merge_sorted(
  * still lands inside the histograms and buffers. */
 #define DEFINE_MERGE_REDUCE(W, OFF_T, MAXP)                                 \
 typedef struct { OFF_T off; OFF_T row; } mrec_##W;                          \
+DEFINE_RADIX_REST(merge_rest_##W, mrec_##W, OFF_T)                          \
                                                                             \
 static inline __attribute__((always_inline)) int64_t merge_scan_##W(        \
     const mrec_##W *cur, int64_t total, uint64_t kmin, int lbits,           \
@@ -537,11 +676,7 @@ static int64_t merge_reduce_##W(                                            \
     uint64_t kmin, int bits, int lbits, int64_t *ko, double *const *vo,     \
     mrec_##W *bufa, mrec_##W *bufb)                                         \
 {                                                                           \
-    int widths[MAXP], shifts[MAXP];                                         \
-    int64_t hist[MAXP][MAX_PASS_SLOTS];                                     \
-    int npass = pass_plan(bits, widths, shifts);                            \
-    for (int p = 0; p < npass; p++)                                         \
-        memset(hist[p], 0, sizeof(int64_t) << widths[p]);                   \
+    RADIX_PLAN(MAXP);                                                       \
     for (int64_t q = 0; q < nparts; q++)                                    \
         radix_count(part_keys[q], 64, part_lens[q], kmin, npass, widths,   \
                     shifts, MAXP, hist);                                    \
@@ -561,13 +696,8 @@ static int64_t merge_reduce_##W(                                            \
         }                                                                   \
     }                                                                       \
     if (bad) return -1;                                                     \
-    mrec_##W *cur = bufa, *alt = bufb;                                      \
-    for (int p = 1; p < npass; p++) {                                       \
-        OFF_T mask = ((OFF_T)1 << widths[p]) - 1;                           \
-        for (int64_t i = 0; i < total; i++)                                 \
-            alt[hist[p][(cur[i].off >> shifts[p]) & mask]++] = cur[i];      \
-        mrec_##W *swap = cur; cur = alt; alt = swap;                        \
-    }                                                                       \
+    const mrec_##W *cur = merge_rest_##W(bufa, bufb, total, npass, widths, \
+                                         shifts, hist);                     \
     /* A constant column count unrolls the gather: the per-key dst     \
      * and per-vantage source sums have 2 columns, the day volumes 1. */   \
     if (ncols == 1)                                                         \

@@ -71,6 +71,20 @@ class Observatory:
         self._days[day] = observation
         return observation
 
+    def retain(self, days) -> None:
+        """Forget every observed day not in ``days``.
+
+        A forgotten day's views (and a recalled day's archive mappings)
+        go once nothing else holds them; observing it again generates or
+        recalls it afresh.
+        """
+        keep = set(days)
+        self._days = {
+            day: observation
+            for day, observation in self._days.items()
+            if day in keep
+        }
+
     def days(self, num_days: int | None = None) -> list[DayObservation]:
         """Observe days ``0 .. num_days-1`` (default: the config's week)."""
         if num_days is None:

@@ -13,7 +13,12 @@ the 31-bit record field, and more pending parts than the k-way merge's
 old 64-entry head index held.  The batched fold is checked against the
 reference's per-slice folds regrouped in slice order: 1-20 slices with
 shared keys, non-integral factors and empty slices, both key widths,
-either side of the record width switch.
+either side of the record width switch.  Its source side sorts one
+record per run of one source key within a slice, so batches whose
+source keys come in runs of 1-1 000 rows check it too: runs that must
+split at a 14-slice batch's packet field (one packet past it, and
+exactly at it) and runs that continue across slice boundaries, over
+uint32 keys and uint64 ranges either side of 32 bits.
 64-bit IPv6 keys get the same cases plus their own: a range needing a
 shift by 64, keys >= 2**63 (the reference's int64 cast turns them
 negative) and ranges either side of the narrow/wide record boundary —
@@ -1017,6 +1022,133 @@ class TestBatchParity:
                 )
             else:
                 assert_batch_in_c_agrees(slices, factors, shift)
+
+
+#: Source key pools of run-record batches, by layout: uint32 keys over
+#: the full address range, uint64 keys whose range fits 32 bits
+#: (narrow records) and uint64 ranges wider than 32 bits (wide ones).
+RUN_KEY_POOLS = {
+    "v4": (np.uint32, 8, np.array(
+        [BASE << 8, (BASE << 8) | 1, (BASE + 1) << 8, ((BASE + 3) << 8) | 7,
+         0, 2**32 - 1], dtype=np.uint64)),
+    "v6-narrow": (np.uint64, 16, V6_KEY + np.array(
+        [0, 1, 1 << 16, 5 << 16, 2**32 - 1], dtype=np.uint64)),
+    "v6-wide": (np.uint64, 16, V6_KEY + np.array(
+        [0, 1, 1 << 16, 2**32, 2**40 + 3], dtype=np.uint64)),
+}
+
+
+def packet_field(slices):
+    """The largest packet sum a run record of a ``slices``-slice batch
+    holds: 31 bits less the slice index's, 27 for 14 slices."""
+    return 2 ** (31 - (slices - 1).bit_length()) - 1
+
+
+def run_batch(seed, layout, runs, cuts, factors, packets="small"):
+    """A ``fold_batch`` call, ``(slices, factors, block_shift)``, whose
+    source keys come in runs: ``runs`` holds each run's length (one key
+    from the layout's pool per run, so keys recur across runs), ``cuts``
+    the row positions that cut the rows into ``len(factors)`` slices (a
+    cut inside a run continues the run's key into the next slice).
+    ``packets`` "small" draws 1-49 a row; "limit" draws counts at the
+    batch's packet field (full, one below, and halves that sum to one
+    past it or exactly to it), so runs have to split."""
+    rng = np.random.default_rng(seed)
+    key_dtype, block_shift, pool = RUN_KEY_POOLS[layout]
+    run_keys = rng.choice(pool, size=len(runs))
+    src = np.repeat(run_keys, runs).astype(key_dtype)
+    rows = len(src)
+    dst = rng.choice(pool, size=rows).astype(key_dtype)
+    columns = list(traffic_columns(rng, src, dst))
+    if packets == "limit":
+        limit = packet_field(len(factors))
+        # A one-slice field holds 2**31 - 1; a row's count stays below.
+        top, half = min(limit, 2**31 - 2), (limit + 1) // 2
+        columns[3] = rng.choice(
+            np.array([top, top - 1, half, half - 1, 1, 0], dtype=np.int64),
+            size=rows,
+        )
+    bounds = [0, *sorted(cuts), rows]
+    slices = [
+        tuple(column[start:stop] for column in columns)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    return slices, list(factors), block_shift
+
+
+@st.composite
+def run_batches(draw):
+    """Run-record batches: runs of 1-1 000 rows of one source key, 1-14
+    slices cut anywhere (inside runs too), small counts or counts at the
+    packet field, every key layout."""
+    count = draw(st.sampled_from([1, 2, 3, 14]))
+    runs = draw(st.lists(
+        st.one_of(st.integers(1, 4), st.integers(1, 1000)),
+        min_size=1, max_size=10,
+    ))
+    cuts = draw(st.lists(
+        st.integers(0, sum(runs)), min_size=count - 1, max_size=count - 1
+    ))
+    return run_batch(
+        draw(st.integers(min_value=0, max_value=2**31)),
+        draw(st.sampled_from(sorted(RUN_KEY_POOLS))),
+        runs, cuts,
+        draw(st.lists(BATCH_FACTORS, min_size=count, max_size=count)),
+        draw(st.sampled_from(["small", "limit"])),
+    )
+
+
+@needs_native
+class TestRunRecordParity:
+    """The source side sorts one record per run of rows of one slice
+    with one source key, its packets summed into the record, a new
+    record opened whenever the sum would leave the packet field.  Every
+    part stays numpy = native bit for bit."""
+
+    @given(run_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_property_run_batches_identical(self, batch):
+        assert_batch_in_c_agrees(*batch)
+
+    @pytest.mark.parametrize("layout", sorted(RUN_KEY_POOLS))
+    def test_runs_split_at_the_field_of_a_14_slice_batch(self, layout):
+        # Each slice's one run sums far past 2**27 - 1.
+        limit = packet_field(14)
+        slices, factors, shift = run_batch(
+            71, layout, [14 * 40], range(40, 14 * 40, 40),
+            [1.0 + i / 7 for i in range(14)],
+        )
+        slices = [
+            (*columns[:3], np.full(len(columns[0]), limit, dtype=np.int64),
+             columns[4])
+            for columns in slices
+        ]
+        assert_batch_in_c_agrees(slices, factors, shift)
+
+    @pytest.mark.parametrize("slices", [1, 14])
+    def test_a_run_that_reaches_one_past_the_field_splits(self, slices):
+        # Two halves sum to exactly one past the field: the second row
+        # opens a record.  One packet fewer fits in one.
+        limit = packet_field(slices)
+        half = (limit + 1) // 2
+        for second in (half, half - 1):
+            batch, factors, shift = run_batch(
+                73, "v6-wide", [2, 3], [2] * (slices - 1), [0.3] * slices
+            )
+            packets = batch[0][3].copy()
+            packets[:2] = half, second
+            batch[0] = (*batch[0][:3], packets, batch[0][4])
+            assert_batch_in_c_agrees(batch, factors, shift)
+
+    @pytest.mark.parametrize("layout", sorted(RUN_KEY_POOLS))
+    def test_a_run_that_continues_across_a_slice_boundary(self, layout):
+        # One key's run is cut by every slice boundary: each slice
+        # keeps its own record of it.
+        slices, factors, shift = run_batch(
+            79, layout, [600], [150, 151, 420], [1.0, 2.5, 1 / 3, 7.25]
+        )
+        assert len({columns[0][0] for columns in slices}) == 1
+        assert_batch_in_c_agrees(slices, factors, shift)
 
 
 class TestTwoFactorsOneKey:

@@ -121,6 +121,43 @@ class TestScoreFeed:
         assert np.array_equal(view.flows.packets, before)
 
 
+class TestBoundaries:
+    """Each bar in the scorer, hit exactly: the value on the bar is on
+    its good side, one step past it is not."""
+
+    def test_a_day_scored_exactly_at_the_bar_is_not_degraded(self):
+        # One feed of four expected: presence, and the score, is 0.25.
+        quality = score_feed(0, [clean_view()], expected_views=4)
+        assert quality.score == 0.25
+        assert not quality.degraded(0.25)
+        assert quality.degraded(np.nextafter(0.25, 1.0))
+
+    @pytest.mark.parametrize(
+        "bytes_, valid", [(60, True), (59, False)], ids=["20-per-packet", "below"]
+    )
+    def test_a_flow_of_exactly_20_bytes_a_packet_is_valid(self, bytes_, valid):
+        view = make_view([
+            {"dst_ip": ip(BASE, host=1), "packets": 2},
+            {"dst_ip": ip(BASE, host=2), "packets": 3, "bytes": bytes_},
+        ])
+        quality = score_feed(0, [view])
+        assert quality.invalid_fraction == (0.0 if valid else 0.5)
+        assert any("impossible" in r for r in quality.reasons) is not valid
+
+    @pytest.mark.parametrize(
+        "rows, reason", [(45, False), (44, True)], ids=["exactly-0.9", "0.88"]
+    )
+    def test_a_volume_of_exactly_0_9_gives_no_reason(self, rows, reason):
+        # 45 rows x 2 packets x factor 10 = 900 against a median of
+        # 1 000: 900 / 1000 rounds to the same double as the literal 0.9.
+        quality = score_feed(
+            1, [clean_view(rows=rows)], history_packets=[1000.0] * 3
+        )
+        assert quality.volume_ratio == rows * 20 / 1000
+        assert quality.score == rows * 20 / 1000
+        assert any("volume" in r for r in quality.reasons) is reason
+
+
 class TestEmptyFlowTables:
     """Zero-row days must score cleanly — never divide by zero."""
 
