@@ -60,7 +60,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.kernels import get_kernel
-from repro.net.blocksets import sorted_union
 from repro.net.family import FAMILY_IPV4, IPV4, family as _family_of
 from repro.traffic.flows import FlowTable, aggregate_sums
 from repro.vantage.sampling import VantageDayView
@@ -180,12 +179,65 @@ class _KeyedSums:
         return self._parts[0]
 
 
+def _median_across(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.median(np.stack(columns), axis=0)``, bit for bit, from
+    compare-exchanges.
+
+    An odd-even transposition network (``len(columns)`` rounds of
+    ``np.minimum`` / ``np.maximum`` on neighbouring columns) sorts every
+    position's values across the columns; the median is then the middle
+    column, or ``(a + b) / 2`` of the two middle ones — the mean
+    ``np.median`` takes of the same two order statistics.
+    """
+    columns = list(columns)
+    width = len(columns)
+    for round_ in range(width):
+        for low in range(round_ % 2, width - 1, 2):
+            pair = columns[low], columns[low + 1]
+            columns[low], columns[low + 1] = np.minimum(*pair), np.maximum(*pair)
+    middle = width // 2
+    if width % 2:
+        return columns[middle]
+    return (columns[middle - 1] + columns[middle]) / 2
+
+
+def _window_volume(
+    day_tables: Sequence[tuple[np.ndarray, tuple[np.ndarray]]], kernel
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(blocks, median estimate)`` over a window's per-day volume
+    tables (day order), a day without a block counting 0.0.
+
+    One keyed merge aligns the days: each day's table is widened to one
+    column per day — its estimates in its own column, 0.0 in the others
+    — so the merged columns hold each day's estimate of each block of
+    the union, or 0.0 where the day lacks it.  Exactly so: a merge sums
+    from 0.0, every estimate is >= 0, and adding +0.0 changes none.
+    """
+    width = len(day_tables)
+    if width == 1:
+        # One day in the window (every batch run, every online per-day
+        # inference): its compacted table is the answer.
+        blocks, (estimates,) = day_tables[0]
+        return blocks, estimates
+    parts = []
+    for day, (blocks, (estimates,)) in enumerate(day_tables):
+        if len(blocks):
+            zeros = np.zeros(len(blocks))
+            parts.append((blocks, tuple(
+                estimates if column == day else zeros for column in range(width)
+            )))
+    if not parts:
+        return _empty_keys(), np.empty(0)
+    blocks, columns = kernel.merge_sorted_parts(parts)
+    return blocks, _median_across(columns)
+
+
 class FinalizedAggregates:
     """Columnar output of :meth:`PrefixAccumulator.finalize`.
 
     The pooled, tolerance-applied statistics the funnel consumes;
     the streaming equivalent of what the batch pipeline used to pool
-    from whole vantage-day views.
+    from whole vantage-day views.  Every key column ascends strictly.
     """
 
     __slots__ = (
@@ -195,8 +247,7 @@ class FinalizedAggregates:
         "src_ips_by_day",
         "vol_blocks",
         "vol_median_est",
-        "src_blocks",
-        "src_block_excess",
+        "unforgiven_src_blocks",
         "applied_tolerances",
         "family",
         "block_shift",
@@ -210,8 +261,7 @@ class FinalizedAggregates:
         src_ips_by_day: tuple[np.ndarray, ...],
         vol_blocks: np.ndarray,
         vol_median_est: np.ndarray,
-        src_blocks: np.ndarray,
-        src_block_excess: np.ndarray,
+        unforgiven_src_blocks: np.ndarray,
         applied_tolerances: dict[str, float],
         family: str = "ipv4",
         block_shift: int = 8,
@@ -223,8 +273,9 @@ class FinalizedAggregates:
         self.src_ips_by_day = src_ips_by_day
         self.vol_blocks = vol_blocks
         self.vol_median_est = vol_median_est
-        self.src_blocks = src_blocks
-        self.src_block_excess = src_block_excess
+        #: Blocks holding a source some vantage sent more packets from
+        #: than its tolerance forgives.
+        self.unforgiven_src_blocks = unforgiven_src_blocks
         self.applied_tolerances = applied_tolerances
         self.family = family
         self.block_shift = block_shift
@@ -605,30 +656,23 @@ class PrefixAccumulator:
         """
         dst_ips, (tcp_pkts, tcp_bytes) = self._dst_ip_sums.compacted()
 
+        # A block is unforgiven when some vantage's filtered packets
+        # exceed its tolerance: the same blocks as a pooled excess
+        # sum_v max(filtered - tolerance, 0) > 0, since each term is a
+        # finite double >= 0 that is > 0 exactly when filtered >
+        # tolerance, and a sum of such terms is > 0 exactly when one is.
         applied: dict[str, float] = {}
-        excess = _KeyedSums(1, self.kernel)
+        unforgiven = _KeyedSums(0, self.kernel)
         for vantage, sums in self._src_by_vantage.items():
             blocks, (filtered, _) = sums.compacted()
             tolerance = self._tolerance_of(spoof_tolerance, vantage)
             applied[vantage] = tolerance
-            excess.add(blocks, np.maximum(filtered - tolerance, 0))
-        src_blocks, (src_excess,) = excess.compacted()
+            unforgiven.add(blocks[filtered > tolerance])
 
-        day_tables = [
-            self._volume_by_day[day].compacted() for day in self.days()
-        ]
-        if len(day_tables) == 1:
-            # One day in the window (every batch run, every online
-            # per-day inference): its compacted table is the answer.
-            vol_blocks, (vol_median_est,) = day_tables[0]
-        else:
-            vol_blocks = sorted_union(*(blocks for blocks, _ in day_tables))
-            volume_matrix = np.zeros(
-                (max(len(day_tables), 1), len(vol_blocks))
-            )
-            for row, (blocks, (est,)) in enumerate(day_tables):
-                volume_matrix[row, np.searchsorted(vol_blocks, blocks)] = est
-            vol_median_est = np.median(volume_matrix, axis=0)
+        vol_blocks, vol_median_est = _window_volume(
+            [self._volume_by_day[day].compacted() for day in self.days()],
+            self.kernel,
+        )
 
         return FinalizedAggregates(
             dst_ips=dst_ips,
@@ -639,8 +683,7 @@ class PrefixAccumulator:
             ),
             vol_blocks=vol_blocks,
             vol_median_est=vol_median_est,
-            src_blocks=src_blocks,
-            src_block_excess=src_excess,
+            unforgiven_src_blocks=unforgiven.compacted()[0],
             applied_tolerances=applied,
             family=self.family,
             block_shift=self.address_family.key_block_shift,

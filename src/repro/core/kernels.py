@@ -388,7 +388,9 @@ class NativeKernel(NumpyKernel):
             )
             # None: a count outside the record's packet or byte field
             # (31 bits, less the slice index's for packets; or
-            # negative) — the reference path below takes the batch.
+            # negative), or a batch whose packets total 2**53 or more,
+            # where a run record's sum would stop being exact — the
+            # reference path below takes the batch.
             if counts is not None:
                 ndst, nvol, nsrc, raw_lengths = counts
                 _trimmed(ndst, dst_keys, dst_pk, dst_by)

@@ -37,7 +37,11 @@ from repro.core.pipeline import (
 )
 from repro.core.refine import RefinementResult, refine_with_liveness
 from repro.core.snapshot import ClassificationSnapshot, build_snapshot
-from repro.core.spoofing_tolerance import tolerances_from_accumulator
+from repro.core.spoofing_tolerance import (
+    BaselineRuns,
+    baseline_runs,
+    tolerances_from_accumulator,
+)
 from repro.datasets.liveness import LivenessDataset, union_liveness
 from repro.net.blocksets import as_sorted_unique
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY, SpecialPurposeRegistry
@@ -105,10 +109,15 @@ class MetaTelescope:
     _liveness_cache: tuple[tuple, list[LivenessDataset]] | None = field(
         default=None, repr=False, compare=False, init=False
     )
+    #: ``(baseline, its runs)``: the runs every tolerance slices by,
+    #: derived once and again only when ``unrouted_baseline`` is another
+    #: array.
+    _baseline_cache: tuple[np.ndarray, BaselineRuns] | None = field(
+        default=None, repr=False, compare=False, init=False
+    )
 
     def __post_init__(self) -> None:
         if self.unrouted_baseline is not None:
-            # Sorted-unique once, so no inference's tolerance re-derives it.
             self.unrouted_baseline = as_sorted_unique(self.unrouted_baseline)
 
     @classmethod
@@ -156,6 +165,18 @@ class MetaTelescope:
         so the cache holds at most the window's day-sets."""
         for key in [key for key in self._routing_cache if key and key[0] < day]:
             del self._routing_cache[key]
+
+    def baseline_runs(self) -> BaselineRuns:
+        """``unrouted_baseline`` as runs of consecutive blocks, computed
+        once (raises when there is no baseline)."""
+        if self.unrouted_baseline is None:
+            raise ValueError("spoofing tolerance requires an unrouted baseline")
+        cached = self._baseline_cache
+        if cached is None or cached[0] is not self.unrouted_baseline:
+            cached = self._baseline_cache = (
+                self.unrouted_baseline, baseline_runs(self.unrouted_baseline),
+            )
+        return cached[1]
 
     def liveness_union(self) -> list[LivenessDataset]:
         """``liveness`` merged into at most one dataset, computed once."""
@@ -267,12 +288,8 @@ class MetaTelescope:
             raise ValueError("need at least one vantage-day view")
         config = self.config
         if use_spoofing_tolerance:
-            if self.unrouted_baseline is None:
-                raise ValueError(
-                    "spoofing tolerance requires an unrouted baseline"
-                )
             tolerance = tolerances_from_accumulator(
-                accumulator, self.unrouted_baseline
+                accumulator, self.baseline_runs()
             )
             config = dataclasses.replace(config, spoof_tolerance=tolerance)
         routing = self.routing_for_days(accumulator.days())

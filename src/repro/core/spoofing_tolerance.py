@@ -11,16 +11,36 @@ per vantage-day.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.net.blocksets import as_sorted_unique, sorted_member_mask
+from repro.net.blocksets import as_sorted_unique, block_runs, sorted_in_runs
 
 if TYPE_CHECKING:
     from repro.core.accum import PrefixAccumulator
 
 DEFAULT_QUANTILE = 0.9999
+
+
+class BaselineRuns(NamedTuple):
+    """An unrouted baseline as its maximal runs of consecutive blocks:
+    two /8s are two runs, however many /24s they hold."""
+
+    #: The runs' edges, ``start, end, start, end, ...``, each run
+    #: ``[start, end)`` (:func:`~repro.net.blocksets.sorted_in_runs`).
+    edges: np.ndarray
+    #: Blocks in the baseline, the length of the zero-padded counts.
+    size: int
+
+
+def baseline_runs(unrouted_blocks: np.ndarray) -> BaselineRuns:
+    """The :class:`BaselineRuns` of a baseline given as block ids (any
+    order, repeats allowed)."""
+    blocks = as_sorted_unique(unrouted_blocks)
+    if len(blocks) == 0:
+        raise ValueError("need unrouted baseline blocks")
+    return BaselineRuns(np.column_stack(block_runs(blocks)).ravel(), len(blocks))
 
 
 def _zero_padded_quantile(seen: np.ndarray, total: int, quantile: float) -> float:
@@ -40,7 +60,7 @@ def _zero_padded_quantile(seen: np.ndarray, total: int, quantile: float) -> floa
 
 def tolerances_from_accumulator(
     accumulator: "PrefixAccumulator",
-    unrouted_blocks: np.ndarray,
+    unrouted: "np.ndarray | BaselineRuns",
     quantile: float = DEFAULT_QUANTILE,
 ) -> dict[str, float]:
     """Per-vantage *window* tolerances, the pipeline's expected format.
@@ -54,17 +74,20 @@ def tolerances_from_accumulator(
     packet sums per vantage; the percentile runs over *all* baseline
     blocks, the unseen ones as zeros — most of the distribution, which
     is why the tolerance is usually 0-2 packets.
+
+    ``unrouted`` is the baseline's block ids or, derived once by the
+    caller, their :func:`baseline_runs`.  A vantage's sorted source
+    blocks inside the baseline are one slice per run.
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile out of range: {quantile}")
-    baseline = as_sorted_unique(unrouted_blocks)
-    if len(baseline) == 0:
-        raise ValueError("need unrouted baseline blocks")
+    runs = unrouted if isinstance(unrouted, BaselineRuns) else (
+        baseline_runs(unrouted)
+    )
     tolerances: dict[str, float] = {}
     for vantage, (blocks, pkts) in accumulator.vantage_source_blocks().items():
-        lo, hi = np.searchsorted(blocks, (baseline[0], baseline[-1] + 1))
-        inside = sorted_member_mask(blocks[lo:hi], baseline)
+        inside = sorted_in_runs(blocks, runs.edges)
         tolerances[vantage] = _zero_padded_quantile(
-            pkts[lo:hi][inside], len(baseline), quantile
+            pkts[inside], runs.size, quantile
         )
     return tolerances

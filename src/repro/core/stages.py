@@ -136,7 +136,7 @@ def run_funnel(
         finalized.ip_tcp_pkts_est,
         finalized.ip_tcp_bytes_est,
         finalized.block_shift,
-        finalized.src_blocks[finalized.src_block_excess > 0],
+        finalized.unforgiven_src_blocks,
         finalized.src_ips_by_day,
         config.avg_size_threshold,
         config.ip_size_threshold,

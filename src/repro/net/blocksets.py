@@ -36,13 +36,9 @@ def aggregate_blocks(
     block_length = family.block_prefix_length
     shift = family.ip_block_shift
     prefixes: list[Prefix] = []
-    # Split into maximal contiguous runs.
-    boundaries = np.flatnonzero(np.diff(unique) != 1)
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries, [len(unique) - 1]])
-    for start_index, end_index in zip(starts, ends):
-        position = int(unique[start_index])
-        remaining = int(unique[end_index]) - position + 1
+    starts, ends = block_runs(unique)
+    for position, end in zip(starts.tolist(), ends.tolist()):
+        remaining = end - position
         while remaining > 0:
             # Largest power-of-two size that is aligned and fits.
             align = position & -position if position else remaining
@@ -85,6 +81,37 @@ def as_sorted_unique(values: np.ndarray) -> np.ndarray:
     if len(values) < 2 or bool(np.all(values[1:] > values[:-1])):
         return values
     return np.unique(values)
+
+
+def block_runs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of consecutive ids in sorted-unique ``blocks``:
+    ``(starts, ends)``, run ``i`` holding the ids ``[starts[i], ends[i])``."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if len(blocks) == 0:
+        return blocks[:0], blocks[:0]
+    cuts = np.flatnonzero(blocks[1:] - blocks[:-1] != 1) + 1
+    starts = blocks[np.concatenate(([0], cuts))]
+    ends = blocks[np.concatenate((cuts - 1, [len(blocks) - 1]))] + 1
+    return starts, ends
+
+
+def sorted_in_runs(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Ascending indices of the sorted ``values`` that fall inside runs
+    of ids, given as their ascending ``edges``: ``start, end, start,
+    end, ...``, each run ``[start, end)`` (:func:`block_runs`
+    interleaved).
+
+    The members of a run are one slice of ``values``: one
+    ``searchsorted`` of the edges finds every slice, and the slices are
+    gathered without a loop or a per-value probe.
+    """
+    bounds = values.searchsorted(edges)
+    first = bounds[0::2]
+    lengths = bounds[1::2] - first
+    # Output position p of run r reads index p + first[r] - (where run
+    # r's output begins).
+    shift = first - lengths.cumsum() + lengths
+    return np.arange(lengths.sum()) + shift.repeat(lengths)
 
 
 def align_sorted(

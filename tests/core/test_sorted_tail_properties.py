@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 
 from repro.bgp.rib import Announcement, RoutingTable
 from repro.bgp.topology import AsTopology
-from repro.core.accum import FinalizedAggregates, PrefixAccumulator
+from repro.core.accum import (
+    FinalizedAggregates,
+    PrefixAccumulator,
+    _median_across,
+)
 from repro.core.kernels import get_kernel
 from repro.core.refine import cone_filtered_view
 from repro.core.snapshot import (
@@ -45,7 +49,7 @@ from repro.datasets.pfx2as import PrefixToAsMap
 from repro.net.ipv4 import Prefix, parse_ip
 from repro.net.special import SPECIAL_PURPOSE_REGISTRY
 
-from _factories import make_view, same
+from _factories import fold, ip, make_view, same
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -300,25 +304,164 @@ def reference_volume(accumulator: PrefixAccumulator):
     return vol_blocks, np.median(matrix, axis=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(flow_tables(), min_size=1, max_size=3), st.booleans())
-def test_finalize_volume_matches_the_dense_median(day_flows, native):
-    accumulator = PrefixAccumulator(kernel="auto" if native else None)
-    for day, flows in enumerate(day_flows):
-        accumulator.update(flows, vantage="V", day=day, sampling_factor=3.0)
+#: Non-integer sampling factors (the ``missample`` fault's kind): every
+#: estimate is inexact, so an even window's median rounds.
+FACTORS = (1 / 0.3, 7.3, 2.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.none(), flow_tables()), st.sampled_from(FACTORS)),
+        min_size=1,
+        max_size=7,
+    ),
+    st.sampled_from(["numpy", "auto"]),
+)
+def test_finalize_volume_matches_the_dense_median(days, kernel):
+    # Windows of 1-7 days, even counts included; a ``None`` day reports
+    # no rows, so every block is absent from it (a 0.0 estimate).
+    accumulator = PrefixAccumulator(kernel=kernel)
+    for day, (flows, factor) in enumerate(days):
+        if flows is None:
+            accumulator.observe("V", day)
+        else:
+            accumulator.update(flows, vantage="V", day=day, sampling_factor=factor)
     finalized = accumulator.finalize()
     vol_blocks, vol_median = reference_volume(accumulator)
     same(finalized.vol_blocks, vol_blocks)
     same(finalized.vol_median_est, vol_median)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_compare_exchange_median_is_numpys(width, seed):
+    # Ties, zeros and inexact values, in every column order.
+    rng = np.random.default_rng(seed)
+    values = rng.choice([0.0, 0.0, 1 / 0.3, 7.3, 2.2, 14.6, 1e-300], size=(width, 40))
+    values[:, :20] = rng.random((width, 20)) * 1e3
+    same(_median_across(list(values)), np.median(values, axis=0))
+
+
+def pooled_filtered(views, ignored):
+    """Per vantage, ``{source block: packets}`` over the window with the
+    ignored senders left out, and the days each vantage reported — one
+    row at a time, sharing nothing with the fold."""
+    pooled: dict[str, dict[int, float]] = {}
+    days: dict[str, set[int]] = {}
+    for view in views:
+        days.setdefault(view.vantage, set()).add(view.day)
+        counts = pooled.setdefault(view.vantage, {})
+        flows = view.flows
+        for src, packets, asn in zip(
+            flows.src_ip.tolist(), flows.packets.tolist(), flows.sender_asn.tolist()
+        ):
+            if asn not in ignored:
+                counts[src >> 8] = counts.get(src >> 8, 0.0) + packets
+    return pooled, days
+
+
+def unforgiven_oracle(views, ignored, tolerance):
+    """Source blocks whose pooled excess sum_v max(f - t, 0) is > 0, the
+    excess's old definition: ``t`` is the vantage's window tolerance (a
+    scalar per day is scaled by the days the vantage reported)."""
+    pooled, days = pooled_filtered(views, ignored)
+    excess: dict[int, float] = {}
+    for vantage, counts in pooled.items():
+        allowed = (
+            float(tolerance.get(vantage, 0.0))
+            if isinstance(tolerance, dict)
+            else float(tolerance) * len(days[vantage])
+        )
+        for block, count in counts.items():
+            excess[block] = excess.get(block, 0.0) + max(count - allowed, 0.0)
+    return sorted(block for block, total in excess.items() if total > 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_unforgiven_sources_match_the_pooled_excess(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    base = parse_ip("20.0.0.0") >> 8
+    views = []
+    for vantage in data.draw(
+        st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)
+    ):
+        for day in range(data.draw(st.integers(1, 3))):
+            rows = [
+                {
+                    "src_ip": ip(base + int(rng.integers(0, 12)),
+                                 host=int(rng.integers(1, 4))),
+                    "dst_ip": ip(base + 40),
+                    "packets": int(rng.integers(0, 5)),
+                    "sender_asn": int(rng.choice([1, 7])),
+                }
+                for _ in range(int(rng.integers(0, 25)))
+            ]
+            views.append(make_view(rows, vantage=vantage, day=day))
+    ignored = data.draw(st.sampled_from([frozenset(), frozenset({7})]))
+    # Per-vantage tolerances exactly at a pooled count, beside one, or
+    # inexact; or a per-day scalar.  Never negative, as no quantile of
+    # packet counts is.
+    pooled, _ = pooled_filtered(views, ignored)
+    at_count = st.sampled_from(
+        sorted({count for counts in pooled.values() for count in counts.values()})
+        or [0.0]
+    )
+    tolerance = data.draw(st.one_of(
+        st.dictionaries(
+            st.sampled_from("ABC"),
+            st.one_of(
+                at_count,
+                at_count.map(lambda count: abs(count - 0.5)),
+                at_count.map(lambda count: count + 0.25),
+                st.sampled_from([0.0, 1 / 3, 2.2, 7.3]),
+            ),
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 2.2]),
+    ))
+    kernel = data.draw(st.sampled_from(["numpy", "auto"]))
+    finalized = fold(views, ignored, kernel=kernel, chunk_size=7).finalize(
+        tolerance
+    )
+    assert finalized.unforgiven_src_blocks.dtype == np.int64
+    assert finalized.unforgiven_src_blocks.tolist() == unforgiven_oracle(
+        views, ignored, tolerance
+    )
+
+
+def test_a_count_at_its_tolerance_is_forgiven():
+    # Block +0 is sent exactly its tolerance, +1 one packet more; at +2
+    # the raw count exceeds the tolerance but the filtered one does not.
+    base = parse_ip("20.0.0.0") >> 8
+    rows = [
+        {"src_ip": ip(base), "packets": 3},
+        {"src_ip": ip(base + 1), "packets": 4},
+        {"src_ip": ip(base + 2), "packets": 1},
+        {"src_ip": ip(base + 2), "packets": 9, "sender_asn": 7},
+    ]
+    views = [make_view(rows, vantage="A")]
+    for kernel in ("numpy", "auto"):
+        accumulator = fold(views, frozenset({7}), kernel=kernel)
+        finalized = accumulator.finalize({"A": 3.0})
+        assert finalized.unforgiven_src_blocks.tolist() == [base + 1]
+        finalized = accumulator.finalize({"A": 2.5})
+        assert finalized.unforgiven_src_blocks.tolist() == [base, base + 1]
+        assert accumulator.finalize(0.0).unforgiven_src_blocks.tolist() == [
+            base, base + 1, base + 2
+        ]
+
+
 @st.composite
 def finalized_aggregates(draw):
     """Finalize-shaped columns: sorted-unique address and block tables,
     1-3 per-day source key sets that overlap the destinations and each
-    other, and per-block excess that is zero (forgiven by a tolerance)
-    for some source blocks — or for none of them, the run without a
-    spoofing tolerance."""
+    other, and unforgiven source blocks: some source blocks forgiven by
+    a tolerance, or none of them, the run without a spoofing
+    tolerance."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     shift = draw(st.sampled_from([8, 16]))
     base = draw(st.sampled_from([20 << 16, 2**45]))
@@ -346,8 +489,7 @@ def finalized_aggregates(draw):
         src_ips_by_day=src_ips_by_day,
         vol_blocks=vol_blocks,
         vol_median_est=rng.choice([1.0, 500.0, 900.0], size=len(vol_blocks)),
-        src_blocks=src_blocks,
-        src_block_excess=excess.astype(np.float64),
+        unforgiven_src_blocks=src_blocks[excess > 0],
         applied_tolerances={},
         block_shift=shift,
     )
@@ -382,13 +524,7 @@ def naive_funnel(finalized, config, routed, special):
     for index, ip in enumerate(ips):
         members.setdefault(ip >> shift, []).append(index)
     sources = set().union(*(day.tolist() for day in finalized.src_ips_by_day))
-    sourcing = {
-        block
-        for block, excess in zip(
-            finalized.src_blocks.tolist(), finalized.src_block_excess.tolist()
-        )
-        if excess > 0
-    }
+    sourcing = set(finalized.unforgiven_src_blocks.tolist())
     volume = dict(
         zip(finalized.vol_blocks.tolist(), finalized.vol_median_est.tolist())
     )
@@ -457,8 +593,7 @@ def sourced_blocks_out_early():
         src_ips_by_day=(dst_ips[[row[4] for row in rows]],),
         vol_blocks=base + np.arange(5),
         vol_median_est=np.ones(5),
-        src_blocks=source_blocks,
-        src_block_excess=np.ones(4),
+        unforgiven_src_blocks=source_blocks,
         applied_tolerances={},
     )
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.spoofing_tolerance import (
     _zero_padded_quantile,
+    baseline_runs,
     tolerances_from_accumulator,
 )
 from repro.net.ipv4 import parse_ip
@@ -142,6 +143,93 @@ class TestSparseEqualsDense:
                 tolerances_from_accumulator(accumulator, baseline, quantile)
                 == expected
             )
+
+
+@st.composite
+def fragmented_campaigns(draw):
+    """Views whose sources fall in, between and around a baseline of
+    scattered runs: single-block runs, runs below or above every source
+    a vantage sent, or one run only."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    base = int(UNROUTED[0])
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    gaps = draw(
+        st.lists(st.integers(1, 5), min_size=len(lengths), max_size=len(lengths))
+    )
+    runs, at = [], base
+    for gap, length in zip(gaps, lengths):
+        at += gap
+        runs.append(np.arange(at, at + length))
+        at += length
+    # Runs far outside any source block, on either side.
+    outside = draw(st.sampled_from([[], [base - 400], [at + 400, at + 401, at + 900]]))
+    baseline = rng.permutation(
+        np.concatenate(runs + [np.array(outside, dtype=np.int64)])
+    )
+    pool = np.arange(base - 2, at + 3)
+    views = []
+    for vantage in draw(
+        st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)
+    ):
+        for day in range(draw(st.integers(min_value=1, max_value=2))):
+            # A vantage may see sources in only part of the pool.
+            lo = int(rng.integers(0, len(pool)))
+            rows = [
+                {
+                    "src_ip": ip(int(block), host=int(rng.integers(1, 4))),
+                    "dst_ip": ip(ROUTED + 700),
+                    "packets": int(rng.integers(0, 9)),
+                }
+                for block in rng.choice(pool[lo:], size=int(rng.integers(0, 30)))
+            ]
+            rows.append({"dst_ip": ip(ROUTED)})
+            views.append(make_view(rows, vantage=vantage, day=day))
+    return views, baseline
+
+
+class TestBaselineRuns:
+    """The tolerance slices each vantage's sorted source blocks by the
+    baseline's runs; the dense count vector is the oracle."""
+
+    @given(fragmented_campaigns(), st.sampled_from(QUANTILES), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_runs_equal_the_dense_quantile(self, campaign, quantile, derived):
+        views, baseline = campaign
+        expected = dense_tolerances(views, baseline, quantile)
+        unrouted = baseline_runs(baseline) if derived else baseline
+        assert tolerances_from_accumulator(fold(views), unrouted, quantile) == expected
+
+    def test_one_run_and_single_block_runs(self):
+        base = int(UNROUTED[0])
+        views = [
+            make_view(
+                [
+                    {
+                        "src_ip": ip(base + offset),
+                        "dst_ip": ip(ROUTED),
+                        "packets": packets,
+                    }
+                    for offset, packets in ((0, 5), (1, 3), (3, 7), (9, 2))
+                ],
+                vantage="A",
+            )
+        ]
+        for baseline in (
+            np.arange(base, base + 10),          # one run
+            np.array([base, base + 3, base + 9]),  # single-block runs
+            np.array([base + 20, base + 40]),      # past every source
+        ):
+            runs = baseline_runs(baseline)
+            assert runs.size == len(baseline)
+            for quantile in QUANTILES:
+                assert tolerances_from_accumulator(
+                    fold(views), runs, quantile
+                ) == dense_tolerances(views, baseline, quantile)
+        runs = baseline_runs(np.array([base + 3, base, base + 9, base + 1, base]))
+        assert runs.edges.tolist() == [
+            base, base + 2, base + 3, base + 4, base + 9, base + 10
+        ]
+        assert runs.size == 4
 
 
 class TestValidation:

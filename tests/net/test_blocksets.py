@@ -10,11 +10,13 @@ from repro.net.blocksets import (
     aggregate_blocks,
     align_sorted,
     as_sorted_unique,
+    block_runs,
     block_spans,
     expand_prefixes,
     interval_covered_mask,
     sorted_difference,
     sorted_in_at_least,
+    sorted_in_runs,
     sorted_intersection,
     sorted_member_mask,
     sorted_union,
@@ -211,3 +213,50 @@ class TestSortedAlgebra:
         if len(table):  # a miss still indexes a valid row
             assert positions.min(initial=0) >= 0
             assert positions.max(initial=0) < len(table)
+
+
+#: Block ids in two narrow ranges, one above 2**32, so runs touch,
+#: split and sit apart.
+RUN_KEYS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=2**40, max_value=2**40 + 40),
+    ),
+    max_size=40,
+)
+
+
+class TestBlockRuns:
+    @given(RUN_KEYS)
+    @settings(max_examples=150)
+    def test_runs_are_the_maximal_consecutive_runs(self, keys):
+        blocks = np.unique(np.array(keys, dtype=np.int64))
+        starts, ends = block_runs(blocks)
+        expected = []
+        for block in blocks.tolist():
+            if expected and expected[-1][1] == block:
+                expected[-1][1] = block + 1
+            else:
+                expected.append([block, block + 1])
+        assert list(zip(starts.tolist(), ends.tolist())) == [
+            tuple(run) for run in expected
+        ]
+        assert starts.dtype == ends.dtype == np.int64
+
+    @given(RUN_KEYS, RUN_KEYS)
+    @settings(max_examples=150)
+    def test_in_runs_is_the_member_positions(self, values, table):
+        # Sorted values with repeats; runs of a sorted-unique table.
+        values = np.sort(np.array(values, dtype=np.int64))
+        table = np.unique(np.array(table, dtype=np.int64))
+        edges = np.column_stack(block_runs(table)).ravel()
+        indices = sorted_in_runs(values, edges)
+        same(indices, np.flatnonzero(np.isin(values, table)))
+
+    def test_single_block_runs_and_runs_outside_the_values(self):
+        values = np.array([5, 6, 6, 9, 12, 13, 20])
+        edges = np.array([1, 3, 6, 7, 9, 10, 13, 15, 30, 31])
+        same(sorted_in_runs(values, edges), np.array([1, 2, 3, 5]))
+        empty = np.empty(0, dtype=np.int64)
+        same(sorted_in_runs(values, empty), np.empty(0, dtype=np.intp))
+        same(sorted_in_runs(empty, edges), np.empty(0, dtype=np.intp))

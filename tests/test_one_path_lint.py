@@ -300,13 +300,19 @@ def offenders(sources: dict[str, str]) -> list[str]:
     return found
 
 
+#: Keywords whose parenthesised head may precede a brace in C.
+C_STATEMENTS = frozenset({"for", "while", "if", "switch"})
+
+
 def c_functions(source: str) -> dict[str, bool]:
     """``name -> exported`` for every function defined in C ``source``.
 
     A definition is exported unless ``static``.  Macro bodies count as
     code — a function a macro stamps out is still defined, and is named
     with its token pastes dropped — while comments and directive heads
-    do not.
+    do not.  A statement macro's body reaches the top level too: its
+    braced ``for`` / ``while`` / ``if`` heads are skipped, not taken for
+    definitions.
     """
     code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
     code = code.replace("\\\n", " ").replace("##", "")
@@ -330,8 +336,12 @@ def c_functions(source: str) -> dict[str, bool]:
             depth += {")": 1, "(": -1}.get(head[start], 0)
             if depth == 0:
                 break
-        name = re.search(r"(\w+)\s*$", head[:start]).group(1)
-        functions[name] = re.search(r"\bstatic\b", head) is None
+        # A ``for`` head is cut at its first ``;``, so its parentheses
+        # do not close inside the head.
+        name = re.search(r"(\w+)\s*$", head[:start]) if depth == 0 else None
+        if name is None or name.group(1) in C_STATEMENTS:
+            continue  # a statement macro's loop or branch, not a definition
+        functions[name.group(1)] = re.search(r"\bstatic\b", head) is None
     return functions
 
 
@@ -875,6 +885,22 @@ def test_export_lint_actually_catches_a_fourth_export():
     }
     for name, fork in pasted.items():
         assert c_exports(source + "\n" + fork) == KERNEL_EXPORTS | {name}
+    # A statement macro whose body holds braced loops and a branch (a
+    # ping-pong helper) defines nothing, and a fork pasted after it is
+    # still named: a finding, not a traceback.
+    ping_pong = (
+        "#define PING_PONG(a, b, n) \\\n"
+        "    for (int64_t p = 0; p < (n); p++) { \\\n"
+        "        while ((a) < (b)) { (a)++; } \\\n"
+        "        if ((a) > (b)) { (b) = (a); } \\\n"
+        "    }\n"
+        "#define SPIN(n) \\\n"
+        "    while ((n)-- > 0) { }\n"
+    )
+    assert c_exports(source + "\n" + ping_pong) == KERNEL_EXPORTS
+    assert c_exports(
+        source + "\n" + ping_pong + pasted["fold_chunk64"]
+    ) == KERNEL_EXPORTS | {"fold_chunk64"}
     for helper in ("bits_of", "fold_batch", "merge_k"):
         unstatic = re.sub(rf"\bstatic (\w+ {helper}\()", r"\1", source)
         assert unstatic != source
