@@ -627,7 +627,11 @@ class PrefixAccumulator:
     def observed_blocks(self) -> np.ndarray:
         """Sorted blocks that received any traffic."""
         dst_ips, _ = self._dst_ip_sums.compacted()
-        return np.unique(self.address_family.block_of(dst_ips))
+        # Sorted-unique keys give non-decreasing blocks: keep each run's head.
+        blocks = self.address_family.block_of(dst_ips)
+        heads = np.ones(len(blocks), dtype=bool)
+        np.not_equal(blocks[1:], blocks[:-1], out=heads[1:])
+        return blocks[heads]
 
     def vantage_source_blocks(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per vantage: (src /24 blocks, *raw* pooled sampled packets).

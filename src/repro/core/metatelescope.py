@@ -146,16 +146,20 @@ class MetaTelescope:
         self._routing_cache.clear()
 
     def routing_for_days(self, days: list[int]) -> RoutingTable:
-        """Union routing table over the involved days' RIB dumps."""
+        """Union routing table over the involved days' RIB dumps (one
+        day's is that day's own table: a union of one table)."""
         key = tuple(sorted(set(days)))
         cached = self._routing_cache.get(key)
         if cached is not None:
             return cached
-        seen = {}
-        for day in key:
-            for announcement in self.collector.daily_table(day).announcements:
-                seen[(announcement.prefix, announcement.origin_asn)] = announcement
-        table = RoutingTable(seen.values())
+        if len(key) == 1:
+            table = self.collector.daily_table(key[0])
+        else:
+            seen = {}
+            for day in key:
+                for announcement in self.collector.daily_table(day).announcements:
+                    seen[(announcement.prefix, announcement.origin_asn)] = announcement
+            table = RoutingTable(seen.values())
         self._routing_cache[key] = table
         return table
 

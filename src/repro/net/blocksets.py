@@ -16,8 +16,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.net.family import IPV4, AddressFamily
+from repro.net.family import IPV4, IPV6, AddressFamily
 from repro.net.ipv4 import Prefix
+
+#: Per address width, its family's block shift and block prefix length.
+_BLOCK_SHIFT = {family.ip_bits: family.ip_block_shift for family in (IPV4, IPV6)}
+_BLOCK_LENGTH = {
+    family.ip_bits: family.block_prefix_length for family in (IPV4, IPV6)
+}
 
 
 def aggregate_blocks(
@@ -182,25 +188,34 @@ def sorted_in_at_least(sets: Sequence[np.ndarray], count: int) -> np.ndarray:
     return union[counts >= count]
 
 
-def block_spans(prefixes: Iterable[Prefix]) -> tuple[np.ndarray, np.ndarray]:
+def block_spans(
+    prefixes: Iterable[Prefix], whole_blocks_only: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """The sorted ``(starts, ends)`` block spans of ``prefixes``, for
     :func:`interval_covered_mask`.
 
     A prefix spans the blocks of its first and last address, so one
-    longer than a block spans (taints) its containing block.  Ends are
-    a cumulative max, so a nested prefix never shadows its cover during
-    the probe.  Each prefix reads the block shift of its own family.
+    longer than a block spans (taints) its containing block; with
+    ``whole_blocks_only`` it spans nothing instead (a /25 routes no
+    /24).  Ends are a cumulative max, so a nested prefix never shadows
+    its cover during the probe.  Each prefix reads the block shift of
+    its own family.
     """
-    spans = []
-    for prefix in prefixes:
-        shift = prefix.family.ip_block_shift
-        spans.append((prefix.network >> shift, prefix.last_ip() >> shift))
-    spans.sort()
-    starts = np.array([lo for lo, _ in spans], dtype=np.int64)
-    ends = np.array([hi for _, hi in spans], dtype=np.int64)
-    if len(ends):
-        ends = np.maximum.accumulate(ends)
-    return starts, ends
+    prefixes = tuple(prefixes)
+    count = len(prefixes)
+    starts = np.fromiter(
+        (p.network >> _BLOCK_SHIFT[p.bits] for p in prefixes), np.int64, count
+    )
+    # Bits of the block id the prefix leaves free: negative for a prefix
+    # longer than a block.
+    free = np.fromiter(
+        (_BLOCK_LENGTH[p.bits] - p.length for p in prefixes), np.int64, count
+    )
+    if whole_blocks_only:
+        starts, free = starts[free >= 0], free[free >= 0]
+    ends = starts + (np.int64(1) << np.maximum(free, 0)) - 1
+    order = np.lexsort((ends, starts))
+    return starts[order], np.maximum.accumulate(ends[order])
 
 
 def interval_covered_mask(

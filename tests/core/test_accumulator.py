@@ -21,8 +21,9 @@ from repro.core.parallel import partial_states_identical
 from repro.core.pipeline import PipelineConfig, run_pipeline_accumulated
 from repro.faults import FaultPlan, standard_injector
 from repro.vantage.sampling import VantageDayView
+from repro.world.ipv6 import ipv6_day_view, micro_ipv6_world
 
-from _factories import NATIVE, families_of, fold
+from _factories import NATIVE, families_of, fold, same
 from test_pipeline_properties import ROUTING, flow_tables
 
 
@@ -278,6 +279,32 @@ class TestAccumulatorState:
         duplicate.update_day(multi_day[2].day, [multi_day[2]])
         assert partial_states_identical(original, fold(multi_day[:2]))
         assert not partial_states_identical(original, duplicate)
+
+
+class TestObservedBlocks:
+    """``observed_blocks`` keeps the run heads of the sorted-unique
+    keys' blocks; ``np.unique`` of those blocks is the plain reading."""
+
+    @staticmethod
+    def unique_blocks(accumulator):
+        keys, _ = accumulator._dst_ip_sums.compacted()
+        return np.unique(accumulator.address_family.block_of(keys))
+
+    def test_ipv4_matches_unique(self, multi_day):
+        accumulator = fold(multi_day)
+        same(accumulator.observed_blocks(), self.unique_blocks(accumulator))
+
+    def test_ipv6_matches_unique(self):
+        world = micro_ipv6_world(seed=7)
+        accumulator = fold([ipv6_day_view(world, day) for day in range(2)])
+        assert accumulator.address_family.name == "ipv6"
+        observed = accumulator.observed_blocks()
+        same(observed, self.unique_blocks(accumulator))
+        # Many /64 keys share a /48 site: the runs are not all of length 1.
+        assert len(observed) < len(accumulator._dst_ip_sums.compacted()[0])
+
+    def test_empty_accumulator_observes_nothing(self):
+        same(PrefixAccumulator().observed_blocks(), np.empty(0, np.int64))
 
 
 class TestKeyedSumsShortCircuit:

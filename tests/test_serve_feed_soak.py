@@ -7,7 +7,9 @@ under CPython 3.11), so a feed that kept every day it served would
 hold 18 more descriptors a day and fail near day 56 under the common
 1 024 ``RLIMIT_NOFILE``.  After warm-up the open descriptors, the
 observatory's retained days and the telescope's routing-cache entries
-must not change from one day to the next.
+must not change from one day to the next, and the resident set may not
+grow by more than :data:`RSS_GROWTH_BOUND` (without the bound it grew
+about 1.25 MiB a day).
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ DAYS = 120
 #: ~16 s, and the resources under test do not depend on the traffic).
 GENERATED = 4
 WARM_UP = 10
+#: Allowed RSS growth from day ``WARM_UP`` to the last day: allocator
+#: noise, far below the ~140 MiB an unbounded feed adds over those days.
+RSS_GROWTH_BOUND = 8 << 20
+PAGE_BYTES = os.sysconf("SC_PAGE_SIZE")
+
+
+def resident_bytes() -> int:
+    """This process's resident set size, from ``/proc/self/statm``."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * PAGE_BYTES
 
 
 def warm_cache(config, root) -> None:
@@ -77,6 +89,7 @@ def test_a_served_feed_holds_constant_resources(tmp_path, monkeypatch, capsys):
                 len(os.listdir("/proc/self/fd")),
                 sorted(built["observatory"]._days),
                 len(built["telescope"]._routing_cache),
+                resident_bytes(),
             ))
             return published
 
@@ -89,10 +102,12 @@ def test_a_served_feed_holds_constant_resources(tmp_path, monkeypatch, capsys):
     )
     capsys.readouterr()
     assert len(samples) == DAYS
-    descriptors = {fds for fds, _, _ in samples[WARM_UP:]}
+    descriptors = {fds for fds, _, _, _ in samples[WARM_UP:]}
     assert len(descriptors) == 1, sorted(descriptors)
-    retained = {len(days) for _, days, _ in samples[WARM_UP:]}
+    retained = {len(days) for _, days, _, _ in samples[WARM_UP:]}
     assert retained == {4}, retained  # the window's three and today's
     assert samples[-1][1] == list(range(DAYS - 4, DAYS))
-    routing = {entries for _, _, entries in samples[WARM_UP:]}
+    routing = {entries for _, _, entries, _ in samples[WARM_UP:]}
     assert len(routing) == 1, sorted(routing)
+    growth = samples[-1][3] - samples[WARM_UP][3]
+    assert growth < RSS_GROWTH_BOUND, f"RSS grew {growth / 2**20:.1f} MiB"
